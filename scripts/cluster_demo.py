@@ -46,8 +46,8 @@ def main() -> None:
             f"{hits:<16d} {mean:<13.9f} {abs(mean - target):.3e}"
         )
 
-    weak = clusters.weak_limit_check(
-        chi, lambda lam: lam, births, szego.f_power(2), args.m, basis=basis
+    weak = clusters.weak_limit_report(
+        report, chi, births, szego.f_power(2), args.m, "identity"
     )
     print(f"second-moment sweep against {weak.target:.9f}")
     for s in weak.samples:

@@ -22,7 +22,7 @@ COMMANDS = ("spectrum", "basis", "szego-trace", "szego-det", "clusters", "valida
 
 _KNOWN_KEYS = {
     "command", "m", "cutoff", "lambda_grid", "mode", "series", "j_range",
-    "N", "k_max", "symbol", "F", "p", "chi", "seed", "tolerances",
+    "N", "k_max", "symbol", "F", "p", "chi", "seed",
     "records", "dump_vertices", "dump_operator", "generation_cut",
 }
 
@@ -45,7 +45,6 @@ class RunConfig:
     p: dict = field(default_factory=lambda: {"kind": "identity"})
     chi: dict | None = None
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     dump_vertices: bool = False
     dump_operator: bool = False
@@ -94,7 +93,7 @@ class RunConfig:
             if not isinstance(jr, list) or not all(isinstance(j, int) for j in jr):
                 raise ConfigError("j_range", "must be a list of integers")
             cfg.j_range = jr
-        for key in ("symbol", "F", "p", "chi", "tolerances"):
+        for key in ("symbol", "F", "p", "chi"):
             if key in raw:
                 if not isinstance(raw[key], dict):
                     raise ConfigError(key, "must be an object")
@@ -123,7 +122,6 @@ class RunConfig:
             "F": self.F,
             "p": self.p,
             "seed": self.seed,
-            "tolerances": self.tolerances,
         }
         for key in ("cutoff", "lambda_grid", "symbol", "chi", "generation_cut"):
             value = getattr(self, key)
@@ -457,8 +455,8 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
         lambda k: integrate_simple(chi, k),
         out_dir / "moments.csv",
     )
-    weak = cl.weak_limit_check(
-        chi, p_fn, config.j_range, szego.f_identity(), config.m, p_name, base
+    weak = cl.weak_limit_report(
+        report, chi, config.j_range, szego.f_identity(), config.m, p_name
     )
     weak.to_csv(out_dir / "weak_limit.csv")
     weak.to_json(out_dir / "weak_limit.json")

@@ -22,15 +22,9 @@ from .gasket import SimpleFunction, VertexSet, vertex_values
 from .serialize import write_csv
 
 WINDOW_SLACK = 1e-9
+ROUNDING_SLACK = 32.0
 LOWER_BOUND_TOL = 1e-9
 MOMENT_RTOL = 1e-8
-
-
-def _chi_range(chi, vertices: VertexSet) -> tuple[float, float]:
-    if isinstance(chi, SimpleFunction):
-        return chi.min_value, chi.max_value
-    vals = vertex_values(chi, vertices)
-    return float(np.min(vals)), float(np.max(vals))
 
 
 def sup_difference(chi1, chi2, vertices: VertexSet) -> float:
@@ -94,7 +88,7 @@ def build_schrodinger(
         values, vectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"Schrodinger eigensolve failed: {exc}") from exc
-    chi_min, _ = _chi_range(chi, base.vertices)
+    chi_min, _ = operators.limit_range(chi, base.vertices)
     floor = float(np.min(diag)) + chi_min
     if values[0] < floor - LOWER_BOUND_TOL:
         raise StructuralError(
@@ -151,7 +145,9 @@ def identify_clusters(
 ) -> ClusterReport:
     """Locate the spectral clusters around p(lam_j) for a separated family.
 
-    Windows must be pairwise disjoint.  The threshold generation is the
+    Each window spans p(lam_j) + [min chi, max chi], padded by tau plus the
+    eigensolver's rounding floor ROUNDING_SLACK * eps * max|nu|; windows must
+    be pairwise disjoint.  The threshold generation is the
     smallest birth from which every later window holds exactly its
     eigenspace dimension; a family with no such birth is an error.  Cluster
     positions are the eigenvalues of the projected matrix
@@ -161,19 +157,24 @@ def identify_clusters(
     if not family:
         raise DomainError("empty eigenvalue family")
     if chi_range is None:
-        chi_range = _chi_range(schrodinger.chi, schrodinger.basis.vertices)
+        chi_range = operators.limit_range(
+            schrodinger.chi, schrodinger.basis.vertices
+        )
     lo_off, hi_off = chi_range
     family = sorted(family, key=lambda r: r.value)
     centers = [schrodinger.p(r.value) for r in family]
+    nu = schrodinger.eigenvalues
+    # eigh places eigenvalues of localized eigenfunctions, which sit exactly
+    # on a window edge, up to a few eps * max|nu| away from it
+    pad = tau + ROUNDING_SLACK * np.finfo(float).eps * float(np.max(np.abs(nu)))
     windows = [
-        (c + lo_off - tau, c + hi_off + tau) for c in centers
+        (c + lo_off - pad, c + hi_off + pad) for c in centers
     ]
     for (a_lo, a_hi), (b_lo, b_hi) in zip(windows, windows[1:]):
         if a_hi >= b_lo:
             raise DomainError(
                 f"cluster windows [{a_lo}, {a_hi}] and [{b_lo}, {b_hi}] overlap"
             )
-    nu = schrodinger.eigenvalues
     counts: dict[int, int] = {}
     members: dict[int, np.ndarray] = {}
     for rec, (w_lo, w_hi) in zip(family, windows):
@@ -264,9 +265,21 @@ def weak_limit_check(
     """Cluster averages of F against the potential's pullback integral."""
     base = basis or eigenbasis.level_basis(m)
     j_range = sorted(int(j) for j in j_range)
-    family = decimation_family(j_range, base)
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
-    report = identify_clusters(schrodinger, family)
+    report = identify_clusters(schrodinger, decimation_family(j_range, base))
+    return weak_limit_report(report, chi, j_range, F, m, p_name)
+
+
+def weak_limit_report(
+    report: ClusterReport,
+    chi,
+    j_range,
+    F: szego.TraceFunction,
+    m: int,
+    p_name: str = "p",
+) -> szego.ConvergenceReport:
+    """Weak-limit samples from the clusters of an identified report."""
+    j_range = sorted(int(j) for j in j_range)
     target, target_info = szego.target_integral(chi, F.fn)
     cut = (m + 1) // 2
     by_birth = {c.j: c for c in report.clusters}

@@ -95,8 +95,9 @@ def _normalize_branches(series: int, branches) -> tuple[str, ...]:
     return branches
 
 
-def renormalized_value(level: int, lam: float) -> float:
-    return 1.5 * 5.0 ** level * lam
+def renormalization_factor(level: int) -> float:
+    """Scale (3/2) 5^m of the renormalized level-m graph Laplacian."""
+    return 1.5 * 5.0 ** level
 
 
 def eigenvalue_limit(
@@ -120,14 +121,14 @@ def eigenvalue_limit(
     lam = float(series)
     level = birth
     trace = [lam]
-    prev = renormalized_value(level, lam)
+    prev = renormalization_factor(level) * lam
     for step in range(max_steps):
         explicit = step < len(branches)
         sign = branches[step] if explicit else CONTRACTING
         lam = _apply_branch(lam, sign, explicit)
         level += 1
         trace.append(lam)
-        value = renormalized_value(level, lam)
+        value = renormalization_factor(level) * lam
         if not explicit and abs(value - prev) < tol * abs(value):
             if with_trace:
                 return value, tuple(trace)
@@ -243,7 +244,7 @@ def enumerate_spectrum(
         lo, hi = decimation_preimages(lam)
         if lam == 6.0:
             lo = hi  # forced step, single child
-        partial_plus = renormalized_value(level + 1, hi)
+        partial_plus = renormalization_factor(level + 1) * hi
         if partial_plus > safety * cutoff:
             # every deeper record contains an expanding step at least this
             # large, so the whole subtree lies above the cutoff

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .decimation import renormalization_factor
 from .errors import DomainError, ResourceLimitError
 from .serialize import write_csv
 
@@ -204,14 +205,6 @@ class SelfSimilarMeasure:
     cell_counts: np.ndarray
     vertices: VertexSet
 
-    @property
-    def interior_weight(self) -> float:
-        """Common weight of interior vertices (each lies in two cells)."""
-        return 2.0 * 3.0 ** (-(self.level + 1))
-
-    def interior_weights(self) -> np.ndarray:
-        return self.weights[self.vertices.interior]
-
     def cell_mass(self, word: Word) -> float:
         start, stop = self.vertices.cell_range(word)
         return (stop - start) * 3.0 ** (-self.level)
@@ -313,13 +306,6 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
         counts = np.array([len(c) for c in vertices.vertex_cells], dtype=float)
         return acc / counts
     return np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]), dtype=float)
-
-
-RENORMALIZATION_BASE = 1.5  # the renormalized operator is (3/2) 5^m L_m
-
-
-def renormalization_factor(m: int) -> float:
-    return RENORMALIZATION_BASE * 5.0 ** m
 
 
 @dataclass

@@ -30,7 +30,6 @@ from .serialize import write_csv, write_json
 
 SYMMETRY_TOL = 1e-12
 BLOCK_TOL = 1e-10
-CONSTANT_KINDS = ("riesz", "bessel", "constant")
 
 
 @dataclass
@@ -50,6 +49,10 @@ class SymbolSpec:
     entries: tuple = ()
     limit_q: object = None
     lower_bound: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "multiplication", "separable", "tabulated"):
+            raise DomainError(f"unknown symbol kind {self.kind!r}")
 
 
 def riesz_symbol(beta: float) -> SymbolSpec:
@@ -155,38 +158,18 @@ def _tabulated_lookup(symbol: SymbolSpec, lam: float) -> SimpleFunction:
     raise DomainError(f"tabulated symbol has no entry for eigenvalue {lam}")
 
 
-def symbol_multiplier(
-    symbol: SymbolSpec, lam: float, measure: SelfSimilarMeasure
-) -> np.ndarray:
-    """Per-vertex diagonal realizing integration of p(., lam) u v d-measure."""
-    vertices = measure.vertices
-    if symbol.kind == "constant":
-        return symbol.p_lambda(lam) * measure.weights
-    if symbol.kind == "multiplication":
-        return effective_multiplier(symbol.chi, vertices)
-    if symbol.kind == "separable":
-        return symbol.p_lambda(lam) * measure.weights + effective_multiplier(
-            symbol.chi, vertices
-        )
-    if symbol.kind == "tabulated":
-        return effective_multiplier(_tabulated_lookup(symbol, lam), vertices)
-    raise DomainError(f"unknown symbol kind {symbol.kind!r}")
-
-
 def symbol_vertex_values(
     symbol: SymbolSpec, lam: float, vertices: VertexSet
 ) -> np.ndarray:
     """Pointwise samples of p(., lam) at the vertices."""
-    n = vertices.n_vertices
-    if symbol.kind == "constant":
-        return np.full(n, symbol.p_lambda(lam))
-    if symbol.kind == "multiplication":
-        return vertex_values(symbol.chi, vertices)
-    if symbol.kind == "separable":
-        return symbol.p_lambda(lam) + vertex_values(symbol.chi, vertices)
     if symbol.kind == "tabulated":
         return vertex_values(_tabulated_lookup(symbol, lam), vertices)
-    raise DomainError(f"unknown symbol kind {symbol.kind!r}")
+    values = np.zeros(vertices.n_vertices)
+    if symbol.p_lambda is not None:
+        values += symbol.p_lambda(lam)
+    if symbol.chi is not None:
+        values += vertex_values(symbol.chi, vertices)
+    return values
 
 
 def limit_vertex_values(limit_q, vertices: VertexSet) -> np.ndarray:
@@ -330,8 +313,12 @@ def compress(
 ) -> CompressedOperator:
     """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
 
-    Column blocks use their eigenspace's eigenvalue; the result is symmetrized
-    and the asymmetry norm recorded.  When the basis is a localized split and
+    A tabulated symbol is compressed one column block per eigenspace, with
+    that eigenspace's eigenvalue.  Every other symbol is q(lam) + chi(x); the
+    basis is orthonormal in the measure-weighted inner product and interior
+    vertices share one weight, so q compresses to diag(q(lam)) and chi to a
+    single product U^T [chi] U.  The result is symmetrized and the asymmetry
+    norm recorded.  When the basis is a localized split and
     the symbol is multiplication by a simple function at the split level or
     coarser, the exact block structure (diagonal per-cell blocks plus a
     trailing non-localized block) is verified and off-block entries snapped
@@ -343,10 +330,22 @@ def compress(
         )
     interior = basis.vertices.interior
     cols = basis.columns
-    raw = np.empty((basis.dim, basis.dim))
-    for rec, sl in zip(basis.records, basis.group_slices):
-        g = symbol_multiplier(symbol, rec.value, measure)[interior]
-        raw[:, sl] = cols.T @ (g[:, None] * cols[:, sl])
+    if symbol.kind == "tabulated":
+        raw = np.empty((basis.dim, basis.dim))
+        for rec, sl in zip(basis.records, basis.group_slices):
+            f = _tabulated_lookup(symbol, rec.value)
+            g = effective_multiplier(f, measure.vertices)[interior]
+            raw[:, sl] = cols.T @ (g[:, None] * cols[:, sl])
+    else:
+        if symbol.chi is None:
+            raw = np.zeros((basis.dim, basis.dim))
+        else:
+            g = effective_multiplier(symbol.chi, measure.vertices)[interior]
+            raw = cols.T @ (g[:, None] * cols)
+        if symbol.p_lambda is not None:
+            raw[np.diag_indices_from(raw)] += [
+                symbol.p_lambda(float(lam)) for lam in basis.lambdas
+            ]
     asym = float(np.max(np.abs(raw - raw.T)))
     if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(raw)))):
         raise StructuralError(

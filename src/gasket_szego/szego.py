@@ -242,19 +242,34 @@ def _check_single_series_args(series, j_range, n_level, m):
     return j_range
 
 
-def _simple_multiplication_bound(symbol, n_level, k, counts) -> float | None:
+def _simple_multiplication_bound(symbol, series, j, n_level, k) -> float | None:
     """Exact finite-sample error bound for simple multiplication symbols."""
     if not (
-        symbol.kind == "multiplication"
+        k is not None
+        and symbol.kind == "multiplication"
         and isinstance(symbol.chi, SimpleFunction)
         and symbol.chi.level <= n_level
     ):
         return None
+    counts = decimation.localization_counts(series, j, n_level)
     f = symbol.chi
     abs_f = SimpleFunction(f.level, np.abs(f.values))
     return (counts.alpha_N / counts.d_j) * integrate_simple(abs_f, k) + (
         counts.alpha_N ** k / counts.d_j
     ) * f.sup_norm ** k
+
+
+def _single_series_sweep(symbol, series, j_range, basis, cut, target, evaluate):
+    """Normalized evaluate() over the compressions to one series' eigenspaces."""
+    samples = []
+    for j in j_range:
+        bundle = basis.family_bundle(series, j)
+        gamma = compress(symbol, selection_from_bundles([bundle]), basis.measure)
+        d = bundle.dim
+        value = evaluate(gamma) / d
+        head = d if j <= cut else 0
+        samples.append(Sample(j, d, value, abs(value - target), head, d - head))
+    return samples
 
 
 def szego_trace_single_series(
@@ -273,30 +288,16 @@ def szego_trace_single_series(
     basis = basis or eigenbasis.level_basis(m)
     target, target_info = target_integral(symbol.limit_q, F.fn)
     cut = generation_cut or _default_generation_cut(m)
+    samples = _single_series_sweep(
+        symbol, series, j_range, basis, cut, target,
+        lambda gamma: trace_F(gamma, F.fn, domain=f_domain),
+    )
     power = _f_power_order(F)
-    samples, bounds = [], []
+    bounds = []
     for j in j_range:
-        bundle = basis.family_bundle(series, j)
-        sel = selection_from_bundles([bundle])
-        gamma = compress(symbol, sel, basis.measure)
-        d = bundle.dim
-        value = trace_F(gamma, F.fn, domain=f_domain) / d
-        head = d if j <= cut else 0
-        samples.append(
-            Sample(
-                index=j,
-                d=d,
-                value=value,
-                abs_error=abs(value - target),
-                head_mass=head,
-                tail_mass=d - head,
-            )
-        )
-        if power is not None:
-            counts = decimation.localization_counts(series, j, n_level)
-            bound = _simple_multiplication_bound(symbol, n_level, power, counts)
-            if bound is not None:
-                bounds.append({"j": j, "bound": bound})
+        bound = _simple_multiplication_bound(symbol, series, j, n_level, power)
+        if bound is not None:
+            bounds.append({"j": j, "bound": bound})
     report = ConvergenceReport(
         target=target,
         samples=samples,
@@ -465,17 +466,9 @@ def szego_logdet_single_series(
     _check_positivity(symbol, records, basis.vertices)
     target, target_info = target_integral(symbol.limit_q, math.log)
     cut = generation_cut or _default_generation_cut(m)
-    samples = []
-    for j in j_range:
-        bundle = basis.family_bundle(series, j)
-        sel = selection_from_bundles([bundle])
-        gamma = compress(symbol, sel, basis.measure)
-        d = bundle.dim
-        value = log_det(gamma) / d
-        head = d if j <= cut else 0
-        samples.append(
-            Sample(j, d, value, abs(value - target), head, d - head)
-        )
+    samples = _single_series_sweep(
+        symbol, series, j_range, basis, cut, target, log_det
+    )
     return ConvergenceReport(
         target=target,
         samples=samples,

@@ -79,7 +79,17 @@ def test_szego_det_full_command(tmp_path):
     assert all(abs(s["abs_error"]) <= 1e-10 for s in report["samples"])
 
 
-def test_clusters_command(tmp_path):
+def test_clusters_command(tmp_path, monkeypatch):
+    from gasket_szego import clusters
+
+    builds = []
+    original = clusters.build_schrodinger
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(clusters, "build_schrodinger", counting_build)
     config = {
         "m": 4,
         "j_range": [2, 3, 4],
@@ -93,6 +103,7 @@ def test_clusters_command(tmp_path):
     assert lines[0] == "j,center,position,weight"
     assert (out / "moments.csv").exists()
     assert (out / "weak_limit.csv").exists()
+    assert len(builds) == 1
 
 
 def test_basis_command(tmp_path):
@@ -142,6 +153,11 @@ def test_config_validation_messages():
         cli.RunConfig.from_dict({"command": "spectrum", "cutoff": "big"})
     with pytest.raises(ConfigError):
         cli._parse_simple({"level": 1}, "chi")  # missing values
+    with pytest.raises(ConfigError) as err:
+        cli.RunConfig.from_dict(
+            {"command": "spectrum", "cutoff": 100.0, "tolerances": {}}
+        )
+    assert "tolerances" in str(err.value)
 
 
 def test_malformed_chi_exits_2(tmp_path):

@@ -66,6 +66,21 @@ def test_constant_potential_shifts_exactly(level5):
         assert np.max(np.abs(psi.positions - 0.7)) <= 1e-12
 
 
+def test_constant_p_offset_keeps_clusters(level5):
+    # localized eigenvalues sit exactly on a window edge; the window padding
+    # must follow the rounding of eigh, which grows with max|H|
+    family = decimation_family([2, 3, 4, 5], level5)
+    reports = [
+        identify_clusters(
+            build_schrodinger(lambda lam, c=offset: lam + c, CHI, M, basis=level5),
+            family,
+        )
+        for offset in (0.0, 1e6)
+    ]
+    assert reports[1].threshold_j == reports[0].threshold_j
+    assert reports[1].counts == reports[0].counts
+
+
 def test_exact_shift_covariance(level5):
     family = decimation_family([3, 4], level5)
     h0 = build_schrodinger(IDENT, CHI, M, basis=level5)

@@ -319,6 +319,48 @@ def test_tabulated_symbol(level4):
         compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]), level4.measure)
 
 
+ORACLE_SYMBOLS = {
+    "riesz": riesz_symbol(1.0),
+    "bessel": bessel_symbol(2.0),
+    "constant": constant_symbol(lambda lam: 2.5, limit=2.5),
+    "multiplication": multiplication_symbol(SimpleFunction(1, [0.8, 1.0, 1.2])),
+    "separable": separable_symbol(
+        lambda lam: lam ** -1.0,
+        0.0,
+        SimpleFunction(2, [1.0, 1.5, 2.0, 0.5, 1.0, 1.5, 2.5, 3.0, 0.7]),
+    ),
+}
+
+
+def _oracle_selection(basis, kind):
+    bundle = basis.family_bundle(6, 4)
+    if kind == "bundle":
+        return selection_from_bundles([bundle])
+    if kind == "split":
+        return selection_from_split(localized_split(bundle, 1))
+    return selection_from_bundles(
+        [b for b in basis.bundles if b.record.value <= 80000.0]
+    )
+
+
+@pytest.mark.parametrize("selection", ["bundle", "cutoff", "split"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
+def test_compress_matches_per_eigenspace_oracle(level5, name, selection):
+    # the same symbol tabulated as one simple function q(lam) + chi per
+    # eigenspace goes through the per-eigenspace path
+    sym = ORACLE_SYMBOLS[name]
+    sel = _oracle_selection(level5, selection)
+    chi = sym.chi if sym.chi is not None else constant_function(0.0)
+    entries = [
+        (rec.value, chi.shifted(sym.p_lambda(rec.value) if sym.p_lambda else 0.0))
+        for rec in sel.records
+    ]
+    oracle = compress(tabulated_symbol(entries), sel, level5.measure)
+    op = compress(sym, sel, level5.measure)
+    assert op.dim == oracle.dim
+    assert np.max(np.abs(op.matrix - oracle.matrix)) <= 1e-12
+
+
 def test_sup_distance_trend(level4):
     sym = riesz_symbol(1.0)
     values = [r.value for r in level4.table.records]
