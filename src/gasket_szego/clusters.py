@@ -27,6 +27,12 @@ LOWER_BOUND_TOL = 1e-9
 MOMENT_RTOL = 1e-8
 
 
+def _rounding_floor(nu: np.ndarray) -> float:
+    """Slack for eigh's rounding, which places eigenvalues of localized
+    eigenfunctions up to a few eps * max|nu| from their exact values."""
+    return ROUNDING_SLACK * np.finfo(float).eps * float(np.max(np.abs(nu)))
+
+
 def sup_difference(chi1, chi2, vertices: VertexSet) -> float:
     """Sup norm of chi1 - chi2 (exact for simple functions)."""
     if isinstance(chi1, SimpleFunction) and isinstance(chi2, SimpleFunction):
@@ -78,7 +84,7 @@ def build_schrodinger(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> SchrodingerMatrix:
     base = basis or eigenbasis.level_basis(m)
-    sel = operators.selection_from_bundles(base.bundles)
+    sel = operators.leading_selection(base)
     m_chi = operators.compress(
         operators.multiplication_symbol(chi), sel, base.measure
     ).matrix
@@ -164,9 +170,7 @@ def identify_clusters(
     family = sorted(family, key=lambda r: r.value)
     centers = [schrodinger.p(r.value) for r in family]
     nu = schrodinger.eigenvalues
-    # eigh places eigenvalues of localized eigenfunctions, which sit exactly
-    # on a window edge, up to a few eps * max|nu| away from it
-    pad = tau + ROUNDING_SLACK * np.finfo(float).eps * float(np.max(np.abs(nu)))
+    pad = tau + _rounding_floor(nu)
     windows = [
         (c + lo_off - pad, c + hi_off + pad) for c in centers
     ]
@@ -281,7 +285,7 @@ def weak_limit_report(
     """Weak-limit samples from the clusters of an identified report."""
     j_range = sorted(int(j) for j in j_range)
     target, target_info = szego.target_integral(chi, F.fn)
-    cut = (m + 1) // 2
+    cut = szego._default_generation_cut(m)
     by_birth = {c.j: c for c in report.clusters}
     samples = []
     for j in j_range:
@@ -347,7 +351,8 @@ def lipschitz_check(
     h1 = build_schrodinger(p, chi1, m, basis=base)
     h2 = build_schrodinger(p, chi2, m, basis=base)
     displacement = float(np.max(np.abs(h1.eigenvalues - h2.eigenvalues)))
-    bound = sup_difference(chi1, chi2, base.vertices) + 1e-9
+    nu = np.concatenate([h1.eigenvalues, h2.eigenvalues])
+    bound = sup_difference(chi1, chi2, base.vertices) + 1e-9 + _rounding_floor(nu)
     if displacement > bound:
         raise StructuralError(
             f"eigenvalue displacement {displacement} exceeds the potential "

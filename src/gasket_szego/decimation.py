@@ -156,20 +156,6 @@ class EigenvalueRecord:
     def key(self) -> str:
         return f"{self.series}:{self.birth}:{''.join(self.branches)}"
 
-    def graph_value_at(self, m: int) -> float:
-        """Graph eigenvalue lam_m of this record's level-m truncation."""
-        if m < self.birth:
-            raise DomainError(
-                f"record born at level {self.birth} is absent at level {m}"
-            )
-        steps = m - self.birth
-        if steps < len(self.graph_values):
-            return self.graph_values[steps]
-        lam = self.graph_values[-1]
-        for _ in range(steps - len(self.graph_values) + 1):
-            lam = _apply_branch(lam, CONTRACTING, explicit=False)
-        return lam
-
 
 def make_record(
     series: int, birth: int, branches=(), tol: float = DEFAULT_TOL

@@ -1,7 +1,8 @@
 """Dense eigensolver, eigenspace grouping, and localized/non-localized splits.
 
-Graph eigenvectors are grouped into eigenspaces matched against the decimation
-prediction and re-orthonormalized in the measure-weighted inner product.  A
+Graph eigenvectors are labelled by the level-m decimation prediction, rescaled
+to be orthonormal in the measure-weighted inner product and held as one
+read-only matrix, of which every eigenspace is a column view.  A
 split at cell level N finds, per N-cell, the subspace of vectors supported
 strictly inside that cell; the subspace is located purely by linear algebra
 (kernel of the restriction-to-outside map) and its dimension is checked
@@ -17,7 +18,6 @@ import numpy as np
 from . import decimation
 from .decimation import (
     EigenvalueRecord,
-    SpectrumTable,
     localization_counts,
 )
 from .errors import (
@@ -45,14 +45,8 @@ SNAP_TOL = 1e-10
 ORTHO_TOL = 1e-10
 
 
-@dataclass
-class EigenPair:
-    graph_value: float
-    vector: np.ndarray
-
-
-def solve_graph_spectrum(lap: GraphLaplacian) -> list[EigenPair]:
-    """Full eigendecomposition of a symmetric graph Laplacian, ascending."""
+def solve_graph_spectrum(lap: GraphLaplacian) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending and the matrix of their orthonormal eigenvectors."""
     mat = lap.matrix
     if not np.array_equal(mat, mat.T):
         raise StructuralError("graph Laplacian matrix is not symmetric")
@@ -67,7 +61,7 @@ def solve_graph_spectrum(lap: GraphLaplacian) -> list[EigenPair]:
             f"eigensolve residual {residual:.3e} exceeds "
             f"{RESIDUAL_RTOL:.0e} * ||L|| = {RESIDUAL_RTOL * scale:.3e}"
         )
-    return [EigenPair(float(values[i]), vectors[:, i]) for i in range(len(values))]
+    return values, vectors
 
 
 @dataclass
@@ -90,73 +84,69 @@ def interior_weight(m: int) -> float:
     return 2.0 * 3.0 ** (-(m + 1))
 
 
-def level_cover_cutoff(m: int) -> float:
-    """A cutoff guaranteed to exceed every level-m eigenvalue's record value."""
-    return 30.0 * 5.0 ** m
-
-
-def _resolvable(record: EigenvalueRecord, m: int) -> bool:
-    if record.birth > m:
-        return False
-    if len(record.branches) <= m - record.birth:
-        return True
-    return record.series == 6 and record.branches == ("+",) and m == record.birth
-
-
 def group_eigenspaces(
-    pairs: list[EigenPair],
-    table: SpectrumTable,
+    values: np.ndarray,
+    vectors: np.ndarray,
     m: int,
     vertices: VertexSet | None = None,
-) -> list[EigenspaceBundle]:
-    """Assign every eigenpair to the record predicted by decimation.
+) -> tuple[np.ndarray, list[EigenspaceBundle]]:
+    """Label ascending eigenpairs with the decimation prediction of level m.
 
-    The table must cover every eigenvalue present at level m.  Grouping walks
-    the sorted spectra in lockstep using predicted multiplicities; an
-    eigenvalue farther than the relative grouping tolerance from its
-    prediction is reported as an orphan.
+    The truncated graph spectrum fixes every eigenvalue and multiplicity, so
+    the sorted spectra are walked in lockstep; an eigenvalue farther than the
+    relative grouping tolerance from its prediction is reported as an orphan.
+    Returns the weighted-orthonormal eigenvectors permuted into record-value
+    order as one read-only matrix, and one bundle per eigenspace whose
+    vectors are a column view of it.
     """
     if vertices is None:
         vertices = build_vertices(m)
-    pairs = sorted(pairs, key=lambda p: p.graph_value)
-    predicted = [r for r in table.records if _resolvable(r, m)]
-    total = sum(r.multiplicity for r in predicted)
-    if total != len(pairs):
+    predicted = decimation.truncated_graph_spectrum(m)
+    total = sum(g.multiplicity for g in predicted)
+    if total != len(values):
         raise MismatchError(
-            f"table predicts dimension {total} at level {m} but the solve "
-            f"returned {len(pairs)} eigenpairs; the table does not cover the level"
+            f"decimation predicts dimension {total} at level {m} but the "
+            f"solve returned {len(values)} eigenpairs"
         )
-    predicted.sort(key=lambda r: r.graph_value_at(m))
-    graph_values = [r.graph_value_at(m) for r in predicted]
+    graph_values = [g.graph_value for g in predicted]
     for a, b in zip(graph_values, graph_values[1:]):
         if b - a <= 3.0 * GROUPING_RTOL * max(1.0, abs(b)):
             raise StructuralError(
                 f"predicted graph values {a} and {b} too close to group at "
                 f"relative tolerance {GROUPING_RTOL}"
             )
-    scale = 1.0 / np.sqrt(interior_weight(m))
+    blocks = []
+    cursor = 0
+    for g in predicted:
+        cols = np.arange(cursor, cursor + g.multiplicity)
+        cursor += g.multiplicity
+        off = np.abs(values[cols] - g.graph_value) > GROUPING_RTOL * max(
+            1.0, abs(g.graph_value)
+        )
+        if off.any():
+            raise MismatchError(
+                f"orphan eigenvalue {float(values[cols][off][0])!r}: nearest "
+                f"record {g.record.key} predicts graph value {g.graph_value!r}"
+            )
+        blocks.append((g, cols))
+    blocks.sort(key=lambda block: (block[0].record.value, block[0].record.key))
+    matrix = vectors[:, np.concatenate([cols for _, cols in blocks])]
+    matrix *= 1.0 / np.sqrt(interior_weight(m))
+    matrix.flags.writeable = False
     bundles = []
     cursor = 0
-    for rec, gv in zip(predicted, graph_values):
-        block = pairs[cursor : cursor + rec.multiplicity]
-        cursor += rec.multiplicity
-        for pair in block:
-            if abs(pair.graph_value - gv) > GROUPING_RTOL * max(1.0, abs(gv)):
-                raise MismatchError(
-                    f"orphan eigenvalue {pair.graph_value!r}: nearest record "
-                    f"{rec.key} predicts graph value {gv!r}"
-                )
-        vectors = np.column_stack([p.vector for p in block]) * scale
+    for g, cols in blocks:
         bundles.append(
             EigenspaceBundle(
                 level=m,
-                record=rec,
-                graph_value=gv,
-                vectors=vectors,
+                record=g.record,
+                graph_value=g.graph_value,
+                vectors=matrix[:, cursor : cursor + cols.size],
                 vertices=vertices,
             )
         )
-    return bundles
+        cursor += cols.size
+    return matrix, bundles
 
 
 @dataclass
@@ -308,14 +298,9 @@ class LevelBasis:
     level: int
     vertices: VertexSet
     measure: SelfSimilarMeasure
-    laplacian: GraphLaplacian
     graph_values: np.ndarray
+    vectors: np.ndarray
     bundles: list[EigenspaceBundle]
-    table: SpectrumTable
-
-    @property
-    def dim(self) -> int:
-        return self.laplacian.dim
 
     def bundle_for(self, key: str) -> EigenspaceBundle:
         for b in self.bundles:
@@ -339,27 +324,25 @@ class LevelBasis:
 
 
 def build_level_basis(m: int) -> LevelBasis:
+    """Solve level m once; bundles and leading selections are column views
+    of `vectors`, so its arrays are read-only."""
     vertices = build_vertices(m)
-    measure = build_measure(vertices)
-    lap = build_dirichlet_laplacian(vertices)
-    pairs = solve_graph_spectrum(lap)
-    table = decimation.enumerate_spectrum(level_cover_cutoff(m))
-    bundles = group_eigenspaces(pairs, table, m, vertices)
-    bundles.sort(key=lambda b: (b.record.value, b.record.key))
+    values, raw = solve_graph_spectrum(build_dirichlet_laplacian(vertices))
+    vectors, bundles = group_eigenspaces(values, raw, m, vertices)
+    values.flags.writeable = False
     return LevelBasis(
         level=m,
         vertices=vertices,
-        measure=measure,
-        laplacian=lap,
-        graph_values=np.array([p.graph_value for p in pairs]),
+        measure=build_measure(vertices),
+        graph_values=values,
+        vectors=vectors,
         bundles=bundles,
-        table=table,
     )
 
 
 @functools.lru_cache(maxsize=8)
 def level_basis(m: int) -> LevelBasis:
-    """Cached level workspace; treat the returned object as immutable."""
+    """Cached level workspace; its arrays are read-only and shared."""
     return build_level_basis(m)
 
 

@@ -318,10 +318,6 @@ class GraphLaplacian:
     factor: float
     vertices: VertexSet
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_dirichlet_laplacian(
     vertices: VertexSet, renormalize: bool = False

@@ -16,7 +16,7 @@ import numpy as np
 
 from .decimation import EigenvalueRecord, SpectrumTable
 from .errors import ConvergenceError, DomainError, StructuralError
-from .eigenbasis import EigenspaceBundle, LocalizedBasis
+from .eigenbasis import EigenspaceBundle, LevelBasis, LocalizedBasis
 from .gasket import (
     SelfSimilarMeasure,
     SimpleFunction,
@@ -230,12 +230,31 @@ class BasisSelection:
 
 
 def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
+    """A selection of arbitrary bundles; their columns are copied side by side."""
     if not bundles:
         raise DomainError("empty eigenbasis selection")
     level = bundles[0].level
     if any(b.level != level for b in bundles):
         raise StructuralError("mixed graph levels in one basis selection")
-    columns = np.hstack([b.vectors for b in bundles])
+    return _grouped_selection(bundles, np.hstack([b.vectors for b in bundles]))
+
+
+def leading_selection(basis: LevelBasis, cutoff: float = math.inf) -> BasisSelection:
+    """Every eigenspace with record value <= cutoff, without a copy.
+
+    Bundles are in record-value order, so they form a prefix of the level
+    basis and their columns are a leading column view of its matrix.
+    """
+    bundles = [b for b in basis.bundles if b.record.value <= cutoff]
+    if not bundles:
+        raise DomainError(f"no eigenvalues at or below cutoff {cutoff}")
+    dim = sum(b.dim for b in bundles)
+    return _grouped_selection(bundles, basis.vectors[:, :dim])
+
+
+def _grouped_selection(
+    bundles: list[EigenspaceBundle], columns: np.ndarray
+) -> BasisSelection:
     records, slices, keys = [], [], []
     start = 0
     for b in bundles:
@@ -245,7 +264,7 @@ def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
         keys.extend((b.record.key, i) for i in range(b.dim))
         start = stop
     return BasisSelection(
-        level=level,
+        level=bundles[0].level,
         vertices=bundles[0].vertices,
         columns=columns,
         records=records,
@@ -389,7 +408,12 @@ def compress(
 
 
 def operator_eigenvalues(op: CompressedOperator) -> np.ndarray:
-    return np.linalg.eigvalsh(op.matrix)
+    """Ascending eigenvalues; an exactly diagonal matrix is read off, not solved."""
+    mat = op.matrix
+    # counts through the (possibly strided sub-block) view without a copy
+    if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
+        return np.sort(np.diagonal(mat))
+    return np.linalg.eigvalsh(mat)
 
 
 def trace_F(

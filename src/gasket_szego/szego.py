@@ -26,7 +26,6 @@ from .gasket import (
     vertex_values,
 )
 from .operators import (
-    BasisSelection,
     SymbolSpec,
     compress,
     log_det,
@@ -327,15 +326,6 @@ def _f_power_order(F: TraceFunction) -> int | None:
     return None
 
 
-def _cutoff_selection(
-    basis: eigenbasis.LevelBasis, cutoff: float
-) -> BasisSelection:
-    bundles = [b for b in basis.bundles if b.record.value <= cutoff]
-    if not bundles:
-        raise DomainError(f"no eigenvalues at or below cutoff {cutoff}")
-    return selection_from_bundles(bundles)
-
-
 def check_window(lambda_grid, m: int) -> float:
     window = decimation.resolvable_window(m)
     top = max(lambda_grid)
@@ -354,7 +344,7 @@ def _full_sweep(symbol, lambda_grid, m, basis, cut, target, evaluate,
     if not lambda_grid:
         raise DomainError("empty cutoff grid")
     window = check_window(lambda_grid, m)
-    full = _cutoff_selection(basis, lambda_grid[-1])
+    full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
         precheck(full)
     gamma_full = compress(symbol, full, basis.measure)

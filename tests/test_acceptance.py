@@ -251,8 +251,8 @@ def test_criterion_7_lipschitz_trials(level5):
                  f"{worst_excess:.2e}")
 
 
-def test_criterion_8_functional_calculus(level5):
-    table = level5.table
+def test_criterion_8_functional_calculus(level5, level5_table):
+    table = level5_table
     sym = operators.riesz_symbol(1.0)
     sel = operators.selection_from_bundles(level5.bundles)
     op = operators.compress(sym, sel, level5.measure)

@@ -158,6 +158,20 @@ def test_config_validation_messages():
             {"command": "spectrum", "cutoff": 100.0, "tolerances": {}}
         )
     assert "tolerances" in str(err.value)
+    # only the szego commands split their samples by generation
+    chi = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    for raw in (
+        {"command": "clusters", "m": 4, "j_range": [2], "chi": chi},
+        {"command": "validate", "m": 3},
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.RunConfig.from_dict({**raw, "generation_cut": 2})
+        assert "generation_cut" in str(err.value)
+    cfg = cli.RunConfig.from_dict(
+        {"command": "szego-trace", "symbol": {"kind": "riesz", "beta": 1.0},
+         "j_range": [3], "generation_cut": 2}
+    )
+    assert cfg.generation_cut == 2
 
 
 def test_malformed_chi_exits_2(tmp_path):

@@ -206,6 +206,20 @@ def test_lipschitz_random_perturbations(level5):
         assert disp <= delta + 1e-9
 
 
+def test_lipschitz_large_p_offset(level5):
+    # localized eigenvalues move by exactly the cell change, and eigh rounds
+    # them by a few eps * max|nu|, which grows with the offset of p
+    rng = np.random.default_rng(7)
+    for offset in (1e6, 1e8):
+        for _ in range(10):
+            eta = random_simple_perturbation(rng, 2, 0.05)
+            chi2 = SimpleFunction(2, np.repeat(CHI.values, 3) + eta.values)
+            # raises StructuralError when the displacement exceeds the bound
+            lipschitz_check(
+                lambda lam, c=offset: lam + c, CHI, chi2, M, basis=level5
+            )
+
+
 def test_sup_difference_levels():
     a = SimpleFunction(1, [1.0, 2.0, 3.0])
     b = SimpleFunction(2, np.repeat([1.0, 2.0, 3.0], 3) + 0.25)

@@ -160,14 +160,6 @@ def test_branch_consistency():
         assert rec.graph_values[0] == float(rec.series)
 
 
-def test_graph_value_at():
-    rec = make_record(6, 2, (EXPANDING,))
-    assert rec.graph_value_at(2) == 6.0
-    assert rec.graph_value_at(3) == 3.0
-    with pytest.raises(DomainError):
-        rec.graph_value_at(1)
-
-
 def test_localization_counts_paper_values():
     c = localization_counts(6, 4, 2)
     assert (c.d_j, c.d_j_N, c.m_j_N, c.alpha_N) == (39, 27, 3, 12)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from gasket_szego import decimation
-from gasket_szego.decimation import enumerate_spectrum
 from gasket_szego.eigenbasis import (
-    EigenPair,
     build_level_basis,
     group_eigenspaces,
     interior_weight,
-    level_cover_cutoff,
     load_bundle,
     localized_split,
     save_bundle,
@@ -22,16 +19,15 @@ from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
 def test_solve_level1():
     lap = build_dirichlet_laplacian(build_vertices(1))
-    pairs = solve_graph_spectrum(lap)
-    assert [round(p.graph_value, 10) for p in pairs] == [2.0, 5.0, 5.0]
+    values, _ = solve_graph_spectrum(lap)
+    assert [round(float(v), 10) for v in values] == [2.0, 5.0, 5.0]
 
 
 def test_solve_level2_contains_decimated_two_series():
     lap = build_dirichlet_laplacian(build_vertices(2))
-    pairs = solve_graph_spectrum(lap)
-    assert len(pairs) == 12
+    values, _ = solve_graph_spectrum(lap)
+    assert len(values) == 12
     lo, hi = decimation.decimation_preimages(2.0)
-    values = np.array([p.graph_value for p in pairs])
     for root in (lo, hi):
         assert np.sum(np.abs(values - root) < 1e-9) == 1
 
@@ -39,8 +35,8 @@ def test_solve_level2_contains_decimated_two_series():
 @pytest.mark.parametrize("m", range(1, 5))
 def test_trace_identity(m):
     lap = build_dirichlet_laplacian(build_vertices(m))
-    pairs = solve_graph_spectrum(lap)
-    total = math.fsum(p.graph_value for p in pairs)
+    values, _ = solve_graph_spectrum(lap)
+    total = math.fsum(float(v) for v in values)
     assert total == pytest.approx(float(np.trace(lap.matrix)), rel=1e-9)
 
 
@@ -56,9 +52,8 @@ def test_group_level1_dimensions():
     m = 1
     vertices = build_vertices(m)
     lap = build_dirichlet_laplacian(vertices)
-    pairs = solve_graph_spectrum(lap)
-    table = enumerate_spectrum(level_cover_cutoff(m))
-    bundles = group_eigenspaces(pairs, table, m, vertices)
+    values, vectors = solve_graph_spectrum(lap)
+    _, bundles = group_eigenspaces(values, vectors, m, vertices)
     dims = sorted(b.dim for b in bundles)
     assert dims == [1, 2]
 
@@ -92,21 +87,19 @@ def test_group_orphan_detection():
     m = 2
     vertices = build_vertices(m)
     lap = build_dirichlet_laplacian(vertices)
-    pairs = solve_graph_spectrum(lap)
-    pairs[0] = EigenPair(pairs[0].graph_value + 0.01, pairs[0].vector)
-    table = enumerate_spectrum(level_cover_cutoff(m))
+    values, vectors = solve_graph_spectrum(lap)
+    values[0] += 0.01
     with pytest.raises(MismatchError):
-        group_eigenspaces(pairs, table, m, vertices)
+        group_eigenspaces(values, vectors, m, vertices)
 
 
-def test_group_insufficient_table():
+def test_group_dimension_mismatch():
     m = 2
     vertices = build_vertices(m)
     lap = build_dirichlet_laplacian(vertices)
-    pairs = solve_graph_spectrum(lap)
-    table = enumerate_spectrum(100.0)
+    values, vectors = solve_graph_spectrum(lap)
     with pytest.raises(MismatchError):
-        group_eigenspaces(pairs, table, m, vertices)
+        group_eigenspaces(values[:-1], vectors[:, :-1], m, vertices)
 
 
 @pytest.mark.parametrize(
@@ -179,3 +172,14 @@ def test_bundle_save_load_bit_exact(tmp_path, level4):
 def test_level_basis_sorted_by_value(level4):
     values = [b.record.value for b in level4.bundles]
     assert values == sorted(values)
+
+
+def test_level_basis_is_read_only(level4):
+    bundle = level4.family_bundle(6, 3)
+    assert np.shares_memory(bundle.vectors, level4.vectors)
+    with pytest.raises(ValueError):
+        bundle.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        level4.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        level4.graph_values[0] = 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from gasket_szego.operators import (
     bessel_symbol,
     compress,
     constant_symbol,
+    leading_selection,
     log_det,
     make_symbol,
     multiplication_symbol,
@@ -206,24 +208,24 @@ def test_operator_monotonicity_transfer(level4):
     assert np.all(lo_eigs <= hi_eigs + 1e-10)
 
 
-def test_spectral_bounds_constant(level4):
+def test_spectral_bounds_constant(level4, level4_table):
     sym = constant_symbol(lambda lam: 2.0, limit=2.0)
     sel = selection_from_bundles(level4.bundles)
-    bounds = spectral_bounds(sym, level4.table, 0.1, sel, level4.measure)
+    bounds = spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
     assert bounds.A == pytest.approx(1.9, abs=1e-9)
     assert bounds.B == pytest.approx(2.1, abs=1e-9)
 
 
-def test_spectral_bounds_riesz(level4):
+def test_spectral_bounds_riesz(level4, level4_table):
     sym = riesz_symbol(1.0)
     sel = selection_from_bundles(level4.bundles)
-    bounds = spectral_bounds(sym, level4.table, 0.1, sel, level4.measure)
-    lam_min = level4.table.records[0].value
+    bounds = spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
+    lam_min = level4_table.records[0].value
     head_top = 1.0 + 1.0 / lam_min
     assert bounds.A == pytest.approx(0.9, abs=1e-9)
     assert bounds.B == pytest.approx(max(1.1, head_top), rel=1e-9)
     # with epsilon below the head spread, the head supplies the top bound
-    tight = spectral_bounds(sym, level4.table, 0.01, sel, level4.measure)
+    tight = spectral_bounds(sym, level4_table, 0.01, sel, level4.measure)
     assert tight.B == pytest.approx(head_top, rel=1e-9)
     # every compressed eigenvalue, at any cutoff, lies inside [A, B]
     for upto in (3, 7, len(level4.bundles)):
@@ -235,23 +237,23 @@ def test_spectral_bounds_riesz(level4):
         assert eigs[-1] <= tight.B + 1e-12
 
 
-def test_spectral_bounds_needs_limit(level4):
+def test_spectral_bounds_needs_limit(level4, level4_table):
     sym = constant_symbol(lambda lam: math.sin(lam))
     sel = selection_from_bundles(level4.bundles)
     with pytest.raises(DomainError):
-        spectral_bounds(sym, level4.table, 0.1, sel, level4.measure)
+        spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
 
 
-def test_spectral_bounds_no_convergence(level4):
+def test_spectral_bounds_no_convergence(level4, level4_table):
     # declared limit far from the symbol: the declaration fails empirically
     sym = constant_symbol(lambda lam: math.sin(lam), limit=5.0)
     sel = selection_from_bundles(level4.bundles)
     with pytest.raises(ConvergenceError):
-        spectral_bounds(sym, level4.table, 1e-3, sel, level4.measure)
+        spectral_bounds(sym, level4_table, 1e-3, sel, level4.measure)
 
 
-def test_spectrum_map_identity_and_riesz(level4):
-    table = level4.table
+def test_spectrum_map_identity_and_riesz(level4, level4_table):
+    table = level4_table
     image = spectrum_map(lambda lam: lam, table)
     expanded = np.sort(
         np.concatenate([np.full(r.multiplicity, r.value) for r in table.records])
@@ -272,8 +274,8 @@ def test_spectrum_map_matches_compression(level4):
     assert np.max(np.abs(eigs - mapped)) <= 1e-10
 
 
-def test_spectrum_map_increasing_no_accumulation(level4):
-    image = spectrum_map(lambda lam: lam ** 2, level4.table)
+def test_spectrum_map_increasing_no_accumulation(level4, level4_table):
+    image = spectrum_map(lambda lam: lam ** 2, level4_table)
     assert np.all(np.diff(np.unique(image)) > 1.0)
 
 
@@ -361,9 +363,50 @@ def test_compress_matches_per_eigenspace_oracle(level5, name, selection):
     assert np.max(np.abs(op.matrix - oracle.matrix)) <= 1e-12
 
 
-def test_sup_distance_trend(level4):
+def test_leading_selection_is_a_view(level4):
+    cutoff = 3000.0
+    view = leading_selection(level4, cutoff)
+    copied = selection_from_bundles(
+        [b for b in level4.bundles if b.record.value <= cutoff]
+    )
+    assert np.shares_memory(view.columns, level4.vectors)
+    assert np.array_equal(view.columns, copied.columns)
+    assert view.records == copied.records
+    assert view.group_slices == copied.group_slices
+    assert view.keys == copied.keys
+    assert leading_selection(level4).dim == level4.vectors.shape[1]
+    with pytest.raises(ValueError):
+        view.columns[0, 0] = 1.0
+    with pytest.raises(DomainError):
+        leading_selection(level4, 1.0)
+
+
+def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
+    sel = leading_selection(level5)
+    dense_eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return dense_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for sym in (riesz_symbol(1.0), bessel_symbol(0.5)):
+        op = compress(sym, sel, level5.measure)
+        for d in (op.dim, 40):
+            sub = dataclasses.replace(op, matrix=op.matrix[:d, :d])
+            assert np.array_equal(
+                operator_eigenvalues(sub), dense_eigvalsh(sub.matrix)
+            )
+    assert calls == []
+    sep = compress(ORACLE_SYMBOLS["separable"], sel, level5.measure)
+    assert np.array_equal(operator_eigenvalues(sep), dense_eigvalsh(sep.matrix))
+    assert calls == [sep.matrix.shape]
+
+
+def test_sup_distance_trend(level4, level4_table):
     sym = riesz_symbol(1.0)
-    values = [r.value for r in level4.table.records]
+    values = [r.value for r in level4_table.records]
     dists = [symbol_sup_distance(sym, v, level4.vertices) for v in values]
     assert all(b <= a for a, b in zip(dists, dists[1:]))
 
