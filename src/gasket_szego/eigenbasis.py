@@ -1,12 +1,18 @@
-"""Dense eigensolver, eigenspace grouping, and localized/non-localized splits.
+"""Level eigenbases by spectral decimation, the dense oracle, and localized splits.
 
-Graph eigenvectors are labelled by the level-m decimation prediction, rescaled
-to be orthonormal in the measure-weighted inner product and held as one
-read-only matrix, of which every eigenspace is a column view.  A
-split at cell level N finds, per N-cell, the subspace of vectors supported
-strictly inside that cell; the subspace is located purely by linear algebra
-(kernel of the restriction-to-outside map) and its dimension is checked
-against the closed-form counts, which is the decisive structural test.
+`build_level_basis(m)` builds every level-m graph eigenvector from level m-1
+without an eigensolve: each level-(m-1) eigenspace extends to level m by the
+local eigenfunction-extension formula, once per preimage of its graph value,
+and the 5- and 6-eigenspaces born at level m come from their sparse
+descriptions.  Each eigenspace arrives labelled with its entry of the level-m
+decimation prediction, orthonormal in the measure-weighted inner product, in
+one read-only matrix of which every eigenspace is a column view.  The dense
+eigensolve `solve_graph_spectrum` and its labelling `group_eigenspaces` stay
+as the independent oracle.  A split at cell level N finds, per N-cell, the
+subspace of vectors supported strictly inside that cell; the subspace is
+located purely by linear algebra (kernel of the restriction-to-outside map)
+and its dimension is checked against the closed-form counts, which is the
+decisive structural test.
 """
 from __future__ import annotations
 
@@ -17,7 +23,11 @@ import numpy as np
 
 from . import decimation
 from .decimation import (
+    CONTRACTING,
+    EXPANDING,
     EigenvalueRecord,
+    GraphEigenvalue,
+    decimation_preimages,
     localization_counts,
 )
 from .errors import (
@@ -31,7 +41,6 @@ from .gasket import (
     SelfSimilarMeasure,
     VertexSet,
     Word,
-    build_dirichlet_laplacian,
     build_measure,
     build_vertices,
     cell_words,
@@ -298,7 +307,6 @@ class LevelBasis:
     level: int
     vertices: VertexSet
     measure: SelfSimilarMeasure
-    graph_values: np.ndarray
     vectors: np.ndarray
     bundles: list[EigenspaceBundle]
 
@@ -323,18 +331,383 @@ class LevelBasis:
         return min(candidates, key=lambda b: b.record.value)
 
 
+# the column-by-column passes keep each temporary under this size, so that
+# building a level adds little more than its own matrix to the process
+_PASS_BYTES = 1 << 18
+# passes that multiply matrices are kept this wide, for efficient products
+_GEMM_WIDTH = 32
+
+
+def _passes(rows: int, cols: int, least: int = 8) -> list[slice]:
+    """Column slices, at least `least` wide, whose rows x width float
+    temporaries stay small."""
+    step = max(least, _PASS_BYTES // (8 * max(rows, 1)))
+    return [slice(c0, min(c0 + step, cols)) for c0 in range(0, cols, step)]
+
+
+def _rows(vertices: VertexSet) -> np.ndarray:
+    """Interior row of every vertex id; boundary vertices map to n_interior."""
+    rows = np.full(vertices.n_vertices, vertices.n_interior, dtype=np.int64)
+    rows[vertices.interior] = np.arange(vertices.n_interior)
+    return rows
+
+
+@dataclass
+class _Refinement:
+    """Where level-(m-1) values go at level m, in interior rows.
+
+    A level-(m-1) vertex with triple t is the level-m vertex 2t; the midpoint
+    of edge xy is t_x + t_y.  Midpoint k of a cell lies opposite its corner
+    k.  Parent rows equal to `n_prev` and level-m rows equal to `n` stand for
+    boundary vertices, where Dirichlet eigenvectors vanish.
+    """
+
+    n_prev: int
+    n: int
+    old: np.ndarray  # (n_prev,) level-m rows of the level-(m-1) interior
+    mid: np.ndarray  # (3^m,) level-m rows of the midpoints, cell-major
+    ends: tuple[np.ndarray, np.ndarray]  # parent rows of each midpoint's edge
+    opp: np.ndarray  # parent row of the corner opposite each midpoint
+    neighbours: np.ndarray  # (n, 4) level-m rows of each vertex's neighbours
+
+
+def _refinement(parent: VertexSet, vertices: VertexSet) -> _Refinement:
+    prow = _rows(parent)
+    row = _rows(vertices)
+    n = vertices.n_interior
+
+    def level_m_rows(triples: np.ndarray) -> np.ndarray:
+        ids = [vertices.vertex_id(t) for t in triples.reshape(-1, 3).tolist()]
+        return row[ids]
+
+    cells = parent.cells
+    k1, k2 = cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]
+    old = level_m_rows(2 * parent.bary[parent.interior])
+    mid = level_m_rows(parent.bary[k1] + parent.bary[k2])
+    if not np.array_equal(np.sort(np.concatenate([old, mid])), np.arange(n)):
+        raise StructuralError(
+            f"level-{vertices.level} vertices are not the level-"
+            f"{parent.level} vertices plus one midpoint per edge"
+        )
+    src = vertices.cells[:, [0, 0, 1, 1, 2, 2]].ravel()
+    dst = vertices.cells[:, [1, 2, 0, 2, 0, 1]].ravel()
+    inside = row[src] < n
+    if not np.array_equal(np.bincount(row[src][inside], minlength=n), np.full(n, 4)):
+        raise StructuralError("an interior vertex does not have four neighbours")
+    order = np.argsort(row[src][inside], kind="stable")
+    return _Refinement(
+        n_prev=parent.n_interior,
+        n=n,
+        old=old,
+        mid=mid,
+        ends=(prow[k1].ravel(), prow[k2].ravel()),
+        opp=prow[cells].ravel(),
+        neighbours=row[dst][inside][order].reshape(n, 4),
+    )
+
+
+def _padded(values: np.ndarray) -> np.ndarray:
+    """`values` with a zero row appended for the boundary row index."""
+    pad = np.zeros((values.shape[0] + 1, values.shape[1]))
+    pad[:-1] = values
+    return pad
+
+
+def _extend(ref: _Refinement, values: np.ndarray, lam: float, out: np.ndarray) -> None:
+    """Write into `out` the level-m eigenvectors at `lam` that agree with
+    `values` on the level-(m-1) vertices.
+
+    A midpoint z of edge xy opposite w takes
+    u(z) = ((4 - lam)(u(x) + u(y)) + 2 u(w)) / ((2 - lam)(5 - lam)).
+    """
+    den = (2.0 - lam) * (5.0 - lam)
+    out[ref.old] = values
+    for cols in _passes(ref.mid.size, values.shape[1]):
+        pad = _padded(values[:, cols])
+        z = pad[ref.ends[0]]
+        z += pad[ref.ends[1]]
+        z *= 4.0 - lam
+        z += 2.0 * pad[ref.opp]
+        z /= den
+        out[ref.mid, cols] = z
+
+
+def _check_gram(block: np.ndarray, scale: float, key: str) -> None:
+    """The plain Gram matrix of `block` must be `scale` times the identity."""
+    err = 0.0
+    for cols in _passes(block.shape[1], block.shape[1], _GEMM_WIDTH):
+        # the rows of the upper triangle, diagonal block first
+        rows = block[:, cols].T @ block[:, cols.start :]
+        rows *= 1.0 / scale
+        rows[np.arange(rows.shape[0]), np.arange(rows.shape[0])] -= 1.0
+        err = max(err, float(np.max(np.abs(rows))))
+    if not err <= ORTHO_TOL:
+        raise NumericError(
+            f"eigenspace {key}: Gram matrix deviates from a multiple of the "
+            f"identity by {err:.3e}, above {ORTHO_TOL:.0e}"
+        )
+
+
+def _stencil_residual(
+    ref: _Refinement, vectors: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Per column, max |4u - sum of the four neighbours - g u|."""
+    worst = np.empty(vectors.shape[1])
+    for cols in _passes(ref.n + 1, vectors.shape[1]):
+        pad = _padded(vectors[:, cols])
+        r = pad[:-1] * (4.0 - g[cols])
+        for k in range(4):
+            r -= pad[ref.neighbours[:, k]]
+        worst[cols] = np.max(np.abs(r), axis=0)
+    return worst
+
+
+def _inverse_cholesky(gram: np.ndarray) -> None:
+    """Overwrite the positive definite `gram` with L^-1, where L L^T = gram.
+
+    For vectors E with Gram matrix `gram`, the columns of E L^-T are
+    orthonormal.  The Cholesky factor and its inverse are both formed block
+    column by block column in place, so no other d x d array is made.
+    """
+    passes = _passes(gram.shape[0], gram.shape[0], _GEMM_WIDTH)
+    for cols in passes:
+        j0, j1 = cols.start, cols.stop
+        panel = gram[j0:, cols]
+        panel -= gram[j0:, :j0] @ gram[cols, :j0].T
+        try:
+            diag = np.linalg.cholesky(panel[: j1 - j0])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"spanning vectors are dependent: {exc}") from exc
+        panel[j1 - j0 :] = panel[j1 - j0 :] @ np.linalg.inv(diag).T
+        panel[: j1 - j0] = diag
+        gram[cols, j1:] = 0.0
+    for cols in reversed(passes):
+        j1 = cols.stop
+        diag_inv = np.linalg.inv(gram[cols, cols])
+        gram[j1:, cols] = -(gram[j1:, j1:] @ gram[j1:, cols]) @ diag_inv
+        gram[cols, cols] = diag_inv
+
+
+def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
+    """The 6-eigenspace born at level m, weighted-orthonormal, into `out`.
+
+    Any values on the level-(m-1) interior extend at lam = 6, where
+    u(z) = (u(w) - u(x) - u(y)) / 2.  The extensions E of the unit vectors
+    have Gram matrix I + M^T M, M the midpoint rows with entries +-1/2, which
+    is summed exactly; the extensions of the columns of L^-T are
+    orthonormal.
+    """
+    d = ref.n_prev
+    if d != out.shape[1]:
+        raise MismatchError(
+            f"the newborn 6-series eigenspace has dimension {d}, decimation "
+            f"predicts {out.shape[1]}"
+        )
+    gram = np.eye(d)
+    rows = (ref.opp, ref.ends[0], ref.ends[1])
+    coeffs = (0.5, -0.5, -0.5)
+    for ra, ca in zip(rows, coeffs):
+        for rb, cb in zip(rows, coeffs):
+            both = (ra < d) & (rb < d)
+            np.add.at(gram, (ra[both], rb[both]), ca * cb)
+    _inverse_cholesky(gram)
+    gram *= 1.0 / np.sqrt(w)
+    for cols in _passes(ref.mid.size, d):
+        _extend(ref, gram[cols].T, 6.0, out[:, cols])
+
+
+def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
+    """The 5-eigenspace born at level m, weighted-orthonormal, into `out`.
+
+    Its vectors vanish on the level-(m-1) vertices.  The eigen-equation at
+    an interior old vertex x says that the two midpoints opposite x, one in
+    each cell containing x, carry opposite values y_x; a boundary corner's
+    opposite midpoint carries a free value.  At a midpoint it says that each
+    cell's three midpoints sum to zero.  So y is a circulation on the graph
+    whose nodes are the (m-1)-cells plus one ground node for the boundary,
+    and whose edges are the old vertices: one cycle per edge outside a
+    breadth-first spanning tree is a basis, with entries -1, 0 and 1 and an
+    exact Gram matrix.
+    """
+    n_cells = ref.mid.size // 3
+    var = ref.opp.copy()
+    corners = np.nonzero(var == ref.n_prev)[0]
+    var[corners] = ref.n_prev + np.arange(corners.size)
+    n_edges = ref.n_prev + corners.size
+    first = np.zeros(var.size, dtype=bool)
+    first[np.unique(var, return_index=True)[1]] = True
+    tail = np.empty(n_edges, dtype=np.int64)
+    head = np.full(n_edges, n_cells)  # the ground node
+    tail[var[first]] = np.nonzero(first)[0] // 3
+    head[var[~first]] = np.nonzero(~first)[0] // 3
+
+    ends = [[] for _ in range(n_cells + 1)]
+    for e, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
+        ends[a].append((e, b))
+        ends[b].append((e, a))
+    up = {n_cells: None}  # node -> edge to its parent in the tree
+    order = [n_cells]
+    for node in order:
+        for e, other in ends[node]:
+            if other not in up:
+                up[other] = e
+                order.append(other)
+    in_tree = np.zeros(n_edges, dtype=bool)
+    in_tree[[up[v] for v in order[1:]]] = True
+    cycles = np.nonzero(~in_tree)[0]
+    dim = cycles.size
+    if len(order) != n_cells + 1 or dim != out.shape[1]:
+        raise MismatchError(
+            f"the newborn 5-series eigenspace has dimension {dim} on "
+            f"{len(order) - 1} of {n_cells} cells, decimation predicts "
+            f"{out.shape[1]}"
+        )
+
+    # unit flow on each cycle edge; tree edges cancel the net outflow of
+    # every cell, leaves first
+    y = np.zeros((n_edges, dim))
+    y[cycles, np.arange(dim)] = 1.0
+    net = np.zeros((n_cells + 1, dim))
+    net[tail[cycles], np.arange(dim)] += 1.0
+    net[head[cycles], np.arange(dim)] -= 1.0
+    for node in reversed(order[1:]):
+        e = up[node]
+        if tail[e] == node:
+            y[e] = -net[node]
+            net[head[e]] += net[node]
+        else:
+            y[e] = net[node]
+            net[tail[e]] += net[node]
+
+    multiplicity = np.bincount(var, minlength=n_edges).astype(float)
+    gram = y.T @ (multiplicity[:, None] * y)
+    _inverse_cholesky(gram)
+    gram *= 1.0 / np.sqrt(w)
+    sign = np.where(first, 1.0, -1.0)
+    out[ref.old] = 0.0
+    for cols in _passes(ref.mid.size, dim):
+        out[ref.mid, cols] = sign[:, None] * (y @ gram[cols].T)[var]
+
+
+@dataclass
+class _Decimated:
+    """One level of the decimation build: vectors and labelled column ranges."""
+
+    vertices: VertexSet
+    vectors: np.ndarray
+    blocks: list[tuple[GraphEigenvalue, int, int]]
+
+
+def _decimate(parent: _Decimated, vertices: VertexSet) -> _Decimated:
+    """Level-m eigenvectors from level m-1, with no eigensolve.
+
+    Every level-(m-1) eigenspace extends through each preimage of its graph
+    value (only the expanding one from 6); the eigenspaces born at level m
+    come from their sparse descriptions.  Each lands in the column range of
+    the `truncated_graph_spectrum(m)` entry it must equal, in record-value
+    order, and is checked there: Gram matrix, stencil residual, dimension.
+    """
+    m = vertices.level
+    ref = _refinement(parent.vertices, vertices)
+    w = interior_weight(m)
+    predicted = sorted(
+        decimation.truncated_graph_spectrum(m),
+        key=lambda g: (g.record.value, g.record.key),
+    )
+    blocks, cursor = [], 0
+    for g in predicted:
+        blocks.append((g, cursor, cursor + g.multiplicity))
+        cursor += g.multiplicity
+    if cursor != ref.n:
+        raise MismatchError(
+            f"decimation predicts dimension {cursor} at level {m}, the graph "
+            f"has {ref.n} interior vertices"
+        )
+    columns = {
+        (g.series, g.birth, g.prefix): (g, start, stop) for g, start, stop in blocks
+    }
+    vectors = np.empty((ref.n, ref.n))
+    unfilled = set(columns)
+
+    def target(ident) -> tuple[GraphEigenvalue, np.ndarray]:
+        if ident not in unfilled:
+            raise MismatchError(
+                f"level {m}: decimation builds eigenspace {ident}, which is "
+                f"not predicted or already built"
+            )
+        unfilled.discard(ident)
+        g, start, stop = columns[ident]
+        return g, vectors[:, start:stop]
+
+    for g, start, stop in parent.blocks:
+        lo, hi = decimation_preimages(g.graph_value)
+        signs = [(EXPANDING, hi)]
+        if g.graph_value != 6.0:
+            signs.append((CONTRACTING, lo))
+        for sign, lam in signs:
+            child, out = target((g.series, g.birth, g.prefix + (sign,)))
+            _extend(ref, parent.vectors[:, start:stop], lam, out)
+            scale = float(np.mean(np.einsum("ij,ij->j", out, out)))
+            _check_gram(out, scale, child.record.key)
+            out *= 1.0 / np.sqrt(scale * w)
+
+    newborn = [(5, _newborn_five)] + ([(6, _newborn_six)] if m > 1 else [])
+    for series, build in newborn:
+        child, out = target((series, m, ()))
+        build(ref, w, out)
+        _check_gram(out, 1.0 / w, child.record.key)
+    if m == 1:
+        # the 2-series vector is constant on the one midpoint triangle
+        child, out = target((2, 1, ()))
+        out[:] = 1.0 / np.sqrt(ref.n * w)
+    if unfilled:
+        raise MismatchError(
+            f"level {m}: decimation built no vectors for the predicted "
+            f"eigenspaces {sorted(unfilled)}"
+        )
+
+    g_cols = np.concatenate([np.full(g.multiplicity, g.graph_value) for g in predicted])
+    # residual of the unit-norm columns, the scale of RESIDUAL_RTOL
+    residual = _stencil_residual(ref, vectors, g_cols) * np.sqrt(w)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= RESIDUAL_RTOL * 4.0:
+        key = next(g.record.key for g, start, stop in blocks if start <= worst < stop)
+        raise NumericError(
+            f"level {m}, eigenspace {key}: stencil residual "
+            f"{residual[worst]:.3e} exceeds {RESIDUAL_RTOL:.0e} * 4"
+        )
+    return _Decimated(vertices=vertices, vectors=vectors, blocks=blocks)
+
+
 def build_level_basis(m: int) -> LevelBasis:
-    """Solve level m once; bundles and leading selections are column views
-    of `vectors`, so its arrays are read-only."""
+    """Build level m by spectral decimation from level 0, one level at a time.
+
+    Bundles and leading selections are column views of `vectors`, so its
+    arrays are read-only.  Lower levels are dropped as soon as the next one
+    is built.
+    """
     vertices = build_vertices(m)
-    values, raw = solve_graph_spectrum(build_dirichlet_laplacian(vertices))
-    vectors, bundles = group_eigenspaces(values, raw, m, vertices)
-    values.flags.writeable = False
+    if m < 1:
+        raise DomainError("no interior vertices at level 0, no eigenvectors")
+    level = _Decimated(vertices=build_vertices(0), vectors=np.zeros((0, 0)), blocks=[])
+    for k in range(1, m + 1):
+        level = _decimate(level, vertices if k == m else build_vertices(k))
+    vectors = level.vectors
+    vectors.flags.writeable = False
+    bundles = [
+        EigenspaceBundle(
+            level=m,
+            record=g.record,
+            graph_value=g.graph_value,
+            vectors=vectors[:, start:stop],
+            vertices=vertices,
+        )
+        for g, start, stop in level.blocks
+    ]
     return LevelBasis(
         level=m,
         vertices=vertices,
         measure=build_measure(vertices),
-        graph_values=values,
         vectors=vectors,
         bundles=bundles,
     )

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decimation import renormalization_factor
 from .errors import DomainError, ResourceLimitError
 from .serialize import write_csv
 
@@ -106,10 +105,6 @@ class VertexSet:
 
     def vertex_id(self, triple) -> int:
         return self._triple_ids[tuple(triple)]
-
-    def interior_position(self, vertex_id: int) -> int:
-        """Row of a vertex in the Dirichlet (interior) ordering, or -1."""
-        return int(self._interior_pos[vertex_id])
 
     def cell_range(self, word: Word) -> tuple[int, int]:
         """Contiguous range of level-m cell indices under the N-cell `word`."""
@@ -314,14 +309,10 @@ class GraphLaplacian:
 
     level: int
     matrix: np.ndarray
-    renormalized: bool
-    factor: float
     vertices: VertexSet
 
 
-def build_dirichlet_laplacian(
-    vertices: VertexSet, renormalize: bool = False
-) -> GraphLaplacian:
+def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
     m = vertices.level
     if m < 1:
         raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
@@ -334,16 +325,8 @@ def build_dirichlet_laplacian(
         adj[b, c] = adj[c, b] = 1.0
     lap = 4.0 * np.eye(n) - adj
     interior = vertices.interior
-    matrix = lap[np.ix_(interior, interior)]
-    factor = renormalization_factor(m) if renormalize else 1.0
-    if renormalize:
-        matrix = matrix * factor
     return GraphLaplacian(
-        level=m,
-        matrix=matrix,
-        renormalized=renormalize,
-        factor=factor,
-        vertices=vertices,
+        level=m, matrix=lap[np.ix_(interior, interior)], vertices=vertices
     )
 
 

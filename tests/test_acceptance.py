@@ -33,15 +33,12 @@ def _grid(basis, count=4):
     return grid
 
 
-def test_criterion_1_oracle_equivalence(level6):
+def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     worst = 0.0
     for m in range(1, 7):
-        if m == 6:
-            dense = level6.graph_values
-        else:
-            lap = build_dirichlet_laplacian(build_vertices(m))
-            dense = np.linalg.eigvalsh(lap.matrix)
+        lap = build_dirichlet_laplacian(build_vertices(m))
+        dense = np.linalg.eigvalsh(lap.matrix)
         predicted = decimation.truncated_graph_spectrum(m)
         expanded = np.sort(
             np.concatenate(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +225,39 @@ def test_rerun_full_mode_byte_identical(tmp_path):
     _, out1 = run_cli(tmp_path, "szego-trace", config, name="a")
     _, out2 = run_cli(tmp_path, "szego-trace", config, name="b")
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def test_basis_dump_identical_across_thread_caps(tmp_path):
+    # every file but the manifest (which records the cap and timings) must
+    # not depend on the number of BLAS threads
+    keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
+    cfg = tmp_path / "basis.json"
+    cfg.write_text(json.dumps({"m": 5, "records": keys, "dump_vertices": True}))
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["GASKET_SZEGO_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "gasket_szego.cli", "basis",
+             "--config", str(cfg), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(out)
+    names = sorted(p.name for p in outputs[0].iterdir() if p.name != "manifest.json")
+    assert len(names) == len(keys) + 3  # bundles, vertices, config
+    for name in names:
+        first, second = (out / name for out in outputs)
+        assert first.read_bytes() == second.read_bytes(), name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gasket_szego import decimation
+from gasket_szego import decimation, eigenbasis
 from gasket_szego.eigenbasis import (
     build_level_basis,
     group_eigenspaces,
@@ -13,7 +13,12 @@ from gasket_szego.eigenbasis import (
     save_bundle,
     solve_graph_spectrum,
 )
-from gasket_szego.errors import DomainError, MismatchError, StructuralError
+from gasket_szego.errors import (
+    DomainError,
+    MismatchError,
+    NumericError,
+    StructuralError,
+)
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
 
@@ -181,5 +186,36 @@ def test_level_basis_is_read_only(level4):
         bundle.vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
         level4.vectors[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        level4.graph_values[0] = 1.0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_decimation_basis_matches_dense_oracle(m):
+    basis = build_level_basis(m)
+    lap = build_dirichlet_laplacian(basis.vertices)
+    values, vectors = solve_graph_spectrum(lap)
+    _, oracle = group_eigenspaces(values, vectors, m, basis.vertices)
+    labels = [(b.record.key, b.graph_value, b.dim) for b in basis.bundles]
+    assert labels == [(b.record.key, b.graph_value, b.dim) for b in oracle]
+    w = interior_weight(m)
+    for built, dense in zip(basis.bundles, oracle):
+        proj = built.vectors @ built.vectors.T * w
+        proj_dense = dense.vectors @ dense.vectors.T * w
+        assert np.max(np.abs(proj - proj_dense)) <= 1e-12, built.record.key
+    gram = basis.vectors.T @ basis.vectors * w
+    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+
+
+def test_extension_with_swapped_preimages_fails(monkeypatch):
+    swapped = lambda g: decimation.decimation_preimages(g)[::-1]  # noqa: E731
+    monkeypatch.setattr(eigenbasis, "decimation_preimages", swapped)
+    with pytest.raises(NumericError):
+        build_level_basis(3)
+
+
+def test_level_basis_needs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the level basis called np.linalg.eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    basis = build_level_basis(5)
+    assert basis.vectors.shape == (363, 363)

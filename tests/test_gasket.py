@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_szego.decimation import renormalization_factor
 from gasket_szego.errors import DomainError, ResourceLimitError
 from gasket_szego.gasket import (
     CellAddress,
@@ -17,7 +18,6 @@ from gasket_szego.gasket import (
     constant_function,
     effective_multiplier,
     integrate_simple,
-    renormalization_factor,
     vertex_values,
     vertices_to_csv,
     word_index,
@@ -187,12 +187,6 @@ def test_laplacian_level1_eigenvalues():
     lap = build_dirichlet_laplacian(build_vertices(1))
     assert np.allclose(np.linalg.eigvalsh(lap.matrix), hand, atol=1e-12)
     assert np.allclose(np.linalg.eigvalsh(lap.matrix), [2.0, 5.0, 5.0], atol=1e-12)
-
-
-def test_laplacian_renormalized_level1():
-    lap = build_dirichlet_laplacian(build_vertices(1), renormalize=True)
-    assert lap.factor == 7.5
-    assert np.allclose(np.linalg.eigvalsh(lap.matrix), [15.0, 37.5, 37.5], atol=1e-10)
     assert renormalization_factor(1) == 7.5
 
 
