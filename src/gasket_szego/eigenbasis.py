@@ -492,10 +492,10 @@ def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
     """The 6-eigenspace born at level m, weighted-orthonormal, into `out`.
 
     Any values on the level-(m-1) interior extend at lam = 6, where
-    u(z) = (u(w) - u(x) - u(y)) / 2.  The extensions E of the unit vectors
-    have Gram matrix I + M^T M, M the midpoint rows with entries +-1/2, which
-    is summed exactly; the extensions of the columns of L^-T are
-    orthonormal.
+    u(z) = (u(w) - u(x) - u(y)) / 2.  The extensions of the unit vectors
+    have the exact Gram matrix (L + 6 I) / 4, L the level-(m-1) Dirichlet
+    Laplacian; the extensions of the columns of L^-T of its Cholesky factor
+    are orthonormal.
     """
     d = ref.n_prev
     if d != out.shape[1]:
@@ -504,12 +504,12 @@ def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
             f"predicts {out.shape[1]}"
         )
     gram = np.eye(d)
-    rows = (ref.opp, ref.ends[0], ref.ends[1])
-    coeffs = (0.5, -0.5, -0.5)
-    for ra, ca in zip(rows, coeffs):
-        for rb, cb in zip(rows, coeffs):
-            both = (ra < d) & (rb < d)
-            np.add.at(gram, (ra[both], rb[both]), ca * cb)
+    gram *= 2.5
+    corners = ref.opp.reshape(-1, 3)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        x, y = corners[:, a], corners[:, b]
+        edge = (x < d) & (y < d)
+        gram[x[edge], y[edge]] = gram[y[edge], x[edge]] = -0.25
     _inverse_cholesky(gram)
     gram *= 1.0 / np.sqrt(w)
     for cols in _passes(ref.mid.size, d):
