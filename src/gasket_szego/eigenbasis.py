@@ -382,24 +382,16 @@ def _refinement(parent: VertexSet, vertices: VertexSet) -> _Refinement:
 
     cells = parent.cells
     k1, k2 = cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]
-    old = level_m_rows(2 * parent.bary[parent.interior])
-    mid = level_m_rows(parent.bary[k1] + parent.bary[k2])
-    if not np.array_equal(np.sort(np.concatenate([old, mid])), np.arange(n)):
-        raise StructuralError(
-            f"level-{vertices.level} vertices are not the level-"
-            f"{parent.level} vertices plus one midpoint per edge"
-        )
+    # every interior vertex lies in two cells, so it has four neighbours
     src = vertices.cells[:, [0, 0, 1, 1, 2, 2]].ravel()
     dst = vertices.cells[:, [1, 2, 0, 2, 0, 1]].ravel()
     inside = row[src] < n
-    if not np.array_equal(np.bincount(row[src][inside], minlength=n), np.full(n, 4)):
-        raise StructuralError("an interior vertex does not have four neighbours")
     order = np.argsort(row[src][inside], kind="stable")
     return _Refinement(
         n_prev=parent.n_interior,
         n=n,
-        old=old,
-        mid=mid,
+        old=level_m_rows(2 * parent.bary[parent.interior]),
+        mid=level_m_rows(parent.bary[k1] + parent.bary[k2]),
         ends=(prow[k1].ravel(), prow[k2].ravel()),
         opp=prow[cells].ravel(),
         neighbours=row[dst][inside][order].reshape(n, 4),
