@@ -144,7 +144,7 @@ def _assign_int(cfg, raw, key, minimum=None, choices=None):
 
 
 def _number(raw, key, label=None):
-    value = raw[key]
+    value = raw.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(label or key, f"must be a number, got {value!r}")
     return float(value)
@@ -192,15 +192,10 @@ def parse_symbol(d: dict, fld: str = "symbol"):
     kind = d.get("kind")
     try:
         if kind in ("riesz", "bessel"):
-            beta = d.get("beta")
-            if not isinstance(beta, (int, float)):
-                raise ConfigError(f"{fld}.beta", "required number")
-            return operators.make_symbol(kind, beta=float(beta))
+            beta = _number(d, "beta", f"{fld}.beta")
+            return operators.make_symbol(kind, beta=beta)
         if kind == "constant":
-            value = d.get("value")
-            if not isinstance(value, (int, float)):
-                raise ConfigError(f"{fld}.value", "required number")
-            value = float(value)
+            value = _number(d, "value", f"{fld}.value")
             return operators.constant_symbol(
                 lambda lam: value,
                 limit=value,
@@ -222,7 +217,10 @@ def parse_symbol(d: dict, fld: str = "symbol"):
                 q_fn,
                 limit,
                 chi,
-                lower_bound=float(lower) if lower is not None else None,
+                lower_bound=(
+                    None if lower is None
+                    else _number(d, "lower_bound", f"{fld}.lower_bound")
+                ),
                 name=f"separable({q_name}+chi)",
             )
         if kind == "tabulated":
@@ -230,12 +228,14 @@ def parse_symbol(d: dict, fld: str = "symbol"):
             if not isinstance(entries, list) or not entries:
                 raise ConfigError(f"{fld}.entries", "required non-empty list")
             parsed = [
-                (float(lam), _parse_simple(fd, f"{fld}.entries[{i}]"))
-                for i, (lam, fd) in enumerate(entries)
+                _parse_entry(entry, f"{fld}.entries[{i}]")
+                for i, entry in enumerate(entries)
             ]
             limit = d.get("limit")
             if isinstance(limit, dict):
                 limit = _parse_simple(limit, f"{fld}.limit")
+            elif limit is not None:
+                limit = _number(d, "limit", f"{fld}.limit")
             return operators.tabulated_symbol(parsed, limit_q=limit)
     except GasketError as exc:
         if isinstance(exc, ConfigError):
@@ -244,19 +244,22 @@ def parse_symbol(d: dict, fld: str = "symbol"):
     raise ConfigError(f"{fld}.kind", f"unknown symbol kind {kind!r}")
 
 
+def _parse_entry(entry, fld: str):
+    """One tabulated entry: [eigenvalue, simple function]."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ConfigError(fld, f"must be a pair [eigenvalue, function], got {entry!r}")
+    return _number({"lam": entry[0]}, "lam", f"{fld}[0]"), _parse_simple(entry[1], fld)
+
+
 def _parse_q(q: dict, fld: str):
     form = q.get("form")
     if form == "power":
-        beta = q.get("beta")
-        if not isinstance(beta, (int, float)) or beta <= 0:
-            raise ConfigError(f"{fld}.beta", "required positive number")
-        beta = float(beta)
+        beta = _number(q, "beta", f"{fld}.beta")
+        if beta <= 0:
+            raise ConfigError(f"{fld}.beta", f"must be positive, got {beta!r}")
         return (lambda lam: lam ** (-beta)), f"lam^-{beta:g}", 0.0
     if form == "constant":
-        value = q.get("value")
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{fld}.value", "required number")
-        value = float(value)
+        value = _number(q, "value", f"{fld}.value")
         return (lambda lam: value), f"{value:g}", value
     raise ConfigError(f"{fld}.form", f"unknown q form {form!r}")
 
@@ -279,14 +282,11 @@ def parse_p(d: dict, fld: str = "p"):
     if kind == "identity":
         return (lambda lam: lam), "identity"
     if kind == "power":
-        exponent = d.get("exponent")
-        if not isinstance(exponent, (int, float)):
-            raise ConfigError(f"{fld}.exponent", "required number")
-        exponent = float(exponent)
+        exponent = _number(d, "exponent", f"{fld}.exponent")
         return (lambda lam: lam ** exponent), f"power({exponent:g})"
     if kind == "affine":
-        scale = float(d.get("scale", 1.0))
-        offset = float(d.get("offset", 0.0))
+        scale = _number(d, "scale", f"{fld}.scale") if "scale" in d else 1.0
+        offset = _number(d, "offset", f"{fld}.offset") if "offset" in d else 0.0
         return (lambda lam: scale * lam + offset), f"affine({scale:g},{offset:g})"
     raise ConfigError(f"{fld}.kind", f"unknown p kind {kind!r}")
 

@@ -1,11 +1,15 @@
 """Generalized Schrodinger operators and their eigenvalue clusters.
 
-H = p(-Delta) + [chi] is assembled in the full level-m eigenbasis, where
-p(-Delta) is diagonal and [chi] is the compressed multiplication operator.
-Clusters are the portions of the spectrum inside windows around p(lam_j) for
-a separated eigenvalue family; each cluster's recentered empirical measure is
-realized through the spectral projection onto its eigenvectors, whose
-projected matrix also furnishes the moment/trace cross-check.
+H = p(-Delta) + [chi] acts on the full level-m eigenbasis, where p(-Delta)
+is diagonal and [chi] is the compressed multiplication operator.  For chi
+simple at level k, every eigenvector localized in a k-cell C is an exact
+eigenvector of H with eigenvalue p(lam) + chi_C, so only the non-localized
+remainder is assembled and solved.  Clusters are the portions of the
+spectrum inside windows around p(lam_j) for a separated eigenvalue family;
+each cluster's recentered empirical measure is realized through the
+spectral projection onto its eigenvectors (exact atoms plus projected
+remainder eigenvectors), whose projected matrix also furnishes the
+moment/trace cross-check.
 """
 from __future__ import annotations
 
@@ -47,32 +51,41 @@ def sup_difference(chi1, chi2, vertices: VertexSet) -> float:
 
 @dataclass
 class SchrodingerMatrix:
-    """p(-Delta) + [chi] in the full eigenbasis at one graph level.
+    """p(-Delta) + [chi] at one graph level: exact atoms plus a solved remainder.
 
-    The diagonal part and the potential compression are kept separately so
-    cluster projections can be formed without the eps*norm(H) rounding floor
-    of the assembled matrix (the diagonal is recentered before multiplying).
+    With chi simple at level k, every eigenvector localized in a k-cell C is
+    an exact eigenvector with eigenvalue p(lam) + chi_C; the two terms of
+    each such atom are kept in `atom_p` and `atom_chi`.  The remainder block
+    in the non-localized coordinates is diag(remainder_p) +
+    `remainder_potential`; the two parts are kept apart so that cluster
+    projections are formed without the eps*norm(H) rounding floor (the
+    diagonal is recentered before multiplying).  A callable chi has no
+    atoms: its remainder is the whole eigenbasis.
     """
 
     level: int
     basis: operators.BasisSelection = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
-    potential: np.ndarray = field(repr=False)
     p: Callable[[float], float]
     chi: object
     p_name: str
+    atom_p: np.ndarray = field(repr=False)
+    atom_chi: np.ndarray = field(repr=False)
+    remainder_p: np.ndarray = field(repr=False)
+    remainder_potential: np.ndarray = field(repr=False)
+    remainder_values: np.ndarray = field(repr=False)
+    remainder_vectors: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diagonal.size
 
     def projected_cluster(self, cols: np.ndarray, center: float) -> np.ndarray:
-        """V^T (H - center) V assembled from the recentered parts."""
-        shifted = (self.diagonal - center)[:, None] * cols
-        out = cols.T @ shifted + cols.T @ (self.potential @ cols)
+        """V^T (H - center) V for remainder eigenvectors V, from the
+        recentered parts."""
+        shifted = (self.remainder_p - center)[:, None] * cols
+        out = cols.T @ shifted + cols.T @ (self.remainder_potential @ cols)
         return 0.5 * (out + out.T)
 
 
@@ -83,35 +96,43 @@ def build_schrodinger(
     p_name: str = "p",
     basis: eigenbasis.LevelBasis | None = None,
 ) -> SchrodingerMatrix:
+    """H over the full level-m eigenbasis, with only its remainder solved."""
     base = basis or eigenbasis.level_basis(m)
     sel = operators.leading_selection(base)
     m_chi = operators.compress(
         operators.multiplication_symbol(chi), sel, base.measure
-    ).matrix
+    )
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
-    matrix = m_chi + np.diag(diag)
+    remainder_p = np.array([p(float(lam)) for lam in m_chi.remainder_lambdas])
+    block = m_chi.remainder.copy()
+    block[np.diag_indices_from(block)] += remainder_p
     try:
-        values, vectors = np.linalg.eigh(matrix)
+        values, vectors = np.linalg.eigh(block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"Schrodinger eigensolve failed: {exc}") from exc
+    atom_p = np.array([p(float(lam)) for lam in m_chi.atom_lambdas])
+    eigenvalues = np.sort(np.concatenate([atom_p + m_chi.atoms, values]))
     chi_min, _ = operators.limit_range(chi, base.vertices)
     floor = float(np.min(diag)) + chi_min
-    if values[0] < floor - LOWER_BOUND_TOL:
+    if eigenvalues[0] < floor - LOWER_BOUND_TOL:
         raise StructuralError(
-            f"smallest eigenvalue {values[0]} undercuts the bound "
+            f"smallest eigenvalue {eigenvalues[0]} undercuts the bound "
             f"min p + min chi = {floor}"
         )
     return SchrodingerMatrix(
         level=base.level,
         basis=sel,
-        matrix=matrix,
         diagonal=diag,
-        potential=m_chi,
         p=p,
         chi=chi,
         p_name=p_name,
-        eigenvalues=values,
-        eigenvectors=vectors,
+        atom_p=atom_p,
+        atom_chi=m_chi.atoms,
+        remainder_p=remainder_p,
+        remainder_potential=m_chi.remainder,
+        remainder_values=values,
+        remainder_vectors=vectors,
+        eigenvalues=eigenvalues,
     )
 
 
@@ -124,7 +145,6 @@ class ClusterMeasure:
     positions: np.ndarray
     d_j: int
     projected: np.ndarray = field(repr=False)
-    raw_positions: np.ndarray = field(repr=False)
 
     @property
     def weight(self) -> float:
@@ -155,10 +175,10 @@ def identify_clusters(
     eigensolver's rounding floor ROUNDING_SLACK * eps * max|nu|; windows must
     be pairwise disjoint.  The threshold generation is the
     smallest birth from which every later window holds exactly its
-    eigenspace dimension; a family with no such birth is an error.  Cluster
-    positions are the eigenvalues of the projected matrix
-    V^T (H - center) V over the windowed eigenvectors, which refines the raw
-    dense positions well below the window scale.
+    eigenspace dimension; a family with no such birth is an error.  An atom
+    sits at (p(lam) - center) + chi_C, exactly; the positions of the windowed
+    remainder eigenvectors V are the eigenvalues of V^T (H - center) V, which
+    refines the raw eigensolve positions well below the window scale.
     """
     if not family:
         raise DomainError("empty eigenvalue family")
@@ -180,11 +200,14 @@ def identify_clusters(
                 f"cluster windows [{a_lo}, {a_hi}] and [{b_lo}, {b_hi}] overlap"
             )
     counts: dict[int, int] = {}
-    members: dict[int, np.ndarray] = {}
-    for rec, (w_lo, w_hi) in zip(family, windows):
-        idx = np.nonzero((nu >= w_lo) & (nu <= w_hi))[0]
-        counts[rec.birth] = int(idx.size)
-        members[rec.birth] = idx
+    members: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    rem = schrodinger.remainder_values
+    for rec, center, (w_lo, w_hi) in zip(family, centers, windows):
+        atoms = (schrodinger.atom_p - center) + schrodinger.atom_chi
+        atoms = atoms[(atoms >= lo_off - pad) & (atoms <= hi_off + pad)]
+        idx = np.nonzero((rem >= w_lo) & (rem <= w_hi))[0]
+        counts[rec.birth] = int(atoms.size + idx.size)
+        members[rec.birth] = (atoms, idx)
     births = [r.birth for r in family]
     threshold = None
     for start in range(len(births)):
@@ -204,10 +227,14 @@ def identify_clusters(
     for rec, center in zip(family, centers):
         if rec.birth < threshold or counts[rec.birth] != rec.multiplicity:
             continue
-        idx = members[rec.birth]
-        v = schrodinger.eigenvectors[:, idx]
-        projected = schrodinger.projected_cluster(v, center)
-        positions = np.linalg.eigvalsh(projected)
+        atoms, idx = members[rec.birth]
+        refined = schrodinger.projected_cluster(
+            schrodinger.remainder_vectors[:, idx], center
+        )
+        projected = np.zeros((rec.multiplicity, rec.multiplicity))
+        projected[np.arange(atoms.size), np.arange(atoms.size)] = atoms
+        projected[atoms.size :, atoms.size :] = refined
+        positions = np.sort(np.concatenate([atoms, np.linalg.eigvalsh(refined)]))
         slack = tau + 1e-9
         if positions[0] < lo_off - slack or positions[-1] > hi_off + slack:
             raise StructuralError(
@@ -221,7 +248,6 @@ def identify_clusters(
                 positions=positions,
                 d_j=rec.multiplicity,
                 projected=projected,
-                raw_positions=nu[idx] - center,
             )
         )
     return ClusterReport(

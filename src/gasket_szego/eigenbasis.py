@@ -12,7 +12,10 @@ as the independent oracle.  A split at cell level N finds, per N-cell, the
 subspace of vectors supported strictly inside that cell; the subspace is
 located purely by linear algebra (kernel of the restriction-to-outside map)
 and its dimension is checked against the closed-form counts, which is the
-decisive structural test.
+decisive structural test.  The non-localized remainder of whole eigenspaces
+at a cell level needs no per-cell split: it is the row space of the junction
+functionals at the level's interior vertices, with its rank pinned to the
+same counts.
 """
 from __future__ import annotations
 
@@ -298,6 +301,105 @@ def _check_split_orthonormal(split: LocalizedBasis) -> None:
         raise StructuralError(
             f"split basis Gram deviates from identity by {err:.3e}"
         )
+
+
+@dataclass
+class Remainder:
+    """The non-localized remainder of a run of whole eigenspaces.
+
+    Eigenspace i contributes `dims[i]` weighted-orthonormal columns, in the
+    order of the run, spanning the orthogonal complement of its vectors
+    localized in cells of level `cell_level`; each of the 3^cell_level cells
+    holds `per_cell[i]` of those localized vectors.
+    """
+
+    cell_level: int
+    columns: np.ndarray
+    dims: list[int]
+    per_cell: list[int]
+
+
+def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
+    """Interior rows summed by each junction functional at cell level k.
+
+    For every interior level-k vertex x there are two: the value at x, and
+    the sum of the values at x's two neighbours in the first level-m cell
+    containing x, which lies in one of the two k-cells meeting at x.  A
+    vector of an eigenspace is a sum of vectors localized in k-cells exactly
+    when every functional vanishes on it (the eigen-equation at x then makes
+    the other k-cell's sum vanish too).  Rows equal to n_interior stand for
+    boundary vertices, where every vector vanishes.
+    """
+    row = _rows(vertices)
+    scale = 1 << (vertices.level - k)
+    junction = np.all(vertices.bary % scale == 0, axis=1)
+    junction[list(vertices.boundary)] = False
+    ids = np.nonzero(junction)[0]
+    first = vertices.cells[[vertices.vertex_cells[x][0] for x in ids]]
+    partners = first[first != ids[:, None]].reshape(-1, 2)
+    values = np.column_stack([row[ids], np.full(ids.size, vertices.n_interior)])
+    return np.vstack([values, row[partners]])
+
+
+def _remainder_rank(record: EigenvalueRecord, d: int, k: int) -> int:
+    """Remainder dimension of a d-dimensional eigenspace at cell level k."""
+    if k == 0:
+        # the one 0-cell holds every vector: they all vanish on the boundary
+        return 0
+    if record.series == 2 or record.birth <= k:
+        return d
+    return localization_counts(record.series, record.birth, k).alpha_N
+
+
+def nonlocalized_remainder(
+    vectors: np.ndarray,
+    blocks: list[tuple[EigenvalueRecord, slice]],
+    vertices: VertexSet,
+    k: int,
+) -> Remainder:
+    """The remainder of each eigenspace `vectors[:, sl]` at cell level k.
+
+    It is the row space of the junction functionals applied to the
+    eigenspace: the top right singular vectors of a (2 n_k) x d matrix,
+    whose rank is pinned to the closed-form count.  An eigenspace in which
+    nothing localizes is its own remainder.
+    """
+    if not 0 <= k <= vertices.level:
+        raise DomainError(f"need 0 <= cell level <= {vertices.level}, got {k}")
+    rows = _junction_functionals(vertices, k)
+    n = vertices.n_interior
+    values = np.zeros((rows.shape[0], vectors.shape[1]))
+    for col in rows.T:
+        inside = col < n
+        values[inside] += vectors[col[inside]]
+    ranks = [_remainder_rank(rec, sl.stop - sl.start, k) for rec, sl in blocks]
+    columns = np.empty((n, sum(ranks)))
+    per_cell, cursor = [], 0
+    for (rec, sl), r in zip(blocks, ranks):
+        d = sl.stop - sl.start
+        localized, left = divmod(d - r, 3 ** k)
+        if left:
+            raise MismatchError(
+                f"eigenspace {rec.key}: {d - r} localized vectors do not "
+                f"share evenly among the {3 ** k} cells of level {k}"
+            )
+        out = columns[:, cursor : cursor + r]
+        cursor += r
+        per_cell.append(localized)
+        if r == d:
+            out[:] = vectors[:, sl]
+            continue
+        if r == 0:
+            continue
+        _, svals, vh = np.linalg.svd(values[:, sl], full_matrices=False)
+        found = int(np.sum(svals > KERNEL_RTOL * max(1.0, float(svals[0]))))
+        if found != r:
+            raise MismatchError(
+                f"eigenspace {rec.key}: the junction functionals of level {k} "
+                f"have rank {found}, the closed form predicts {r}"
+            )
+        out[:] = vectors[:, sl] @ vh[:r].T
+    return Remainder(cell_level=k, columns=columns, dims=ranks, per_cell=per_cell)
 
 
 @dataclass

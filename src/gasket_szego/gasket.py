@@ -313,21 +313,21 @@ class GraphLaplacian:
 
 
 def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
+    """Diagonal 4 and -1 per edge, filled from the cells' edges on interior rows."""
     m = vertices.level
     if m < 1:
         raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
-    n = vertices.n_vertices
-    adj = np.zeros((n, n))
-    for cell in vertices.cells:
-        a, b, c = (int(v) for v in cell)
-        adj[a, b] = adj[b, a] = 1.0
-        adj[a, c] = adj[c, a] = 1.0
-        adj[b, c] = adj[c, b] = 1.0
-    lap = 4.0 * np.eye(n) - adj
-    interior = vertices.interior
-    return GraphLaplacian(
-        level=m, matrix=lap[np.ix_(interior, interior)], vertices=vertices
-    )
+    n = vertices.n_interior
+    row = np.full(vertices.n_vertices, n)
+    row[vertices.interior] = np.arange(n)
+    corners = row[vertices.cells]
+    lap = np.zeros((n, n))
+    lap[np.diag_indices(n)] = 4.0
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        x, y = corners[:, a], corners[:, b]
+        edge = (x < n) & (y < n)
+        lap[x[edge], y[edge]] = lap[y[edge], x[edge]] = -1.0
+    return GraphLaplacian(level=m, matrix=lap, vertices=vertices)
 
 
 def vertices_to_csv(vertices: VertexSet, measure: SelfSimilarMeasure, path) -> None:

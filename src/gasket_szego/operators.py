@@ -4,7 +4,9 @@ A symbol acts as multiplication by p(., lam_n) on the eigenspace of lam_n, so
 in an eigenbasis the compressed operator P p(x, -Delta) P has column blocks
 assembled per eigenspace with that eigenspace's eigenvalue, then symmetrized.
 Integrals against the measure are weighted vertex sums, which are exact for
-products of simple functions with vectors localized at the same cell level.
+products of simple functions with vectors localized at the same cell level;
+so for q(lam) + chi with chi simple, every localized vector is an exact
+eigenvector and only the non-localized remainder is assembled.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import eigenbasis
 from .decimation import EigenvalueRecord, SpectrumTable
 from .errors import ConvergenceError, DomainError, StructuralError
 from .eigenbasis import EigenspaceBundle, LevelBasis, LocalizedBasis
@@ -302,20 +305,76 @@ def selection_from_split(split: LocalizedBasis) -> BasisSelection:
     )
 
 
-@dataclass
 class CompressedOperator:
-    """Symmetric matrix of a symbol compressed to an eigenbasis subset."""
+    """A symbol compressed to an eigenbasis selection.
 
-    level: int
-    matrix: np.ndarray
-    keys: list[tuple[str, int]]
-    lambda_assignment: np.ndarray
-    asymmetry: float
-    block_snap: float | None = None
+    Its spectrum is `atoms`, eigenvalues known exactly, together with the
+    eigenvalues of the symmetric `remainder` block; `atom_lambdas` and
+    `remainder_lambdas` give the eigenvalue lam of the eigenspace each atom
+    and each remainder column comes from.  `matrix`, the dense matrix in the
+    order of the selection's columns, is formed only on request; an operator
+    made from a dense matrix has no atoms, and the matrix is its remainder.
+    """
+
+    def __init__(
+        self,
+        level: int,
+        keys: list[tuple[str, int]],
+        lambda_assignment: np.ndarray,
+        asymmetry: float,
+        matrix: np.ndarray | None = None,
+        block_snap: float | None = None,
+        atoms: np.ndarray | None = None,
+        atom_lambdas: np.ndarray | None = None,
+        remainder: np.ndarray | None = None,
+        remainder_lambdas: np.ndarray | None = None,
+        dense: Callable[[], np.ndarray] | None = None,
+    ):
+        self.level = level
+        self.keys = keys
+        self.lambda_assignment = lambda_assignment
+        self.asymmetry = asymmetry
+        self.block_snap = block_snap
+        self._matrix = matrix
+        self._dense = dense
+        if matrix is not None:
+            remainder, remainder_lambdas = matrix, lambda_assignment
+        self.atoms = np.zeros(0) if atoms is None else atoms
+        self.atom_lambdas = np.zeros(0) if atom_lambdas is None else atom_lambdas
+        self.remainder = remainder
+        self.remainder_lambdas = remainder_lambdas
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.lambda_assignment)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._dense()
+        return self._matrix
+
+    def up_to(self, cutoff: float) -> "CompressedOperator":
+        """The compression to the leading eigenspaces with lam <= cutoff.
+
+        The selection must list its eigenspaces in ascending order, as a
+        leading selection does: the result is the atoms below the cutoff and
+        a leading block of the remainder.
+        """
+        d = int(np.searchsorted(self.lambda_assignment, cutoff, side="right"))
+        a = int(np.searchsorted(self.atom_lambdas, cutoff, side="right"))
+        r = int(np.searchsorted(self.remainder_lambdas, cutoff, side="right"))
+        return CompressedOperator(
+            level=self.level,
+            keys=self.keys[:d],
+            lambda_assignment=self.lambda_assignment[:d],
+            asymmetry=self.asymmetry,
+            atoms=self.atoms[:a],
+            atom_lambdas=self.atom_lambdas[:a],
+            remainder=self.remainder[:r, :r],
+            remainder_lambdas=self.remainder_lambdas[:r],
+            dense=lambda: self.matrix[:d, :d],
+        )
 
 
 def _block_exact(symbol: SymbolSpec, basis: BasisSelection) -> bool:
@@ -327,26 +386,19 @@ def _block_exact(symbol: SymbolSpec, basis: BasisSelection) -> bool:
     )
 
 
-def compress(
-    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
-) -> CompressedOperator:
-    """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
-
-    A tabulated symbol is compressed one column block per eigenspace, with
-    that eigenspace's eigenvalue.  Every other symbol is q(lam) + chi(x); the
-    basis is orthonormal in the measure-weighted inner product and interior
-    vertices share one weight, so q compresses to diag(q(lam)) and chi to a
-    single product U^T [chi] U.  The result is symmetrized and the asymmetry
-    norm recorded.  When the basis is a localized split and
-    the symbol is multiplication by a simple function at the split level or
-    coarser, the exact block structure (diagonal per-cell blocks plus a
-    trailing non-localized block) is verified and off-block entries snapped
-    to exact zero.
-    """
-    if measure.level != basis.level:
+def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+    asym = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
+    if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(raw), initial=0.0))):
         raise StructuralError(
-            f"measure level {measure.level} != basis level {basis.level}"
+            f"compressed operator asymmetry {asym:.3e} exceeds tolerance"
         )
+    return 0.5 * (raw + raw.T), asym
+
+
+def _dense_product(
+    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
+) -> tuple[np.ndarray, float]:
+    """The dense matrix of the compression and its asymmetry."""
     interior = basis.vertices.interior
     cols = basis.columns
     if symbol.kind == "tabulated":
@@ -365,12 +417,48 @@ def compress(
             raw[np.diag_indices_from(raw)] += [
                 symbol.p_lambda(float(lam)) for lam in basis.lambdas
             ]
-    asym = float(np.max(np.abs(raw - raw.T)))
-    if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(raw)))):
+    return _symmetrized(raw)
+
+
+def _reduces(symbol: SymbolSpec, basis: BasisSelection) -> bool:
+    return (
+        symbol.kind != "tabulated"
+        and basis.split is None
+        and (symbol.chi is None or isinstance(symbol.chi, SimpleFunction))
+    )
+
+
+def compress(
+    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
+) -> CompressedOperator:
+    """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
+
+    The basis is orthonormal in the measure-weighted inner product and
+    interior vertices share one weight, so a non-tabulated symbol
+    q(lam) + chi(x) compresses to diag(q(lam)) + U^T [chi] U.  Over whole
+    eigenspaces, with chi absent or simple at level k, that product is never
+    formed: every vector of an eigenspace localized in a k-cell C is an
+    exact eigenvector with eigenvalue q(lam) + chi_C, an atom of multiplicity
+    m_{j,k} per cell (q(lam) with multiplicity d when chi is absent), and
+    only the non-localized remainder Q of each eigenspace gives a block,
+    diag(q) + Q^T [chi] Q.  Per eigenspace, the localized part of the trace
+    of [chi] must equal m_{j,k} times the sum of the cell values.
+
+    A tabulated symbol (one column block per eigenspace, with that
+    eigenspace's eigenvalue), a callable chi and a localized split keep the
+    dense product, symmetrized with its asymmetry norm recorded.  When the
+    basis is a localized split and the symbol is multiplication by a simple
+    function at the split level or coarser, the exact block structure
+    (diagonal per-cell blocks plus a trailing non-localized block) is
+    verified and off-block entries snapped to exact zero.
+    """
+    if measure.level != basis.level:
         raise StructuralError(
-            f"compressed operator asymmetry {asym:.3e} exceeds tolerance"
+            f"measure level {measure.level} != basis level {basis.level}"
         )
-    mat = 0.5 * (raw + raw.T)
+    if _reduces(symbol, basis):
+        return _compress_reduced(symbol, basis, measure)
+    mat, asym = _dense_product(symbol, basis, measure)
 
     block_snap = None
     if _block_exact(symbol, basis):
@@ -407,13 +495,69 @@ def compress(
     )
 
 
+def _compress_reduced(
+    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
+) -> CompressedOperator:
+    """Atoms plus the remainder block of q(lam) + chi over whole eigenspaces."""
+    chi = symbol.chi
+    lams = np.array([rec.value for rec in basis.records])
+    q = np.array(
+        [symbol.p_lambda(rec.value) if symbol.p_lambda else 0.0 for rec in basis.records]
+    )
+    dims = [sl.stop - sl.start for sl in basis.group_slices]
+    if chi is None:
+        return CompressedOperator(
+            level=basis.level,
+            keys=list(basis.keys),
+            lambda_assignment=basis.lambdas,
+            asymmetry=0.0,
+            atoms=np.repeat(q, dims),
+            atom_lambdas=np.repeat(lams, dims),
+            remainder=np.zeros((0, 0)),
+            remainder_lambdas=np.zeros(0),
+            dense=lambda: _dense_product(symbol, basis, measure)[0],
+        )
+    g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
+    blocks = list(zip(basis.records, basis.group_slices))
+    rem = eigenbasis.nonlocalized_remainder(
+        basis.columns, blocks, basis.vertices, chi.level
+    )
+    block, asym = _symmetrized(rem.columns.T @ (g[:, None] * rem.columns))
+    # per eigenspace, the trace of [chi] less that of its remainder is the
+    # localized part: per_cell vectors in each cell C, each at chi_C
+    traces = np.einsum("i,ij,ij->j", g, basis.columns, basis.columns)
+    rem_traces = np.diagonal(block)
+    chi_sum = math.fsum(chi.values)
+    cursor = 0
+    for (rec, sl), d, r, per_cell in zip(blocks, dims, rem.dims, rem.per_cell):
+        localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
+        cursor += r
+        dev = abs(float(localized) - per_cell * chi_sum)
+        if dev > BLOCK_TOL * d * max(1.0, chi.sup_norm):
+            raise StructuralError(
+                f"eigenspace {rec.key}: the localized trace of the potential "
+                f"misses {per_cell} times the sum of its cell values by {dev:.3e}"
+            )
+    per_atom = np.repeat(rem.per_cell, chi.values.size)
+    block[np.diag_indices_from(block)] += np.repeat(q, rem.dims)
+    return CompressedOperator(
+        level=basis.level,
+        keys=list(basis.keys),
+        lambda_assignment=basis.lambdas,
+        asymmetry=asym,
+        atoms=np.repeat(np.add.outer(q, chi.values).ravel(), per_atom),
+        atom_lambdas=np.repeat(np.repeat(lams, chi.values.size), per_atom),
+        remainder=block,
+        remainder_lambdas=np.repeat(lams, rem.dims),
+        dense=lambda: _dense_product(symbol, basis, measure)[0],
+    )
+
+
 def operator_eigenvalues(op: CompressedOperator) -> np.ndarray:
-    """Ascending eigenvalues; an exactly diagonal matrix is read off, not solved."""
-    mat = op.matrix
-    # counts through the (possibly strided sub-block) view without a copy
-    if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
-        return np.sort(np.diagonal(mat))
-    return np.linalg.eigvalsh(mat)
+    """Ascending eigenvalues: the atoms merged with those of the remainder."""
+    if op.remainder.size == 0:
+        return np.sort(op.atoms)
+    return np.sort(np.concatenate([op.atoms, np.linalg.eigvalsh(op.remainder)]))
 
 
 def trace_F(

@@ -339,7 +339,8 @@ def check_window(lambda_grid, m: int) -> float:
 
 def _full_sweep(symbol, lambda_grid, m, basis, cut, target, evaluate,
                 precheck=None):
-    """Cutoff compressions as leading principal blocks of one full operator."""
+    """Cutoff compressions as leading parts of one full operator: the atoms
+    below each cutoff and a leading block of its remainder."""
     lambda_grid = sorted(float(x) for x in lambda_grid)
     if not lambda_grid:
         raise DomainError("empty cutoff grid")
@@ -362,14 +363,7 @@ def _full_sweep(symbol, lambda_grid, m, basis, cut, target, evaluate,
             raise DomainError(
                 f"cutoff {cutoff} lies below the smallest eigenvalue"
             )
-        sub = operators.CompressedOperator(
-            level=gamma_full.level,
-            matrix=gamma_full.matrix[:d, :d],
-            keys=gamma_full.keys[:d],
-            lambda_assignment=values[:d],
-            asymmetry=gamma_full.asymmetry,
-        )
-        value = evaluate(sub) / d
+        value = evaluate(gamma_full.up_to(cutoff)) / d
         head = int(np.sum(births[:d] <= cut))
         samples.append(
             Sample(

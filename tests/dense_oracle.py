@@ -1,0 +1,65 @@
+"""Dense oracles for the reduced compressions and Schrodinger spectra.
+
+The library never forms diag(q) + U^T [chi] U over whole eigenspaces when chi
+is simple: it solves only the non-localized remainder.  These helpers form
+the full product over every selected column and solve it densely, the way
+the library did before the reduction, as an independent reference.
+"""
+import numpy as np
+
+from gasket_szego import operators
+from gasket_szego.gasket import effective_multiplier
+
+ROUNDING_SLACK = 32.0
+
+
+def dense_compression(q, chi, selection, measure) -> np.ndarray:
+    """diag(q(lam)) + U^T [chi] U over the selection's columns, symmetrized.
+
+    `q` may be None (no lam part) and `chi` None (no potential)."""
+    cols = selection.columns
+    if chi is None:
+        mat = np.zeros((selection.dim, selection.dim))
+    else:
+        g = effective_multiplier(chi, measure.vertices)[selection.vertices.interior]
+        raw = cols.T @ (g[:, None] * cols)
+        mat = 0.5 * (raw + raw.T)
+    if q is not None:
+        mat[np.diag_indices_from(mat)] += [q(float(lam)) for lam in selection.lambdas]
+    return mat
+
+
+def dense_schrodinger(p, chi, basis):
+    """The full level-m matrix of p(-Delta) + [chi], its diagonal p(lam) and
+    its potential part."""
+    sel = operators.leading_selection(basis)
+    potential = dense_compression(None, chi, sel, basis.measure)
+    diagonal = np.array([p(float(lam)) for lam in sel.lambdas])
+    return potential + np.diag(diagonal), diagonal, potential
+
+
+def dense_clusters(p, chi, basis, family, tau=1e-9):
+    """Threshold, counts and positions of the clusters by a dense eigh.
+
+    Windows, padding and threshold follow `clusters.identify_clusters`;
+    positions are the eigenvalues of V^T (H - center) V over the windowed
+    eigenvectors, with the diagonal recentered before multiplying."""
+    matrix, diagonal, potential = dense_schrodinger(p, chi, basis)
+    nu, vectors = np.linalg.eigh(matrix)
+    pad = tau + ROUNDING_SLACK * np.finfo(float).eps * float(np.max(np.abs(nu)))
+    lo, hi = operators.limit_range(chi, basis.vertices)
+    family = sorted(family, key=lambda r: r.value)
+    counts, positions = {}, {}
+    for rec in family:
+        center = p(rec.value)
+        idx = np.nonzero((nu >= center + lo - pad) & (nu <= center + hi + pad))[0]
+        counts[rec.birth] = int(idx.size)
+        v = vectors[:, idx]
+        proj = v.T @ ((diagonal - center)[:, None] * v) + v.T @ (potential @ v)
+        positions[rec.birth] = np.linalg.eigvalsh(0.5 * (proj + proj.T))
+    threshold = next(
+        rec.birth
+        for start, rec in enumerate(family)
+        if all(counts[r.birth] == r.multiplicity for r in family[start:])
+    )
+    return threshold, counts, positions

@@ -149,7 +149,7 @@ def test_exit_code_1_on_module_error(tmp_path):
     assert code == 1
 
 
-def test_config_validation_messages():
+def test_config_validation_messages(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         cli.RunConfig.from_dict({"command": "spectrum"})
     assert "cutoff" in str(err.value)
@@ -176,6 +176,46 @@ def test_config_validation_messages():
          "j_range": [3], "generation_cut": 2}
     )
     assert cfg.generation_cut == 2
+    # malformed or boolean numbers inside p and symbol name their field
+    for p, field in (
+        ({"kind": "affine", "scale": "x"}, "p.scale"),
+        ({"kind": "affine", "offset": True}, "p.offset"),
+        ({"kind": "power", "exponent": False}, "p.exponent"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_p(p)
+        assert field in str(err.value)
+    tab = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    for symbol, field in (
+        ({"kind": "tabulated", "entries": [["x", tab]]}, "symbol.entries[0][0]"),
+        ({"kind": "tabulated", "entries": [[1.0]]}, "symbol.entries[0]"),
+        ({"kind": "tabulated", "entries": [[True, tab]]}, "symbol.entries[0][0]"),
+        ({"kind": "tabulated", "entries": [[1.0, tab]], "limit": "x"},
+         "symbol.limit"),
+        ({"kind": "riesz", "beta": True}, "symbol.beta"),
+        ({"kind": "bessel", "beta": "2"}, "symbol.beta"),
+        ({"kind": "constant", "value": True}, "symbol.value"),
+        ({"kind": "separable", "q": {"form": "power", "beta": True},
+          "chi": tab}, "symbol.q.beta"),
+        ({"kind": "separable", "q": {"form": "constant", "value": "1"},
+          "chi": tab}, "symbol.q.value"),
+        ({"kind": "separable", "q": {"form": "constant", "value": 1.0},
+          "chi": tab, "lower_bound": "x"}, "symbol.lower_bound"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_symbol(symbol)
+        assert field in str(err.value)
+    # through the CLI: exit 2 with the field on stderr, not a traceback
+    clusters = {"m": 2, "j_range": [2], "chi": tab,
+                "p": {"kind": "affine", "scale": "x"}}
+    code, _ = run_cli(tmp_path, "clusters", clusters, name="p")
+    assert code == 2
+    assert "p.scale" in capsys.readouterr().err
+    det = {"m": 3, "mode": "full", "lambda_grid": [100.0],
+           "symbol": {"kind": "tabulated", "entries": [["x", tab]]}}
+    code, _ = run_cli(tmp_path, "szego-det", det, name="tab")
+    assert code == 2
+    assert "symbol.entries[0][0]" in capsys.readouterr().err
 
 
 def test_malformed_chi_exits_2(tmp_path):

@@ -20,35 +20,49 @@ from gasket_szego.clusters import (
 from gasket_szego.errors import DomainError
 from gasket_szego.gasket import SimpleFunction, constant_function, integrate_simple
 
+from dense_oracle import dense_schrodinger
+
 M = 5
 CHI = SimpleFunction(1, [0.8, 1.0, 1.2])
 IDENT = lambda lam: lam
 
 
 def test_zero_potential_is_diagonal(level5):
-    h = build_schrodinger(IDENT, constant_function(0.0, 1), M, basis=level5)
-    off = h.matrix - np.diag(np.diag(h.matrix))
+    zero = constant_function(0.0, 1)
+    h = build_schrodinger(IDENT, zero, M, basis=level5)
+    dense, _, _ = dense_schrodinger(IDENT, zero, level5)
+    off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) <= 1e-12
-    assert np.allclose(np.diag(h.matrix), h.diagonal, atol=1e-12)
+    assert np.allclose(np.diag(dense), h.diagonal, atol=1e-12)
+    assert np.max(np.abs(h.remainder_potential), initial=0.0) <= 1e-12
+    assert np.allclose(h.eigenvalues, np.sort(h.diagonal), atol=1e-12)
 
 
 def test_zero_p_is_multiplication(level5):
     h = build_schrodinger(lambda lam: 0.0, CHI, M, basis=level5)
+    dense, _, _ = dense_schrodinger(lambda lam: 0.0, CHI, level5)
     sel = operators.selection_from_bundles(level5.bundles)
     m_chi = operators.compress(
         operators.multiplication_symbol(CHI), sel, level5.measure
-    ).matrix
-    assert np.max(np.abs(h.matrix - m_chi)) <= 1e-14
+    )
+    assert np.max(np.abs(dense - m_chi.matrix)) <= 1e-14
+    assert np.max(
+        np.abs(h.eigenvalues - operators.operator_eigenvalues(m_chi))
+    ) <= 1e-14
 
 
 def test_cross_construction_identity(level5):
     # p = identity with simple chi matches the separable compression
     h = build_schrodinger(IDENT, CHI, M, basis=level5)
+    dense, _, _ = dense_schrodinger(IDENT, CHI, level5)
     sym = operators.separable_symbol(lambda lam: lam, 0.0, CHI)
     sel = operators.selection_from_bundles(level5.bundles)
     gamma = operators.compress(sym, sel, level5.measure)
-    scale = max(1.0, float(np.max(np.abs(h.matrix))))
-    assert np.max(np.abs(h.matrix - gamma.matrix)) <= 1e-10 * scale
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(dense - gamma.matrix)) <= 1e-10 * scale
+    assert np.max(
+        np.abs(h.eigenvalues - operators.operator_eigenvalues(gamma))
+    ) <= 1e-10 * scale
 
 
 def test_lower_bound_postcondition(level5):

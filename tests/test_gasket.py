@@ -200,6 +200,20 @@ def test_laplacian_symmetric_and_positive_definite(m):
     assert np.all(diag == 4.0)
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_laplacian_matches_full_adjacency_construction(m):
+    # 4I minus the adjacency of every vertex, cut down to the interior
+    vs = build_vertices(m)
+    adj = np.zeros((vs.n_vertices, vs.n_vertices))
+    for a, b, c in vs.cells.tolist():
+        adj[a, b] = adj[b, a] = adj[a, c] = adj[c, a] = adj[b, c] = adj[c, b] = 1.0
+    full = 4.0 * np.eye(vs.n_vertices) - adj
+    expected = full[np.ix_(vs.interior, vs.interior)]
+    lap = build_dirichlet_laplacian(vs).matrix
+    assert lap.dtype == expected.dtype
+    assert lap.tobytes() == expected.tobytes()
+
+
 def test_laplacian_level0_error():
     with pytest.raises(DomainError):
         build_dirichlet_laplacian(build_vertices(0))

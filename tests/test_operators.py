@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -30,6 +29,8 @@ from gasket_szego.operators import (
     trace_F,
     trace_power,
 )
+
+from dense_oracle import dense_compression
 
 
 def test_riesz_preset():
@@ -391,17 +392,31 @@ def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
         return dense_eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    # the whole basis, and its leading eigenspaces up to the 40th column
+    cutoffs = (math.inf, float(sel.lambdas[39]))
     for sym in (riesz_symbol(1.0), bessel_symbol(0.5)):
         op = compress(sym, sel, level5.measure)
-        for d in (op.dim, 40):
-            sub = dataclasses.replace(op, matrix=op.matrix[:d, :d])
+        oracle = dense_compression(sym.p_lambda, None, sel, level5.measure)
+        for cutoff in cutoffs:
+            sub = op.up_to(cutoff)
+            d = sub.dim
+            assert d >= 40
             assert np.array_equal(
-                operator_eigenvalues(sub), dense_eigvalsh(sub.matrix)
+                operator_eigenvalues(sub), dense_eigvalsh(oracle[:d, :d])
             )
     assert calls == []
-    sep = compress(ORACLE_SYMBOLS["separable"], sel, level5.measure)
-    assert np.array_equal(operator_eigenvalues(sep), dense_eigvalsh(sep.matrix))
-    assert calls == [sep.matrix.shape]
+    sym = ORACLE_SYMBOLS["separable"]
+    sep = compress(sym, sel, level5.measure)
+    eigs = operator_eigenvalues(sep)
+    assert np.array_equal(
+        eigs, np.sort(np.concatenate([sep.atoms, dense_eigvalsh(sep.remainder)]))
+    )
+    assert calls == [sep.remainder.shape]
+    assert sep.remainder.shape[0] < sep.dim
+    oracle = dense_eigvalsh(
+        dense_compression(sym.p_lambda, sym.chi, sel, level5.measure)
+    )
+    assert np.max(np.abs(eigs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_sup_distance_trend(level4, level4_table):
