@@ -247,8 +247,9 @@ def parse_symbol(d: dict, fld: str = "symbol"):
 def _parse_entry(entry, fld: str):
     """One tabulated entry: [eigenvalue, simple function]."""
     if not isinstance(entry, list) or len(entry) != 2:
-        raise ConfigError(fld, f"must be a pair [eigenvalue, function], got {entry!r}")
-    return _number({"lam": entry[0]}, "lam", f"{fld}[0]"), _parse_simple(entry[1], fld)
+        raise ConfigError(fld, f"must be [eigenvalue, function], got {entry!r}")
+    lam = _number({"lam": entry[0]}, "lam", f"{fld}[0]")
+    return lam, _parse_simple(entry[1], fld)
 
 
 def _parse_q(q: dict, fld: str):

@@ -309,11 +309,10 @@ class Remainder:
 
     Eigenspace i contributes `dims[i]` weighted-orthonormal columns, in the
     order of the run, spanning the orthogonal complement of its vectors
-    localized in cells of level `cell_level`; each of the 3^cell_level cells
-    holds `per_cell[i]` of those localized vectors.
+    localized in cells of level k; each of the 3^k cells holds `per_cell[i]`
+    of those localized vectors.
     """
 
-    cell_level: int
     columns: np.ndarray
     dims: list[int]
     per_cell: list[int]
@@ -377,15 +376,9 @@ def nonlocalized_remainder(
     per_cell, cursor = [], 0
     for (rec, sl), r in zip(blocks, ranks):
         d = sl.stop - sl.start
-        localized, left = divmod(d - r, 3 ** k)
-        if left:
-            raise MismatchError(
-                f"eigenspace {rec.key}: {d - r} localized vectors do not "
-                f"share evenly among the {3 ** k} cells of level {k}"
-            )
+        per_cell.append((d - r) // 3 ** k)
         out = columns[:, cursor : cursor + r]
         cursor += r
-        per_cell.append(localized)
         if r == d:
             out[:] = vectors[:, sl]
             continue
@@ -399,7 +392,7 @@ def nonlocalized_remainder(
                 f"have rank {found}, the closed form predicts {r}"
             )
         out[:] = vectors[:, sl] @ vh[:r].T
-    return Remainder(cell_level=k, columns=columns, dims=ranks, per_cell=per_cell)
+    return Remainder(columns=columns, dims=ranks, per_cell=per_cell)
 
 
 @dataclass

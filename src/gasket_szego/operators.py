@@ -420,14 +420,6 @@ def _dense_product(
     return _symmetrized(raw)
 
 
-def _reduces(symbol: SymbolSpec, basis: BasisSelection) -> bool:
-    return (
-        symbol.kind != "tabulated"
-        and basis.split is None
-        and (symbol.chi is None or isinstance(symbol.chi, SimpleFunction))
-    )
-
-
 def compress(
     symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
 ) -> CompressedOperator:
@@ -456,7 +448,11 @@ def compress(
         raise StructuralError(
             f"measure level {measure.level} != basis level {basis.level}"
         )
-    if _reduces(symbol, basis):
+    if (
+        symbol.kind != "tabulated"
+        and basis.split is None
+        and (symbol.chi is None or isinstance(symbol.chi, SimpleFunction))
+    ):
         return _compress_reduced(symbol, basis, measure)
     mat, asym = _dense_product(symbol, basis, measure)
 
@@ -501,54 +497,49 @@ def _compress_reduced(
     """Atoms plus the remainder block of q(lam) + chi over whole eigenspaces."""
     chi = symbol.chi
     lams = np.array([rec.value for rec in basis.records])
-    q = np.array(
-        [symbol.p_lambda(rec.value) if symbol.p_lambda else 0.0 for rec in basis.records]
-    )
+    p = symbol.p_lambda
+    q = np.array([p(rec.value) if p else 0.0 for rec in basis.records])
     dims = [sl.stop - sl.start for sl in basis.group_slices]
     if chi is None:
-        return CompressedOperator(
-            level=basis.level,
-            keys=list(basis.keys),
-            lambda_assignment=basis.lambdas,
-            asymmetry=0.0,
-            atoms=np.repeat(q, dims),
-            atom_lambdas=np.repeat(lams, dims),
-            remainder=np.zeros((0, 0)),
-            remainder_lambdas=np.zeros(0),
-            dense=lambda: _dense_product(symbol, basis, measure)[0],
+        # every vector is an atom at q(lam)
+        cell_values, per_cell, rem_dims = np.zeros(1), dims, [0] * len(dims)
+        block, asym = np.zeros((0, 0)), 0.0
+    else:
+        cell_values = chi.values
+        g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
+        blocks = list(zip(basis.records, basis.group_slices))
+        rem = eigenbasis.nonlocalized_remainder(
+            basis.columns, blocks, basis.vertices, chi.level
         )
-    g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
-    blocks = list(zip(basis.records, basis.group_slices))
-    rem = eigenbasis.nonlocalized_remainder(
-        basis.columns, blocks, basis.vertices, chi.level
-    )
-    block, asym = _symmetrized(rem.columns.T @ (g[:, None] * rem.columns))
-    # per eigenspace, the trace of [chi] less that of its remainder is the
-    # localized part: per_cell vectors in each cell C, each at chi_C
-    traces = np.einsum("i,ij,ij->j", g, basis.columns, basis.columns)
-    rem_traces = np.diagonal(block)
-    chi_sum = math.fsum(chi.values)
-    cursor = 0
-    for (rec, sl), d, r, per_cell in zip(blocks, dims, rem.dims, rem.per_cell):
-        localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
-        cursor += r
-        dev = abs(float(localized) - per_cell * chi_sum)
-        if dev > BLOCK_TOL * d * max(1.0, chi.sup_norm):
-            raise StructuralError(
-                f"eigenspace {rec.key}: the localized trace of the potential "
-                f"misses {per_cell} times the sum of its cell values by {dev:.3e}"
-            )
-    per_atom = np.repeat(rem.per_cell, chi.values.size)
-    block[np.diag_indices_from(block)] += np.repeat(q, rem.dims)
+        per_cell, rem_dims = rem.per_cell, rem.dims
+        block, asym = _symmetrized(rem.columns.T @ (g[:, None] * rem.columns))
+        # per eigenspace, the trace of [chi] less that of its remainder is
+        # the localized part: per_cell vectors in each cell C, each at chi_C
+        traces = np.einsum("i,ij,ij->j", g, basis.columns, basis.columns)
+        rem_traces = np.diagonal(block)
+        chi_sum = math.fsum(chi.values)
+        cursor = 0
+        for (rec, sl), d, r, c in zip(blocks, dims, rem_dims, per_cell):
+            localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
+            cursor += r
+            dev = abs(float(localized) - c * chi_sum)
+            if dev > BLOCK_TOL * d * max(1.0, chi.sup_norm):
+                raise StructuralError(
+                    f"eigenspace {rec.key}: the localized trace of the "
+                    f"potential misses {c} times the sum of its cell values "
+                    f"by {dev:.3e}"
+                )
+        block[np.diag_indices_from(block)] += np.repeat(q, rem_dims)
+    per_atom = np.repeat(per_cell, cell_values.size)
     return CompressedOperator(
         level=basis.level,
         keys=list(basis.keys),
         lambda_assignment=basis.lambdas,
         asymmetry=asym,
-        atoms=np.repeat(np.add.outer(q, chi.values).ravel(), per_atom),
-        atom_lambdas=np.repeat(np.repeat(lams, chi.values.size), per_atom),
+        atoms=np.repeat(np.add.outer(q, cell_values).ravel(), per_atom),
+        atom_lambdas=np.repeat(np.repeat(lams, cell_values.size), per_atom),
         remainder=block,
-        remainder_lambdas=np.repeat(lams, rem.dims),
+        remainder_lambdas=np.repeat(lams, rem_dims),
         dense=lambda: _dense_product(symbol, basis, measure)[0],
     )
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gasket_szego import clusters, eigenbasis, operators
-from gasket_szego.errors import MismatchError
+from gasket_szego.errors import MismatchError, StructuralError
 from gasket_szego.gasket import SimpleFunction
 
 from dense_oracle import dense_clusters, dense_compression
@@ -33,7 +33,8 @@ def test_reduced_spectrum_matches_dense_oracle(m, k, offset):
     op = operators.compress(sym, sel, basis.measure)
     dense = dense_compression(p, CHIS[k], sel, basis.measure)
     values = [rec.value for rec in sel.records]
-    # every cutoff at a quarter of the eigenspaces, and the whole basis
+    # cutoffs after a quarter, a half and three quarters of the
+    # eigenspaces, and the whole basis
     for cutoff in (values[len(values) // 4], values[len(values) // 2],
                    values[3 * len(values) // 4], values[-1]):
         sub = op.up_to(cutoff)
@@ -123,12 +124,15 @@ def _four_neighbour_sums(functionals):
 @pytest.mark.parametrize("mutation", ["no-partial-sums", "both-cells"])
 def test_wrong_junction_functionals_mismatch(level5, monkeypatch, mutation):
     functionals = eigenbasis._junction_functionals
-    if mutation == "no-partial-sums":
-        mutated = lambda vertices, k: functionals(vertices, k)[
-            : functionals(vertices, k).shape[0] // 2
-        ]
-    else:
-        mutated = _four_neighbour_sums(functionals)
+
+    def values_only(vertices, k):
+        rows = functionals(vertices, k)
+        return rows[: rows.shape[0] // 2]
+
+    mutated = (
+        values_only if mutation == "no-partial-sums"
+        else _four_neighbour_sums(functionals)
+    )
     monkeypatch.setattr(eigenbasis, "_junction_functionals", mutated)
     sym = operators.multiplication_symbol(CHIS[1])
     with pytest.raises(MismatchError):
@@ -146,7 +150,7 @@ def test_localized_trace_is_checked(level5, monkeypatch):
 
     monkeypatch.setattr(eigenbasis, "nonlocalized_remainder", miscounted)
     sym = operators.multiplication_symbol(CHIS[1])
-    with pytest.raises(operators.StructuralError):
+    with pytest.raises(StructuralError):
         operators.compress(sym, operators.leading_selection(level5), level5.measure)
 
 
