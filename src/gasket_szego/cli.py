@@ -173,16 +173,29 @@ def _validate_requirements(cfg: RunConfig) -> None:
             raise ConfigError("j_range", "required by the clusters command")
 
 
+def _check_keys(d: dict, fld: str, *allowed: str) -> None:
+    """Reject the keys of the object `d` that its kind does not read."""
+    unknown = sorted(str(key) for key in set(d) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{fld}.{unknown[0]}", "unknown key")
+
+
 def _parse_simple(d: dict, fld: str):
     from .gasket import SimpleFunction
 
     if not isinstance(d, dict) or "level" not in d or "values" not in d:
         raise ConfigError(fld, "simple function needs 'level' and 'values'")
+    _check_keys(d, fld, "level", "values")
+    level, values = d["level"], d["values"]
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise ConfigError(f"{fld}.level", f"must be an integer, got {level!r}")
+    if not isinstance(values, list):
+        raise ConfigError(f"{fld}.values", f"must be a list, got {values!r}")
+    values = [_number({"v": v}, "v", f"{fld}.values[{i}]")
+              for i, v in enumerate(values)]
     try:
-        return SimpleFunction(int(d["level"]), [float(v) for v in d["values"]])
+        return SimpleFunction(level, values)
     except GasketError as exc:
-        raise ConfigError(fld, str(exc)) from exc
-    except (TypeError, ValueError) as exc:
         raise ConfigError(fld, str(exc)) from exc
 
 
@@ -192,9 +205,11 @@ def parse_symbol(d: dict, fld: str = "symbol"):
     kind = d.get("kind")
     try:
         if kind in ("riesz", "bessel"):
+            _check_keys(d, fld, "kind", "beta")
             beta = _number(d, "beta", f"{fld}.beta")
             return operators.make_symbol(kind, beta=beta)
         if kind == "constant":
+            _check_keys(d, fld, "kind", "value")
             value = _number(d, "value", f"{fld}.value")
             return operators.constant_symbol(
                 lambda lam: value,
@@ -203,14 +218,22 @@ def parse_symbol(d: dict, fld: str = "symbol"):
                 name=f"constant({value:g})",
             )
         if kind == "multiplication":
+            _check_keys(d, fld, "kind", "chi")
             return operators.multiplication_symbol(
                 _parse_simple(d.get("chi"), f"{fld}.chi")
             )
         if kind == "separable":
+            _check_keys(d, fld, "kind", "q", "chi", "lower_bound", "limit")
             q = d.get("q")
             if not isinstance(q, dict):
                 raise ConfigError(f"{fld}.q", "required object")
             q_fn, q_name, limit = _parse_q(q, f"{fld}.q")
+            # the limit follows from the q form; a stated one must agree
+            if "limit" in d and _number(d, "limit", f"{fld}.limit") != limit:
+                raise ConfigError(
+                    f"{fld}.limit",
+                    f"the q form has limit {limit!r}, got {d['limit']!r}",
+                )
             chi = _parse_simple(d.get("chi"), f"{fld}.chi")
             lower = d.get("lower_bound")
             return operators.separable_symbol(
@@ -224,6 +247,7 @@ def parse_symbol(d: dict, fld: str = "symbol"):
                 name=f"separable({q_name}+chi)",
             )
         if kind == "tabulated":
+            _check_keys(d, fld, "kind", "entries", "limit")
             entries = d.get("entries")
             if not isinstance(entries, list) or not entries:
                 raise ConfigError(f"{fld}.entries", "required non-empty list")
@@ -255,11 +279,13 @@ def _parse_entry(entry, fld: str):
 def _parse_q(q: dict, fld: str):
     form = q.get("form")
     if form == "power":
+        _check_keys(q, fld, "form", "beta")
         beta = _number(q, "beta", f"{fld}.beta")
         if beta <= 0:
             raise ConfigError(f"{fld}.beta", f"must be positive, got {beta!r}")
         return (lambda lam: lam ** (-beta)), f"lam^-{beta:g}", 0.0
     if form == "constant":
+        _check_keys(q, fld, "form", "value")
         value = _number(q, "value", f"{fld}.value")
         return (lambda lam: value), f"{value:g}", value
     raise ConfigError(f"{fld}.form", f"unknown q form {form!r}")
@@ -281,11 +307,14 @@ def parse_trace_function(d: dict, fld: str = "F"):
 def parse_p(d: dict, fld: str = "p"):
     kind = d.get("kind", "identity")
     if kind == "identity":
+        _check_keys(d, fld, "kind")
         return (lambda lam: lam), "identity"
     if kind == "power":
+        _check_keys(d, fld, "kind", "exponent")
         exponent = _number(d, "exponent", f"{fld}.exponent")
         return (lambda lam: lam ** exponent), f"power({exponent:g})"
     if kind == "affine":
+        _check_keys(d, fld, "kind", "scale", "offset")
         scale = _number(d, "scale", f"{fld}.scale") if "scale" in d else 1.0
         offset = _number(d, "offset", f"{fld}.offset") if "offset" in d else 0.0
         return (lambda lam: scale * lam + offset), f"affine({scale:g},{offset:g})"
@@ -533,7 +562,9 @@ def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
                     ok = split.localized_total == counts.d_j_N
                     detail = (
                         f"per_cell={counts.m_j_N};localized={split.localized_total};"
-                        f"alpha={split.nonlocalized.shape[1]}"
+                        f"alpha={split.nonlocalized.shape[1]};"
+                        f"dropped_over_tol={fmt(split.dropped_over_tol)};"
+                        f"tol_over_kept={fmt(split.tol_over_kept)}"
                     )
                 except GasketError as exc:
                     ok, detail = False, str(exc)

@@ -9,13 +9,15 @@ decimation prediction, orthonormal in the measure-weighted inner product, in
 one read-only matrix of which every eigenspace is a column view.  The dense
 eigensolve `solve_graph_spectrum` and its labelling `group_eigenspaces` stay
 as the independent oracle.  A split at cell level N finds, per N-cell, the
-subspace of vectors supported strictly inside that cell; the subspace is
-located purely by linear algebra (kernel of the restriction-to-outside map)
-and its dimension is checked against the closed-form counts, which is the
-decisive structural test.  The non-localized remainder of whole eigenspaces
-at a cell level needs no per-cell split: it is the row space of the junction
-functionals at the level's interior vertices, with its rank pinned to the
-same counts.
+subspace of vectors supported strictly inside that cell: the kernel of the
+eigenspace's rows outside the cell, read from the SVD of a short stack of
+QR R factors of the other cells' rows plus the junction rows, which has the
+same singular values.  Its dimension is checked against the closed-form
+counts, which is the decisive structural test, and the split reports how
+far the singular values sit from the rank tolerance.  The non-localized
+remainder of whole eigenspaces at a cell level needs no per-cell split: it
+is the row space of the junction functionals at the level's interior
+vertices, with its rank pinned to the same counts.
 """
 from __future__ import annotations
 
@@ -163,12 +165,20 @@ def group_eigenspaces(
 
 @dataclass
 class LocalizedBasis:
-    """Per-cell localized vectors plus an orthonormal non-localized remainder."""
+    """Per-cell localized vectors plus an orthonormal non-localized remainder.
+
+    The kernel margins are the worst over the split's cells of the largest
+    singular value taken as zero over the kernel tolerance, and of the
+    tolerance over the smallest singular value kept; both are below 1, and
+    0 when no cell drops (or keeps) a singular value.
+    """
 
     bundle: EigenspaceBundle
     cell_level: int
     per_cell: dict[Word, np.ndarray]
     nonlocalized: np.ndarray
+    dropped_over_tol: float = 0.0
+    tol_over_kept: float = 0.0
 
     @property
     def localized_total(self) -> int:
@@ -188,13 +198,53 @@ def _canonical_columns(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack([item[3] for item in cols]) if cols else vectors
 
 
+def _r_factor(rows: np.ndarray, d: int) -> np.ndarray:
+    """At most d rows with the Gram matrix of `rows`: the rows themselves,
+    or the R factor of their QR factorization when there are more."""
+    return np.linalg.qr(rows, mode="r") if rows.shape[0] > d else rows
+
+
+def _outside_stacks(u: np.ndarray, insides: list[np.ndarray]):
+    """Per cell in turn, a short matrix with the Gram matrix of the rows of
+    `u` outside that cell's interior.
+
+    Those rows are the other cells' interior rows plus the junction rows,
+    which lie in no cell interior.  The R factors of the cells before the
+    cell (prefix) and after it (suffix), each a QR of at most 2d rows, and
+    the junction rows stack to at most 2d + n_N rows, with the singular
+    values and right singular vectors of the n - |C| outside rows.
+    """
+    n, d = u.shape
+    junction = np.ones(n, dtype=bool)
+    for inside in insides:
+        junction[inside] = False
+    if int(junction.sum()) + sum(inside.size for inside in insides) != n:
+        raise StructuralError("cell interiors overlap")
+    rest = u[junction]
+    factors = [_r_factor(u[inside], d) for inside in insides]
+    before = np.zeros((0, d))
+    after = [before]
+    for r in reversed(factors[1:]):
+        after.append(_r_factor(np.vstack([r, after[-1]]), d))
+    for r, suffix in zip(factors, reversed(after)):
+        yield np.vstack([before, suffix, rest])
+        before = _r_factor(np.vstack([before, r]), d)
+
+
 def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     """Split an eigenspace into per-N-cell localized vectors plus a remainder.
 
-    Localized vectors are snapped to exact zero off their cell (including the
-    three cell corners, where true localized eigenfunctions vanish); pre-snap
-    magnitudes above the snap tolerance or a count different from the
-    closed-form prediction raise a structural error.
+    The vectors localized in an N-cell C are the combinations of the
+    eigenspace that vanish on every row outside C's interior: the right
+    singular vectors of those rows whose singular values fall below
+    `KERNEL_RTOL * max(1, largest)`.  They are read from the SVD of a stack
+    of R factors with the same Gram matrix (see `_outside_stacks`), not of
+    the n - |C| outside rows.  Localized vectors are snapped to exact zero
+    off their cell (including the three cell corners, where true localized
+    eigenfunctions vanish); pre-snap magnitudes above the snap tolerance or
+    a count different from the closed-form prediction raise a structural
+    error.  The remainder completes the localized coefficients to the whole
+    eigenspace.
     """
     rec = bundle.record
     if rec.series not in (5, 6):
@@ -212,19 +262,25 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             f"bundle dimension {d} != predicted multiplicity {counts.d_j}"
         )
 
+    words = cell_words(n_level)
+    insides = [vertices.cell_interior_positions(word) for word in words]
     per_cell: dict[Word, np.ndarray] = {}
     coeff_blocks = []
-    for word in cell_words(n_level):
-        inside = vertices.cell_interior_positions(word)
-        mask = np.ones(n, dtype=bool)
-        mask[inside] = False
-        outside_rows = u[mask, :]
-        if outside_rows.shape[0] < d:
+    dropped_over_tol = tol_over_kept = 0.0
+    for word, inside, outside in zip(
+        words, insides, _outside_stacks(u, insides)
+    ):
+        # the stack is shorter than d exactly when the outside rows are
+        if outside.shape[0] < d:
             raise StructuralError(
                 f"cell {word}: fewer outside coordinates than bundle dimension"
             )
-        _, svals, vh = np.linalg.svd(outside_rows, full_matrices=False)
-        tol = max(float(svals[0]), 1.0) * KERNEL_RTOL if svals.size else KERNEL_RTOL
+        if counts.m_j_N:
+            _, svals, vh = np.linalg.svd(outside, full_matrices=False)
+        else:
+            # nothing localizes: the singular values alone confirm it
+            svals = np.linalg.svd(outside, compute_uv=False)
+        tol = max(float(svals[0]), 1.0) * KERNEL_RTOL
         rank = int(np.sum(svals > tol))
         kdim = d - rank
         if kdim != counts.m_j_N:
@@ -233,9 +289,14 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
                 f"predicts {counts.m_j_N} (series {rec.series}, birth "
                 f"{rec.birth}, N={n_level})"
             )
+        if rank:
+            tol_over_kept = max(tol_over_kept, tol / float(svals[rank - 1]))
         if kdim == 0:
             per_cell[word] = np.zeros((n, 0))
             continue
+        dropped_over_tol = max(dropped_over_tol, float(svals[rank]) / tol)
+        mask = np.ones(n, dtype=bool)
+        mask[inside] = False
         coeffs = vh[rank:, :]
         vecs = u @ coeffs.T
         spill = np.max(np.abs(vecs[mask, :]))
@@ -271,6 +332,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
         cell_level=n_level,
         per_cell=per_cell,
         nonlocalized=nonloc,
+        dropped_over_tol=dropped_over_tol,
+        tol_over_kept=tol_over_kept,
     )
     _check_split_orthonormal(split)
     return split

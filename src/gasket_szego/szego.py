@@ -73,18 +73,25 @@ def f_polynomial(coeffs) -> TraceFunction:
     return TraceFunction("polynomial:" + ":".join(repr(c) for c in coeffs), fn)
 
 
+# each named function with the parameters it reads
 NAMED_F = {
-    "identity": lambda params: f_identity(),
-    "power": lambda params: f_power(int(params["k"])),
-    "log": lambda params: f_log(),
-    "polynomial": lambda params: f_polynomial(params["coeffs"]),
+    "identity": ((), lambda params: f_identity()),
+    "power": (("k",), lambda params: f_power(int(params["k"]))),
+    "log": ((), lambda params: f_log()),
+    "polynomial": (("coeffs",), lambda params: f_polynomial(params["coeffs"])),
 }
 
 
 def make_trace_function(name: str, **params) -> TraceFunction:
     if name not in NAMED_F:
         raise DomainError(f"unknown trace function {name!r}")
-    return NAMED_F[name](params)
+    keys, build = NAMED_F[name]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise DomainError(
+            f"trace function {name!r} takes no parameter {unknown[0]!r}"
+        )
+    return build(params)
 
 
 def target_integral(limit_q, fn: Callable[[float], float],

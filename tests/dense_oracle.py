@@ -1,14 +1,17 @@
-"""Dense oracles for the reduced compressions and Schrodinger spectra.
+"""Dense oracles for the reduced compressions, Schrodinger spectra and splits.
 
 The library never forms diag(q) + U^T [chi] U over whole eigenspaces when chi
 is simple: it solves only the non-localized remainder.  These helpers form
 the full product over every selected column and solve it densely, the way
-the library did before the reduction, as an independent reference.
+the library did before the reduction, as an independent reference.  Likewise
+`localized_split` reads each cell's kernel from a short stack of R factors;
+`reference_split` takes the SVD of every row outside the cell.
 """
 import numpy as np
 
 from gasket_szego import operators
-from gasket_szego.gasket import effective_multiplier
+from gasket_szego.eigenbasis import KERNEL_RTOL
+from gasket_szego.gasket import cell_words, effective_multiplier
 
 ROUNDING_SLACK = 32.0
 
@@ -63,3 +66,25 @@ def dense_clusters(p, chi, basis, family, tau=1e-9):
         if all(counts[r.birth] == r.multiplicity for r in family[start:])
     )
     return threshold, counts, positions
+
+
+def reference_split(bundle, n_level):
+    """Per-cell localized vectors and the non-localized remainder of a
+    bundle, by an SVD of all n - |C| rows outside each N-cell C.
+
+    Same rank rule as `localized_split`, with no snapping and no canonical
+    order; the columns are weighted-orthonormal, so w V V^T are the
+    projectors to compare."""
+    u = bundle.vectors
+    n, d = u.shape
+    per_cell, coeffs = {}, []
+    for word in cell_words(n_level):
+        mask = np.ones(n, dtype=bool)
+        mask[bundle.vertices.cell_interior_positions(word)] = False
+        _, svals, vh = np.linalg.svd(u[mask], full_matrices=False)
+        rank = int(np.sum(svals > KERNEL_RTOL * max(1.0, float(svals[0]))))
+        per_cell[word] = u @ vh[rank:].T
+        coeffs.append(vh[rank:])
+    stacked = np.vstack(coeffs)
+    _, _, vh = np.linalg.svd(stacked, full_matrices=True)
+    return per_cell, u @ vh[stacked.shape[0]:].T

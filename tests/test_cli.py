@@ -47,6 +47,14 @@ def test_validate_command_and_determinism(tmp_path):
     lines = body1.decode().splitlines()
     assert lines[0] == "check,status,detail"
     assert all(",PASS," in line for line in lines[1:])
+    # localization rows carry the kernel margins of their split
+    details = [line.split(",", 2)[2] for line in lines[1:]
+               if line.startswith("localization-")]
+    assert details
+    for detail in details:
+        fields = dict(item.split("=") for item in detail.split(";"))
+        assert 0.0 <= float(fields["dropped_over_tol"]) < 1.0
+        assert 0.0 < float(fields["tol_over_kept"]) < 1.0
 
 
 def test_szego_trace_command(tmp_path):
@@ -205,7 +213,72 @@ def test_config_validation_messages(tmp_path, capsys):
         with pytest.raises(ConfigError) as err:
             cli.parse_symbol(symbol)
         assert field in str(err.value)
+    # every key must be read by its kind, and a separable limit must be the
+    # one its q form has
+    power = {"form": "power", "beta": 1.0}
+    for symbol, field in (
+        ({"kind": "separable", "q": power, "limit": 5.0, "chi": tab},
+         "symbol.limit"),
+        ({"kind": "separable", "q": power, "limit": 0.0, "chi": tab,
+          "bogus": 1}, "symbol.bogus"),
+        ({"kind": "separable", "q": {"form": "constant", "value": 2.0},
+          "limit": 0.0, "chi": tab}, "symbol.limit"),
+        ({"kind": "separable", "q": {**power, "value": 1.0}, "chi": tab},
+         "symbol.q.value"),
+        ({"kind": "riesz", "beta": 1.0, "value": 2.0}, "symbol.value"),
+        ({"kind": "constant", "value": 1.0, "beta": 2.0}, "symbol.beta"),
+        ({"kind": "multiplication", "chi": tab, "limit": 1.0}, "symbol.limit"),
+        ({"kind": "tabulated", "entries": [[1.0, tab]], "q": power},
+         "symbol.q"),
+        ({"kind": "multiplication", "chi": {**tab, "extra": 0}},
+         "symbol.chi.extra"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_symbol(symbol)
+        assert field in str(err.value)
+    for kept in (
+        {"kind": "separable", "q": power, "limit": 0.0, "chi": tab},
+        {"kind": "separable", "q": {"form": "constant", "value": 2.0},
+         "limit": 2, "chi": tab},
+    ):
+        assert cli.parse_symbol(kept).limit_q is not None
+    for p, field in (
+        ({"kind": "identity", "junk": 1}, "p.junk"),
+        ({"kind": "power", "exponent": 2.0, "scale": 1.0}, "p.scale"),
+        ({"kind": "affine", "exponent": 2.0}, "p.exponent"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_p(p)
+        assert field in str(err.value)
+    for F, key in (
+        ({"name": "identity", "bogus": 1}, "'bogus'"),
+        ({"name": "power", "k": 2, "c": 1}, "'c'"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_trace_function(F)
+        assert "config.F:" in str(err.value) and key in str(err.value)
+    # a simple function's level is an integer and its values are numbers
+    for simple, field in (
+        ({"level": 1.5, "values": [1.0, 2.0, 3.0]}, "chi.level"),
+        ({"level": True, "values": [True, True, True]}, "chi.level"),
+        ({"level": 1, "values": [1.0, True, 3.0]}, "chi.values[1]"),
+        ({"level": 1, "values": [1.0, "2", 3.0]}, "chi.values[1]"),
+        ({"level": 1, "values": 1.0}, "chi.values"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli._parse_simple(simple, "chi")
+        assert field in str(err.value)
     # through the CLI: exit 2 with the field on stderr, not a traceback
+    det = {"m": 3, "mode": "full", "lambda_grid": [100.0],
+           "symbol": {"kind": "separable", "q": power, "limit": 5.0,
+                      "chi": tab}}
+    code, _ = run_cli(tmp_path, "szego-det", det, name="limit")
+    assert code == 2
+    assert "symbol.limit" in capsys.readouterr().err
+    clusters = {"m": 2, "j_range": [2], "chi": {**tab, "level": 1.5}}
+    code, _ = run_cli(tmp_path, "clusters", clusters, name="level")
+    assert code == 2
+    assert "chi.level" in capsys.readouterr().err
     clusters = {"m": 2, "j_range": [2], "chi": tab,
                 "p": {"kind": "affine", "scale": "x"}}
     code, _ = run_cli(tmp_path, "clusters", clusters, name="p")

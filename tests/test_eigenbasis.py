@@ -19,7 +19,9 @@ from gasket_szego.errors import (
     NumericError,
     StructuralError,
 )
-from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
+from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices, cell_words
+
+from dense_oracle import reference_split
 
 
 def test_solve_level1():
@@ -162,6 +164,79 @@ def test_split_deterministic(level4):
     for word in a.per_cell:
         assert np.array_equal(a.per_cell[word], b.per_cell[word])
     assert np.array_equal(a.nonlocalized, b.nonlocalized)
+
+
+def _validate_splits(basis):
+    """The (bundle, N) pairs `validate` splits at the basis level."""
+    for series in (6, 5):
+        for birth in range(2, min(basis.level, 5) + 1):
+            bundle = basis.family_bundle(series, birth)
+            for n_level in range(1, birth):
+                yield bundle, n_level
+
+
+def _projector_gap(a, b, w):
+    """Spectral norm of w a a^T - w b b^T, a bound on every entry, for
+    weighted-orthonormal a and b of equal width: that of (I - w a a^T) b
+    in the weighted norm, with no n x n product."""
+    return float(np.linalg.norm(b - a @ (w * (a.T @ b)), 2) * np.sqrt(w))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_split_matches_outside_row_svd(request, m):
+    basis = request.getfixturevalue(f"level{m}")
+    w = interior_weight(m)
+    for bundle, n_level in _validate_splits(basis):
+        split = localized_split(bundle, n_level)
+        per_cell, nonlocalized = reference_split(bundle, n_level)
+        assert {c: v.shape[1] for c, v in split.per_cell.items()} == {
+            c: v.shape[1] for c, v in per_cell.items()
+        }
+        for word, ref in per_cell.items():
+            if ref.shape[1]:
+                assert _projector_gap(split.per_cell[word], ref, w) <= 1e-12
+        assert _projector_gap(split.nonlocalized, nonlocalized, w) <= 1e-12
+        # the kernel margins: below 1, and 0 when no cell drops a value
+        assert 0.0 < split.tol_over_kept < 1.0
+        if split.localized_total:
+            assert 0.0 < split.dropped_over_tol < 1.0
+        else:
+            assert split.dropped_over_tol == 0.0
+
+
+def test_split_svds_stay_short(level6, monkeypatch):
+    # every SVD inside the split sees at most 2d + n_N rows: two R factors
+    # and the junction rows, never the n - |C| rows outside a cell
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for bundle, n_level in _validate_splits(level6):
+        shapes.clear()
+        localized_split(bundle, n_level)
+        limit = 2 * bundle.dim + decimation.interior_dimension(n_level)
+        assert shapes and max(rows for rows, _ in shapes) <= limit
+
+
+@pytest.mark.parametrize("n_level", [1, 2, 3])
+def test_outside_stacks_keep_the_outside_gram(level4, n_level):
+    # any matrix, not only an eigenspace: a stack that dropped the junction
+    # rows or kept the cell's own rows would change the Gram matrix
+    vertices = level4.vertices
+    u = np.random.default_rng(n_level).standard_normal((vertices.n_interior, 9))
+    insides = [
+        vertices.cell_interior_positions(word) for word in cell_words(n_level)
+    ]
+    for inside, stack in zip(insides, eigenbasis._outside_stacks(u, insides)):
+        mask = np.ones(u.shape[0], dtype=bool)
+        mask[inside] = False
+        gram = u[mask].T @ u[mask]
+        assert stack.shape[0] <= 2 * 9 + decimation.interior_dimension(n_level)
+        assert np.max(np.abs(stack.T @ stack - gram)) <= 1e-12 * np.max(gram)
 
 
 def test_bundle_save_load_bit_exact(tmp_path, level4):
