@@ -218,8 +218,6 @@ def _outside_stacks(u: np.ndarray, insides: list[np.ndarray]):
     junction = np.ones(n, dtype=bool)
     for inside in insides:
         junction[inside] = False
-    if int(junction.sum()) + sum(inside.size for inside in insides) != n:
-        raise StructuralError("cell interiors overlap")
     rest = u[junction]
     factors = [_r_factor(u[inside], d) for inside in insides]
     before = np.zeros((0, d))
