@@ -76,7 +76,7 @@ def reference_split(bundle, n_level):
     order; the columns are weighted-orthonormal, so w V V^T are the
     projectors to compare."""
     u = bundle.vectors
-    n, d = u.shape
+    n = u.shape[0]
     per_cell, coeffs = {}, []
     for word in cell_words(n_level):
         mask = np.ones(n, dtype=bool)
