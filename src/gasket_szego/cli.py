@@ -20,10 +20,19 @@ from .errors import ConfigError, GasketError
 
 COMMANDS = ("spectrum", "basis", "szego-trace", "szego-det", "clusters", "validate")
 
-_KNOWN_KEYS = {
-    "command", "m", "cutoff", "lambda_grid", "mode", "series", "j_range",
-    "N", "k_max", "symbol", "F", "p", "chi", "seed",
-    "records", "dump_vertices", "dump_operator", "generation_cut",
+# the keys each command reads, and each szego mode adds; a config key that
+# its run does not read is rejected rather than ignored
+_COMMAND_KEYS = {
+    "spectrum": {"cutoff"},
+    "basis": {"m", "records", "dump_vertices"},
+    "szego-trace": {"m", "mode", "symbol", "F", "generation_cut"},
+    "szego-det": {"m", "mode", "symbol", "generation_cut"},
+    "clusters": {"m", "j_range", "p", "chi", "k_max"},
+    "validate": {"m", "seed"},
+}
+_MODE_KEYS = {
+    "single": {"series", "j_range", "N", "dump_operator"},
+    "full": {"lambda_grid"},
 }
 
 
@@ -55,9 +64,6 @@ class RunConfig:
     def from_dict(raw: dict, command: str | None = None, plot: bool = False):
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
-        unknown = set(raw) - _KNOWN_KEYS
-        if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration key")
         cfg_command = raw.get("command", command)
         if cfg_command is None:
             raise ConfigError("command", "missing")
@@ -69,6 +75,17 @@ class RunConfig:
         if cfg_command not in COMMANDS:
             raise ConfigError("command", f"must be one of {COMMANDS}")
         cfg = RunConfig(command=cfg_command, plot=plot)
+        if "mode" in raw:
+            if raw["mode"] not in ("single", "full"):
+                raise ConfigError("mode", "must be 'single' or 'full'")
+            cfg.mode = raw["mode"]
+        reads, where = {"command"} | _COMMAND_KEYS[cfg_command], cfg_command
+        if "mode" in reads:
+            reads |= _MODE_KEYS[cfg.mode]
+            where += f" in {cfg.mode} mode"
+        unknown = sorted(str(key) for key in set(raw) - reads)
+        if unknown:
+            raise ConfigError(unknown[0], f"not read by {where}")
         _assign_int(cfg, raw, "m", minimum=0)
         _assign_int(cfg, raw, "N", minimum=1)
         _assign_int(cfg, raw, "k_max", minimum=0)
@@ -84,10 +101,6 @@ class RunConfig:
                 raise ConfigError("lambda_grid", "must be a non-empty list")
             cfg.lambda_grid = [_number({"x": g}, "x", f"lambda_grid[{i}]")
                                for i, g in enumerate(grid)]
-        if "mode" in raw:
-            if raw["mode"] not in ("single", "full"):
-                raise ConfigError("mode", "must be 'single' or 'full'")
-            cfg.mode = raw["mode"]
         if "j_range" in raw:
             jr = raw["j_range"]
             if not isinstance(jr, list) or not all(isinstance(j, int) for j in jr):
@@ -153,12 +166,6 @@ def _number(raw, key, label=None):
 def _validate_requirements(cfg: RunConfig) -> None:
     if cfg.command == "spectrum" and cfg.cutoff is None:
         raise ConfigError("cutoff", "required by the spectrum command")
-    if cfg.generation_cut is not None and cfg.command not in (
-        "szego-trace", "szego-det"
-    ):
-        raise ConfigError(
-            "generation_cut", f"not used by the {cfg.command} command"
-        )
     if cfg.command in ("szego-trace", "szego-det"):
         if cfg.symbol is None:
             raise ConfigError("symbol", f"required by {cfg.command}")
@@ -298,9 +305,7 @@ def parse_trace_function(d: dict, fld: str = "F"):
     try:
         params = {k: v for k, v in d.items() if k != "name"}
         return szego.make_trace_function(name, **params)
-    except GasketError as exc:
-        raise ConfigError(fld, str(exc)) from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (GasketError, TypeError) as exc:
         raise ConfigError(fld, str(exc)) from exc
 
 
@@ -391,9 +396,18 @@ def _sanitize(key: str) -> str:
 
 
 def _cmd_basis(config: RunConfig, out_dir: Path) -> list[str]:
-    from . import eigenbasis, gasket
+    from . import decimation, eigenbasis, gasket
     from .serialize import write_csv
 
+    # unknown record keys fail before the build, from the prediction alone
+    if config.records:
+        known = {g.record.key for g in decimation.truncated_graph_spectrum(config.m)}
+        for i, key in enumerate(config.records):
+            if key not in known:
+                raise ConfigError(
+                    f"records[{i}]",
+                    f"no eigenspace with record key {key} at level {config.m}",
+                )
     basis = eigenbasis.build_level_basis(config.m)
     rows = [
         (b.record.key, b.graph_value, b.dim, b.record.value, b.record.multiplicity)
@@ -422,6 +436,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
     from . import eigenbasis, operators, szego
 
     symbol = parse_symbol(config.symbol)
+    F = None if determinant else parse_trace_function(config.F)
     basis = eigenbasis.level_basis(config.m)
     if determinant:
         if config.mode == "single":
@@ -435,7 +450,6 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
                 generation_cut=config.generation_cut, basis=basis,
             )
     else:
-        F = parse_trace_function(config.F)
         if config.mode == "single":
             report = szego.szego_trace_single_series(
                 symbol, F, config.series, config.j_range, config.N, config.m,
@@ -452,7 +466,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
     if config.plot:
         szego.plot_error_svg(report, out_dir / "report.svg")
         outputs.append("report.svg")
-    if config.dump_operator and config.mode == "single":
+    if config.dump_operator:
         bundle = basis.family_bundle(config.series, config.j_range[-1])
         sel = operators.selection_from_bundles([bundle])
         op = operators.compress(symbol, sel, basis.measure)

@@ -8,16 +8,14 @@ descriptions.  Each eigenspace arrives labelled with its entry of the level-m
 decimation prediction, orthonormal in the measure-weighted inner product, in
 one read-only matrix of which every eigenspace is a column view.  The dense
 eigensolve `solve_graph_spectrum` and its labelling `group_eigenspaces` stay
-as the independent oracle.  A split at cell level N finds, per N-cell, the
-subspace of vectors supported strictly inside that cell: the kernel of the
-eigenspace's rows outside the cell, read from the SVD of a short stack of
-QR R factors of the other cells' rows plus the junction rows, which has the
-same singular values.  Its dimension is checked against the closed-form
-counts, which is the decisive structural test, and the split reports how
-far the singular values sit from the rank tolerance.  The non-localized
-remainder of whole eigenspaces at a cell level needs no per-cell split: it
-is the row space of the junction functionals at the level's interior
-vertices, with its rank pinned to the same counts.
+as the independent oracle.  Splits at a cell level rest on the junction
+functionals at the level's interior vertices, which vanish exactly on the
+sums of vectors localized in cells: the row space of the functionals applied
+to an eigenspace is its non-localized remainder, and the kernel, restricted
+to each cell in turn, gives that cell's localized vectors.  Every rank is
+checked against the closed-form counts, which is the decisive structural
+test, and a split reports how far its singular values sit from the rank
+tolerance.
 """
 from __future__ import annotations
 
@@ -167,10 +165,10 @@ def group_eigenspaces(
 class LocalizedBasis:
     """Per-cell localized vectors plus an orthonormal non-localized remainder.
 
-    The kernel margins are the worst over the split's cells of the largest
-    singular value taken as zero over the kernel tolerance, and of the
-    tolerance over the smallest singular value kept; both are below 1, and
-    0 when no cell drops (or keeps) a singular value.
+    The kernel margins are the worst over the junction SVD and the per-cell
+    SVDs of the largest singular value taken as zero over the kernel
+    tolerance, and of the tolerance over the smallest singular value kept;
+    both are below 1, and 0 when no SVD drops (or keeps) a singular value.
     """
 
     bundle: EigenspaceBundle
@@ -185,64 +183,38 @@ class LocalizedBasis:
         return sum(v.shape[1] for v in self.per_cell.values())
 
 
-def _canonical_columns(vectors: np.ndarray) -> np.ndarray:
-    """Deterministic column order and sign: pivot on the largest entry."""
-    cols = []
-    for i in range(vectors.shape[1]):
-        v = vectors[:, i].copy()
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        cols.append((pivot, -abs(v[pivot]), tuple(np.round(v[:64], 9)), v))
-    cols.sort(key=lambda item: item[:3])
-    return np.column_stack([item[3] for item in cols]) if cols else vectors
+def _ranked_svd(mat: np.ndarray, full: bool = False):
+    """SVD of `mat` with the kernel rank rule.
 
-
-def _r_factor(rows: np.ndarray, d: int) -> np.ndarray:
-    """At most d rows with the Gram matrix of `rows`: the rows themselves,
-    or the R factor of their QR factorization when there are more."""
-    return np.linalg.qr(rows, mode="r") if rows.shape[0] > d else rows
-
-
-def _outside_stacks(u: np.ndarray, insides: list[np.ndarray]):
-    """Per cell in turn, a short matrix with the Gram matrix of the rows of
-    `u` outside that cell's interior.
-
-    Those rows are the other cells' interior rows plus the junction rows,
-    which lie in no cell interior.  The R factors of the cells before the
-    cell (prefix) and after it (suffix), each a QR of at most 2d rows, and
-    the junction rows stack to at most 2d + n_N rows, with the singular
-    values and right singular vectors of the n - |C| outside rows.
+    Returns the left and right singular vectors, the number of singular
+    values above `KERNEL_RTOL * max(1, largest)`, and the margins of that
+    decision: the largest value dropped over the tolerance and the tolerance
+    over the smallest value kept, each 0 when there is none.  With `full`,
+    `vh` is square, so that its rows past the rank span the kernel of `mat`.
     """
-    n, d = u.shape
-    junction = np.ones(n, dtype=bool)
-    for inside in insides:
-        junction[inside] = False
-    rest = u[junction]
-    factors = [_r_factor(u[inside], d) for inside in insides]
-    before = np.zeros((0, d))
-    after = [before]
-    for r in reversed(factors[1:]):
-        after.append(_r_factor(np.vstack([r, after[-1]]), d))
-    for r, suffix in zip(factors, reversed(after)):
-        yield np.vstack([before, suffix, rest])
-        before = _r_factor(np.vstack([before, r]), d)
+    left, svals, vh = np.linalg.svd(mat, full_matrices=full)
+    tol = KERNEL_RTOL * max(1.0, float(svals[0]))
+    rank = int(np.sum(svals > tol))
+    dropped = float(svals[rank]) / tol if rank < svals.size else 0.0
+    kept = tol / float(svals[rank - 1]) if rank else 0.0
+    return left, vh, rank, (dropped, kept)
 
 
 def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     """Split an eigenspace into per-N-cell localized vectors plus a remainder.
 
-    The vectors localized in an N-cell C are the combinations of the
-    eigenspace that vanish on every row outside C's interior: the right
-    singular vectors of those rows whose singular values fall below
-    `KERNEL_RTOL * max(1, largest)`.  They are read from the SVD of a stack
-    of R factors with the same Gram matrix (see `_outside_stacks`), not of
-    the n - |C| outside rows.  Localized vectors are snapped to exact zero
-    off their cell (including the three cell corners, where true localized
-    eigenfunctions vanish); pre-snap magnitudes above the snap tolerance or
-    a count different from the closed-form prediction raise a structural
-    error.  The remainder completes the localized coefficients to the whole
-    eigenspace.
+    A vector of the eigenspace is a sum of vectors localized in N-cells
+    exactly when the junction functionals of level N vanish on it (see
+    `_junction_functionals`).  The top right singular vectors of those
+    functionals applied to the eigenspace, as many as the closed-form
+    remainder count, give the non-localized remainder; the others span the
+    sum of all localized vectors, the kernel.  Vectors localized in
+    different N-cells have disjoint supports, so those of cell C are the
+    left singular vectors of the kernel's rows inside C, written into a zero
+    block: they vanish off C, including its three corners, by construction.
+    A rank different from the closed-form counts, or a kernel that does not
+    vanish on the junction rows to within the snap tolerance, raises a
+    structural error.
     """
     rec = bundle.record
     if rec.series not in (5, 6):
@@ -260,95 +232,66 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             f"bundle dimension {d} != predicted multiplicity {counts.d_j}"
         )
 
+    _, vh, rank, margins = _ranked_svd(
+        _junction_values(u, vertices, n_level), full=True
+    )
+    if rank != counts.alpha_N:
+        raise StructuralError(
+            f"the junction functionals of level {n_level} have rank {rank}, "
+            f"closed form predicts {counts.alpha_N} non-localized vectors "
+            f"(series {rec.series}, birth {rec.birth})"
+        )
+    kernel = u @ vh[rank:].T
     words = cell_words(n_level)
     insides = [vertices.cell_interior_positions(word) for word in words]
-    per_cell: dict[Word, np.ndarray] = {}
-    coeff_blocks = []
-    dropped_over_tol = tol_over_kept = 0.0
-    for word, inside, outside in zip(
-        words, insides, _outside_stacks(u, insides)
-    ):
-        # the stack is shorter than d exactly when the outside rows are
-        if outside.shape[0] < d:
-            raise StructuralError(
-                f"cell {word}: fewer outside coordinates than bundle dimension"
-            )
-        if counts.m_j_N:
-            _, svals, vh = np.linalg.svd(outside, full_matrices=False)
-        else:
-            # nothing localizes: the singular values alone confirm it
-            svals = np.linalg.svd(outside, compute_uv=False)
-        tol = max(float(svals[0]), 1.0) * KERNEL_RTOL
-        rank = int(np.sum(svals > tol))
-        kdim = d - rank
-        if kdim != counts.m_j_N:
-            raise StructuralError(
-                f"cell {word}: found {kdim} localized vectors, closed form "
-                f"predicts {counts.m_j_N} (series {rec.series}, birth "
-                f"{rec.birth}, N={n_level})"
-            )
-        if rank:
-            tol_over_kept = max(tol_over_kept, tol / float(svals[rank - 1]))
-        if kdim == 0:
-            per_cell[word] = np.zeros((n, 0))
-            continue
-        dropped_over_tol = max(dropped_over_tol, float(svals[rank]) / tol)
-        mask = np.ones(n, dtype=bool)
-        mask[inside] = False
-        coeffs = vh[rank:, :]
-        vecs = u @ coeffs.T
-        spill = np.max(np.abs(vecs[mask, :]))
-        if spill > SNAP_TOL:
-            raise StructuralError(
-                f"cell {word}: localized vector leaks {spill:.3e} outside the "
-                f"cell, above the snap tolerance {SNAP_TOL:.0e}"
-            )
-        vecs[mask, :] = 0.0
-        vecs = _canonical_columns(vecs)
-        _check_residual(bundle, vecs)
-        per_cell[word] = vecs
-        coeff_blocks.append(coeffs)
-
-    if coeff_blocks:
-        stacked = np.vstack(coeff_blocks)
-        _, svals, vh = np.linalg.svd(stacked, full_matrices=True)
-        rank = int(np.sum(svals > KERNEL_RTOL))
-        if rank != stacked.shape[0]:
-            raise StructuralError("localized coefficient blocks are degenerate")
-        completion = vh[rank:, :]
-    else:
-        completion = np.eye(d)
-    nonloc = _canonical_columns(u @ completion.T)
-    if nonloc.shape[1] != counts.alpha_N:
+    junction = np.ones(n, dtype=bool)
+    junction[np.concatenate(insides)] = False
+    leak = float(np.max(np.abs(kernel[junction]), initial=0.0))
+    if leak > SNAP_TOL:
         raise StructuralError(
-            f"non-localized completion has {nonloc.shape[1]} vectors, "
-            f"expected {counts.alpha_N}"
+            f"localized vectors leak {leak:.3e} onto the junction vertices, "
+            f"above the snap tolerance {SNAP_TOL:.0e}"
         )
+
+    per_cell: dict[Word, np.ndarray] = {}
+    scale = 1.0 / np.sqrt(interior_weight(bundle.level))
+    for word, inside in zip(words, insides):
+        vecs = np.zeros((n, counts.m_j_N))
+        if kernel.shape[1]:
+            left, _, found, cell_margins = _ranked_svd(kernel[inside])
+            if found != counts.m_j_N:
+                raise StructuralError(
+                    f"cell {word}: found {found} localized vectors, closed "
+                    f"form predicts {counts.m_j_N} (series {rec.series}, "
+                    f"birth {rec.birth}, N={n_level})"
+                )
+            margins = tuple(map(max, margins, cell_margins))
+            vecs[inside] = left[:, :found] * scale
+            _check_residual(bundle, vecs)
+        per_cell[word] = vecs
 
     split = LocalizedBasis(
         bundle=bundle,
         cell_level=n_level,
         per_cell=per_cell,
-        nonlocalized=nonloc,
-        dropped_over_tol=dropped_over_tol,
-        tol_over_kept=tol_over_kept,
+        nonlocalized=u @ vh[:rank].T,
+        dropped_over_tol=margins[0],
+        tol_over_kept=margins[1],
     )
     _check_split_orthonormal(split)
     return split
 
 
 def _check_residual(bundle: EigenspaceBundle, vectors: np.ndarray) -> None:
-    if vectors.shape[1] == 0:
-        return
-    # snapped vectors must remain in the eigenspace span; this bounds the
-    # eigen-residual without needing the Laplacian matrix here
+    # vectors written into a cell must remain in the eigenspace span; this
+    # bounds the eigen-residual without needing the Laplacian matrix here
     u = bundle.vectors
     coeffs = u.T @ vectors * interior_weight(bundle.level)
     recon = u @ coeffs
     err = np.max(np.abs(recon - vectors))
     if err > 10.0 * SNAP_TOL:
         raise StructuralError(
-            f"snapped localized vectors left the eigenspace by {err:.3e}"
+            f"localized vectors left the eigenspace by {err:.3e}"
         )
 
 
@@ -401,6 +344,17 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     return np.vstack([values, row[partners]])
 
 
+def _junction_values(vectors: np.ndarray, vertices: VertexSet, k: int) -> np.ndarray:
+    """The junction functionals of cell level k applied to each column."""
+    rows = _junction_functionals(vertices, k)
+    n = vertices.n_interior
+    values = np.zeros((rows.shape[0], vectors.shape[1]))
+    for col in rows.T:
+        inside = col < n
+        values[inside] += vectors[col[inside]]
+    return values
+
+
 def _remainder_rank(record: EigenvalueRecord, d: int, k: int) -> int:
     """Remainder dimension of a d-dimensional eigenspace at cell level k."""
     if k == 0:
@@ -426,12 +380,8 @@ def nonlocalized_remainder(
     """
     if not 0 <= k <= vertices.level:
         raise DomainError(f"need 0 <= cell level <= {vertices.level}, got {k}")
-    rows = _junction_functionals(vertices, k)
+    values = _junction_values(vectors, vertices, k)
     n = vertices.n_interior
-    values = np.zeros((rows.shape[0], vectors.shape[1]))
-    for col in rows.T:
-        inside = col < n
-        values[inside] += vectors[col[inside]]
     ranks = [_remainder_rank(rec, sl.stop - sl.start, k) for rec, sl in blocks]
     columns = np.empty((n, sum(ranks)))
     per_cell, cursor = [], 0
@@ -445,8 +395,7 @@ def nonlocalized_remainder(
             continue
         if r == 0:
             continue
-        _, svals, vh = np.linalg.svd(values[:, sl], full_matrices=False)
-        found = int(np.sum(svals > KERNEL_RTOL * max(1.0, float(svals[0]))))
+        _, vh, found, _ = _ranked_svd(values[:, sl])
         if found != r:
             raise MismatchError(
                 f"eigenspace {rec.key}: the junction functionals of level {k} "

@@ -73,16 +73,36 @@ def f_polynomial(coeffs) -> TraceFunction:
     return TraceFunction("polynomial:" + ":".join(repr(c) for c in coeffs), fn)
 
 
+def _count(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"parameter {key!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _numbers(key: str, value) -> list:
+    if not isinstance(value, list) or not value or any(
+        isinstance(c, bool) or not isinstance(c, (int, float)) for c in value
+    ):
+        raise DomainError(
+            f"parameter {key!r} must be a non-empty list of numbers, got {value!r}"
+        )
+    return value
+
+
 # each named function with the parameters it reads
 NAMED_F = {
     "identity": ((), lambda params: f_identity()),
-    "power": (("k",), lambda params: f_power(int(params["k"]))),
+    "power": (("k",), lambda params: f_power(_count("k", params["k"]))),
     "log": ((), lambda params: f_log()),
-    "polynomial": (("coeffs",), lambda params: f_polynomial(params["coeffs"])),
+    "polynomial": (
+        ("coeffs",),
+        lambda params: f_polynomial(_numbers("coeffs", params["coeffs"])),
+    ),
 }
 
 
 def make_trace_function(name: str, **params) -> TraceFunction:
+    """The named trace function; its parameters are checked, not converted."""
     if name not in NAMED_F:
         raise DomainError(f"unknown trace function {name!r}")
     keys, build = NAMED_F[name]
@@ -91,6 +111,9 @@ def make_trace_function(name: str, **params) -> TraceFunction:
         raise DomainError(
             f"trace function {name!r} takes no parameter {unknown[0]!r}"
         )
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise DomainError(f"trace function {name!r} needs parameter {missing[0]!r}")
     return build(params)
 
 

@@ -4,8 +4,9 @@ The library never forms diag(q) + U^T [chi] U over whole eigenspaces when chi
 is simple: it solves only the non-localized remainder.  These helpers form
 the full product over every selected column and solve it densely, the way
 the library did before the reduction, as an independent reference.  Likewise
-`localized_split` reads each cell's kernel from a short stack of R factors;
-`reference_split` takes the SVD of every row outside the cell.
+`localized_split` reads every cell's localized vectors from the junction
+functionals and the kernel's rows inside the cell; `reference_split` takes
+the SVD of every row outside the cell.
 """
 import numpy as np
 
@@ -72,9 +73,9 @@ def reference_split(bundle, n_level):
     """Per-cell localized vectors and the non-localized remainder of a
     bundle, by an SVD of all n - |C| rows outside each N-cell C.
 
-    Same rank rule as `localized_split`, with no snapping and no canonical
-    order; the columns are weighted-orthonormal, so w V V^T are the
-    projectors to compare."""
+    Same rank rule as `localized_split`, and the remainder completes the
+    localized coefficients; the columns are weighted-orthonormal, so w V V^T
+    are the projectors to compare."""
     u = bundle.vectors
     n = u.shape[0]
     per_cell, coeffs = {}, []

@@ -184,6 +184,31 @@ def test_config_validation_messages(tmp_path, capsys):
          "j_range": [3], "generation_cut": 2}
     )
     assert cfg.generation_cut == 2
+    # every key is read by its command, and by its szego mode
+    riesz = {"kind": "riesz", "beta": 1.0}
+    full = {"command": "szego-det", "mode": "full", "lambda_grid": [100.0],
+            "symbol": riesz}
+    single = {"command": "szego-trace", "j_range": [2], "symbol": riesz}
+    for raw, key in (
+        ({**full, "F": {"name": "identity"}}, "F"),
+        ({**full, "dump_operator": True}, "dump_operator"),
+        ({**full, "records": ["6:2:"]}, "records"),
+        ({**full, "cutoff": 100.0}, "cutoff"),
+        ({**full, "seed": 1}, "seed"),
+        ({**full, "series": 6}, "series"),
+        ({**full, "j_range": [2]}, "j_range"),
+        ({**full, "N": 1}, "N"),
+        ({**single, "lambda_grid": [100.0]}, "lambda_grid"),
+        ({**single, "mode": "single", "k_max": 2}, "k_max"),
+        ({"command": "spectrum", "cutoff": 100.0, "m": 3}, "m"),
+        ({"command": "validate", "m": 3, "chi": chi}, "chi"),
+        ({"command": "basis", "m": 3, "symbol": riesz}, "symbol"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.RunConfig.from_dict(raw)
+        assert str(err.value).startswith(f"config.{key}: not read by")
+    for raw in (full, single, {**single, "dump_operator": True, "N": 2}):
+        assert cli.RunConfig.from_dict(raw).symbol == riesz
     # malformed or boolean numbers inside p and symbol name their field
     for p, field in (
         ({"kind": "affine", "scale": "x"}, "p.scale"),
@@ -250,9 +275,17 @@ def test_config_validation_messages(tmp_path, capsys):
         with pytest.raises(ConfigError) as err:
             cli.parse_p(p)
         assert field in str(err.value)
+    # trace-function parameters are checked, not converted
     for F, key in (
         ({"name": "identity", "bogus": 1}, "'bogus'"),
         ({"name": "power", "k": 2, "c": 1}, "'c'"),
+        ({"name": "power", "k": 2.5}, "'k'"),
+        ({"name": "power", "k": True}, "'k'"),
+        ({"name": "power", "k": -1}, "'k'"),
+        ({"name": "power"}, "'k'"),
+        ({"name": "polynomial", "coeffs": "123"}, "'coeffs'"),
+        ({"name": "polynomial", "coeffs": []}, "'coeffs'"),
+        ({"name": "polynomial", "coeffs": [1.0, True]}, "'coeffs'"),
     ):
         with pytest.raises(ConfigError) as err:
             cli.parse_trace_function(F)
@@ -289,6 +322,21 @@ def test_config_validation_messages(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "szego-det", det, name="tab")
     assert code == 2
     assert "symbol.entries[0][0]" in capsys.readouterr().err
+    code, _ = run_cli(tmp_path, "szego-det", {**full, "m": 2, "seed": 3},
+                      name="seed")
+    assert code == 2
+    assert "config.seed: not read by szego-det in full mode" in (
+        capsys.readouterr().err
+    )
+    trace = {**full, "command": "szego-trace", "m": 2,
+             "F": {"name": "power", "k": 2.5}}
+    code, _ = run_cli(tmp_path, "szego-trace", trace, name="power")
+    assert code == 2
+    assert "config.F: parameter 'k'" in capsys.readouterr().err
+    code, _ = run_cli(tmp_path, "basis", {"m": 2, "records": ["9:9:"]},
+                      name="records")
+    assert code == 2
+    assert "config.records[0]: no eigenspace" in capsys.readouterr().err
 
 
 def test_malformed_chi_exits_2(tmp_path):

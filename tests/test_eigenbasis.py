@@ -205,8 +205,9 @@ def test_split_matches_outside_row_svd(request, m):
 
 
 def test_split_svds_stay_short(level6, monkeypatch):
-    # every SVD inside the split sees at most 2d + n_N rows: two R factors
-    # and the junction rows, never the n - |C| rows outside a cell
+    # every SVD inside the split sees at most d columns and
+    # max(2 n_N, largest |C|) rows: the junction functionals or one cell's
+    # rows, never the n - |C| rows outside a cell
     shapes = []
     svd = np.linalg.svd
 
@@ -218,25 +219,45 @@ def test_split_svds_stay_short(level6, monkeypatch):
     for bundle, n_level in _validate_splits(level6):
         shapes.clear()
         localized_split(bundle, n_level)
-        limit = 2 * bundle.dim + decimation.interior_dimension(n_level)
+        largest_cell = max(
+            level6.vertices.cell_interior_positions(word).size
+            for word in cell_words(n_level)
+        )
+        limit = max(2 * decimation.interior_dimension(n_level), largest_cell)
         assert shapes and max(rows for rows, _ in shapes) <= limit
+        assert max(cols for _, cols in shapes) <= bundle.dim
 
 
-@pytest.mark.parametrize("n_level", [1, 2, 3])
-def test_outside_stacks_keep_the_outside_gram(level4, n_level):
-    # any matrix, not only an eigenspace: a stack that dropped the junction
-    # rows or kept the cell's own rows would change the Gram matrix
-    vertices = level4.vertices
-    u = np.random.default_rng(n_level).standard_normal((vertices.n_interior, 9))
-    insides = [
-        vertices.cell_interior_positions(word) for word in cell_words(n_level)
-    ]
-    for inside, stack in zip(insides, eigenbasis._outside_stacks(u, insides)):
-        mask = np.ones(u.shape[0], dtype=bool)
-        mask[inside] = False
-        gram = u[mask].T @ u[mask]
-        assert stack.shape[0] <= 2 * 9 + decimation.interior_dimension(n_level)
-        assert np.max(np.abs(stack.T @ stack - gram)) <= 1e-12 * np.max(gram)
+@pytest.mark.parametrize("m", [5, 6])
+def test_split_remainder_matches_nonlocalized_remainder(request, m):
+    basis = request.getfixturevalue(f"level{m}")
+    w = interior_weight(m)
+    for bundle, n_level in _validate_splits(basis):
+        split = localized_split(bundle, n_level)
+        rem = eigenbasis.nonlocalized_remainder(
+            bundle.vectors,
+            [(bundle.record, slice(0, bundle.dim))],
+            basis.vertices,
+            n_level,
+        )
+        assert rem.columns.shape == split.nonlocalized.shape
+        assert _projector_gap(split.nonlocalized, rem.columns, w) <= 1e-12
+
+
+def test_split_without_partial_sums_fails(level4, monkeypatch):
+    # 5-series vectors vanish on every older vertex, the junctions
+    # included: only the partial sums there tell the localized vectors from
+    # the others
+    functionals = eigenbasis._junction_functionals
+
+    def values_only(vertices, k):
+        rows = functionals(vertices, k)
+        return rows[: rows.shape[0] // 2]
+
+    monkeypatch.setattr(eigenbasis, "_junction_functionals", values_only)
+    for birth, n_level in ((3, 1), (3, 2), (4, 1), (4, 3)):
+        with pytest.raises(StructuralError):
+            localized_split(level4.family_bundle(5, birth), n_level)
 
 
 def test_bundle_save_load_bit_exact(tmp_path, level4):
