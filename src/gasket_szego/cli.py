@@ -36,6 +36,14 @@ _MODE_KEYS = {
 }
 
 
+def _read_keys(command: str, mode: str) -> set[str]:
+    """The config keys a run of `command` in `mode` reads."""
+    reads = {"command"} | _COMMAND_KEYS[command]
+    if "mode" in reads:
+        reads |= _MODE_KEYS[mode]
+    return reads
+
+
 @dataclass
 class RunConfig:
     """Fully serializable description of one batch run."""
@@ -79,9 +87,8 @@ class RunConfig:
             if raw["mode"] not in ("single", "full"):
                 raise ConfigError("mode", "must be 'single' or 'full'")
             cfg.mode = raw["mode"]
-        reads, where = {"command"} | _COMMAND_KEYS[cfg_command], cfg_command
+        reads, where = _read_keys(cfg_command, cfg.mode), cfg_command
         if "mode" in reads:
-            reads |= _MODE_KEYS[cfg.mode]
             where += f" in {cfg.mode} mode"
         unknown = sorted(str(key) for key in set(raw) - reads)
         if unknown:
@@ -124,23 +131,11 @@ class RunConfig:
         return cfg
 
     def echo(self) -> dict:
-        out = {
-            "command": self.command,
-            "m": self.m,
-            "mode": self.mode,
-            "series": self.series,
-            "j_range": self.j_range,
-            "N": self.N,
-            "k_max": self.k_max,
-            "F": self.F,
-            "p": self.p,
-            "seed": self.seed,
-        }
-        for key in ("cutoff", "lambda_grid", "symbol", "chi", "generation_cut"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """Every key the run reads, with its value; unset optional keys
+        (None) are left out."""
+        reads = sorted(_read_keys(self.command, self.mode))
+        return {key: getattr(self, key) for key in reads
+                if getattr(self, key) is not None}
 
 
 def _assign_int(cfg, raw, key, minimum=None, choices=None):
@@ -158,8 +153,14 @@ def _assign_int(cfg, raw, key, minimum=None, choices=None):
 
 def _number(raw, key, label=None):
     value = raw.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(label or key, f"must be a number, got {value!r}")
+    # abs(value) <= max is False for nan, the infinities and ints beyond
+    # float range, all of which json.loads accepts
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(label or key, f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -520,11 +521,13 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
 def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
     import numpy as np
 
-    from . import decimation, eigenbasis, operators
+    from . import decimation, eigenbasis
     from .gasket import (
         SimpleFunction,
         build_dirichlet_laplacian,
         build_vertices,
+        cell_words,
+        effective_multiplier,
         integrate_simple,
     )
     from .serialize import fmt, write_csv
@@ -585,19 +588,30 @@ def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
                 check(f"localization-s{series}-j{birth}-N{n_level}", ok, detail)
 
     if m >= 3:
+        # the localized columns of a split P are exact eigenvectors of [f]:
+        # their rows of P^T [f] P are [diag(f_C) 0], up to block_snap
         birth = min(m, 4)
         f = SimpleFunction(1, [1.0, 2.0, 3.0])
         bundle = basis.family_bundle(6, birth)
         split = eigenbasis.localized_split(bundle, 1)
-        sel = operators.selection_from_split(split)
-        op = operators.compress(
-            operators.multiplication_symbol(f), sel, basis.measure
+        words = cell_words(1)
+        localized = np.hstack([split.per_cell[word] for word in words])
+        cell_values = np.repeat(
+            [f.value_on_word(word) for word in words],
+            [split.per_cell[word].shape[1] for word in words],
         )
+        loc, alpha = cell_values.size, split.nonlocalized.shape[1]
+        interior = bundle.vertices.interior
+        g = effective_multiplier(f, basis.measure.vertices)[interior]
+        rows_f = (g[:, None] * localized).T @ np.hstack(
+            [localized, split.nonlocalized]
+        )
+        expected = np.hstack([np.diag(cell_values), np.zeros((loc, alpha))])
+        block_snap = float(np.max(np.abs(rows_f - expected)))
+        r_block = rows_f[:, :loc]
         counts = decimation.localization_counts(6, birth, 1)
-        loc = counts.d_j_N
-        r_block = op.matrix[:loc, :loc]
-        ok = op.block_snap is not None and op.block_snap <= 1e-10
-        detail = f"block_snap={fmt(op.block_snap)}"
+        ok = loc == counts.d_j_N and block_snap <= 1e-10
+        detail = f"block_snap={fmt(block_snap)}"
         for k in (1, 2, 3):
             lhs = float(np.trace(np.linalg.matrix_power(r_block, k)))
             rhs = counts.d_j_N * integrate_simple(f, k)
@@ -663,7 +677,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer
         print(f"config: invalid JSON: {exc}", file=sys.stderr)
         return 2
     try:

@@ -5,8 +5,9 @@ in an eigenbasis the compressed operator P p(x, -Delta) P has column blocks
 assembled per eigenspace with that eigenspace's eigenvalue, then symmetrized.
 Integrals against the measure are weighted vertex sums, which are exact for
 products of simple functions with vectors localized at the same cell level;
-so for q(lam) + chi with chi simple, every localized vector is an exact
-eigenvector and only the non-localized remainder is assembled.
+so for q(lam) + chi with chi absent or simple, every localized vector is an
+exact eigenvector and only the non-localized remainder is assembled;
+tabulated symbols and a callable chi keep the dense product.
 """
 from __future__ import annotations
 
@@ -19,13 +20,11 @@ import numpy as np
 from . import eigenbasis
 from .decimation import EigenvalueRecord, SpectrumTable
 from .errors import ConvergenceError, DomainError, StructuralError
-from .eigenbasis import EigenspaceBundle, LevelBasis, LocalizedBasis
+from .eigenbasis import EigenspaceBundle, LevelBasis
 from .gasket import (
     SelfSimilarMeasure,
     SimpleFunction,
     VertexSet,
-    Word,
-    cell_words,
     effective_multiplier,
     vertex_values,
 )
@@ -200,15 +199,6 @@ def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> 
 
 
 @dataclass
-class SplitInfo:
-    """Column layout of a basis built from a localized split."""
-
-    cell_level: int
-    cell_blocks: list[tuple[Word, slice]]
-    nonlocalized: slice
-
-
-@dataclass
 class BasisSelection:
     """An ordered subset of eigenbasis vectors, grouped by eigenspace."""
 
@@ -218,7 +208,6 @@ class BasisSelection:
     records: list[EigenvalueRecord]
     group_slices: list[slice]
     keys: list[tuple[str, int]]
-    split: SplitInfo | None = None
 
     @property
     def dim(self) -> int:
@@ -276,35 +265,6 @@ def _grouped_selection(
     )
 
 
-def selection_from_split(split: LocalizedBasis) -> BasisSelection:
-    """Basis ordered per-cell localized vectors first, remainder last."""
-    bundle = split.bundle
-    blocks, cell_blocks = [], []
-    start = 0
-    for word in cell_words(split.cell_level):
-        vecs = split.per_cell[word]
-        blocks.append(vecs)
-        cell_blocks.append((word, slice(start, start + vecs.shape[1])))
-        start += vecs.shape[1]
-    blocks.append(split.nonlocalized)
-    nonloc = slice(start, start + split.nonlocalized.shape[1])
-    columns = np.hstack(blocks)
-    keys = [(bundle.record.key, i) for i in range(columns.shape[1])]
-    return BasisSelection(
-        level=bundle.level,
-        vertices=bundle.vertices,
-        columns=columns,
-        records=[bundle.record],
-        group_slices=[slice(0, columns.shape[1])],
-        keys=keys,
-        split=SplitInfo(
-            cell_level=split.cell_level,
-            cell_blocks=cell_blocks,
-            nonlocalized=nonloc,
-        ),
-    )
-
-
 class CompressedOperator:
     """A symbol compressed to an eigenbasis selection.
 
@@ -312,8 +272,8 @@ class CompressedOperator:
     eigenvalues of the symmetric `remainder` block; `atom_lambdas` and
     `remainder_lambdas` give the eigenvalue lam of the eigenspace each atom
     and each remainder column comes from.  `matrix`, the dense matrix in the
-    order of the selection's columns, is formed only on request; an operator
-    made from a dense matrix has no atoms, and the matrix is its remainder.
+    order of the selection's columns, is formed only on request; a dense
+    compression has no atoms, and its whole matrix is the remainder.
     """
 
     def __init__(
@@ -322,8 +282,6 @@ class CompressedOperator:
         keys: list[tuple[str, int]],
         lambda_assignment: np.ndarray,
         asymmetry: float,
-        matrix: np.ndarray | None = None,
-        block_snap: float | None = None,
         atoms: np.ndarray | None = None,
         atom_lambdas: np.ndarray | None = None,
         remainder: np.ndarray | None = None,
@@ -334,11 +292,8 @@ class CompressedOperator:
         self.keys = keys
         self.lambda_assignment = lambda_assignment
         self.asymmetry = asymmetry
-        self.block_snap = block_snap
-        self._matrix = matrix
+        self._matrix = None
         self._dense = dense
-        if matrix is not None:
-            remainder, remainder_lambdas = matrix, lambda_assignment
         self.atoms = np.zeros(0) if atoms is None else atoms
         self.atom_lambdas = np.zeros(0) if atom_lambdas is None else atom_lambdas
         self.remainder = remainder
@@ -375,15 +330,6 @@ class CompressedOperator:
             remainder_lambdas=self.remainder_lambdas[:r],
             dense=lambda: self.matrix[:d, :d],
         )
-
-
-def _block_exact(symbol: SymbolSpec, basis: BasisSelection) -> bool:
-    return (
-        basis.split is not None
-        and symbol.kind == "multiplication"
-        and isinstance(symbol.chi, SimpleFunction)
-        and symbol.chi.level <= basis.split.cell_level
-    )
 
 
 def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -434,60 +380,33 @@ def compress(
     m_{j,k} per cell (q(lam) with multiplicity d when chi is absent), and
     only the non-localized remainder Q of each eigenspace gives a block,
     diag(q) + Q^T [chi] Q.  Per eigenspace, the localized part of the trace
-    of [chi] must equal m_{j,k} times the sum of the cell values.
+    of [chi] must equal m_{j,k} times the sum of the cell values.  Any
+    orthonormal columns spanning each eigenspace will do, a localized
+    split's order included.
 
     A tabulated symbol (one column block per eigenspace, with that
-    eigenspace's eigenvalue), a callable chi and a localized split keep the
-    dense product, symmetrized with its asymmetry norm recorded.  When the
-    basis is a localized split and the symbol is multiplication by a simple
-    function at the split level or coarser, the exact block structure
-    (diagonal per-cell blocks plus a trailing non-localized block) is
-    verified and off-block entries snapped to exact zero.
+    eigenspace's eigenvalue) and a callable chi keep the dense product,
+    symmetrized with its asymmetry norm recorded; it is the remainder of an
+    operator with no atoms.
     """
     if measure.level != basis.level:
         raise StructuralError(
             f"measure level {measure.level} != basis level {basis.level}"
         )
-    if (
-        symbol.kind != "tabulated"
-        and basis.split is None
-        and (symbol.chi is None or isinstance(symbol.chi, SimpleFunction))
+    if symbol.kind != "tabulated" and (
+        symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
     ):
         return _compress_reduced(symbol, basis, measure)
     mat, asym = _dense_product(symbol, basis, measure)
-
-    block_snap = None
-    if _block_exact(symbol, basis):
-        split = basis.split
-        allowed = np.zeros_like(mat, dtype=bool)
-        for _, sl in split.cell_blocks:
-            idx = np.arange(sl.start, sl.stop)
-            allowed[idx, idx] = True
-        nl = split.nonlocalized
-        allowed[nl, nl] = True
-        off = np.abs(mat[~allowed])
-        block_snap = float(np.max(off)) if off.size else 0.0
-        if block_snap > BLOCK_TOL:
-            raise StructuralError(
-                f"off-block entry {block_snap:.3e} breaks the exact block "
-                f"structure (tolerance {BLOCK_TOL:.0e})"
-            )
-        mat[~allowed] = 0.0
-        for word, sl in split.cell_blocks:
-            expected = symbol.chi.value_on_word(word)
-            dev = np.max(np.abs(np.diag(mat[sl, sl]) - expected)) if sl.stop > sl.start else 0.0
-            if dev > BLOCK_TOL:
-                raise StructuralError(
-                    f"cell {word}: diagonal block deviates from its cell value "
-                    f"by {dev:.3e}"
-                )
+    lambdas = basis.lambdas
     return CompressedOperator(
         level=basis.level,
-        matrix=mat,
         keys=list(basis.keys),
-        lambda_assignment=basis.lambdas,
+        lambda_assignment=lambdas,
         asymmetry=asym,
-        block_snap=block_snap,
+        remainder=mat,
+        remainder_lambdas=lambdas,
+        dense=lambda: mat,
     )
 
 
@@ -688,6 +607,5 @@ def operator_to_csv(op: CompressedOperator, path, sidecar_path) -> None:
             "keys": [list(k) for k in op.keys],
             "lambda_assignment": [float(x) for x in op.lambda_assignment],
             "asymmetry": op.asymmetry,
-            "block_snap": op.block_snap,
         },
     )

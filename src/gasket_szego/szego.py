@@ -10,6 +10,7 @@ asserted; no convergence rate is claimed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,11 +81,16 @@ def _count(key: str, value) -> int:
 
 
 def _numbers(key: str, value) -> list:
+    # abs(c) <= max is False for nan, the infinities and ints beyond float range
     if not isinstance(value, list) or not value or any(
-        isinstance(c, bool) or not isinstance(c, (int, float)) for c in value
+        isinstance(c, bool)
+        or not isinstance(c, (int, float))
+        or not abs(c) <= sys.float_info.max
+        for c in value
     ):
         raise DomainError(
-            f"parameter {key!r} must be a non-empty list of numbers, got {value!r}"
+            f"parameter {key!r} must be a non-empty list of finite numbers, "
+            f"got {value!r}"
         )
     return value
 

@@ -3,15 +3,19 @@
 The library never forms diag(q) + U^T [chi] U over whole eigenspaces when chi
 is simple: it solves only the non-localized remainder.  These helpers form
 the full product over every selected column and solve it densely, the way
-the library did before the reduction, as an independent reference.  Likewise
-`localized_split` reads every cell's localized vectors from the junction
-functionals and the kernel's rows inside the cell; `reference_split` takes
-the SVD of every row outside the cell.
+the library did before the reduction, as an independent reference;
+`split_selection` orders an eigenspace's columns like its localized split,
+so that the dense product shows the block structure the reduction relies
+on.  Likewise `localized_split` reads every cell's localized vectors from
+the junction functionals and the kernel's rows inside the cell;
+`reference_split` takes the SVD of every row outside the cell.
 """
+import dataclasses
+
 import numpy as np
 
 from gasket_szego import operators
-from gasket_szego.eigenbasis import KERNEL_RTOL
+from gasket_szego.eigenbasis import KERNEL_RTOL, localized_split
 from gasket_szego.gasket import cell_words, effective_multiplier
 
 ROUNDING_SLACK = 32.0
@@ -89,3 +93,16 @@ def reference_split(bundle, n_level):
     stacked = np.vstack(coeffs)
     _, _, vh = np.linalg.svd(stacked, full_matrices=True)
     return per_cell, u @ vh[stacked.shape[0]:].T
+
+
+def split_selection(bundle, n_level):
+    """One eigenspace as a selection in the column order of its localized
+    split: each N-cell's localized vectors in cell order, then the
+    non-localized remainder.  Returns the selection and the split."""
+    split = localized_split(bundle, n_level)
+    columns = np.hstack(
+        [split.per_cell[word] for word in cell_words(n_level)]
+        + [split.nonlocalized]
+    )
+    selection = operators.selection_from_bundles([bundle])
+    return dataclasses.replace(selection, columns=columns), split

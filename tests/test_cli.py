@@ -8,6 +8,7 @@ import pytest
 
 from gasket_szego import cli, decimation
 from gasket_szego.errors import ConfigError
+from gasket_szego.gasket import SimpleFunction, integrate_simple
 from gasket_szego.serialize import sha256_file
 
 
@@ -55,6 +56,19 @@ def test_validate_command_and_determinism(tmp_path):
         fields = dict(item.split("=") for item in detail.split(";"))
         assert 0.0 <= float(fields["dropped_over_tol"]) < 1.0
         assert 0.0 < float(fields["tol_over_kept"]) < 1.0
+    # the block-exactness row: the localized rows of P^T [f] P for
+    # f = (1, 2, 3) on the birth-3 6-series split at N = 1, and the traces
+    # of their localized block against d_{j,N} times the integral of f^k
+    (row,) = [line for line in lines[1:] if line.startswith("block-exact")]
+    name, _, detail = row.split(",", 2)
+    assert name == "block-exactness-j3-N1"
+    fields = dict(item.split("=") for item in detail.split(";"))
+    assert 0.0 <= float(fields["block_snap"]) <= 1e-10
+    d_j_n = decimation.localization_counts(6, 3, 1).d_j_N
+    f = SimpleFunction(1, [1.0, 2.0, 3.0])
+    for k in (1, 2, 3):
+        rhs = d_j_n * integrate_simple(f, k)
+        assert float(fields[f"trace_R^{k}_dev"]) <= 1e-10 * max(1.0, abs(rhs))
 
 
 def test_szego_trace_command(tmp_path):
@@ -127,6 +141,29 @@ def test_basis_command(tmp_path):
     assert (out / "bundle_2_1_.csv").exists()
 
 
+def test_manifest_echoes_the_keys_the_run_reads(tmp_path):
+    # exactly the command's (and szego mode's) keys, without unset ones
+    code, out = run_cli(tmp_path, "spectrum", {"cutoff": 100.0}, name="spec")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"command": "spectrum", "cutoff": 100.0}
+    code, out = run_cli(tmp_path, "basis", {"m": 2, "records": ["2:1:"]},
+                        name="basis")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {
+        "command": "basis", "m": 2, "records": ["2:1:"], "dump_vertices": False
+    }
+    cfg = cli.RunConfig.from_dict(
+        {"command": "szego-det", "mode": "full", "lambda_grid": [100.0],
+         "symbol": {"kind": "riesz", "beta": 1.0}}
+    )
+    assert cfg.echo() == {
+        "command": "szego-det", "m": 5, "mode": "full",
+        "lambda_grid": [100.0], "symbol": {"kind": "riesz", "beta": 1.0},
+    }
+
+
 def test_exit_code_2_on_bad_config(tmp_path):
     code, _ = run_cli(tmp_path, "spectrum", {"mystery_knob": 1})
     assert code == 2
@@ -137,6 +174,10 @@ def test_exit_code_2_on_bad_config(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{nope")
     out = tmp_path / "broken_out"
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    # json.loads refuses integers of more than 4300 digits with a ValueError
+    # that is not a JSONDecodeError
+    cfg.write_text('{"cutoff": ' + "9" * 5000 + "}")
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
 
 
@@ -337,6 +378,34 @@ def test_config_validation_messages(tmp_path, capsys):
                       name="records")
     assert code == 2
     assert "config.records[0]: no eigenspace" in capsys.readouterr().err
+    # json.loads accepts NaN and Infinity; every numeric field rejects them,
+    # and ints beyond float range
+    nan, inf = float("nan"), float("inf")
+    trace_run = {**full, "command": "szego-trace", "m": 2}
+    nan_chi = {**tab, "values": [1.0, nan, 3.0]}
+    for command, raw, field in (
+        ("szego-trace", {**single, "m": 2, "symbol": {**riesz, "beta": nan}},
+         "symbol.beta"),
+        ("spectrum", {"cutoff": inf}, "cutoff"),
+        ("spectrum", {"cutoff": -inf}, "cutoff"),
+        ("spectrum", {"cutoff": 10 ** 400}, "cutoff"),
+        ("szego-det", {**full, "m": 2, "lambda_grid": [100.0, inf]},
+         "lambda_grid[1]"),
+        ("clusters", {"m": 2, "j_range": [2], "chi": nan_chi}, "chi.values[1]"),
+        ("clusters", {"m": 2, "j_range": [2], "chi": tab,
+                      "p": {"kind": "affine", "offset": -inf}}, "p.offset"),
+    ):
+        code, out = run_cli(tmp_path, command, raw, name="nonfinite")
+        assert code == 2, raw
+        assert f"config.{field}: must be a finite number" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+    for coeffs in ([1.0, nan], [inf], [10 ** 400]):
+        poly = {"name": "polynomial", "coeffs": coeffs}
+        code, _ = run_cli(tmp_path, "szego-trace", {**trace_run, "F": poly},
+                          name="coeffs")
+        assert code == 2
+        assert ("config.F: parameter 'coeffs' must be a non-empty list of "
+                "finite numbers") in capsys.readouterr().err
 
 
 def test_malformed_chi_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,6 @@ import pytest
 
 from gasket_szego import decimation, eigenbasis, operators
 from gasket_szego.errors import ConvergenceError, DomainError, StructuralError
-from gasket_szego.eigenbasis import localized_split
 from gasket_szego.gasket import SimpleFunction, constant_function
 from gasket_szego.operators import (
     bessel_symbol,
@@ -20,7 +20,6 @@ from gasket_szego.operators import (
     operator_to_csv,
     riesz_symbol,
     selection_from_bundles,
-    selection_from_split,
     separable_symbol,
     spectral_bounds,
     spectrum_map,
@@ -30,7 +29,7 @@ from gasket_szego.operators import (
     trace_power,
 )
 
-from dense_oracle import dense_compression
+from dense_oracle import dense_compression, split_selection
 
 
 def test_riesz_preset():
@@ -86,20 +85,23 @@ def test_constant_coefficient_on_one_bundle(level4):
 
 
 def test_indicator_block_structure(level4):
-    # indicator of the first level-1 cell on a birth-3 eigenspace
+    # indicator of the first level-1 cell on a birth-3 eigenspace: the
+    # localized vectors are exact eigenvectors, atoms at the cell values
     f = SimpleFunction(1, [1.0, 0.0, 0.0])
     bundle = level4.family_bundle(6, 3)
-    split = localized_split(bundle, 1)
-    sel = selection_from_split(split)
+    sel, _ = split_selection(bundle, 1)
     op = compress(multiplication_symbol(f), sel, level4.measure)
-    counts = decimation.localization_counts(6, 3, 1)
-    m_cell = counts.m_j_N
-    diag = np.diag(op.matrix)
-    assert np.allclose(diag[:m_cell], 1.0, atol=1e-12)
-    assert np.allclose(diag[m_cell : 3 * m_cell], 0.0, atol=1e-12)
-    off = op.matrix[:m_cell, m_cell : 3 * m_cell]
-    assert np.all(off == 0.0)
-    assert op.block_snap is not None and op.block_snap <= 1e-10
+    m_cell = decimation.localization_counts(6, 3, 1).m_j_N
+    expected_atoms = [0.0] * (2 * m_cell) + [1.0] * m_cell
+    assert np.array_equal(np.sort(op.atoms), expected_atoms)
+    # in split order the dense product is diagonal on the localized columns
+    # and block-diagonal with the trailing non-localized block
+    allowed = np.zeros((sel.dim, sel.dim), dtype=bool)
+    allowed[np.diag_indices(3 * m_cell)] = True
+    allowed[3 * m_cell :, 3 * m_cell :] = True
+    assert np.max(np.abs(op.matrix[~allowed])) <= 1e-12
+    assert np.max(np.abs(np.diag(op.matrix)[: 3 * m_cell]
+                         - np.repeat(f.values, m_cell))) <= 1e-12
 
 
 def test_mixed_level_error(level4):
@@ -170,18 +172,20 @@ def test_log_det_examples(level4):
     assert log_det(c_op) == pytest.approx(bundle.dim * math.log(3.0), rel=1e-12)
     tiny = operators.CompressedOperator(
         level=4,
-        matrix=np.diag([2.0, 3.0]),
         keys=[("x", 0), ("x", 1)],
         lambda_assignment=np.array([1.0, 1.0]),
         asymmetry=0.0,
+        remainder=np.diag([2.0, 3.0]),
+        remainder_lambdas=np.array([1.0, 1.0]),
     )
     assert log_det(tiny) == pytest.approx(math.log(6.0), rel=1e-14)
     bad = operators.CompressedOperator(
         level=4,
-        matrix=np.diag([2.0, -1.0]),
         keys=[("x", 0), ("x", 1)],
         lambda_assignment=np.array([1.0, 1.0]),
         asymmetry=0.0,
+        remainder=np.diag([2.0, -1.0]),
+        remainder_lambdas=np.array([1.0, 1.0]),
     )
     with pytest.raises(DomainError):
         log_det(bad)
@@ -285,24 +289,18 @@ def test_completion_invariance(level4):
     # spectral functionals
     f = SimpleFunction(1, [1.0, 2.0, 3.0])
     bundle = level4.family_bundle(6, 4)
-    split = localized_split(bundle, 1)
-    sel = selection_from_split(split)
+    sel, split = split_selection(bundle, 1)
     sym = multiplication_symbol(f.shifted(0.5))
     op = compress(sym, sel, level4.measure)
 
     rng = np.random.default_rng(7)
     alpha = split.nonlocalized.shape[1]
     q, _ = np.linalg.qr(rng.normal(size=(alpha, alpha)))
-    rotated = operators.BasisSelection(
-        level=sel.level,
-        vertices=sel.vertices,
+    rotated = dataclasses.replace(
+        sel,
         columns=np.hstack(
             [sel.columns[:, : sel.dim - alpha], split.nonlocalized @ q]
         ),
-        records=sel.records,
-        group_slices=sel.group_slices,
-        keys=sel.keys,
-        split=sel.split,
     )
     op2 = compress(sym, rotated, level4.measure)
     for F in (lambda x: x, lambda x: x ** 3, math.exp):
@@ -340,7 +338,7 @@ def _oracle_selection(basis, kind):
     if kind == "bundle":
         return selection_from_bundles([bundle])
     if kind == "split":
-        return selection_from_split(localized_split(bundle, 1))
+        return split_selection(bundle, 1)[0]
     return selection_from_bundles(
         [b for b in basis.bundles if b.record.value <= 80000.0]
     )
