@@ -438,7 +438,12 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
 
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
-    basis = eigenbasis.level_basis(config.m)
+    # the n x n level basis only where columns are read: the dumped
+    # operator's dense matrix, a tabulated symbol
+    if config.dump_operator:
+        basis = eigenbasis.level_basis(config.m)
+    else:
+        basis = operators.level_basis_for(symbol, config.m)
     if determinant:
         if config.mode == "single":
             report = szego.szego_logdet_single_series(
@@ -492,7 +497,8 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
 
     p_fn, p_name = parse_p(config.p)
     chi = _parse_simple(config.chi, "chi")
-    base = eigenbasis.level_basis(config.m)
+    # chi is simple: H reads only the eigenvalues and level_remainder
+    base = eigenbasis.bare_level_basis(config.m)
     family = cl.decimation_family(config.j_range, base)
     schrodinger = cl.build_schrodinger(p_fn, chi, config.m, p_name, base)
     report = cl.identify_clusters(schrodinger, family)
@@ -521,7 +527,7 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
 def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
     import numpy as np
 
-    from . import decimation, eigenbasis
+    from . import decimation, eigenbasis, operators
     from .gasket import (
         SimpleFunction,
         build_dirichlet_laplacian,
@@ -617,6 +623,28 @@ def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
             rhs = counts.d_j_N * integrate_simple(f, k)
             ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
             detail += f";trace_R^{k}_dev={fmt(abs(lhs - rhs))}"
+        # the level-1 remainders the reduced compressions read, built by
+        # decimation lineage, against the junction SVD of whole eigenspaces
+        # (the sine of their largest principal angle, over 1e-12) and
+        # against the localized trace of f over every eigenspace
+        sel = operators.leading_selection(basis)
+        try:
+            angle = eigenbasis.remainder_deviation(
+                eigenbasis.level_remainder(m, 1),
+                eigenbasis.nonlocalized_remainder(
+                    sel.columns, list(zip(sel.records, sel.group_slices)),
+                    basis.vertices, 1,
+                ),
+                m,
+            ) / 1e-12
+            trace = operators.localized_trace_margin(f, sel, basis.measure)
+            ok = ok and angle <= 1.0
+            detail += (
+                f";lineage_angle_over_tol={fmt(angle)}"
+                f";localized_trace_over_tol={fmt(trace)}"
+            )
+        except GasketError as exc:
+            ok, detail = False, f"{detail};{exc}"
         check(f"block-exactness-j{birth}-N1", ok, detail)
 
     # seeded eigenvalue-stability trials; deterministic given (config, seed)

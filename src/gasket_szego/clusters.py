@@ -4,7 +4,9 @@ H = p(-Delta) + [chi] acts on the full level-m eigenbasis, where p(-Delta)
 is diagonal and [chi] is the compressed multiplication operator.  For chi
 simple at level k, every eigenvector localized in a k-cell C is an exact
 eigenvector of H with eigenvalue p(lam) + chi_C, so only the non-localized
-remainder is assembled and solved.  Clusters are the portions of the
+remainder is assembled and solved; it comes from
+`eigenbasis.level_remainder(m, k)`, so the n x n level basis is built only
+for a callable chi.  Clusters are the portions of the
 spectrum inside windows around p(lam_j) for a separated eigenvalue family;
 each cluster's recentered empirical measure is realized through the
 spectral projection onto its eigenvectors (exact atoms plus projected
@@ -97,11 +99,10 @@ def build_schrodinger(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> SchrodingerMatrix:
     """H over the full level-m eigenbasis, with only its remainder solved."""
-    base = basis or eigenbasis.level_basis(m)
+    symbol = operators.multiplication_symbol(chi)
+    base = basis or operators.level_basis_for(symbol, m)
     sel = operators.leading_selection(base)
-    m_chi = operators.compress(
-        operators.multiplication_symbol(chi), sel, base.measure
-    )
+    m_chi = operators.compress(symbol, sel, base.measure)
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
     remainder_p = np.array([p(float(lam)) for lam in m_chi.remainder_lambdas])
     block = m_chi.remainder.copy()
@@ -293,7 +294,7 @@ def weak_limit_check(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> szego.ConvergenceReport:
     """Cluster averages of F against the potential's pullback integral."""
-    base = basis or eigenbasis.level_basis(m)
+    base = basis or operators.level_basis_for(operators.multiplication_symbol(chi), m)
     j_range = sorted(int(j) for j in j_range)
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
     report = identify_clusters(schrodinger, decimation_family(j_range, base))
@@ -373,12 +374,11 @@ def lipschitz_check(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> float:
     """Max sorted-eigenvalue displacement; must not exceed the sup distance."""
-    base = basis or eigenbasis.level_basis(m)
-    h1 = build_schrodinger(p, chi1, m, basis=base)
-    h2 = build_schrodinger(p, chi2, m, basis=base)
+    h1 = build_schrodinger(p, chi1, m, basis=basis)
+    h2 = build_schrodinger(p, chi2, m, basis=basis)
     displacement = float(np.max(np.abs(h1.eigenvalues - h2.eigenvalues)))
     nu = np.concatenate([h1.eigenvalues, h2.eigenvalues])
-    bound = sup_difference(chi1, chi2, base.vertices) + 1e-9 + _rounding_floor(nu)
+    bound = sup_difference(chi1, chi2, h1.basis.vertices) + 1e-9 + _rounding_floor(nu)
     if displacement > bound:
         raise StructuralError(
             f"eigenvalue displacement {displacement} exceeds the potential "

@@ -16,6 +16,12 @@ to each cell in turn, gives that cell's localized vectors.  Every rank is
 checked against the closed-form counts, which is the decisive structural
 test, and a split reports how far its singular values sit from the rank
 tolerance.
+
+`level_remainder(m, k)` runs the same decimation but carries, above cell
+level k, only each eigenspace's remainder: extension maps a parent's
+remainder onto its child's, and a newborn eigenspace is cut to its remainder
+when it is born, so no n x n array is formed.  `nonlocalized_remainder`, the
+same remainder read off whole eigenspaces, is its independent check.
 """
 from __future__ import annotations
 
@@ -78,16 +84,19 @@ def solve_graph_spectrum(lap: GraphLaplacian) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EigenspaceBundle:
-    """An eigenspace at graph level m, orthonormal in the weighted inner product."""
+    """An eigenspace at graph level m, orthonormal in the weighted inner
+    product; a bare level basis leaves `vectors` None."""
 
     level: int
     record: EigenvalueRecord
     graph_value: float
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     vertices: VertexSet = field(repr=False)
 
     @property
     def dim(self) -> int:
+        if self.vectors is None:
+            return self.record.multiplicity
         return self.vectors.shape[1]
 
 
@@ -200,6 +209,18 @@ def _ranked_svd(mat: np.ndarray, full: bool = False):
     return left, vh, rank, (dropped, kept)
 
 
+def _pinned_rows(values: np.ndarray, rank: int, key: str, k: int) -> np.ndarray:
+    """The top `rank` right singular vectors of the junction values of an
+    orthonormal eigenspace basis; their rank must be the closed-form count."""
+    _, vh, found, _ = _ranked_svd(values)
+    if found != rank:
+        raise MismatchError(
+            f"eigenspace {key}: the junction functionals of level {k} "
+            f"have rank {found}, the closed form predicts {rank}"
+        )
+    return vh[:rank]
+
+
 def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     """Split an eigenspace into per-N-cell localized vectors plus a remainder.
 
@@ -233,7 +254,7 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
         )
 
     _, vh, rank, margins = _ranked_svd(
-        _junction_values(u, vertices, n_level), full=True
+        _junction_matrix(vertices, n_level) @ u, full=True
     )
     if rank != counts.alpha_N:
         raise StructuralError(
@@ -311,15 +332,35 @@ def _check_split_orthonormal(split: LocalizedBasis) -> None:
 class Remainder:
     """The non-localized remainder of a run of whole eigenspaces.
 
-    Eigenspace i contributes `dims[i]` weighted-orthonormal columns, in the
-    order of the run, spanning the orthogonal complement of its vectors
-    localized in cells of level k; each of the 3^k cells holds `per_cell[i]`
-    of those localized vectors.
+    Eigenspace i, of record `records[i]`, contributes `dims[i]`
+    weighted-orthonormal columns, in the order of the run, spanning the
+    orthogonal complement of its vectors localized in cells of level k; each
+    of the 3^k cells holds `per_cell[i]` of those localized vectors.
     """
 
     columns: np.ndarray
     dims: list[int]
     per_cell: list[int]
+    records: list[EigenvalueRecord]
+
+    def select(self, records: list[EigenvalueRecord]) -> "Remainder":
+        """The remainder of the eigenspaces `records`, in their order; a run
+        of consecutive eigenspaces is a column view, not a copy."""
+        index = {rec.key: i for i, rec in enumerate(self.records)}
+        picks = [index[rec.key] for rec in records]
+        starts = np.cumsum([0] + self.dims)
+        if picks == list(range(picks[0], picks[0] + len(picks))):
+            columns = self.columns[:, starts[picks[0]] : starts[picks[-1] + 1]]
+        else:
+            columns = np.hstack(
+                [self.columns[:, starts[i] : starts[i + 1]] for i in picks]
+            )
+        return Remainder(
+            columns=columns,
+            dims=[self.dims[i] for i in picks],
+            per_cell=[self.per_cell[i] for i in picks],
+            records=list(records),
+        )
 
 
 def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
@@ -344,15 +385,14 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     return np.vstack([values, row[partners]])
 
 
-def _junction_values(vectors: np.ndarray, vertices: VertexSet, k: int) -> np.ndarray:
-    """The junction functionals of cell level k applied to each column."""
+def _junction_matrix(vertices: VertexSet, k: int) -> np.ndarray:
+    """J, (2 n_k) x n: the junction functionals of cell level k as rows over
+    the interior, so that J u holds their values on each column u."""
     rows = _junction_functionals(vertices, k)
-    n = vertices.n_interior
-    values = np.zeros((rows.shape[0], vectors.shape[1]))
+    j = np.zeros((rows.shape[0], vertices.n_interior + 1))
     for col in rows.T:
-        inside = col < n
-        values[inside] += vectors[col[inside]]
-    return values
+        j[np.arange(rows.shape[0]), col] += 1.0
+    return j[:, :-1]
 
 
 def _remainder_rank(record: EigenvalueRecord, d: int, k: int) -> int:
@@ -380,7 +420,7 @@ def nonlocalized_remainder(
     """
     if not 0 <= k <= vertices.level:
         raise DomainError(f"need 0 <= cell level <= {vertices.level}, got {k}")
-    values = _junction_values(vectors, vertices, k)
+    values = _junction_matrix(vertices, k) @ vectors
     n = vertices.n_interior
     ranks = [_remainder_rank(rec, sl.stop - sl.start, k) for rec, sl in blocks]
     columns = np.empty((n, sum(ranks)))
@@ -395,24 +435,24 @@ def nonlocalized_remainder(
             continue
         if r == 0:
             continue
-        _, vh, found, _ = _ranked_svd(values[:, sl])
-        if found != r:
-            raise MismatchError(
-                f"eigenspace {rec.key}: the junction functionals of level {k} "
-                f"have rank {found}, the closed form predicts {r}"
-            )
-        out[:] = vectors[:, sl] @ vh[:r].T
-    return Remainder(columns=columns, dims=ranks, per_cell=per_cell)
+        out[:] = vectors[:, sl] @ _pinned_rows(values[:, sl], r, rec.key, k).T
+    return Remainder(
+        columns=columns,
+        dims=ranks,
+        per_cell=per_cell,
+        records=[rec for rec, _ in blocks],
+    )
 
 
 @dataclass
 class LevelBasis:
-    """Everything needed to run experiments at a fixed graph level."""
+    """Everything needed to run experiments at a fixed graph level; a bare
+    level basis (`bare_level_basis`) has no eigenvectors."""
 
     level: int
     vertices: VertexSet
     measure: SelfSimilarMeasure
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     bundles: list[EigenspaceBundle]
 
     def bundle_for(self, key: str) -> EigenspaceBundle:
@@ -585,6 +625,18 @@ def _inverse_cholesky(gram: np.ndarray) -> None:
         gram[cols, cols] = diag_inv
 
 
+def _extension_adjoint(ref: _Refinement, values: np.ndarray, lam: float) -> np.ndarray:
+    """E^T values, for E the extension at `lam` (see `_extend`) as an
+    n x n_prev matrix: what level-m row functionals read from level m-1."""
+    den = (2.0 - lam) * (5.0 - lam)
+    out = np.zeros((ref.n_prev + 1, values.shape[1]))
+    out[:-1] = values[ref.old]
+    mid = values[ref.mid] / den
+    for rows, coef in ((ref.ends[0], 4.0 - lam), (ref.ends[1], 4.0 - lam), (ref.opp, 2.0)):
+        np.add.at(out, rows, coef * mid)
+    return out[:-1]
+
+
 def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
     """The 6-eigenspace born at level m, weighted-orthonormal, into `out`.
 
@@ -611,6 +663,79 @@ def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
     gram *= 1.0 / np.sqrt(w)
     for cols in _passes(ref.mid.size, d):
         _extend(ref, gram[cols].T, 6.0, out[:, cols])
+
+
+def _six_gram_times(ref: _Refinement, x: np.ndarray) -> np.ndarray:
+    """G x for the Gram matrix G = (L + 6 I) / 4 of `_newborn_six`: 2.5 x
+    less a quarter of the sum over the level-(m-1) neighbours, each edge of
+    which lies in exactly one (m-1)-cell."""
+    pad = _padded(x)
+    sums = np.zeros_like(pad)
+    corners = ref.opp.reshape(-1, 3)
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.add.at(sums, corners[:, a], pad[corners[:, b]])
+        np.add.at(sums, corners[:, b], pad[corners[:, a]])
+    return 2.5 * x - 0.25 * sums[:-1]
+
+
+# far more steps than conjugate gradients need on a spectrum in (1.5, 3]
+_CG_STEPS = 100
+
+
+def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs by conjugate gradients, all columns in step.
+
+    The graph values lie in (0, 6], so G has its spectrum in (1.5, 3] and
+    each step cuts the error by at least (sqrt(2) - 1) / (sqrt(2) + 1) < 0.18;
+    the iteration runs until every residual is down to eps of its start.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rr = np.einsum("ij,ij->j", r, r)
+    stop = np.finfo(float).eps ** 2 * rr
+    for _ in range(_CG_STEPS):
+        if np.all(rr <= stop):
+            return x
+        gp = _six_gram_times(ref, p)
+        step = rr / np.einsum("ij,ij->j", p, gp)
+        x += step * p
+        r -= step * gp
+        rr, rr_prev = np.einsum("ij,ij->j", r, r), rr
+        p = r + (rr / rr_prev) * p
+    raise NumericError(
+        f"conjugate gradients on the newborn 6-series Gram matrix did not "
+        f"converge in {_CG_STEPS} steps"
+    )
+
+
+def _newborn_six_remainder(
+    ref: _Refinement, w: float, junction: np.ndarray, g: GraphEigenvalue,
+    k: int, out: np.ndarray,
+) -> None:
+    """The remainder at cell level k of the newborn 6-eigenspace, into `out`.
+
+    With E the lam = 6 extension of the unit vectors, G = E^T E their Gram
+    matrix and A = J E the level-k junction functionals J pulled back
+    through the extension, E z is localized exactly when A z = 0, so the
+    remainder, orthogonal to those, is the span of E G^-1 A^T.  Its rank,
+    that of A, is pinned to the closed-form count on A's singular values.
+    G^-1 is applied to A's top right singular vectors V by conjugate
+    gradients, and E G^-1 V is orthonormalized through the Cholesky factor
+    of its small Gram matrix V^T G^-1 V, a factor of A G^-1 A^T.  No d x d
+    array is formed.
+    """
+    if g.multiplicity != ref.n_prev:
+        raise MismatchError(
+            f"the newborn 6-series eigenspace has dimension {ref.n_prev}, "
+            f"decimation predicts {g.multiplicity}"
+        )
+    a = _extension_adjoint(ref, junction.T, 6.0).T
+    z = _six_gram_solve(ref, _pinned_rows(a, out.shape[1], g.record.key, k).T)
+    factor = np.linalg.cholesky(z.T @ _six_gram_times(ref, z))
+    coeffs = np.linalg.solve(factor, z.T).T
+    coeffs *= 1.0 / np.sqrt(w)
+    _extend(ref, coeffs, 6.0, out)
 
 
 def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
@@ -688,42 +813,56 @@ def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
 
 @dataclass
 class _Decimated:
-    """One level of the decimation build: vectors and labelled column ranges."""
+    """One level of the decimation build: the carried columns of every
+    eigenspace, each with its labelled column range."""
 
     vertices: VertexSet
     vectors: np.ndarray
     blocks: list[tuple[GraphEigenvalue, int, int]]
 
 
-def _decimate(parent: _Decimated, vertices: VertexSet) -> _Decimated:
+def _predicted(m: int) -> list[GraphEigenvalue]:
+    """The level-m prediction in record-value order."""
+    return sorted(
+        decimation.truncated_graph_spectrum(m),
+        key=lambda g: (g.record.value, g.record.key),
+    )
+
+
+def _decimate(parent: _Decimated, vertices: VertexSet, k: int) -> _Decimated:
     """Level-m eigenvectors from level m-1, with no eigensolve.
 
     Every level-(m-1) eigenspace extends through each preimage of its graph
     value (only the expanding one from 6); the eigenspaces born at level m
-    come from their sparse descriptions.  Each lands in the column range of
-    the `truncated_graph_spectrum(m)` entry it must equal, in record-value
+    come from their sparse descriptions.  Each eigenspace carries its
+    remainder at cell level k: all of it while m <= k, and above that the
+    closed-form count of columns.  Extension keeps a vector's support inside
+    its cells and scales the Gram matrix by one constant, so a parent's
+    carried columns extend to its child's; a newborn eigenspace is cut to
+    its remainder by its junction values, with the rank pinned to the
+    closed-form count.  Each lands in the column range of the
+    `truncated_graph_spectrum(m)` entry it must equal, in record-value
     order, and is checked there: Gram matrix, stencil residual, dimension.
     """
     m = vertices.level
     ref = _refinement(parent.vertices, vertices)
     w = interior_weight(m)
-    predicted = sorted(
-        decimation.truncated_graph_spectrum(m),
-        key=lambda g: (g.record.value, g.record.key),
-    )
-    blocks, cursor = [], 0
-    for g in predicted:
-        blocks.append((g, cursor, cursor + g.multiplicity))
-        cursor += g.multiplicity
-    if cursor != ref.n:
+    predicted = _predicted(m)
+    total = sum(g.multiplicity for g in predicted)
+    if total != ref.n:
         raise MismatchError(
-            f"decimation predicts dimension {cursor} at level {m}, the graph "
+            f"decimation predicts dimension {total} at level {m}, the graph "
             f"has {ref.n} interior vertices"
         )
+    blocks, cursor = [], 0
+    for g in predicted:
+        width = _remainder_rank(g.record, g.multiplicity, k)
+        blocks.append((g, cursor, cursor + width))
+        cursor += width
     columns = {
         (g.series, g.birth, g.prefix): (g, start, stop) for g, start, stop in blocks
     }
-    vectors = np.empty((ref.n, ref.n))
+    vectors = np.empty((ref.n, cursor))
     unfilled = set(columns)
 
     def target(ident) -> tuple[GraphEigenvalue, np.ndarray]:
@@ -748,10 +887,18 @@ def _decimate(parent: _Decimated, vertices: VertexSet) -> _Decimated:
             _check_gram(out, scale, child.record.key)
             out *= 1.0 / np.sqrt(scale * w)
 
-    newborn = [(5, _newborn_five)] + ([(6, _newborn_six)] if m > 1 else [])
-    for series, build in newborn:
+    for series in (5, 6) if m > 1 else (5,):
         child, out = target((series, m, ()))
-        build(ref, w, out)
+        if out.shape[1] == child.multiplicity:
+            (_newborn_five if series == 5 else _newborn_six)(ref, w, out)
+        elif series == 6:
+            junction = _junction_matrix(vertices, k)
+            _newborn_six_remainder(ref, w, junction, child, k, out)
+        else:
+            whole = np.empty((ref.n, child.multiplicity))
+            _newborn_five(ref, w, whole)
+            values = _junction_matrix(vertices, k) @ whole
+            out[:] = whole @ _pinned_rows(values, out.shape[1], child.record.key, k).T
         _check_gram(out, 1.0 / w, child.record.key)
     if m == 1:
         # the 2-series vector is constant on the one midpoint triangle
@@ -763,7 +910,9 @@ def _decimate(parent: _Decimated, vertices: VertexSet) -> _Decimated:
             f"eigenspaces {sorted(unfilled)}"
         )
 
-    g_cols = np.concatenate([np.full(g.multiplicity, g.graph_value) for g in predicted])
+    g_cols = np.concatenate(
+        [np.full(stop - start, g.graph_value) for g, start, stop in blocks]
+    )
     # residual of the unit-norm columns, the scale of RESIDUAL_RTOL
     residual = _stencil_residual(ref, vectors, g_cols) * np.sqrt(w)
     worst = int(np.argmax(residual))
@@ -776,30 +925,37 @@ def _decimate(parent: _Decimated, vertices: VertexSet) -> _Decimated:
     return _Decimated(vertices=vertices, vectors=vectors, blocks=blocks)
 
 
-def build_level_basis(m: int) -> LevelBasis:
-    """Build level m by spectral decimation from level 0, one level at a time.
+def _decimated(m: int, k: int, vertices: VertexSet) -> _Decimated:
+    """Level m built by decimation from level 0, one level at a time,
+    carrying each eigenspace's remainder at cell level k; lower levels are
+    dropped as soon as the next one is built."""
+    level = _Decimated(vertices=build_vertices(0), vectors=np.zeros((0, 0)), blocks=[])
+    for j in range(1, m + 1):
+        level = _decimate(level, vertices if j == m else build_vertices(j), k)
+    level.vectors.flags.writeable = False
+    return level
 
-    Bundles and leading selections are column views of `vectors`, so its
-    arrays are read-only.  Lower levels are dropped as soon as the next one
-    is built.
-    """
+
+def _level_vertices(m: int) -> VertexSet:
     vertices = build_vertices(m)
     if m < 1:
         raise DomainError("no interior vertices at level 0, no eigenvectors")
-    level = _Decimated(vertices=build_vertices(0), vectors=np.zeros((0, 0)), blocks=[])
-    for k in range(1, m + 1):
-        level = _decimate(level, vertices if k == m else build_vertices(k))
-    vectors = level.vectors
-    vectors.flags.writeable = False
+    return vertices
+
+
+def _labelled(vertices: VertexSet, vectors, blocks) -> LevelBasis:
+    """The level basis whose bundle of entry g is `vectors[:, start:stop]`
+    for each (g, start, stop) in `blocks`, or has no vectors."""
+    m = vertices.level
     bundles = [
         EigenspaceBundle(
             level=m,
             record=g.record,
             graph_value=g.graph_value,
-            vectors=vectors[:, start:stop],
+            vectors=None if vectors is None else vectors[:, start:stop],
             vertices=vertices,
         )
-        for g, start, stop in level.blocks
+        for g, start, stop in blocks
     ]
     return LevelBasis(
         level=m,
@@ -810,10 +966,79 @@ def build_level_basis(m: int) -> LevelBasis:
     )
 
 
+def build_level_basis(m: int) -> LevelBasis:
+    """Build level m by spectral decimation from level 0, one level at a time.
+
+    Bundles and leading selections are column views of `vectors`, so its
+    arrays are read-only.
+    """
+    vertices = _level_vertices(m)
+    level = _decimated(m, m, vertices)
+    return _labelled(vertices, level.vectors, level.blocks)
+
+
 @functools.lru_cache(maxsize=8)
 def level_basis(m: int) -> LevelBasis:
     """Cached level workspace; its arrays are read-only and shared."""
     return build_level_basis(m)
+
+
+@functools.lru_cache(maxsize=8)
+def bare_level_basis(m: int) -> LevelBasis:
+    """The level workspace without eigenvectors, cached: vertices, measure
+    and the bundles of `truncated_graph_spectrum(m)` in record-value order,
+    whose `vectors` are None, as are the basis's.  It serves compressions
+    that read only eigenvalues and `level_remainder`."""
+    return _labelled(_level_vertices(m), None, [(g, 0, 0) for g in _predicted(m)])
+
+
+@functools.lru_cache(maxsize=8)
+def level_remainder(m: int, k: int) -> Remainder:
+    """The remainder at cell level k of every level-m eigenspace, cached.
+
+    Eigenspaces are in record-value order and the columns are read-only.
+    They come from the decimation build carrying only remainders (see
+    `_decimate`), so for k < m no n x n array is formed; at k = m they are
+    the level basis, and at k = 0 every vector is localized.
+    """
+    if not 0 <= k <= m:
+        raise DomainError(f"need 0 <= cell level <= {m}, got {k}")
+    if k == 0:
+        columns = np.zeros((decimation.interior_dimension(m), 0))
+        blocks = [(g, 0, 0) for g in _predicted(m)]
+    else:
+        level = _decimated(m, k, _level_vertices(m))
+        columns, blocks = level.vectors, level.blocks
+    columns.flags.writeable = False
+    dims = [stop - start for _, start, stop in blocks]
+    return Remainder(
+        columns=columns,
+        dims=dims,
+        per_cell=[(g.multiplicity - r) // 3 ** k for (g, _, _), r in zip(blocks, dims)],
+        records=[g.record for g, _, _ in blocks],
+    )
+
+
+def remainder_deviation(a: Remainder, b: Remainder, m: int) -> float:
+    """Sine of the largest principal angle between the spans of two
+    remainders of the same level-m eigenspaces, eigenspace by eigenspace.
+
+    Both must carry the same records and dimensions; the columns of each
+    eigenspace of `a` less their weighted projection onto those of `b` have
+    spectral norm sin(theta) in the weighted inner product.
+    """
+    if [r.key for r in a.records] != [r.key for r in b.records] or a.dims != b.dims:
+        raise StructuralError("the remainders hold different eigenspaces")
+    w = interior_weight(m)
+    worst, cursor = 0.0, 0
+    for d in a.dims:
+        qa = a.columns[:, cursor : cursor + d]
+        qb = b.columns[:, cursor : cursor + d]
+        cursor += d
+        if d:
+            residual = qa - qb @ (qb.T @ qa * w)
+            worst = max(worst, float(np.linalg.norm(residual, 2)) * np.sqrt(w))
+    return worst
 
 
 def save_bundle(bundle: EigenspaceBundle, path) -> None:

@@ -6,8 +6,10 @@ assembled per eigenspace with that eigenspace's eigenvalue, then symmetrized.
 Integrals against the measure are weighted vertex sums, which are exact for
 products of simple functions with vectors localized at the same cell level;
 so for q(lam) + chi with chi absent or simple, every localized vector is an
-exact eigenvector and only the non-localized remainder is assembled;
-tabulated symbols and a callable chi keep the dense product.
+exact eigenvector and only the non-localized remainder is assembled, taken
+from `eigenbasis.level_remainder` rather than from the selection's columns,
+which such a compression never reads; tabulated symbols and a callable chi
+keep the dense product over the columns of the n x n level basis.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import eigenbasis
 from .decimation import EigenvalueRecord, SpectrumTable
-from .errors import ConvergenceError, DomainError, StructuralError
+from .errors import ColumnsError, ConvergenceError, DomainError, StructuralError
 from .eigenbasis import EigenspaceBundle, LevelBasis
 from .gasket import (
     SelfSimilarMeasure,
@@ -200,18 +202,22 @@ def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> 
 
 @dataclass
 class BasisSelection:
-    """An ordered subset of eigenbasis vectors, grouped by eigenspace."""
+    """An ordered subset of eigenbasis vectors, grouped by eigenspace.
+
+    `columns` is None for a selection of a bare level basis: its eigenspaces
+    are labelled but carry no vectors.
+    """
 
     level: int
     vertices: VertexSet = field(repr=False)
-    columns: np.ndarray = field(repr=False)
+    columns: np.ndarray | None = field(repr=False)
     records: list[EigenvalueRecord]
     group_slices: list[slice]
     keys: list[tuple[str, int]]
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[1]
+        return len(self.keys)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -228,6 +234,8 @@ def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
     level = bundles[0].level
     if any(b.level != level for b in bundles):
         raise StructuralError("mixed graph levels in one basis selection")
+    if any(b.vectors is None for b in bundles):
+        return _grouped_selection(bundles, None)
     return _grouped_selection(bundles, np.hstack([b.vectors for b in bundles]))
 
 
@@ -240,12 +248,14 @@ def leading_selection(basis: LevelBasis, cutoff: float = math.inf) -> BasisSelec
     bundles = [b for b in basis.bundles if b.record.value <= cutoff]
     if not bundles:
         raise DomainError(f"no eigenvalues at or below cutoff {cutoff}")
+    if basis.vectors is None:
+        return _grouped_selection(bundles, None)
     dim = sum(b.dim for b in bundles)
     return _grouped_selection(bundles, basis.vectors[:, :dim])
 
 
 def _grouped_selection(
-    bundles: list[EigenspaceBundle], columns: np.ndarray
+    bundles: list[EigenspaceBundle], columns: np.ndarray | None
 ) -> BasisSelection:
     records, slices, keys = [], [], []
     start = 0
@@ -346,7 +356,7 @@ def _dense_product(
 ) -> tuple[np.ndarray, float]:
     """The dense matrix of the compression and its asymmetry."""
     interior = basis.vertices.interior
-    cols = basis.columns
+    cols = _columns(basis)
     if symbol.kind == "tabulated":
         raw = np.empty((basis.dim, basis.dim))
         for rec, sl in zip(basis.records, basis.group_slices):
@@ -379,23 +389,24 @@ def compress(
     exact eigenvector with eigenvalue q(lam) + chi_C, an atom of multiplicity
     m_{j,k} per cell (q(lam) with multiplicity d when chi is absent), and
     only the non-localized remainder Q of each eigenspace gives a block,
-    diag(q) + Q^T [chi] Q.  Per eigenspace, the localized part of the trace
-    of [chi] must equal m_{j,k} times the sum of the cell values.  Any
-    orthonormal columns spanning each eigenspace will do, a localized
-    split's order included.
+    diag(q) + Q^T [chi] Q.  Q comes from `eigenbasis.level_remainder(m, k)`,
+    built by decimation with no n x n array, and the selection's columns are
+    never read: any orthonormal columns spanning each eigenspace, or none
+    (a bare level basis), give the same operator.  The localized-trace
+    identity that cross-checks Q against whole eigenspaces is
+    `localized_trace_margin`, run by `validate`.
 
     A tabulated symbol (one column block per eigenspace, with that
     eigenspace's eigenvalue) and a callable chi keep the dense product,
     symmetrized with its asymmetry norm recorded; it is the remainder of an
-    operator with no atoms.
+    operator with no atoms.  It needs the selection's columns and raises
+    `ColumnsError` without them.
     """
     if measure.level != basis.level:
         raise StructuralError(
             f"measure level {measure.level} != basis level {basis.level}"
         )
-    if symbol.kind != "tabulated" and (
-        symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
-    ):
+    if reduces(symbol):
         return _compress_reduced(symbol, basis, measure)
     mat, asym = _dense_product(symbol, basis, measure)
     lambdas = basis.lambdas
@@ -418,36 +429,18 @@ def _compress_reduced(
     lams = np.array([rec.value for rec in basis.records])
     p = symbol.p_lambda
     q = np.array([p(rec.value) if p else 0.0 for rec in basis.records])
-    dims = [sl.stop - sl.start for sl in basis.group_slices]
     if chi is None:
         # every vector is an atom at q(lam)
-        cell_values, per_cell, rem_dims = np.zeros(1), dims, [0] * len(dims)
+        cell_values = np.zeros(1)
+        per_cell = [sl.stop - sl.start for sl in basis.group_slices]
+        rem_dims = [0] * len(per_cell)
         block, asym = np.zeros((0, 0)), 0.0
     else:
         cell_values = chi.values
         g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
-        blocks = list(zip(basis.records, basis.group_slices))
-        rem = eigenbasis.nonlocalized_remainder(
-            basis.columns, blocks, basis.vertices, chi.level
-        )
+        rem = _selection_remainder(chi, basis)
         per_cell, rem_dims = rem.per_cell, rem.dims
         block, asym = _symmetrized(rem.columns.T @ (g[:, None] * rem.columns))
-        # per eigenspace, the trace of [chi] less that of its remainder is
-        # the localized part: per_cell vectors in each cell C, each at chi_C
-        traces = np.einsum("i,ij,ij->j", g, basis.columns, basis.columns)
-        rem_traces = np.diagonal(block)
-        chi_sum = math.fsum(chi.values)
-        cursor = 0
-        for (rec, sl), d, r, c in zip(blocks, dims, rem_dims, per_cell):
-            localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
-            cursor += r
-            dev = abs(float(localized) - c * chi_sum)
-            if dev > BLOCK_TOL * d * max(1.0, chi.sup_norm):
-                raise StructuralError(
-                    f"eigenspace {rec.key}: the localized trace of the "
-                    f"potential misses {c} times the sum of its cell values "
-                    f"by {dev:.3e}"
-                )
         block[np.diag_indices_from(block)] += np.repeat(q, rem_dims)
     per_atom = np.repeat(per_cell, cell_values.size)
     return CompressedOperator(
@@ -461,6 +454,80 @@ def _compress_reduced(
         remainder_lambdas=np.repeat(lams, rem_dims),
         dense=lambda: _dense_product(symbol, basis, measure)[0],
     )
+
+
+def reduces(symbol: SymbolSpec) -> bool:
+    """Whether `compress` reduces the symbol to atoms plus a remainder:
+    q(lam) + chi with chi absent or simple."""
+    return symbol.kind != "tabulated" and (
+        symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
+    )
+
+
+def level_basis_for(symbol: SymbolSpec, m: int) -> LevelBasis:
+    """The cached level-m basis that compressions of `symbol` need: the bare
+    one when they reduce, else the one with its n x n eigenvectors."""
+    if reduces(symbol):
+        return eigenbasis.bare_level_basis(m)
+    return eigenbasis.level_basis(m)
+
+
+def _columns(basis: BasisSelection) -> np.ndarray:
+    if basis.columns is None:
+        raise ColumnsError(
+            "this operation needs eigenvector columns, and the selection of "
+            "a bare level basis has none; use eigenbasis.level_basis"
+        )
+    return basis.columns
+
+
+def _selection_remainder(
+    chi: SimpleFunction, basis: BasisSelection
+) -> eigenbasis.Remainder:
+    """The remainder at chi's cell level of the selection's eigenspaces,
+    which must be whole."""
+    for rec, sl in zip(basis.records, basis.group_slices):
+        if sl.stop - sl.start != rec.multiplicity:
+            raise StructuralError(
+                f"eigenspace {rec.key}: {sl.stop - sl.start} of its "
+                f"{rec.multiplicity} vectors selected; a simple potential "
+                f"reduces over whole eigenspaces only"
+            )
+    return eigenbasis.level_remainder(basis.level, chi.level).select(basis.records)
+
+
+def localized_trace_margin(
+    chi: SimpleFunction, basis: BasisSelection, measure: SelfSimilarMeasure
+) -> float:
+    """Check the remainder at chi's cell level against whole eigenspaces.
+
+    Per eigenspace, the trace of [chi] over the selection's columns less
+    its trace over the remainder is the localized part: `per_cell` vectors
+    in each cell C, each an eigenvector at chi_C, so it must equal
+    `per_cell` times the sum of the cell values.  Returns the worst
+    deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
+    raises StructuralError above 1.
+    """
+    cols = _columns(basis)
+    g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
+    rem = _selection_remainder(chi, basis)
+    traces = np.einsum("i,ij,ij->j", g, cols, cols)
+    rem_traces = np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
+    chi_sum = math.fsum(chi.values)
+    worst, cursor = 0.0, 0
+    for rec, sl, r, c in zip(basis.records, basis.group_slices, rem.dims, rem.per_cell):
+        localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
+        cursor += r
+        dev = abs(float(localized) - c * chi_sum)
+        tol = BLOCK_TOL * (sl.stop - sl.start) * max(1.0, chi.sup_norm)
+        if dev > tol:
+            raise StructuralError(
+                f"eigenspace {rec.key}: the localized trace of the "
+                f"potential misses {c} times the sum of its cell values "
+                f"by {dev:.3e}"
+            )
+        worst = max(worst, dev / tol)
+    return worst
 
 
 def operator_eigenvalues(op: CompressedOperator) -> np.ndarray:
@@ -555,14 +622,16 @@ def spectral_bounds(
     lambda_bar = values[cut]
     head = [idx for idx, rec in enumerate(basis.records) if rec.value <= lambda_bar]
     if head:
-        bundles_cols = np.hstack([basis.columns[:, basis.group_slices[i]] for i in head])
+        slices = [basis.group_slices[i] for i in head]
         head_sel = BasisSelection(
             level=basis.level,
             vertices=basis.vertices,
-            columns=bundles_cols,
+            columns=None if basis.columns is None else np.hstack(
+                [basis.columns[:, sl] for sl in slices]
+            ),
             records=[basis.records[i] for i in head],
-            group_slices=_repack_slices([basis.group_slices[i] for i in head]),
-            keys=[("head", i) for i in range(bundles_cols.shape[1])],
+            group_slices=_repack_slices(slices),
+            keys=[("head", i) for i in range(sum(sl.stop - sl.start for sl in slices))],
         )
         sigma = operator_eigenvalues(compress(symbol, head_sel, measure))
         head_lo, head_hi = float(sigma[0]), float(sigma[-1])

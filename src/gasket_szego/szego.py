@@ -320,7 +320,7 @@ def szego_trace_single_series(
 ) -> ConvergenceReport:
     """Normalized trace of F over one series of eigenspace compressions."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = basis or eigenbasis.level_basis(m)
+    basis = basis or operators.level_basis_for(symbol, m)
     target, target_info = target_integral(symbol.limit_q, F.fn)
     cut = generation_cut or _default_generation_cut(m)
     samples = _single_series_sweep(
@@ -424,7 +424,7 @@ def szego_trace_full(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized trace of F over full cutoff compressions on a grid."""
-    basis = basis or eigenbasis.level_basis(m)
+    basis = basis or operators.level_basis_for(symbol, m)
     target, target_info = target_integral(symbol.limit_q, F.fn)
     cut = generation_cut or _default_generation_cut(m)
     samples, window, _ = _full_sweep(
@@ -459,9 +459,21 @@ def _check_positivity(symbol: SymbolSpec, records, vertices) -> None:
             f"log-determinant sweeps need a declared positive lower bound; "
             f"symbol {symbol.name} has {symbol.lower_bound}"
         )
+    if symbol.kind == "tabulated":
+        samples = (symbol_vertex_values(symbol, rec.value, vertices) for rec in records)
+    else:
+        # the smallest sample of q(lam) + chi is q(lam) + min chi, because
+        # rounding the sum is monotone in each term
+        chi_min = np.zeros(1)
+        if symbol.chi is not None:
+            chi_min += np.min(vertex_values(symbol.chi, vertices))
+        q = symbol.p_lambda
+        samples = (
+            np.zeros(1) + q(rec.value) + chi_min if q else chi_min
+            for rec in records
+        )
     worst = math.inf
-    for rec in records:
-        vals = symbol_vertex_values(symbol, rec.value, vertices)
+    for vals in samples:
         worst = min(worst, float(np.min(vals)))
     if worst < symbol.lower_bound - 1e-12:
         raise DomainError(
@@ -481,7 +493,7 @@ def szego_logdet_single_series(
 ) -> ConvergenceReport:
     """Normalized log-determinant over one series of eigenspace compressions."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = basis or eigenbasis.level_basis(m)
+    basis = basis or operators.level_basis_for(symbol, m)
     records = _series_records(basis, series, j_range)
     _check_positivity(symbol, records, basis.vertices)
     target, target_info = target_integral(symbol.limit_q, math.log)
@@ -513,7 +525,7 @@ def szego_logdet_full(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized log-determinant over full cutoff compressions on a grid."""
-    basis = basis or eigenbasis.level_basis(m)
+    basis = basis or operators.level_basis_for(symbol, m)
     target, target_info = target_integral(symbol.limit_q, math.log)
     cut = generation_cut or _default_generation_cut(m)
     samples, window, _ = _full_sweep(
@@ -560,7 +572,7 @@ def logdet_sandwich(
     """
     if epsilon <= 0 or epsilon >= 1:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    basis = basis or eigenbasis.level_basis(m)
+    basis = basis or operators.level_basis_for(symbol, m)
     lo_sym = operators.multiplication_symbol(f_approx.scaled(1.0 - epsilon))
     hi_sym = operators.multiplication_symbol(f_approx.scaled(1.0 + epsilon))
     f_vals = vertex_values(f_approx, basis.vertices)

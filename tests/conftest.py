@@ -3,6 +3,19 @@ import pytest
 from gasket_szego import decimation, eigenbasis
 
 
+@pytest.fixture(autouse=True)
+def _fresh_remainders(request):
+    """A test that patches the package sees its patch in the cached lineage
+    remainders: those built by earlier tests are dropped, and those it
+    builds are not kept for later tests."""
+    patched = "monkeypatch" in request.fixturenames
+    if patched:
+        eigenbasis.level_remainder.cache_clear()
+    yield
+    if patched:
+        eigenbasis.level_remainder.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def level4():
     return eigenbasis.level_basis(4)

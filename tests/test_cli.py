@@ -4,12 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
 
-from gasket_szego import cli, decimation
+from gasket_szego import cli, clusters, decimation, eigenbasis, operators
 from gasket_szego.errors import ConfigError
 from gasket_szego.gasket import SimpleFunction, integrate_simple
 from gasket_szego.serialize import sha256_file
+
+from dense_oracle import dense_clusters, dense_compression
 
 
 def run_cli(tmp_path, command, config, name="run", plot=False):
@@ -130,6 +135,105 @@ def test_clusters_command(tmp_path, monkeypatch):
     assert (out / "moments.csv").exists()
     assert (out / "weak_limit.csv").exists()
     assert len(builds) == 1
+
+
+def _report_values(out):
+    lines = (out / "report.csv").read_text().splitlines()[1:]
+    return [float(line.split(",")[2]) for line in lines]
+
+
+def _assert_close(got, expected, rtol=1e-12):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
+    # the dense oracle first, on the level basis itself
+    grid = [100.0, 3000.0, 80000.0, 500000.0]
+    chi = SimpleFunction(1, [1.0, 1.5, 2.0])
+    riesz = operators.riesz_symbol(1.0)
+    full = operators.leading_selection(level6)
+    lams = full.lambdas
+
+    def cutoff_means(matrix, F):
+        return [
+            np.mean([F(x) for x in np.linalg.eigvalsh(matrix[:d, :d])])
+            for d in (int(np.sum(lams <= c)) for c in grid)
+        ]
+
+    trace_full = cutoff_means(
+        dense_compression(riesz.p_lambda, None, full, level6.measure), float
+    )
+    births = [2, 3, 4, 5, 6]
+    trace_single = []
+    for j in births:
+        sel = operators.selection_from_bundles([level6.family_bundle(6, j)])
+        trace_single.append(np.mean(np.linalg.eigvalsh(
+            dense_compression(riesz.p_lambda, None, sel, level6.measure)
+        )))
+    logdet_full = cutoff_means(
+        dense_compression(lambda lam: lam ** -1.0, chi, full, level6.measure),
+        math.log,
+    )
+    potential = SimpleFunction(1, [0.8, 1.0, 1.2])
+    family = clusters.decimation_family(births, level6)
+    _, _, positions = dense_clusters(lambda lam: lam, potential, level6, family)
+
+    def no_basis(m):
+        raise AssertionError(f"built the level-{m} basis")
+
+    monkeypatch.setattr(eigenbasis, "build_level_basis", no_basis)
+    monkeypatch.setattr(eigenbasis, "level_basis", no_basis)
+    symbol = {"kind": "riesz", "beta": 1.0}
+    runs = [
+        ("szego-trace", {"m": 6, "mode": "full", "lambda_grid": grid,
+                         "symbol": symbol}, trace_full),
+        ("szego-trace", {"m": 6, "mode": "single", "series": 6,
+                         "j_range": births, "N": 1, "symbol": symbol},
+         trace_single),
+        ("szego-det", {"m": 6, "mode": "full", "lambda_grid": grid,
+                       "symbol": {"kind": "separable",
+                                  "q": {"form": "power", "beta": 1.0},
+                                  "chi": {"level": 1, "values": [1.0, 1.5, 2.0]},
+                                  "lower_bound": 1.0}}, logdet_full),
+    ]
+    for i, (command, config, expected) in enumerate(runs):
+        code, out = run_cli(tmp_path, command, config, name=f"run{i}")
+        assert code == 0
+        _assert_close(_report_values(out), expected)
+    config = {"m": 6, "j_range": births, "p": {"kind": "identity"},
+              "chi": {"level": 1, "values": [0.8, 1.0, 1.2]}}
+    code, out = run_cli(tmp_path, "clusters", config, name="clusters")
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out / "clusters.csv").read_text().splitlines()[1:]]
+    for j, expected in positions.items():
+        got = [float(r[2]) for r in rows if int(r[0]) == j]
+        _assert_close(got, expected)
+
+
+def test_dump_operator_and_tabulated_symbols_use_the_level_basis(tmp_path):
+    f = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    single = {"m": 4, "mode": "single", "series": 6, "j_range": [2, 3, 4],
+              "N": 1}
+    code, out = run_cli(tmp_path, "szego-trace", {
+        **single, "symbol": {"kind": "multiplication", "chi": f},
+        "dump_operator": True,
+    }, name="dump")
+    assert code == 0
+    meta = json.loads((out / "operator_meta.json").read_text())
+    rows = (out / "operator.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(meta["keys"])
+    basis = eigenbasis.level_basis(4)
+    entries = [[basis.family_bundle(6, j).record.value, f] for j in (2, 3, 4)]
+    code, out = run_cli(tmp_path, "szego-trace", {
+        **single, "symbol": {"kind": "tabulated", "entries": entries,
+                             "limit": f},
+    }, name="tabulated")
+    assert code == 0
+    # the trace of [f] over a whole eigenspace is d times the integral of f
+    _assert_close(_report_values(out), [2.0] * 3)
 
 
 def test_basis_command(tmp_path):
@@ -457,12 +561,11 @@ def test_rerun_full_mode_byte_identical(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
-def test_basis_dump_identical_across_thread_caps(tmp_path):
-    # every file but the manifest (which records the cap and timings) must
-    # not depend on the number of BLAS threads
-    keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
-    cfg = tmp_path / "basis.json"
-    cfg.write_text(json.dumps({"m": 5, "records": keys, "dump_vertices": True}))
+def _outputs_at_thread_caps(tmp_path, command, config, name):
+    """The output directories of one CLI run at 1 and at 2 BLAS threads,
+    each in its own process."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
     root = Path(__file__).resolve().parents[1]
     outputs = []
     for threads in ("1", "2"):
@@ -475,9 +578,9 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
         )
-        out = tmp_path / f"threads{threads}"
+        out = tmp_path / f"{name}_threads{threads}"
         result = subprocess.run(
-            [sys.executable, "-m", "gasket_szego.cli", "basis",
+            [sys.executable, "-m", "gasket_szego.cli", command,
              "--config", str(cfg), "--out", str(out)],
             env=env,
             capture_output=True,
@@ -486,8 +589,37 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         outputs.append(out)
-    names = sorted(p.name for p in outputs[0].iterdir() if p.name != "manifest.json")
-    assert len(names) == len(keys) + 3  # bundles, vertices, config
-    for name in names:
-        first, second = (out / name for out in outputs)
-        assert first.read_bytes() == second.read_bytes(), name
+    return outputs
+
+
+def test_basis_dump_identical_across_thread_caps(tmp_path):
+    # every file but the manifest (which records the cap and timings) must
+    # not depend on the number of BLAS threads: every file `basis` writes,
+    # and the reports of the szego runs whose remainder products and
+    # eigensolves were measured byte-identical at m = 5 (see the README)
+    keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
+    single = {"m": 5, "mode": "single", "series": 6, "j_range": [2, 3, 4, 5],
+              "N": 1}
+    riesz = {"kind": "riesz", "beta": 1.0}
+    runs = [
+        ("basis", {"m": 5, "records": keys, "dump_vertices": True}, len(keys) + 3),
+        ("szego-trace", {"m": 5, "mode": "full", "symbol": riesz,
+                         "lambda_grid": [100.0, 3000.0, 80000.0],
+                         "F": {"name": "power", "k": 2}}, 3),
+        ("szego-trace", {**single, "symbol": {
+            "kind": "multiplication",
+            "chi": {"level": 1, "values": [0.8, 1.0, 1.2]}}}, 3),
+        ("szego-det", {**single, "symbol": {
+            "kind": "separable", "q": {"form": "power", "beta": 1.0},
+            "chi": {"level": 1, "values": [1.0, 1.5, 2.0]},
+            "lower_bound": 1.0}}, 3),
+    ]
+    for i, (command, config, count) in enumerate(runs):
+        outputs = _outputs_at_thread_caps(tmp_path, command, config, f"run{i}")
+        names = sorted(p.name for p in outputs[0].iterdir()
+                       if p.name != "manifest.json")
+        # basis: bundles, vertices, config; szego: report csv and json, config
+        assert len(names) == count
+        for name in names:
+            first, second = (out / name for out in outputs)
+            assert first.read_bytes() == second.read_bytes(), (command, name)

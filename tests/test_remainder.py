@@ -1,12 +1,20 @@
 """The reduction of simple potentials to their non-localized remainder,
-checked against the dense oracle."""
+checked against the dense oracle, and the remainders built by decimation
+lineage, checked against the junction SVD of whole eigenspaces."""
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gasket_szego import clusters, eigenbasis, operators
-from gasket_szego.errors import MismatchError, StructuralError
+from gasket_szego import cli, clusters, eigenbasis, operators
+from gasket_szego.errors import (
+    ColumnsError,
+    DomainError,
+    MismatchError,
+    StructuralError,
+)
 from gasket_szego.gasket import SimpleFunction
 
 from dense_oracle import dense_clusters, dense_compression
@@ -139,19 +147,101 @@ def test_wrong_junction_functionals_mismatch(level5, monkeypatch, mutation):
         operators.compress(sym, operators.leading_selection(level5), level5.measure)
 
 
-def test_localized_trace_is_checked(level5, monkeypatch):
-    # a remainder that claims one localized vector too many per cell
-    original = eigenbasis.nonlocalized_remainder
+def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
+    # a remainder that claims one localized vector too many per cell; the
+    # compression never reads whole eigenspaces, so the localized-trace
+    # check runs on its own, in validate's block-exactness row
+    sel = operators.leading_selection(level5)
+    assert 0.0 <= operators.localized_trace_margin(CHIS[1], sel, level5.measure) < 1.0
+    original = eigenbasis.level_remainder
 
-    def miscounted(*args):
-        rem = original(*args)
-        rem.per_cell = [c + 1 if c else c for c in rem.per_cell]
-        return rem
+    def miscounted(m, k):
+        rem = original(m, k)
+        return dataclasses.replace(
+            rem, per_cell=[c + 1 if c else c for c in rem.per_cell]
+        )
 
-    monkeypatch.setattr(eigenbasis, "nonlocalized_remainder", miscounted)
-    sym = operators.multiplication_symbol(CHIS[1])
+    monkeypatch.setattr(eigenbasis, "level_remainder", miscounted)
     with pytest.raises(StructuralError):
-        operators.compress(sym, operators.leading_selection(level5), level5.measure)
+        operators.localized_trace_margin(CHIS[1], sel, level5.measure)
+    config = tmp_path / "validate.json"
+    config.write_text(json.dumps({"m": 3}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(config), "--out", str(out)]) == 1
+    (row,) = [line for line in (out / "validate.csv").read_text().splitlines()
+              if line.startswith("block-exactness")]
+    assert ",FAIL," in row and "localized trace" in row
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_lineage_remainder_matches_whole_eigenspaces(m, k):
+    # the remainders built by decimation lineage span the junction-SVD
+    # remainders of the whole eigenspaces, eigenspace by eigenspace
+    basis = eigenbasis.level_basis(m)
+    sel = operators.leading_selection(basis)
+    whole = eigenbasis.nonlocalized_remainder(
+        sel.columns, list(zip(sel.records, sel.group_slices)), basis.vertices, k
+    )
+    lineage = eigenbasis.level_remainder(m, k)
+    assert lineage.records == whole.records
+    assert lineage.dims == whole.dims
+    assert lineage.per_cell == whole.per_cell
+    assert eigenbasis.remainder_deviation(lineage, whole, m) <= 1e-12
+    w = eigenbasis.interior_weight(m)
+    gram = lineage.columns.T @ lineage.columns * w
+    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_lineage_carries_whole_eigenspaces_bit_exactly(m):
+    # one decimation loop: an eigenspace carried whole (born at or below
+    # the cell level, or of the 2-series) is built by the very operations
+    # of the level basis, and at cell level m that is every eigenspace
+    basis = eigenbasis.level_basis(m)
+    full = eigenbasis.level_remainder(m, m)
+    assert np.array_equal(full.columns, basis.vectors)
+    assert full.dims == [b.dim for b in basis.bundles]
+    assert full.per_cell == [0] * len(basis.bundles)
+    for k in range(1, m):
+        lineage = eigenbasis.level_remainder(m, k)
+        starts = np.cumsum([0] + lineage.dims)
+        whole = 0
+        for b, start, r in zip(basis.bundles, starts, lineage.dims):
+            if r == b.dim:
+                whole += 1
+                assert np.array_equal(lineage.columns[:, start : start + r], b.vectors)
+        assert whole > 0
+
+
+def test_lineage_columns_are_read_only():
+    rem = eigenbasis.level_remainder(4, 1)
+    with pytest.raises(ValueError):
+        rem.columns[0, 0] = 1.0
+    assert eigenbasis.level_remainder(4, 0).columns.shape == (120, 0)
+    with pytest.raises(DomainError):
+        eigenbasis.level_remainder(4, 5)
+
+
+def test_bare_selection_compresses_like_the_level_basis(level5):
+    # a bare level basis has no eigenvectors: reduced symbols compress to
+    # the same operator, the dense path names what is missing
+    bare = eigenbasis.bare_level_basis(5)
+    assert bare.vectors is None
+    assert [b.record for b in bare.bundles] == [b.record for b in level5.bundles]
+    sym = operators.separable_symbol(lambda lam: lam ** -1.0, 0.0, CHIS[2])
+    op = operators.compress(sym, operators.leading_selection(level5), level5.measure)
+    sel = operators.leading_selection(bare)
+    assert sel.columns is None and sel.dim == level5.vectors.shape[1]
+    bare_op = operators.compress(sym, sel, bare.measure)
+    assert np.array_equal(bare_op.atoms, op.atoms)
+    assert np.array_equal(bare_op.remainder, op.remainder)
+    f = CHIS[1]
+    table = operators.tabulated_symbol([(b.record.value, f) for b in bare.bundles])
+    with pytest.raises(ColumnsError):
+        operators.compress(table, sel, bare.measure)
+    with pytest.raises(ColumnsError):
+        bare_op.matrix
 
 
 def test_constant_potential_is_all_atoms(level5):
