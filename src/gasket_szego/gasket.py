@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, StructuralError
 from .serialize import write_csv
 
 LETTERS = (1, 2, 3)
@@ -312,22 +312,103 @@ class GraphLaplacian:
     vertices: VertexSet
 
 
+def _interior_edges(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges (x, y) between interior rows, each side of every cell
+    in both directions; the one edge list both Laplacian builders read."""
+    if vertices.level < 1:
+        raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
+    corners = vertices._interior_pos[vertices.cells]
+    sides = corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    sides = np.concatenate([sides, sides[:, ::-1]])
+    sides = sides[(sides >= 0).all(axis=1)]
+    return sides[:, 0], sides[:, 1]
+
+
+def _rotated(bary: np.ndarray) -> np.ndarray:
+    """The gasket's rotation on barycentric triples: (a, b, c) -> (b, c, a)."""
+    return bary[:, [1, 2, 0]]
+
+
 def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
     """Diagonal 4 and -1 per edge, filled from the cells' edges on interior rows."""
-    m = vertices.level
-    if m < 1:
-        raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
+    x, y = _interior_edges(vertices)
     n = vertices.n_interior
-    row = np.full(vertices.n_vertices, n)
-    row[vertices.interior] = np.arange(n)
-    corners = row[vertices.cells]
     lap = np.zeros((n, n))
     lap[np.diag_indices(n)] = 4.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        x, y = corners[:, a], corners[:, b]
-        edge = (x < n) & (y < n)
-        lap[x[edge], y[edge]] = lap[y[edge], x[edge]] = -1.0
-    return GraphLaplacian(level=m, matrix=lap, vertices=vertices)
+    lap[x, y] = -1.0
+    return GraphLaplacian(level=vertices.level, matrix=lap, vertices=vertices)
+
+
+#: e^(2 pi i d / 3) for d = 0, 1, 2; the last two are exact conjugates
+_OMEGA = np.array([1.0, complex(-0.5, math.sqrt(3.0) / 2.0),
+                   complex(-0.5, -math.sqrt(3.0) / 2.0)])
+
+
+def rotation_sectors(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
+    """The Dirichlet Laplacian block-diagonalized by the rotation rho.
+
+    Each interior row x is rho^e(x) applied to the first row r of its orbit
+    o(x).  On the vectors sum_e w^(k e) / sqrt(3) at rho^e r of each orbit
+    (w = e^(2 pi i / 3)) the Laplacian is H_k = 4I - A_k, with A_0 summing
+    1/3 and A_1 summing w^(e(y)-e(x)) / 3 over the edges (x, y); H_2 is the
+    conjugate of H_1.  Returns the real symmetric H_0 and the Hermitian H_1,
+    each n/3 square.  rho permuting the interior rows with rho^3 = id and no
+    fixed row, and the edge list being duplicate-free, symmetric and mapped
+    onto itself by rho, are checked exactly; a failure raises
+    `StructuralError`.
+    """
+    m = vertices.level
+    x, y = _interior_edges(vertices)
+    n = vertices.n_interior
+    rows = np.arange(n)
+    # a triple that is no vertex maps to the appended -1, as boundary ones do
+    ids = [vertices._triple_ids.get(tuple(t), vertices.n_vertices)
+           for t in _rotated(vertices.bary[vertices.interior]).tolist()]
+    rho = np.append(vertices._interior_pos, -1)[ids]
+    if (rho < 0).any() or np.unique(rho).size != n:
+        raise StructuralError(
+            f"level {m}: the rotation does not permute the interior rows"
+        )
+    rho2 = rho[rho]
+    if not np.array_equal(rho[rho2], rows):
+        raise StructuralError(f"level {m}: the rotation cubed is not the identity")
+    first = np.flatnonzero((rows < rho) & (rows < rho2))
+    if 3 * first.size != n:
+        raise StructuralError(f"level {m}: a rotation orbit does not have 3 rows")
+    orbit = np.empty(n, dtype=np.int64)
+    exponent = np.empty(n, dtype=np.int64)
+    for e, members in enumerate((first, rho[first], rho2[first])):
+        orbit[members] = np.arange(first.size)
+        exponent[members] = e
+
+    edges = np.unique(x * n + y)
+    if edges.size != x.size:
+        raise StructuralError(f"level {m}: the interior edge list has duplicates")
+    if not (np.array_equal(np.sort(y * n + x), edges)
+            and np.array_equal(np.sort(rho[x] * n + rho[y]), edges)):
+        raise StructuralError(
+            f"level {m}: the interior edge set is not symmetric and rotation invariant"
+        )
+
+    k = first.size
+    h0 = np.zeros((k, k))
+    h1 = np.zeros((k, k), dtype=complex)
+    np.add.at(h0, (orbit[x], orbit[y]), -1.0 / 3.0)
+    np.add.at(
+        h1, (orbit[x], orbit[y]), -_OMEGA[(exponent[y] - exponent[x]) % 3] / 3.0
+    )
+    h0[np.diag_indices(k)] += 4.0
+    h1[np.diag_indices(k)] += 4.0
+    return h0, h1
+
+
+def dirichlet_spectrum(vertices: VertexSet) -> np.ndarray:
+    """Ascending eigenvalues of the Dirichlet graph Laplacian from its
+    rotation sectors: those of H_0, and those of H_1 twice (H_2 = conj H_1).
+    No n x n matrix is formed."""
+    h0, h1 = rotation_sectors(vertices)
+    h1_values = np.linalg.eigvalsh(h1)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h0), h1_values, h1_values]))
 
 
 def vertices_to_csv(vertices: VertexSet, measure: SelfSimilarMeasure, path) -> None:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from gasket_szego import cli, clusters, decimation, eigenbasis, operators
+from gasket_szego import cli, clusters, decimation, eigenbasis, gasket, operators
 from gasket_szego.errors import ConfigError
 from gasket_szego.gasket import SimpleFunction, integrate_simple
 from gasket_szego.serialize import sha256_file
@@ -74,6 +74,50 @@ def test_validate_command_and_determinism(tmp_path):
     for k in (1, 2, 3):
         rhs = d_j_n * integrate_simple(f, k)
         assert float(fields[f"trace_R^{k}_dev"]) <= 1e-10 * max(1.0, abs(rhs))
+
+
+def _validate_names(m):
+    """validate's check names at level m, in the order it writes them."""
+    names = [f"decimation-oracle-m{k}" for k in range(1, m + 1)]
+    names += [f"multiplicity-sum-m{k}" for k in range(1, min(m + 2, 8) + 1)]
+    names += [
+        f"localization-s{series}-j{birth}-N{n}"
+        for series in (6, 5)
+        for birth in range(2, min(m, 5) + 1)
+        for n in range(1, birth)
+    ]
+    names.append(f"block-exactness-j{min(m, 4)}-N1")
+    return names + [f"lipschitz-trial-{t}" for t in range(10)]
+
+
+def test_validate_oracle_builds_no_dense_laplacian(tmp_path, monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("validate built the n x n Laplacian")
+
+    monkeypatch.setattr(gasket, "build_dirichlet_laplacian", no_dense)
+    code, out = run_cli(tmp_path, "validate", {"m": 5}, name="sectors")
+    assert code == 0
+    lines = (out / "validate.csv").read_text().splitlines()[1:]
+    assert [line.split(",", 1)[0] for line in lines] == _validate_names(5)
+    assert all(",PASS," in line for line in lines)
+
+    # a broken edge list fails every oracle row with the structural error,
+    # and the report is still written
+    edges = gasket._interior_edges
+    monkeypatch.setattr(
+        gasket, "_interior_edges", lambda vs: tuple(a[2:] for a in edges(vs))
+    )
+    code, out = run_cli(tmp_path, "validate", {"m": 5}, name="broken")
+    assert code == 1
+    rows = [line.split(",", 2)
+            for line in (out / "validate.csv").read_text().splitlines()[1:]]
+    assert [name for name, _, _ in rows] == _validate_names(5)
+    for name, status, detail in rows:
+        if name.startswith("decimation-oracle-m"):
+            assert status == "FAIL"
+            assert detail.startswith(f"level {name[-1]}: the interior edge set")
+        else:
+            assert status == "PASS"
 
 
 def test_szego_trace_command(tmp_path):
@@ -595,14 +639,16 @@ def _outputs_at_thread_caps(tmp_path, command, config, name):
 def test_basis_dump_identical_across_thread_caps(tmp_path):
     # every file but the manifest (which records the cap and timings) must
     # not depend on the number of BLAS threads: every file `basis` writes,
-    # and the reports of the szego runs whose remainder products and
-    # eigensolves were measured byte-identical at m = 5 (see the README)
+    # `validate.csv`, and the reports of the szego runs whose remainder
+    # products and eigensolves were measured byte-identical at m = 5 (see
+    # the README)
     keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
     single = {"m": 5, "mode": "single", "series": 6, "j_range": [2, 3, 4, 5],
               "N": 1}
     riesz = {"kind": "riesz", "beta": 1.0}
     runs = [
         ("basis", {"m": 5, "records": keys, "dump_vertices": True}, len(keys) + 3),
+        ("validate", {"m": 5}, 2),
         ("szego-trace", {"m": 5, "mode": "full", "symbol": riesz,
                          "lambda_grid": [100.0, 3000.0, 80000.0],
                          "F": {"name": "power", "k": 2}}, 3),
@@ -618,7 +664,8 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
         outputs = _outputs_at_thread_caps(tmp_path, command, config, f"run{i}")
         names = sorted(p.name for p in outputs[0].iterdir()
                        if p.name != "manifest.json")
-        # basis: bundles, vertices, config; szego: report csv and json, config
+        # basis: bundles, vertices, config; validate: its csv, config;
+        # szego: report csv and json, config
         assert len(names) == count
         for name in names:
             first, second = (out / name for out in outputs)

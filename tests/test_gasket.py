@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_szego import gasket
 from gasket_szego.decimation import renormalization_factor
-from gasket_szego.errors import DomainError, ResourceLimitError
+from gasket_szego.errors import DomainError, ResourceLimitError, StructuralError
 from gasket_szego.gasket import (
     CellAddress,
     SimpleFunction,
@@ -16,6 +17,7 @@ from gasket_szego.gasket import (
     build_vertices,
     cell_words,
     constant_function,
+    dirichlet_spectrum,
     effective_multiplier,
     integrate_simple,
     vertex_values,
@@ -183,8 +185,10 @@ def test_vertex_values_cell_average():
 
 def test_laplacian_level1_eigenvalues():
     # hand diagonalization of 4I - (triangle adjacency)
-    hand = np.linalg.eigvalsh(np.array([[4, -1, -1], [-1, 4, -1], [-1, -1, 4.0]]))
+    hand_matrix = np.array([[4, -1, -1], [-1, 4, -1], [-1, -1, 4.0]])
+    hand = np.linalg.eigvalsh(hand_matrix)
     lap = build_dirichlet_laplacian(build_vertices(1))
+    assert np.array_equal(lap.matrix, hand_matrix)
     assert np.allclose(np.linalg.eigvalsh(lap.matrix), hand, atol=1e-12)
     assert np.allclose(np.linalg.eigvalsh(lap.matrix), [2.0, 5.0, 5.0], atol=1e-12)
     assert renormalization_factor(1) == 7.5
@@ -217,6 +221,50 @@ def test_laplacian_matches_full_adjacency_construction(m):
 def test_laplacian_level0_error():
     with pytest.raises(DomainError):
         build_dirichlet_laplacian(build_vertices(0))
+    with pytest.raises(DomainError):
+        dirichlet_spectrum(build_vertices(0))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sector_spectrum_matches_dense_eigensolve(m):
+    vs = build_vertices(m)
+    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs).matrix)
+    sectors = dirichlet_spectrum(vs)
+    assert sectors.shape == dense.shape
+    assert np.all(np.abs(sectors - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+    h0, h1 = gasket.rotation_sectors(vs)
+    assert h0.shape == h1.shape == (vs.n_interior // 3,) * 2
+    assert h0.dtype == float and np.array_equal(h0, h0.T)
+    assert np.allclose(h1, h1.conj().T, rtol=0.0, atol=1e-15)
+
+
+# the default argument keeps the unpatched edge helper
+def _drop_edge(vs, edges=gasket._interior_edges):
+    x, y = edges(vs)
+    return x[1:], y[1:]
+
+
+def _duplicate_edge(vs, edges=gasket._interior_edges):
+    x, y = edges(vs)
+    return np.append(x, x[0]), np.append(y, y[0])
+
+
+@pytest.mark.parametrize(
+    "target, replacement, message",
+    [
+        ("_interior_edges", _drop_edge, "not symmetric and rotation invariant"),
+        ("_interior_edges", _duplicate_edge, "duplicates"),
+        ("_rotated", lambda bary: bary[:, [0, 2, 1]], "cubed"),
+        ("_rotated", lambda bary: bary, "3 rows"),
+        ("_rotated", lambda bary: bary[:, [0, 0, 1]], "permute"),
+    ],
+)
+def test_sector_checks_raise(monkeypatch, target, replacement, message):
+    # a lost or doubled edge, a reflection in place of the rotation, the
+    # identity and a map off the vertex set each fail one exact check
+    monkeypatch.setattr(gasket, target, replacement)
+    with pytest.raises(StructuralError, match=f"level 3: .*{message}"):
+        dirichlet_spectrum(build_vertices(3))
 
 
 def test_simple_function_validation():
