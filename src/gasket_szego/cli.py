@@ -110,7 +110,7 @@ class RunConfig:
                                for i, g in enumerate(grid)]
         if "j_range" in raw:
             jr = raw["j_range"]
-            if not isinstance(jr, list) or not all(isinstance(j, int) for j in jr):
+            if not isinstance(jr, list) or any(type(j) is not int for j in jr):
                 raise ConfigError("j_range", "must be a list of integers")
             cfg.j_range = jr
         for key in ("symbol", "F", "p", "chi"):

@@ -167,14 +167,12 @@ class ClusterReport:
 def identify_clusters(
     schrodinger: SchrodingerMatrix,
     family: list[EigenvalueRecord],
-    chi_range: tuple[float, float] | None = None,
-    tau: float = WINDOW_SLACK,
 ) -> ClusterReport:
     """Locate the spectral clusters around p(lam_j) for a separated family.
 
-    Each window spans p(lam_j) + [min chi, max chi], padded by tau plus the
-    eigensolver's rounding floor ROUNDING_SLACK * eps * max|nu|; windows must
-    be pairwise disjoint.  The threshold generation is the
+    Each window spans p(lam_j) + [min chi, max chi], padded by WINDOW_SLACK
+    plus the eigensolver's rounding floor ROUNDING_SLACK * eps * max|nu|;
+    windows must be pairwise disjoint.  The threshold generation is the
     smallest birth from which every later window holds exactly its
     eigenspace dimension; a family with no such birth is an error.  An atom
     sits at (p(lam) - center) + chi_C, exactly; the positions of the windowed
@@ -183,15 +181,13 @@ def identify_clusters(
     """
     if not family:
         raise DomainError("empty eigenvalue family")
-    if chi_range is None:
-        chi_range = operators.limit_range(
-            schrodinger.chi, schrodinger.basis.vertices
-        )
-    lo_off, hi_off = chi_range
+    lo_off, hi_off = operators.limit_range(
+        schrodinger.chi, schrodinger.basis.vertices
+    )
     family = sorted(family, key=lambda r: r.value)
     centers = [schrodinger.p(r.value) for r in family]
     nu = schrodinger.eigenvalues
-    pad = tau + _rounding_floor(nu)
+    pad = WINDOW_SLACK + _rounding_floor(nu)
     windows = [
         (c + lo_off - pad, c + hi_off + pad) for c in centers
     ]
@@ -236,7 +232,7 @@ def identify_clusters(
         projected[np.arange(atoms.size), np.arange(atoms.size)] = atoms
         projected[atoms.size :, atoms.size :] = refined
         positions = np.sort(np.concatenate([atoms, np.linalg.eigvalsh(refined)]))
-        slack = tau + 1e-9
+        slack = WINDOW_SLACK + 1e-9
         if positions[0] < lo_off - slack or positions[-1] > hi_off + slack:
             raise StructuralError(
                 f"cluster {rec.birth}: positions escape "

@@ -105,7 +105,6 @@ def eigenvalue_limit(
     birth: int,
     branches=(),
     tol: float = DEFAULT_TOL,
-    max_steps: int = MAX_STEPS,
     with_trace: bool = False,
 ):
     """Renormalized limit (3/2) 5^m lam_m of a branch-labelled eigenvalue.
@@ -122,7 +121,7 @@ def eigenvalue_limit(
     level = birth
     trace = [lam]
     prev = renormalization_factor(level) * lam
-    for step in range(max_steps):
+    for step in range(MAX_STEPS):
         explicit = step < len(branches)
         sign = branches[step] if explicit else CONTRACTING
         lam = _apply_branch(lam, sign, explicit)
@@ -136,7 +135,7 @@ def eigenvalue_limit(
         prev = value
     raise ConvergenceError(
         f"renormalized eigenvalue did not stabilize to {tol} within "
-        f"{max_steps} steps (series {series}, birth {birth}, "
+        f"{MAX_STEPS} steps (series {series}, birth {birth}, "
         f"{len(branches)} explicit branches)"
     )
 
@@ -157,11 +156,9 @@ class EigenvalueRecord:
         return f"{self.series}:{self.birth}:{''.join(self.branches)}"
 
 
-def make_record(
-    series: int, birth: int, branches=(), tol: float = DEFAULT_TOL
-) -> EigenvalueRecord:
+def make_record(series: int, birth: int, branches=()) -> EigenvalueRecord:
     branches = _normalize_branches(series, branches)
-    value, trace = eigenvalue_limit(series, birth, branches, tol, with_trace=True)
+    value, trace = eigenvalue_limit(series, birth, branches, with_trace=True)
     return EigenvalueRecord(
         series=series,
         birth=birth,
@@ -195,16 +192,13 @@ def _sort_key(record: EigenvalueRecord):
 
 
 def enumerate_spectrum(
-    cutoff: float,
-    record_cap: int = DEFAULT_RECORD_CAP,
-    safety: float = PRUNE_SAFETY,
-    tol: float = DEFAULT_TOL,
+    cutoff: float, record_cap: int = DEFAULT_RECORD_CAP
 ) -> SpectrumTable:
     """Every Dirichlet eigenvalue <= cutoff, once per record with multiplicity.
 
     Depth-first search over branch prefixes.  The partial renormalized value
     (3/2) 5^m lam_m never decreases along any branch, so a subtree whose
-    expanding child already exceeds safety*cutoff cannot contain further
+    expanding child already exceeds PRUNE_SAFETY*cutoff cannot contain further
     records; each emitted record is then filtered by its exact limit.
     """
     if cutoff <= 0:
@@ -212,7 +206,7 @@ def enumerate_spectrum(
     records: list[EigenvalueRecord] = []
 
     def emit(series, birth, branches):
-        rec = make_record(series, birth, branches, tol)
+        rec = make_record(series, birth, branches)
         if rec.value <= cutoff:
             records.append(rec)
             if len(records) > record_cap:
@@ -231,7 +225,7 @@ def enumerate_spectrum(
         if lam == 6.0:
             lo = hi  # forced step, single child
         partial_plus = renormalization_factor(level + 1) * hi
-        if partial_plus > safety * cutoff:
+        if partial_plus > PRUNE_SAFETY * cutoff:
             # every deeper record contains an expanding step at least this
             # large, so the whole subtree lies above the cutoff
             return
@@ -242,7 +236,7 @@ def enumerate_spectrum(
     for series in _SEEDS:
         birth = 1 if series in (2, 5) else 2
         while True:
-            minimal = make_record(series, birth, (), tol)
+            minimal = make_record(series, birth)
             if minimal.value > cutoff:
                 break
             if series == 6:
@@ -279,7 +273,7 @@ def _canonical_from_prefix(series: int, prefix: tuple[str, ...]) -> tuple[str, .
     return trimmed
 
 
-def truncated_graph_spectrum(m: int, tol: float = DEFAULT_TOL) -> list[GraphEigenvalue]:
+def truncated_graph_spectrum(m: int) -> list[GraphEigenvalue]:
     """All level-m Dirichlet graph eigenvalues predicted by decimation.
 
     One entry per distinct eigenvalue, carrying its multiplicity and the
@@ -315,7 +309,7 @@ def truncated_graph_spectrum(m: int, tol: float = DEFAULT_TOL) -> list[GraphEige
                 for step, sign in enumerate(prefix):
                     lam = _apply_branch(lam, sign, explicit=True)
                 record = make_record(
-                    series, birth, _canonical_from_prefix(series, prefix), tol
+                    series, birth, _canonical_from_prefix(series, prefix)
                 )
                 out.append(
                     GraphEigenvalue(
@@ -388,7 +382,7 @@ class SeparatedFamily:
     gaps: list[float]
 
 
-def separated_sequence(j_max: int, tol: float = DEFAULT_TOL) -> SeparatedFamily:
+def separated_sequence(j_max: int) -> SeparatedFamily:
     """6-series records of births 2..max(2, j_max) with 5-fold scaling.
 
     Each member is the smallest 6-series eigenvalue of its birth (forced
@@ -399,8 +393,8 @@ def separated_sequence(j_max: int, tol: float = DEFAULT_TOL) -> SeparatedFamily:
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     births = range(2, max(2, j_max) + 1)
-    records = [make_record(6, j, (EXPANDING,), tol) for j in births]
-    table = enumerate_spectrum(6.0 * records[-1].value, tol=tol)
+    records = [make_record(6, j, (EXPANDING,)) for j in births]
+    table = enumerate_spectrum(6.0 * records[-1].value)
     gaps = []
     for rec in records:
         others = [
@@ -412,7 +406,7 @@ def separated_sequence(j_max: int, tol: float = DEFAULT_TOL) -> SeparatedFamily:
     return SeparatedFamily(records=records, gaps=gaps)
 
 
-def resolvable_window(m: int, tol: float = DEFAULT_TOL) -> float:
+def resolvable_window(m: int) -> float:
     """Largest cutoff whose spectrum is fully resolvable at graph level m.
 
     A record is resolvable when its canonical branch string fits within the
@@ -420,13 +414,13 @@ def resolvable_window(m: int, tol: float = DEFAULT_TOL) -> float:
     either at the smallest birth-(m+1) record or at a record of birth <= m
     whose single expanding step sits one level beyond the truncation.
     """
-    candidates = [eigenvalue_limit(5, m + 1, (), tol)]
+    candidates = [eigenvalue_limit(5, m + 1)]
     candidates.append(
-        eigenvalue_limit(2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,), tol)
+        eigenvalue_limit(2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,))
     )
     for j in range(1, m + 1):
         candidates.append(
-            eigenvalue_limit(5, j, (CONTRACTING,) * (m - j) + (EXPANDING,), tol)
+            eigenvalue_limit(5, j, (CONTRACTING,) * (m - j) + (EXPANDING,))
         )
     for j in range(2, m + 1):
         if j < m:
@@ -435,7 +429,7 @@ def resolvable_window(m: int, tol: float = DEFAULT_TOL) -> float:
             )
         else:
             branches = (EXPANDING, EXPANDING)
-        candidates.append(eigenvalue_limit(6, j, branches, tol))
+        candidates.append(eigenvalue_limit(6, j, branches))
     return min(candidates)
 
 

@@ -181,7 +181,6 @@ class LocalizedBasis:
     """
 
     bundle: EigenspaceBundle
-    cell_level: int
     per_cell: dict[Word, np.ndarray]
     nonlocalized: np.ndarray
     dropped_over_tol: float = 0.0
@@ -293,7 +292,6 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
 
     split = LocalizedBasis(
         bundle=bundle,
-        cell_level=n_level,
         per_cell=per_cell,
         nonlocalized=u @ vh[:rank].T,
         dropped_over_tol=margins[0],

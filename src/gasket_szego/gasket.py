@@ -197,7 +197,6 @@ class SelfSimilarMeasure:
 
     level: int
     weights: np.ndarray
-    cell_counts: np.ndarray
     vertices: VertexSet
 
     def cell_mass(self, word: Word) -> float:
@@ -208,9 +207,7 @@ class SelfSimilarMeasure:
 def build_measure(vertices: VertexSet) -> SelfSimilarMeasure:
     counts = np.array([len(c) for c in vertices.vertex_cells], dtype=np.int64)
     weights = counts * 3.0 ** (-(vertices.level + 1))
-    return SelfSimilarMeasure(
-        level=vertices.level, weights=weights, cell_counts=counts, vertices=vertices
-    )
+    return SelfSimilarMeasure(level=vertices.level, weights=weights, vertices=vertices)
 
 
 @dataclass

@@ -94,11 +94,11 @@ def constant_symbol(
     )
 
 
-def multiplication_symbol(f, name: str | None = None) -> SymbolSpec:
+def multiplication_symbol(f) -> SymbolSpec:
     lower = f.min_value if isinstance(f, SimpleFunction) else None
     return SymbolSpec(
         kind="multiplication",
-        name=name or "multiplication",
+        name="multiplication",
         chi=f,
         limit_q=f,
         lower_bound=lower,
@@ -142,10 +142,6 @@ def tabulated_symbol(entries, limit_q=None, lower_bound=None) -> SymbolSpec:
 _MAKERS = {
     "riesz": lambda params: riesz_symbol(params["beta"]),
     "bessel": lambda params: bessel_symbol(params["beta"]),
-    "constant": lambda params: constant_symbol(**params),
-    "multiplication": lambda params: multiplication_symbol(**params),
-    "separable": lambda params: separable_symbol(**params),
-    "tabulated": lambda params: tabulated_symbol(**params),
 }
 
 
@@ -324,8 +320,10 @@ class CompressedOperator:
 
         The selection must list its eigenspaces in ascending order, as a
         leading selection does: the result is the atoms below the cutoff and
-        a leading block of the remainder.
+        a leading block of the remainder.  Any other order raises DomainError.
         """
+        if np.any(np.diff(self.lambda_assignment) < 0):
+            raise DomainError("up_to needs eigenspaces in ascending eigenvalue order")
         d = int(np.searchsorted(self.lambda_assignment, cutoff, side="right"))
         a = int(np.searchsorted(self.atom_lambdas, cutoff, side="right"))
         r = int(np.searchsorted(self.remainder_lambdas, cutoff, side="right"))
@@ -599,7 +597,12 @@ def spectral_bounds(
     measure: SelfSimilarMeasure,
 ) -> SpectralBounds:
     """Bounds from the declared limit: beyond lambda-bar the symbol is within
-    epsilon of q, and the finite head below lambda-bar is diagonalized."""
+    epsilon of q, and the finite head below lambda-bar is diagonalized.
+
+    The selection is compressed once, whole, and the head is read from it
+    with `up_to(lambda_bar)`, so its eigenspaces must be in ascending order;
+    a tabulated symbol needs an entry for every one of them.
+    """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if symbol.limit_q is None:
@@ -620,20 +623,8 @@ def spectral_bounds(
         i for i in range(len(values)) if all(d < epsilon for d in dists[i + 1 :])
     )
     lambda_bar = values[cut]
-    head = [idx for idx, rec in enumerate(basis.records) if rec.value <= lambda_bar]
-    if head:
-        slices = [basis.group_slices[i] for i in head]
-        head_sel = BasisSelection(
-            level=basis.level,
-            vertices=basis.vertices,
-            columns=None if basis.columns is None else np.hstack(
-                [basis.columns[:, sl] for sl in slices]
-            ),
-            records=[basis.records[i] for i in head],
-            group_slices=_repack_slices(slices),
-            keys=[("head", i) for i in range(sum(sl.stop - sl.start for sl in slices))],
-        )
-        sigma = operator_eigenvalues(compress(symbol, head_sel, measure))
+    sigma = operator_eigenvalues(compress(symbol, basis, measure).up_to(lambda_bar))
+    if sigma.size:
         head_lo, head_hi = float(sigma[0]), float(sigma[-1])
     else:
         head_lo, head_hi = math.inf, -math.inf
@@ -644,15 +635,6 @@ def spectral_bounds(
         lambda_bar=lambda_bar,
         epsilon=epsilon,
     )
-
-
-def _repack_slices(slices: list[slice]) -> list[slice]:
-    out, start = [], 0
-    for sl in slices:
-        width = sl.stop - sl.start
-        out.append(slice(start, start + width))
-        start += width
-    return out
 
 
 def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarray:

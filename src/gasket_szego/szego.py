@@ -123,9 +123,7 @@ def make_trace_function(name: str, **params) -> TraceFunction:
     return build(params)
 
 
-def target_integral(limit_q, fn: Callable[[float], float],
-                    tol: float = TARGET_TOL,
-                    max_level: int = TARGET_MAX_LEVEL) -> tuple[float, dict]:
+def target_integral(limit_q, fn: Callable[[float], float]) -> tuple[float, dict]:
     """Integral of F(q) against the measure.
 
     Exact for constants and simple functions.  A continuous q is integrated by
@@ -144,7 +142,7 @@ def target_integral(limit_q, fn: Callable[[float], float],
         )
         return value, {"method": "simple-exact", "converged": True}
     estimates = []
-    for m in range(1, max_level + 1):
+    for m in range(1, TARGET_MAX_LEVEL + 1):
         vertices = build_vertices(m)
         weights = build_measure(vertices).weights
         q_vals = vertex_values(limit_q, vertices)
@@ -153,7 +151,7 @@ def target_integral(limit_q, fn: Callable[[float], float],
         )
         if len(estimates) >= 2:
             delta = abs(estimates[-1] - estimates[-2])
-            if delta <= tol * max(1.0, abs(estimates[-1])):
+            if delta <= TARGET_TOL * max(1.0, abs(estimates[-1])):
                 return estimates[-1], {
                     "method": "vertex-refinement",
                     "converged": True,
@@ -162,7 +160,7 @@ def target_integral(limit_q, fn: Callable[[float], float],
                 }
     # geometric extrapolation from the last three refinements
     value = estimates[-1]
-    info = {"method": "vertex-refinement", "converged": False, "level": max_level}
+    info = {"method": "vertex-refinement", "converged": False, "level": m}
     if len(estimates) >= 3:
         d1 = estimates[-2] - estimates[-3]
         d2 = estimates[-1] - estimates[-2]
@@ -314,7 +312,6 @@ def szego_trace_single_series(
     j_range,
     n_level: int,
     m: int,
-    f_domain: tuple[float, float] | None = None,
     generation_cut: int | None = None,
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
@@ -325,7 +322,7 @@ def szego_trace_single_series(
     cut = generation_cut or _default_generation_cut(m)
     samples = _single_series_sweep(
         symbol, series, j_range, basis, cut, target,
-        lambda gamma: trace_F(gamma, F.fn, domain=f_domain),
+        lambda gamma: trace_F(gamma, F.fn),
     )
     power = _f_power_order(F)
     bounds = []
@@ -345,7 +342,7 @@ def szego_trace_single_series(
             "m": m,
             "N": n_level,
             "generation_cut": cut,
-            "f_domain": list(f_domain) if f_domain else "evaluability-only",
+            "f_domain": "evaluability-only",
             "target_info": target_info,
         },
     )
@@ -419,7 +416,6 @@ def szego_trace_full(
     F: TraceFunction,
     lambda_grid,
     m: int,
-    f_domain: tuple[float, float] | None = None,
     generation_cut: int | None = None,
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
@@ -434,7 +430,7 @@ def szego_trace_full(
         basis,
         cut,
         target,
-        lambda sub: trace_F(sub, F.fn, domain=f_domain),
+        lambda sub: trace_F(sub, F.fn),
     )
     return ConvergenceReport(
         target=target,
@@ -447,7 +443,7 @@ def szego_trace_full(
             "m": m,
             "window": window,
             "generation_cut": cut,
-            "f_domain": list(f_domain) if f_domain else "evaluability-only",
+            "f_domain": "evaluability-only",
             "target_info": target_info,
         },
     )

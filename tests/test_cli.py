@@ -373,6 +373,17 @@ def test_config_validation_messages(tmp_path, capsys):
          "j_range": [3], "generation_cut": 2}
     )
     assert cfg.generation_cut == 2
+    # births are integers, and JSON booleans are not
+    for raw in (
+        {"command": "clusters", "m": 3, "j_range": [True, 2], "chi": chi},
+        {"command": "szego-trace", "symbol": {"kind": "riesz", "beta": 1.0},
+         "j_range": [2, False]},
+        {"command": "szego-trace", "symbol": {"kind": "riesz", "beta": 1.0},
+         "j_range": [2.0]},
+    ):
+        with pytest.raises(ConfigError) as err:
+            cli.RunConfig.from_dict(raw)
+        assert str(err.value).startswith("config.j_range:")
     # every key is read by its command, and by its szego mode
     riesz = {"kind": "riesz", "beta": 1.0}
     full = {"command": "szego-det", "mode": "full", "lambda_grid": [100.0],

@@ -257,6 +257,45 @@ def test_spectral_bounds_no_convergence(level4, level4_table):
         spectral_bounds(sym, level4_table, 1e-3, sel, level4.measure)
 
 
+def test_up_to_rejects_a_descending_selection(level4):
+    sel = selection_from_bundles(level4.bundles[4::-1])
+    op = compress(riesz_symbol(1.0), sel, level4.measure)
+    with pytest.raises(DomainError):
+        op.up_to(level4.bundles[2].record.value)
+
+
+def _tabulated_towards(base, table):
+    # p(., lam) = base + 10/lam, one entry per eigenvalue of the table; a
+    # shift keeps the dense compression symmetric across eigenspaces
+    entries = [(r.value, base.shifted(10.0 / r.value)) for r in table.records]
+    return tabulated_symbol(entries, limit_q=base)
+
+
+@pytest.mark.parametrize("kind,epsilon", [
+    ("riesz", 0.01), ("separable", 0.02), ("tabulated", 0.02),
+])
+def test_spectral_bounds_match_the_head_compression(
+    level4, level4_table, kind, epsilon
+):
+    base = SimpleFunction(1, [1.0, 1.5, 2.0])
+    sym = {
+        "riesz": lambda: riesz_symbol(1.0),
+        "separable": lambda: separable_symbol(lambda lam: 10.0 / lam, 0.0, base),
+        "tabulated": lambda: _tabulated_towards(base, level4_table),
+    }[kind]()
+    sel = selection_from_bundles(level4.bundles)
+    bounds = spectral_bounds(sym, level4_table, epsilon, sel, level4.measure)
+    # the same bounds from a compression of the head eigenspaces alone
+    head = [b for b in level4.bundles if b.record.value <= bounds.lambda_bar]
+    sigma = operator_eigenvalues(
+        compress(sym, selection_from_bundles(head), level4.measure)
+    )
+    qmin, qmax = operators.limit_range(sym.limit_q, level4.vertices)
+    assert sigma[-1] > qmax + epsilon  # the head sets B
+    assert bounds.A == pytest.approx(min(qmin - epsilon, sigma[0]), rel=1e-12)
+    assert bounds.B == pytest.approx(sigma[-1], rel=1e-12)
+
+
 def test_spectrum_map_identity_and_riesz(level4, level4_table):
     table = level4_table
     image = spectrum_map(lambda lam: lam, table)
