@@ -106,13 +106,15 @@ class RunConfig:
             grid = raw["lambda_grid"]
             if not isinstance(grid, list) or not grid:
                 raise ConfigError("lambda_grid", "must be a non-empty list")
-            cfg.lambda_grid = [_number({"x": g}, "x", f"lambda_grid[{i}]")
-                               for i, g in enumerate(grid)]
+            cfg.lambda_grid = _distinct("lambda_grid", [
+                _number({"x": g}, "x", f"lambda_grid[{i}]")
+                for i, g in enumerate(grid)
+            ])
         if "j_range" in raw:
             jr = raw["j_range"]
             if not isinstance(jr, list) or any(type(j) is not int for j in jr):
                 raise ConfigError("j_range", "must be a list of integers")
-            cfg.j_range = jr
+            cfg.j_range = _distinct("j_range", jr)
         for key in ("symbol", "F", "p", "chi"):
             if key in raw:
                 if not isinstance(raw[key], dict):
@@ -162,6 +164,14 @@ def _number(raw, key, label=None):
     ):
         raise ConfigError(label or key, f"must be a finite number, got {value!r}")
     return float(value)
+
+
+def _distinct(key: str, values: list) -> list:
+    """`values`, none of them repeated: each entry is one report row."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(key, f"repeats {repeated[0]!r}; each entry is one row")
+    return values
 
 
 def _validate_requirements(cfg: RunConfig) -> None:

@@ -100,7 +100,7 @@ def build_schrodinger(
 ) -> SchrodingerMatrix:
     """H over the full level-m eigenbasis, with only its remainder solved."""
     symbol = operators.multiplication_symbol(chi)
-    base = basis or operators.level_basis_for(symbol, m)
+    base = szego._level_basis(symbol, m, basis)
     sel = operators.leading_selection(base)
     m_chi = operators.compress(symbol, sel, base.measure)
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
@@ -290,7 +290,7 @@ def weak_limit_check(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> szego.ConvergenceReport:
     """Cluster averages of F against the potential's pullback integral."""
-    base = basis or operators.level_basis_for(operators.multiplication_symbol(chi), m)
+    base = szego._level_basis(operators.multiplication_symbol(chi), m, basis)
     j_range = sorted(int(j) for j in j_range)
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
     report = identify_clusters(schrodinger, decimation_family(j_range, base))
@@ -318,29 +318,12 @@ def weak_limit_report(
             )
         psi = by_birth[j]
         value = math.fsum(w * F.fn(pos) for pos, w in psi.atoms)
-        head = psi.d_j if j <= cut else 0
         samples.append(
-            szego.Sample(
-                index=j,
-                d=psi.d_j,
-                value=value,
-                abs_error=abs(value - target),
-                head_mass=head,
-                tail_mass=psi.d_j - head,
-            )
+            szego._sample(j, psi.d_j, value, target, psi.d_j if j <= cut else 0)
         )
-    return szego.ConvergenceReport(
-        target=target,
-        samples=samples,
-        verdict=szego.compute_verdict(samples),
-        metadata={
-            "experiment": "cluster-weak-limit",
-            "F": F.name,
-            "p": p_name,
-            "m": m,
-            "threshold_j": report.threshold_j,
-            "target_info": target_info,
-        },
+    return szego._report(
+        samples, target, target_info, experiment="cluster-weak-limit",
+        F=F.name, p=p_name, m=m, threshold_j=report.threshold_j,
     )
 
 

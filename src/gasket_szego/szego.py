@@ -1,23 +1,26 @@
 """Trace and determinant limit experiments over eigenvalue sequences.
 
 Two families of sweeps: over a single series of eigenspaces indexed by birth
-generation, and over full cutoff compressions.  Each sweep produces a
-ConvergenceReport carrying the normalized trace (or log-determinant) values,
-absolute errors against the limiting integral, and a per-sample split of the
-dimension mass by generation of birth.  Trend verdicts are reported, not
+generation, and over full cutoff compressions.  Every sweep, and the cluster
+weak limit of `clusters`, samples and reports through one path: one sample
+per birth or cutoff with its dimension d, the normalized trace (or
+log-determinant) value, its absolute error against the limiting integral and
+the split of d by generation of birth (head up to the generation cut, tail
+after it); one ConvergenceReport of those samples, the target, a trend
+verdict and metadata naming the experiment, its level m, its generation cut
+and how the target was integrated.  Trend verdicts are reported, not
 asserted; no convergence rate is claimed.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
 from . import decimation, eigenbasis, operators
-from .decimation import EigenvalueRecord
 from .errors import DomainError, WindowError
 from .gasket import (
     SimpleFunction,
@@ -200,40 +203,10 @@ class ConvergenceReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        write_csv(
-            path,
-            ("index", "d", "value", "abs_error", "head_mass", "tail_mass"),
-            (
-                (s.index, s.d, s.value, s.abs_error, s.head_mass, s.tail_mass)
-                for s in self.samples
-            ),
-        )
+        write_csv(path, [f.name for f in fields(Sample)], map(astuple, self.samples))
 
     def to_json(self, path) -> None:
-        write_json(
-            path,
-            {
-                "target": self.target,
-                "samples": [
-                    {
-                        "index": s.index,
-                        "d": s.d,
-                        "value": s.value,
-                        "abs_error": s.abs_error,
-                        "head_mass": s.head_mass,
-                        "tail_mass": s.tail_mass,
-                    }
-                    for s in self.samples
-                ],
-                "verdict": {
-                    "first_error": self.verdict.first_error,
-                    "last_error": self.verdict.last_error,
-                    "monotone_nonincreasing": self.verdict.monotone_nonincreasing,
-                    "trend_ok": self.verdict.trend_ok,
-                },
-                "metadata": self.metadata,
-            },
-        )
+        write_json(path, asdict(self))
 
 
 def compute_verdict(samples: list[Sample]) -> Verdict:
@@ -246,14 +219,33 @@ def compute_verdict(samples: list[Sample]) -> Verdict:
     )
 
 
+def _sample(index, d: int, value: float, target: float, head: int) -> Sample:
+    """A sample of dimension d, of which `head` is born up to the generation
+    cut."""
+    return Sample(index, d, value, abs(value - target), head, d - head)
+
+
+def _report(samples, target, target_info, **metadata) -> ConvergenceReport:
+    return ConvergenceReport(
+        target=target,
+        samples=samples,
+        verdict=compute_verdict(samples),
+        metadata={**metadata, "target_info": target_info},
+    )
+
+
 def _default_generation_cut(m: int) -> int:
     return (m + 1) // 2
 
 
-def _series_records(
-    basis: eigenbasis.LevelBasis, series: int, j_range
-) -> list[EigenvalueRecord]:
-    return [basis.family_bundle(series, j).record for j in j_range]
+def _level_basis(symbol: SymbolSpec, m: int, basis) -> eigenbasis.LevelBasis:
+    """`basis`, which must be of level m, or else the cached level-m basis
+    that compressions of `symbol` need."""
+    if basis is None:
+        return operators.level_basis_for(symbol, m)
+    if basis.level != m:
+        raise DomainError(f"basis of level {basis.level} given for level m = {m}")
+    return basis
 
 
 def _check_single_series_args(series, j_range, n_level, m):
@@ -292,17 +284,26 @@ def _simple_multiplication_bound(symbol, series, j, n_level, k) -> float | None:
     ) * f.sup_norm ** k
 
 
-def _single_series_sweep(symbol, series, j_range, basis, cut, target, evaluate):
-    """Normalized evaluate() over the compressions to one series' eigenspaces."""
+def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
+                          basis, fn, evaluate, precheck=None, **metadata):
+    """Normalized evaluate() over the compressions to one series of
+    eigenspaces, against the integral of fn(q); `precheck` sees the
+    eigenspaces' records before any compression."""
+    j_range = _check_single_series_args(series, j_range, n_level, m)
+    basis = _level_basis(symbol, m, basis)
+    bundles = [basis.family_bundle(series, j) for j in j_range]
+    if precheck is not None:
+        precheck(symbol, [b.record for b in bundles], basis.vertices)
+    target, target_info = target_integral(symbol.limit_q, fn)
+    cut = generation_cut or _default_generation_cut(m)
     samples = []
-    for j in j_range:
-        bundle = basis.family_bundle(series, j)
+    for j, bundle in zip(j_range, bundles):
         gamma = compress(symbol, selection_from_bundles([bundle]), basis.measure)
         d = bundle.dim
-        value = evaluate(gamma) / d
-        head = d if j <= cut else 0
-        samples.append(Sample(j, d, value, abs(value - target), head, d - head))
-    return samples
+        samples.append(_sample(j, d, evaluate(gamma) / d, target,
+                               d if j <= cut else 0))
+    return _report(samples, target, target_info, symbol=symbol.name,
+                   series=series, m=m, N=n_level, generation_cut=cut, **metadata)
 
 
 def szego_trace_single_series(
@@ -316,36 +317,17 @@ def szego_trace_single_series(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized trace of F over one series of eigenspace compressions."""
-    j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = basis or operators.level_basis_for(symbol, m)
-    target, target_info = target_integral(symbol.limit_q, F.fn)
-    cut = generation_cut or _default_generation_cut(m)
-    samples = _single_series_sweep(
-        symbol, series, j_range, basis, cut, target,
-        lambda gamma: trace_F(gamma, F.fn),
+    report = _single_series_report(
+        symbol, series, j_range, n_level, m, generation_cut, basis,
+        F.fn, lambda gamma: trace_F(gamma, F.fn),
+        experiment="szego-trace-single", F=F.name, f_domain="evaluability-only",
     )
     power = _f_power_order(F)
     bounds = []
-    for j in j_range:
-        bound = _simple_multiplication_bound(symbol, series, j, n_level, power)
+    for s in report.samples:
+        bound = _simple_multiplication_bound(symbol, series, s.index, n_level, power)
         if bound is not None:
-            bounds.append({"j": j, "bound": bound})
-    report = ConvergenceReport(
-        target=target,
-        samples=samples,
-        verdict=compute_verdict(samples),
-        metadata={
-            "experiment": "szego-trace-single",
-            "symbol": symbol.name,
-            "F": F.name,
-            "series": series,
-            "m": m,
-            "N": n_level,
-            "generation_cut": cut,
-            "f_domain": "evaluability-only",
-            "target_info": target_info,
-        },
-    )
+            bounds.append({"j": s.index, "bound": bound})
     if bounds:
         report.metadata["simple_function_bounds"] = bounds
     return report
@@ -370,24 +352,28 @@ def check_window(lambda_grid, m: int) -> float:
     return window
 
 
-def _full_sweep(symbol, lambda_grid, m, basis, cut, target, evaluate,
-                precheck=None):
-    """Cutoff compressions as leading parts of one full operator: the atoms
-    below each cutoff and a leading block of its remainder."""
+def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
+                 precheck=None, **metadata):
+    """Normalized evaluate() over the cutoff compressions, against the
+    integral of fn(q).  They are the leading parts of one compression below
+    the top cutoff: the atoms below each cutoff and a leading block of its
+    remainder.  `precheck` sees the records below the top cutoff before any
+    compression."""
+    basis = _level_basis(symbol, m, basis)
+    target, target_info = target_integral(symbol.limit_q, fn)
+    cut = generation_cut or _default_generation_cut(m)
     lambda_grid = sorted(float(x) for x in lambda_grid)
     if not lambda_grid:
         raise DomainError("empty cutoff grid")
     window = check_window(lambda_grid, m)
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
-        precheck(full)
+        precheck(symbol, full.records, basis.vertices)
     gamma_full = compress(symbol, full, basis.measure)
     values = full.lambdas
-    births = np.concatenate(
-        [
-            np.full(sl.stop - sl.start, rec.birth)
-            for rec, sl in zip(full.records, full.group_slices)
-        ]
+    births = np.repeat(
+        [rec.birth for rec in full.records],
+        [sl.stop - sl.start for sl in full.group_slices],
     )
     samples = []
     for cutoff in lambda_grid:
@@ -397,18 +383,10 @@ def _full_sweep(symbol, lambda_grid, m, basis, cut, target, evaluate,
                 f"cutoff {cutoff} lies below the smallest eigenvalue"
             )
         value = evaluate(gamma_full.up_to(cutoff)) / d
-        head = int(np.sum(births[:d] <= cut))
-        samples.append(
-            Sample(
-                index=cutoff,
-                d=d,
-                value=value,
-                abs_error=abs(value - target),
-                head_mass=head,
-                tail_mass=d - head,
-            )
-        )
-    return samples, window, full
+        samples.append(_sample(cutoff, d, value, target,
+                               int(np.sum(births[:d] <= cut))))
+    return _report(samples, target, target_info, symbol=symbol.name, m=m,
+                   window=window, generation_cut=cut, **metadata)
 
 
 def szego_trace_full(
@@ -420,32 +398,10 @@ def szego_trace_full(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized trace of F over full cutoff compressions on a grid."""
-    basis = basis or operators.level_basis_for(symbol, m)
-    target, target_info = target_integral(symbol.limit_q, F.fn)
-    cut = generation_cut or _default_generation_cut(m)
-    samples, window, _ = _full_sweep(
-        symbol,
-        lambda_grid,
-        m,
-        basis,
-        cut,
-        target,
-        lambda sub: trace_F(sub, F.fn),
-    )
-    return ConvergenceReport(
-        target=target,
-        samples=samples,
-        verdict=compute_verdict(samples),
-        metadata={
-            "experiment": "szego-trace-full",
-            "symbol": symbol.name,
-            "F": F.name,
-            "m": m,
-            "window": window,
-            "generation_cut": cut,
-            "f_domain": "evaluability-only",
-            "target_info": target_info,
-        },
+    return _full_report(
+        symbol, lambda_grid, m, generation_cut, basis,
+        F.fn, lambda sub: trace_F(sub, F.fn),
+        experiment="szego-trace-full", F=F.name, f_domain="evaluability-only",
     )
 
 
@@ -488,28 +444,9 @@ def szego_logdet_single_series(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized log-determinant over one series of eigenspace compressions."""
-    j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = basis or operators.level_basis_for(symbol, m)
-    records = _series_records(basis, series, j_range)
-    _check_positivity(symbol, records, basis.vertices)
-    target, target_info = target_integral(symbol.limit_q, math.log)
-    cut = generation_cut or _default_generation_cut(m)
-    samples = _single_series_sweep(
-        symbol, series, j_range, basis, cut, target, log_det
-    )
-    return ConvergenceReport(
-        target=target,
-        samples=samples,
-        verdict=compute_verdict(samples),
-        metadata={
-            "experiment": "szego-logdet-single",
-            "symbol": symbol.name,
-            "series": series,
-            "m": m,
-            "N": n_level,
-            "generation_cut": cut,
-            "target_info": target_info,
-        },
+    return _single_series_report(
+        symbol, series, j_range, n_level, m, generation_cut, basis,
+        math.log, log_det, _check_positivity, experiment="szego-logdet-single",
     )
 
 
@@ -521,33 +458,9 @@ def szego_logdet_full(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> ConvergenceReport:
     """Normalized log-determinant over full cutoff compressions on a grid."""
-    basis = basis or operators.level_basis_for(symbol, m)
-    target, target_info = target_integral(symbol.limit_q, math.log)
-    cut = generation_cut or _default_generation_cut(m)
-    samples, window, _ = _full_sweep(
-        symbol,
-        lambda_grid,
-        m,
-        basis,
-        cut,
-        target,
-        log_det,
-        precheck=lambda full: _check_positivity(
-            symbol, full.records, basis.vertices
-        ),
-    )
-    return ConvergenceReport(
-        target=target,
-        samples=samples,
-        verdict=compute_verdict(samples),
-        metadata={
-            "experiment": "szego-logdet-full",
-            "symbol": symbol.name,
-            "m": m,
-            "window": window,
-            "generation_cut": cut,
-            "target_info": target_info,
-        },
+    return _full_report(
+        symbol, lambda_grid, m, generation_cut, basis,
+        math.log, log_det, _check_positivity, experiment="szego-logdet-full",
     )
 
 
@@ -568,7 +481,7 @@ def logdet_sandwich(
     """
     if epsilon <= 0 or epsilon >= 1:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    basis = basis or operators.level_basis_for(symbol, m)
+    basis = _level_basis(symbol, m, basis)
     lo_sym = operators.multiplication_symbol(f_approx.scaled(1.0 - epsilon))
     hi_sym = operators.multiplication_symbol(f_approx.scaled(1.0 + epsilon))
     f_vals = vertex_values(f_approx, basis.vertices)

@@ -681,3 +681,83 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
         for name in names:
             first, second = (out / name for out in outputs)
             assert first.read_bytes() == second.read_bytes(), (command, name)
+
+
+def test_config_rejects_repeated_entries(tmp_path, capsys):
+    # each j_range or lambda_grid entry is one report row; a repeated entry
+    # would write its row twice
+    riesz = {"kind": "riesz", "beta": 1.0}
+    chi = {"level": 1, "values": [0.8, 1.0, 1.2]}
+    cases = [
+        ("szego-trace", {"m": 4, "mode": "single", "j_range": [3, 2, 3],
+                         "symbol": riesz}, "j_range"),
+        ("szego-det", {"m": 4, "mode": "full", "lambda_grid": [100.0, 100.0],
+                       "symbol": riesz}, "lambda_grid"),
+        ("szego-det", {"m": 4, "mode": "full", "lambda_grid": [100, 100.0],
+                       "symbol": riesz}, "lambda_grid"),
+        ("clusters", {"m": 4, "j_range": [2, 3, 3], "chi": chi}, "j_range"),
+    ]
+    for i, (command, config, key) in enumerate(cases):
+        with pytest.raises(ConfigError) as err:
+            cli.RunConfig.from_dict({"command": command, **config})
+        assert str(err.value).startswith(f"config.{key}: repeats")
+        code, out = run_cli(tmp_path, command, config, name=f"dup{i}")
+        assert code == 2
+        assert f"config.{key}: repeats" in capsys.readouterr().err
+        assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the files the README says each command writes, besides config.json and
+# manifest.json
+README_OUTPUTS = {
+    "spectrum": ["spectrum.csv"],
+    "szego-trace": ["report.csv", "report.json"],
+    "szego-det": ["report.csv", "report.json"],
+    "clusters": ["clusters.csv", "moments.csv", "weak_limit.csv",
+                 "weak_limit.json"],
+    "validate": ["validate.csv"],
+}
+
+
+def _readme_examples():
+    """(command, config) for each example of the README's jsonc block: a
+    `// <command>...` comment line, then the config."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("//"):
+            examples.append([line[2:].split()[0].rstrip(":,"), ""])
+        elif line.strip():
+            examples[-1][1] += line + "\n"
+    return [(command, json.loads(body)) for command, body in examples]
+
+
+def test_readme_examples_run(tmp_path):
+    examples = _readme_examples()
+    assert [command for command, _ in examples] == list(README_OUTPUTS)
+    readme = README.read_text(encoding="utf-8")
+    root = README.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    for i, (command, config) in enumerate(examples):
+        assert config.get("m", 5) == 5
+        cfg = tmp_path / f"example{i}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / f"example{i}"
+        result = subprocess.run(
+            [sys.executable, "-m", "gasket_szego.cli", command,
+             "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, (command, result.stderr)
+        names = ["config.json", "manifest.json", *README_OUTPUTS[command]]
+        for name in names:
+            assert f"`{name}`" in readme, name
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(README_OUTPUTS[command])

@@ -252,3 +252,88 @@ def test_power_trace_consistency(level5):
         assert operators.trace_F(op, lambda x, _k=k: x ** _k) == pytest.approx(
             operators.trace_power(op, k), rel=1e-8, abs=1e-10
         )
+
+
+SAMPLE_COLUMNS = ["index", "d", "value", "abs_error", "head_mass", "tail_mass"]
+
+
+def test_report_metadata_keys_and_csv_header(tmp_path, level4):
+    # each report kind carries exactly its metadata keys, and every report
+    # file the sample columns
+    from gasket_szego import clusters
+
+    chi = SimpleFunction(1, [0.8, 1.0, 1.2])
+    riesz = riesz_symbol(1.0)
+    sep = separable_symbol(
+        lambda lam: 1.0 / lam, 0.0, SimpleFunction(1, [1.0, 1.5, 2.0]),
+        lower_bound=1.0,
+    )
+    grid = grid_for(level4)
+    single = {"experiment", "symbol", "series", "m", "N", "generation_cut",
+              "target_info"}
+    full = {"experiment", "symbol", "m", "window", "generation_cut",
+            "target_info"}
+    traced = {"F", "f_domain"}
+    cases = [
+        (szego_trace_single_series(riesz, f_identity(), 6, [2, 3, 4], 1, 4,
+                                   basis=level4),
+         "szego-trace-single", single | traced),
+        (szego_trace_single_series(multiplication_symbol(chi), f_power(2), 6,
+                                   [2, 3, 4], 1, 4, basis=level4),
+         "szego-trace-single", single | traced | {"simple_function_bounds"}),
+        (szego_trace_full(riesz, f_identity(), grid, 4, basis=level4),
+         "szego-trace-full", full | traced),
+        (szego_logdet_single_series(sep, 6, [2, 3, 4], 1, 4, basis=level4),
+         "szego-logdet-single", single),
+        (szego_logdet_full(sep, grid, 4, basis=level4),
+         "szego-logdet-full", full),
+        (clusters.weak_limit_check(chi, lambda lam: lam, [2, 3, 4],
+                                   f_identity(), 4, "identity", level4),
+         "cluster-weak-limit",
+         {"experiment", "F", "p", "m", "threshold_j", "target_info"}),
+    ]
+    for i, (report, experiment, keys) in enumerate(cases):
+        assert set(report.metadata) == keys, experiment
+        assert report.metadata["experiment"] == experiment
+        report.to_csv(tmp_path / f"r{i}.csv")
+        report.to_json(tmp_path / f"r{i}.json")
+        lines = (tmp_path / f"r{i}.csv").read_text().splitlines()
+        assert lines[0] == ",".join(SAMPLE_COLUMNS)
+        assert len(lines) == 1 + len(report.samples)
+        payload = json.loads((tmp_path / f"r{i}.json").read_text())
+        assert set(payload) == {"target", "samples", "verdict", "metadata"}
+        assert set(payload["metadata"]) == keys
+        assert all(set(s) == set(SAMPLE_COLUMNS) for s in payload["samples"])
+        assert set(payload["verdict"]) == {
+            "first_error", "last_error", "monotone_nonincreasing", "trend_ok"
+        }
+
+
+def test_basis_of_another_level_is_rejected(level4, level5):
+    # a basis of level 5 passed for m = 4, or of level 4 for m = 5, would
+    # compress at the basis' level while the report says m
+    from gasket_szego import clusters, eigenbasis
+
+    riesz = riesz_symbol(1.0)
+    chi = SimpleFunction(1, [0.8, 1.0, 1.2])
+    ident = lambda lam: lam  # noqa: E731
+    for basis, m in ((level5, 4), (eigenbasis.bare_level_basis(5), 4),
+                     (level4, 5)):
+        calls = [
+            lambda: szego_trace_single_series(
+                riesz, f_identity(), 6, [2, 3, 4], 1, m, basis=basis),
+            lambda: szego_trace_full(riesz, f_identity(), [100.0], m,
+                                     basis=basis),
+            lambda: szego_logdet_single_series(riesz, 6, [2, 3, 4], 1, m,
+                                               basis=basis),
+            lambda: szego_logdet_full(riesz, [100.0], m, basis=basis),
+            lambda: logdet_sandwich(riesz, SimpleFunction(0, [1.0]), 0.05, 6,
+                                    [3, 4], m, basis=basis),
+            lambda: clusters.build_schrodinger(ident, chi, m, "p", basis),
+            lambda: clusters.weak_limit_check(chi, ident, [2, 3, 4],
+                                              f_identity(), m, basis=basis),
+            lambda: clusters.lipschitz_check(ident, chi, chi, m, basis=basis),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=f"level {basis.level} .* m = {m}"):
+                call()
