@@ -47,7 +47,7 @@ def main() -> None:
         )
 
     weak = clusters.weak_limit_report(
-        report, chi, births, szego.f_power(2), args.m, "identity"
+        report, chi, births, szego.f_power(2), "identity"
     )
     print(f"second-moment sweep against {weak.target:.9f}")
     for s in weak.samples:

@@ -523,7 +523,7 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
         out_dir / "moments.csv",
     )
     weak = cl.weak_limit_report(
-        report, chi, config.j_range, szego.f_identity(), config.m, p_name
+        report, chi, config.j_range, szego.f_identity(), p_name
     )
     weak.to_csv(out_dir / "weak_limit.csv")
     weak.to_json(out_dir / "weak_limit.json")

@@ -162,6 +162,7 @@ class ClusterReport:
     counts: dict[int, int]
     threshold_j: int
     windows: dict[int, tuple[float, float]]
+    m: int
 
 
 def identify_clusters(
@@ -252,6 +253,7 @@ def identify_clusters(
         counts=counts,
         threshold_j=threshold,
         windows={r.birth: w for r, w in zip(family, windows)},
+        m=schrodinger.level,
     )
 
 
@@ -291,10 +293,10 @@ def weak_limit_check(
 ) -> szego.ConvergenceReport:
     """Cluster averages of F against the potential's pullback integral."""
     base = szego._level_basis(operators.multiplication_symbol(chi), m, basis)
-    j_range = sorted(int(j) for j in j_range)
+    j_range = szego._distinct_sorted(j_range, int, "birth range")
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
     report = identify_clusters(schrodinger, decimation_family(j_range, base))
-    return weak_limit_report(report, chi, j_range, F, m, p_name)
+    return weak_limit_report(report, chi, j_range, F, p_name)
 
 
 def weak_limit_report(
@@ -302,13 +304,13 @@ def weak_limit_report(
     chi,
     j_range,
     F: szego.TraceFunction,
-    m: int,
     p_name: str = "p",
 ) -> szego.ConvergenceReport:
-    """Weak-limit samples from the clusters of an identified report."""
-    j_range = sorted(int(j) for j in j_range)
+    """Weak-limit samples from the clusters of an identified report, split
+    into head and tail at the generation cut of the report's level."""
+    j_range = szego._distinct_sorted(j_range, int, "birth range")
     target, target_info = szego.target_integral(chi, F.fn)
-    cut = szego._default_generation_cut(m)
+    cut = szego._default_generation_cut(report.m)
     by_birth = {c.j: c for c in report.clusters}
     samples = []
     for j in j_range:
@@ -323,7 +325,7 @@ def weak_limit_report(
         )
     return szego._report(
         samples, target, target_info, experiment="cluster-weak-limit",
-        F=F.name, p=p_name, m=m, threshold_j=report.threshold_j,
+        F=F.name, p=p_name, m=report.m, threshold_j=report.threshold_j,
     )
 
 

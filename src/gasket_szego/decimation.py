@@ -7,7 +7,10 @@ Dirichlet eigenvalues are born with seed graph value 2 (birth 1, simple),
 The only constraint is at a 6 seed: its contracting preimage is the forbidden
 value 2, so the first step after a 6 birth must take the expanding root 3.
 A record's numeric eigenvalue is the renormalized limit (3/2) 5^m lam_m along
-an eventually-contracting branch sequence.
+an eventually-contracting branch sequence.  `eigenvalue_limit` follows one
+record; `enumerate_spectrum` runs the same contracting tail for every node of
+its search at once in numpy, with the same operations in the same order, so
+both give bit-identical values.
 
 Every structural claim here is validated wholesale against the dense
 eigensolve of the graph Laplacians (see the test suite): the truncated record
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -147,7 +152,6 @@ class EigenvalueRecord:
     series: int
     birth: int
     branches: tuple[str, ...]
-    graph_values: tuple[float, ...]
     value: float
     multiplicity: int
 
@@ -155,18 +159,76 @@ class EigenvalueRecord:
     def key(self) -> str:
         return f"{self.series}:{self.birth}:{''.join(self.branches)}"
 
+    @property
+    def graph_values(self) -> tuple[float, ...]:
+        """The graph eigenvalues lam_birth, lam_birth+1, ... up to the stop."""
+        return eigenvalue_limit(
+            self.series, self.birth, self.branches, with_trace=True
+        )[1]
+
 
 def make_record(series: int, birth: int, branches=()) -> EigenvalueRecord:
     branches = _normalize_branches(series, branches)
-    value, trace = eigenvalue_limit(series, birth, branches, with_trace=True)
     return EigenvalueRecord(
         series=series,
         birth=birth,
         branches=branches,
-        graph_values=trace,
-        value=value,
+        value=eigenvalue_limit(series, birth, branches),
         multiplicity=series_multiplicity(series, birth),
     )
+
+
+def _contracting_limits(nodes) -> np.ndarray:
+    """`eigenvalue_limit` of every node (series, birth, branches, lam, level).
+
+    lam is the graph value the node's explicit branches reach at `level`.
+    From there each node takes `eigenvalue_limit`'s non-explicit steps,
+    elementwise and with the same operations in the same order, so each value
+    is bit-identical to the scalar one (IEEE arithmetic and sqrt are
+    correctly rounded).  A node's explicit steps count against MAX_STEPS.
+    """
+    _, _, branches, lam, level = zip(*nodes)
+    lam = np.array(lam, dtype=float)
+    level = np.array(level)
+    budget = MAX_STEPS - np.array([len(b) for b in branches])
+    scale = np.array(
+        [renormalization_factor(k) for k in range(level.max() + MAX_STEPS + 1)]
+    )
+    values = np.full(lam.size, np.nan)
+    idx = np.arange(lam.size)
+    prev = scale[level] * lam
+    for step in range(MAX_STEPS):
+        live = budget > step
+        if not live.all():
+            idx, lam, level, prev, budget = (
+                a[live] for a in (idx, lam, level, prev, budget)
+            )
+        if idx.size == 0:
+            break
+        if np.any(lam > 25.0 / 4.0):
+            raise DomainError(
+                f"no real decimation preimages for {lam.max()} > 25/4"
+            )
+        disc = np.sqrt(25.0 - 4.0 * lam)
+        # from a 6 seed the contracting branch takes the expanding root
+        lam = np.where(lam == 6.0, (5.0 + disc) / 2.0, 2.0 * lam / (5.0 + disc))
+        level = level + 1
+        value = scale[level] * lam
+        done = np.abs(value - prev) < DEFAULT_TOL * np.abs(value)
+        values[idx[done]] = value[done]
+        rest = ~done
+        idx, lam, level, prev, budget = (
+            a[rest] for a in (idx, lam, level, value, budget)
+        )
+    stuck = np.flatnonzero(np.isnan(values))
+    if stuck.size:
+        series, birth, branches, _, _ = nodes[stuck[0]]
+        raise ConvergenceError(
+            f"renormalized eigenvalue did not stabilize to {DEFAULT_TOL} "
+            f"within {MAX_STEPS} steps (series {series}, birth {birth}, "
+            f"{len(branches)} explicit branches)"
+        )
+    return values
 
 
 @dataclass
@@ -199,28 +261,41 @@ def enumerate_spectrum(
     Depth-first search over branch prefixes.  The partial renormalized value
     (3/2) 5^m lam_m never decreases along any branch, so a subtree whose
     expanding child already exceeds PRUNE_SAFETY*cutoff cannot contain further
-    records; each emitted record is then filtered by its exact limit.
+    records.  Each canonical node is queued with its graph value, and the
+    queue's exact limits are taken in one `_contracting_limits` pass, then
+    filtered by the cutoff.  The queue is flushed whenever it holds
+    record_cap + 1 nodes, so an exceeded cap fails without a full search.
     """
     if cutoff <= 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
     records: list[EigenvalueRecord] = []
+    queue: list[tuple] = []
 
-    def emit(series, birth, branches):
-        rec = make_record(series, birth, branches)
-        if rec.value <= cutoff:
-            records.append(rec)
-            if len(records) > record_cap:
-                raise ResourceLimitError(
-                    f"spectrum enumeration exceeded the record cap {record_cap} "
-                    f"below cutoff {cutoff}"
+    def flush():
+        values = _contracting_limits(queue)
+        for i in np.flatnonzero(values <= cutoff).tolist():
+            series, birth, branches, _, _ = queue[i]
+            records.append(
+                EigenvalueRecord(
+                    series=series,
+                    birth=birth,
+                    branches=branches,
+                    value=float(values[i]),
+                    multiplicity=series_multiplicity(series, birth),
                 )
-            return True
-        return False
+            )
+        queue.clear()
+        if len(records) > record_cap:
+            raise ResourceLimitError(
+                f"spectrum enumeration exceeded the record cap {record_cap} "
+                f"below cutoff {cutoff}"
+            )
 
     def visit(series, birth, branches, lam, level):
-        canonical = not branches or branches[-1] == EXPANDING
-        if canonical:
-            emit(series, birth, branches)
+        if not branches or branches[-1] == EXPANDING:
+            queue.append((series, birth, branches, lam, level))
+            if len(queue) > record_cap:
+                flush()
         lo, hi = decimation_preimages(lam)
         if lam == 6.0:
             lo = hi  # forced step, single child
@@ -236,8 +311,7 @@ def enumerate_spectrum(
     for series in _SEEDS:
         birth = 1 if series in (2, 5) else 2
         while True:
-            minimal = make_record(series, birth)
-            if minimal.value > cutoff:
+            if eigenvalue_limit(series, birth) > cutoff:
                 break
             if series == 6:
                 # canonical root already contains the forced expanding step
@@ -247,6 +321,8 @@ def enumerate_spectrum(
             if series == 2:
                 break
             birth += 1
+    if queue:
+        flush()
 
     records.sort(key=_sort_key)
     return SpectrumTable(records=records, cutoff=cutoff)

@@ -248,10 +248,20 @@ def _level_basis(symbol: SymbolSpec, m: int, basis) -> eigenbasis.LevelBasis:
     return basis
 
 
+def _distinct_sorted(values, kind, name: str) -> list:
+    """`values` converted by `kind` and sorted, none of them repeated: each
+    entry is one sample."""
+    values = sorted(kind(v) for v in values)
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise DomainError(f"{name} repeats {a!r}; each entry is one sample")
+    return values
+
+
 def _check_single_series_args(series, j_range, n_level, m):
     if series not in (5, 6):
         raise DomainError(f"single-series sweeps need series 5 or 6, got {series}")
-    j_range = sorted(int(j) for j in j_range)
+    j_range = _distinct_sorted(j_range, int, "birth range")
     if not j_range:
         raise DomainError("empty birth range")
     lo = 1 if series == 5 else 2
@@ -362,7 +372,7 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     basis = _level_basis(symbol, m, basis)
     target, target_info = target_integral(symbol.limit_q, fn)
     cut = generation_cut or _default_generation_cut(m)
-    lambda_grid = sorted(float(x) for x in lambda_grid)
+    lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
     if not lambda_grid:
         raise DomainError("empty cutoff grid")
     window = check_window(lambda_grid, m)

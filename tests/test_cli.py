@@ -603,6 +603,27 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
+def test_cli_import_loads_no_numpy():
+    # GASKET_SZEGO_THREADS applies only if numpy loads after the CLI's import;
+    # decimation imports numpy, so the CLI must not import it up front
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    probe = (
+        "import sys, gasket_szego.cli; "
+        "print(sorted(m for m in ('numpy', 'gasket_szego.decimation') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_rerun_full_mode_byte_identical(tmp_path):
     config = {
         "m": 3,

@@ -16,6 +16,7 @@ from gasket_szego.clusters import (
     separation_check,
     sup_difference,
     weak_limit_check,
+    weak_limit_report,
 )
 from gasket_szego.errors import DomainError
 from gasket_szego.gasket import SimpleFunction, constant_function, integrate_simple
@@ -191,6 +192,25 @@ def test_weak_limit_simple(level5):
     assert rep.samples[-1].abs_error < 5e-3
     for s in rep.samples:
         assert s.head_mass + s.tail_mass == s.d
+
+
+def test_weak_limit_rejects_repeated_births(level4):
+    with pytest.raises(DomainError, match="repeats 3"):
+        weak_limit_check(CHI, IDENT, [2, 3, 3], szego.f_identity(), 4,
+                         basis=level4)
+
+
+def test_weak_limit_report_reads_the_report_level(level6):
+    # the head/tail split is at the generation cut (6 + 1) // 2 = 3 of the
+    # level the clusters were identified at
+    h = build_schrodinger(IDENT, CHI, 6, "identity", level6)
+    report = identify_clusters(h, decimation_family([3, 4], level6))
+    assert report.m == 6
+    weak = weak_limit_report(report, CHI, [3, 4], szego.f_identity())
+    assert weak.metadata["m"] == 6
+    assert [(s.index, s.head_mass, s.tail_mass) for s in weak.samples] == [
+        (3, 12, 0), (4, 0, 39)
+    ]
 
 
 def test_weak_limit_continuous(level5):

@@ -1,10 +1,14 @@
+import hashlib
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_szego import decimation
 from gasket_szego.decimation import (
     EXPANDING,
     CONTRACTING,
@@ -131,6 +135,67 @@ def test_enumerate_sorted_with_ties_broken():
 def test_enumerate_record_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_spectrum(1e6, record_cap=5)
+
+
+def test_enumerate_record_cap_fails_fast():
+    # the queue is flushed every cap + 1 nodes, so an exceeded cap stops the
+    # search long before the tree below 1e30 is explored
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError, match="record cap 1000"):
+            enumerate_spectrum(1e30, record_cap=1000)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("cutoff", [1e6, 1e9])
+def test_batched_limits_equal_scalar_limits(cutoff):
+    # the numpy tail is the scalar iteration elementwise: equal, not close
+    table = enumerate_spectrum(cutoff)
+    assert {r.series for r in table.records} == {2, 5, 6}
+    for rec in table.records:
+        assert rec.value == eigenvalue_limit(rec.series, rec.birth, rec.branches)
+
+
+def test_contracting_limits_forced_six_step_and_errors():
+    # a 6 seed without explicit branches takes the expanding root
+    assert decimation._contracting_limits([(6, 2, (), 6.0, 2)])[0] == (
+        eigenvalue_limit(6, 2)
+    )
+    with pytest.raises(DomainError, match="25/4"):
+        decimation._contracting_limits([(5, 1, (), 6.3, 1)])
+    # explicit steps count against MAX_STEPS, as in eigenvalue_limit; the
+    # error names the first node that did not converge
+    nodes = [
+        (2, 1, (), 2.0, 1),
+        (5, 1, (EXPANDING,) * 59, 4.0, 60),
+        (5, 2, (EXPANDING,) * 60, 4.0, 62),
+    ]
+    with pytest.raises(ConvergenceError, match="birth 1, 59 explicit"):
+        decimation._contracting_limits(nodes)
+
+
+@pytest.mark.parametrize("max_steps", [3, 20])
+def test_enumerate_raises_when_limits_do_not_converge(monkeypatch, max_steps):
+    # with 20 steps every search root converges (in at most 18), so the
+    # error comes from the batched tail of a deeper record
+    monkeypatch.setattr(decimation, "MAX_STEPS", max_steps)
+    with pytest.raises(ConvergenceError, match=f"within {max_steps} steps"):
+        enumerate_spectrum(1e6)
+
+
+def test_spectrum_csv_pinned(tmp_path):
+    # sha256 of the file written when every record was built one at a time
+    path = tmp_path / "spectrum.csv"
+    spectrum_to_csv(enumerate_spectrum(1e7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4f74a41a6d72832f7c4140fb3effd53fb6265676dd18494f5c48663bb36c9e41"
+    )
 
 
 @pytest.mark.parametrize("m", range(1, 5))

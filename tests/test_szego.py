@@ -309,6 +309,18 @@ def test_report_metadata_keys_and_csv_header(tmp_path, level4):
         }
 
 
+def test_single_series_rejects_repeated_births(level4):
+    # each birth is one sample; [3, 2, 3] would sample birth 3 twice
+    with pytest.raises(DomainError, match="repeats 3"):
+        szego_trace_single_series(riesz_symbol(1.0), f_identity(), 6,
+                                  [3, 2, 3], 1, 4, basis=level4)
+
+
+def test_full_sweep_rejects_repeated_cutoffs(level4):
+    with pytest.raises(DomainError, match="repeats 100.0"):
+        szego_logdet_full(riesz_symbol(1.0), [100.0, 100.0], 4, basis=level4)
+
+
 def test_basis_of_another_level_is_rejected(level4, level5):
     # a basis of level 5 passed for m = 4, or of level 4 for m = 5, would
     # compress at the basis' level while the report says m
