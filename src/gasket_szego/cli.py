@@ -448,8 +448,8 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
 
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
-    # the n x n level basis only where columns are read: the dumped
-    # operator's dense matrix, a tabulated symbol
+    # the n x n level basis only where columns are read, the dumped
+    # operator's dense matrix: every symbol the config describes reduces
     if config.dump_operator:
         basis = eigenbasis.level_basis(config.m)
     else:

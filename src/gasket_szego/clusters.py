@@ -100,7 +100,7 @@ def build_schrodinger(
 ) -> SchrodingerMatrix:
     """H over the full level-m eigenbasis, with only its remainder solved."""
     symbol = operators.multiplication_symbol(chi)
-    base = szego._level_basis(symbol, m, basis)
+    base = operators.level_basis_for(symbol, m, basis)
     sel = operators.leading_selection(base)
     m_chi = operators.compress(symbol, sel, base.measure)
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
@@ -292,7 +292,7 @@ def weak_limit_check(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> szego.ConvergenceReport:
     """Cluster averages of F against the potential's pullback integral."""
-    base = szego._level_basis(operators.multiplication_symbol(chi), m, basis)
+    base = operators.level_basis_for(operators.multiplication_symbol(chi), m, basis)
     j_range = szego._distinct_sorted(j_range, int, "birth range")
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
     report = identify_clusters(schrodinger, decimation_family(j_range, base))

@@ -1,20 +1,23 @@
 """Symbols, compressed operators, matrix functional calculus, spectrum maps.
 
-A symbol acts as multiplication by p(., lam_n) on the eigenspace of lam_n, so
-in an eigenbasis the compressed operator P p(x, -Delta) P has column blocks
-assembled per eigenspace with that eigenspace's eigenvalue, then symmetrized.
-Integrals against the measure are weighted vertex sums, which are exact for
-products of simple functions with vectors localized at the same cell level;
-so for q(lam) + chi with chi absent or simple, every localized vector is an
-exact eigenvector and only the non-localized remainder is assembled, taken
-from `eigenbasis.level_remainder` rather than from the selection's columns,
-which such a compression never reads; tabulated symbols and a callable chi
-keep the dense product over the columns of the n x n level basis.
+A symbol acts on the eigenspace of lam_n as multiplication by q(lam_n) +
+chi_n, a number and a potential (`SymbolSpec.on_eigenspace`), so in an
+eigenbasis the compressed operator P p(x, -Delta) P has column blocks
+assembled per eigenspace, then symmetrized.  Integrals against the measure
+are weighted vertex sums, which are exact for products of simple functions
+with vectors localized at the same cell level; so when every chi_n is absent
+or simple, every localized vector is an exact eigenvector and only the
+non-localized remainder is assembled, taken from `eigenbasis.level_remainder`
+rather than from the selection's columns, which such a compression never
+reads; only a callable chi keeps the dense product over the columns of the
+n x n level basis.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +37,7 @@ from .serialize import write_csv, write_json
 
 SYMMETRY_TOL = 1e-12
 BLOCK_TOL = 1e-10
+LOOKUP_RTOL = 1e-9
 
 
 @dataclass
@@ -57,6 +61,22 @@ class SymbolSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "multiplication", "separable", "tabulated"):
             raise DomainError(f"unknown symbol kind {self.kind!r}")
+
+    def on_eigenspace(self, lam: float) -> tuple[float, object]:
+        """(q(lam), chi_lam): on the eigenspace of lam the symbol is
+        multiplication by q(lam) + chi_lam, with chi_lam None when absent.
+        A tabulated symbol is its entry for lam, with q = 0."""
+        if self.kind == "tabulated":
+            i = bisect.bisect_left(self.entries, lam, key=lambda e: e[0])
+            for elam, f in self.entries[max(i - 1, 0) : i + 1]:
+                if _same_eigenvalue(elam, lam):
+                    return 0.0, f
+            raise DomainError(f"tabulated symbol has no entry for eigenvalue {lam}")
+        return (self.p_lambda(lam) if self.p_lambda else 0.0), self.chi
+
+
+def _same_eigenvalue(entry: float, lam: float) -> bool:
+    return abs(entry - lam) <= LOOKUP_RTOL * max(1.0, abs(lam))
 
 
 def riesz_symbol(beta: float) -> SymbolSpec:
@@ -129,7 +149,20 @@ def separable_symbol(
 
 
 def tabulated_symbol(entries, limit_q=None, lower_bound=None) -> SymbolSpec:
+    """p(x, lam) = f_lam(x), one SimpleFunction f_lam per eigenvalue lam.
+
+    Two eigenvalues that one lookup cannot tell apart raise DomainError.
+    Without a declared lower bound, it is the least value of any entry.
+    """
     entries = tuple(sorted(((float(l), f) for l, f in entries), key=lambda e: e[0]))
+    for lam, f in entries:
+        if not isinstance(f, SimpleFunction):
+            raise DomainError(f"entry for eigenvalue {lam} is not a simple function")
+    for (a, _), (b, _) in zip(entries, entries[1:]):
+        if _same_eigenvalue(a, b):
+            raise DomainError(f"entries {a!r} and {b!r} name one eigenvalue")
+    if lower_bound is None:
+        lower_bound = min((f.min_value for _, f in entries), default=None)
     return SymbolSpec(
         kind="tabulated",
         name="tabulated",
@@ -151,31 +184,15 @@ def make_symbol(kind: str, **params) -> SymbolSpec:
     return _MAKERS[kind](params)
 
 
-def _tabulated_lookup(symbol: SymbolSpec, lam: float) -> SimpleFunction:
-    for elam, f in symbol.entries:
-        if abs(elam - lam) <= 1e-9 * max(1.0, abs(lam)):
-            return f
-    raise DomainError(f"tabulated symbol has no entry for eigenvalue {lam}")
-
-
 def symbol_vertex_values(
     symbol: SymbolSpec, lam: float, vertices: VertexSet
 ) -> np.ndarray:
     """Pointwise samples of p(., lam) at the vertices."""
-    if symbol.kind == "tabulated":
-        return vertex_values(_tabulated_lookup(symbol, lam), vertices)
-    values = np.zeros(vertices.n_vertices)
-    if symbol.p_lambda is not None:
-        values += symbol.p_lambda(lam)
-    if symbol.chi is not None:
-        values += vertex_values(symbol.chi, vertices)
+    q, chi = symbol.on_eigenspace(lam)
+    values = np.full(vertices.n_vertices, float(q))
+    if chi is not None:
+        values += vertex_values(chi, vertices)
     return values
-
-
-def limit_vertex_values(limit_q, vertices: VertexSet) -> np.ndarray:
-    if isinstance(limit_q, (int, float)):
-        return np.full(vertices.n_vertices, float(limit_q))
-    return vertex_values(limit_q, vertices)
 
 
 def limit_range(limit_q, vertices: VertexSet) -> tuple[float, float]:
@@ -191,9 +208,10 @@ def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> 
     """Sampled sup distance between p(., lam) and the declared limit."""
     if symbol.limit_q is None:
         raise DomainError(f"symbol {symbol.name} declares no uniform limit")
-    p_vals = symbol_vertex_values(symbol, lam, vertices)
-    q_vals = limit_vertex_values(symbol.limit_q, vertices)
-    return float(np.max(np.abs(p_vals - q_vals)))
+    q = symbol.limit_q
+    if not isinstance(q, (int, float)):
+        q = vertex_values(q, vertices)
+    return float(np.max(np.abs(symbol_vertex_values(symbol, lam, vertices) - q)))
 
 
 @dataclass
@@ -217,10 +235,11 @@ class BasisSelection:
 
     @property
     def lambdas(self) -> np.ndarray:
-        lam = np.empty(self.dim)
-        for rec, sl in zip(self.records, self.group_slices):
-            lam[sl] = rec.value
-        return lam
+        return np.repeat([rec.value for rec in self.records], self.dims)
+
+    @property
+    def dims(self) -> list[int]:
+        return [sl.stop - sl.start for sl in self.group_slices]
 
 
 def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
@@ -271,6 +290,7 @@ def _grouped_selection(
     )
 
 
+@dataclass(eq=False)
 class CompressedOperator:
     """A symbol compressed to an eigenbasis selection.
 
@@ -282,38 +302,23 @@ class CompressedOperator:
     compression has no atoms, and its whole matrix is the remainder.
     """
 
-    def __init__(
-        self,
-        level: int,
-        keys: list[tuple[str, int]],
-        lambda_assignment: np.ndarray,
-        asymmetry: float,
-        atoms: np.ndarray | None = None,
-        atom_lambdas: np.ndarray | None = None,
-        remainder: np.ndarray | None = None,
-        remainder_lambdas: np.ndarray | None = None,
-        dense: Callable[[], np.ndarray] | None = None,
-    ):
-        self.level = level
-        self.keys = keys
-        self.lambda_assignment = lambda_assignment
-        self.asymmetry = asymmetry
-        self._matrix = None
-        self._dense = dense
-        self.atoms = np.zeros(0) if atoms is None else atoms
-        self.atom_lambdas = np.zeros(0) if atom_lambdas is None else atom_lambdas
-        self.remainder = remainder
-        self.remainder_lambdas = remainder_lambdas
+    level: int
+    keys: list[tuple[str, int]]
+    lambda_assignment: np.ndarray
+    asymmetry: float
+    atoms: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    atom_lambdas: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    remainder: np.ndarray | None = None
+    remainder_lambdas: np.ndarray | None = None
+    dense: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.lambda_assignment)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self._dense()
-        return self._matrix
+        return self.dense()
 
     def up_to(self, cutoff: float) -> "CompressedOperator":
         """The compression to the leading eigenspaces with lam <= cutoff.
@@ -349,29 +354,45 @@ def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, float]:
     return 0.5 * (raw + raw.T), asym
 
 
+def eigenspace_runs(symbol: SymbolSpec, records) -> tuple[np.ndarray, list]:
+    """q(lam) of each eigenspace, and the runs of consecutive eigenspaces
+    whose chi_lam is one object, as [chi, first, stop] over their indices."""
+    q, runs = [], []
+    for i, rec in enumerate(records):
+        qi, chi = symbol.on_eigenspace(rec.value)
+        q.append(qi)
+        if runs and runs[-1][0] is chi:
+            runs[-1][2] = i + 1
+        else:
+            runs.append([chi, i, i + 1])
+    return np.array(q, dtype=float), runs
+
+
+def _product_block(
+    q, runs, columns: np.ndarray, dims, measure: SelfSimilarMeasure
+) -> tuple[np.ndarray, float]:
+    """diag(q) + U^T [chi] U, symmetrized, and its asymmetry norm.
+    Eigenspace i has dims[i] columns, and each run of eigenspaces is
+    multiplied by its chi in one product."""
+    starts = np.cumsum([0] + list(dims))
+    raw = np.zeros((starts[-1], starts[-1]))
+    interior = measure.vertices.interior
+    for chi, first, stop in runs:
+        if chi is not None:
+            g = effective_multiplier(chi, measure.vertices)[interior]
+            a, b = starts[first], starts[stop]
+            np.matmul(columns.T, g[:, None] * columns[:, a:b], out=raw[:, a:b])
+    block, asym = _symmetrized(raw)
+    block[np.diag_indices_from(block)] += np.repeat(q, dims)
+    return block, asym
+
+
 def _dense_product(
     symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
 ) -> tuple[np.ndarray, float]:
     """The dense matrix of the compression and its asymmetry."""
-    interior = basis.vertices.interior
-    cols = _columns(basis)
-    if symbol.kind == "tabulated":
-        raw = np.empty((basis.dim, basis.dim))
-        for rec, sl in zip(basis.records, basis.group_slices):
-            f = _tabulated_lookup(symbol, rec.value)
-            g = effective_multiplier(f, measure.vertices)[interior]
-            raw[:, sl] = cols.T @ (g[:, None] * cols[:, sl])
-    else:
-        if symbol.chi is None:
-            raw = np.zeros((basis.dim, basis.dim))
-        else:
-            g = effective_multiplier(symbol.chi, measure.vertices)[interior]
-            raw = cols.T @ (g[:, None] * cols)
-        if symbol.p_lambda is not None:
-            raw[np.diag_indices_from(raw)] += [
-                symbol.p_lambda(float(lam)) for lam in basis.lambdas
-            ]
-    return _symmetrized(raw)
+    q, runs = eigenspace_runs(symbol, basis.records)
+    return _product_block(q, runs, _columns(basis), basis.dims, measure)
 
 
 def compress(
@@ -380,25 +401,24 @@ def compress(
     """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
 
     The basis is orthonormal in the measure-weighted inner product and
-    interior vertices share one weight, so a non-tabulated symbol
-    q(lam) + chi(x) compresses to diag(q(lam)) + U^T [chi] U.  Over whole
-    eigenspaces, with chi absent or simple at level k, that product is never
-    formed: every vector of an eigenspace localized in a k-cell C is an
-    exact eigenvector with eigenvalue q(lam) + chi_C, an atom of multiplicity
-    m_{j,k} per cell (q(lam) with multiplicity d when chi is absent), and
-    only the non-localized remainder Q of each eigenspace gives a block,
-    diag(q) + Q^T [chi] Q.  Q comes from `eigenbasis.level_remainder(m, k)`,
-    built by decimation with no n x n array, and the selection's columns are
-    never read: any orthonormal columns spanning each eigenspace, or none
-    (a bare level basis), give the same operator.  The localized-trace
-    identity that cross-checks Q against whole eigenspaces is
-    `localized_trace_margin`, run by `validate`.
+    interior vertices share one weight, so a symbol q(lam) + chi_lam
+    compresses to diag(q(lam)) + U^T [chi_lam] U, each eigenspace's potential
+    acting on its own columns.  Over whole eigenspaces, with every chi_lam
+    absent or simple and k the largest of their cell levels, that product is
+    never formed: a vector localized in a k-cell C is an exact eigenvector
+    of any potential simple at level k, an atom q(lam) + chi_lam(C), m_{j,k}
+    per cell (q(lam), d of them, when chi is absent), and only the
+    non-localized remainder Q of each eigenspace gives a block, diag(q) +
+    Q^T [chi_lam] Q, one product per run of eigenspaces sharing one chi.  Q
+    is `eigenbasis.level_remainder(m, k)`, built by decimation with no n x n
+    array, and the selection's columns are never read: any orthonormal
+    columns spanning each eigenspace, or none (a bare level basis), give the
+    same operator.  The localized-trace identity that cross-checks Q against
+    whole eigenspaces is `localized_trace_margin`, run by `validate`.
 
-    A tabulated symbol (one column block per eigenspace, with that
-    eigenspace's eigenvalue) and a callable chi keep the dense product,
-    symmetrized with its asymmetry norm recorded; it is the remainder of an
-    operator with no atoms.  It needs the selection's columns and raises
-    `ColumnsError` without them.
+    A callable chi keeps the dense product, an operator with no atoms whose
+    remainder is the whole matrix.  It, and `matrix` of any compression,
+    need the selection's columns and raise `ColumnsError` without them.
     """
     if measure.level != basis.level:
         raise StructuralError(
@@ -409,45 +429,43 @@ def compress(
     mat, asym = _dense_product(symbol, basis, measure)
     lambdas = basis.lambdas
     return CompressedOperator(
-        level=basis.level,
-        keys=list(basis.keys),
-        lambda_assignment=lambdas,
-        asymmetry=asym,
-        remainder=mat,
-        remainder_lambdas=lambdas,
-        dense=lambda: mat,
+        basis.level, list(basis.keys), lambdas, asym,
+        remainder=mat, remainder_lambdas=lambdas, dense=lambda: mat,
     )
 
 
 def _compress_reduced(
     symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
 ) -> CompressedOperator:
-    """Atoms plus the remainder block of q(lam) + chi over whole eigenspaces."""
-    chi = symbol.chi
+    """Atoms plus the remainder block of q(lam) + chi_lam over whole
+    eigenspaces."""
     lams = np.array([rec.value for rec in basis.records])
-    p = symbol.p_lambda
-    q = np.array([p(rec.value) if p else 0.0 for rec in basis.records])
-    if chi is None:
+    q, runs = eigenspace_runs(symbol, basis.records)
+    if runs[0][0] is None:
         # every vector is an atom at q(lam)
-        cell_values = np.zeros(1)
-        per_cell = [sl.stop - sl.start for sl in basis.group_slices]
+        cell_values = np.zeros((q.size, 1))
+        per_cell = basis.dims
         rem_dims = [0] * len(per_cell)
         block, asym = np.zeros((0, 0)), 0.0
     else:
-        cell_values = chi.values
-        g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
-        rem = _selection_remainder(chi, basis)
+        k = max(chi.level for chi, _, _ in runs)
+        # each eigenspace's chi on the k-cells, in word order
+        cell_values = np.repeat(
+            [np.repeat(chi.values, 3 ** (k - chi.level)) for chi, _, _ in runs],
+            [stop - first for _, first, stop in runs],
+            axis=0,
+        )
+        rem = _selection_remainder(k, basis)
         per_cell, rem_dims = rem.per_cell, rem.dims
-        block, asym = _symmetrized(rem.columns.T @ (g[:, None] * rem.columns))
-        block[np.diag_indices_from(block)] += np.repeat(q, rem_dims)
-    per_atom = np.repeat(per_cell, cell_values.size)
+        block, asym = _product_block(q, runs, rem.columns, rem_dims, measure)
+    per_atom = np.repeat(per_cell, cell_values.shape[1])
     return CompressedOperator(
         level=basis.level,
         keys=list(basis.keys),
         lambda_assignment=basis.lambdas,
         asymmetry=asym,
-        atoms=np.repeat(np.add.outer(q, cell_values).ravel(), per_atom),
-        atom_lambdas=np.repeat(np.repeat(lams, cell_values.size), per_atom),
+        atoms=np.repeat((q[:, None] + cell_values).ravel(), per_atom),
+        atom_lambdas=np.repeat(np.repeat(lams, cell_values.shape[1]), per_atom),
         remainder=block,
         remainder_lambdas=np.repeat(lams, rem_dims),
         dense=lambda: _dense_product(symbol, basis, measure)[0],
@@ -455,19 +473,20 @@ def _compress_reduced(
 
 
 def reduces(symbol: SymbolSpec) -> bool:
-    """Whether `compress` reduces the symbol to atoms plus a remainder:
-    q(lam) + chi with chi absent or simple."""
-    return symbol.kind != "tabulated" and (
-        symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
-    )
+    """Whether `compress` reduces the symbol to atoms plus a remainder: its
+    chi absent or simple (every entry of a table is simple)."""
+    return symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
 
 
-def level_basis_for(symbol: SymbolSpec, m: int) -> LevelBasis:
-    """The cached level-m basis that compressions of `symbol` need: the bare
-    one when they reduce, else the one with its n x n eigenvectors."""
-    if reduces(symbol):
-        return eigenbasis.bare_level_basis(m)
-    return eigenbasis.level_basis(m)
+def level_basis_for(symbol: SymbolSpec, m: int, basis=None) -> LevelBasis:
+    """`basis`, which must be of level m, or else the cached level-m basis
+    that compressions of `symbol` need: the bare one when they reduce, else
+    the one with its n x n eigenvectors."""
+    if basis is not None:
+        if basis.level != m:
+            raise DomainError(f"basis of level {basis.level} given for level m = {m}")
+        return basis
+    return (eigenbasis.bare_level_basis if reduces(symbol) else eigenbasis.level_basis)(m)
 
 
 def _columns(basis: BasisSelection) -> np.ndarray:
@@ -479,19 +498,17 @@ def _columns(basis: BasisSelection) -> np.ndarray:
     return basis.columns
 
 
-def _selection_remainder(
-    chi: SimpleFunction, basis: BasisSelection
-) -> eigenbasis.Remainder:
-    """The remainder at chi's cell level of the selection's eigenspaces,
-    which must be whole."""
-    for rec, sl in zip(basis.records, basis.group_slices):
-        if sl.stop - sl.start != rec.multiplicity:
+def _selection_remainder(k: int, basis: BasisSelection) -> eigenbasis.Remainder:
+    """The remainder at cell level k of the selection's eigenspaces, which
+    must be whole."""
+    for rec, d in zip(basis.records, basis.dims):
+        if d != rec.multiplicity:
             raise StructuralError(
-                f"eigenspace {rec.key}: {sl.stop - sl.start} of its "
+                f"eigenspace {rec.key}: {d} of its "
                 f"{rec.multiplicity} vectors selected; a simple potential "
                 f"reduces over whole eigenspaces only"
             )
-    return eigenbasis.level_remainder(basis.level, chi.level).select(basis.records)
+    return eigenbasis.level_remainder(basis.level, k).select(basis.records)
 
 
 def localized_trace_margin(
@@ -508,7 +525,7 @@ def localized_trace_margin(
     """
     cols = _columns(basis)
     g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
-    rem = _selection_remainder(chi, basis)
+    rem = _selection_remainder(chi.level, basis)
     traces = np.einsum("i,ij,ij->j", g, cols, cols)
     rem_traces = np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
     chi_sum = math.fsum(chi.values)
@@ -600,8 +617,8 @@ def spectral_bounds(
     epsilon of q, and the finite head below lambda-bar is diagonalized.
 
     The selection is compressed once, whole, and the head is read from it
-    with `up_to(lambda_bar)`, so its eigenspaces must be in ascending order;
-    a tabulated symbol needs an entry for every one of them.
+    with `up_to(lambda_bar)`, so its eigenspaces must be in ascending order,
+    and the symbol must be defined on every one of them.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")

@@ -238,16 +238,6 @@ def _default_generation_cut(m: int) -> int:
     return (m + 1) // 2
 
 
-def _level_basis(symbol: SymbolSpec, m: int, basis) -> eigenbasis.LevelBasis:
-    """`basis`, which must be of level m, or else the cached level-m basis
-    that compressions of `symbol` need."""
-    if basis is None:
-        return operators.level_basis_for(symbol, m)
-    if basis.level != m:
-        raise DomainError(f"basis of level {basis.level} given for level m = {m}")
-    return basis
-
-
 def _distinct_sorted(values, kind, name: str) -> list:
     """`values` converted by `kind` and sorted, none of them repeated: each
     entry is one sample."""
@@ -300,7 +290,7 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
     eigenspaces, against the integral of fn(q); `precheck` sees the
     eigenspaces' records before any compression."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = _level_basis(symbol, m, basis)
+    basis = operators.level_basis_for(symbol, m, basis)
     bundles = [basis.family_bundle(series, j) for j in j_range]
     if precheck is not None:
         precheck(symbol, [b.record for b in bundles], basis.vertices)
@@ -369,7 +359,7 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     the top cutoff: the atoms below each cutoff and a leading block of its
     remainder.  `precheck` sees the records below the top cutoff before any
     compression."""
-    basis = _level_basis(symbol, m, basis)
+    basis = operators.level_basis_for(symbol, m, basis)
     target, target_info = target_integral(symbol.limit_q, fn)
     cut = generation_cut or _default_generation_cut(m)
     lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
@@ -381,10 +371,7 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
         precheck(symbol, full.records, basis.vertices)
     gamma_full = compress(symbol, full, basis.measure)
     values = full.lambdas
-    births = np.repeat(
-        [rec.birth for rec in full.records],
-        [sl.stop - sl.start for sl in full.group_slices],
-    )
+    births = np.repeat([rec.birth for rec in full.records], full.dims)
     samples = []
     for cutoff in lambda_grid:
         d = int(np.sum(values <= cutoff))
@@ -421,22 +408,15 @@ def _check_positivity(symbol: SymbolSpec, records, vertices) -> None:
             f"log-determinant sweeps need a declared positive lower bound; "
             f"symbol {symbol.name} has {symbol.lower_bound}"
         )
-    if symbol.kind == "tabulated":
-        samples = (symbol_vertex_values(symbol, rec.value, vertices) for rec in records)
-    else:
-        # the smallest sample of q(lam) + chi is q(lam) + min chi, because
-        # rounding the sum is monotone in each term
-        chi_min = np.zeros(1)
-        if symbol.chi is not None:
-            chi_min += np.min(vertex_values(symbol.chi, vertices))
-        q = symbol.p_lambda
-        samples = (
-            np.zeros(1) + q(rec.value) + chi_min if q else chi_min
-            for rec in records
-        )
+    # the smallest sample of q(lam) + chi_lam is q(lam) + min chi_lam,
+    # because rounding the sum is monotone in each term
+    q, runs = operators.eigenspace_runs(symbol, records)
     worst = math.inf
-    for vals in samples:
-        worst = min(worst, float(np.min(vals)))
+    for chi, first, stop in runs:
+        low = float(np.min(q[first:stop]))
+        if chi is not None:
+            low += float(np.min(vertex_values(chi, vertices)))
+        worst = min(worst, low)
     if worst < symbol.lower_bound - 1e-12:
         raise DomainError(
             f"sampled symbol value {worst} undercuts the declared lower bound "
@@ -491,7 +471,7 @@ def logdet_sandwich(
     """
     if epsilon <= 0 or epsilon >= 1:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    basis = _level_basis(symbol, m, basis)
+    basis = operators.level_basis_for(symbol, m, basis)
     lo_sym = operators.multiplication_symbol(f_approx.scaled(1.0 - epsilon))
     hi_sym = operators.multiplication_symbol(f_approx.scaled(1.0 + epsilon))
     f_vals = vertex_values(f_approx, basis.vertices)

@@ -24,14 +24,24 @@ ROUNDING_SLACK = 32.0
 def dense_compression(q, chi, selection, measure) -> np.ndarray:
     """diag(q(lam)) + U^T [chi] U over the selection's columns, symmetrized.
 
-    `q` may be None (no lam part) and `chi` None (no potential)."""
+    `q` may be None (no lam part).  `chi` is None (no potential), one
+    function for every eigenspace, or a list with one function (or None)
+    per eigenspace of the selection, which multiplies that eigenspace's
+    columns."""
     cols = selection.columns
-    if chi is None:
-        mat = np.zeros((selection.dim, selection.dim))
+    interior = selection.vertices.interior
+    if isinstance(chi, list):
+        raw = np.zeros((selection.dim, selection.dim))
+        for f, sl in zip(chi, selection.group_slices, strict=True):
+            if f is not None:
+                g = effective_multiplier(f, measure.vertices)[interior]
+                raw[:, sl] = cols.T @ (g[:, None] * cols[:, sl])
+    elif chi is None:
+        raw = np.zeros((selection.dim, selection.dim))
     else:
-        g = effective_multiplier(chi, measure.vertices)[selection.vertices.interior]
+        g = effective_multiplier(chi, measure.vertices)[interior]
         raw = cols.T @ (g[:, None] * cols)
-        mat = 0.5 * (raw + raw.T)
+    mat = 0.5 * (raw + raw.T)
     if q is not None:
         mat[np.diag_indices_from(mat)] += [q(float(lam)) for lam in selection.lambdas]
     return mat

@@ -220,6 +220,15 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
         dense_compression(lambda lam: lam ** -1.0, chi, full, level6.measure),
         math.log,
     )
+    # one simple function per birth: (1 + 1/j, 1.5, 2 - 0.5/j) at level 1
+    tab = {j: SimpleFunction(1, [1.0 + 1.0 / j, 1.5, 2.0 - 0.5 / j])
+           for j in births}
+    trace_tabulated = []
+    for j in births:
+        sel = operators.selection_from_bundles([level6.family_bundle(6, j)])
+        trace_tabulated.append(np.mean(np.linalg.eigvalsh(
+            dense_compression(None, tab[j], sel, level6.measure)
+        )))
     potential = SimpleFunction(1, [0.8, 1.0, 1.2])
     family = clusters.decimation_family(births, level6)
     _, _, positions = dense_clusters(lambda lam: lam, potential, level6, family)
@@ -241,6 +250,14 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
                                   "q": {"form": "power", "beta": 1.0},
                                   "chi": {"level": 1, "values": [1.0, 1.5, 2.0]},
                                   "lower_bound": 1.0}}, logdet_full),
+        ("szego-trace", {"m": 6, "mode": "single", "series": 6,
+                         "j_range": births, "N": 1,
+                         "symbol": {"kind": "tabulated", "entries": [
+                             [level6.family_bundle(6, j).record.value,
+                              {"level": 1, "values": tab[j].values.tolist()}]
+                             for j in births
+                         ], "limit": {"level": 1, "values": [1.0, 1.5, 2.0]}}},
+         trace_tabulated),
     ]
     for i, (command, config, expected) in enumerate(runs):
         code, out = run_cli(tmp_path, command, config, name=f"run{i}")
@@ -257,27 +274,50 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
         _assert_close(got, expected)
 
 
-def test_dump_operator_and_tabulated_symbols_use_the_level_basis(tmp_path):
+def test_dump_operator_uses_the_level_basis(tmp_path):
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
-    single = {"m": 4, "mode": "single", "series": 6, "j_range": [2, 3, 4],
-              "N": 1}
     code, out = run_cli(tmp_path, "szego-trace", {
-        **single, "symbol": {"kind": "multiplication", "chi": f},
-        "dump_operator": True,
+        "m": 4, "mode": "single", "series": 6, "j_range": [2, 3, 4], "N": 1,
+        "symbol": {"kind": "multiplication", "chi": f}, "dump_operator": True,
     }, name="dump")
     assert code == 0
     meta = json.loads((out / "operator_meta.json").read_text())
     rows = (out / "operator.csv").read_text().splitlines()
     assert len(rows) == 1 + len(meta["keys"])
-    basis = eigenbasis.level_basis(4)
-    entries = [[basis.family_bundle(6, j).record.value, f] for j in (2, 3, 4)]
-    code, out = run_cli(tmp_path, "szego-trace", {
-        **single, "symbol": {"kind": "tabulated", "entries": entries,
-                             "limit": f},
-    }, name="tabulated")
+
+
+def test_tabulated_szego_det_single(tmp_path, level5):
+    # no lower bound is declared: it is the least value of any entry
+    births = [2, 3, 4, 5]
+    tab = {j: SimpleFunction(1, [1.0 + 1.0 / j, 1.5, 2.0 - 0.5 / j])
+           for j in births}
+    expected = []
+    for j in births:
+        sel = operators.selection_from_bundles([level5.family_bundle(6, j)])
+        expected.append(np.mean(np.log(np.linalg.eigvalsh(
+            dense_compression(None, tab[j], sel, level5.measure)
+        ))))
+    entries = [[level5.family_bundle(6, j).record.value,
+                {"level": 1, "values": tab[j].values.tolist()}] for j in births]
+    code, out = run_cli(tmp_path, "szego-det", {
+        "m": 5, "mode": "single", "series": 6, "j_range": births, "N": 1,
+        "symbol": {"kind": "tabulated", "entries": entries,
+                   "limit": {"level": 1, "values": [1.0, 1.5, 2.0]}},
+    })
     assert code == 0
-    # the trace of [f] over a whole eigenspace is d times the integral of f
-    _assert_close(_report_values(out), [2.0] * 3)
+    _assert_close(_report_values(out), expected)
+
+
+def test_repeated_tabulated_entries_exit_2(tmp_path, capsys):
+    f = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    lam = eigenbasis.bare_level_basis(4).family_bundle(6, 3).record.value
+    code, _ = run_cli(tmp_path, "szego-trace", {
+        "m": 4, "mode": "single", "series": 6, "j_range": [3], "N": 1,
+        "symbol": {"kind": "tabulated",
+                   "entries": [[lam, f], [lam * (1 + 1e-10), f]], "limit": f},
+    })
+    assert code == 2
+    assert "config.symbol: " in capsys.readouterr().err
 
 
 def test_basis_command(tmp_path):

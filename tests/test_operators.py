@@ -351,12 +351,92 @@ def test_tabulated_symbol(level4):
     bundle = level4.family_bundle(6, 3)
     f = SimpleFunction(1, [1.0, 2.0, 3.0])
     sym = tabulated_symbol([(bundle.record.value, f)], limit_q=f)
+    assert sym.lower_bound == 1.0
+    assert sym.on_eigenspace(bundle.record.value * (1 + 1e-12)) == (0.0, f)
     sel = selection_from_bundles([bundle])
     op = compress(sym, sel, level4.measure)
     direct = compress(multiplication_symbol(f), sel, level4.measure)
+    assert np.array_equal(op.atoms, direct.atoms)
+    assert np.array_equal(op.remainder, direct.remainder)
     assert np.max(np.abs(op.matrix - direct.matrix)) <= 1e-14
     with pytest.raises(DomainError):
         compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]), level4.measure)
+    with pytest.raises(DomainError, match="not a simple function"):
+        tabulated_symbol([(bundle.record.value, lambda x, y: x)])
+
+
+def test_tabulated_symbol_rejects_repeated_eigenvalues():
+    f = SimpleFunction(1, [1.0, 2.0, 3.0])
+    lam = 1234.5
+    with pytest.raises(DomainError, match="name one eigenvalue"):
+        tabulated_symbol([(lam, f), (lam * (1 + 5e-10), f.shifted(1.0))])
+    # entries just beyond the lookup tolerance are two eigenvalues
+    sym = tabulated_symbol([(lam, f), (lam * (1 + 3e-9), f.shifted(1.0))])
+    assert sym.on_eigenspace(lam)[1] is f
+
+
+def _oracle_eigenvalues(sym, sel, measure):
+    """Ascending eigenvalues of the dense per-eigenspace product of `sym`."""
+    parts = [sym.on_eigenspace(rec.value) for rec in sel.records]
+    q = {rec.value: qi for rec, (qi, _) in zip(sel.records, parts)}
+    mat = dense_compression(
+        lambda lam: q[lam], [chi for _, chi in parts], sel, measure
+    )
+    return np.linalg.eigvalsh(mat), mat
+
+
+def test_tabulated_entries_at_mixed_levels(level5):
+    # chi at level 1 and the same values written at level 2 alternate; the
+    # shifts keep the table consistent across eigenspaces
+    chi = SimpleFunction(1, [0.8, 1.0, 1.2])
+    fine = SimpleFunction(2, np.repeat(chi.values, 3))
+    sel = selection_from_bundles(
+        [b for b in level5.bundles if b.record.value <= 80000.0]
+    )
+    entries = [
+        (rec.value, (chi if i % 2 else fine).shifted(100.0 / rec.value))
+        for i, rec in enumerate(sel.records)
+    ]
+    sym = tabulated_symbol(entries)
+    op = compress(sym, sel, level5.measure)
+    assert op.atoms.size > 0
+    expected, _ = _oracle_eigenvalues(sym, sel, level5.measure)
+    got = operator_eigenvalues(op)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_tabulated_cutoff_selection_and_matrix(level5):
+    # shifted entries chi + q(lam) over a cutoff selection: the spectrum and
+    # the lazily formed matrix against the dense oracle
+    chi = SimpleFunction(2, [1.0, 1.5, 2.0, 0.5, 1.0, 1.5, 2.5, 3.0, 0.7])
+    sel = selection_from_bundles(
+        [b for b in level5.bundles if b.record.value <= 80000.0]
+    )
+    sym = tabulated_symbol(
+        [(rec.value, chi.shifted(rec.value ** -1.0)) for rec in sel.records]
+    )
+    op = compress(sym, sel, level5.measure)
+    expected, mat = _oracle_eigenvalues(sym, sel, level5.measure)
+    got = operator_eigenvalues(op)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(op.matrix - mat)) <= 1e-12
+
+
+def test_asymmetric_table_raises(level5):
+    # entries that differ by more than a constant do not commute with the
+    # projection: the compression is not symmetric
+    sel = selection_from_bundles(
+        [b for b in level5.bundles if b.record.value <= 80000.0]
+    )
+    entries = [
+        (rec.value, SimpleFunction(1, [1.0, 1.5, 2.0 + i]))
+        for i, rec in enumerate(sel.records)
+    ]
+    sym = tabulated_symbol(entries)
+    with pytest.raises(StructuralError, match="asymmetry"):
+        compress(sym, sel, level5.measure)
+    with pytest.raises(StructuralError, match="asymmetry"):
+        operators._dense_product(sym, sel, level5.measure)
 
 
 ORACLE_SYMBOLS = {
@@ -386,19 +466,15 @@ def _oracle_selection(basis, kind):
 @pytest.mark.parametrize("selection", ["bundle", "cutoff", "split"])
 @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
 def test_compress_matches_per_eigenspace_oracle(level5, name, selection):
-    # the same symbol tabulated as one simple function q(lam) + chi per
-    # eigenspace goes through the per-eigenspace path
     sym = ORACLE_SYMBOLS[name]
     sel = _oracle_selection(level5, selection)
-    chi = sym.chi if sym.chi is not None else constant_function(0.0)
-    entries = [
-        (rec.value, chi.shifted(sym.p_lambda(rec.value) if sym.p_lambda else 0.0))
-        for rec in sel.records
-    ]
-    oracle = compress(tabulated_symbol(entries), sel, level5.measure)
+    oracle = dense_compression(sym.p_lambda, sym.chi, sel, level5.measure)
     op = compress(sym, sel, level5.measure)
-    assert op.dim == oracle.dim
-    assert np.max(np.abs(op.matrix - oracle.matrix)) <= 1e-12
+    assert op.dim == oracle.shape[0]
+    assert np.max(np.abs(op.matrix - oracle)) <= 1e-12
+    expected = np.linalg.eigvalsh(oracle)
+    got = operator_eigenvalues(op)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 def test_leading_selection_is_a_view(level4):

@@ -224,8 +224,9 @@ def test_lineage_columns_are_read_only():
 
 
 def test_bare_selection_compresses_like_the_level_basis(level5):
-    # a bare level basis has no eigenvectors: reduced symbols compress to
-    # the same operator, the dense path names what is missing
+    # a bare level basis has no eigenvectors: reduced symbols, a table of
+    # simple functions among them, compress to the same operator, and the
+    # dense matrix names what is missing
     bare = eigenbasis.bare_level_basis(5)
     assert bare.vectors is None
     assert [b.record for b in bare.bundles] == [b.record for b in level5.bundles]
@@ -237,9 +238,15 @@ def test_bare_selection_compresses_like_the_level_basis(level5):
     assert np.array_equal(bare_op.atoms, op.atoms)
     assert np.array_equal(bare_op.remainder, op.remainder)
     f = CHIS[1]
-    table = operators.tabulated_symbol([(b.record.value, f) for b in bare.bundles])
-    with pytest.raises(ColumnsError):
-        operators.compress(table, sel, bare.measure)
+    table = operators.tabulated_symbol(
+        [(b.record.value, f.shifted(i / 64)) for i, b in enumerate(bare.bundles)]
+    )
+    table_op = operators.compress(
+        table, operators.leading_selection(level5), level5.measure
+    )
+    bare_table_op = operators.compress(table, sel, bare.measure)
+    assert np.array_equal(bare_table_op.atoms, table_op.atoms)
+    assert np.array_equal(bare_table_op.remainder, table_op.remainder)
     with pytest.raises(ColumnsError):
         bare_op.matrix
 
