@@ -274,9 +274,13 @@ def parse_symbol(d: dict, fld: str = "symbol"):
                 for i, entry in enumerate(entries)
             ]
             limit = d.get("limit")
+            if limit is None:
+                raise ConfigError(
+                    f"{fld}.limit", "required: the Szegő reports integrate against it"
+                )
             if isinstance(limit, dict):
                 limit = _parse_simple(limit, f"{fld}.limit")
-            elif limit is not None:
+            else:
                 limit = _number(d, "limit", f"{fld}.limit")
             return operators.tabulated_symbol(parsed, limit_q=limit)
     except GasketError as exc:
@@ -345,7 +349,9 @@ def _configure_threads() -> None:
 
 
 def run(config: RunConfig, out_dir, config_text: str | None = None) -> int:
-    """Execute one config; writes artifacts plus a manifest, returns 0."""
+    """Execute one config; writes artifacts plus a manifest, returns 0.
+
+    A handler may add the times of its stages to the manifest's timings."""
     from .serialize import sha256_file, write_json
 
     out_dir = Path(out_dir)
@@ -353,7 +359,7 @@ def run(config: RunConfig, out_dir, config_text: str | None = None) -> int:
     timings: dict[str, float] = {}
     started = time.perf_counter()
     handler = _HANDLERS[config.command]
-    outputs = handler(config, out_dir)
+    outputs = handler(config, out_dir, timings)
     timings["total_seconds"] = time.perf_counter() - started
 
     echo_path = out_dir / "config.json"
@@ -394,11 +400,15 @@ def _numpy_version() -> str:
     return numpy.__version__
 
 
-def _cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_spectrum(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     from . import decimation
 
+    started = time.perf_counter()
     table = decimation.enumerate_spectrum(config.cutoff)
+    searched = time.perf_counter()
     decimation.spectrum_to_csv(table, out_dir / "spectrum.csv")
+    timings["search_seconds"] = searched - started
+    timings["csv_seconds"] = time.perf_counter() - searched
     return ["spectrum.csv"]
 
 
@@ -406,7 +416,7 @@ def _sanitize(key: str) -> str:
     return key.replace(":", "_").replace("+", "p").replace("-", "m")
 
 
-def _cmd_basis(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     from . import decimation, eigenbasis, gasket
     from .serialize import write_csv
 
@@ -493,15 +503,15 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
     return outputs
 
 
-def _cmd_szego_trace(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_szego_trace(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     return _szego_report(config, out_dir, determinant=False)
 
 
-def _cmd_szego_det(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_szego_det(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     return _szego_report(config, out_dir, determinant=True)
 
 
-def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     from . import clusters as cl
     from . import eigenbasis, szego
 
@@ -534,7 +544,7 @@ def _cmd_clusters(config: RunConfig, out_dir: Path) -> list[str]:
     return outputs
 
 
-def _cmd_validate(config: RunConfig, out_dir: Path) -> list[str]:
+def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     import numpy as np
 
     from . import decimation, eigenbasis, operators

@@ -8,8 +8,9 @@ The only constraint is at a 6 seed: its contracting preimage is the forbidden
 value 2, so the first step after a 6 birth must take the expanding root 3.
 A record's numeric eigenvalue is the renormalized limit (3/2) 5^m lam_m along
 an eventually-contracting branch sequence.  `eigenvalue_limit` follows one
-record; `enumerate_spectrum` runs the same contracting tail for every node of
-its search at once in numpy, with the same operations in the same order, so
+record.  `enumerate_spectrum` searches the branch prefixes level by level, as
+numpy arrays over the whole frontier, and runs the same contracting tail for
+every queued node at once, with the same operations in the same order, so
 both give bit-identical values.
 
 Every structural claim here is validated wholesale against the dense
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .errors import (
     DomainError,
     ResourceLimitError,
 )
-from .serialize import append_footer, write_csv
 
 CONTRACTING = "-"
 EXPANDING = "+"
@@ -178,19 +179,20 @@ def make_record(series: int, birth: int, branches=()) -> EigenvalueRecord:
     )
 
 
-def _contracting_limits(nodes) -> np.ndarray:
-    """`eigenvalue_limit` of every node (series, birth, branches, lam, level).
+def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
+    """`eigenvalue_limit` of every node, each argument an array over nodes.
 
-    lam is the graph value the node's explicit branches reach at `level`.
-    From there each node takes `eigenvalue_limit`'s non-explicit steps,
-    elementwise and with the same operations in the same order, so each value
-    is bit-identical to the scalar one (IEEE arithmetic and sqrt are
-    correctly rounded).  A node's explicit steps count against MAX_STEPS.
+    A node's `steps` explicit branches after its birth reach the graph value
+    lam at level birth + steps.  From there each node takes
+    `eigenvalue_limit`'s non-explicit steps, elementwise and with the same
+    operations in the same order, so each value is bit-identical to the
+    scalar one (IEEE arithmetic and sqrt are correctly rounded).  A node's
+    explicit steps count against MAX_STEPS.
     """
-    _, _, branches, lam, level = zip(*nodes)
-    lam = np.array(lam, dtype=float)
-    level = np.array(level)
-    budget = MAX_STEPS - np.array([len(b) for b in branches])
+    series, birth, steps = (np.asarray(a) for a in (series, birth, steps))
+    lam = np.asarray(lam, dtype=float)
+    level = birth + steps
+    budget = MAX_STEPS - steps
     scale = np.array(
         [renormalization_factor(k) for k in range(level.max() + MAX_STEPS + 1)]
     )
@@ -222,11 +224,11 @@ def _contracting_limits(nodes) -> np.ndarray:
         )
     stuck = np.flatnonzero(np.isnan(values))
     if stuck.size:
-        series, birth, branches, _, _ = nodes[stuck[0]]
+        i = stuck[0]
         raise ConvergenceError(
             f"renormalized eigenvalue did not stabilize to {DEFAULT_TOL} "
-            f"within {MAX_STEPS} steps (series {series}, birth {birth}, "
-            f"{len(branches)} explicit branches)"
+            f"within {MAX_STEPS} steps (series {series[i]}, birth {birth[i]}, "
+            f"{steps[i]} explicit branches)"
         )
     return values
 
@@ -249,83 +251,90 @@ class SpectrumTable:
         return [r.value for r in self.records]
 
 
-def _sort_key(record: EigenvalueRecord):
-    return (record.value, record.series, record.birth, record.branches)
-
-
 def enumerate_spectrum(
     cutoff: float, record_cap: int = DEFAULT_RECORD_CAP
 ) -> SpectrumTable:
     """Every Dirichlet eigenvalue <= cutoff, once per record with multiplicity.
 
-    Depth-first search over branch prefixes.  The partial renormalized value
-    (3/2) 5^m lam_m never decreases along any branch, so a subtree whose
-    expanding child already exceeds PRUNE_SAFETY*cutoff cannot contain further
-    records.  Each canonical node is queued with its graph value, and the
-    queue's exact limits are taken in one `_contracting_limits` pass, then
-    filtered by the cutoff.  The queue is flushed whenever it holds
-    record_cap + 1 nodes, so an exceeded cap fails without a full search.
+    Breadth-first search over branch prefixes, one numpy step per level: the
+    frontier holds each node's series, birth, explicit-step count, graph
+    value and branch string as bits (1 for a contracting step).  The partial
+    renormalized value (3/2) 5^m lam_m never decreases along any branch, so a
+    node whose expanding child already exceeds PRUNE_SAFETY*cutoff has no
+    further records below it.  The canonical nodes (no branches, or ending
+    in an expanding step) are queued, and their exact limits are taken by
+    `_contracting_limits` whenever more than record_cap are queued and at the
+    end, so an exceeded cap fails without a full search.
     """
     if cutoff <= 0:
         raise DomainError(f"cutoff must be positive, got {cutoff}")
-    records: list[EigenvalueRecord] = []
-    queue: list[tuple] = []
-
-    def flush():
-        values = _contracting_limits(queue)
-        for i in np.flatnonzero(values <= cutoff).tolist():
-            series, birth, branches, _, _ = queue[i]
-            records.append(
-                EigenvalueRecord(
-                    series=series,
-                    birth=birth,
-                    branches=branches,
-                    value=float(values[i]),
-                    multiplicity=series_multiplicity(series, birth),
-                )
-            )
-        queue.clear()
-        if len(records) > record_cap:
-            raise ResourceLimitError(
-                f"spectrum enumeration exceeded the record cap {record_cap} "
-                f"below cutoff {cutoff}"
-            )
-
-    def visit(series, birth, branches, lam, level):
-        if not branches or branches[-1] == EXPANDING:
-            queue.append((series, birth, branches, lam, level))
-            if len(queue) > record_cap:
-                flush()
-        lo, hi = decimation_preimages(lam)
-        if lam == 6.0:
-            lo = hi  # forced step, single child
-        partial_plus = renormalization_factor(level + 1) * hi
-        if partial_plus > PRUNE_SAFETY * cutoff:
-            # every deeper record contains an expanding step at least this
-            # large, so the whole subtree lies above the cutoff
-            return
-        visit(series, birth, branches + (EXPANDING,), hi, level + 1)
-        if lam != 6.0:
-            visit(series, birth, branches + (CONTRACTING,), lo, level + 1)
-
-    for series in _SEEDS:
-        birth = 1 if series in (2, 5) else 2
-        while True:
-            if eigenvalue_limit(series, birth) > cutoff:
-                break
-            if series == 6:
-                # canonical root already contains the forced expanding step
-                visit(series, birth, (EXPANDING,), 3.0, birth + 1)
-            else:
-                visit(series, birth, (), float(series), birth)
+    roots = []
+    # a 6-series root has already taken its forced expanding step
+    for series, birth, steps, lam in ((2, 1, 0, 2.0), (5, 1, 0, 5.0), (6, 2, 1, 3.0)):
+        # a root's partial value bounds every record below it from below
+        while renormalization_factor(birth + steps) * lam <= cutoff:
+            roots.append((series, birth, steps, lam))
             if series == 2:
                 break
             birth += 1
-    if queue:
-        flush()
+    if not roots:
+        return SpectrumTable(records=[], cutoff=cutoff)
+    series, birth, steps, lam = (np.array(a) for a in zip(*roots))
+    code = np.zeros_like(steps)
+    scale = np.array(
+        [renormalization_factor(k) for k in range(birth.max() + MAX_STEPS + 2)]
+    )
+    queue, found, queued, count = [], [], 0, 0
+    while series.size:
+        canonical = (code & 1) == 0
+        queue.append([a[canonical] for a in (series, birth, steps, code, lam)])
+        queued += queue[-1][0].size
+        disc = np.sqrt(25.0 - 4.0 * lam)
+        hi = (5.0 + disc) / 2.0
+        # every deeper record below a pruned node contains an expanding step
+        # at least this large, so the whole subtree lies above the cutoff
+        keep = scale[birth + steps + 1] * hi <= PRUNE_SAFETY * cutoff
+        lam = np.concatenate([hi[keep], 2.0 * lam[keep] / (5.0 + disc[keep])])
+        series, birth, steps = (
+            np.concatenate([a[keep]] * 2) for a in (series, birth, steps + 1)
+        )
+        code = np.concatenate([code[keep] << 1, (code[keep] << 1) | 1])
+        if queued > record_cap or not series.size:
+            nodes = [np.concatenate(a) for a in zip(*queue)]
+            values = _contracting_limits(*nodes[:3], nodes[4])
+            below = values <= cutoff
+            found.append([values[below]] + [a[below] for a in nodes[:4]])
+            count += found[-1][0].size
+            queue, queued = [], 0
+            if count > record_cap:
+                raise ResourceLimitError(
+                    f"spectrum enumeration exceeded the record cap "
+                    f"{record_cap} below cutoff {cutoff}"
+                )
+    return SpectrumTable(records=_sorted_records(found), cutoff=cutoff)
 
-    records.sort(key=_sort_key)
-    return SpectrumTable(records=records, cutoff=cutoff)
+
+def _sorted_records(found) -> list[EigenvalueRecord]:
+    """Records from arrays (value, series, birth, steps, code), sorted by
+    (value, series, birth, branches) as tuples compare: '+' < '-', and a
+    branch string before any longer one it begins."""
+    values, series, birth, steps, code = (np.concatenate(a) for a in zip(*found))
+    width = int(steps.max(initial=0))
+    left = code << (width - steps)  # branch strings aligned at their first step
+    order = np.lexsort((steps, left, birth, series, values))
+    # a leading 1 bit marks where each string starts; equal strings share
+    # one tuple
+    keys, string = np.unique((code | (1 << steps))[order], return_inverse=True)
+    signs = str.maketrans("01", EXPANDING + CONTRACTING)
+    branches = [tuple(bin(k)[3:].translate(signs)) for k in keys.tolist()]
+    series, birth = series[order].tolist(), birth[order].tolist()
+    multiplicity = {
+        key: series_multiplicity(*key) for key in set(zip(series, birth))
+    }
+    return [
+        EigenvalueRecord(s, b, branches[i], v, multiplicity[s, b])
+        for v, s, b, i in zip(values[order].tolist(), series, birth, string.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -510,12 +519,17 @@ def resolvable_window(m: int) -> float:
 
 
 def spectrum_to_csv(table: SpectrumTable, path) -> None:
-    rows = [
-        (r.value, r.series, r.birth, r.multiplicity, "".join(r.branches))
+    """One row per record, formatted as `serialize.fmt` formats each cell."""
+    rows = "".join(
+        "%.17g,%d,%d,%d,%s\n"
+        % (r.value, r.series, r.birth, r.multiplicity, "".join(r.branches))
         for r in table.records
-    ]
-    write_csv(path, ("value", "series", "birth", "multiplicity", "branches"), rows)
-    append_footer(path, f"# d_lambda,{table.d_lambda}")
+    )
+    Path(path).write_text(
+        "value,series,birth,multiplicity,branches\n" + rows
+        + f"# d_lambda,{table.d_lambda}\n",
+        encoding="utf-8",
+    )
 
 
 def _sign_strings(length: int) -> list[tuple[str, ...]]:

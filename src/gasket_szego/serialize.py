@@ -29,11 +29,6 @@ def write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def append_footer(path, footer: str) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(footer + "\n")
-
-
 def write_json(path, payload) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -9,12 +9,23 @@ so that the dense product shows the block structure the reduction relies
 on.  Likewise `localized_split` reads every cell's localized vectors from
 the junction functionals and the kernel's rows inside the cell;
 `reference_split` takes the SVD of every row outside the cell.
+`reference_spectrum` searches the decimation tree depth-first, one scalar
+record at a time, where `enumerate_spectrum` takes it level by level in numpy.
 """
 import dataclasses
 
 import numpy as np
 
 from gasket_szego import operators
+from gasket_szego.decimation import (
+    CONTRACTING,
+    EXPANDING,
+    PRUNE_SAFETY,
+    decimation_preimages,
+    eigenvalue_limit,
+    make_record,
+    renormalization_factor,
+)
 from gasket_szego.eigenbasis import KERNEL_RTOL, localized_split
 from gasket_szego.gasket import cell_words, effective_multiplier
 
@@ -116,3 +127,44 @@ def split_selection(bundle, n_level):
     )
     selection = operators.selection_from_bundles([bundle])
     return dataclasses.replace(selection, columns=columns), split
+
+
+def reference_spectrum(cutoff):
+    """Every decimation record with value <= cutoff, sorted like
+    `enumerate_spectrum`: a recursive depth-first search over branch
+    prefixes with the same PRUNE_SAFETY pruning, and `make_record` (the
+    scalar `eigenvalue_limit`) for each canonical node."""
+    records = []
+
+    def visit(series, birth, branches, lam, level):
+        if not branches or branches[-1] == EXPANDING:
+            record = make_record(series, birth, branches)
+            if record.value <= cutoff:
+                records.append(record)
+        lo, hi = decimation_preimages(lam)
+        if lam == 6.0:
+            lo = hi  # forced step, single child
+        partial_plus = renormalization_factor(level + 1) * hi
+        if partial_plus > PRUNE_SAFETY * cutoff:
+            # every deeper record contains an expanding step at least this
+            # large, so the whole subtree lies above the cutoff
+            return
+        visit(series, birth, branches + (EXPANDING,), hi, level + 1)
+        if lam != 6.0:
+            visit(series, birth, branches + (CONTRACTING,), lo, level + 1)
+
+    for series in (2, 5, 6):
+        birth = 1 if series in (2, 5) else 2
+        while True:
+            if eigenvalue_limit(series, birth) > cutoff:
+                break
+            if series == 6:
+                # canonical root already contains the forced expanding step
+                visit(series, birth, (EXPANDING,), 3.0, birth + 1)
+            else:
+                visit(series, birth, (), float(series), birth)
+            if series == 2:
+                break
+            birth += 1
+    records.sort(key=lambda r: (r.value, r.series, r.birth, r.branches))
+    return records

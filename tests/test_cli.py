@@ -40,6 +40,10 @@ def test_spectrum_command(tmp_path):
         out / "spectrum.csv"
     )
     assert json.loads((out / "config.json").read_text()) == {"cutoff": 1000.0}
+    # the search and CSV stages are timed inside the whole run
+    timings = manifest["timings"]
+    assert (timings["search_seconds"] + timings["csv_seconds"]
+            <= timings["total_seconds"])
 
 
 def test_validate_command_and_determinism(tmp_path):
@@ -318,6 +322,25 @@ def test_repeated_tabulated_entries_exit_2(tmp_path, capsys):
     })
     assert code == 2
     assert "config.symbol: " in capsys.readouterr().err
+
+
+def test_tabulated_without_limit_exits_2_before_any_basis(
+    tmp_path, monkeypatch, capsys
+):
+    def no_basis(*args):
+        raise AssertionError("built a level basis")
+
+    for name in ("level_basis", "bare_level_basis", "build_level_basis"):
+        monkeypatch.setattr(eigenbasis, name, no_basis)
+    monkeypatch.setattr(operators, "level_basis_for", no_basis)
+    f = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    for command in ("szego-trace", "szego-det"):
+        code, _ = run_cli(tmp_path, command, {
+            "m": 4, "mode": "single", "series": 6, "j_range": [3], "N": 1,
+            "symbol": {"kind": "tabulated", "entries": [[1000.0, f]]},
+        }, name=command)
+        assert code == 2
+        assert "config: config.symbol.limit: required" in capsys.readouterr().err
 
 
 def test_basis_command(tmp_path):

@@ -31,6 +31,8 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
+from dense_oracle import reference_spectrum
+
 # frozen from the fixed-point iteration, cross-confirmed by the dense
 # eigensolves below: the smallest renormalized Dirichlet eigenvalue
 SMALLEST_EIGENVALUE = 16.815998889346
@@ -153,6 +155,32 @@ def test_enumerate_record_cap_fails_fast():
     assert peak < 5 * 2**20
 
 
+def test_enumerate_record_cap_bounds_frontier_memory():
+    # an exceeded cap stops the search before the frontier reaches the
+    # widest levels below 1e12 (57,343 records, 114,685 canonical nodes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="record cap 20000"):
+            enumerate_spectrum(1e12, record_cap=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("cutoff", [1e3, 1e6, 1e9, 3e10])
+def test_frontier_equals_depth_first_oracle(cutoff):
+    # the same records in the same order, and values equal, not close
+    got = enumerate_spectrum(cutoff).records
+    want = reference_spectrum(cutoff)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.series, a.birth, a.branches, a.multiplicity) == (
+            b.series, b.birth, b.branches, b.multiplicity
+        )
+        assert a.value == b.value
+
+
 @pytest.mark.parametrize("cutoff", [1e6, 1e9])
 def test_batched_limits_equal_scalar_limits(cutoff):
     # the numpy tail is the scalar iteration elementwise: equal, not close
@@ -163,21 +191,18 @@ def test_batched_limits_equal_scalar_limits(cutoff):
 
 
 def test_contracting_limits_forced_six_step_and_errors():
-    # a 6 seed without explicit branches takes the expanding root
-    assert decimation._contracting_limits([(6, 2, (), 6.0, 2)])[0] == (
+    # nodes as arrays (series, birth, explicit steps, lam); a 6 seed without
+    # explicit branches takes the expanding root
+    assert decimation._contracting_limits([6], [2], [0], [6.0])[0] == (
         eigenvalue_limit(6, 2)
     )
     with pytest.raises(DomainError, match="25/4"):
-        decimation._contracting_limits([(5, 1, (), 6.3, 1)])
+        decimation._contracting_limits([5], [1], [0], [6.3])
     # explicit steps count against MAX_STEPS, as in eigenvalue_limit; the
     # error names the first node that did not converge
-    nodes = [
-        (2, 1, (), 2.0, 1),
-        (5, 1, (EXPANDING,) * 59, 4.0, 60),
-        (5, 2, (EXPANDING,) * 60, 4.0, 62),
-    ]
     with pytest.raises(ConvergenceError, match="birth 1, 59 explicit"):
-        decimation._contracting_limits(nodes)
+        decimation._contracting_limits([2, 5, 5], [1, 1, 2], [0, 59, 60],
+                                       [2.0, 4.0, 4.0])
 
 
 @pytest.mark.parametrize("max_steps", [3, 20])
