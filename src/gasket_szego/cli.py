@@ -102,6 +102,8 @@ class RunConfig:
             _assign_int(cfg, raw, "generation_cut", minimum=1)
         if "cutoff" in raw:
             cfg.cutoff = _number(raw, "cutoff")
+            if cfg.cutoff <= 0:
+                raise ConfigError("cutoff", f"must be positive, got {cfg.cutoff}")
         if "lambda_grid" in raw:
             grid = raw["lambda_grid"]
             if not isinstance(grid, list) or not grid:

@@ -43,9 +43,7 @@ def sup_difference(chi1, chi2, vertices: VertexSet) -> float:
     """Sup norm of chi1 - chi2 (exact for simple functions)."""
     if isinstance(chi1, SimpleFunction) and isinstance(chi2, SimpleFunction):
         level = max(chi1.level, chi2.level)
-        v1 = np.repeat(chi1.values, 3 ** (level - chi1.level))
-        v2 = np.repeat(chi2.values, 3 ** (level - chi2.level))
-        return float(np.max(np.abs(v1 - v2)))
+        return float(np.max(np.abs(chi1.refined(level) - chi2.refined(level))))
     d1 = vertex_values(chi1, vertices)
     d2 = vertex_values(chi2, vertices)
     return float(np.max(np.abs(d1 - d2)))
@@ -257,9 +255,7 @@ def identify_clusters(
     )
 
 
-def cluster_moments(
-    psi: ClusterMeasure, k_max: int, cross_check: bool = True
-) -> list[float]:
+def cluster_moments(psi: ClusterMeasure, k_max: int) -> list[float]:
     """Moments of the cluster measure, checked against the trace formula."""
     if k_max < 0:
         raise DomainError(f"k_max must be nonnegative, got {k_max}")
@@ -267,18 +263,17 @@ def cluster_moments(
         math.fsum(w * pos ** k for pos, w in psi.atoms)
         for k in range(k_max + 1)
     ]
-    if cross_check:
-        power = np.eye(psi.projected.shape[0])
-        for k in range(k_max + 1):
-            trace_value = float(np.trace(power)) / psi.d_j
-            if abs(trace_value - moments[k]) > MOMENT_RTOL * max(
-                1.0, abs(moments[k]), abs(trace_value)
-            ):
-                raise StructuralError(
-                    f"moment {k} disagrees with the projected trace: "
-                    f"{moments[k]} vs {trace_value}"
-                )
-            power = power @ psi.projected
+    power = np.eye(psi.projected.shape[0])
+    for k in range(k_max + 1):
+        trace_value = float(np.trace(power)) / psi.d_j
+        if abs(trace_value - moments[k]) > MOMENT_RTOL * max(
+            1.0, abs(moments[k]), abs(trace_value)
+        ):
+            raise StructuralError(
+                f"moment {k} disagrees with the projected trace: "
+                f"{moments[k]} vs {trace_value}"
+            )
+        power = power @ psi.projected
     return moments
 
 

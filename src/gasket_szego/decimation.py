@@ -7,11 +7,11 @@ Dirichlet eigenvalues are born with seed graph value 2 (birth 1, simple),
 The only constraint is at a 6 seed: its contracting preimage is the forbidden
 value 2, so the first step after a 6 birth must take the expanding root 3.
 A record's numeric eigenvalue is the renormalized limit (3/2) 5^m lam_m along
-an eventually-contracting branch sequence.  `eigenvalue_limit` follows one
-record.  `enumerate_spectrum` searches the branch prefixes level by level, as
-numpy arrays over the whole frontier, and runs the same contracting tail for
-every queued node at once, with the same operations in the same order, so
-both give bit-identical values.
+an eventually-contracting branch sequence.  One walk grows the branch tree
+level by level, as numpy arrays over the whole frontier: `enumerate_spectrum`
+prunes it at a cutoff, `truncated_graph_spectrum` grows it to level m.  One
+loop, `_contracting_limits`, takes the contracting tail of every node at
+once; `eigenvalue_limit` passes it a single node.
 
 Every structural claim here is validated wholesale against the dense
 eigensolve of the graph Laplacians (see the test suite): the truncated record
@@ -19,6 +19,7 @@ multiset reproduces the level-m spectrum elementwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,23 +73,6 @@ def decimation_preimages(lambda_prev: float) -> tuple[float, float]:
     return 2.0 * lambda_prev / (5.0 + disc), (5.0 + disc) / 2.0
 
 
-def _apply_branch(lam: float, sign: str, explicit: bool) -> float:
-    lo, hi = decimation_preimages(lam)
-    if sign == CONTRACTING:
-        # the contracting preimage of 6 is the forbidden seed value 2
-        if lam == 6.0:
-            if explicit:
-                raise DomainError(
-                    "contracting branch from seed 6 lands on the forbidden "
-                    "value 2; the first step after a 6 birth must expand"
-                )
-            return hi
-        return lo
-    if sign == EXPANDING:
-        return hi
-    raise DomainError(f"branch sign must be '+' or '-', got {sign!r}")
-
-
 def _normalize_branches(series: int, branches) -> tuple[str, ...]:
     branches = tuple(branches)
     if any(s not in (CONTRACTING, EXPANDING) for s in branches):
@@ -106,47 +90,17 @@ def renormalization_factor(level: int) -> float:
     return 1.5 * 5.0 ** level
 
 
-def eigenvalue_limit(
-    series: int,
-    birth: int,
-    branches=(),
-    tol: float = DEFAULT_TOL,
-    with_trace: bool = False,
-):
+def eigenvalue_limit(series: int, birth: int, branches=()) -> float:
     """Renormalized limit (3/2) 5^m lam_m of a branch-labelled eigenvalue.
 
     Explicit `branches` are applied after birth; past them the iteration takes
     the contracting root, along which the renormalized value increases to its
-    limit.  Stops when successive values agree to `tol` relatively.
+    limit.  Stops when successive values agree to DEFAULT_TOL relatively.
     """
-    series_multiplicity(series, birth)  # validates the pair
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    branches = _normalize_branches(series, branches)
-    lam = float(series)
-    level = birth
-    trace = [lam]
-    prev = renormalization_factor(level) * lam
-    for step in range(MAX_STEPS):
-        explicit = step < len(branches)
-        sign = branches[step] if explicit else CONTRACTING
-        lam = _apply_branch(lam, sign, explicit)
-        level += 1
-        trace.append(lam)
-        value = renormalization_factor(level) * lam
-        if not explicit and abs(value - prev) < tol * abs(value):
-            if with_trace:
-                return value, tuple(trace)
-            return value
-        prev = value
-    raise ConvergenceError(
-        f"renormalized eigenvalue did not stabilize to {tol} within "
-        f"{MAX_STEPS} steps (series {series}, birth {birth}, "
-        f"{len(branches)} explicit branches)"
-    )
+    return make_record(series, birth, branches).value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenvalueRecord:
     """One Dirichlet eigenvalue of the renormalized limit operator."""
 
@@ -162,36 +116,49 @@ class EigenvalueRecord:
 
     @property
     def graph_values(self) -> tuple[float, ...]:
-        """The graph eigenvalues lam_birth, lam_birth+1, ... up to the stop."""
-        return eigenvalue_limit(
-            self.series, self.birth, self.branches, with_trace=True
-        )[1]
+        """The graph eigenvalues lam_birth, lam_birth+1, ... up to the stop:
+        the explicit branches, then `_contracting_limits`'s steps, whose stop
+        is the first renormalized value equal to `value`."""
+        trace = [float(self.series)]
+        for sign in self.branches:
+            lo, hi = decimation_preimages(trace[-1])
+            trace.append(hi if sign == EXPANDING else lo)
+        level = self.birth + len(self.branches)
+        while (
+            renormalization_factor(level) * trace[-1] != self.value
+            and level < self.birth + MAX_STEPS
+        ):
+            trace.append(decimation_preimages(trace[-1])[0])
+            level += 1
+        return tuple(trace)
 
 
 def make_record(series: int, birth: int, branches=()) -> EigenvalueRecord:
+    multiplicity = series_multiplicity(series, birth)  # validates the pair
     branches = _normalize_branches(series, branches)
-    return EigenvalueRecord(
-        series=series,
-        birth=birth,
-        branches=branches,
-        value=eigenvalue_limit(series, birth, branches),
-        multiplicity=series_multiplicity(series, birth),
-    )
+    lam = float(series)
+    for sign in branches:
+        lo, hi = decimation_preimages(lam)
+        lam = hi if sign == EXPANDING else lo
+    value = _contracting_limits([series], [birth], [len(branches)], [lam])[0]
+    return EigenvalueRecord(series, birth, branches, float(value), multiplicity)
 
 
 def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
-    """`eigenvalue_limit` of every node, each argument an array over nodes.
+    """The renormalized limit of every node, each argument an array over nodes.
 
     A node's `steps` explicit branches after its birth reach the graph value
-    lam at level birth + steps.  From there each node takes
-    `eigenvalue_limit`'s non-explicit steps, elementwise and with the same
-    operations in the same order, so each value is bit-identical to the
-    scalar one (IEEE arithmetic and sqrt are correctly rounded).  A node's
-    explicit steps count against MAX_STEPS.
+    lam at level birth + steps.  From there it takes the contracting root
+    (a 6 seed the expanding one) until two successive renormalized values
+    agree to DEFAULT_TOL relatively, within MAX_STEPS steps in all.  Each
+    value is independent of the other nodes of the call.
     """
     series, birth, steps = (np.asarray(a) for a in (series, birth, steps))
     lam = np.asarray(lam, dtype=float)
-    level = birth + steps
+    if np.any(lam > 25.0 / 4.0):
+        raise DomainError(f"no real decimation preimages for {lam.max()} > 25/4")
+    # a node with MAX_STEPS explicit steps has no budget left to step
+    level = birth + np.minimum(steps, MAX_STEPS)
     budget = MAX_STEPS - steps
     scale = np.array(
         [renormalization_factor(k) for k in range(level.max() + MAX_STEPS + 1)]
@@ -207,21 +174,19 @@ def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
             )
         if idx.size == 0:
             break
-        if np.any(lam > 25.0 / 4.0):
-            raise DomainError(
-                f"no real decimation preimages for {lam.max()} > 25/4"
-            )
-        disc = np.sqrt(25.0 - 4.0 * lam)
+        disc = 5.0 + np.sqrt(25.0 - 4.0 * lam)
         # from a 6 seed the contracting branch takes the expanding root
-        lam = np.where(lam == 6.0, (5.0 + disc) / 2.0, 2.0 * lam / (5.0 + disc))
+        lam = np.where(lam == 6.0, disc / 2.0, 2.0 * lam / disc)
         level = level + 1
         value = scale[level] * lam
         done = np.abs(value - prev) < DEFAULT_TOL * np.abs(value)
-        values[idx[done]] = value[done]
-        rest = ~done
-        idx, lam, level, prev, budget = (
-            a[rest] for a in (idx, lam, level, value, budget)
-        )
+        if done.any():
+            values[idx[done]] = value[done]
+            rest = ~done
+            idx, lam, level, value, budget = (
+                a[rest] for a in (idx, lam, level, value, budget)
+            )
+        prev = value
     stuck = np.flatnonzero(np.isnan(values))
     if stuck.size:
         i = stuck[0]
@@ -251,59 +216,79 @@ class SpectrumTable:
         return [r.value for r in self.records]
 
 
+def _roots(within) -> list[np.ndarray]:
+    """The roots of the branch tree as arrays (series, birth, steps, code,
+    lam), births ascending while `within(level, lam)` holds.  A 6-series
+    root has already taken its forced expanding step, so no node of the
+    tree has the graph value 6."""
+    roots = []
+    for series, birth, steps, lam in ((2, 1, 0, 2.0), (5, 1, 0, 5.0), (6, 2, 1, 3.0)):
+        while within(birth + steps, lam):
+            roots.append((series, birth, steps, 0, lam))
+            if series == 2:
+                break
+            birth += 1
+    return [np.array(a) for a in zip(*roots)]
+
+
+def _grow(nodes, keep) -> list[np.ndarray]:
+    """The next level of the branch tree: both children of every node that
+    `keep(child level, expanding child's lam)` keeps, expanding children
+    first.  `nodes` holds the arrays (series, birth, steps, code, lam) and
+    any further per-node arrays, which both children inherit; code holds
+    the branch string as bits, 1 for a contracting step."""
+    series, birth, steps, code, lam, *inherited = nodes
+    disc = np.sqrt(25.0 - 4.0 * lam)
+    hi = (5.0 + disc) / 2.0
+    kept = keep(birth + steps + 1, hi)
+    twice = [
+        np.concatenate([a[kept]] * 2) for a in (series, birth, steps + 1, *inherited)
+    ]
+    code = code[kept] << 1
+    lam = np.concatenate([hi[kept], 2.0 * lam[kept] / (5.0 + disc[kept])])
+    return twice[:3] + [np.concatenate([code, code | 1]), lam] + twice[3:]
+
+
 def enumerate_spectrum(
     cutoff: float, record_cap: int = DEFAULT_RECORD_CAP
 ) -> SpectrumTable:
     """Every Dirichlet eigenvalue <= cutoff, once per record with multiplicity.
 
-    Breadth-first search over branch prefixes, one numpy step per level: the
-    frontier holds each node's series, birth, explicit-step count, graph
-    value and branch string as bits (1 for a contracting step).  The partial
-    renormalized value (3/2) 5^m lam_m never decreases along any branch, so a
-    node whose expanding child already exceeds PRUNE_SAFETY*cutoff has no
-    further records below it.  The canonical nodes (no branches, or ending
-    in an expanding step) are queued, and their exact limits are taken by
-    `_contracting_limits` whenever more than record_cap are queued and at the
-    end, so an exceeded cap fails without a full search.
+    Breadth-first search over branch prefixes, one `_grow` step per level.
+    The partial renormalized value (3/2) 5^m lam_m never decreases along any
+    branch, so a node whose expanding child already exceeds
+    PRUNE_SAFETY*cutoff has no further records below it.  The canonical
+    nodes (no branches, or ending in an expanding step) are queued, and
+    their exact limits are taken by `_contracting_limits` whenever more than
+    record_cap are queued and at the end, so an exceeded cap fails without a
+    full search.
     """
-    if cutoff <= 0:
-        raise DomainError(f"cutoff must be positive, got {cutoff}")
-    roots = []
-    # a 6-series root has already taken its forced expanding step
-    for series, birth, steps, lam in ((2, 1, 0, 2.0), (5, 1, 0, 5.0), (6, 2, 1, 3.0)):
-        # a root's partial value bounds every record below it from below
-        while renormalization_factor(birth + steps) * lam <= cutoff:
-            roots.append((series, birth, steps, lam))
-            if series == 2:
-                break
-            birth += 1
-    if not roots:
+    if not 0 < cutoff < math.inf:
+        raise DomainError(f"cutoff must be positive and finite, got {cutoff}")
+    # a root's partial value bounds every record below it from below
+    nodes = _roots(lambda level, lam: renormalization_factor(level) * lam <= cutoff)
+    if not nodes:
         return SpectrumTable(records=[], cutoff=cutoff)
-    series, birth, steps, lam = (np.array(a) for a in zip(*roots))
-    code = np.zeros_like(steps)
     scale = np.array(
-        [renormalization_factor(k) for k in range(birth.max() + MAX_STEPS + 2)]
+        [renormalization_factor(k) for k in range(nodes[1].max() + MAX_STEPS + 2)]
     )
-    queue, found, queued, count = [], [], 0, 0
-    while series.size:
-        canonical = (code & 1) == 0
-        queue.append([a[canonical] for a in (series, birth, steps, code, lam)])
-        queued += queue[-1][0].size
-        disc = np.sqrt(25.0 - 4.0 * lam)
-        hi = (5.0 + disc) / 2.0
+
+    def keep(level, hi):
         # every deeper record below a pruned node contains an expanding step
         # at least this large, so the whole subtree lies above the cutoff
-        keep = scale[birth + steps + 1] * hi <= PRUNE_SAFETY * cutoff
-        lam = np.concatenate([hi[keep], 2.0 * lam[keep] / (5.0 + disc[keep])])
-        series, birth, steps = (
-            np.concatenate([a[keep]] * 2) for a in (series, birth, steps + 1)
-        )
-        code = np.concatenate([code[keep] << 1, (code[keep] << 1) | 1])
-        if queued > record_cap or not series.size:
-            nodes = [np.concatenate(a) for a in zip(*queue)]
-            values = _contracting_limits(*nodes[:3], nodes[4])
+        return scale[level] * hi <= PRUNE_SAFETY * cutoff
+
+    queue, found, queued, count = [], [], 0, 0
+    while nodes[0].size:
+        canonical = (nodes[3] & 1) == 0
+        queue.append([a[canonical] for a in nodes])
+        queued += queue[-1][0].size
+        nodes = _grow(nodes, keep)
+        if queued > record_cap or not nodes[0].size:
+            series, birth, steps, code, lam = (np.concatenate(a) for a in zip(*queue))
+            values = _contracting_limits(series, birth, steps, lam)
             below = values <= cutoff
-            found.append([values[below]] + [a[below] for a in nodes[:4]])
+            found.append([a[below] for a in (values, series, birth, steps, code)])
             count += found[-1][0].size
             queue, queued = [], 0
             if count > record_cap:
@@ -322,19 +307,31 @@ def _sorted_records(found) -> list[EigenvalueRecord]:
     width = int(steps.max(initial=0))
     left = code << (width - steps)  # branch strings aligned at their first step
     order = np.lexsort((steps, left, birth, series, values))
-    # a leading 1 bit marks where each string starts; equal strings share
-    # one tuple
-    keys, string = np.unique((code | (1 << steps))[order], return_inverse=True)
-    signs = str.maketrans("01", EXPANDING + CONTRACTING)
-    branches = [tuple(bin(k)[3:].translate(signs)) for k in keys.tolist()]
-    series, birth = series[order].tolist(), birth[order].tolist()
+    return _records(*(a[order] for a in (values, series, birth, steps, code)))
+
+
+def _records(values, series, birth, steps, code) -> list[EigenvalueRecord]:
+    """One record per node, in the order of the arrays."""
+    series, birth = series.tolist(), birth.tolist()
     multiplicity = {
         key: series_multiplicity(*key) for key in set(zip(series, birth))
     }
     return [
-        EigenvalueRecord(s, b, branches[i], v, multiplicity[s, b])
-        for v, s, b, i in zip(values[order].tolist(), series, birth, string.tolist())
+        EigenvalueRecord(s, b, branches, v, multiplicity[s, b])
+        for v, s, b, branches in zip(
+            values.tolist(), series, birth, _branch_tuples(steps, code)
+        )
     ]
+
+
+def _branch_tuples(steps, code) -> list[tuple[str, ...]]:
+    """Each node's branch string as a tuple of signs; equal strings share
+    one tuple."""
+    # a leading 1 bit marks where each string starts
+    keys, string = np.unique(code | (1 << steps), return_inverse=True)
+    signs = str.maketrans("01", EXPANDING + CONTRACTING)
+    tuples = [tuple(bin(k)[3:].translate(signs)) for k in keys.tolist()]
+    return [tuples[i] for i in string.tolist()]
 
 
 @dataclass(frozen=True)
@@ -349,65 +346,40 @@ class GraphEigenvalue:
     record: EigenvalueRecord
 
 
-def _canonical_from_prefix(series: int, prefix: tuple[str, ...]) -> tuple[str, ...]:
-    trimmed = prefix
-    while trimmed and trimmed[-1] == CONTRACTING:
-        trimmed = trimmed[:-1]
-    if series == 6 and not trimmed:
-        trimmed = (EXPANDING,)
-    return trimmed
-
-
 def truncated_graph_spectrum(m: int) -> list[GraphEigenvalue]:
     """All level-m Dirichlet graph eigenvalues predicted by decimation.
 
-    One entry per distinct eigenvalue, carrying its multiplicity and the
-    canonical (trailing-contraction trimmed) record.  The multiset expanded by
-    multiplicity has exactly (3^(m+1)-3)/2 elements.
+    One entry per level-m node of the tree grown from `enumerate_spectrum`'s
+    roots without pruning, and one for the 6-eigenspace born at level m
+    (prefix (), record 6:m:+), sorted by (graph value, series, birth,
+    prefix).  Each carries its multiplicity and the record of its last
+    canonical ancestor (trailing contractions trimmed).  The multiset
+    expanded by multiplicity has exactly (3^(m+1)-3)/2 elements.
     """
     if m < 1:
         raise DomainError(f"graph spectra start at level 1, got {m}")
-    out: list[GraphEigenvalue] = []
-    for series in _SEEDS:
-        births = (
-            (1,)
-            if series == 2
-            else range(1, m + 1)
-            if series == 5
-            else range(2, m + 1)
-        )
-        for birth in births:
-            steps = m - birth
-            if series == 6:
-                prefixes = (
-                    [()]
-                    if steps == 0
-                    else [
-                        (EXPANDING,) + rest
-                        for rest in _sign_strings(steps - 1)
-                    ]
-                )
-            else:
-                prefixes = _sign_strings(steps)
-            for prefix in prefixes:
-                lam = float(series)
-                for step, sign in enumerate(prefix):
-                    lam = _apply_branch(lam, sign, explicit=True)
-                record = make_record(
-                    series, birth, _canonical_from_prefix(series, prefix)
-                )
-                out.append(
-                    GraphEigenvalue(
-                        graph_value=lam,
-                        series=series,
-                        birth=birth,
-                        prefix=prefix,
-                        multiplicity=record.multiplicity,
-                        record=record,
-                    )
-                )
-    out.sort(key=lambda g: (g.graph_value, g.series, g.birth, g.prefix))
-    return out
+    nodes = _roots(lambda level, lam: level <= m)
+    # every node carries its last canonical ancestor's steps, code and lam
+    nodes += nodes[2:5]
+    leaves = []
+    if m > 1:
+        # the newborn 6-eigenspace, whose forced step lies beyond level m
+        leaves.append([np.array([v]) for v in (6, m, 0, 0, 6.0, 1, 0, 3.0)])
+    while nodes[0].size:
+        canonical = (nodes[3] & 1) == 0
+        nodes[5:] = [np.where(canonical, a, b) for a, b in zip(nodes[2:5], nodes[5:])]
+        leaf = nodes[1] + nodes[2] == m
+        leaves.append([a[leaf] for a in nodes])
+        nodes = _grow(nodes, lambda level, hi: level <= m)
+    leaves = [np.concatenate(a) for a in zip(*leaves)]
+    order = np.lexsort([leaves[i] for i in (3, 1, 0, 4)])  # code, birth, series, lam
+    series, birth, steps, code, lam, *anchor = (a[order] for a in leaves)
+    values = _contracting_limits(series, birth, anchor[0], anchor[2])
+    records = _records(values, series, birth, anchor[0], anchor[1])
+    return [
+        GraphEigenvalue(g, r.series, r.birth, prefix, r.multiplicity, r)
+        for g, prefix, r in zip(lam.tolist(), _branch_tuples(steps, code), records)
+    ]
 
 
 def interior_dimension(m: int) -> int:
@@ -478,8 +450,12 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
     births = range(2, max(2, j_max) + 1)
-    records = [make_record(6, j, (EXPANDING,)) for j in births]
-    table = enumerate_spectrum(6.0 * records[-1].value)
+    table = enumerate_spectrum(6.0 * eigenvalue_limit(6, births[-1]))
+    # every member is a root of the search, so the table holds it
+    records = [
+        r for r in table.records
+        if r.series == 6 and r.branches == (EXPANDING,) and r.birth in births
+    ]
     gaps = []
     for rec in records:
         others = [
@@ -491,31 +467,28 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
     return SeparatedFamily(records=records, gaps=gaps)
 
 
+@functools.cache
 def resolvable_window(m: int) -> float:
     """Largest cutoff whose spectrum is fully resolvable at graph level m.
 
     A record is resolvable when its canonical branch string fits within the
     m - birth free steps.  The infimum of non-resolvable values is attained
     either at the smallest birth-(m+1) record or at a record of birth <= m
-    whose single expanding step sits one level beyond the truncation.
+    whose single expanding step sits one level beyond the truncation.  Cached,
+    as every full-mode Szegő sweep checks its grid against it.
     """
-    candidates = [eigenvalue_limit(5, m + 1)]
-    candidates.append(
-        eigenvalue_limit(2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,))
-    )
-    for j in range(1, m + 1):
-        candidates.append(
-            eigenvalue_limit(5, j, (CONTRACTING,) * (m - j) + (EXPANDING,))
-        )
-    for j in range(2, m + 1):
-        if j < m:
-            branches = (
-                (EXPANDING,) + (CONTRACTING,) * (m - j - 1) + (EXPANDING,)
-            )
-        else:
-            branches = (EXPANDING, EXPANDING)
-        candidates.append(eigenvalue_limit(6, j, branches))
-    return min(candidates)
+    keys = [
+        (5, m + 1, ()),
+        (2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,)),
+    ]
+    keys += [
+        (5, j, (CONTRACTING,) * (m - j) + (EXPANDING,)) for j in range(1, m + 1)
+    ]
+    keys += [
+        (6, j, (EXPANDING,) + (CONTRACTING,) * (m - j - 1) + (EXPANDING,))
+        for j in range(2, m + 1)
+    ]
+    return min(eigenvalue_limit(*key) for key in keys)
 
 
 def spectrum_to_csv(table: SpectrumTable, path) -> None:
@@ -530,12 +503,3 @@ def spectrum_to_csv(table: SpectrumTable, path) -> None:
         + f"# d_lambda,{table.d_lambda}\n",
         encoding="utf-8",
     )
-
-
-def _sign_strings(length: int) -> list[tuple[str, ...]]:
-    if length == 0:
-        return [()]
-    shorter = _sign_strings(length - 1)
-    return [s + (EXPANDING,) for s in shorter] + [
-        s + (CONTRACTING,) for s in shorter
-    ]

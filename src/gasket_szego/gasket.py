@@ -241,6 +241,14 @@ class SimpleFunction:
     def max_value(self) -> float:
         return float(np.max(self.values))
 
+    def refined(self, level: int) -> np.ndarray:
+        """The values on the level's cells, in word order."""
+        if self.level > level:
+            raise DomainError(
+                f"simple function at level {self.level} finer than level {level}"
+            )
+        return np.repeat(self.values, 3 ** (level - self.level))
+
     def scaled(self, factor: float) -> "SimpleFunction":
         return SimpleFunction(self.level, self.values * factor)
 
@@ -259,17 +267,6 @@ def integrate_simple(f: SimpleFunction, k: int = 1) -> float:
     return math.fsum(float(v) ** k for v in f.values) * 3.0 ** (-f.level)
 
 
-def _per_cell_values(f, vertices: VertexSet) -> np.ndarray:
-    """Value of f on each level-m cell (constant there when f is simple)."""
-    if f.level > vertices.level:
-        raise DomainError(
-            f"simple function at level {f.level} finer than vertex set level "
-            f"{vertices.level}"
-        )
-    width = 3 ** (vertices.level - f.level)
-    return np.repeat(f.values, width)
-
-
 def effective_multiplier(f, vertices: VertexSet) -> np.ndarray:
     """Per-vertex diagonal g with sum_x g(x) u(x) v(x) = integral of f*u*v.
 
@@ -280,7 +277,7 @@ def effective_multiplier(f, vertices: VertexSet) -> np.ndarray:
     m = vertices.level
     g = np.zeros(vertices.n_vertices)
     if isinstance(f, SimpleFunction):
-        cell_vals = _per_cell_values(f, vertices)
+        cell_vals = f.refined(vertices.level)
         np.add.at(g, vertices.cells.ravel(), np.repeat(cell_vals, 3))
         g *= 3.0 ** (-(m + 1))
     else:
@@ -293,7 +290,7 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
     """Pointwise samples of f at vertices (cell-averaged for simple f)."""
     if isinstance(f, SimpleFunction):
         acc = np.zeros(vertices.n_vertices)
-        cell_vals = _per_cell_values(f, vertices)
+        cell_vals = f.refined(vertices.level)
         np.add.at(acc, vertices.cells.ravel(), np.repeat(cell_vals, 3))
         counts = np.array([len(c) for c in vertices.vertex_cells], dtype=float)
         return acc / counts

@@ -451,7 +451,7 @@ def _compress_reduced(
         k = max(chi.level for chi, _, _ in runs)
         # each eigenspace's chi on the k-cells, in word order
         cell_values = np.repeat(
-            [np.repeat(chi.values, 3 ** (k - chi.level)) for chi, _, _ in runs],
+            [chi.refined(k) for chi, _, _ in runs],
             [stop - first for _, first, stop in runs],
             axis=0,
         )

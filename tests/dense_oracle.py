@@ -10,7 +10,10 @@ on.  Likewise `localized_split` reads every cell's localized vectors from
 the junction functionals and the kernel's rows inside the cell;
 `reference_split` takes the SVD of every row outside the cell.
 `reference_spectrum` searches the decimation tree depth-first, one scalar
-record at a time, where `enumerate_spectrum` takes it level by level in numpy.
+record at a time, where `enumerate_spectrum` takes it level by level in numpy;
+`reference_graph_spectrum` lists every level-m branch string recursively,
+where `truncated_graph_spectrum` grows the same tree; and `reference_limit`
+steps one record at a time, where `_contracting_limits` steps them all.
 """
 import dataclasses
 
@@ -19,13 +22,18 @@ import numpy as np
 from gasket_szego import operators
 from gasket_szego.decimation import (
     CONTRACTING,
+    DEFAULT_TOL,
     EXPANDING,
+    MAX_STEPS,
     PRUNE_SAFETY,
+    EigenvalueRecord,
+    GraphEigenvalue,
+    _normalize_branches,
     decimation_preimages,
-    eigenvalue_limit,
-    make_record,
     renormalization_factor,
+    series_multiplicity,
 )
+from gasket_szego.errors import ConvergenceError, DomainError
 from gasket_szego.eigenbasis import KERNEL_RTOL, localized_split
 from gasket_szego.gasket import cell_words, effective_multiplier
 
@@ -129,16 +137,153 @@ def split_selection(bundle, n_level):
     return dataclasses.replace(selection, columns=columns), split
 
 
+def _apply_branch(lam: float, sign: str, explicit: bool) -> float:
+    lo, hi = decimation_preimages(lam)
+    if sign == CONTRACTING:
+        # the contracting preimage of 6 is the forbidden seed value 2
+        if lam == 6.0:
+            if explicit:
+                raise DomainError(
+                    "contracting branch from seed 6 lands on the forbidden "
+                    "value 2; the first step after a 6 birth must expand"
+                )
+            return hi
+        return lo
+    if sign == EXPANDING:
+        return hi
+    raise DomainError(f"branch sign must be '+' or '-', got {sign!r}")
+
+
+def reference_limit(
+    series: int,
+    birth: int,
+    branches=(),
+    tol: float = DEFAULT_TOL,
+    with_trace: bool = False,
+):
+    """`eigenvalue_limit` one scalar step at a time.
+
+    Explicit `branches` are applied after birth; past them the iteration takes
+    the contracting root, along which the renormalized value increases to its
+    limit.  Stops when successive values agree to `tol` relatively; with
+    `with_trace` also returns the graph values up to the stop.
+    """
+    series_multiplicity(series, birth)  # validates the pair
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    branches = _normalize_branches(series, branches)
+    lam = float(series)
+    level = birth
+    trace = [lam]
+    prev = renormalization_factor(level) * lam
+    for step in range(MAX_STEPS):
+        explicit = step < len(branches)
+        sign = branches[step] if explicit else CONTRACTING
+        lam = _apply_branch(lam, sign, explicit)
+        level += 1
+        trace.append(lam)
+        value = renormalization_factor(level) * lam
+        if not explicit and abs(value - prev) < tol * abs(value):
+            if with_trace:
+                return value, tuple(trace)
+            return value
+        prev = value
+    raise ConvergenceError(
+        f"renormalized eigenvalue did not stabilize to {tol} within "
+        f"{MAX_STEPS} steps (series {series}, birth {birth}, "
+        f"{len(branches)} explicit branches)"
+    )
+
+
+def reference_record(series: int, birth: int, branches=()) -> EigenvalueRecord:
+    """`make_record` with the scalar `reference_limit`."""
+    branches = _normalize_branches(series, branches)
+    return EigenvalueRecord(
+        series=series,
+        birth=birth,
+        branches=branches,
+        value=reference_limit(series, birth, branches),
+        multiplicity=series_multiplicity(series, birth),
+    )
+
+
+def _sign_strings(length: int) -> list[tuple[str, ...]]:
+    if length == 0:
+        return [()]
+    shorter = _sign_strings(length - 1)
+    return [s + (EXPANDING,) for s in shorter] + [
+        s + (CONTRACTING,) for s in shorter
+    ]
+
+
+def _canonical_from_prefix(series: int, prefix: tuple[str, ...]) -> tuple[str, ...]:
+    trimmed = prefix
+    while trimmed and trimmed[-1] == CONTRACTING:
+        trimmed = trimmed[:-1]
+    if series == 6 and not trimmed:
+        trimmed = (EXPANDING,)
+    return trimmed
+
+
+def reference_graph_spectrum(m: int) -> list[GraphEigenvalue]:
+    """`truncated_graph_spectrum(m)` by listing every level-m branch string
+    of every (series, birth) recursively, applying it one scalar step at a
+    time, and taking `reference_record` of its trimmed prefix."""
+    if m < 1:
+        raise DomainError(f"graph spectra start at level 1, got {m}")
+    out: list[GraphEigenvalue] = []
+    for series in (2, 5, 6):
+        births = (
+            (1,)
+            if series == 2
+            else range(1, m + 1)
+            if series == 5
+            else range(2, m + 1)
+        )
+        for birth in births:
+            steps = m - birth
+            if series == 6:
+                prefixes = (
+                    [()]
+                    if steps == 0
+                    else [
+                        (EXPANDING,) + rest
+                        for rest in _sign_strings(steps - 1)
+                    ]
+                )
+            else:
+                prefixes = _sign_strings(steps)
+            for prefix in prefixes:
+                lam = float(series)
+                for step, sign in enumerate(prefix):
+                    lam = _apply_branch(lam, sign, explicit=True)
+                record = reference_record(
+                    series, birth, _canonical_from_prefix(series, prefix)
+                )
+                out.append(
+                    GraphEigenvalue(
+                        graph_value=lam,
+                        series=series,
+                        birth=birth,
+                        prefix=prefix,
+                        multiplicity=record.multiplicity,
+                        record=record,
+                    )
+                )
+    out.sort(key=lambda g: (g.graph_value, g.series, g.birth, g.prefix))
+    return out
+
+
 def reference_spectrum(cutoff):
     """Every decimation record with value <= cutoff, sorted like
     `enumerate_spectrum`: a recursive depth-first search over branch
-    prefixes with the same PRUNE_SAFETY pruning, and `make_record` (the
-    scalar `eigenvalue_limit`) for each canonical node."""
+    prefixes with the same PRUNE_SAFETY pruning, and `reference_record` (the
+    scalar `reference_limit`) for each canonical node."""
     records = []
 
     def visit(series, birth, branches, lam, level):
         if not branches or branches[-1] == EXPANDING:
-            record = make_record(series, birth, branches)
+            record = reference_record(series, birth, branches)
             if record.value <= cutoff:
                 records.append(record)
         lo, hi = decimation_preimages(lam)
@@ -156,7 +301,7 @@ def reference_spectrum(cutoff):
     for series in (2, 5, 6):
         birth = 1 if series in (2, 5) else 2
         while True:
-            if eigenvalue_limit(series, birth) > cutoff:
+            if reference_limit(series, birth) > cutoff:
                 break
             if series == 6:
                 # canonical root already contains the forced expanding step

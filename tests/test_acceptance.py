@@ -211,7 +211,7 @@ def test_criterion_6_cluster_machinery(level6):
             int(np.sum(np.abs(psi.positions - a) <= 1e-10)) for a in CHI.values
         )
         assert hits >= counts.d_j_N
-        moments = clusters.cluster_moments(psi, 4, cross_check=False)
+        moments = clusters.cluster_moments(psi, 4)
         power = np.eye(psi.projected.shape[0])
         for k in range(5):
             trace_val = float(np.trace(power)) / psi.d_j

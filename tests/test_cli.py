@@ -392,6 +392,16 @@ def test_exit_code_2_on_bad_config(tmp_path):
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+def test_nonpositive_cutoff_exits_2(tmp_path, capsys):
+    # rejected by the config like every other range rule, before any run
+    for cutoff in (0.0, -5.0):
+        code, out = run_cli(tmp_path, "spectrum", {"cutoff": cutoff})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"config: config.cutoff: must be positive, got {cutoff}" in err
+        assert not (out / "spectrum.csv").exists()
+
+
 def test_exit_code_2_on_command_mismatch(tmp_path):
     code, _ = run_cli(tmp_path, "spectrum", {"command": "basis", "cutoff": 10.0})
     assert code == 2

@@ -160,7 +160,7 @@ def test_moment_trace_identity(level5):
     h = build_schrodinger(IDENT, CHI, M, basis=level5)
     rep = identify_clusters(h, family)
     for psi in rep.clusters:
-        moments = cluster_moments(psi, 4, cross_check=True)
+        moments = cluster_moments(psi, 4)
         power = np.eye(psi.projected.shape[0])
         for k in range(5):
             trace_val = float(np.trace(power)) / psi.d_j

@@ -31,7 +31,7 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
-from dense_oracle import reference_spectrum
+from dense_oracle import reference_graph_spectrum, reference_limit, reference_spectrum
 
 # frozen from the fixed-point iteration, cross-confirmed by the dense
 # eigensolves below: the smallest renormalized Dirichlet eigenvalue
@@ -66,9 +66,9 @@ def test_preimages_substitute_back(lam_prev):
 
 
 def test_eigenvalue_limit_smallest():
-    value, trace = eigenvalue_limit(2, 1, (), 1e-12, with_trace=True)
-    assert value == pytest.approx(SMALLEST_EIGENVALUE, rel=1e-10)
-    assert len(trace) <= 41  # stabilizes to 12 digits in at most 40 steps
+    rec = make_record(2, 1)
+    assert rec.value == pytest.approx(SMALLEST_EIGENVALUE, rel=1e-10)
+    assert len(rec.graph_values) <= 41  # stabilizes to 12 digits in at most 40 steps
 
 
 def test_eigenvalue_limit_series_order():
@@ -79,7 +79,8 @@ def test_eigenvalue_limit_series_order():
 
 def test_eigenvalue_limit_stopping_rule():
     tol = 1e-12
-    value, trace = eigenvalue_limit(2, 1, (), tol, with_trace=True)
+    rec = make_record(2, 1)
+    value, trace = rec.value, rec.graph_values
     m_stop = 1 + len(trace) - 1
     r_stop = 1.5 * 5.0 ** m_stop * trace[-1]
     r_prev = 1.5 * 5.0 ** (m_stop - 1) * trace[-2]
@@ -88,7 +89,7 @@ def test_eigenvalue_limit_stopping_rule():
 
 
 def test_eigenvalue_limit_forced_six_step():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must expand at its first step"):
         eigenvalue_limit(6, 2, (CONTRACTING,))
     auto = eigenvalue_limit(6, 2, ())
     explicit = eigenvalue_limit(6, 2, (EXPANDING,))
@@ -96,8 +97,14 @@ def test_eigenvalue_limit_forced_six_step():
 
 
 def test_eigenvalue_limit_no_convergence():
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as err:
         eigenvalue_limit(5, 1, (EXPANDING,) * 59)
+    assert str(err.value).endswith(
+        "within 60 steps (series 5, birth 1, 59 explicit branches)"
+    )
+    # more explicit steps than MAX_STEPS leave no contracting tail
+    with pytest.raises(ConvergenceError, match="500 explicit branches"):
+        eigenvalue_limit(5, 1, (EXPANDING,) * 500)
 
 
 def test_series_multiplicities():
@@ -132,6 +139,12 @@ def test_enumerate_sorted_with_ties_broken():
     assert values == sorted(values)
     keys = [(r.value, r.series, r.birth, r.branches) for r in table.records]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0, -1.0])
+def test_enumerate_rejects_bad_cutoffs(cutoff):
+    with pytest.raises(DomainError, match="positive and finite"):
+        enumerate_spectrum(cutoff)
 
 
 def test_enumerate_record_cap():
@@ -187,14 +200,14 @@ def test_batched_limits_equal_scalar_limits(cutoff):
     table = enumerate_spectrum(cutoff)
     assert {r.series for r in table.records} == {2, 5, 6}
     for rec in table.records:
-        assert rec.value == eigenvalue_limit(rec.series, rec.birth, rec.branches)
+        assert rec.value == reference_limit(rec.series, rec.birth, rec.branches)
 
 
 def test_contracting_limits_forced_six_step_and_errors():
     # nodes as arrays (series, birth, explicit steps, lam); a 6 seed without
     # explicit branches takes the expanding root
     assert decimation._contracting_limits([6], [2], [0], [6.0])[0] == (
-        eigenvalue_limit(6, 2)
+        reference_limit(6, 2)
     )
     with pytest.raises(DomainError, match="25/4"):
         decimation._contracting_limits([5], [1], [0], [6.3])
@@ -236,6 +249,19 @@ def test_oracle_equivalence_small_levels(m):
     assert np.max(np.abs(dense - expanded) / np.maximum(1.0, np.abs(expanded))) < 1e-8
 
 
+@pytest.mark.parametrize("m", range(1, 10))
+def test_truncated_spectrum_equals_recursive_oracle(m):
+    # the same entries in the same order, every field equal, not close
+    got = truncated_graph_spectrum(m)
+    want = reference_graph_spectrum(m)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.graph_value, a.series, a.birth, a.prefix, a.multiplicity) == (
+            b.graph_value, b.series, b.birth, b.prefix, b.multiplicity
+        )
+        assert a.record == b.record
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_multiplicity_sum_identity(m):
     total = sum(g.multiplicity for g in truncated_graph_spectrum(m))
@@ -245,6 +271,9 @@ def test_multiplicity_sum_identity(m):
 def test_branch_consistency():
     table = enumerate_spectrum(2.0e5)
     for rec in table.records:
+        assert rec.graph_values == reference_limit(
+            rec.series, rec.birth, rec.branches, with_trace=True
+        )[1]
         for prev, cur in zip(rec.graph_values, rec.graph_values[1:]):
             assert cur * (5.0 - cur) == pytest.approx(prev, abs=1e-12)
         assert rec.graph_values[0] == float(rec.series)

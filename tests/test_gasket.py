@@ -272,6 +272,12 @@ def test_simple_function_validation():
         SimpleFunction(1, [1.0, 2.0])
     with pytest.raises(DomainError):
         integrate_simple(constant_function(1.0), -1)
+    # refinement repeats each cell's value over its subcells, never coarsens
+    f = SimpleFunction(1, [1.0, 2.0, 3.0])
+    assert f.refined(1).tolist() == [1.0, 2.0, 3.0]
+    assert f.refined(2).tolist() == [1.0] * 3 + [2.0] * 3 + [3.0] * 3
+    with pytest.raises(DomainError, match="finer than level 0"):
+        f.refined(0)
 
 
 def test_vertices_csv(tmp_path):
