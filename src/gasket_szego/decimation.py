@@ -11,7 +11,9 @@ an eventually-contracting branch sequence.  One walk grows the branch tree
 level by level, as numpy arrays over the whole frontier: `enumerate_spectrum`
 prunes it at a cutoff, `truncated_graph_spectrum` grows it to level m.  One
 loop, `_contracting_limits`, takes the contracting tail of every node at
-once; `eigenvalue_limit` passes it a single node.
+once; `eigenvalue_limit` passes it a single node.  A `SpectrumTable` keeps
+the search's sorted arrays; its `EigenvalueRecord` objects are built only on
+request, and `spectrum_to_csv` writes from the arrays.
 
 Every structural claim here is validated wholesale against the dense
 eigensolve of the graph Laplacians (see the test suite): the truncated record
@@ -149,14 +151,17 @@ def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
 
     A node's `steps` explicit branches after its birth reach the graph value
     lam at level birth + steps.  From there it takes the contracting root
-    (a 6 seed the expanding one) until two successive renormalized values
-    agree to DEFAULT_TOL relatively, within MAX_STEPS steps in all.  Each
-    value is independent of the other nodes of the call.
+    until two successive renormalized values agree to DEFAULT_TOL
+    relatively, within MAX_STEPS steps in all.  Each value is independent of
+    the other nodes of the call.  A 6 seed has no contracting root, so a
+    6-series node must come after its forced expanding step.
     """
     series, birth, steps = (np.asarray(a) for a in (series, birth, steps))
     lam = np.asarray(lam, dtype=float)
     if np.any(lam > 25.0 / 4.0):
         raise DomainError(f"no real decimation preimages for {lam.max()} > 25/4")
+    if np.any(lam == 6.0):
+        raise DomainError("a 6 seed must take its forced expanding step first")
     # a node with MAX_STEPS explicit steps has no budget left to step
     level = birth + np.minimum(steps, MAX_STEPS)
     budget = MAX_STEPS - steps
@@ -174,9 +179,7 @@ def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
             )
         if idx.size == 0:
             break
-        disc = 5.0 + np.sqrt(25.0 - 4.0 * lam)
-        # from a 6 seed the contracting branch takes the expanding root
-        lam = np.where(lam == 6.0, disc / 2.0, 2.0 * lam / disc)
+        lam = 2.0 * lam / (5.0 + np.sqrt(25.0 - 4.0 * lam))
         level = level + 1
         value = scale[level] * lam
         done = np.abs(value - prev) < DEFAULT_TOL * np.abs(value)
@@ -198,22 +201,33 @@ def _contracting_limits(series, birth, steps, lam) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumTable:
-    """All eigenvalue records with value <= cutoff, sorted ascending."""
+    """All records with value <= cutoff as arrays sorted by (value, series,
+    birth, branches): branch length `steps` and bits `code` as `_grow` sets
+    them.  The `EigenvalueRecord` list is built when `records` is read."""
 
-    records: list[EigenvalueRecord]
     cutoff: float
+    value: np.ndarray
+    series: np.ndarray
+    birth: np.ndarray
+    steps: np.ndarray
+    code: np.ndarray
+    multiplicity: np.ndarray
+
+    @functools.cached_property
+    def records(self) -> list[EigenvalueRecord]:
+        return _records(self.value, self.series, self.birth, self.steps, self.code)
 
     @property
     def d_lambda(self) -> int:
-        return sum(r.multiplicity for r in self.records)
+        return sum(self.multiplicity.tolist())  # in Python ints, exactly
 
     def count_upto(self, lam: float) -> int:
-        return sum(r.multiplicity for r in self.records if r.value <= lam)
+        return sum(self.multiplicity[self.value <= lam].tolist())
 
-    def values(self) -> list[float]:
-        return [r.value for r in self.records]
+    def values(self) -> np.ndarray:
+        return self.value
 
 
 def _roots(within) -> list[np.ndarray]:
@@ -268,7 +282,7 @@ def enumerate_spectrum(
     # a root's partial value bounds every record below it from below
     nodes = _roots(lambda level, lam: renormalization_factor(level) * lam <= cutoff)
     if not nodes:
-        return SpectrumTable(records=[], cutoff=cutoff)
+        return _sorted_table([[np.empty(0)] + [np.empty(0, int)] * 4], cutoff)
     scale = np.array(
         [renormalization_factor(k) for k in range(nodes[1].max() + MAX_STEPS + 2)]
     )
@@ -296,42 +310,49 @@ def enumerate_spectrum(
                     f"spectrum enumeration exceeded the record cap "
                     f"{record_cap} below cutoff {cutoff}"
                 )
-    return SpectrumTable(records=_sorted_records(found), cutoff=cutoff)
+    return _sorted_table(found, cutoff)
 
 
-def _sorted_records(found) -> list[EigenvalueRecord]:
-    """Records from arrays (value, series, birth, steps, code), sorted by
+def _sorted_table(found, cutoff: float) -> SpectrumTable:
+    """The table of arrays (value, series, birth, steps, code), sorted by
     (value, series, birth, branches) as tuples compare: '+' < '-', and a
     branch string before any longer one it begins."""
     values, series, birth, steps, code = (np.concatenate(a) for a in zip(*found))
     width = int(steps.max(initial=0))
     left = code << (width - steps)  # branch strings aligned at their first step
     order = np.lexsort((steps, left, birth, series, values))
-    return _records(*(a[order] for a in (values, series, birth, steps, code)))
+    columns = [a[order] for a in (values, series, birth, steps, code)]
+    multiplicity = _by_pair(columns[1], columns[2], series_multiplicity)
+    return SpectrumTable(cutoff, *columns, multiplicity.astype(np.int64))
 
 
 def _records(values, series, birth, steps, code) -> list[EigenvalueRecord]:
     """One record per node, in the order of the arrays."""
-    series, birth = series.tolist(), birth.tolist()
-    multiplicity = {
-        key: series_multiplicity(*key) for key in set(zip(series, birth))
-    }
-    return [
-        EigenvalueRecord(s, b, branches, v, multiplicity[s, b])
-        for v, s, b, branches in zip(
-            values.tolist(), series, birth, _branch_tuples(steps, code)
-        )
-    ]
+    return list(map(
+        EigenvalueRecord, series.tolist(), birth.tolist(),
+        _by_branch(steps, code, tuple).tolist(), values.tolist(),
+        _by_pair(series, birth, series_multiplicity).tolist(),
+    ))
 
 
-def _branch_tuples(steps, code) -> list[tuple[str, ...]]:
-    """Each node's branch string as a tuple of signs; equal strings share
-    one tuple."""
-    # a leading 1 bit marks where each string starts
-    keys, string = np.unique(code | (1 << steps), return_inverse=True)
+def _per_node(keys, label) -> np.ndarray:
+    """label(key) of every node's key as an object array, computed once per
+    distinct key, so that nodes with equal keys share one label."""
+    distinct, index = np.unique(keys, return_inverse=True)
+    labels = map(label, distinct.tolist())
+    return np.fromiter(labels, dtype=object, count=distinct.size)[index]
+
+
+def _by_pair(series, birth, label) -> np.ndarray:
+    """label(series, birth) of every node."""
+    return _per_node(birth * 8 + series, lambda k: label(k % 8, k // 8))  # series < 8
+
+
+def _by_branch(steps, code, label) -> np.ndarray:
+    """label(branch string) of every node."""
     signs = str.maketrans("01", EXPANDING + CONTRACTING)
-    tuples = [tuple(bin(k)[3:].translate(signs)) for k in keys.tolist()]
-    return [tuples[i] for i in string.tolist()]
+    # a leading 1 bit marks where each string starts
+    return _per_node(code | (1 << steps), lambda k: label(bin(k)[3:].translate(signs)))
 
 
 @dataclass(frozen=True)
@@ -346,7 +367,8 @@ class GraphEigenvalue:
     record: EigenvalueRecord
 
 
-def truncated_graph_spectrum(m: int) -> list[GraphEigenvalue]:
+@functools.cache
+def truncated_graph_spectrum(m: int) -> tuple[GraphEigenvalue, ...]:
     """All level-m Dirichlet graph eigenvalues predicted by decimation.
 
     One entry per level-m node of the tree grown from `enumerate_spectrum`'s
@@ -354,7 +376,8 @@ def truncated_graph_spectrum(m: int) -> list[GraphEigenvalue]:
     (prefix (), record 6:m:+), sorted by (graph value, series, birth,
     prefix).  Each carries its multiplicity and the record of its last
     canonical ancestor (trailing contractions trimmed).  The multiset
-    expanded by multiplicity has exactly (3^(m+1)-3)/2 elements.
+    expanded by multiplicity has exactly (3^(m+1)-3)/2 elements.  Cached
+    (`validate` reads every level twice); the tuple and entries are frozen.
     """
     if m < 1:
         raise DomainError(f"graph spectra start at level 1, got {m}")
@@ -376,10 +399,12 @@ def truncated_graph_spectrum(m: int) -> list[GraphEigenvalue]:
     series, birth, steps, code, lam, *anchor = (a[order] for a in leaves)
     values = _contracting_limits(series, birth, anchor[0], anchor[2])
     records = _records(values, series, birth, anchor[0], anchor[1])
-    return [
+    return tuple(
         GraphEigenvalue(g, r.series, r.birth, prefix, r.multiplicity, r)
-        for g, prefix, r in zip(lam.tolist(), _branch_tuples(steps, code), records)
-    ]
+        for g, prefix, r in zip(
+            lam.tolist(), _by_branch(steps, code, tuple).tolist(), records
+        )
+    )
 
 
 def interior_dimension(m: int) -> int:
@@ -445,26 +470,20 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
     Each member is the smallest 6-series eigenvalue of its birth (forced
     expanding step, then all-contracting), so consecutive values scale by
     exactly 5.  Gaps to the nearest other eigenvalue come from a full
-    enumeration around the family.
+    enumeration around the family: in its sorted values, the nearest other
+    record is a neighbour.
     """
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
-    births = range(2, max(2, j_max) + 1)
-    table = enumerate_spectrum(6.0 * eigenvalue_limit(6, births[-1]))
-    # every member is a root of the search, so the table holds it
-    records = [
-        r for r in table.records
-        if r.series == 6 and r.branches == (EXPANDING,) and r.birth in births
-    ]
-    gaps = []
-    for rec in records:
-        others = [
-            abs(other.value - rec.value)
-            for other in table.records
-            if other.key != rec.key
-        ]
-        gaps.append(min(others))
-    return SeparatedFamily(records=records, gaps=gaps)
+    top = max(2, j_max)
+    table = enumerate_spectrum(6.0 * eigenvalue_limit(6, top))
+    v = table.value
+    gaps = np.minimum(np.diff(v, prepend=-np.inf), np.diff(v, append=np.inf))
+    # every member is a root of the search, so the table holds it; a
+    # 6-series branch string of one step is the forced expanding step
+    member = (table.series == 6) & (table.steps == 1) & (table.birth <= top)
+    rows = (v, table.series, table.birth, table.steps, table.code)
+    return SeparatedFamily(_records(*(a[member] for a in rows)), gaps[member].tolist())
 
 
 @functools.cache
@@ -492,14 +511,17 @@ def resolvable_window(m: int) -> float:
 
 
 def spectrum_to_csv(table: SpectrumTable, path) -> None:
-    """One row per record, formatted as `serialize.fmt` formats each cell."""
-    rows = "".join(
-        "%.17g,%d,%d,%d,%s\n"
-        % (r.value, r.series, r.birth, r.multiplicity, "".join(r.branches))
-        for r in table.records
+    """One row per record, formatted as `serialize.fmt` formats each cell,
+    from the arrays: each distinct prefix and branch string is built once,
+    and all values are formatted by one `%` into the joined row templates."""
+    rows = np.full(table.value.size, "%.17g,", dtype=object)
+    rows += _by_pair(
+        table.series, table.birth, lambda s, b: f"{s},{b},{series_multiplicity(s, b)},"
     )
+    rows += _by_branch(table.steps, table.code, lambda branches: branches + "\n")
     Path(path).write_text(
-        "value,series,birth,multiplicity,branches\n" + rows
+        "value,series,birth,multiplicity,branches\n"
+        + "".join(rows.tolist()) % tuple(table.value.tolist())
         + f"# d_lambda,{table.d_lambda}\n",
         encoding="utf-8",
     )

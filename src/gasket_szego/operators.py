@@ -624,7 +624,7 @@ def spectral_bounds(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if symbol.limit_q is None:
         raise DomainError(f"symbol {symbol.name} declares no uniform limit")
-    values = [r.value for r in table.records]
+    values = table.values().tolist()
     if not values:
         raise DomainError("empty spectrum table")
     dists = [
@@ -656,10 +656,8 @@ def spectral_bounds(
 
 def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarray:
     """Sorted image of the spectrum under p, expanded by multiplicity."""
-    values = []
-    for rec in table.records:
-        values.extend([p(rec.value)] * rec.multiplicity)
-    return np.sort(np.array(values))
+    image = [p(v) for v in table.values().tolist()]
+    return np.sort(np.repeat(image, table.multiplicity))
 
 
 def operator_to_csv(op: CompressedOperator, path, sidecar_path) -> None:

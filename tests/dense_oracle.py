@@ -14,8 +14,12 @@ record at a time, where `enumerate_spectrum` takes it level by level in numpy;
 `reference_graph_spectrum` lists every level-m branch string recursively,
 where `truncated_graph_spectrum` grows the same tree; and `reference_limit`
 steps one record at a time, where `_contracting_limits` steps them all.
+`reference_spectrum_csv` and `reference_separated_sequence` read a spectrum
+table's records one at a time, where `spectrum_to_csv` and
+`separated_sequence` read its sorted arrays.
 """
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +32,11 @@ from gasket_szego.decimation import (
     PRUNE_SAFETY,
     EigenvalueRecord,
     GraphEigenvalue,
+    SeparatedFamily,
     _normalize_branches,
     decimation_preimages,
+    enumerate_spectrum,
+    eigenvalue_limit,
     renormalization_factor,
     series_multiplicity,
 )
@@ -313,3 +320,37 @@ def reference_spectrum(cutoff):
             birth += 1
     records.sort(key=lambda r: (r.value, r.series, r.birth, r.branches))
     return records
+
+
+def reference_spectrum_csv(table, path) -> None:
+    """`spectrum_to_csv` one record at a time."""
+    rows = "".join(
+        "%.17g,%d,%d,%d,%s\n"
+        % (r.value, r.series, r.birth, r.multiplicity, "".join(r.branches))
+        for r in table.records
+    )
+    Path(path).write_text(
+        "value,series,birth,multiplicity,branches\n" + rows
+        + f"# d_lambda,{sum(r.multiplicity for r in table.records)}\n",
+        encoding="utf-8",
+    )
+
+
+def reference_separated_sequence(j_max: int) -> SeparatedFamily:
+    """`separated_sequence` by filtering the records and taking each
+    member's gap as the least distance to every other record."""
+    births = range(2, max(2, j_max) + 1)
+    table = enumerate_spectrum(6.0 * eigenvalue_limit(6, births[-1]))
+    records = [
+        r for r in table.records
+        if r.series == 6 and r.branches == (EXPANDING,) and r.birth in births
+    ]
+    gaps = []
+    for rec in records:
+        others = [
+            abs(other.value - rec.value)
+            for other in table.records
+            if other.key != rec.key
+        ]
+        gaps.append(min(others))
+    return SeparatedFamily(records=records, gaps=gaps)

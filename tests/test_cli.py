@@ -46,6 +46,18 @@ def test_spectrum_command(tmp_path):
             <= timings["total_seconds"])
 
 
+def test_spectrum_command_builds_no_record(tmp_path, monkeypatch):
+    # the table and its CSV are arrays all the way
+    def no_records(*args):
+        raise AssertionError("a spectrum run built EigenvalueRecord objects")
+
+    monkeypatch.setattr(decimation, "_records", no_records)
+    code, out = run_cli(tmp_path, "spectrum", {"cutoff": 1e9})
+    assert code == 0
+    lines = (out / "spectrum.csv").read_text().splitlines()
+    assert lines[-1] == f"# d_lambda,{decimation.enumerate_spectrum(1e9).d_lambda}"
+
+
 def test_validate_command_and_determinism(tmp_path):
     config = {"m": 3}
     code1, out1 = run_cli(tmp_path, "validate", config, name="v1")

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,22 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
-from dense_oracle import reference_graph_spectrum, reference_limit, reference_spectrum
+from dense_oracle import (
+    reference_graph_spectrum,
+    reference_limit,
+    reference_separated_sequence,
+    reference_spectrum,
+    reference_spectrum_csv,
+)
+
+
+def _deepest_benchmark_cutoff() -> float:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return max(workloads.spectrum_cutoffs())
+
 
 # frozen from the fixed-point iteration, cross-confirmed by the dense
 # eigensolves below: the smallest renormalized Dirichlet eigenvalue
@@ -204,11 +221,10 @@ def test_batched_limits_equal_scalar_limits(cutoff):
 
 
 def test_contracting_limits_forced_six_step_and_errors():
-    # nodes as arrays (series, birth, explicit steps, lam); a 6 seed without
-    # explicit branches takes the expanding root
-    assert decimation._contracting_limits([6], [2], [0], [6.0])[0] == (
-        reference_limit(6, 2)
-    )
+    # nodes as arrays (series, birth, explicit steps, lam); a 6 seed has no
+    # contracting root, so it must arrive after its forced expanding step
+    with pytest.raises(DomainError, match="forced expanding step"):
+        decimation._contracting_limits([6], [2], [0], [6.0])
     with pytest.raises(DomainError, match="25/4"):
         decimation._contracting_limits([5], [1], [0], [6.3])
     # explicit steps count against MAX_STEPS, as in eigenvalue_limit; the
@@ -236,6 +252,38 @@ def test_spectrum_csv_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cutoff", [1e3, 1e6, 1e9, _deepest_benchmark_cutoff()])
+def test_spectrum_csv_equals_record_writer(tmp_path, cutoff):
+    # the file written from the arrays has the bytes of the per-record one
+    table = enumerate_spectrum(cutoff)
+    spectrum_to_csv(table, tmp_path / "arrays.csv")
+    reference_spectrum_csv(table, tmp_path / "records.csv")
+    got = (tmp_path / "arrays.csv").read_bytes()
+    assert got == (tmp_path / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cutoff", [1e4, 1e9])
+def test_table_reductions_equal_record_sums(cutoff):
+    table = enumerate_spectrum(cutoff)
+    records = table.records
+    assert table.values().tolist() == [r.value for r in records]
+    assert table.multiplicity.tolist() == [r.multiplicity for r in records]
+    assert table.d_lambda == sum(r.multiplicity for r in records)
+    assert type(table.d_lambda) is int
+    grid = [0.0, cutoff, math.nan] + [
+        v * f for v in table.values()[::7] for f in (1.0, 1.000001)
+    ]
+    for lam in grid:
+        assert table.count_upto(lam) == sum(
+            r.multiplicity for r in records if r.value <= lam
+        )
+
+
+def test_table_builds_records_once():
+    table = enumerate_spectrum(1e6)
+    assert table.records is table.records
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_oracle_equivalence_small_levels(m):
     # dense eigensolve oracle validates the whole decimation hypothesis
@@ -260,6 +308,14 @@ def test_truncated_spectrum_equals_recursive_oracle(m):
             b.graph_value, b.series, b.birth, b.prefix, b.multiplicity
         )
         assert a.record == b.record
+
+
+def test_truncated_spectrum_is_cached_and_immutable():
+    first = truncated_graph_spectrum(4)
+    assert truncated_graph_spectrum(4) is first
+    assert isinstance(first, tuple)
+    with pytest.raises(AttributeError):
+        first.append(first[0])
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -316,6 +372,15 @@ def test_separated_sequence_scaling():
         assert cur.value / prev.value == pytest.approx(5.0, rel=1e-10)
     assert all(g > 0 for g in family.gaps)
     assert family.gaps == sorted(family.gaps)  # gaps grow monotonically
+
+
+@pytest.mark.parametrize("j_max", range(1, 9))
+def test_separated_sequence_equals_record_loop(j_max):
+    # the same members, and gaps equal, not close
+    got = separated_sequence(j_max)
+    want = reference_separated_sequence(j_max)
+    assert got.records == want.records
+    assert got.gaps == want.gaps
 
 
 def test_separated_sequence_minimal():
