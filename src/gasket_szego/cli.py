@@ -431,10 +431,12 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
                     f"records[{i}]",
                     f"no eigenspace with record key {key} at level {config.m}",
                 )
-    basis = eigenbasis.build_level_basis(config.m)
+    # the prediction labels every eigenspace, and each listed one is built
+    # alone by its lineage
+    bare = eigenbasis.bare_level_basis(config.m)
     rows = [
         (b.record.key, b.graph_value, b.dim, b.record.value, b.record.multiplicity)
-        for b in basis.bundles
+        for b in bare.bundles
     ]
     write_csv(
         out_dir / "bundles.csv",
@@ -443,14 +445,11 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     )
     outputs = ["bundles.csv"]
     for key in config.records:
-        bundle = basis.bundle_for(key)
         name = f"bundle_{_sanitize(key)}.csv"
-        eigenbasis.save_bundle(bundle, out_dir / name)
+        eigenbasis.save_bundle(eigenbasis.eigenspace(config.m, key), out_dir / name)
         outputs.append(name)
     if config.dump_vertices:
-        gasket.vertices_to_csv(
-            basis.vertices, basis.measure, out_dir / "vertices.csv"
-        )
+        gasket.vertices_to_csv(bare.vertices, bare.measure, out_dir / "vertices.csv")
         outputs.append("vertices.csv")
     return outputs
 
@@ -460,12 +459,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
 
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
-    # the n x n level basis only where columns are read, the dumped
-    # operator's dense matrix: every symbol the config describes reduces
-    if config.dump_operator:
-        basis = eigenbasis.level_basis(config.m)
-    else:
-        basis = operators.level_basis_for(symbol, config.m)
+    basis = operators.level_basis_for(symbol, config.m)
     if determinant:
         if config.mode == "single":
             report = szego.szego_logdet_single_series(
@@ -495,8 +489,9 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
         szego.plot_error_svg(report, out_dir / "report.svg")
         outputs.append("report.svg")
     if config.dump_operator:
-        bundle = basis.family_bundle(config.series, config.j_range[-1])
-        sel = operators.selection_from_bundles([bundle])
+        # the dense matrix reads the columns of the one dumped eigenspace
+        key = basis.family_bundle(config.series, config.j_range[-1]).record.key
+        sel = operators.selection_from_bundles([eigenbasis.eigenspace(config.m, key)])
         op = operators.compress(symbol, sel, basis.measure)
         operators.operator_to_csv(
             op, out_dir / "operator.csv", out_dir / "operator_meta.json"
@@ -549,15 +544,8 @@ def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
 def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     import numpy as np
 
-    from . import decimation, eigenbasis, operators
-    from .gasket import (
-        SimpleFunction,
-        build_vertices,
-        cell_words,
-        dirichlet_spectrum,
-        effective_multiplier,
-        integrate_simple,
-    )
+    from . import decimation, eigenbasis
+    from .gasket import SimpleFunction, build_vertices, dirichlet_spectrum
     from .serialize import fmt, write_csv
 
     m = config.m
@@ -566,10 +554,9 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     def check(name: str, ok: bool, detail: str) -> None:
         rows.append((name, "PASS" if ok else "FAIL", detail))
 
-    basis = eigenbasis.level_basis(m)
     for level in range(1, m + 1):
         # an eigensolve of the graph Laplacian, by its rotation sectors, is the
-        # oracle: the level basis is built from the very prediction it is
+        # oracle: the eigenspaces are built from the very prediction they are
         # compared with
         try:
             oracle = dirichlet_spectrum(build_vertices(level))
@@ -600,70 +587,28 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
             f"sum={total};dim={decimation.interior_dimension(level)}",
         )
 
+    # each family eigenspace is built alone, by its lineage
+    bare = eigenbasis.bare_level_basis(m)
+
+    def family(series: int, birth: int):
+        key = bare.family_bundle(series, birth).record.key
+        return eigenbasis.eigenspace(m, key)
+
     for series in (6, 5):
-        lo = 2
-        for birth in range(lo, min(m, 5) + 1):
-            bundle = basis.family_bundle(series, birth)
-            for n_level in range(1, birth):
-                counts = decimation.localization_counts(series, birth, n_level)
-                try:
-                    split = eigenbasis.localized_split(bundle, n_level)
-                    ok = split.localized_total == counts.d_j_N
-                    detail = (
-                        f"per_cell={counts.m_j_N};localized={split.localized_total};"
-                        f"alpha={split.nonlocalized.shape[1]};"
-                        f"dropped_over_tol={fmt(split.dropped_over_tol)};"
-                        f"tol_over_kept={fmt(split.tol_over_kept)}"
-                    )
-                except GasketError as exc:
-                    ok, detail = False, str(exc)
-                check(f"localization-s{series}-j{birth}-N{n_level}", ok, detail)
+        for birth in range(2, min(m, 5) + 1):
+            for row in _localization_rows(family(series, birth)):
+                check(*row)
 
     if m >= 3:
-        # the localized columns of a split P are exact eigenvectors of [f]:
-        # their rows of P^T [f] P are [diag(f_C) 0], up to block_snap
         birth = min(m, 4)
         f = SimpleFunction(1, [1.0, 2.0, 3.0])
-        bundle = basis.family_bundle(6, birth)
-        split = eigenbasis.localized_split(bundle, 1)
-        words = cell_words(1)
-        localized = np.hstack([split.per_cell[word] for word in words])
-        cell_values = np.repeat(
-            [f.value_on_word(word) for word in words],
-            [split.per_cell[word].shape[1] for word in words],
-        )
-        loc, alpha = cell_values.size, split.nonlocalized.shape[1]
-        interior = bundle.vertices.interior
-        g = effective_multiplier(f, basis.measure.vertices)[interior]
-        rows_f = (g[:, None] * localized).T @ np.hstack(
-            [localized, split.nonlocalized]
-        )
-        expected = np.hstack([np.diag(cell_values), np.zeros((loc, alpha))])
-        block_snap = float(np.max(np.abs(rows_f - expected)))
-        r_block = rows_f[:, :loc]
-        counts = decimation.localization_counts(6, birth, 1)
-        ok = loc == counts.d_j_N and block_snap <= 1e-10
-        detail = f"block_snap={fmt(block_snap)}"
-        for k in (1, 2, 3):
-            lhs = float(np.trace(np.linalg.matrix_power(r_block, k)))
-            rhs = counts.d_j_N * integrate_simple(f, k)
-            ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-            detail += f";trace_R^{k}_dev={fmt(abs(lhs - rhs))}"
+        ok, detail = _block_exactness(family(6, birth), f)
         # the level-1 remainders the reduced compressions read, built by
-        # decimation lineage, against the junction SVD of whole eigenspaces
-        # (the sine of their largest principal angle, over 1e-12) and
-        # against the localized trace of f over every eigenspace
-        sel = operators.leading_selection(basis)
+        # decimation lineage, against the junction SVD of each whole
+        # eigenspace built by the walk (the sine of their largest principal
+        # angle, over 1e-12) and against the localized trace of f over it
         try:
-            angle = eigenbasis.remainder_deviation(
-                eigenbasis.level_remainder(m, 1),
-                eigenbasis.nonlocalized_remainder(
-                    sel.columns, list(zip(sel.records, sel.group_slices)),
-                    basis.vertices, 1,
-                ),
-                m,
-            ) / 1e-12
-            trace = operators.localized_trace_margin(f, sel, basis.measure)
+            angle, trace = _lineage_margins(m, f, bare.measure)
             ok = ok and angle <= 1.0
             detail += (
                 f";lineage_angle_over_tol={fmt(angle)}"
@@ -680,7 +625,8 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     if trial_m >= 2:
         rng = np.random.default_rng(config.seed)
         base_chi = SimpleFunction(1, [0.8, 1.0, 1.2])
-        trial_basis = eigenbasis.level_basis(trial_m)
+        # H reads only the eigenvalues and level_remainder
+        trial_basis = eigenbasis.bare_level_basis(trial_m)
         for trial in range(10):
             delta = float(rng.uniform(0.01, 1.0))
             eta = clusters.random_simple_perturbation(rng, 1, delta)
@@ -701,6 +647,83 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
             f"{len(failures)} validation checks failed, first: {failures[0]}"
         )
     return ["validate.csv"]
+
+
+def _localization_rows(bundle) -> list[tuple[str, bool, str]]:
+    """One row per cell level N below the birth of a family eigenspace: its
+    split at N against the closed-form counts, with the kernel margins."""
+    from . import decimation, eigenbasis
+    from .serialize import fmt
+
+    series, birth = bundle.record.series, bundle.record.birth
+    rows = []
+    for n_level in range(1, birth):
+        counts = decimation.localization_counts(series, birth, n_level)
+        try:
+            split = eigenbasis.localized_split(bundle, n_level)
+            ok = split.localized_total == counts.d_j_N
+            detail = (
+                f"per_cell={counts.m_j_N};localized={split.localized_total};"
+                f"alpha={split.nonlocalized.shape[1]};"
+                f"dropped_over_tol={fmt(split.dropped_over_tol)};"
+                f"tol_over_kept={fmt(split.tol_over_kept)}"
+            )
+        except GasketError as exc:
+            ok, detail = False, str(exc)
+        rows.append((f"localization-s{series}-j{birth}-N{n_level}", ok, detail))
+    return rows
+
+
+def _block_exactness(bundle, f) -> tuple[bool, str]:
+    """The localized columns of the split P of a 6-series eigenspace at N = 1
+    are exact eigenvectors of [f]: their rows of P^T [f] P are [diag(f_C) 0],
+    up to block_snap, and the powers of their block R have the closed-form
+    traces d_{j,1} times the integral of f^k."""
+    import numpy as np
+
+    from . import decimation, eigenbasis
+    from .gasket import cell_words, effective_multiplier, integrate_simple
+    from .serialize import fmt
+
+    split = eigenbasis.localized_split(bundle, 1)
+    words = cell_words(1)
+    localized = np.hstack([split.per_cell[word] for word in words])
+    cell_values = np.repeat(
+        [f.value_on_word(word) for word in words],
+        [split.per_cell[word].shape[1] for word in words],
+    )
+    loc, alpha = cell_values.size, split.nonlocalized.shape[1]
+    g = effective_multiplier(f, bundle.vertices)[bundle.vertices.interior]
+    rows_f = (g[:, None] * localized).T @ np.hstack([localized, split.nonlocalized])
+    expected = np.hstack([np.diag(cell_values), np.zeros((loc, alpha))])
+    block_snap = float(np.max(np.abs(rows_f - expected)))
+    r_block = rows_f[:, :loc]
+    counts = decimation.localization_counts(6, bundle.record.birth, 1)
+    ok = loc == counts.d_j_N and block_snap <= 1e-10
+    detail = f"block_snap={fmt(block_snap)}"
+    for k in (1, 2, 3):
+        lhs = float(np.trace(np.linalg.matrix_power(r_block, k)))
+        rhs = counts.d_j_N * integrate_simple(f, k)
+        ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+        detail += f";trace_R^{k}_dev={fmt(abs(lhs - rhs))}"
+    return ok, detail
+
+
+def _lineage_margins(m: int, f, measure) -> tuple[float, float]:
+    """The worst lineage angle over 1e-12 and localized-trace margin of f over
+    every level-m eigenspace, each built whole by the depth-first walk and
+    compared with its block of `level_remainder(m, f.level)`."""
+    from . import eigenbasis, operators
+
+    lineage = eigenbasis.level_remainder(m, f.level)
+
+    def margins(bundle) -> tuple[float, float]:
+        whole = eigenbasis.eigenspace_remainder(bundle, f.level)
+        angle = eigenbasis.remainder_deviation(lineage.select(whole.records), whole, m)
+        return angle / 1e-12, operators.localized_trace_margin(f, bundle, measure)
+
+    angles, traces = zip(*eigenbasis.walk_eigenspaces(m, margins))
+    return max(angles), max(traces)
 
 
 _HANDLERS = {

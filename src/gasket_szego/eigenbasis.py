@@ -6,9 +6,14 @@ local eigenfunction-extension formula, once per preimage of its graph value,
 and the 5- and 6-eigenspaces born at level m come from their sparse
 descriptions.  Each eigenspace arrives labelled with its entry of the level-m
 decimation prediction, orthonormal in the measure-weighted inner product, in
-one read-only matrix of which every eigenspace is a column view.  The dense
-eigensolve `solve_graph_spectrum` and its labelling `group_eigenspaces` stay
-as the independent oracle.  Splits at a cell level rest on the junction
+one read-only matrix of which every eigenspace is a column view; that n x n
+matrix serves a callable potential, the scripts and the tests.
+`eigenspace(m, key)` builds one eigenspace alone by its own lineage, with the
+same per-eigenspace steps and checks and the same bits, and
+`walk_eigenspaces` builds all of them depth first, one root-to-leaf path at a
+time.  The dense eigensolve `solve_graph_spectrum` and its labelling
+`group_eigenspaces` stay as the independent oracle.  Splits at a cell level
+rest on the junction
 functionals at the level's interior vertices, which vanish exactly on the
 sums of vectors localized in cells: the row space of the functionals applied
 to an eigenspace is its non-localized remainder, and the kernel, restricted
@@ -20,12 +25,13 @@ tolerance.
 `level_remainder(m, k)` runs the same decimation but carries, above cell
 level k, only each eigenspace's remainder: extension maps a parent's
 remainder onto its child's, and a newborn eigenspace is cut to its remainder
-when it is born, so no n x n array is formed.  `nonlocalized_remainder`, the
-same remainder read off whole eigenspaces, is its independent check.
+when it is born, so no n x n array is formed.  `eigenspace_remainder`, the
+same remainder read off a whole eigenspace, is its independent check.
 """
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,12 +347,17 @@ class Remainder:
     per_cell: list[int]
     records: list[EigenvalueRecord]
 
+    @functools.cached_property
+    def _layout(self) -> tuple[dict[str, int], np.ndarray]:
+        """The index of each record key, and each eigenspace's first column."""
+        index = {rec.key: i for i, rec in enumerate(self.records)}
+        return index, np.cumsum([0] + self.dims)
+
     def select(self, records: list[EigenvalueRecord]) -> "Remainder":
         """The remainder of the eigenspaces `records`, in their order; a run
         of consecutive eigenspaces is a column view, not a copy."""
-        index = {rec.key: i for i, rec in enumerate(self.records)}
+        index, starts = self._layout
         picks = [index[rec.key] for rec in records]
-        starts = np.cumsum([0] + self.dims)
         if picks == list(range(picks[0], picks[0] + len(picks))):
             columns = self.columns[:, starts[picks[0]] : starts[picks[-1] + 1]]
         else:
@@ -403,42 +414,29 @@ def _remainder_rank(record: EigenvalueRecord, d: int, k: int) -> int:
     return localization_counts(record.series, record.birth, k).alpha_N
 
 
-def nonlocalized_remainder(
-    vectors: np.ndarray,
-    blocks: list[tuple[EigenvalueRecord, slice]],
-    vertices: VertexSet,
-    k: int,
-) -> Remainder:
-    """The remainder of each eigenspace `vectors[:, sl]` at cell level k.
+def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
+    """The remainder at cell level k of one whole eigenspace, read off its
+    vectors.
 
     It is the row space of the junction functionals applied to the
     eigenspace: the top right singular vectors of a (2 n_k) x d matrix,
     whose rank is pinned to the closed-form count.  An eigenspace in which
     nothing localizes is its own remainder.
     """
+    vertices, u, rec = bundle.vertices, bundle.vectors, bundle.record
     if not 0 <= k <= vertices.level:
         raise DomainError(f"need 0 <= cell level <= {vertices.level}, got {k}")
-    values = _junction_matrix(vertices, k) @ vectors
-    n = vertices.n_interior
-    ranks = [_remainder_rank(rec, sl.stop - sl.start, k) for rec, sl in blocks]
-    columns = np.empty((n, sum(ranks)))
-    per_cell, cursor = [], 0
-    for (rec, sl), r in zip(blocks, ranks):
-        d = sl.stop - sl.start
-        per_cell.append((d - r) // 3 ** k)
-        out = columns[:, cursor : cursor + r]
-        cursor += r
-        if r == d:
-            out[:] = vectors[:, sl]
-            continue
-        if r == 0:
-            continue
-        out[:] = vectors[:, sl] @ _pinned_rows(values[:, sl], r, rec.key, k).T
+    d = u.shape[1]
+    r = _remainder_rank(rec, d, k)
+    if r == d:
+        columns = u
+    elif r == 0:
+        columns = u[:, :0]
+    else:
+        values = _junction_matrix(vertices, k) @ u
+        columns = u @ _pinned_rows(values, r, rec.key, k).T
     return Remainder(
-        columns=columns,
-        dims=ranks,
-        per_cell=per_cell,
-        records=[rec for rec, _ in blocks],
+        columns=columns, dims=[r], per_cell=[(d - r) // 3 ** k], records=[rec]
     )
 
 
@@ -505,6 +503,7 @@ class _Refinement:
     boundary vertices, where Dirichlet eigenvectors vanish.
     """
 
+    level: int
     n_prev: int
     n: int
     old: np.ndarray  # (n_prev,) level-m rows of the level-(m-1) interior
@@ -514,7 +513,11 @@ class _Refinement:
     neighbours: np.ndarray  # (n, 4) level-m rows of each vertex's neighbours
 
 
-def _refinement(parent: VertexSet, vertices: VertexSet) -> _Refinement:
+@functools.lru_cache(maxsize=16)
+def _refinement(m: int) -> _Refinement:
+    """The refinement from level m-1 to level m, cached: every lineage
+    through level m reads it."""
+    parent, vertices = build_vertices(m - 1), build_vertices(m)
     prow = _rows(parent)
     row = _rows(vertices)
     n = vertices.n_interior
@@ -531,6 +534,7 @@ def _refinement(parent: VertexSet, vertices: VertexSet) -> _Refinement:
     inside = row[src] < n
     order = np.argsort(row[src][inside], kind="stable")
     return _Refinement(
+        level=m,
         n_prev=parent.n_interior,
         n=n,
         old=level_m_rows(2 * parent.bary[parent.interior]),
@@ -583,6 +587,18 @@ def _check_gram(block: np.ndarray, scale: float, key: str) -> None:
         )
 
 
+def _extended(
+    ref: _Refinement, values: np.ndarray, lam: float, key: str, out: np.ndarray
+) -> None:
+    """One eigenspace's step from level m-1 to level m, into `out`: the
+    extension of `values` at `lam`, whose plain Gram matrix must be a
+    multiple of the identity, scaled to weighted-orthonormal columns."""
+    _extend(ref, values, lam, out)
+    scale = float(np.mean(np.einsum("ij,ij->j", out, out)))
+    _check_gram(out, scale, key)
+    out *= 1.0 / np.sqrt(scale * interior_weight(ref.level))
+
+
 def _stencil_residual(
     ref: _Refinement, vectors: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
@@ -595,6 +611,26 @@ def _stencil_residual(
             r -= pad[ref.neighbours[:, k]]
         worst[cols] = np.max(np.abs(r), axis=0)
     return worst
+
+
+def _check_stencil(
+    ref: _Refinement, vectors: np.ndarray, blocks: list[tuple[GraphEigenvalue, int, int]]
+) -> None:
+    """Every column of `vectors[:, start:stop]`, for each (g, start, stop) in
+    `blocks`, must solve the level-m eigen-equation at g's graph value."""
+    m = ref.level
+    g_cols = np.concatenate(
+        [np.full(stop - start, g.graph_value) for g, start, stop in blocks]
+    )
+    # residual of the unit-norm columns, the scale of RESIDUAL_RTOL
+    residual = _stencil_residual(ref, vectors, g_cols) * np.sqrt(interior_weight(m))
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= RESIDUAL_RTOL * 4.0:
+        key = next(g.record.key for g, start, stop in blocks if start <= worst < stop)
+        raise NumericError(
+            f"level {m}, eigenspace {key}: stencil residual "
+            f"{residual[worst]:.3e} exceeds {RESIDUAL_RTOL:.0e} * 4"
+        )
 
 
 def _inverse_cholesky(gram: np.ndarray) -> None:
@@ -809,12 +845,23 @@ def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
         out[ref.mid, cols] = sign[:, None] * (y @ gram[cols].T)[var]
 
 
+def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray) -> None:
+    """The whole eigenspace of entry g born at level m, weighted-orthonormal,
+    into `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the
+    level-1 2-series vector, constant on the one midpoint triangle."""
+    w = interior_weight(ref.level)
+    if g.series == 2:
+        out[:] = 1.0 / np.sqrt(ref.n * w)
+        return
+    (_newborn_five if g.series == 5 else _newborn_six)(ref, w, out)
+    _check_gram(out, 1.0 / w, g.record.key)
+
+
 @dataclass
 class _Decimated:
     """One level of the decimation build: the carried columns of every
     eigenspace, each with its labelled column range."""
 
-    vertices: VertexSet
     vectors: np.ndarray
     blocks: list[tuple[GraphEigenvalue, int, int]]
 
@@ -827,7 +874,13 @@ def _predicted(m: int) -> list[GraphEigenvalue]:
     )
 
 
-def _decimate(parent: _Decimated, vertices: VertexSet, k: int) -> _Decimated:
+def _preimage(parent: GraphEigenvalue, sign: str) -> float:
+    """The graph value that a child of `parent` takes through branch `sign`."""
+    lo, hi = decimation_preimages(parent.graph_value)
+    return hi if sign == EXPANDING else lo
+
+
+def _decimate(parent: _Decimated, m: int, k: int) -> _Decimated:
     """Level-m eigenvectors from level m-1, with no eigensolve.
 
     Every level-(m-1) eigenspace extends through each preimage of its graph
@@ -842,8 +895,7 @@ def _decimate(parent: _Decimated, vertices: VertexSet, k: int) -> _Decimated:
     `truncated_graph_spectrum(m)` entry it must equal, in record-value
     order, and is checked there: Gram matrix, stencil residual, dimension.
     """
-    m = vertices.level
-    ref = _refinement(parent.vertices, vertices)
+    ref = _refinement(m)
     w = interior_weight(m)
     predicted = _predicted(m)
     total = sum(g.multiplicity for g in predicted)
@@ -874,64 +926,133 @@ def _decimate(parent: _Decimated, vertices: VertexSet, k: int) -> _Decimated:
         return g, vectors[:, start:stop]
 
     for g, start, stop in parent.blocks:
-        lo, hi = decimation_preimages(g.graph_value)
-        signs = [(EXPANDING, hi)]
-        if g.graph_value != 6.0:
-            signs.append((CONTRACTING, lo))
-        for sign, lam in signs:
+        signs = [EXPANDING] if g.graph_value == 6.0 else [EXPANDING, CONTRACTING]
+        for sign in signs:
             child, out = target((g.series, g.birth, g.prefix + (sign,)))
-            _extend(ref, parent.vectors[:, start:stop], lam, out)
-            scale = float(np.mean(np.einsum("ij,ij->j", out, out)))
-            _check_gram(out, scale, child.record.key)
-            out *= 1.0 / np.sqrt(scale * w)
+            _extended(
+                ref, parent.vectors[:, start:stop], _preimage(g, sign),
+                child.record.key, out,
+            )
 
-    for series in (5, 6) if m > 1 else (5,):
+    for series in (5, 6) if m > 1 else (5, 2):
         child, out = target((series, m, ()))
         if out.shape[1] == child.multiplicity:
-            (_newborn_five if series == 5 else _newborn_six)(ref, w, out)
-        elif series == 6:
-            junction = _junction_matrix(vertices, k)
+            _newborn(ref, child, out)
+            continue
+        junction = _junction_matrix(build_vertices(m), k)
+        if series == 6:
             _newborn_six_remainder(ref, w, junction, child, k, out)
         else:
             whole = np.empty((ref.n, child.multiplicity))
             _newborn_five(ref, w, whole)
-            values = _junction_matrix(vertices, k) @ whole
-            out[:] = whole @ _pinned_rows(values, out.shape[1], child.record.key, k).T
+            rows = _pinned_rows(junction @ whole, out.shape[1], child.record.key, k)
+            out[:] = whole @ rows.T
         _check_gram(out, 1.0 / w, child.record.key)
-    if m == 1:
-        # the 2-series vector is constant on the one midpoint triangle
-        child, out = target((2, 1, ()))
-        out[:] = 1.0 / np.sqrt(ref.n * w)
     if unfilled:
         raise MismatchError(
             f"level {m}: decimation built no vectors for the predicted "
             f"eigenspaces {sorted(unfilled)}"
         )
-
-    g_cols = np.concatenate(
-        [np.full(stop - start, g.graph_value) for g, start, stop in blocks]
-    )
-    # residual of the unit-norm columns, the scale of RESIDUAL_RTOL
-    residual = _stencil_residual(ref, vectors, g_cols) * np.sqrt(w)
-    worst = int(np.argmax(residual))
-    if not residual[worst] <= RESIDUAL_RTOL * 4.0:
-        key = next(g.record.key for g, start, stop in blocks if start <= worst < stop)
-        raise NumericError(
-            f"level {m}, eigenspace {key}: stencil residual "
-            f"{residual[worst]:.3e} exceeds {RESIDUAL_RTOL:.0e} * 4"
-        )
-    return _Decimated(vertices=vertices, vectors=vectors, blocks=blocks)
+    _check_stencil(ref, vectors, blocks)
+    return _Decimated(vectors=vectors, blocks=blocks)
 
 
-def _decimated(m: int, k: int, vertices: VertexSet) -> _Decimated:
+def _decimated(m: int, k: int) -> _Decimated:
     """Level m built by decimation from level 0, one level at a time,
     carrying each eigenspace's remainder at cell level k; lower levels are
     dropped as soon as the next one is built."""
-    level = _Decimated(vertices=build_vertices(0), vectors=np.zeros((0, 0)), blocks=[])
+    level = _Decimated(vectors=np.zeros((0, 0)), blocks=[])
     for j in range(1, m + 1):
-        level = _decimate(level, vertices if j == m else build_vertices(j), k)
+        level = _decimate(level, j, k)
     level.vectors.flags.writeable = False
     return level
+
+
+def _grown(g: GraphEigenvalue, parent=None) -> np.ndarray:
+    """The eigenspace of entry g at its level, as a new array: newborn, or
+    with `parent` = (entry, vectors) one level down, its extension through
+    the last branch of g.  The same steps as `_decimate`'s, with the same
+    Gram and stencil checks."""
+    ref = _refinement(g.birth + len(g.prefix))
+    # a column block of a wider array, as each eigenspace is in the level
+    # basis: einsum sums a lone contiguous column in another order
+    out = np.empty((ref.n, g.multiplicity + 1))[:, :-1]
+    if parent is None:
+        _newborn(ref, g, out)
+    else:
+        entry, values = parent
+        _extended(ref, values, _preimage(entry, g.prefix[-1]), g.record.key, out)
+    _check_stencil(ref, out, [(g, 0, g.multiplicity)])
+    return out
+
+
+def _bundle(m: int, g: GraphEigenvalue, vectors: np.ndarray) -> EigenspaceBundle:
+    vectors.flags.writeable = False
+    return EigenspaceBundle(
+        level=m,
+        record=g.record,
+        graph_value=g.graph_value,
+        vectors=vectors,
+        vertices=build_vertices(m),
+    )
+
+
+def eigenspace(m: int, key: str) -> EigenspaceBundle:
+    """The level-m eigenspace of record `key`, built by its own lineage.
+
+    It is born at its birth level (the newborn 5- or 6-eigenspace, or the
+    level-1 2-series vector) and extended through its branches one level at
+    a time, by the steps and checks of `build_level_basis`, whose bundle of
+    `key` it equals bit for bit; no other eigenspace is built.  Its vectors
+    are read-only.
+    """
+    _level_vertices(m)
+    entry = next((g for g in _predicted(m) if g.record.key == key), None)
+    if entry is None:
+        raise DomainError(f"no eigenspace with record key {key} at level {m}")
+    below = {
+        (g.series, g.birth, g.prefix): g
+        for j in range(entry.birth, m)
+        for g in decimation.truncated_graph_spectrum(j)
+    }
+    lineage = [below[entry.series, entry.birth, entry.prefix[:i]]
+               for i in range(len(entry.prefix))] + [entry]
+    vectors = _grown(lineage[0])
+    for parent, child in zip(lineage, lineage[1:]):
+        vectors = _grown(child, (parent, vectors))
+    return _bundle(m, entry, vectors)
+
+
+def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> list:
+    """`visit` applied to every level-m eigenspace, each built whole by its
+    lineage, depth first down the decimation tree, in tree order.
+
+    Only the eigenspaces on the path from a root to the visited one are
+    held, and each is dropped when `visit` returns, so the peak is the
+    largest single eigenspace with its ancestors, not the n x n level
+    basis.  The visited vectors are read-only.
+    """
+    _level_vertices(m)
+    roots, children = [], {}
+    for j in range(1, m + 1):
+        for g in decimation.truncated_graph_spectrum(j):
+            if g.prefix:
+                children.setdefault((g.series, g.birth, g.prefix[:-1]), []).append(g)
+            else:
+                roots.append(g)
+    results = []
+
+    def descend(g: GraphEigenvalue, parent=None) -> None:
+        vectors = _grown(g, parent)
+        if g.birth + len(g.prefix) == m:
+            results.append(visit(_bundle(m, g, vectors)))
+            return
+        for child in children[(g.series, g.birth, g.prefix)]:
+            descend(child, (g, vectors))
+
+    for root in roots:
+        descend(root)
+    return results
 
 
 def _level_vertices(m: int) -> VertexSet:
@@ -971,7 +1092,7 @@ def build_level_basis(m: int) -> LevelBasis:
     arrays are read-only.
     """
     vertices = _level_vertices(m)
-    level = _decimated(m, m, vertices)
+    level = _decimated(m, m)
     return _labelled(vertices, level.vectors, level.blocks)
 
 
@@ -1005,7 +1126,8 @@ def level_remainder(m: int, k: int) -> Remainder:
         columns = np.zeros((decimation.interior_dimension(m), 0))
         blocks = [(g, 0, 0) for g in _predicted(m)]
     else:
-        level = _decimated(m, k, _level_vertices(m))
+        _level_vertices(m)
+        level = _decimated(m, k)
         columns, blocks = level.vectors, level.blocks
     columns.flags.writeable = False
     dims = [stop - start for _, start, stop in blocks]
@@ -1049,26 +1171,3 @@ def save_bundle(bundle: EigenspaceBundle, path) -> None:
         lines.append(",".join(fmt(float(x)) for x in bundle.vectors[:, i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_bundle(path, vertices: VertexSet) -> EigenspaceBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].lstrip("# ").split(",")
-    level = int(header[1])
-    key = header[3]
-    graph_value = float(header[5])
-    series, birth, branches = key.split(":")
-    record = decimation.make_record(
-        int(series), int(birth), tuple(branches)
-    )
-    vectors = np.column_stack(
-        [np.array([float(x) for x in line.split(",")]) for line in lines[1:]]
-    )
-    return EigenspaceBundle(
-        level=level,
-        record=record,
-        graph_value=graph_value,
-        vectors=vectors,
-        vertices=vertices,
-    )

@@ -9,6 +9,7 @@ evaluating user-supplied continuous functions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -138,11 +139,20 @@ class VertexSet:
 
 
 def build_vertices(m: int, cap: int = DEFAULT_LEVEL_CAP) -> VertexSet:
-    """Construct the level-m vertex set; ids are deterministic across runs."""
+    """The level-m vertex set; ids are deterministic across runs.
+
+    One set per level is built per process and shared, so its arrays are
+    read-only.  A level above `cap` raises before anything is built.
+    """
     if m < 0:
         raise DomainError(f"level must be nonnegative, got {m}")
     if m > cap:
         raise ResourceLimitError(f"level {m} exceeds cap {cap}")
+    return _vertices(m)
+
+
+@functools.cache
+def _vertices(m: int) -> VertexSet:
     words = cell_words(m)
     corner_triples = [
         tuple(_corner_triple(w, c, m) for c in LETTERS) for w in words
@@ -184,6 +194,8 @@ def build_vertices(m: int, cap: int = DEFAULT_LEVEL_CAP) -> VertexSet:
         raise ResourceLimitError(
             f"vertex count {vs.n_vertices} != {expected} at level {m}"
         )
+    for array in (bary, coords, cells, interior, interior_pos):
+        array.flags.writeable = False
     return vs
 
 

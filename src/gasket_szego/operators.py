@@ -512,37 +512,37 @@ def _selection_remainder(k: int, basis: BasisSelection) -> eigenbasis.Remainder:
 
 
 def localized_trace_margin(
-    chi: SimpleFunction, basis: BasisSelection, measure: SelfSimilarMeasure
+    chi: SimpleFunction, bundle: EigenspaceBundle, measure: SelfSimilarMeasure
 ) -> float:
-    """Check the remainder at chi's cell level against whole eigenspaces.
+    """Check the remainder at chi's cell level against one whole eigenspace.
 
-    Per eigenspace, the trace of [chi] over the selection's columns less
-    its trace over the remainder is the localized part: `per_cell` vectors
-    in each cell C, each an eigenvector at chi_C, so it must equal
-    `per_cell` times the sum of the cell values.  Returns the worst
+    The trace of [chi] over the eigenspace's vectors less its trace over its
+    remainder `level_remainder(m, chi.level)` is the localized part:
+    `per_cell` vectors in each cell C, each an eigenvector at chi_C, so it
+    must equal `per_cell` times the sum of the cell values.  Returns the
     deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
     raises StructuralError above 1.
     """
-    cols = _columns(basis)
-    g = effective_multiplier(chi, measure.vertices)[basis.vertices.interior]
-    rem = _selection_remainder(chi.level, basis)
-    traces = np.einsum("i,ij,ij->j", g, cols, cols)
-    rem_traces = np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
-    chi_sum = math.fsum(chi.values)
-    worst, cursor = 0.0, 0
-    for rec, sl, r, c in zip(basis.records, basis.group_slices, rem.dims, rem.per_cell):
-        localized = np.sum(traces[sl]) - np.sum(rem_traces[cursor : cursor + r])
-        cursor += r
-        dev = abs(float(localized) - c * chi_sum)
-        tol = BLOCK_TOL * (sl.stop - sl.start) * max(1.0, chi.sup_norm)
-        if dev > tol:
-            raise StructuralError(
-                f"eigenspace {rec.key}: the localized trace of the "
-                f"potential misses {c} times the sum of its cell values "
-                f"by {dev:.3e}"
-            )
-        worst = max(worst, dev / tol)
-    return worst
+    if bundle.vectors is None:
+        raise ColumnsError(
+            "the localized trace needs the eigenspace's vectors; build them "
+            "with eigenbasis.eigenspace"
+        )
+    rec, cols = bundle.record, bundle.vectors
+    rem = eigenbasis.level_remainder(bundle.level, chi.level).select([rec])
+    g = effective_multiplier(chi, measure.vertices)[bundle.vertices.interior]
+    localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
+        np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
+    )
+    c = rem.per_cell[0]
+    dev = abs(float(localized) - c * math.fsum(chi.values))
+    tol = BLOCK_TOL * cols.shape[1] * max(1.0, chi.sup_norm)
+    if dev > tol:
+        raise StructuralError(
+            f"eigenspace {rec.key}: the localized trace of the potential "
+            f"misses {c} times the sum of its cell values by {dev:.3e}"
+        )
+    return dev / tol
 
 
 def operator_eigenvalues(op: CompressedOperator) -> np.ndarray:
@@ -572,18 +572,6 @@ def trace_F(
                 f"[{lo}, {hi}] of F"
             )
     return math.fsum(F(float(s)) for s in sigma)
-
-
-def trace_power(op: CompressedOperator, k: int) -> float:
-    """Trace of the k-th matrix power by direct powering (cross-check path)."""
-    if k < 0:
-        raise DomainError(f"power must be nonnegative, got {k}")
-    if k == 0:
-        return float(op.dim)
-    acc = np.eye(op.dim)
-    for _ in range(k):
-        acc = acc @ op.matrix
-    return float(np.trace(acc))
 
 
 def log_det(op: CompressedOperator) -> float:

@@ -16,14 +16,18 @@ where `truncated_graph_spectrum` grows the same tree; and `reference_limit`
 steps one record at a time, where `_contracting_limits` steps them all.
 `reference_spectrum_csv` and `reference_separated_sequence` read a spectrum
 table's records one at a time, where `spectrum_to_csv` and
-`separated_sequence` read its sorted arrays.
+`separated_sequence` read its sorted arrays.  `nonlocalized_remainder` reads
+the remainders of a run of eigenspaces off their whole vectors, where
+`level_remainder` carries them by lineage; `trace_power` powers the dense
+compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
+reads back what `save_bundle` wrote.
 """
 import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from gasket_szego import operators
+from gasket_szego import decimation, operators
 from gasket_szego.decimation import (
     CONTRACTING,
     DEFAULT_TOL,
@@ -41,7 +45,13 @@ from gasket_szego.decimation import (
     series_multiplicity,
 )
 from gasket_szego.errors import ConvergenceError, DomainError
-from gasket_szego.eigenbasis import KERNEL_RTOL, localized_split
+from gasket_szego.eigenbasis import (
+    KERNEL_RTOL,
+    EigenspaceBundle,
+    Remainder,
+    eigenspace_remainder,
+    localized_split,
+)
 from gasket_szego.gasket import cell_words, effective_multiplier
 
 ROUNDING_SLACK = 32.0
@@ -354,3 +364,50 @@ def reference_separated_sequence(j_max: int) -> SeparatedFamily:
         ]
         gaps.append(min(others))
     return SeparatedFamily(records=records, gaps=gaps)
+
+
+def nonlocalized_remainder(vectors, blocks, vertices, k: int) -> Remainder:
+    """The remainder at cell level k of each eigenspace `vectors[:, sl]`,
+    for each (record, sl) in `blocks`, read off its whole vectors by
+    `eigenspace_remainder`, side by side in the order of `blocks`."""
+    parts = [
+        eigenspace_remainder(
+            EigenspaceBundle(vertices.level, rec, 0.0, vectors[:, sl], vertices), k
+        )
+        for rec, sl in blocks
+    ]
+    return Remainder(
+        columns=np.hstack([p.columns for p in parts]),
+        dims=[p.dims[0] for p in parts],
+        per_cell=[p.per_cell[0] for p in parts],
+        records=[rec for rec, _ in blocks],
+    )
+
+
+def trace_power(op, k: int) -> float:
+    """Trace of the k-th power of the dense compressed matrix."""
+    if k < 0:
+        raise DomainError(f"power must be nonnegative, got {k}")
+    if k == 0:
+        return float(op.dim)
+    acc = np.eye(op.dim)
+    for _ in range(k):
+        acc = acc @ op.matrix
+    return float(np.trace(acc))
+
+
+def load_bundle(path, vertices) -> EigenspaceBundle:
+    """The bundle `eigenbasis.save_bundle` wrote to `path`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = lines[0].lstrip("# ").split(",")
+    series, birth, branches = header[3].split(":")
+    return EigenspaceBundle(
+        level=int(header[1]),
+        record=decimation.make_record(int(series), int(birth), tuple(branches)),
+        graph_value=float(header[5]),
+        vectors=np.column_stack(
+            [np.array([float(x) for x in line.split(",")]) for line in lines[1:]]
+        ),
+        vertices=vertices,
+    )

@@ -17,6 +17,8 @@ from gasket_szego.gasket import (
     integrate_simple,
 )
 
+from dense_oracle import trace_power
+
 CHI = SimpleFunction(1, [0.8, 1.0, 1.2])
 
 
@@ -116,7 +118,7 @@ def test_criterion_3_simple_function_exact_bound(level6):
             counts = decimation.localization_counts(6, rec.birth, n_level)
             for k in (1, 2, 3):
                 err = abs(
-                    operators.trace_power(gamma, k) / counts.d_j
+                    trace_power(gamma, k) / counts.d_j
                     - integrate_simple(f, k)
                 )
                 bound = (counts.alpha_N / counts.d_j) * integrate_simple(

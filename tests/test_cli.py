@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,92 @@ def test_validate_oracle_builds_no_dense_laplacian(tmp_path, monkeypatch):
             assert detail.startswith(f"level {name[-1]}: the interior edge set")
         else:
             assert status == "PASS"
+
+
+def _closed_form_integers(name):
+    """The integer fields of a validate row, from the closed forms."""
+    kind, _, rest = name.rpartition("-")
+    if kind == "decimation-oracle":
+        return {"count": decimation.interior_dimension(int(rest[1:]))}
+    if kind == "multiplicity-sum":
+        dim = decimation.interior_dimension(int(rest[1:]))
+        return {"sum": dim, "dim": dim}
+    if name.startswith("localization-"):
+        series, birth, n_level = (int(part[1:]) for part in name.split("-")[1:])
+        counts = decimation.localization_counts(series, birth, n_level)
+        return {"per_cell": counts.m_j_N, "localized": counts.d_j_N,
+                "alpha": counts.alpha_N}
+    return {}
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_validate_rows_keep_their_closed_form_integers(tmp_path, m):
+    code, out = run_cli(tmp_path, "validate", {"m": m})
+    assert code == 0
+    rows = [line.split(",", 2)
+            for line in (out / "validate.csv").read_text().splitlines()[1:]]
+    assert [name for name, _, _ in rows] == _validate_names(m)
+    for name, status, detail in rows:
+        assert status == "PASS", name
+        fields = dict(item.split("=", 1) for item in detail.split(";"))
+        expected = _closed_form_integers(name)
+        assert {key: int(fields[key]) for key in expected} == expected, name
+
+
+def test_validate_peak_below_one_level_matrix(tmp_path):
+    # the eigenspaces are built one at a time, never the n x n level basis
+    # after the lazy imports, and with nothing of level 6 cached
+    run_cli(tmp_path, "validate", {"m": 3}, name="warm")
+    eigenbasis.level_basis.cache_clear()
+    eigenbasis.level_remainder.cache_clear()
+    n = decimation.interior_dimension(6)
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "validate", {"m": 6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n * 8
+
+
+def test_validate_basis_and_dump_operator_build_no_level_basis(
+    tmp_path, monkeypatch, level4
+):
+    # the bytes the n x n level basis gives, written before it is refused
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for bundle in level4.bundles:
+        name = f"bundle_{cli._sanitize(bundle.record.key)}.csv"
+        eigenbasis.save_bundle(bundle, expected / name)
+    f = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    symbol = operators.multiplication_symbol(SimpleFunction(1, f["values"]))
+    sel = operators.selection_from_bundles([level4.family_bundle(6, 4)])
+    operators.operator_to_csv(
+        operators.compress(symbol, sel, level4.measure),
+        expected / "operator.csv", expected / "operator_meta.json",
+    )
+
+    def no_basis(m):
+        raise AssertionError(f"built the level-{m} basis")
+
+    monkeypatch.setattr(eigenbasis, "build_level_basis", no_basis)
+    monkeypatch.setattr(eigenbasis, "level_basis", no_basis)
+    code, out = run_cli(tmp_path, "validate", {"m": 4}, name="validate")
+    assert code == 0
+    code, out = run_cli(tmp_path, "basis", {
+        "m": 4, "records": [b.record.key for b in level4.bundles],
+    }, name="basis")
+    assert code == 0
+    for bundle_file in expected.glob("bundle_*.csv"):
+        assert (out / bundle_file.name).read_bytes() == bundle_file.read_bytes()
+    code, out = run_cli(tmp_path, "szego-trace", {
+        "m": 4, "mode": "single", "series": 6, "j_range": [2, 3, 4], "N": 1,
+        "symbol": {"kind": "multiplication", "chi": f}, "dump_operator": True,
+    }, name="dump")
+    assert code == 0
+    for name in ("operator.csv", "operator_meta.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
 
 
 def test_szego_trace_command(tmp_path):

@@ -8,7 +8,6 @@ from gasket_szego.eigenbasis import (
     build_level_basis,
     group_eigenspaces,
     interior_weight,
-    load_bundle,
     localized_split,
     save_bundle,
     solve_graph_spectrum,
@@ -21,7 +20,7 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices, cell_words
 
-from dense_oracle import reference_split
+from dense_oracle import load_bundle, nonlocalized_remainder, reference_split
 
 
 def test_solve_level1():
@@ -234,7 +233,7 @@ def test_split_remainder_matches_nonlocalized_remainder(request, m):
     w = interior_weight(m)
     for bundle, n_level in _validate_splits(basis):
         split = localized_split(bundle, n_level)
-        rem = eigenbasis.nonlocalized_remainder(
+        rem = nonlocalized_remainder(
             bundle.vectors,
             [(bundle.record, slice(0, bundle.dim))],
             basis.vertices,
@@ -315,3 +314,50 @@ def test_level_basis_needs_no_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     basis = build_level_basis(5)
     assert basis.vectors.shape == (363, 363)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_eigenspace_equals_level_basis_bit_for_bit(m):
+    # each eigenspace built alone by its lineage takes the very steps of the
+    # level basis, column for column
+    for bundle in eigenbasis.level_basis(m).bundles:
+        own = eigenbasis.eigenspace(m, bundle.record.key)
+        assert (own.level, own.record, own.graph_value) == (
+            m, bundle.record, bundle.graph_value
+        )
+        assert own.vertices is bundle.vertices
+        assert _bits(own.vectors) == _bits(bundle.vectors), bundle.record.key
+        with pytest.raises(ValueError):
+            own.vectors[0, 0] = 1.0
+
+
+def test_eigenspace_unknown_key():
+    with pytest.raises(DomainError, match=r"record key 6:9:\+ at level 4"):
+        eigenbasis.eigenspace(4, "6:9:+")
+    with pytest.raises(DomainError):
+        eigenbasis.eigenspace(0, "2:1:")
+
+
+def test_eigenspace_checks_every_step(monkeypatch):
+    swapped = lambda g: decimation.decimation_preimages(g)[::-1]  # noqa: E731
+    monkeypatch.setattr(eigenbasis, "decimation_preimages", swapped)
+    with pytest.raises(NumericError):
+        eigenbasis.eigenspace(3, "5:2:+")
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 6])
+def test_walk_visits_every_eigenspace_once(m):
+    expected = {b.record.key: b.vectors for b in eigenbasis.level_basis(m).bundles}
+
+    def visit(bundle):
+        assert bundle.level == m
+        assert _bits(bundle.vectors) == _bits(expected[bundle.record.key])
+        assert not bundle.vectors.flags.writeable
+        return bundle.record.key
+
+    keys = eigenbasis.walk_eigenspaces(m, visit)
+    assert sorted(keys) == sorted(expected)

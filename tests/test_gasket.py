@@ -99,6 +99,25 @@ def test_level_cap():
         build_vertices(-1)
 
 
+def test_vertex_sets_are_shared_and_read_only(monkeypatch):
+    vs = build_vertices(3)
+    assert build_vertices(3) is vs
+    for array in (vs.bary, vs.coords, vs.cells, vs.interior, vs._interior_pos):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the cap and sign checks come before the cached build
+    def no_build(m):
+        raise AssertionError(f"built level {m}")
+
+    monkeypatch.setattr(gasket, "_vertices", no_build)
+    with pytest.raises(ResourceLimitError):
+        build_vertices(4, cap=3)
+    with pytest.raises(ResourceLimitError):
+        build_vertices(9)
+    with pytest.raises(DomainError):
+        build_vertices(-1)
+
+
 def test_deterministic_vertex_ids():
     a = build_vertices(3)
     b = build_vertices(3)

@@ -26,10 +26,9 @@ from gasket_szego.operators import (
     symbol_sup_distance,
     tabulated_symbol,
     trace_F,
-    trace_power,
 )
 
-from dense_oracle import dense_compression, split_selection
+from dense_oracle import dense_compression, split_selection, trace_power
 
 
 def test_riesz_preset():

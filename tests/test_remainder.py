@@ -17,7 +17,7 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import SimpleFunction
 
-from dense_oracle import dense_clusters, dense_compression
+from dense_oracle import dense_clusters, dense_compression, nonlocalized_remainder
 
 CHIS = {
     1: SimpleFunction(1, [0.8, 1.0, 1.2]),
@@ -78,7 +78,7 @@ def test_reduced_clusters_match_dense_oracle(m, k, offset):
 def test_remainder_dimensions(m, k, expected):
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
-    rem = eigenbasis.nonlocalized_remainder(
+    rem = nonlocalized_remainder(
         sel.columns, list(zip(sel.records, sel.group_slices)), basis.vertices, k
     )
     assert rem.columns.shape == (basis.vertices.n_interior, expected)
@@ -151,8 +151,16 @@ def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
     # a remainder that claims one localized vector too many per cell; the
     # compression never reads whole eigenspaces, so the localized-trace
     # check runs on its own, in validate's block-exactness row
-    sel = operators.leading_selection(level5)
-    assert 0.0 <= operators.localized_trace_margin(CHIS[1], sel, level5.measure) < 1.0
+    def margins():
+        return [
+            operators.localized_trace_margin(CHIS[1], bundle, level5.measure)
+            for bundle in level5.bundles
+        ]
+
+    assert all(0.0 <= margin < 1.0 for margin in margins())
+    bare = eigenbasis.bare_level_basis(5).bundles[0]
+    with pytest.raises(ColumnsError):
+        operators.localized_trace_margin(CHIS[1], bare, level5.measure)
     original = eigenbasis.level_remainder
 
     def miscounted(m, k):
@@ -163,7 +171,7 @@ def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
 
     monkeypatch.setattr(eigenbasis, "level_remainder", miscounted)
     with pytest.raises(StructuralError):
-        operators.localized_trace_margin(CHIS[1], sel, level5.measure)
+        margins()
     config = tmp_path / "validate.json"
     config.write_text(json.dumps({"m": 3}))
     out = tmp_path / "out"
@@ -180,7 +188,7 @@ def test_lineage_remainder_matches_whole_eigenspaces(m, k):
     # remainders of the whole eigenspaces, eigenspace by eigenspace
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
-    whole = eigenbasis.nonlocalized_remainder(
+    whole = nonlocalized_remainder(
         sel.columns, list(zip(sel.records, sel.group_slices)), basis.vertices, k
     )
     lineage = eigenbasis.level_remainder(m, k)

@@ -26,6 +26,8 @@ from gasket_szego.szego import (
     target_integral,
 )
 
+from dense_oracle import trace_power
+
 M = 5
 
 
@@ -250,7 +252,7 @@ def test_power_trace_consistency(level5):
     op = operators.compress(sym, sel, level5.measure)
     for k in range(7):
         assert operators.trace_F(op, lambda x, _k=k: x ** _k) == pytest.approx(
-            operators.trace_power(op, k), rel=1e-8, abs=1e-10
+            trace_power(op, k), rel=1e-8, abs=1e-10
         )
 
 
