@@ -1,32 +1,28 @@
 """Level eigenbases by spectral decimation, the dense oracle, and localized splits.
 
-`build_level_basis(m)` builds every level-m graph eigenvector from level m-1
-without an eigensolve: each level-(m-1) eigenspace extends to level m by the
-local eigenfunction-extension formula, once per preimage of its graph value,
-and the 5- and 6-eigenspaces born at level m come from their sparse
-descriptions.  Each eigenspace arrives labelled with its entry of the level-m
-decimation prediction, orthonormal in the measure-weighted inner product, in
-one read-only matrix of which every eigenspace is a column view; that n x n
-matrix serves a callable potential, the scripts and the tests.
-`eigenspace(m, key)` builds one eigenspace alone by its own lineage, with the
-same per-eigenspace steps and checks and the same bits, and
-`walk_eigenspaces` builds all of them depth first, one root-to-leaf path at a
-time.  The dense eigensolve `solve_graph_spectrum` and its labelling
+Every graph eigenvector comes from one depth-first walk down the decimation
+tree, with no eigensolve: each eigenspace is born at its birth level (the 5-
+and 6-eigenspaces from their sparse descriptions, the level-1 2-series
+vector) and extends one level at a time by the local eigenfunction-extension
+formula, through one preimage of its graph value per branch.  It arrives
+labelled with its entry of the decimation prediction, orthonormal in the
+measure-weighted inner product.  The walk carries each eigenspace's
+remainder at a cell level k, whole while nothing in it localizes: a newborn
+is cut to its remainder at birth, and extension maps a parent's remainder
+onto its child's.  `build_level_basis(m)` (k = m) and `level_remainder(m, k)`
+write every level-m eigenspace into its column range of one read-only
+matrix in record-value order; `walk_eigenspaces` hands each whole eigenspace
+to a visitor and drops it, and `eigenspace(m, key)` follows one lineage.
+The dense eigensolve `solve_graph_spectrum` and its labelling
 `group_eigenspaces` stay as the independent oracle.  Splits at a cell level
-rest on the junction
-functionals at the level's interior vertices, which vanish exactly on the
-sums of vectors localized in cells: the row space of the functionals applied
-to an eigenspace is its non-localized remainder, and the kernel, restricted
-to each cell in turn, gives that cell's localized vectors.  Every rank is
-checked against the closed-form counts, which is the decisive structural
-test, and a split reports how far its singular values sit from the rank
-tolerance.
-
-`level_remainder(m, k)` runs the same decimation but carries, above cell
-level k, only each eigenspace's remainder: extension maps a parent's
-remainder onto its child's, and a newborn eigenspace is cut to its remainder
-when it is born, so no n x n array is formed.  `eigenspace_remainder`, the
-same remainder read off a whole eigenspace, is its independent check.
+rest on the junction functionals at the level's interior vertices, which
+vanish exactly on the sums of vectors localized in cells: the row space of
+the functionals applied to an eigenspace is its non-localized remainder
+(`eigenspace_remainder`, the independent check of the carried remainders),
+and the kernel, restricted to each cell in turn, gives that cell's localized
+vectors.  Every rank is checked against the closed-form counts, which is the
+decisive structural test, and a split reports how far its singular values
+sit from the rank tolerance.
 """
 from __future__ import annotations
 
@@ -160,19 +156,11 @@ def group_eigenspaces(
     matrix = vectors[:, np.concatenate([cols for _, cols in blocks])]
     matrix *= 1.0 / np.sqrt(interior_weight(m))
     matrix.flags.writeable = False
-    bundles = []
-    cursor = 0
-    for g, cols in blocks:
-        bundles.append(
-            EigenspaceBundle(
-                level=m,
-                record=g.record,
-                graph_value=g.graph_value,
-                vectors=matrix[:, cursor : cursor + cols.size],
-                vertices=vertices,
-            )
-        )
-        cursor += cols.size
+    starts = np.cumsum([0] + [cols.size for _, cols in blocks])
+    bundles = [
+        _bundle(vertices, g, matrix[:, a:b])
+        for (g, _), a, b in zip(blocks, starts, starts[1:])
+    ]
     return matrix, bundles
 
 
@@ -450,12 +438,6 @@ class LevelBasis:
     measure: SelfSimilarMeasure
     vectors: np.ndarray | None
     bundles: list[EigenspaceBundle]
-
-    def bundle_for(self, key: str) -> EigenspaceBundle:
-        for b in self.bundles:
-            if b.record.key == key:
-                return b
-        raise DomainError(f"no eigenspace with record key {key} at level {self.level}")
 
     def family_bundle(self, series: int, birth: int) -> EigenspaceBundle:
         """The smallest eigenvalue of the given series and birth."""
@@ -845,25 +827,29 @@ def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
         out[ref.mid, cols] = sign[:, None] * (y @ gram[cols].T)[var]
 
 
-def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray) -> None:
-    """The whole eigenspace of entry g born at level m, weighted-orthonormal,
-    into `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the
-    level-1 2-series vector, constant on the one midpoint triangle."""
+def _newborn(ref: _Refinement, g: GraphEigenvalue, k: int, out: np.ndarray) -> None:
+    """The eigenspace of entry g born at level m, weighted-orthonormal, into
+    `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the level-1
+    2-series vector, constant on the one midpoint triangle.  When `out` is
+    narrower than the eigenspace, it receives the remainder at cell level k,
+    cut by the junction values with the rank pinned to the closed-form
+    count."""
     w = interior_weight(ref.level)
     if g.series == 2:
         out[:] = 1.0 / np.sqrt(ref.n * w)
         return
-    (_newborn_five if g.series == 5 else _newborn_six)(ref, w, out)
+    if out.shape[1] == g.multiplicity:
+        (_newborn_five if g.series == 5 else _newborn_six)(ref, w, out)
+    else:
+        junction = _junction_matrix(build_vertices(ref.level), k)
+        if g.series == 6:
+            _newborn_six_remainder(ref, w, junction, g, k, out)
+        else:
+            whole = np.empty((ref.n, g.multiplicity))
+            _newborn_five(ref, w, whole)
+            rows = _pinned_rows(junction @ whole, out.shape[1], g.record.key, k)
+            out[:] = whole @ rows.T
     _check_gram(out, 1.0 / w, g.record.key)
-
-
-@dataclass
-class _Decimated:
-    """One level of the decimation build: the carried columns of every
-    eigenspace, each with its labelled column range."""
-
-    vectors: np.ndarray
-    blocks: list[tuple[GraphEigenvalue, int, int]]
 
 
 def _predicted(m: int) -> list[GraphEigenvalue]:
@@ -880,120 +866,103 @@ def _preimage(parent: GraphEigenvalue, sign: str) -> float:
     return hi if sign == EXPANDING else lo
 
 
-def _decimate(parent: _Decimated, m: int, k: int) -> _Decimated:
-    """Level-m eigenvectors from level m-1, with no eigensolve.
+def _branches(g: GraphEigenvalue) -> tuple[str, ...]:
+    """The branches below entry g, in the order of their graph values: only
+    the expanding one from 6."""
+    return (EXPANDING,) if g.graph_value == 6.0 else (CONTRACTING, EXPANDING)
 
-    Every level-(m-1) eigenspace extends through each preimage of its graph
-    value (only the expanding one from 6); the eigenspaces born at level m
-    come from their sparse descriptions.  Each eigenspace carries its
-    remainder at cell level k: all of it while m <= k, and above that the
-    closed-form count of columns.  Extension keeps a vector's support inside
-    its cells and scales the Gram matrix by one constant, so a parent's
-    carried columns extend to its child's; a newborn eigenspace is cut to
-    its remainder by its junction values, with the rank pinned to the
-    closed-form count.  Each lands in the column range of the
-    `truncated_graph_spectrum(m)` entry it must equal, in record-value
-    order, and is checked there: Gram matrix, stencil residual, dimension.
+
+def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
+    """The decimation tree through level m: every `truncated_graph_spectrum`
+    entry of levels 1 to m by (series, birth, prefix).
+
+    It is checked to be exactly what decimation builds: the roots of level j
+    are the newborn (5, j) and (6, j), or (5, 1) and (2, 1) at level 1; every
+    other node of level j is a child of a level-(j-1) node through one of
+    its `_branches`; and each level's multiplicities add up to its interior
+    count.  A break raises `MismatchError` naming the level and the
+    eigenspace.
     """
-    ref = _refinement(m)
-    w = interior_weight(m)
-    predicted = _predicted(m)
-    total = sum(g.multiplicity for g in predicted)
-    if total != ref.n:
-        raise MismatchError(
-            f"decimation predicts dimension {total} at level {m}, the graph "
-            f"has {ref.n} interior vertices"
-        )
-    blocks, cursor = [], 0
-    for g in predicted:
-        width = _remainder_rank(g.record, g.multiplicity, k)
-        blocks.append((g, cursor, cursor + width))
-        cursor += width
-    columns = {
-        (g.series, g.birth, g.prefix): (g, start, stop) for g, start, stop in blocks
-    }
-    vectors = np.empty((ref.n, cursor))
-    unfilled = set(columns)
-
-    def target(ident) -> tuple[GraphEigenvalue, np.ndarray]:
-        if ident not in unfilled:
-            raise MismatchError(
-                f"level {m}: decimation builds eigenspace {ident}, which is "
-                f"not predicted or already built"
-            )
-        unfilled.discard(ident)
-        g, start, stop = columns[ident]
-        return g, vectors[:, start:stop]
-
-    for g, start, stop in parent.blocks:
-        signs = [EXPANDING] if g.graph_value == 6.0 else [EXPANDING, CONTRACTING]
-        for sign in signs:
-            child, out = target((g.series, g.birth, g.prefix + (sign,)))
-            _extended(
-                ref, parent.vectors[:, start:stop], _preimage(g, sign),
-                child.record.key, out,
-            )
-
-    for series in (5, 6) if m > 1 else (5, 2):
-        child, out = target((series, m, ()))
-        if out.shape[1] == child.multiplicity:
-            _newborn(ref, child, out)
-            continue
-        junction = _junction_matrix(build_vertices(m), k)
-        if series == 6:
-            _newborn_six_remainder(ref, w, junction, child, k, out)
-        else:
-            whole = np.empty((ref.n, child.multiplicity))
-            _newborn_five(ref, w, whole)
-            rows = _pinned_rows(junction @ whole, out.shape[1], child.record.key, k)
-            out[:] = whole @ rows.T
-        _check_gram(out, 1.0 / w, child.record.key)
-    if unfilled:
-        raise MismatchError(
-            f"level {m}: decimation built no vectors for the predicted "
-            f"eigenspaces {sorted(unfilled)}"
-        )
-    _check_stencil(ref, vectors, blocks)
-    return _Decimated(vectors=vectors, blocks=blocks)
-
-
-def _decimated(m: int, k: int) -> _Decimated:
-    """Level m built by decimation from level 0, one level at a time,
-    carrying each eigenspace's remainder at cell level k; lower levels are
-    dropped as soon as the next one is built."""
-    level = _Decimated(vectors=np.zeros((0, 0)), blocks=[])
+    nodes: dict[tuple, GraphEigenvalue] = {}
+    below: tuple[GraphEigenvalue, ...] = ()
     for j in range(1, m + 1):
-        level = _decimate(level, j, k)
-    level.vectors.flags.writeable = False
-    return level
+        level = decimation.truncated_graph_spectrum(j)
+        parents = {(s, j, ()) for s in ((5, 2) if j == 1 else (5, 6))}
+        parents.update(
+            (g.series, g.birth, g.prefix + (sign,)) for g in below for sign in _branches(g)
+        )
+        found = {(g.series, g.birth, g.prefix): g for g in level}
+        if found.keys() != parents:
+            s, b, prefix = min(found.keys() ^ parents)
+            raise MismatchError(
+                f"level {j}: eigenspace {s}:{b}:{''.join(prefix)} is "
+                + ("predicted but not built" if (s, b, prefix) in found
+                   else "built but not predicted") + " by decimation"
+            )
+        total = sum(g.multiplicity for g in level)
+        if total != build_vertices(j).n_interior:
+            raise MismatchError(
+                f"level {j}: decimation predicts dimension {total}, the graph "
+                f"has {build_vertices(j).n_interior} interior vertices"
+            )
+        nodes.update(found)
+        below = level
+    return nodes
 
 
-def _grown(g: GraphEigenvalue, parent=None) -> np.ndarray:
-    """The eigenspace of entry g at its level, as a new array: newborn, or
-    with `parent` = (entry, vectors) one level down, its extension through
-    the last branch of g.  The same steps as `_decimate`'s, with the same
-    Gram and stencil checks."""
+def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
+    """The eigenspace of entry g at its level, or above cell level k only its
+    remainder there: newborn (see `_newborn`), or with `parent` = (entry,
+    vectors) one level down, the extension of the parent's columns through
+    the last branch of g.  Extension keeps a vector's support inside its
+    cells and scales the Gram matrix by one constant, so a parent's
+    remainder extends to its child's.  The columns go into `out`, whose
+    stencil the caller checks, or into a new read-only array checked here."""
     ref = _refinement(g.birth + len(g.prefix))
-    # a column block of a wider array, as each eigenspace is in the level
-    # basis: einsum sums a lone contiguous column in another order
-    out = np.empty((ref.n, g.multiplicity + 1))[:, :-1]
+    block = out
+    if out is None:
+        # a column block of a wider array, as each eigenspace is in a level
+        # matrix: einsum sums a lone contiguous column in another order
+        width = _remainder_rank(g.record, g.multiplicity, k)
+        block = np.empty((ref.n, width + 1))[:, :-1]
     if parent is None:
-        _newborn(ref, g, out)
+        _newborn(ref, g, k, block)
     else:
         entry, values = parent
-        _extended(ref, values, _preimage(entry, g.prefix[-1]), g.record.key, out)
-    _check_stencil(ref, out, [(g, 0, g.multiplicity)])
-    return out
+        _extended(ref, values, _preimage(entry, g.prefix[-1]), g.record.key, block)
+    if out is None:
+        _check_stencil(ref, block, [(g, 0, block.shape[1])])
+        block.flags.writeable = False
+    return block
 
 
-def _bundle(m: int, g: GraphEigenvalue, vectors: np.ndarray) -> EigenspaceBundle:
-    vectors.flags.writeable = False
+def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> None:
+    """Depth first down the decimation tree: `leaf(g, parent)` for every
+    level-m entry g, where `parent` is (entry, columns) one level down, or
+    None for a newborn.  The columns of each node above level m are its
+    remainder at cell level k, held only while the walk is below it."""
+    nodes = _tree(m)
+
+    def descend(g: GraphEigenvalue, parent=None) -> None:
+        if g.birth + len(g.prefix) == m:
+            leaf(g, parent)
+            return
+        vectors = _grown(g, k, parent)
+        for sign in _branches(g):
+            descend(nodes[g.series, g.birth, g.prefix + (sign,)], (g, vectors))
+
+    for g in nodes.values():
+        if not g.prefix:
+            descend(g)
+
+
+def _bundle(vertices: VertexSet, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
     return EigenspaceBundle(
-        level=m,
+        level=vertices.level,
         record=g.record,
         graph_value=g.graph_value,
         vectors=vectors,
-        vertices=build_vertices(m),
+        vertices=vertices,
     )
 
 
@@ -1006,21 +975,16 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     `key` it equals bit for bit; no other eigenspace is built.  Its vectors
     are read-only.
     """
-    _level_vertices(m)
+    vertices = _level_vertices(m)
+    nodes = _tree(m)
     entry = next((g for g in _predicted(m) if g.record.key == key), None)
     if entry is None:
         raise DomainError(f"no eigenspace with record key {key} at level {m}")
-    below = {
-        (g.series, g.birth, g.prefix): g
-        for j in range(entry.birth, m)
-        for g in decimation.truncated_graph_spectrum(j)
-    }
-    lineage = [below[entry.series, entry.birth, entry.prefix[:i]]
-               for i in range(len(entry.prefix))] + [entry]
-    vectors = _grown(lineage[0])
-    for parent, child in zip(lineage, lineage[1:]):
-        vectors = _grown(child, (parent, vectors))
-    return _bundle(m, entry, vectors)
+    parent = None
+    for i in range(len(entry.prefix) + 1):
+        g = nodes[entry.series, entry.birth, entry.prefix[:i]]
+        parent = (g, _grown(g, m, parent))
+    return _bundle(vertices, entry, parent[1])
 
 
 def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> list:
@@ -1032,26 +996,13 @@ def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> lis
     largest single eigenspace with its ancestors, not the n x n level
     basis.  The visited vectors are read-only.
     """
-    _level_vertices(m)
-    roots, children = [], {}
-    for j in range(1, m + 1):
-        for g in decimation.truncated_graph_spectrum(j):
-            if g.prefix:
-                children.setdefault((g.series, g.birth, g.prefix[:-1]), []).append(g)
-            else:
-                roots.append(g)
+    vertices = _level_vertices(m)
     results = []
 
-    def descend(g: GraphEigenvalue, parent=None) -> None:
-        vectors = _grown(g, parent)
-        if g.birth + len(g.prefix) == m:
-            results.append(visit(_bundle(m, g, vectors)))
-            return
-        for child in children[(g.series, g.birth, g.prefix)]:
-            descend(child, (g, vectors))
+    def leaf(g: GraphEigenvalue, parent) -> None:
+        results.append(visit(_bundle(vertices, g, _grown(g, m, parent))))
 
-    for root in roots:
-        descend(root)
+    _walk(m, m, leaf)
     return results
 
 
@@ -1062,22 +1013,36 @@ def _level_vertices(m: int) -> VertexSet:
     return vertices
 
 
+def _level(vertices: VertexSet, k: int) -> tuple[np.ndarray, list]:
+    """Every level-m eigenspace's remainder at cell level k (all of it at
+    k = m, none at k = 0) in record-value order: one read-only matrix, and
+    (entry, start, stop) for its column range.  One walk down the decimation
+    tree writes each level-m eigenspace straight into its column range; the
+    stencil of the level is checked in one pass."""
+    m = vertices.level
+    blocks, cursor = [], 0
+    for g in _predicted(m):
+        width = _remainder_rank(g.record, g.multiplicity, k)
+        blocks.append((g, cursor, cursor + width))
+        cursor += width
+    vectors = np.empty((vertices.n_interior, cursor))
+    if k:
+        views = {g: vectors[:, start:stop] for g, start, stop in blocks}
+        _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))
+        _check_stencil(_refinement(m), vectors, blocks)
+    vectors.flags.writeable = False
+    return vectors, blocks
+
+
 def _labelled(vertices: VertexSet, vectors, blocks) -> LevelBasis:
     """The level basis whose bundle of entry g is `vectors[:, start:stop]`
     for each (g, start, stop) in `blocks`, or has no vectors."""
-    m = vertices.level
     bundles = [
-        EigenspaceBundle(
-            level=m,
-            record=g.record,
-            graph_value=g.graph_value,
-            vectors=None if vectors is None else vectors[:, start:stop],
-            vertices=vertices,
-        )
+        _bundle(vertices, g, None if vectors is None else vectors[:, start:stop])
         for g, start, stop in blocks
     ]
     return LevelBasis(
-        level=m,
+        level=vertices.level,
         vertices=vertices,
         measure=build_measure(vertices),
         vectors=vectors,
@@ -1086,14 +1051,14 @@ def _labelled(vertices: VertexSet, vectors, blocks) -> LevelBasis:
 
 
 def build_level_basis(m: int) -> LevelBasis:
-    """Build level m by spectral decimation from level 0, one level at a time.
+    """Every level-m eigenspace, built by the one walk down the decimation
+    tree with no eigensolve.
 
     Bundles and leading selections are column views of `vectors`, so its
     arrays are read-only.
     """
     vertices = _level_vertices(m)
-    level = _decimated(m, m)
-    return _labelled(vertices, level.vectors, level.blocks)
+    return _labelled(vertices, *_level(vertices, m))
 
 
 @functools.lru_cache(maxsize=8)
@@ -1116,20 +1081,14 @@ def level_remainder(m: int, k: int) -> Remainder:
     """The remainder at cell level k of every level-m eigenspace, cached.
 
     Eigenspaces are in record-value order and the columns are read-only.
-    They come from the decimation build carrying only remainders (see
-    `_decimate`), so for k < m no n x n array is formed; at k = m they are
-    the level basis, and at k = 0 every vector is localized.
+    They come from the walk of `build_level_basis` carrying only remainders
+    above cell level k, so for k < m no n x n array is formed; at k = m they
+    are the level basis, and at k = 0 every vector is localized.
     """
+    vertices = _level_vertices(m)
     if not 0 <= k <= m:
         raise DomainError(f"need 0 <= cell level <= {m}, got {k}")
-    if k == 0:
-        columns = np.zeros((decimation.interior_dimension(m), 0))
-        blocks = [(g, 0, 0) for g in _predicted(m)]
-    else:
-        _level_vertices(m)
-        level = _decimated(m, k)
-        columns, blocks = level.vectors, level.blocks
-    columns.flags.writeable = False
+    columns, blocks = _level(vertices, k)
     dims = [stop - start for _, start, stop in blocks]
     return Remainder(
         columns=columns,

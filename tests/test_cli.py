@@ -377,7 +377,9 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
         _assert_close(got, expected)
 
 
-def test_dump_operator_uses_the_level_basis(tmp_path):
+def test_dump_operator_compresses_one_eigenspace(tmp_path):
+    # the dumped operator is the compression of the last family eigenspace,
+    # built alone by its lineage
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
     code, out = run_cli(tmp_path, "szego-trace", {
         "m": 4, "mode": "single", "series": 6, "j_range": [2, 3, 4], "N": 1,
@@ -387,6 +389,17 @@ def test_dump_operator_uses_the_level_basis(tmp_path):
     meta = json.loads((out / "operator_meta.json").read_text())
     rows = (out / "operator.csv").read_text().splitlines()
     assert len(rows) == 1 + len(meta["keys"])
+    bare = eigenbasis.bare_level_basis(4)
+    key = bare.family_bundle(6, 4).record.key
+    sel = operators.selection_from_bundles([eigenbasis.eigenspace(4, key)])
+    symbol = operators.multiplication_symbol(SimpleFunction(1, f["values"]))
+    operators.operator_to_csv(
+        operators.compress(symbol, sel, bare.measure),
+        tmp_path / "expected.csv", tmp_path / "expected_meta.json",
+    )
+    for name, expected in (("operator.csv", "expected.csv"),
+                           ("operator_meta.json", "expected_meta.json")):
+        assert (out / name).read_bytes() == (tmp_path / expected).read_bytes()
 
 
 def test_tabulated_szego_det_single(tmp_path, level5):

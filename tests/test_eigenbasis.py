@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from gasket_szego.errors import (
     DomainError,
     MismatchError,
     NumericError,
+    ResourceLimitError,
     StructuralError,
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices, cell_words
@@ -361,3 +363,84 @@ def test_walk_visits_every_eigenspace_once(m):
 
     keys = eigenbasis.walk_eigenspaces(m, visit)
     assert sorted(keys) == sorted(expected)
+
+
+def _drop_child(entries):
+    child = next(g for g in entries if g.prefix)
+    return tuple(g for g in entries if g is not child)
+
+
+def _add_forbidden_child(entries):
+    # the newborn 6-eigenspace has no contracting child: it would take the
+    # graph value 2, where the 2-series already lives
+    six = next(g for g in entries if g.series == 6 and g.prefix == ("+",))
+    return entries + (dataclasses.replace(six, prefix=("-",), graph_value=2.0),)
+
+
+def _widen_child(entries):
+    child = next(g for g in entries if g.prefix)
+    wide = dataclasses.replace(child, multiplicity=child.multiplicity + 1)
+    return tuple(wide if g is child else g for g in entries)
+
+
+BUILDERS = {
+    "build_level_basis": lambda: build_level_basis(4),
+    "level_remainder": lambda: eigenbasis.level_remainder(4, 1),
+    "walk_eigenspaces": lambda: eigenbasis.walk_eigenspaces(4, lambda b: None),
+    "eigenspace": lambda: eigenbasis.eigenspace(4, "2:1:"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("change, message", [
+    (_drop_child, "eigenspace .* is built but not predicted by decimation"),
+    (_add_forbidden_child, "eigenspace .* is predicted but not built by decimation"),
+    (_widen_child, "decimation predicts dimension"),
+])
+@pytest.mark.parametrize("j", [3, 4])
+def test_every_builder_checks_the_decimation_tree(
+    monkeypatch, builder, change, message, j
+):
+    # a prediction that lacks a child, has one that decimation never
+    # builds, or miscounts one is refused before any vector is built,
+    # naming the level
+    original = decimation.truncated_graph_spectrum
+
+    def patched(level):
+        return change(original(level)) if level == j else original(level)
+
+    monkeypatch.setattr(decimation, "truncated_graph_spectrum", patched)
+    monkeypatch.setattr(eigenbasis, "_grown", None)
+    with pytest.raises(MismatchError, match=f"^level {j}: {message}"):
+        BUILDERS[builder]()
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_every_builder_checks_the_stencil_of_the_last_level(monkeypatch, builder):
+    # extension through the other preimage keeps the Gram matrix a multiple
+    # of the identity, so only the stencil of level 4 shows it
+    original = eigenbasis._preimage
+
+    def swapped(parent, sign):
+        if parent.birth + len(parent.prefix) == 3 and parent.graph_value != 6.0:
+            sign = "+" if sign == "-" else "-"
+        return original(parent, sign)
+
+    monkeypatch.setattr(eigenbasis, "_preimage", swapped)
+    with pytest.raises(NumericError, match=r"^level 4, eigenspace .*: stencil residual"):
+        BUILDERS[builder]()
+
+
+def test_every_builder_checks_the_level():
+    for build in (
+        build_level_basis,
+        lambda m: eigenbasis.eigenspace(m, "2:1:"),
+        lambda m: eigenbasis.walk_eigenspaces(m, lambda b: None),
+        lambda m: eigenbasis.level_remainder(m, 1),
+        lambda m: eigenbasis.level_remainder(m, 0),
+    ):
+        for m in (9, 12):
+            with pytest.raises(ResourceLimitError, match=f"level {m} exceeds cap 8"):
+                build(m)
+        with pytest.raises(DomainError, match="no interior vertices at level 0"):
+            build(0)
