@@ -433,10 +433,10 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
                 )
     # the prediction labels every eigenspace, and each listed one is built
     # alone by its lineage
-    bare = eigenbasis.bare_level_basis(config.m)
+    basis = eigenbasis.level_basis(config.m)
     rows = [
         (b.record.key, b.graph_value, b.dim, b.record.value, b.record.multiplicity)
-        for b in bare.bundles
+        for b in basis.bundles
     ]
     write_csv(
         out_dir / "bundles.csv",
@@ -449,7 +449,7 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         eigenbasis.save_bundle(eigenbasis.eigenspace(config.m, key), out_dir / name)
         outputs.append(name)
     if config.dump_vertices:
-        gasket.vertices_to_csv(bare.vertices, bare.measure, out_dir / "vertices.csv")
+        gasket.vertices_to_csv(basis.vertices, basis.measure, out_dir / "vertices.csv")
         outputs.append("vertices.csv")
     return outputs
 
@@ -459,7 +459,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
 
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
-    basis = operators.level_basis_for(symbol, config.m)
+    basis = eigenbasis.level_basis(config.m)
     if determinant:
         if config.mode == "single":
             report = szego.szego_logdet_single_series(
@@ -491,10 +491,9 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
     if config.dump_operator:
         # the dense matrix reads the columns of the one dumped eigenspace
         key = basis.family_bundle(config.series, config.j_range[-1]).record.key
-        sel = operators.selection_from_bundles([eigenbasis.eigenspace(config.m, key)])
-        op = operators.compress(symbol, sel, basis.measure)
         operators.operator_to_csv(
-            op, out_dir / "operator.csv", out_dir / "operator_meta.json"
+            symbol, eigenbasis.eigenspace(config.m, key), basis.measure,
+            out_dir / "operator.csv", out_dir / "operator_meta.json",
         )
         outputs.extend(["operator.csv", "operator_meta.json"])
     return outputs
@@ -514,8 +513,8 @@ def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
 
     p_fn, p_name = parse_p(config.p)
     chi = _parse_simple(config.chi, "chi")
-    # chi is simple: H reads only the eigenvalues and level_remainder
-    base = eigenbasis.bare_level_basis(config.m)
+    # H reads only the eigenvalues and level_remainder
+    base = eigenbasis.level_basis(config.m)
     family = cl.decimation_family(config.j_range, base)
     schrodinger = cl.build_schrodinger(p_fn, chi, config.m, p_name, base)
     report = cl.identify_clusters(schrodinger, family)
@@ -588,10 +587,10 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         )
 
     # each family eigenspace is built alone, by its lineage
-    bare = eigenbasis.bare_level_basis(m)
+    basis = eigenbasis.level_basis(m)
 
     def family(series: int, birth: int):
-        key = bare.family_bundle(series, birth).record.key
+        key = basis.family_bundle(series, birth).record.key
         return eigenbasis.eigenspace(m, key)
 
     for series in (6, 5):
@@ -608,7 +607,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         # eigenspace built by the walk (the sine of their largest principal
         # angle, over 1e-12) and against the localized trace of f over it
         try:
-            angle, trace = _lineage_margins(m, f, bare.measure)
+            angle, trace = _lineage_margins(m, f, basis.measure)
             ok = ok and angle <= 1.0
             detail += (
                 f";lineage_angle_over_tol={fmt(angle)}"
@@ -626,7 +625,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         rng = np.random.default_rng(config.seed)
         base_chi = SimpleFunction(1, [0.8, 1.0, 1.2])
         # H reads only the eigenvalues and level_remainder
-        trial_basis = eigenbasis.bare_level_basis(trial_m)
+        trial_basis = eigenbasis.level_basis(trial_m)
         for trial in range(10):
             delta = float(rng.uniform(0.01, 1.0))
             eta = clusters.random_simple_perturbation(rng, 1, delta)

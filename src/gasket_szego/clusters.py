@@ -98,7 +98,7 @@ def build_schrodinger(
 ) -> SchrodingerMatrix:
     """H over the full level-m eigenbasis, with only its remainder solved."""
     symbol = operators.multiplication_symbol(chi)
-    base = operators.level_basis_for(symbol, m, basis)
+    base = operators.level_basis_for(m, basis)
     sel = operators.leading_selection(base)
     m_chi = operators.compress(symbol, sel, base.measure)
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
@@ -287,7 +287,7 @@ def weak_limit_check(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> szego.ConvergenceReport:
     """Cluster averages of F against the potential's pullback integral."""
-    base = operators.level_basis_for(operators.multiplication_symbol(chi), m, basis)
+    base = operators.level_basis_for(m, basis)
     j_range = szego._distinct_sorted(j_range, int, "birth range")
     schrodinger = build_schrodinger(p, chi, m, p_name, base)
     report = identify_clusters(schrodinger, decimation_family(j_range, base))
@@ -305,7 +305,7 @@ def weak_limit_report(
     into head and tail at the generation cut of the report's level."""
     j_range = szego._distinct_sorted(j_range, int, "birth range")
     target, target_info = szego.target_integral(chi, F.fn)
-    cut = szego._default_generation_cut(report.m)
+    cut = szego._generation_cut(None, report.m)
     by_birth = {c.j: c for c in report.clusters}
     samples = []
     for j in j_range:
@@ -328,7 +328,8 @@ def decimation_family(j_range, base: eigenbasis.LevelBasis) -> list[EigenvalueRe
     """Separated-family records restricted to the requested births."""
     from .decimation import separated_sequence
 
-    family = separated_sequence(max(j_range)).records
+    j_range = szego._distinct_sorted(j_range, int, "birth range")
+    family = separated_sequence(j_range[-1]).records
     wanted = set(j_range)
     records = [r for r in family if r.birth in wanted]
     missing = wanted - {r.birth for r in records}

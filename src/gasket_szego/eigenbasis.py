@@ -9,10 +9,13 @@ labelled with its entry of the decimation prediction, orthonormal in the
 measure-weighted inner product.  The walk carries each eigenspace's
 remainder at a cell level k, whole while nothing in it localizes: a newborn
 is cut to its remainder at birth, and extension maps a parent's remainder
-onto its child's.  `build_level_basis(m)` (k = m) and `level_remainder(m, k)`
-write every level-m eigenspace into its column range of one read-only
-matrix in record-value order; `walk_eigenspaces` hands each whole eigenspace
-to a visitor and drops it, and `eigenspace(m, key)` follows one lineage.
+onto its child's.  `level_remainder(m, k)` writes every level-m eigenspace's
+remainder into its column range of one read-only matrix in record-value
+order; at k = m that is the n x n basis, the only one formed.
+`walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
+and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
+cached level workspace: vertices, measure and the eigenspaces labelled by
+their records, with no vectors.
 The dense eigensolve `solve_graph_spectrum` and its labelling
 `group_eigenspaces` stay as the independent oracle.  Splits at a cell level
 rest on the junction functionals at the level's interior vertices, which
@@ -87,7 +90,7 @@ def solve_graph_spectrum(lap: GraphLaplacian) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class EigenspaceBundle:
     """An eigenspace at graph level m, orthonormal in the weighted inner
-    product; a bare level basis leaves `vectors` None."""
+    product; the bundles of a level basis leave `vectors` None."""
 
     level: int
     record: EigenvalueRecord
@@ -430,13 +433,13 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
 
 @dataclass
 class LevelBasis:
-    """Everything needed to run experiments at a fixed graph level; a bare
-    level basis (`bare_level_basis`) has no eigenvectors."""
+    """The workspace of one graph level: its vertices, measure and the
+    bundles of every eigenspace, labelled with their decimation records and
+    carrying no vectors."""
 
     level: int
     vertices: VertexSet
     measure: SelfSimilarMeasure
-    vectors: np.ndarray | None
     bundles: list[EigenspaceBundle]
 
     def family_bundle(self, series: int, birth: int) -> EigenspaceBundle:
@@ -971,9 +974,9 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
 
     It is born at its birth level (the newborn 5- or 6-eigenspace, or the
     level-1 2-series vector) and extended through its branches one level at
-    a time, by the steps and checks of `build_level_basis`, whose bundle of
-    `key` it equals bit for bit; no other eigenspace is built.  Its vectors
-    are read-only.
+    a time, by the steps and checks of `level_remainder(m, m)`, whose
+    columns of `key` it equals bit for bit; no other eigenspace is built.
+    Its vectors are read-only.
     """
     vertices = _level_vertices(m)
     nodes = _tree(m)
@@ -1013,67 +1016,19 @@ def _level_vertices(m: int) -> VertexSet:
     return vertices
 
 
-def _level(vertices: VertexSet, k: int) -> tuple[np.ndarray, list]:
-    """Every level-m eigenspace's remainder at cell level k (all of it at
-    k = m, none at k = 0) in record-value order: one read-only matrix, and
-    (entry, start, stop) for its column range.  One walk down the decimation
-    tree writes each level-m eigenspace straight into its column range; the
-    stencil of the level is checked in one pass."""
-    m = vertices.level
-    blocks, cursor = [], 0
-    for g in _predicted(m):
-        width = _remainder_rank(g.record, g.multiplicity, k)
-        blocks.append((g, cursor, cursor + width))
-        cursor += width
-    vectors = np.empty((vertices.n_interior, cursor))
-    if k:
-        views = {g: vectors[:, start:stop] for g, start, stop in blocks}
-        _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))
-        _check_stencil(_refinement(m), vectors, blocks)
-    vectors.flags.writeable = False
-    return vectors, blocks
-
-
-def _labelled(vertices: VertexSet, vectors, blocks) -> LevelBasis:
-    """The level basis whose bundle of entry g is `vectors[:, start:stop]`
-    for each (g, start, stop) in `blocks`, or has no vectors."""
-    bundles = [
-        _bundle(vertices, g, None if vectors is None else vectors[:, start:stop])
-        for g, start, stop in blocks
-    ]
-    return LevelBasis(
-        level=vertices.level,
-        vertices=vertices,
-        measure=build_measure(vertices),
-        vectors=vectors,
-        bundles=bundles,
-    )
-
-
-def build_level_basis(m: int) -> LevelBasis:
-    """Every level-m eigenspace, built by the one walk down the decimation
-    tree with no eigensolve.
-
-    Bundles and leading selections are column views of `vectors`, so its
-    arrays are read-only.
-    """
-    vertices = _level_vertices(m)
-    return _labelled(vertices, *_level(vertices, m))
-
-
 @functools.lru_cache(maxsize=8)
 def level_basis(m: int) -> LevelBasis:
-    """Cached level workspace; its arrays are read-only and shared."""
-    return build_level_basis(m)
-
-
-@functools.lru_cache(maxsize=8)
-def bare_level_basis(m: int) -> LevelBasis:
-    """The level workspace without eigenvectors, cached: vertices, measure
-    and the bundles of `truncated_graph_spectrum(m)` in record-value order,
-    whose `vectors` are None, as are the basis's.  It serves compressions
-    that read only eigenvalues and `level_remainder`."""
-    return _labelled(_level_vertices(m), None, [(g, 0, 0) for g in _predicted(m)])
+    """The level workspace, cached: vertices, measure and the bundles of
+    `truncated_graph_spectrum(m)` in record-value order, whose `vectors`
+    are None.  Compressions read only their eigenvalues and
+    `level_remainder`; `eigenspace` builds one eigenspace's vectors."""
+    vertices = _level_vertices(m)
+    return LevelBasis(
+        level=m,
+        vertices=vertices,
+        measure=build_measure(vertices),
+        bundles=[_bundle(vertices, g, None) for g in _predicted(m)],
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -1081,19 +1036,32 @@ def level_remainder(m: int, k: int) -> Remainder:
     """The remainder at cell level k of every level-m eigenspace, cached.
 
     Eigenspaces are in record-value order and the columns are read-only.
-    They come from the walk of `build_level_basis` carrying only remainders
-    above cell level k, so for k < m no n x n array is formed; at k = m they
-    are the level basis, and at k = 0 every vector is localized.
+    They come from one walk down the decimation tree, writing each level-m
+    eigenspace straight into its column range and carrying only remainders
+    above cell level k, so for k < m no n x n array is formed.  At k = m
+    nothing localizes: the columns are every whole eigenspace, the one n x n
+    basis, which only a callable potential reads; at k = 0
+    every vector is localized and there are no columns.
     """
     vertices = _level_vertices(m)
     if not 0 <= k <= m:
         raise DomainError(f"need 0 <= cell level <= {m}, got {k}")
-    columns, blocks = _level(vertices, k)
-    dims = [stop - start for _, start, stop in blocks]
+    blocks, cursor = [], 0
+    for g in _predicted(m):
+        width = _remainder_rank(g.record, g.multiplicity, k)
+        blocks.append((g, cursor, cursor + width))
+        cursor += width
+    columns = np.empty((vertices.n_interior, cursor))
+    if k:
+        views = {g: columns[:, start:stop] for g, start, stop in blocks}
+        _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))
+        # the stencil of the level is checked in one pass
+        _check_stencil(_refinement(m), columns, blocks)
+    columns.flags.writeable = False
     return Remainder(
         columns=columns,
-        dims=dims,
-        per_cell=[(g.multiplicity - r) // 3 ** k for (g, _, _), r in zip(blocks, dims)],
+        dims=[stop - start for _, start, stop in blocks],
+        per_cell=[(g.multiplicity - (stop - start)) // 3 ** k for g, start, stop in blocks],
         records=[g.record for g, _, _ in blocks],
     )
 

@@ -13,10 +13,6 @@ class ResourceLimitError(GasketError, RuntimeError):
     """A configured cap (level, record count) would be exceeded."""
 
 
-class ColumnsError(DomainError):
-    """An operation needs eigenvector columns that a bare level basis lacks."""
-
-
 class StructuralError(GasketError, RuntimeError):
     """A structural prediction failed (counts, block pattern, mixed levels)."""
 

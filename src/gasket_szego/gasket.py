@@ -216,9 +216,17 @@ class SelfSimilarMeasure:
         return (stop - start) * 3.0 ** (-self.level)
 
 
+def _cell_sums(vertices: VertexSet, cell_values: np.ndarray | None = None) -> np.ndarray:
+    """Per vertex, the sum of `cell_values` over the cells containing it, in
+    cell order; without values, the number of those cells."""
+    weights = None if cell_values is None else np.repeat(cell_values, 3)
+    return np.bincount(
+        vertices.cells.ravel(), weights=weights, minlength=vertices.n_vertices
+    )
+
+
 def build_measure(vertices: VertexSet) -> SelfSimilarMeasure:
-    counts = np.array([len(c) for c in vertices.vertex_cells], dtype=np.int64)
-    weights = counts * 3.0 ** (-(vertices.level + 1))
+    weights = _cell_sums(vertices) * 3.0 ** (-(vertices.level + 1))
     return SelfSimilarMeasure(level=vertices.level, weights=weights, vertices=vertices)
 
 
@@ -286,26 +294,18 @@ def effective_multiplier(f, vertices: VertexSet) -> np.ndarray:
     measure contribution 3^-(m+1); this makes the discrete integral of a
     simple function exact.
     """
-    m = vertices.level
-    g = np.zeros(vertices.n_vertices)
     if isinstance(f, SimpleFunction):
-        cell_vals = f.refined(vertices.level)
-        np.add.at(g, vertices.cells.ravel(), np.repeat(cell_vals, 3))
-        g *= 3.0 ** (-(m + 1))
-    else:
-        weights = build_measure(vertices).weights
-        g = weights * np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]))
-    return g
+        return _cell_sums(vertices, f.refined(vertices.level)) * 3.0 ** (
+            -(vertices.level + 1)
+        )
+    weights = build_measure(vertices).weights
+    return weights * np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]))
 
 
 def vertex_values(f, vertices: VertexSet) -> np.ndarray:
     """Pointwise samples of f at vertices (cell-averaged for simple f)."""
     if isinstance(f, SimpleFunction):
-        acc = np.zeros(vertices.n_vertices)
-        cell_vals = f.refined(vertices.level)
-        np.add.at(acc, vertices.cells.ravel(), np.repeat(cell_vals, 3))
-        counts = np.array([len(c) for c in vertices.vertex_cells], dtype=float)
-        return acc / counts
+        return _cell_sums(vertices, f.refined(vertices.level)) / _cell_sums(vertices)
     return np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]), dtype=float)
 
 

@@ -5,26 +5,24 @@ chi_n, a number and a potential (`SymbolSpec.on_eigenspace`), so in an
 eigenbasis the compressed operator P p(x, -Delta) P has column blocks
 assembled per eigenspace, then symmetrized.  Integrals against the measure
 are weighted vertex sums, which are exact for products of simple functions
-with vectors localized at the same cell level; so when every chi_n is absent
-or simple, every localized vector is an exact eigenvector and only the
-non-localized remainder is assembled, taken from `eigenbasis.level_remainder`
-rather than from the selection's columns, which such a compression never
-reads; only a callable chi keeps the dense product over the columns of the
-n x n level basis.
+with vectors localized at the same cell level; so every localized vector is
+an exact eigenvector, and only the non-localized remainder is assembled,
+taken from `eigenbasis.level_remainder`.  A selection names whole
+eigenspaces and carries no columns.  A callable chi is the case where
+nothing localizes: its remainder, at cell level m, is the whole n x n basis.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import eigenbasis
 from .decimation import EigenvalueRecord, SpectrumTable
-from .errors import ColumnsError, ConvergenceError, DomainError, StructuralError
+from .errors import ConvergenceError, DomainError, StructuralError
 from .eigenbasis import EigenspaceBundle, LevelBasis
 from .gasket import (
     SelfSimilarMeasure,
@@ -216,15 +214,11 @@ def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> 
 
 @dataclass
 class BasisSelection:
-    """An ordered subset of eigenbasis vectors, grouped by eigenspace.
-
-    `columns` is None for a selection of a bare level basis: its eigenspaces
-    are labelled but carry no vectors.
-    """
+    """An ordered list of whole eigenspaces, named by their records, with
+    the column range of each in the compressed operator."""
 
     level: int
     vertices: VertexSet = field(repr=False)
-    columns: np.ndarray | None = field(repr=False)
     records: list[EigenvalueRecord]
     group_slices: list[slice]
     keys: list[tuple[str, int]]
@@ -243,35 +237,12 @@ class BasisSelection:
 
 
 def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
-    """A selection of arbitrary bundles; their columns are copied side by side."""
+    """The selection of the bundles' eigenspaces, in their order."""
     if not bundles:
         raise DomainError("empty eigenbasis selection")
     level = bundles[0].level
     if any(b.level != level for b in bundles):
         raise StructuralError("mixed graph levels in one basis selection")
-    if any(b.vectors is None for b in bundles):
-        return _grouped_selection(bundles, None)
-    return _grouped_selection(bundles, np.hstack([b.vectors for b in bundles]))
-
-
-def leading_selection(basis: LevelBasis, cutoff: float = math.inf) -> BasisSelection:
-    """Every eigenspace with record value <= cutoff, without a copy.
-
-    Bundles are in record-value order, so they form a prefix of the level
-    basis and their columns are a leading column view of its matrix.
-    """
-    bundles = [b for b in basis.bundles if b.record.value <= cutoff]
-    if not bundles:
-        raise DomainError(f"no eigenvalues at or below cutoff {cutoff}")
-    if basis.vectors is None:
-        return _grouped_selection(bundles, None)
-    dim = sum(b.dim for b in bundles)
-    return _grouped_selection(bundles, basis.vectors[:, :dim])
-
-
-def _grouped_selection(
-    bundles: list[EigenspaceBundle], columns: np.ndarray | None
-) -> BasisSelection:
     records, slices, keys = [], [], []
     start = 0
     for b in bundles:
@@ -281,13 +252,21 @@ def _grouped_selection(
         keys.extend((b.record.key, i) for i in range(b.dim))
         start = stop
     return BasisSelection(
-        level=bundles[0].level,
+        level=level,
         vertices=bundles[0].vertices,
-        columns=columns,
         records=records,
         group_slices=slices,
         keys=keys,
     )
+
+
+def leading_selection(basis: LevelBasis, cutoff: float = math.inf) -> BasisSelection:
+    """Every eigenspace with record value <= cutoff, in the record-value
+    order of the level basis."""
+    bundles = [b for b in basis.bundles if b.record.value <= cutoff]
+    if not bundles:
+        raise DomainError(f"no eigenvalues at or below cutoff {cutoff}")
+    return selection_from_bundles(bundles)
 
 
 @dataclass(eq=False)
@@ -297,9 +276,7 @@ class CompressedOperator:
     Its spectrum is `atoms`, eigenvalues known exactly, together with the
     eigenvalues of the symmetric `remainder` block; `atom_lambdas` and
     `remainder_lambdas` give the eigenvalue lam of the eigenspace each atom
-    and each remainder column comes from.  `matrix`, the dense matrix in the
-    order of the selection's columns, is formed only on request; a dense
-    compression has no atoms, and its whole matrix is the remainder.
+    and each remainder column comes from.
     """
 
     level: int
@@ -310,15 +287,10 @@ class CompressedOperator:
     atom_lambdas: np.ndarray = field(default_factory=lambda: np.zeros(0))
     remainder: np.ndarray | None = None
     remainder_lambdas: np.ndarray | None = None
-    dense: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.lambda_assignment)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return self.dense()
 
     def up_to(self, cutoff: float) -> "CompressedOperator":
         """The compression to the leading eigenspaces with lam <= cutoff.
@@ -341,7 +313,6 @@ class CompressedOperator:
             atom_lambdas=self.atom_lambdas[:a],
             remainder=self.remainder[:r, :r],
             remainder_lambdas=self.remainder_lambdas[:r],
-            dense=lambda: self.matrix[:d, :d],
         )
 
 
@@ -387,14 +358,6 @@ def _product_block(
     return block, asym
 
 
-def _dense_product(
-    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
-) -> tuple[np.ndarray, float]:
-    """The dense matrix of the compression and its asymmetry."""
-    q, runs = eigenspace_runs(symbol, basis.records)
-    return _product_block(q, runs, _columns(basis), basis.dims, measure)
-
-
 def compress(
     symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
 ) -> CompressedOperator:
@@ -402,63 +365,38 @@ def compress(
 
     The basis is orthonormal in the measure-weighted inner product and
     interior vertices share one weight, so a symbol q(lam) + chi_lam
-    compresses to diag(q(lam)) + U^T [chi_lam] U, each eigenspace's potential
-    acting on its own columns.  Over whole eigenspaces, with every chi_lam
-    absent or simple and k the largest of their cell levels, that product is
-    never formed: a vector localized in a k-cell C is an exact eigenvector
-    of any potential simple at level k, an atom q(lam) + chi_lam(C), m_{j,k}
-    per cell (q(lam), d of them, when chi is absent), and only the
-    non-localized remainder Q of each eigenspace gives a block, diag(q) +
-    Q^T [chi_lam] Q, one product per run of eigenspaces sharing one chi.  Q
-    is `eigenbasis.level_remainder(m, k)`, built by decimation with no n x n
-    array, and the selection's columns are never read: any orthonormal
-    columns spanning each eigenspace, or none (a bare level basis), give the
-    same operator.  The localized-trace identity that cross-checks Q against
-    whole eigenspaces is `localized_trace_margin`, run by `validate`.
-
-    A callable chi keeps the dense product, an operator with no atoms whose
-    remainder is the whole matrix.  It, and `matrix` of any compression,
-    need the selection's columns and raise `ColumnsError` without them.
+    compresses to diag(q(lam)) + U^T [chi_lam] U over whole eigenspaces,
+    each eigenspace's potential acting on its own columns.  That product is
+    never formed: with k the cell level of the potentials (the largest level
+    of a simple chi_lam, 0 when chi is absent, m for a callable chi), a
+    vector localized in a k-cell C is an exact eigenvector of any potential
+    simple at level k, an atom q(lam) + chi_lam(C), m_{j,k} per cell, and
+    only the non-localized remainder Q of each eigenspace gives a block,
+    diag(q) + Q^T [chi_lam] Q, one product per run of eigenspaces sharing one
+    chi.  Q is `eigenbasis.level_remainder(m, k)`: no columns at k = 0, where
+    every vector is an atom at q(lam), and at k = m, where nothing
+    localizes, the whole eigenspaces, so a callable chi gives no atoms and
+    its remainder is the whole matrix.  A selection only names eigenspaces;
+    any orthonormal columns spanning them give the same operator.  The
+    localized-trace identity that cross-checks Q against whole eigenspaces
+    is `localized_trace_margin`, run by `validate`.
     """
     if measure.level != basis.level:
         raise StructuralError(
             f"measure level {measure.level} != basis level {basis.level}"
         )
-    if reduces(symbol):
-        return _compress_reduced(symbol, basis, measure)
-    mat, asym = _dense_product(symbol, basis, measure)
-    lambdas = basis.lambdas
-    return CompressedOperator(
-        basis.level, list(basis.keys), lambdas, asym,
-        remainder=mat, remainder_lambdas=lambdas, dense=lambda: mat,
-    )
-
-
-def _compress_reduced(
-    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
-) -> CompressedOperator:
-    """Atoms plus the remainder block of q(lam) + chi_lam over whole
-    eigenspaces."""
     lams = np.array([rec.value for rec in basis.records])
     q, runs = eigenspace_runs(symbol, basis.records)
-    if runs[0][0] is None:
-        # every vector is an atom at q(lam)
-        cell_values = np.zeros((q.size, 1))
-        per_cell = basis.dims
-        rem_dims = [0] * len(per_cell)
-        block, asym = np.zeros((0, 0)), 0.0
-    else:
-        k = max(chi.level for chi, _, _ in runs)
-        # each eigenspace's chi on the k-cells, in word order
-        cell_values = np.repeat(
-            [chi.refined(k) for chi, _, _ in runs],
-            [stop - first for _, first, stop in runs],
-            axis=0,
-        )
-        rem = _selection_remainder(k, basis)
-        per_cell, rem_dims = rem.per_cell, rem.dims
-        block, asym = _product_block(q, runs, rem.columns, rem_dims, measure)
-    per_atom = np.repeat(per_cell, cell_values.shape[1])
+    k = max(_cell_level(chi, basis.level) for chi, _, _ in runs)
+    # each eigenspace's chi on the k-cells, in word order
+    cell_values = np.repeat(
+        [_cell_values(chi, k) for chi, _, _ in runs],
+        [stop - first for _, first, stop in runs],
+        axis=0,
+    )
+    rem = _selection_remainder(k, basis)
+    block, asym = _product_block(q, runs, rem.columns, rem.dims, measure)
+    per_atom = np.repeat(rem.per_cell, cell_values.shape[1])
     return CompressedOperator(
         level=basis.level,
         keys=list(basis.keys),
@@ -467,35 +405,33 @@ def _compress_reduced(
         atoms=np.repeat((q[:, None] + cell_values).ravel(), per_atom),
         atom_lambdas=np.repeat(np.repeat(lams, cell_values.shape[1]), per_atom),
         remainder=block,
-        remainder_lambdas=np.repeat(lams, rem_dims),
-        dense=lambda: _dense_product(symbol, basis, measure)[0],
+        remainder_lambdas=np.repeat(lams, rem.dims),
     )
 
 
-def reduces(symbol: SymbolSpec) -> bool:
-    """Whether `compress` reduces the symbol to atoms plus a remainder: its
-    chi absent or simple (every entry of a table is simple)."""
-    return symbol.chi is None or isinstance(symbol.chi, SimpleFunction)
+def _cell_level(chi, m: int) -> int:
+    """The cell level at which chi compresses: 0 when absent, its own level
+    when simple, m when callable."""
+    if chi is None:
+        return 0
+    return chi.level if isinstance(chi, SimpleFunction) else m
 
 
-def level_basis_for(symbol: SymbolSpec, m: int, basis=None) -> LevelBasis:
-    """`basis`, which must be of level m, or else the cached level-m basis
-    that compressions of `symbol` need: the bare one when they reduce, else
-    the one with its n x n eigenvectors."""
+def _cell_values(chi, k: int) -> np.ndarray:
+    """chi on the k-cells in word order; a callable chi, compressed at k = m
+    where no vector is an atom, needs none."""
+    if chi is None:
+        return np.zeros(3 ** k)
+    return chi.refined(k) if isinstance(chi, SimpleFunction) else np.zeros(0)
+
+
+def level_basis_for(m: int, basis=None) -> LevelBasis:
+    """`basis`, which must be of level m, or else the cached level-m basis."""
     if basis is not None:
         if basis.level != m:
             raise DomainError(f"basis of level {basis.level} given for level m = {m}")
         return basis
-    return (eigenbasis.bare_level_basis if reduces(symbol) else eigenbasis.level_basis)(m)
-
-
-def _columns(basis: BasisSelection) -> np.ndarray:
-    if basis.columns is None:
-        raise ColumnsError(
-            "this operation needs eigenvector columns, and the selection of "
-            "a bare level basis has none; use eigenbasis.level_basis"
-        )
-    return basis.columns
+    return eigenbasis.level_basis(m)
 
 
 def _selection_remainder(k: int, basis: BasisSelection) -> eigenbasis.Remainder:
@@ -505,10 +441,20 @@ def _selection_remainder(k: int, basis: BasisSelection) -> eigenbasis.Remainder:
         if d != rec.multiplicity:
             raise StructuralError(
                 f"eigenspace {rec.key}: {d} of its "
-                f"{rec.multiplicity} vectors selected; a simple potential "
+                f"{rec.multiplicity} vectors selected; a compression "
                 f"reduces over whole eigenspaces only"
             )
     return eigenbasis.level_remainder(basis.level, k).select(basis.records)
+
+
+def _vectors(bundle: EigenspaceBundle) -> np.ndarray:
+    """The bundle's vectors; a bundle of the level basis has none."""
+    if bundle.vectors is None:
+        raise DomainError(
+            f"eigenspace {bundle.record.key} carries no vectors; build them "
+            f"with eigenbasis.eigenspace"
+        )
+    return bundle.vectors
 
 
 def localized_trace_margin(
@@ -523,12 +469,7 @@ def localized_trace_margin(
     deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
     raises StructuralError above 1.
     """
-    if bundle.vectors is None:
-        raise ColumnsError(
-            "the localized trace needs the eigenspace's vectors; build them "
-            "with eigenbasis.eigenspace"
-        )
-    rec, cols = bundle.record, bundle.vectors
+    rec, cols = bundle.record, _vectors(bundle)
     rem = eigenbasis.level_remainder(bundle.level, chi.level).select([rec])
     g = effective_multiplier(chi, measure.vertices)[bundle.vertices.interior]
     localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
@@ -648,11 +589,24 @@ def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarra
     return np.sort(np.repeat(image, table.multiplicity))
 
 
-def operator_to_csv(op: CompressedOperator, path, sidecar_path) -> None:
+def operator_to_csv(
+    symbol: SymbolSpec, bundle: EigenspaceBundle, measure: SelfSimilarMeasure,
+    path, sidecar_path,
+) -> None:
+    """Write the compression of `symbol` to one whole eigenspace as the
+    dense matrix diag(q) + U^T [chi] U over the bundle's own columns U, with
+    a sidecar holding its level, column keys, eigenvalue per column and the
+    asymmetry of `compress`."""
+    vectors = _vectors(bundle)
+    sel = selection_from_bundles([bundle])
+    op = compress(symbol, sel, measure)
+    q, runs = eigenspace_runs(symbol, sel.records)
+    # a contiguous copy: the product's last digits depend on the layout
+    matrix, _ = _product_block(q, runs, np.hstack([vectors]), sel.dims, measure)
     write_csv(
         path,
         tuple(f"c{i}" for i in range(op.dim)),
-        (tuple(float(x) for x in row) for row in op.matrix),
+        (tuple(float(x) for x in row) for row in matrix),
     )
     write_json(
         sidecar_path,

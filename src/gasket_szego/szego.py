@@ -234,14 +234,22 @@ def _report(samples, target, target_info, **metadata) -> ConvergenceReport:
     )
 
 
-def _default_generation_cut(m: int) -> int:
-    return (m + 1) // 2
+def _generation_cut(cut: int | None, m: int) -> int:
+    """The generation cut of level m: `cut`, at least 1, or by default
+    (m + 1) // 2."""
+    if cut is None:
+        return (m + 1) // 2
+    if cut < 1:
+        raise DomainError(f"generation cut must be at least 1, got {cut}")
+    return cut
 
 
 def _distinct_sorted(values, kind, name: str) -> list:
-    """`values` converted by `kind` and sorted, none of them repeated: each
-    entry is one sample."""
+    """`values` converted by `kind` and sorted, not empty and none of them
+    repeated: each entry is one sample."""
     values = sorted(kind(v) for v in values)
+    if not values:
+        raise DomainError(f"empty {name}")
     for a, b in zip(values, values[1:]):
         if a == b:
             raise DomainError(f"{name} repeats {a!r}; each entry is one sample")
@@ -252,8 +260,6 @@ def _check_single_series_args(series, j_range, n_level, m):
     if series not in (5, 6):
         raise DomainError(f"single-series sweeps need series 5 or 6, got {series}")
     j_range = _distinct_sorted(j_range, int, "birth range")
-    if not j_range:
-        raise DomainError("empty birth range")
     lo = 1 if series == 5 else 2
     for j in j_range:
         if j > m:
@@ -290,12 +296,12 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
     eigenspaces, against the integral of fn(q); `precheck` sees the
     eigenspaces' records before any compression."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
-    basis = operators.level_basis_for(symbol, m, basis)
+    basis = operators.level_basis_for(m, basis)
     bundles = [basis.family_bundle(series, j) for j in j_range]
     if precheck is not None:
         precheck(symbol, [b.record for b in bundles], basis.vertices)
     target, target_info = target_integral(symbol.limit_q, fn)
-    cut = generation_cut or _default_generation_cut(m)
+    cut = _generation_cut(generation_cut, m)
     samples = []
     for j, bundle in zip(j_range, bundles):
         gamma = compress(symbol, selection_from_bundles([bundle]), basis.measure)
@@ -359,12 +365,10 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     the top cutoff: the atoms below each cutoff and a leading block of its
     remainder.  `precheck` sees the records below the top cutoff before any
     compression."""
-    basis = operators.level_basis_for(symbol, m, basis)
+    basis = operators.level_basis_for(m, basis)
     target, target_info = target_integral(symbol.limit_q, fn)
-    cut = generation_cut or _default_generation_cut(m)
+    cut = _generation_cut(generation_cut, m)
     lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
-    if not lambda_grid:
-        raise DomainError("empty cutoff grid")
     window = check_window(lambda_grid, m)
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
@@ -471,12 +475,12 @@ def logdet_sandwich(
     """
     if epsilon <= 0 or epsilon >= 1:
         raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    basis = operators.level_basis_for(symbol, m, basis)
+    basis = operators.level_basis_for(m, basis)
     lo_sym = operators.multiplication_symbol(f_approx.scaled(1.0 - epsilon))
     hi_sym = operators.multiplication_symbol(f_approx.scaled(1.0 + epsilon))
     f_vals = vertex_values(f_approx, basis.vertices)
     out = []
-    for j in sorted(j_range):
+    for j in _distinct_sorted(j_range, int, "birth range"):
         bundle = basis.family_bundle(series, j)
         sel = selection_from_bundles([bundle])
         p_vals = symbol_vertex_values(symbol, bundle.record.value, basis.vertices)

@@ -2,6 +2,8 @@ import pytest
 
 from gasket_szego import decimation, eigenbasis
 
+from dense_oracle import whole_basis
+
 
 @pytest.fixture(autouse=True)
 def _fresh_remainders(request):
@@ -16,19 +18,21 @@ def _fresh_remainders(request):
         eigenbasis.level_remainder.cache_clear()
 
 
+# the level workspaces with every eigenspace's vectors, for the oracles and
+# the splits; the library's own `level_basis` carries none
 @pytest.fixture(scope="session")
 def level4():
-    return eigenbasis.level_basis(4)
+    return whole_basis(4)
 
 
 @pytest.fixture(scope="session")
 def level5():
-    return eigenbasis.level_basis(5)
+    return whole_basis(5)
 
 
 @pytest.fixture(scope="session")
 def level6():
-    return eigenbasis.level_basis(6)
+    return whole_basis(6)
 
 
 # the spectrum tables that covered every level-4 and level-5 eigenvalue

@@ -4,10 +4,12 @@ The library never forms diag(q) + U^T [chi] U over whole eigenspaces when chi
 is simple: it solves only the non-localized remainder.  These helpers form
 the full product over every selected column and solve it densely, the way
 the library did before the reduction, as an independent reference;
-`split_selection` orders an eigenspace's columns like its localized split,
+`split_columns` orders an eigenspace's columns like its localized split,
 so that the dense product shows the block structure the reduction relies
-on.  Likewise `localized_split` reads every cell's localized vectors from
-the junction functionals and the kernel's rows inside the cell;
+on.  `selection_columns` and `whole_basis` read whole eigenspaces out of
+the n x n basis `level_remainder(m, m)`, which the library forms only for a
+callable chi.  Likewise `localized_split` reads every cell's localized
+vectors from the junction functionals and the kernel's rows inside the cell;
 `reference_split` takes the SVD of every row outside the cell.
 `reference_spectrum` searches the decimation tree depth-first, one scalar
 record at a time, where `enumerate_spectrum` takes it level by level in numpy;
@@ -18,7 +20,7 @@ steps one record at a time, where `_contracting_limits` steps them all.
 table's records one at a time, where `spectrum_to_csv` and
 `separated_sequence` read its sorted arrays.  `nonlocalized_remainder` reads
 the remainders of a run of eigenspaces off their whole vectors, where
-`level_remainder` carries them by lineage; `trace_power` powers the dense
+`level_remainder` carries them by lineage; `trace_power` powers a dense
 compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
 reads back what `save_bundle` wrote.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gasket_szego import decimation, operators
+from gasket_szego import decimation, eigenbasis, operators
 from gasket_szego.decimation import (
     CONTRACTING,
     DEFAULT_TOL,
@@ -57,14 +59,34 @@ from gasket_szego.gasket import cell_words, effective_multiplier
 ROUNDING_SLACK = 32.0
 
 
-def dense_compression(q, chi, selection, measure) -> np.ndarray:
-    """diag(q(lam)) + U^T [chi] U over the selection's columns, symmetrized.
+def selection_columns(selection) -> np.ndarray:
+    """The selection's whole eigenspaces side by side, copied out of the
+    n x n basis `level_remainder(m, m)`."""
+    whole = eigenbasis.level_remainder(selection.level, selection.level)
+    return np.hstack([whole.select([rec]).columns for rec in selection.records])
+
+
+def whole_basis(m: int):
+    """The level-m workspace whose bundles carry their vectors: column views
+    of the n x n basis `level_remainder(m, m)`."""
+    basis = eigenbasis.level_basis(m)
+    whole = eigenbasis.level_remainder(m, m)
+    bundles = [
+        dataclasses.replace(b, vectors=whole.select([b.record]).columns)
+        for b in basis.bundles
+    ]
+    return dataclasses.replace(basis, bundles=bundles)
+
+
+def dense_compression(q, chi, selection, measure, columns=None) -> np.ndarray:
+    """diag(q(lam)) + U^T [chi] U over `columns`, by default the selection's
+    whole eigenspaces (`selection_columns`), symmetrized.
 
     `q` may be None (no lam part).  `chi` is None (no potential), one
     function for every eigenspace, or a list with one function (or None)
     per eigenspace of the selection, which multiplies that eigenspace's
     columns."""
-    cols = selection.columns
+    cols = selection_columns(selection) if columns is None else columns
     interior = selection.vertices.interior
     if isinstance(chi, list):
         raw = np.zeros((selection.dim, selection.dim))
@@ -141,17 +163,16 @@ def reference_split(bundle, n_level):
     return per_cell, u @ vh[stacked.shape[0]:].T
 
 
-def split_selection(bundle, n_level):
-    """One eigenspace as a selection in the column order of its localized
-    split: each N-cell's localized vectors in cell order, then the
-    non-localized remainder.  Returns the selection and the split."""
+def split_columns(bundle, n_level):
+    """The columns of one eigenspace in the order of its localized split:
+    each N-cell's localized vectors in cell order, then the non-localized
+    remainder.  Returns the columns and the split."""
     split = localized_split(bundle, n_level)
     columns = np.hstack(
         [split.per_cell[word] for word in cell_words(n_level)]
         + [split.nonlocalized]
     )
-    selection = operators.selection_from_bundles([bundle])
-    return dataclasses.replace(selection, columns=columns), split
+    return columns, split
 
 
 def _apply_branch(lam: float, sign: str, explicit: bool) -> float:
@@ -384,15 +405,16 @@ def nonlocalized_remainder(vectors, blocks, vertices, k: int) -> Remainder:
     )
 
 
-def trace_power(op, k: int) -> float:
-    """Trace of the k-th power of the dense compressed matrix."""
+def trace_power(matrix, k: int) -> float:
+    """Trace of the k-th power of a dense compressed matrix."""
     if k < 0:
         raise DomainError(f"power must be nonnegative, got {k}")
+    dim = matrix.shape[0]
     if k == 0:
-        return float(op.dim)
-    acc = np.eye(op.dim)
+        return float(dim)
+    acc = np.eye(dim)
     for _ in range(k):
-        acc = acc @ op.matrix
+        acc = acc @ matrix
     return float(np.trace(acc))
 
 

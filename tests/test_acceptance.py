@@ -17,7 +17,7 @@ from gasket_szego.gasket import (
     integrate_simple,
 )
 
-from dense_oracle import trace_power
+from dense_oracle import dense_compression, trace_power
 
 CHI = SimpleFunction(1, [0.8, 1.0, 1.2])
 
@@ -114,11 +114,11 @@ def test_criterion_3_simple_function_exact_bound(level6):
             if rec.series != 6 or not (n_level < rec.birth <= 5):
                 continue
             sel = operators.selection_from_bundles([bundle])
-            gamma = operators.compress(sym, sel, level6.measure)
+            dense = dense_compression(None, f, sel, level6.measure)
             counts = decimation.localization_counts(6, rec.birth, n_level)
             for k in (1, 2, 3):
                 err = abs(
-                    trace_power(gamma, k) / counts.d_j
+                    trace_power(dense, k) / counts.d_j
                     - integrate_simple(f, k)
                 )
                 bound = (counts.alpha_N / counts.d_j) * integrate_simple(

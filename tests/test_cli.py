@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +17,19 @@ from gasket_szego.gasket import SimpleFunction, integrate_simple
 from gasket_szego.serialize import sha256_file
 
 from dense_oracle import dense_clusters, dense_compression
+
+
+def refuse_whole_basis(monkeypatch):
+    """Make `level_remainder(m, m)`, the n x n basis, fail; every other
+    cell level builds as before."""
+    original = eigenbasis.level_remainder
+
+    def refusing(m, k):
+        if k == m:
+            raise AssertionError(f"built the level-{m} n x n basis")
+        return original(m, k)
+
+    monkeypatch.setattr(eigenbasis, "level_remainder", refusing)
 
 
 def run_cli(tmp_path, command, config, name="run", plot=False):
@@ -195,17 +209,12 @@ def test_validate_basis_and_dump_operator_build_no_level_basis(
         eigenbasis.save_bundle(bundle, expected / name)
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
     symbol = operators.multiplication_symbol(SimpleFunction(1, f["values"]))
-    sel = operators.selection_from_bundles([level4.family_bundle(6, 4)])
     operators.operator_to_csv(
-        operators.compress(symbol, sel, level4.measure),
+        symbol, level4.family_bundle(6, 4), level4.measure,
         expected / "operator.csv", expected / "operator_meta.json",
     )
 
-    def no_basis(m):
-        raise AssertionError(f"built the level-{m} basis")
-
-    monkeypatch.setattr(eigenbasis, "build_level_basis", no_basis)
-    monkeypatch.setattr(eigenbasis, "level_basis", no_basis)
+    refuse_whole_basis(monkeypatch)
     code, out = run_cli(tmp_path, "validate", {"m": 4}, name="validate")
     assert code == 0
     code, out = run_cli(tmp_path, "basis", {
@@ -336,11 +345,7 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
     family = clusters.decimation_family(births, level6)
     _, _, positions = dense_clusters(lambda lam: lam, potential, level6, family)
 
-    def no_basis(m):
-        raise AssertionError(f"built the level-{m} basis")
-
-    monkeypatch.setattr(eigenbasis, "build_level_basis", no_basis)
-    monkeypatch.setattr(eigenbasis, "level_basis", no_basis)
+    refuse_whole_basis(monkeypatch)
     symbol = {"kind": "riesz", "beta": 1.0}
     runs = [
         ("szego-trace", {"m": 6, "mode": "full", "lambda_grid": grid,
@@ -389,17 +394,21 @@ def test_dump_operator_compresses_one_eigenspace(tmp_path):
     meta = json.loads((out / "operator_meta.json").read_text())
     rows = (out / "operator.csv").read_text().splitlines()
     assert len(rows) == 1 + len(meta["keys"])
-    bare = eigenbasis.bare_level_basis(4)
-    key = bare.family_bundle(6, 4).record.key
-    sel = operators.selection_from_bundles([eigenbasis.eigenspace(4, key)])
-    symbol = operators.multiplication_symbol(SimpleFunction(1, f["values"]))
+    basis = eigenbasis.level_basis(4)
+    bundle = eigenbasis.eigenspace(4, basis.family_bundle(6, 4).record.key)
+    chi = SimpleFunction(1, f["values"])
     operators.operator_to_csv(
-        operators.compress(symbol, sel, bare.measure),
+        operators.multiplication_symbol(chi), bundle, basis.measure,
         tmp_path / "expected.csv", tmp_path / "expected_meta.json",
     )
     for name, expected in (("operator.csv", "expected.csv"),
                            ("operator_meta.json", "expected_meta.json")):
         assert (out / name).read_bytes() == (tmp_path / expected).read_bytes()
+    # the matrix is the dense product over the eigenspace's own columns
+    sel = operators.selection_from_bundles([bundle])
+    oracle = dense_compression(None, chi, sel, basis.measure, bundle.vectors)
+    dumped = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+    assert np.max(np.abs(dumped - oracle)) <= 1e-12
 
 
 def test_tabulated_szego_det_single(tmp_path, level5):
@@ -426,7 +435,7 @@ def test_tabulated_szego_det_single(tmp_path, level5):
 
 def test_repeated_tabulated_entries_exit_2(tmp_path, capsys):
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
-    lam = eigenbasis.bare_level_basis(4).family_bundle(6, 3).record.value
+    lam = eigenbasis.level_basis(4).family_bundle(6, 3).record.value
     code, _ = run_cli(tmp_path, "szego-trace", {
         "m": 4, "mode": "single", "series": 6, "j_range": [3], "N": 1,
         "symbol": {"kind": "tabulated",
@@ -442,7 +451,7 @@ def test_tabulated_without_limit_exits_2_before_any_basis(
     def no_basis(*args):
         raise AssertionError("built a level basis")
 
-    for name in ("level_basis", "bare_level_basis", "build_level_basis"):
+    for name in ("level_basis", "level_remainder", "eigenspace"):
         monkeypatch.setattr(eigenbasis, name, no_basis)
     monkeypatch.setattr(operators, "level_basis_for", no_basis)
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
@@ -967,3 +976,54 @@ def test_readme_examples_run(tmp_path):
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["outputs"]) == sorted(README_OUTPUTS[command])
+
+
+SWEEP_JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "sweep_jobs.py"
+WORKLOADS = SWEEP_JOBS.with_name("workloads.py")
+
+
+def _module(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_n_by_n_basis_only_for_a_callable_chi(tmp_path, monkeypatch):
+    # the README's promise: every README example at m = 4 (with
+    # dump_operator), validate among them, and every sweep-warm job kind
+    # through the API run with level_remainder(m, m) refused
+    refuse_whole_basis(monkeypatch)
+    window = decimation.resolvable_window(4)
+    for i, (command, config) in enumerate(_readme_examples()):
+        if "m" in config:
+            config["m"] = 4
+        if "j_range" in config:
+            config["j_range"] = [j for j in config["j_range"] if j <= 4]
+        if "lambda_grid" in config:
+            config["lambda_grid"] = [c for c in config["lambda_grid"] if c < window]
+        if command == "szego-trace":
+            config["dump_operator"] = True
+        code, out = run_cli(tmp_path, command, config, name=f"example{i}")
+        assert code == 0, command
+    assert (tmp_path / "example1_out" / "operator.csv").exists()
+    sweep_jobs, workloads = _module(SWEEP_JOBS), _module(WORKLOADS)
+    monkeypatch.setitem(sweep_jobs.FULL_GRIDS, 4, [100.0, 3000.0, 20000.0])
+    monkeypatch.setattr(sweep_jobs, "CLUSTER_BIRTHS", [2, 3, 4])
+    for kind, variants in workloads.SWEEP_VARIANTS.items():
+        for variant in variants:
+            assert sweep_jobs.run_job({"kind": kind, "m": 4, **variant}), kind
+
+
+def test_callable_and_level_m_simple_chi_build_one_n_by_n_basis():
+    # a callable chi compresses at cell level m, and so does a chi simple
+    # at level m: both read the one cached n x n basis
+    eigenbasis.level_remainder.cache_clear()
+    basis = eigenbasis.level_basis(4)
+    sel = operators.leading_selection(basis)
+    fine = SimpleFunction(4, np.linspace(0.5, 1.5, 81))
+    for chi in (lambda x, y: 1.0 + x * y, fine):
+        op = operators.compress(operators.multiplication_symbol(chi), sel, basis.measure)
+        assert op.atoms.size == 0 and op.remainder.shape == (sel.dim, sel.dim)
+    info = eigenbasis.level_remainder.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

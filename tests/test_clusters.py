@@ -46,7 +46,9 @@ def test_zero_p_is_multiplication(level5):
     m_chi = operators.compress(
         operators.multiplication_symbol(CHI), sel, level5.measure
     )
-    assert np.max(np.abs(dense - m_chi.matrix)) <= 1e-14
+    assert np.max(np.abs(
+        np.linalg.eigvalsh(dense) - operators.operator_eigenvalues(m_chi)
+    )) <= 1e-12
     assert np.max(
         np.abs(h.eigenvalues - operators.operator_eigenvalues(m_chi))
     ) <= 1e-14
@@ -60,7 +62,9 @@ def test_cross_construction_identity(level5):
     sel = operators.selection_from_bundles(level5.bundles)
     gamma = operators.compress(sym, sel, level5.measure)
     scale = max(1.0, float(np.max(np.abs(dense))))
-    assert np.max(np.abs(dense - gamma.matrix)) <= 1e-10 * scale
+    assert np.max(np.abs(
+        np.linalg.eigvalsh(dense) - operators.operator_eigenvalues(gamma)
+    )) <= 1e-10 * scale
     assert np.max(
         np.abs(h.eigenvalues - operators.operator_eigenvalues(gamma))
     ) <= 1e-10 * scale
@@ -211,6 +215,17 @@ def test_weak_limit_report_reads_the_report_level(level6):
     assert [(s.index, s.head_mass, s.tail_mass) for s in weak.samples] == [
         (3, 12, 0), (4, 0, 39)
     ]
+
+
+def test_empty_cluster_births_are_rejected(level4):
+    with pytest.raises(DomainError, match="^empty birth range$"):
+        weak_limit_check(CHI, IDENT, [], szego.f_identity(), 4, basis=level4)
+    with pytest.raises(DomainError, match="^empty birth range$"):
+        decimation_family([], level4)
+    h = build_schrodinger(IDENT, CHI, 4, "identity", level4)
+    report = identify_clusters(h, decimation_family([3, 4], level4))
+    with pytest.raises(DomainError, match="^empty birth range$"):
+        weak_limit_report(report, CHI, [], szego.f_identity())
 
 
 def test_weak_limit_continuous(level5):

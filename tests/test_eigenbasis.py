@@ -6,7 +6,6 @@ import pytest
 
 from gasket_szego import decimation, eigenbasis
 from gasket_szego.eigenbasis import (
-    build_level_basis,
     group_eigenspaces,
     interior_weight,
     localized_split,
@@ -22,7 +21,12 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices, cell_words
 
-from dense_oracle import load_bundle, nonlocalized_remainder, reference_split
+from dense_oracle import (
+    load_bundle,
+    nonlocalized_remainder,
+    reference_split,
+    whole_basis,
+)
 
 
 def test_solve_level1():
@@ -68,7 +72,7 @@ def test_group_level1_dimensions():
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_group_completeness_and_orthonormality(m):
-    basis = build_level_basis(m)
+    basis = whole_basis(m)
     assert sum(b.dim for b in basis.bundles) == decimation.interior_dimension(m)
     w = interior_weight(m)
     for bundle in basis.bundles[:6]:
@@ -78,7 +82,7 @@ def test_group_completeness_and_orthonormality(m):
 
 
 def test_seed_bundle_dimension():
-    basis = build_level_basis(3)
+    basis = whole_basis(3)
     bundle = basis.family_bundle(6, 3)
     assert bundle.dim == (3 ** 3 - 3) // 2
     assert bundle.graph_value == pytest.approx(6.0, abs=1e-9)
@@ -276,18 +280,19 @@ def test_level_basis_sorted_by_value(level4):
     assert values == sorted(values)
 
 
-def test_level_basis_is_read_only(level4):
-    bundle = level4.family_bundle(6, 3)
-    assert np.shares_memory(bundle.vectors, level4.vectors)
+def test_whole_basis_is_read_only(level4):
+    whole = eigenbasis.level_remainder(4, 4)
+    vectors = whole.select([level4.family_bundle(6, 3).record]).columns
+    assert np.shares_memory(vectors, whole.columns)
     with pytest.raises(ValueError):
-        bundle.vectors[0, 0] = 1.0
+        vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
-        level4.vectors[0, 0] = 1.0
+        whole.columns[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_decimation_basis_matches_dense_oracle(m):
-    basis = build_level_basis(m)
+    basis = whole_basis(m)
     lap = build_dirichlet_laplacian(basis.vertices)
     values, vectors = solve_graph_spectrum(lap)
     _, oracle = group_eigenspaces(values, vectors, m, basis.vertices)
@@ -298,7 +303,8 @@ def test_decimation_basis_matches_dense_oracle(m):
         proj = built.vectors @ built.vectors.T * w
         proj_dense = dense.vectors @ dense.vectors.T * w
         assert np.max(np.abs(proj - proj_dense)) <= 1e-12, built.record.key
-    gram = basis.vectors.T @ basis.vectors * w
+    whole = eigenbasis.level_remainder(m, m).columns
+    gram = whole.T @ whole * w
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
 
 
@@ -306,7 +312,7 @@ def test_extension_with_swapped_preimages_fails(monkeypatch):
     swapped = lambda g: decimation.decimation_preimages(g)[::-1]  # noqa: E731
     monkeypatch.setattr(eigenbasis, "decimation_preimages", swapped)
     with pytest.raises(NumericError):
-        build_level_basis(3)
+        eigenbasis.level_remainder(3, 3)
 
 
 def test_level_basis_needs_no_eigensolve(monkeypatch):
@@ -314,8 +320,8 @@ def test_level_basis_needs_no_eigensolve(monkeypatch):
         raise AssertionError("the level basis called np.linalg.eigh")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    basis = build_level_basis(5)
-    assert basis.vectors.shape == (363, 363)
+    whole = eigenbasis.level_remainder(5, 5)
+    assert whole.columns.shape == (363, 363)
 
 
 def _bits(a) -> bytes:
@@ -326,7 +332,7 @@ def _bits(a) -> bytes:
 def test_eigenspace_equals_level_basis_bit_for_bit(m):
     # each eigenspace built alone by its lineage takes the very steps of the
     # level basis, column for column
-    for bundle in eigenbasis.level_basis(m).bundles:
+    for bundle in whole_basis(m).bundles:
         own = eigenbasis.eigenspace(m, bundle.record.key)
         assert (own.level, own.record, own.graph_value) == (
             m, bundle.record, bundle.graph_value
@@ -353,7 +359,7 @@ def test_eigenspace_checks_every_step(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 3, 5, 6])
 def test_walk_visits_every_eigenspace_once(m):
-    expected = {b.record.key: b.vectors for b in eigenbasis.level_basis(m).bundles}
+    expected = {b.record.key: b.vectors for b in whole_basis(m).bundles}
 
     def visit(bundle):
         assert bundle.level == m
@@ -384,7 +390,7 @@ def _widen_child(entries):
 
 
 BUILDERS = {
-    "build_level_basis": lambda: build_level_basis(4),
+    "level_remainder_whole": lambda: eigenbasis.level_remainder(4, 4),
     "level_remainder": lambda: eigenbasis.level_remainder(4, 1),
     "walk_eigenspaces": lambda: eigenbasis.walk_eigenspaces(4, lambda b: None),
     "eigenspace": lambda: eigenbasis.eigenspace(4, "2:1:"),
@@ -433,7 +439,8 @@ def test_every_builder_checks_the_stencil_of_the_last_level(monkeypatch, builder
 
 def test_every_builder_checks_the_level():
     for build in (
-        build_level_basis,
+        eigenbasis.level_basis,
+        lambda m: eigenbasis.level_remainder(m, m),
         lambda m: eigenbasis.eigenspace(m, "2:1:"),
         lambda m: eigenbasis.walk_eigenspaces(m, lambda b: None),
         lambda m: eigenbasis.level_remainder(m, 1),

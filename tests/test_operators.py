@@ -28,7 +28,7 @@ from gasket_szego.operators import (
     trace_F,
 )
 
-from dense_oracle import dense_compression, split_selection, trace_power
+from dense_oracle import dense_compression, split_columns, trace_power
 
 
 def test_riesz_preset():
@@ -72,7 +72,8 @@ def test_separable_zero_limit_is_chi():
 def test_identity_symbol_gives_identity_matrix(level4):
     sel = selection_from_bundles(level4.bundles[:5])
     op = compress(constant_symbol(lambda lam: 1.0, limit=1.0), sel, level4.measure)
-    assert np.max(np.abs(op.matrix - np.eye(sel.dim))) <= 1e-12
+    assert op.remainder.shape == (0, 0)
+    assert np.max(np.abs(operator_eigenvalues(op) - 1.0)) <= 1e-12
 
 
 def test_constant_coefficient_on_one_bundle(level4):
@@ -80,7 +81,8 @@ def test_constant_coefficient_on_one_bundle(level4):
     sym = riesz_symbol(1.0)
     op = compress(sym, selection_from_bundles([bundle]), level4.measure)
     expect = sym.p_lambda(bundle.record.value)
-    assert np.max(np.abs(op.matrix - expect * np.eye(bundle.dim))) <= 1e-12
+    assert op.remainder.shape == (0, 0)
+    assert np.max(np.abs(operator_eigenvalues(op) - expect)) <= 1e-12
 
 
 def test_indicator_block_structure(level4):
@@ -88,19 +90,23 @@ def test_indicator_block_structure(level4):
     # localized vectors are exact eigenvectors, atoms at the cell values
     f = SimpleFunction(1, [1.0, 0.0, 0.0])
     bundle = level4.family_bundle(6, 3)
-    sel, _ = split_selection(bundle, 1)
+    sel = selection_from_bundles([bundle])
     op = compress(multiplication_symbol(f), sel, level4.measure)
     m_cell = decimation.localization_counts(6, 3, 1).m_j_N
     expected_atoms = [0.0] * (2 * m_cell) + [1.0] * m_cell
     assert np.array_equal(np.sort(op.atoms), expected_atoms)
     # in split order the dense product is diagonal on the localized columns
     # and block-diagonal with the trailing non-localized block
+    columns, _ = split_columns(bundle, 1)
+    dense = dense_compression(None, f, sel, level4.measure, columns)
     allowed = np.zeros((sel.dim, sel.dim), dtype=bool)
     allowed[np.diag_indices(3 * m_cell)] = True
     allowed[3 * m_cell :, 3 * m_cell :] = True
-    assert np.max(np.abs(op.matrix[~allowed])) <= 1e-12
-    assert np.max(np.abs(np.diag(op.matrix)[: 3 * m_cell]
+    assert np.max(np.abs(dense[~allowed])) <= 1e-12
+    assert np.max(np.abs(np.diag(dense)[: 3 * m_cell]
                          - np.repeat(f.values, m_cell))) <= 1e-12
+    assert np.max(np.abs(operator_eigenvalues(op)
+                         - np.linalg.eigvalsh(dense))) <= 1e-12
 
 
 def test_mixed_level_error(level4):
@@ -129,9 +135,10 @@ def test_trace_f_power_cross_check(level4):
     bundle = level4.family_bundle(6, 4)
     sel = selection_from_bundles([bundle])
     op = compress(multiplication_symbol(f), sel, level4.measure)
+    dense = dense_compression(None, f, sel, level4.measure)
     for k in range(0, 7):
         via_eigs = trace_F(op, lambda x, _k=k: x ** _k)
-        via_power = trace_power(op, k)
+        via_power = trace_power(dense, k)
         assert via_eigs == pytest.approx(via_power, rel=1e-8, abs=1e-10)
 
 
@@ -196,7 +203,10 @@ def test_log_det_monotone(level4):
     sel = selection_from_bundles([bundle])
     lo = compress(multiplication_symbol(f.scaled(0.9)), sel, level4.measure)
     hi = compress(multiplication_symbol(f.scaled(1.1)), sel, level4.measure)
-    gap_eigs = np.linalg.eigvalsh(hi.matrix - lo.matrix)
+    gap_eigs = np.linalg.eigvalsh(
+        dense_compression(None, f.scaled(1.1), sel, level4.measure)
+        - dense_compression(None, f.scaled(0.9), sel, level4.measure)
+    )
     assert gap_eigs[0] >= -1e-12  # quadratic-form order verified by eigenvalues
     assert log_det(lo) <= log_det(hi)
 
@@ -324,26 +334,29 @@ def test_spectrum_map_increasing_no_accumulation(level4, level4_table):
 
 def test_completion_invariance(level4):
     # any orthonormal completion of the non-localized part gives the same
-    # spectral functionals
+    # spectral functionals as the compression, which reads no columns
     f = SimpleFunction(1, [1.0, 2.0, 3.0])
     bundle = level4.family_bundle(6, 4)
-    sel, split = split_selection(bundle, 1)
-    sym = multiplication_symbol(f.shifted(0.5))
-    op = compress(sym, sel, level4.measure)
+    sel = selection_from_bundles([bundle])
+    columns, split = split_columns(bundle, 1)
+    chi = f.shifted(0.5)
+    op = compress(multiplication_symbol(chi), sel, level4.measure)
 
     rng = np.random.default_rng(7)
     alpha = split.nonlocalized.shape[1]
     q, _ = np.linalg.qr(rng.normal(size=(alpha, alpha)))
-    rotated = dataclasses.replace(
-        sel,
-        columns=np.hstack(
-            [sel.columns[:, : sel.dim - alpha], split.nonlocalized @ q]
-        ),
-    )
-    op2 = compress(sym, rotated, level4.measure)
-    for F in (lambda x: x, lambda x: x ** 3, math.exp):
-        assert trace_F(op, F) == pytest.approx(trace_F(op2, F), rel=1e-9, abs=1e-9)
-    assert log_det(op) == pytest.approx(log_det(op2), rel=1e-9)
+    rotated = np.hstack([columns[:, : sel.dim - alpha], split.nonlocalized @ q])
+    for cols in (columns, rotated):
+        sigma = np.linalg.eigvalsh(
+            dense_compression(None, chi, sel, level4.measure, cols)
+        )
+        for F in (lambda x: x, lambda x: x ** 3, math.exp):
+            assert trace_F(op, F) == pytest.approx(
+                math.fsum(F(float(x)) for x in sigma), rel=1e-9, abs=1e-9
+            )
+        assert log_det(op) == pytest.approx(
+            math.fsum(math.log(float(x)) for x in sigma), rel=1e-9
+        )
 
 
 def test_tabulated_symbol(level4):
@@ -357,7 +370,6 @@ def test_tabulated_symbol(level4):
     direct = compress(multiplication_symbol(f), sel, level4.measure)
     assert np.array_equal(op.atoms, direct.atoms)
     assert np.array_equal(op.remainder, direct.remainder)
-    assert np.max(np.abs(op.matrix - direct.matrix)) <= 1e-14
     with pytest.raises(DomainError):
         compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]), level4.measure)
     with pytest.raises(DomainError, match="not a simple function"):
@@ -404,9 +416,9 @@ def test_tabulated_entries_at_mixed_levels(level5):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_tabulated_cutoff_selection_and_matrix(level5):
-    # shifted entries chi + q(lam) over a cutoff selection: the spectrum and
-    # the lazily formed matrix against the dense oracle
+def test_tabulated_cutoff_selection(level5):
+    # shifted entries chi + q(lam) over a cutoff selection: the spectrum
+    # against the dense oracle
     chi = SimpleFunction(2, [1.0, 1.5, 2.0, 0.5, 1.0, 1.5, 2.5, 3.0, 0.7])
     sel = selection_from_bundles(
         [b for b in level5.bundles if b.record.value <= 80000.0]
@@ -415,10 +427,9 @@ def test_tabulated_cutoff_selection_and_matrix(level5):
         [(rec.value, chi.shifted(rec.value ** -1.0)) for rec in sel.records]
     )
     op = compress(sym, sel, level5.measure)
-    expected, mat = _oracle_eigenvalues(sym, sel, level5.measure)
+    expected, _ = _oracle_eigenvalues(sym, sel, level5.measure)
     got = operator_eigenvalues(op)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert np.max(np.abs(op.matrix - mat)) <= 1e-12
 
 
 def test_asymmetric_table_raises(level5):
@@ -434,8 +445,6 @@ def test_asymmetric_table_raises(level5):
     sym = tabulated_symbol(entries)
     with pytest.raises(StructuralError, match="asymmetry"):
         compress(sym, sel, level5.measure)
-    with pytest.raises(StructuralError, match="asymmetry"):
-        operators._dense_product(sym, sel, level5.measure)
 
 
 ORACLE_SYMBOLS = {
@@ -448,50 +457,69 @@ ORACLE_SYMBOLS = {
         0.0,
         SimpleFunction(2, [1.0, 1.5, 2.0, 0.5, 1.0, 1.5, 2.5, 3.0, 0.7]),
     ),
+    "callable-multiplication": multiplication_symbol(lambda x, y: 1.0 + x * y),
+    "callable-separable": separable_symbol(
+        lambda lam: lam ** -1.0, 0.0, lambda x, y: np.cos(3.0 * x) + y
+    ),
 }
 
 
 def _oracle_selection(basis, kind):
+    """The selection and the columns the oracle multiplies: the whole
+    eigenspaces, or for "split" one eigenspace in its split's order."""
     bundle = basis.family_bundle(6, 4)
     if kind == "bundle":
-        return selection_from_bundles([bundle])
+        return selection_from_bundles([bundle]), None
     if kind == "split":
-        return split_selection(bundle, 1)[0]
+        return selection_from_bundles([bundle]), split_columns(bundle, 1)[0]
     return selection_from_bundles(
         [b for b in basis.bundles if b.record.value <= 80000.0]
-    )
+    ), None
 
 
 @pytest.mark.parametrize("selection", ["bundle", "cutoff", "split"])
 @pytest.mark.parametrize("name", sorted(ORACLE_SYMBOLS))
 def test_compress_matches_per_eigenspace_oracle(level5, name, selection):
     sym = ORACLE_SYMBOLS[name]
-    sel = _oracle_selection(level5, selection)
-    oracle = dense_compression(sym.p_lambda, sym.chi, sel, level5.measure)
+    sel, columns = _oracle_selection(level5, selection)
+    oracle = dense_compression(sym.p_lambda, sym.chi, sel, level5.measure, columns)
     op = compress(sym, sel, level5.measure)
     assert op.dim == oracle.shape[0]
-    assert np.max(np.abs(op.matrix - oracle)) <= 1e-12
+    if name.startswith("callable"):
+        # nothing localizes at cell level m: the remainder is the whole
+        # product over the eigenspaces' columns
+        assert op.atoms.size == 0
+        if columns is None:
+            assert np.max(np.abs(op.remainder - oracle)) <= 1e-12
     expected = np.linalg.eigvalsh(oracle)
     got = operator_eigenvalues(op)
     assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
-def test_leading_selection_is_a_view(level4):
+def test_leading_selection_names_the_leading_eigenspaces(level4):
     cutoff = 3000.0
-    view = leading_selection(level4, cutoff)
-    copied = selection_from_bundles(
+    leading = leading_selection(level4, cutoff)
+    listed = selection_from_bundles(
         [b for b in level4.bundles if b.record.value <= cutoff]
     )
-    assert np.shares_memory(view.columns, level4.vectors)
-    assert np.array_equal(view.columns, copied.columns)
-    assert view.records == copied.records
-    assert view.group_slices == copied.group_slices
-    assert view.keys == copied.keys
-    assert leading_selection(level4).dim == level4.vectors.shape[1]
-    with pytest.raises(ValueError):
-        view.columns[0, 0] = 1.0
+    assert leading.records == listed.records
+    assert leading.group_slices == listed.group_slices
+    assert leading.keys == listed.keys
+    assert leading_selection(level4).dim == level4.vertices.n_interior
     with pytest.raises(DomainError):
         leading_selection(level4, 1.0)
+
+
+def test_partial_eigenspace_is_refused(level4):
+    # a compression reads whole eigenspaces by their records, simple and
+    # callable potentials alike
+    bundle = level4.family_bundle(6, 3)
+    part = selection_from_bundles(
+        [dataclasses.replace(bundle, vectors=bundle.vectors[:, :2])]
+    )
+    for chi in (SimpleFunction(1, [1.0, 2.0, 3.0]), lambda x, y: 1.0 + x):
+        with pytest.raises(StructuralError, match="2 of its"):
+            compress(multiplication_symbol(chi), part, level4.measure)
 
 
 def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
@@ -540,14 +568,15 @@ def test_sup_distance_trend(level4, level4_table):
 
 def test_operator_csv_dump(tmp_path, level4):
     bundle = level4.family_bundle(6, 3)
-    op = compress(
-        riesz_symbol(1.0), selection_from_bundles([bundle]), level4.measure
-    )
     csv_path = tmp_path / "op.csv"
     meta_path = tmp_path / "op.json"
-    operator_to_csv(op, csv_path, meta_path)
+    operator_to_csv(riesz_symbol(1.0), bundle, level4.measure, csv_path, meta_path)
     rows = csv_path.read_text().splitlines()
-    assert len(rows) == 1 + op.dim
+    assert len(rows) == 1 + bundle.dim
     meta = json.loads(meta_path.read_text())
     assert meta["level"] == 4
-    assert len(meta["lambda_assignment"]) == op.dim
+    assert len(meta["lambda_assignment"]) == bundle.dim
+    # a bundle of the level basis names its eigenspace but has no columns
+    bare = eigenbasis.level_basis(4).family_bundle(6, 3)
+    with pytest.raises(DomainError, match="carries no vectors"):
+        operator_to_csv(riesz_symbol(1.0), bare, level4.measure, csv_path, meta_path)

@@ -10,14 +10,19 @@ import pytest
 
 from gasket_szego import cli, clusters, eigenbasis, operators
 from gasket_szego.errors import (
-    ColumnsError,
     DomainError,
     MismatchError,
     StructuralError,
 )
 from gasket_szego.gasket import SimpleFunction
 
-from dense_oracle import dense_clusters, dense_compression, nonlocalized_remainder
+from dense_oracle import (
+    dense_clusters,
+    dense_compression,
+    nonlocalized_remainder,
+    selection_columns,
+    whole_basis,
+)
 
 CHIS = {
     1: SimpleFunction(1, [0.8, 1.0, 1.2]),
@@ -79,7 +84,8 @@ def test_remainder_dimensions(m, k, expected):
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
     rem = nonlocalized_remainder(
-        sel.columns, list(zip(sel.records, sel.group_slices)), basis.vertices, k
+        selection_columns(sel), list(zip(sel.records, sel.group_slices)),
+        basis.vertices, k,
     )
     assert rem.columns.shape == (basis.vertices.n_interior, expected)
     assert sum(rem.dims) == expected
@@ -158,8 +164,8 @@ def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
         ]
 
     assert all(0.0 <= margin < 1.0 for margin in margins())
-    bare = eigenbasis.bare_level_basis(5).bundles[0]
-    with pytest.raises(ColumnsError):
+    bare = eigenbasis.level_basis(5).bundles[0]
+    with pytest.raises(DomainError, match="carries no vectors"):
         operators.localized_trace_margin(CHIS[1], bare, level5.measure)
     original = eigenbasis.level_remainder
 
@@ -189,7 +195,8 @@ def test_lineage_remainder_matches_whole_eigenspaces(m, k):
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
     whole = nonlocalized_remainder(
-        sel.columns, list(zip(sel.records, sel.group_slices)), basis.vertices, k
+        selection_columns(sel), list(zip(sel.records, sel.group_slices)),
+        basis.vertices, k,
     )
     lineage = eigenbasis.level_remainder(m, k)
     assert lineage.records == whole.records
@@ -205,10 +212,10 @@ def test_lineage_remainder_matches_whole_eigenspaces(m, k):
 def test_lineage_carries_whole_eigenspaces_bit_exactly(m):
     # one decimation loop: an eigenspace carried whole (born at or below
     # the cell level, or of the 2-series) is built by the very operations
-    # of the level basis, and at cell level m that is every eigenspace
-    basis = eigenbasis.level_basis(m)
+    # of the n x n basis, which at cell level m holds every eigenspace
+    basis = whole_basis(m)
     full = eigenbasis.level_remainder(m, m)
-    assert np.array_equal(full.columns, basis.vectors)
+    assert full.columns.shape == (basis.vertices.n_interior,) * 2
     assert full.dims == [b.dim for b in basis.bundles]
     assert full.per_cell == [0] * len(basis.bundles)
     for k in range(1, m):
@@ -231,32 +238,32 @@ def test_lineage_columns_are_read_only():
         eigenbasis.level_remainder(4, 5)
 
 
-def test_bare_selection_compresses_like_the_level_basis(level5):
-    # a bare level basis has no eigenvectors: reduced symbols, a table of
-    # simple functions among them, compress to the same operator, and the
-    # dense matrix names what is missing
-    bare = eigenbasis.bare_level_basis(5)
-    assert bare.vectors is None
-    assert [b.record for b in bare.bundles] == [b.record for b in level5.bundles]
+def test_selection_compresses_without_vectors(level5):
+    # a selection names eigenspaces only: the level basis, whose bundles
+    # carry no vectors, and bundles that carry them compress reduced
+    # symbols, a table of simple functions among them, to the same operator
+    basis = eigenbasis.level_basis(5)
+    assert all(b.vectors is None for b in basis.bundles)
+    assert [b.record for b in basis.bundles] == [b.record for b in level5.bundles]
     sym = operators.separable_symbol(lambda lam: lam ** -1.0, 0.0, CHIS[2])
-    op = operators.compress(sym, operators.leading_selection(level5), level5.measure)
-    sel = operators.leading_selection(bare)
-    assert sel.columns is None and sel.dim == level5.vectors.shape[1]
-    bare_op = operators.compress(sym, sel, bare.measure)
+    op = operators.compress(
+        sym, operators.selection_from_bundles(level5.bundles), level5.measure
+    )
+    sel = operators.leading_selection(basis)
+    assert sel.dim == eigenbasis.level_remainder(5, 5).columns.shape[1]
+    bare_op = operators.compress(sym, sel, basis.measure)
     assert np.array_equal(bare_op.atoms, op.atoms)
     assert np.array_equal(bare_op.remainder, op.remainder)
     f = CHIS[1]
     table = operators.tabulated_symbol(
-        [(b.record.value, f.shifted(i / 64)) for i, b in enumerate(bare.bundles)]
+        [(b.record.value, f.shifted(i / 64)) for i, b in enumerate(basis.bundles)]
     )
     table_op = operators.compress(
-        table, operators.leading_selection(level5), level5.measure
+        table, operators.selection_from_bundles(level5.bundles), level5.measure
     )
-    bare_table_op = operators.compress(table, sel, bare.measure)
+    bare_table_op = operators.compress(table, sel, basis.measure)
     assert np.array_equal(bare_table_op.atoms, table_op.atoms)
     assert np.array_equal(bare_table_op.remainder, table_op.remainder)
-    with pytest.raises(ColumnsError):
-        bare_op.matrix
 
 
 def test_constant_potential_is_all_atoms(level5):

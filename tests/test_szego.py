@@ -26,7 +26,7 @@ from gasket_szego.szego import (
     target_integral,
 )
 
-from dense_oracle import trace_power
+from dense_oracle import dense_compression, trace_power
 
 M = 5
 
@@ -250,9 +250,10 @@ def test_power_trace_consistency(level5):
     bundle = level5.family_bundle(6, 4)
     sel = operators.selection_from_bundles([bundle])
     op = operators.compress(sym, sel, level5.measure)
+    dense = dense_compression(None, chi, sel, level5.measure)
     for k in range(7):
         assert operators.trace_F(op, lambda x, _k=k: x ** _k) == pytest.approx(
-            trace_power(op, k), rel=1e-8, abs=1e-10
+            trace_power(dense, k), rel=1e-8, abs=1e-10
         )
 
 
@@ -323,6 +324,43 @@ def test_full_sweep_rejects_repeated_cutoffs(level4):
         szego_logdet_full(riesz_symbol(1.0), [100.0, 100.0], 4, basis=level4)
 
 
+def test_empty_births_and_cutoffs_are_rejected(level4):
+    # the check that named them before any sample is still the first
+    riesz = riesz_symbol(1.0)
+    with pytest.raises(DomainError, match="^empty birth range$"):
+        szego_trace_single_series(riesz, f_identity(), 6, [], 1, 4, basis=level4)
+    with pytest.raises(DomainError, match="^empty cutoff grid$"):
+        szego_logdet_full(riesz, [], 4, basis=level4)
+
+
+def test_sandwich_births_are_checked(level4):
+    riesz = riesz_symbol(1.0)
+    one = SimpleFunction(0, [1.0])
+    with pytest.raises(DomainError, match="^empty birth range$"):
+        logdet_sandwich(riesz, one, 0.5, 6, [], 4, basis=level4)
+    # j = 3 twice was two identical entries
+    with pytest.raises(DomainError, match="repeats 3"):
+        logdet_sandwich(riesz, one, 0.5, 6, [3, 3], 4, basis=level4)
+    rows = logdet_sandwich(riesz, one, 0.5, 6, [4, 3], 4, basis=level4)
+    assert [r["j"] for r in rows] == [3, 4]
+
+
+@pytest.mark.parametrize("cut", [0, -3])
+def test_generation_cut_below_one_is_rejected(level4, cut):
+    # 0 silently became the default, and -3 gave every sample head mass 0
+    riesz = riesz_symbol(1.0)
+    with pytest.raises(DomainError, match=f"generation cut must be at least 1, got {cut}"):
+        szego_trace_single_series(riesz, f_identity(), 6, [2, 3], 1, 4,
+                                  generation_cut=cut, basis=level4)
+    with pytest.raises(DomainError, match=f"generation cut must be at least 1, got {cut}"):
+        szego_logdet_full(riesz, [100.0, 3000.0], 4, generation_cut=cut,
+                          basis=level4)
+    # a cut of 1 is kept as given, not replaced by the default 2
+    report = szego_trace_full(riesz, f_identity(), [100.0, 3000.0], 4,
+                              generation_cut=1, basis=level4)
+    assert report.metadata["generation_cut"] == 1
+
+
 def test_basis_of_another_level_is_rejected(level4, level5):
     # a basis of level 5 passed for m = 4, or of level 4 for m = 5, would
     # compress at the basis' level while the report says m
@@ -331,7 +369,7 @@ def test_basis_of_another_level_is_rejected(level4, level5):
     riesz = riesz_symbol(1.0)
     chi = SimpleFunction(1, [0.8, 1.0, 1.2])
     ident = lambda lam: lam  # noqa: E731
-    for basis, m in ((level5, 4), (eigenbasis.bare_level_basis(5), 4),
+    for basis, m in ((level5, 4), (eigenbasis.level_basis(5), 4),
                      (level4, 5)):
         calls = [
             lambda: szego_trace_single_series(
