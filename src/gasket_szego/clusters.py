@@ -6,10 +6,10 @@ simple at level k, every eigenvector localized in a k-cell C is an exact
 eigenvector of H with eigenvalue p(lam) + chi_C, so only the non-localized
 remainder is assembled and solved; it comes from
 `eigenbasis.level_remainder(m, k)`, so the n x n level basis is built only
-for a callable chi.  Clusters are the portions of the
-spectrum inside windows around p(lam_j) for a separated eigenvalue family;
-each cluster's recentered empirical measure is realized through the
-spectral projection onto its eigenvectors (exact atoms plus projected
+for a callable chi or a chi simple at level m.  Clusters are the portions
+of the spectrum inside windows around p(lam_j) for a separated eigenvalue
+family; each cluster's recentered empirical measure is realized through
+the spectral projection onto its eigenvectors (exact atoms plus projected
 remainder eigenvectors), whose projected matrix also furnishes the
 moment/trace cross-check.
 """

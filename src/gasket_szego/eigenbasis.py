@@ -1040,7 +1040,8 @@ def level_remainder(m: int, k: int) -> Remainder:
     eigenspace straight into its column range and carrying only remainders
     above cell level k, so for k < m no n x n array is formed.  At k = m
     nothing localizes: the columns are every whole eigenspace, the one n x n
-    basis, which only a callable potential reads; at k = 0
+    basis, which only a callable potential or one simple at level m
+    reads; at k = 0
     every vector is localized and there are no columns.
     """
     vertices = _level_vertices(m)

@@ -8,8 +8,9 @@ are weighted vertex sums, which are exact for products of simple functions
 with vectors localized at the same cell level; so every localized vector is
 an exact eigenvector, and only the non-localized remainder is assembled,
 taken from `eigenbasis.level_remainder`.  A selection names whole
-eigenspaces and carries no columns.  A callable chi is the case where
-nothing localizes: its remainder, at cell level m, is the whole n x n basis.
+eigenspaces and carries no columns.  A callable chi, and a chi simple at
+level m, compress at cell level m, where nothing localizes: the remainder
+is the whole n x n basis.
 """
 from __future__ import annotations
 
@@ -599,21 +600,22 @@ def operator_to_csv(
     asymmetry of `compress`."""
     vectors = _vectors(bundle)
     sel = selection_from_bundles([bundle])
-    op = compress(symbol, sel, measure)
     q, runs = eigenspace_runs(symbol, sel.records)
     # a contiguous copy: the product's last digits depend on the layout
     matrix, _ = _product_block(q, runs, np.hstack([vectors]), sel.dims, measure)
     write_csv(
         path,
-        tuple(f"c{i}" for i in range(op.dim)),
+        tuple(f"c{i}" for i in range(sel.dim)),
         (tuple(float(x) for x in row) for row in matrix),
     )
+    # the sidecar's asymmetry is that of the reduced compression, not of the
+    # dense matrix above; `compress` runs only to report it
     write_json(
         sidecar_path,
         {
-            "level": op.level,
-            "keys": [list(k) for k in op.keys],
-            "lambda_assignment": [float(x) for x in op.lambda_assignment],
-            "asymmetry": op.asymmetry,
+            "level": sel.level,
+            "keys": [list(k) for k in sel.keys],
+            "lambda_assignment": [float(x) for x in sel.lambdas],
+            "asymmetry": compress(symbol, sel, measure).asymmetry,
         },
     )

@@ -8,7 +8,7 @@ the library did before the reduction, as an independent reference;
 so that the dense product shows the block structure the reduction relies
 on.  `selection_columns` and `whole_basis` read whole eigenspaces out of
 the n x n basis `level_remainder(m, m)`, which the library forms only for a
-callable chi.  Likewise `localized_split` reads every cell's localized
+callable chi or a chi simple at level m.  Likewise `localized_split` reads every cell's localized
 vectors from the junction functionals and the kernel's rows inside the cell;
 `reference_split` takes the SVD of every row outside the cell.
 `reference_spectrum` searches the decimation tree depth-first, one scalar

@@ -114,13 +114,15 @@ def test_criterion_3_simple_function_exact_bound(level6):
             if rec.series != 6 or not (n_level < rec.birth <= 5):
                 continue
             sel = operators.selection_from_bundles([bundle])
+            gamma = operators.compress(sym, sel, level6.measure)
             dense = dense_compression(None, f, sel, level6.measure)
             counts = decimation.localization_counts(6, rec.birth, n_level)
             for k in (1, 2, 3):
-                err = abs(
-                    trace_power(dense, k) / counts.d_j
-                    - integrate_simple(f, k)
+                trace = operators.trace_F(gamma, lambda x, _k=k: x ** _k)
+                assert trace == pytest.approx(
+                    trace_power(dense, k), rel=1e-10, abs=1e-10
                 )
+                err = abs(trace / counts.d_j - integrate_simple(f, k))
                 bound = (counts.alpha_N / counts.d_j) * integrate_simple(
                     abs_f, k
                 ) + (counts.alpha_N ** k / counts.d_j) * f.sup_norm ** k

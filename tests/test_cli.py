@@ -989,10 +989,12 @@ def _module(path):
     return module
 
 
-def test_n_by_n_basis_only_for_a_callable_chi(tmp_path, monkeypatch):
+def test_chi_below_level_m_builds_no_n_by_n_basis(tmp_path, monkeypatch):
     # the README's promise: every README example at m = 4 (with
     # dump_operator), validate among them, and every sweep-warm job kind
-    # through the API run with level_remainder(m, m) refused
+    # through the API run with level_remainder(m, m) refused; their chi are
+    # simple below level m (a callable chi or one simple at level m builds
+    # the n x n basis, see the next test)
     refuse_whole_basis(monkeypatch)
     window = decimation.resolvable_window(4)
     for i, (command, config) in enumerate(_readme_examples()):

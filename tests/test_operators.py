@@ -208,6 +208,8 @@ def test_log_det_monotone(level4):
         - dense_compression(None, f.scaled(0.9), sel, level4.measure)
     )
     assert gap_eigs[0] >= -1e-12  # quadratic-form order verified by eigenvalues
+    # Weyl monotonicity carries the order to the compressions' spectra
+    assert np.all(operator_eigenvalues(hi) - operator_eigenvalues(lo) >= -1e-12)
     assert log_det(lo) <= log_det(hi)
 
 
