@@ -449,7 +449,8 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         eigenbasis.save_bundle(eigenbasis.eigenspace(config.m, key), out_dir / name)
         outputs.append(name)
     if config.dump_vertices:
-        gasket.vertices_to_csv(basis.vertices, basis.measure, out_dir / "vertices.csv")
+        measure = gasket.build_measure(basis.vertices)
+        gasket.vertices_to_csv(basis.vertices, measure, out_dir / "vertices.csv")
         outputs.append("vertices.csv")
     return outputs
 
@@ -492,7 +493,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
         # the dense matrix reads the columns of the one dumped eigenspace
         key = basis.family_bundle(config.series, config.j_range[-1]).record.key
         operators.operator_to_csv(
-            symbol, eigenbasis.eigenspace(config.m, key), basis.measure,
+            symbol, eigenbasis.eigenspace(config.m, key),
             out_dir / "operator.csv", out_dir / "operator_meta.json",
         )
         outputs.extend(["operator.csv", "operator_meta.json"])
@@ -607,7 +608,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         # eigenspace built by the walk (the sine of their largest principal
         # angle, over 1e-12) and against the localized trace of f over it
         try:
-            angle, trace = _lineage_margins(m, f, basis.measure)
+            angle, trace = _lineage_margins(m, f)
             ok = ok and angle <= 1.0
             detail += (
                 f";lineage_angle_over_tol={fmt(angle)}"
@@ -708,7 +709,7 @@ def _block_exactness(bundle, f) -> tuple[bool, str]:
     return ok, detail
 
 
-def _lineage_margins(m: int, f, measure) -> tuple[float, float]:
+def _lineage_margins(m: int, f) -> tuple[float, float]:
     """The worst lineage angle over 1e-12 and localized-trace margin of f over
     every level-m eigenspace, each built whole by the depth-first walk and
     compared with its block of `level_remainder(m, f.level)`."""
@@ -719,7 +720,7 @@ def _lineage_margins(m: int, f, measure) -> tuple[float, float]:
     def margins(bundle) -> tuple[float, float]:
         whole = eigenbasis.eigenspace_remainder(bundle, f.level)
         angle = eigenbasis.remainder_deviation(lineage.select(whole.records), whole, m)
-        return angle / 1e-12, operators.localized_trace_margin(f, bundle, measure)
+        return angle / 1e-12, operators.localized_trace_margin(f, bundle)
 
     angles, traces = zip(*eigenbasis.walk_eigenspaces(m, margins))
     return max(angles), max(traces)

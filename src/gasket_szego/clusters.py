@@ -100,7 +100,7 @@ def build_schrodinger(
     symbol = operators.multiplication_symbol(chi)
     base = operators.level_basis_for(m, basis)
     sel = operators.leading_selection(base)
-    m_chi = operators.compress(symbol, sel, base.measure)
+    m_chi = operators.compress(symbol, sel)
     diag = np.array([p(float(lam)) for lam in sel.lambdas])
     remainder_p = np.array([p(float(lam)) for lam in m_chi.remainder_lambdas])
     block = m_chi.remainder.copy()

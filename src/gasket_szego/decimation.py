@@ -490,24 +490,19 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
 def resolvable_window(m: int) -> float:
     """Largest cutoff whose spectrum is fully resolvable at graph level m.
 
-    A record is resolvable when its canonical branch string fits within the
-    m - birth free steps.  The infimum of non-resolvable values is attained
-    either at the smallest birth-(m+1) record or at a record of birth <= m
-    whose single expanding step sits one level beyond the truncation.  Cached,
-    as every full-mode Szegő sweep checks its grid against it.
+    A record is resolvable when it labels a level-m graph eigenvalue.  The
+    infimum of non-resolvable values is attained at a record that first
+    labels one at level m + 1: the smallest birth-(m+1) record, or one of
+    birth <= m whose single expanding step sits one level beyond the
+    truncation.  Cached, as every full-mode Szegő sweep checks its grid
+    against it.
     """
-    keys = [
-        (5, m + 1, ()),
-        (2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,)),
-    ]
-    keys += [
-        (5, j, (CONTRACTING,) * (m - j) + (EXPANDING,)) for j in range(1, m + 1)
-    ]
-    keys += [
-        (6, j, (EXPANDING,) + (CONTRACTING,) * (m - j - 1) + (EXPANDING,))
-        for j in range(2, m + 1)
-    ]
-    return min(eigenvalue_limit(*key) for key in keys)
+    resolved = {g.record.key for g in truncated_graph_spectrum(m)}
+    return min(
+        g.record.value
+        for g in truncated_graph_spectrum(m + 1)
+        if g.record.key not in resolved
+    )
 
 
 def spectrum_to_csv(table: SpectrumTable, path) -> None:

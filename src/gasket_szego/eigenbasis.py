@@ -14,8 +14,8 @@ remainder into its column range of one read-only matrix in record-value
 order; at k = m that is the n x n basis, the only one formed.
 `walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
 and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
-cached level workspace: vertices, measure and the eigenspaces labelled by
-their records, with no vectors.
+cached level workspace: vertices and the eigenspaces labelled by their
+records, with no vectors.
 The dense eigensolve `solve_graph_spectrum` and its labelling
 `group_eigenspaces` stay as the independent oracle.  Splits at a cell level
 rest on the junction functionals at the level's interior vertices, which
@@ -52,12 +52,11 @@ from .errors import (
 )
 from .gasket import (
     GraphLaplacian,
-    SelfSimilarMeasure,
     VertexSet,
     Word,
-    build_measure,
     build_vertices,
     cell_words,
+    check_level,
 )
 from .serialize import fmt
 
@@ -379,7 +378,7 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     junction = np.all(vertices.bary % scale == 0, axis=1)
     junction[list(vertices.boundary)] = False
     ids = np.nonzero(junction)[0]
-    first = vertices.cells[[vertices.vertex_cells[x][0] for x in ids]]
+    first = vertices.cells[np.unique(vertices.cells, return_index=True)[1][ids] // 3]
     partners = first[first != ids[:, None]].reshape(-1, 2)
     values = np.column_stack([row[ids], np.full(ids.size, vertices.n_interior)])
     return np.vstack([values, row[partners]])
@@ -433,13 +432,12 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
 
 @dataclass
 class LevelBasis:
-    """The workspace of one graph level: its vertices, measure and the
-    bundles of every eigenspace, labelled with their decimation records and
-    carrying no vectors."""
+    """The workspace of one graph level: its vertices and the bundles of
+    every eigenspace, labelled with their decimation records and carrying no
+    vectors."""
 
     level: int
     vertices: VertexSet
-    measure: SelfSimilarMeasure
     bundles: list[EigenspaceBundle]
 
     def family_bundle(self, series: int, birth: int) -> EigenspaceBundle:
@@ -1009,16 +1007,21 @@ def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> lis
     return results
 
 
-def _level_vertices(m: int) -> VertexSet:
-    vertices = build_vertices(m)
+def _check_level(m: int) -> None:
+    """Raise as `build_vertices` does for level m, and for level 0; build nothing."""
+    check_level(m)
     if m < 1:
         raise DomainError("no interior vertices at level 0, no eigenvectors")
-    return vertices
+
+
+def _level_vertices(m: int) -> VertexSet:
+    _check_level(m)
+    return build_vertices(m)
 
 
 @functools.lru_cache(maxsize=8)
 def level_basis(m: int) -> LevelBasis:
-    """The level workspace, cached: vertices, measure and the bundles of
+    """The level workspace, cached: vertices and the bundles of
     `truncated_graph_spectrum(m)` in record-value order, whose `vectors`
     are None.  Compressions read only their eigenvalues and
     `level_remainder`; `eigenspace` builds one eigenspace's vectors."""
@@ -1026,7 +1029,6 @@ def level_basis(m: int) -> LevelBasis:
     return LevelBasis(
         level=m,
         vertices=vertices,
-        measure=build_measure(vertices),
         bundles=[_bundle(vertices, g, None) for g in _predicted(m)],
     )
 
@@ -1041,10 +1043,10 @@ def level_remainder(m: int, k: int) -> Remainder:
     above cell level k, so for k < m no n x n array is formed.  At k = m
     nothing localizes: the columns are every whole eigenspace, the one n x n
     basis, which only a callable potential or one simple at level m
-    reads; at k = 0
-    every vector is localized and there are no columns.
+    reads; at k = 0 every vector is localized, there are no columns, and no
+    vertex set is read.
     """
-    vertices = _level_vertices(m)
+    _check_level(m)
     if not 0 <= k <= m:
         raise DomainError(f"need 0 <= cell level <= {m}, got {k}")
     blocks, cursor = [], 0
@@ -1052,7 +1054,7 @@ def level_remainder(m: int, k: int) -> Remainder:
         width = _remainder_rank(g.record, g.multiplicity, k)
         blocks.append((g, cursor, cursor + width))
         cursor += width
-    columns = np.empty((vertices.n_interior, cursor))
+    columns = np.empty((decimation.interior_dimension(m), cursor))
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
         _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))

@@ -77,9 +77,8 @@ def _corner_triple(word: Word, corner: int, level: int) -> tuple[int, int, int]:
 class VertexSet:
     """Level-m vertex complex with exact combinatorics.
 
-    ``bary`` holds integer barycentric triples over 2^m (rows sum to 2^m),
-    ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3), and
-    ``vertex_cells[v]`` the indices of the cells containing vertex v.
+    ``bary`` holds integer barycentric triples over 2^m (rows sum to 2^m)
+    and ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3).
     """
 
     level: int
@@ -87,7 +86,6 @@ class VertexSet:
     coords: np.ndarray
     boundary: tuple[int, int, int]
     cells: np.ndarray
-    vertex_cells: tuple[tuple[int, ...], ...]
     interior: np.ndarray = field(repr=False)
     _triple_ids: dict = field(repr=False, default_factory=dict)
     _interior_pos: np.ndarray = field(repr=False, default=None)
@@ -138,16 +136,21 @@ class VertexSet:
         return np.sort(pos[pos >= 0])
 
 
+def check_level(m: int, cap: int = DEFAULT_LEVEL_CAP) -> None:
+    """Raise unless 0 <= m <= cap."""
+    if m < 0:
+        raise DomainError(f"level must be nonnegative, got {m}")
+    if m > cap:
+        raise ResourceLimitError(f"level {m} exceeds cap {cap}")
+
+
 def build_vertices(m: int, cap: int = DEFAULT_LEVEL_CAP) -> VertexSet:
     """The level-m vertex set; ids are deterministic across runs.
 
     One set per level is built per process and shared, so its arrays are
     read-only.  A level above `cap` raises before anything is built.
     """
-    if m < 0:
-        raise DomainError(f"level must be nonnegative, got {m}")
-    if m > cap:
-        raise ResourceLimitError(f"level {m} exceeds cap {cap}")
+    check_level(m, cap)
     return _vertices(m)
 
 
@@ -167,10 +170,6 @@ def _vertices(m: int) -> VertexSet:
     cells = np.array(
         [[ids[t] for t in cell] for cell in corner_triples], dtype=np.int64
     )
-    containing: list[list[int]] = [[] for _ in range(n)]
-    for c, cell in enumerate(corner_triples):
-        for t in cell:
-            containing[ids[t]].append(c)
     boundary = tuple(
         ids[tuple((1 << m) * int(t == i) for t in range(3))] for i in range(3)
     )
@@ -184,7 +183,6 @@ def _vertices(m: int) -> VertexSet:
         coords=coords,
         boundary=boundary,
         cells=cells,
-        vertex_cells=tuple(tuple(c) for c in containing),
         interior=interior,
         _triple_ids=ids,
         _interior_pos=interior_pos,

@@ -7,10 +7,11 @@ assembled per eigenspace, then symmetrized.  Integrals against the measure
 are weighted vertex sums, which are exact for products of simple functions
 with vectors localized at the same cell level; so every localized vector is
 an exact eigenvector, and only the non-localized remainder is assembled,
-taken from `eigenbasis.level_remainder`.  A selection names whole
-eigenspaces and carries no columns.  A callable chi, and a chi simple at
-level m, compress at cell level m, where nothing localizes: the remainder
-is the whole n x n basis.
+taken from `eigenbasis.level_remainder`.  A selection is its level and the
+records of its whole eigenspaces, with no columns and no measure; the vertex
+set is read only for a chi.  A callable chi, and a chi simple at level m,
+compress at cell level m, where nothing localizes: the remainder is the
+whole n x n basis.
 """
 from __future__ import annotations
 
@@ -26,9 +27,9 @@ from .decimation import EigenvalueRecord, SpectrumTable
 from .errors import ConvergenceError, DomainError, StructuralError
 from .eigenbasis import EigenspaceBundle, LevelBasis
 from .gasket import (
-    SelfSimilarMeasure,
     SimpleFunction,
     VertexSet,
+    build_vertices,
     effective_multiplier,
     vertex_values,
 )
@@ -215,50 +216,45 @@ def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> 
 
 @dataclass
 class BasisSelection:
-    """An ordered list of whole eigenspaces, named by their records, with
-    the column range of each in the compressed operator."""
+    """An ordered list of whole level-m eigenspaces, named by their records;
+    eigenspace i fills `dims[i]` consecutive columns of a compression."""
 
     level: int
-    vertices: VertexSet = field(repr=False)
     records: list[EigenvalueRecord]
-    group_slices: list[slice]
-    keys: list[tuple[str, int]]
+
+    @property
+    def dims(self) -> list[int]:
+        return [rec.multiplicity for rec in self.records]
 
     @property
     def dim(self) -> int:
-        return len(self.keys)
+        return sum(self.dims)
 
     @property
     def lambdas(self) -> np.ndarray:
         return np.repeat([rec.value for rec in self.records], self.dims)
 
     @property
-    def dims(self) -> list[int]:
-        return [sl.stop - sl.start for sl in self.group_slices]
+    def vertices(self) -> VertexSet:
+        return build_vertices(self.level)
 
 
 def selection_from_bundles(bundles: list[EigenspaceBundle]) -> BasisSelection:
-    """The selection of the bundles' eigenspaces, in their order."""
+    """The selection of the bundles' eigenspaces, in their order; each
+    bundle must hold its whole eigenspace."""
     if not bundles:
         raise DomainError("empty eigenbasis selection")
     level = bundles[0].level
     if any(b.level != level for b in bundles):
         raise StructuralError("mixed graph levels in one basis selection")
-    records, slices, keys = [], [], []
-    start = 0
     for b in bundles:
-        stop = start + b.dim
-        records.append(b.record)
-        slices.append(slice(start, stop))
-        keys.extend((b.record.key, i) for i in range(b.dim))
-        start = stop
-    return BasisSelection(
-        level=level,
-        vertices=bundles[0].vertices,
-        records=records,
-        group_slices=slices,
-        keys=keys,
-    )
+        if b.dim != b.record.multiplicity:
+            raise StructuralError(
+                f"eigenspace {b.record.key}: {b.dim} of its "
+                f"{b.record.multiplicity} vectors selected; a compression "
+                f"reduces over whole eigenspaces only"
+            )
+    return BasisSelection(level=level, records=[b.record for b in bundles])
 
 
 def leading_selection(basis: LevelBasis, cutoff: float = math.inf) -> BasisSelection:
@@ -277,38 +273,34 @@ class CompressedOperator:
     Its spectrum is `atoms`, eigenvalues known exactly, together with the
     eigenvalues of the symmetric `remainder` block; `atom_lambdas` and
     `remainder_lambdas` give the eigenvalue lam of the eigenspace each atom
-    and each remainder column comes from.
+    and each remainder column comes from, one per dimension between them.
     """
 
     level: int
-    keys: list[tuple[str, int]]
-    lambda_assignment: np.ndarray
     asymmetry: float
     atoms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     atom_lambdas: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    remainder: np.ndarray | None = None
-    remainder_lambdas: np.ndarray | None = None
+    remainder: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    remainder_lambdas: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def dim(self) -> int:
-        return len(self.lambda_assignment)
+        return self.atoms.size + self.remainder_lambdas.size
 
     def up_to(self, cutoff: float) -> "CompressedOperator":
         """The compression to the leading eigenspaces with lam <= cutoff.
 
-        The selection must list its eigenspaces in ascending order, as a
-        leading selection does: the result is the atoms below the cutoff and
-        a leading block of the remainder.  Any other order raises DomainError.
+        The atoms and the remainder columns must each come in ascending
+        eigenvalue order, as they do for a leading selection: the result is
+        the atoms below the cutoff and a leading block of the remainder.  Any
+        other order raises DomainError.
         """
-        if np.any(np.diff(self.lambda_assignment) < 0):
+        lams = (self.atom_lambdas, self.remainder_lambdas)
+        if any(np.any(np.diff(v) < 0) for v in lams):
             raise DomainError("up_to needs eigenspaces in ascending eigenvalue order")
-        d = int(np.searchsorted(self.lambda_assignment, cutoff, side="right"))
-        a = int(np.searchsorted(self.atom_lambdas, cutoff, side="right"))
-        r = int(np.searchsorted(self.remainder_lambdas, cutoff, side="right"))
+        a, r = (int(np.searchsorted(v, cutoff, side="right")) for v in lams)
         return CompressedOperator(
             level=self.level,
-            keys=self.keys[:d],
-            lambda_assignment=self.lambda_assignment[:d],
             asymmetry=self.asymmetry,
             atoms=self.atoms[:a],
             atom_lambdas=self.atom_lambdas[:a],
@@ -341,17 +333,17 @@ def eigenspace_runs(symbol: SymbolSpec, records) -> tuple[np.ndarray, list]:
 
 
 def _product_block(
-    q, runs, columns: np.ndarray, dims, measure: SelfSimilarMeasure
+    q, runs, columns: np.ndarray, dims, m: int
 ) -> tuple[np.ndarray, float]:
-    """diag(q) + U^T [chi] U, symmetrized, and its asymmetry norm.
-    Eigenspace i has dims[i] columns, and each run of eigenspaces is
-    multiplied by its chi in one product."""
+    """diag(q) + U^T [chi] U over level-m columns U, symmetrized, and its
+    asymmetry norm.  Eigenspace i has dims[i] columns, and each run of
+    eigenspaces is multiplied by its chi, read on the vertices, in one product."""
     starts = np.cumsum([0] + list(dims))
     raw = np.zeros((starts[-1], starts[-1]))
-    interior = measure.vertices.interior
     for chi, first, stop in runs:
         if chi is not None:
-            g = effective_multiplier(chi, measure.vertices)[interior]
+            vertices = build_vertices(m)
+            g = effective_multiplier(chi, vertices)[vertices.interior]
             a, b = starts[first], starts[stop]
             np.matmul(columns.T, g[:, None] * columns[:, a:b], out=raw[:, a:b])
     block, asym = _symmetrized(raw)
@@ -359,9 +351,7 @@ def _product_block(
     return block, asym
 
 
-def compress(
-    symbol: SymbolSpec, basis: BasisSelection, measure: SelfSimilarMeasure
-) -> CompressedOperator:
+def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
     """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
 
     The basis is orthonormal in the measure-weighted inner product and
@@ -382,10 +372,6 @@ def compress(
     localized-trace identity that cross-checks Q against whole eigenspaces
     is `localized_trace_margin`, run by `validate`.
     """
-    if measure.level != basis.level:
-        raise StructuralError(
-            f"measure level {measure.level} != basis level {basis.level}"
-        )
     lams = np.array([rec.value for rec in basis.records])
     q, runs = eigenspace_runs(symbol, basis.records)
     k = max(_cell_level(chi, basis.level) for chi, _, _ in runs)
@@ -395,13 +381,11 @@ def compress(
         [stop - first for _, first, stop in runs],
         axis=0,
     )
-    rem = _selection_remainder(k, basis)
-    block, asym = _product_block(q, runs, rem.columns, rem.dims, measure)
+    rem = eigenbasis.level_remainder(basis.level, k).select(basis.records)
+    block, asym = _product_block(q, runs, rem.columns, rem.dims, basis.level)
     per_atom = np.repeat(rem.per_cell, cell_values.shape[1])
     return CompressedOperator(
         level=basis.level,
-        keys=list(basis.keys),
-        lambda_assignment=basis.lambdas,
         asymmetry=asym,
         atoms=np.repeat((q[:, None] + cell_values).ravel(), per_atom),
         atom_lambdas=np.repeat(np.repeat(lams, cell_values.shape[1]), per_atom),
@@ -435,19 +419,6 @@ def level_basis_for(m: int, basis=None) -> LevelBasis:
     return eigenbasis.level_basis(m)
 
 
-def _selection_remainder(k: int, basis: BasisSelection) -> eigenbasis.Remainder:
-    """The remainder at cell level k of the selection's eigenspaces, which
-    must be whole."""
-    for rec, d in zip(basis.records, basis.dims):
-        if d != rec.multiplicity:
-            raise StructuralError(
-                f"eigenspace {rec.key}: {d} of its "
-                f"{rec.multiplicity} vectors selected; a compression "
-                f"reduces over whole eigenspaces only"
-            )
-    return eigenbasis.level_remainder(basis.level, k).select(basis.records)
-
-
 def _vectors(bundle: EigenspaceBundle) -> np.ndarray:
     """The bundle's vectors; a bundle of the level basis has none."""
     if bundle.vectors is None:
@@ -458,9 +429,7 @@ def _vectors(bundle: EigenspaceBundle) -> np.ndarray:
     return bundle.vectors
 
 
-def localized_trace_margin(
-    chi: SimpleFunction, bundle: EigenspaceBundle, measure: SelfSimilarMeasure
-) -> float:
+def localized_trace_margin(chi: SimpleFunction, bundle: EigenspaceBundle) -> float:
     """Check the remainder at chi's cell level against one whole eigenspace.
 
     The trace of [chi] over the eigenspace's vectors less its trace over its
@@ -472,7 +441,7 @@ def localized_trace_margin(
     """
     rec, cols = bundle.record, _vectors(bundle)
     rem = eigenbasis.level_remainder(bundle.level, chi.level).select([rec])
-    g = effective_multiplier(chi, measure.vertices)[bundle.vertices.interior]
+    g = effective_multiplier(chi, bundle.vertices)[bundle.vertices.interior]
     localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
         np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
     )
@@ -541,7 +510,6 @@ def spectral_bounds(
     table: SpectrumTable,
     epsilon: float,
     basis: BasisSelection,
-    measure: SelfSimilarMeasure,
 ) -> SpectralBounds:
     """Bounds from the declared limit: beyond lambda-bar the symbol is within
     epsilon of q, and the finite head below lambda-bar is diagonalized.
@@ -557,9 +525,8 @@ def spectral_bounds(
     values = table.values().tolist()
     if not values:
         raise DomainError("empty spectrum table")
-    dists = [
-        symbol_sup_distance(symbol, v, basis.vertices) for v in values
-    ]
+    vertices = basis.vertices
+    dists = [symbol_sup_distance(symbol, v, vertices) for v in values]
     if dists[-1] >= epsilon:
         raise ConvergenceError(
             f"sampled sup-distance to the declared limit is still "
@@ -570,12 +537,12 @@ def spectral_bounds(
         i for i in range(len(values)) if all(d < epsilon for d in dists[i + 1 :])
     )
     lambda_bar = values[cut]
-    sigma = operator_eigenvalues(compress(symbol, basis, measure).up_to(lambda_bar))
+    sigma = operator_eigenvalues(compress(symbol, basis).up_to(lambda_bar))
     if sigma.size:
         head_lo, head_hi = float(sigma[0]), float(sigma[-1])
     else:
         head_lo, head_hi = math.inf, -math.inf
-    qmin, qmax = limit_range(symbol.limit_q, basis.vertices)
+    qmin, qmax = limit_range(symbol.limit_q, vertices)
     return SpectralBounds(
         A=min(qmin - epsilon, head_lo),
         B=max(qmax + epsilon, head_hi),
@@ -591,31 +558,28 @@ def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarra
 
 
 def operator_to_csv(
-    symbol: SymbolSpec, bundle: EigenspaceBundle, measure: SelfSimilarMeasure,
-    path, sidecar_path,
+    symbol: SymbolSpec, bundle: EigenspaceBundle, path, sidecar_path
 ) -> None:
     """Write the compression of `symbol` to one whole eigenspace as the
     dense matrix diag(q) + U^T [chi] U over the bundle's own columns U, with
     a sidecar holding its level, column keys, eigenvalue per column and the
-    asymmetry of `compress`."""
+    asymmetry of the written matrix."""
     vectors = _vectors(bundle)
     sel = selection_from_bundles([bundle])
     q, runs = eigenspace_runs(symbol, sel.records)
     # a contiguous copy: the product's last digits depend on the layout
-    matrix, _ = _product_block(q, runs, np.hstack([vectors]), sel.dims, measure)
+    matrix, asym = _product_block(q, runs, np.hstack([vectors]), sel.dims, sel.level)
     write_csv(
         path,
         tuple(f"c{i}" for i in range(sel.dim)),
         (tuple(float(x) for x in row) for row in matrix),
     )
-    # the sidecar's asymmetry is that of the reduced compression, not of the
-    # dense matrix above; `compress` runs only to report it
     write_json(
         sidecar_path,
         {
             "level": sel.level,
-            "keys": [list(k) for k in sel.keys],
+            "keys": [[bundle.record.key, i] for i in range(sel.dim)],
             "lambda_assignment": [float(x) for x in sel.lambdas],
-            "asymmetry": compress(symbol, sel, measure).asymmetry,
+            "asymmetry": asym,
         },
     )

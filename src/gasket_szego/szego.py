@@ -304,7 +304,7 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
     cut = _generation_cut(generation_cut, m)
     samples = []
     for j, bundle in zip(j_range, bundles):
-        gamma = compress(symbol, selection_from_bundles([bundle]), basis.measure)
+        gamma = compress(symbol, selection_from_bundles([bundle]))
         d = bundle.dim
         samples.append(_sample(j, d, evaluate(gamma) / d, target,
                                d if j <= cut else 0))
@@ -373,7 +373,7 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
         precheck(symbol, full.records, basis.vertices)
-    gamma_full = compress(symbol, full, basis.measure)
+    gamma_full = compress(symbol, full)
     values = full.lambdas
     births = np.repeat([rec.birth for rec in full.records], full.dims)
     samples = []
@@ -488,9 +488,9 @@ def logdet_sandwich(
         holds = bool(np.all((1.0 - epsilon < ratios) & (ratios < 1.0 + epsilon)))
         entry = {"j": j, "ratio_condition": holds}
         if holds:
-            entry["lower"] = log_det(compress(lo_sym, sel, basis.measure))
-            entry["value"] = log_det(compress(symbol, sel, basis.measure))
-            entry["upper"] = log_det(compress(hi_sym, sel, basis.measure))
+            entry["lower"] = log_det(compress(lo_sym, sel))
+            entry["value"] = log_det(compress(symbol, sel))
+            entry["upper"] = log_det(compress(hi_sym, sel))
             entry["sandwiched"] = entry["lower"] <= entry["value"] <= entry["upper"]
         out.append(entry)
     return out

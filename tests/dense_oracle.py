@@ -14,8 +14,10 @@ vectors from the junction functionals and the kernel's rows inside the cell;
 `reference_spectrum` searches the decimation tree depth-first, one scalar
 record at a time, where `enumerate_spectrum` takes it level by level in numpy;
 `reference_graph_spectrum` lists every level-m branch string recursively,
-where `truncated_graph_spectrum` grows the same tree; and `reference_limit`
-steps one record at a time, where `_contracting_limits` steps them all.
+where `truncated_graph_spectrum` grows the same tree; `reference_limit`
+steps one record at a time, where `_contracting_limits` steps them all; and
+`reference_resolvable_window` takes the least of a hand-built list of
+records, where `resolvable_window` reads the level-(m+1) tree.
 `reference_spectrum_csv` and `reference_separated_sequence` read a spectrum
 table's records one at a time, where `spectrum_to_csv` and
 `separated_sequence` read its sorted arrays.  `nonlocalized_remainder` reads
@@ -78,7 +80,7 @@ def whole_basis(m: int):
     return dataclasses.replace(basis, bundles=bundles)
 
 
-def dense_compression(q, chi, selection, measure, columns=None) -> np.ndarray:
+def dense_compression(q, chi, selection, columns=None) -> np.ndarray:
     """diag(q(lam)) + U^T [chi] U over `columns`, by default the selection's
     whole eigenspaces (`selection_columns`), symmetrized.
 
@@ -87,17 +89,19 @@ def dense_compression(q, chi, selection, measure, columns=None) -> np.ndarray:
     per eigenspace of the selection, which multiplies that eigenspace's
     columns."""
     cols = selection_columns(selection) if columns is None else columns
-    interior = selection.vertices.interior
+    vertices = selection.vertices
+    interior = vertices.interior
     if isinstance(chi, list):
         raw = np.zeros((selection.dim, selection.dim))
-        for f, sl in zip(chi, selection.group_slices, strict=True):
+        starts = np.cumsum([0] + selection.dims)
+        for f, a, b in zip(chi, starts[:-1], starts[1:], strict=True):
             if f is not None:
-                g = effective_multiplier(f, measure.vertices)[interior]
-                raw[:, sl] = cols.T @ (g[:, None] * cols[:, sl])
+                g = effective_multiplier(f, vertices)[interior]
+                raw[:, a:b] = cols.T @ (g[:, None] * cols[:, a:b])
     elif chi is None:
         raw = np.zeros((selection.dim, selection.dim))
     else:
-        g = effective_multiplier(chi, measure.vertices)[interior]
+        g = effective_multiplier(chi, vertices)[interior]
         raw = cols.T @ (g[:, None] * cols)
     mat = 0.5 * (raw + raw.T)
     if q is not None:
@@ -109,7 +113,7 @@ def dense_schrodinger(p, chi, basis):
     """The full level-m matrix of p(-Delta) + [chi], its diagonal p(lam) and
     its potential part."""
     sel = operators.leading_selection(basis)
-    potential = dense_compression(None, chi, sel, basis.measure)
+    potential = dense_compression(None, chi, sel)
     diagonal = np.array([p(float(lam)) for lam in sel.lambdas])
     return potential + np.diag(diagonal), diagonal, potential
 
@@ -312,6 +316,24 @@ def reference_graph_spectrum(m: int) -> list[GraphEigenvalue]:
     return out
 
 
+def reference_resolvable_window(m: int) -> float:
+    """`resolvable_window` from the hand-built list of the records that can
+    attain it: the smallest birth-(m+1) record, and each record of birth
+    <= m whose single expanding step sits one level beyond the truncation."""
+    keys = [
+        (5, m + 1, ()),
+        (2, 1, (CONTRACTING,) * (m - 1) + (EXPANDING,)),
+    ]
+    keys += [
+        (5, j, (CONTRACTING,) * (m - j) + (EXPANDING,)) for j in range(1, m + 1)
+    ]
+    keys += [
+        (6, j, (EXPANDING,) + (CONTRACTING,) * (m - j - 1) + (EXPANDING,))
+        for j in range(2, m + 1)
+    ]
+    return min(eigenvalue_limit(*key) for key in keys)
+
+
 def reference_spectrum(cutoff):
     """Every decimation record with value <= cutoff, sorted like
     `enumerate_spectrum`: a recursive depth-first search over branch
@@ -387,21 +409,22 @@ def reference_separated_sequence(j_max: int) -> SeparatedFamily:
     return SeparatedFamily(records=records, gaps=gaps)
 
 
-def nonlocalized_remainder(vectors, blocks, vertices, k: int) -> Remainder:
-    """The remainder at cell level k of each eigenspace `vectors[:, sl]`,
-    for each (record, sl) in `blocks`, read off its whole vectors by
-    `eigenspace_remainder`, side by side in the order of `blocks`."""
+def nonlocalized_remainder(vectors, records, vertices, k: int) -> Remainder:
+    """The remainder at cell level k of each whole eigenspace of `records`,
+    whose vectors lie side by side in `vectors` in that order, read off its
+    vectors by `eigenspace_remainder`, side by side in the same order."""
+    starts = np.cumsum([0] + [rec.multiplicity for rec in records])
     parts = [
         eigenspace_remainder(
-            EigenspaceBundle(vertices.level, rec, 0.0, vectors[:, sl], vertices), k
+            EigenspaceBundle(vertices.level, rec, 0.0, vectors[:, a:b], vertices), k
         )
-        for rec, sl in blocks
+        for rec, a, b in zip(records, starts, starts[1:])
     ]
     return Remainder(
         columns=np.hstack([p.columns for p in parts]),
         dims=[p.dims[0] for p in parts],
         per_cell=[p.per_cell[0] for p in parts],
-        records=[rec for rec, _ in blocks],
+        records=list(records),
     )
 
 

@@ -114,8 +114,8 @@ def test_criterion_3_simple_function_exact_bound(level6):
             if rec.series != 6 or not (n_level < rec.birth <= 5):
                 continue
             sel = operators.selection_from_bundles([bundle])
-            gamma = operators.compress(sym, sel, level6.measure)
-            dense = dense_compression(None, f, sel, level6.measure)
+            gamma = operators.compress(sym, sel)
+            dense = dense_compression(None, f, sel)
             counts = decimation.localization_counts(6, rec.birth, n_level)
             for k in (1, 2, 3):
                 trace = operators.trace_F(gamma, lambda x, _k=k: x ** _k)
@@ -256,7 +256,7 @@ def test_criterion_8_functional_calculus(level5, level5_table):
     table = level5_table
     sym = operators.riesz_symbol(1.0)
     sel = operators.selection_from_bundles(level5.bundles)
-    op = operators.compress(sym, sel, level5.measure)
+    op = operators.compress(sym, sel)
     eigs = operators.operator_eigenvalues(op)
     # the spectrum map restricted to the basis is the compressed spectrum
     own = np.sort([sym.p_lambda(lam) for lam in sel.lambdas])
@@ -275,12 +275,11 @@ def test_criterion_8_functional_calculus(level5, level5_table):
     )
     assert operators.trace_F(op, lambda x: (x - 1.0) ** 2) >= 0.0
 
-    bounds = operators.spectral_bounds(sym, table, 0.05, sel, level5.measure)
+    bounds = operators.spectral_bounds(sym, table, 0.05, sel)
     for upto in (4, 11, len(level5.bundles)):
         sub = operators.compress(
             sym,
             operators.selection_from_bundles(level5.bundles[:upto]),
-            level5.measure,
         )
         sub_eigs = operators.operator_eigenvalues(sub)
         assert sub_eigs[0] >= bounds.A - 1e-12

@@ -210,8 +210,16 @@ def test_validate_basis_and_dump_operator_build_no_level_basis(
     f = {"level": 1, "values": [1.0, 2.0, 3.0]}
     symbol = operators.multiplication_symbol(SimpleFunction(1, f["values"]))
     operators.operator_to_csv(
-        symbol, level4.family_bundle(6, 4), level4.measure,
+        symbol, level4.family_bundle(6, 4),
         expected / "operator.csv", expected / "operator_meta.json",
+    )
+    # a chi simple at level m, whose compression reads the n x n basis
+    fine = operators.multiplication_symbol(
+        SimpleFunction(4, np.linspace(1.0, 2.0, 81))
+    )
+    operators.operator_to_csv(
+        fine, level4.family_bundle(6, 4),
+        expected / "fine.csv", expected / "fine_meta.json",
     )
 
     refuse_whole_basis(monkeypatch)
@@ -229,6 +237,12 @@ def test_validate_basis_and_dump_operator_build_no_level_basis(
     }, name="dump")
     assert code == 0
     for name in ("operator.csv", "operator_meta.json"):
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
+    key = level4.family_bundle(6, 4).record.key
+    operators.operator_to_csv(
+        fine, eigenbasis.eigenspace(4, key), out / "fine.csv", out / "fine_meta.json"
+    )
+    for name in ("fine.csv", "fine_meta.json"):
         assert (out / name).read_bytes() == (expected / name).read_bytes()
 
 
@@ -319,17 +333,17 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
         ]
 
     trace_full = cutoff_means(
-        dense_compression(riesz.p_lambda, None, full, level6.measure), float
+        dense_compression(riesz.p_lambda, None, full), float
     )
     births = [2, 3, 4, 5, 6]
     trace_single = []
     for j in births:
         sel = operators.selection_from_bundles([level6.family_bundle(6, j)])
         trace_single.append(np.mean(np.linalg.eigvalsh(
-            dense_compression(riesz.p_lambda, None, sel, level6.measure)
+            dense_compression(riesz.p_lambda, None, sel)
         )))
     logdet_full = cutoff_means(
-        dense_compression(lambda lam: lam ** -1.0, chi, full, level6.measure),
+        dense_compression(lambda lam: lam ** -1.0, chi, full),
         math.log,
     )
     # one simple function per birth: (1 + 1/j, 1.5, 2 - 0.5/j) at level 1
@@ -339,7 +353,7 @@ def test_szego_and_clusters_build_no_level_basis(tmp_path, monkeypatch, level6):
     for j in births:
         sel = operators.selection_from_bundles([level6.family_bundle(6, j)])
         trace_tabulated.append(np.mean(np.linalg.eigvalsh(
-            dense_compression(None, tab[j], sel, level6.measure)
+            dense_compression(None, tab[j], sel)
         )))
     potential = SimpleFunction(1, [0.8, 1.0, 1.2])
     family = clusters.decimation_family(births, level6)
@@ -398,7 +412,7 @@ def test_dump_operator_compresses_one_eigenspace(tmp_path):
     bundle = eigenbasis.eigenspace(4, basis.family_bundle(6, 4).record.key)
     chi = SimpleFunction(1, f["values"])
     operators.operator_to_csv(
-        operators.multiplication_symbol(chi), bundle, basis.measure,
+        operators.multiplication_symbol(chi), bundle,
         tmp_path / "expected.csv", tmp_path / "expected_meta.json",
     )
     for name, expected in (("operator.csv", "expected.csv"),
@@ -406,7 +420,7 @@ def test_dump_operator_compresses_one_eigenspace(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / expected).read_bytes()
     # the matrix is the dense product over the eigenspace's own columns
     sel = operators.selection_from_bundles([bundle])
-    oracle = dense_compression(None, chi, sel, basis.measure, bundle.vectors)
+    oracle = dense_compression(None, chi, sel, bundle.vectors)
     dumped = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
     assert np.max(np.abs(dumped - oracle)) <= 1e-12
 
@@ -420,7 +434,7 @@ def test_tabulated_szego_det_single(tmp_path, level5):
     for j in births:
         sel = operators.selection_from_bundles([level5.family_bundle(6, j)])
         expected.append(np.mean(np.log(np.linalg.eigvalsh(
-            dense_compression(None, tab[j], sel, level5.measure)
+            dense_compression(None, tab[j], sel)
         ))))
     entries = [[level5.family_bundle(6, j).record.value,
                 {"level": 1, "values": tab[j].values.tolist()}] for j in births]
@@ -1025,7 +1039,7 @@ def test_callable_and_level_m_simple_chi_build_one_n_by_n_basis():
     sel = operators.leading_selection(basis)
     fine = SimpleFunction(4, np.linspace(0.5, 1.5, 81))
     for chi in (lambda x, y: 1.0 + x * y, fine):
-        op = operators.compress(operators.multiplication_symbol(chi), sel, basis.measure)
+        op = operators.compress(operators.multiplication_symbol(chi), sel)
         assert op.atoms.size == 0 and op.remainder.shape == (sel.dim, sel.dim)
     info = eigenbasis.level_remainder.cache_info()
     assert (info.misses, info.hits) == (1, 1)

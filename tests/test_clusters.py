@@ -44,7 +44,7 @@ def test_zero_p_is_multiplication(level5):
     dense, _, _ = dense_schrodinger(lambda lam: 0.0, CHI, level5)
     sel = operators.selection_from_bundles(level5.bundles)
     m_chi = operators.compress(
-        operators.multiplication_symbol(CHI), sel, level5.measure
+        operators.multiplication_symbol(CHI), sel
     )
     assert np.max(np.abs(
         np.linalg.eigvalsh(dense) - operators.operator_eigenvalues(m_chi)
@@ -60,7 +60,7 @@ def test_cross_construction_identity(level5):
     dense, _, _ = dense_schrodinger(IDENT, CHI, level5)
     sym = operators.separable_symbol(lambda lam: lam, 0.0, CHI)
     sel = operators.selection_from_bundles(level5.bundles)
-    gamma = operators.compress(sym, sel, level5.measure)
+    gamma = operators.compress(sym, sel)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(
         np.linalg.eigvalsh(dense) - operators.operator_eigenvalues(gamma)

@@ -36,6 +36,7 @@ from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 from dense_oracle import (
     reference_graph_spectrum,
     reference_limit,
+    reference_resolvable_window,
     reference_separated_sequence,
     reference_spectrum,
     reference_spectrum_csv,
@@ -414,6 +415,11 @@ def test_resolvable_window_level2():
         or (r.series == 6 and r.branches == (EXPANDING,) and r.birth == 2)
         for r in table.records
     )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_resolvable_window_matches_the_hand_built_records(m):
+    assert resolvable_window(m) == reference_resolvable_window(m)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):

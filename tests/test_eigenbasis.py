@@ -240,13 +240,29 @@ def test_split_remainder_matches_nonlocalized_remainder(request, m):
     for bundle, n_level in _validate_splits(basis):
         split = localized_split(bundle, n_level)
         rem = nonlocalized_remainder(
-            bundle.vectors,
-            [(bundle.record, slice(0, bundle.dim))],
-            basis.vertices,
-            n_level,
+            bundle.vectors, [bundle.record], basis.vertices, n_level
         )
         assert rem.columns.shape == split.nonlocalized.shape
         assert _projector_gap(split.nonlocalized, rem.columns, w) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_junction_partners_lie_in_the_first_cell(m):
+    # the partial-sum rows of each junction vertex x are x's two neighbours
+    # in the first cell, in cell order, that contains x
+    vertices = build_vertices(m)
+    first = {}
+    for c, cell in enumerate(vertices.cells.tolist()):
+        for v in cell:
+            first.setdefault(v, c)
+    rows = eigenbasis._rows(vertices)
+    for k in range(1, m + 1):
+        functionals = eigenbasis._junction_functionals(vertices, k)
+        half = functionals.shape[0] // 2
+        for x_row, partners in zip(functionals[:half, 0], functionals[half:]):
+            x = int(vertices.interior[x_row])
+            cell = vertices.cells[first[x]]
+            assert sorted(partners.tolist()) == sorted(rows[cell[cell != x]].tolist())
 
 
 def test_split_without_partial_sums_fails(level4, monkeypatch):

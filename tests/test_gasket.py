@@ -73,19 +73,21 @@ def test_vertex_count_formulas(m):
     assert vs.n_vertices == (3 ** (m + 1) + 3) // 2
     assert vs.n_interior == (3 ** (m + 1) - 3) // 2
     # construction-independent recount through cell incidence
-    ones = sum(1 for c in vs.vertex_cells if len(c) == 1)
-    twos = sum(1 for c in vs.vertex_cells if len(c) == 2)
+    counts = np.bincount(vs.cells.ravel(), minlength=vs.n_vertices)
+    ones = int(np.sum(counts == 1))
+    twos = int(np.sum(counts == 2))
     assert ones == 3 or m == 0
     assert ones + twos == vs.n_vertices
 
 
 def test_boundary_vertices_in_exactly_one_cell():
     vs = build_vertices(3)
+    counts = np.bincount(vs.cells.ravel(), minlength=vs.n_vertices)
     for v in vs.boundary:
-        assert len(vs.vertex_cells[v]) == 1
+        assert counts[v] == 1
     for v in range(vs.n_vertices):
         if v not in vs.boundary:
-            assert len(vs.vertex_cells[v]) == 2
+            assert counts[v] == 2
     for cell in vs.cells:
         assert len(set(int(x) for x in cell)) == 3
 

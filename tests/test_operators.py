@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gasket_szego import decimation, eigenbasis, operators
+from gasket_szego import decimation, eigenbasis, gasket, operators, szego
 from gasket_szego.errors import ConvergenceError, DomainError, StructuralError
 from gasket_szego.gasket import SimpleFunction, constant_function
 from gasket_szego.operators import (
@@ -71,7 +71,7 @@ def test_separable_zero_limit_is_chi():
 
 def test_identity_symbol_gives_identity_matrix(level4):
     sel = selection_from_bundles(level4.bundles[:5])
-    op = compress(constant_symbol(lambda lam: 1.0, limit=1.0), sel, level4.measure)
+    op = compress(constant_symbol(lambda lam: 1.0, limit=1.0), sel)
     assert op.remainder.shape == (0, 0)
     assert np.max(np.abs(operator_eigenvalues(op) - 1.0)) <= 1e-12
 
@@ -79,7 +79,7 @@ def test_identity_symbol_gives_identity_matrix(level4):
 def test_constant_coefficient_on_one_bundle(level4):
     bundle = level4.family_bundle(6, 3)
     sym = riesz_symbol(1.0)
-    op = compress(sym, selection_from_bundles([bundle]), level4.measure)
+    op = compress(sym, selection_from_bundles([bundle]))
     expect = sym.p_lambda(bundle.record.value)
     assert op.remainder.shape == (0, 0)
     assert np.max(np.abs(operator_eigenvalues(op) - expect)) <= 1e-12
@@ -91,14 +91,14 @@ def test_indicator_block_structure(level4):
     f = SimpleFunction(1, [1.0, 0.0, 0.0])
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
-    op = compress(multiplication_symbol(f), sel, level4.measure)
+    op = compress(multiplication_symbol(f), sel)
     m_cell = decimation.localization_counts(6, 3, 1).m_j_N
     expected_atoms = [0.0] * (2 * m_cell) + [1.0] * m_cell
     assert np.array_equal(np.sort(op.atoms), expected_atoms)
     # in split order the dense product is diagonal on the localized columns
     # and block-diagonal with the trailing non-localized block
     columns, _ = split_columns(bundle, 1)
-    dense = dense_compression(None, f, sel, level4.measure, columns)
+    dense = dense_compression(None, f, sel, columns)
     allowed = np.zeros((sel.dim, sel.dim), dtype=bool)
     allowed[np.diag_indices(3 * m_cell)] = True
     allowed[3 * m_cell :, 3 * m_cell :] = True
@@ -112,19 +112,13 @@ def test_indicator_block_structure(level4):
 def test_mixed_level_error(level4):
     other = eigenbasis.level_basis(3)
     with pytest.raises(StructuralError):
-        compress(
-            riesz_symbol(1.0),
-            selection_from_bundles(level4.bundles[:2]),
-            other.measure,
-        )
-    with pytest.raises(StructuralError):
         selection_from_bundles([level4.bundles[0], other.bundles[0]])
 
 
 def test_trace_f_examples(level4):
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
-    c_op = compress(constant_symbol(lambda lam: 2.0, limit=2.0), sel, level4.measure)
+    c_op = compress(constant_symbol(lambda lam: 2.0, limit=2.0), sel)
     assert trace_F(c_op, lambda x: x) == pytest.approx(2.0 * bundle.dim, rel=1e-12)
     # nonnegative F gives a nonnegative trace
     assert trace_F(c_op, lambda x: x ** 2) >= 0.0
@@ -134,8 +128,8 @@ def test_trace_f_power_cross_check(level4):
     f = SimpleFunction(1, [0.5, 1.5, 2.5])
     bundle = level4.family_bundle(6, 4)
     sel = selection_from_bundles([bundle])
-    op = compress(multiplication_symbol(f), sel, level4.measure)
-    dense = dense_compression(None, f, sel, level4.measure)
+    op = compress(multiplication_symbol(f), sel)
+    dense = dense_compression(None, f, sel)
     for k in range(0, 7):
         via_eigs = trace_F(op, lambda x, _k=k: x ** _k)
         via_power = trace_power(dense, k)
@@ -146,7 +140,7 @@ def test_trace_f_linear_and_positive(level4):
     bundle = level4.family_bundle(5, 3)
     sel = selection_from_bundles([bundle])
     f = SimpleFunction(1, [0.3, 1.1, 2.2])
-    op = compress(multiplication_symbol(f), sel, level4.measure)
+    op = compress(multiplication_symbol(f), sel)
     f1 = lambda x: x ** 2
     f2 = lambda x: 3.0 - x
     a, b = 2.5, -1.25
@@ -162,7 +156,6 @@ def test_trace_f_domain_check(level4):
     op = compress(
         constant_symbol(lambda lam: 2.0, limit=2.0),
         selection_from_bundles([bundle]),
-        level4.measure,
     )
     assert trace_F(op, lambda x: x, domain=(0.0, 3.0)) == pytest.approx(
         2.0 * bundle.dim
@@ -174,12 +167,10 @@ def test_trace_f_domain_check(level4):
 def test_log_det_examples(level4):
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
-    c_op = compress(constant_symbol(lambda lam: 3.0, limit=3.0), sel, level4.measure)
+    c_op = compress(constant_symbol(lambda lam: 3.0, limit=3.0), sel)
     assert log_det(c_op) == pytest.approx(bundle.dim * math.log(3.0), rel=1e-12)
     tiny = operators.CompressedOperator(
         level=4,
-        keys=[("x", 0), ("x", 1)],
-        lambda_assignment=np.array([1.0, 1.0]),
         asymmetry=0.0,
         remainder=np.diag([2.0, 3.0]),
         remainder_lambdas=np.array([1.0, 1.0]),
@@ -187,8 +178,6 @@ def test_log_det_examples(level4):
     assert log_det(tiny) == pytest.approx(math.log(6.0), rel=1e-14)
     bad = operators.CompressedOperator(
         level=4,
-        keys=[("x", 0), ("x", 1)],
-        lambda_assignment=np.array([1.0, 1.0]),
         asymmetry=0.0,
         remainder=np.diag([2.0, -1.0]),
         remainder_lambdas=np.array([1.0, 1.0]),
@@ -197,15 +186,31 @@ def test_log_det_examples(level4):
         log_det(bad)
 
 
+def test_atom_only_operator():
+    op = operators.CompressedOperator(
+        level=4,
+        asymmetry=0.0,
+        atoms=np.array([2.0, 3.0, 5.0]),
+        atom_lambdas=np.array([1.0, 2.0, 3.0]),
+    )
+    assert trace_F(op, lambda x: x) == 10.0
+    assert log_det(op) == pytest.approx(math.log(30.0), rel=1e-14)
+    head = op.up_to(2.0)
+    assert head.dim == 2
+    assert np.array_equal(head.atoms, [2.0, 3.0])
+    assert head.remainder.shape == (0, 0)
+    assert trace_F(head, lambda x: x) == 5.0
+
+
 def test_log_det_monotone(level4):
     f = SimpleFunction(1, [1.0, 2.0, 3.0])
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
-    lo = compress(multiplication_symbol(f.scaled(0.9)), sel, level4.measure)
-    hi = compress(multiplication_symbol(f.scaled(1.1)), sel, level4.measure)
+    lo = compress(multiplication_symbol(f.scaled(0.9)), sel)
+    hi = compress(multiplication_symbol(f.scaled(1.1)), sel)
     gap_eigs = np.linalg.eigvalsh(
-        dense_compression(None, f.scaled(1.1), sel, level4.measure)
-        - dense_compression(None, f.scaled(0.9), sel, level4.measure)
+        dense_compression(None, f.scaled(1.1), sel)
+        - dense_compression(None, f.scaled(0.9), sel)
     )
     assert gap_eigs[0] >= -1e-12  # quadratic-form order verified by eigenvalues
     # Weyl monotonicity carries the order to the compressions' spectra
@@ -217,8 +222,8 @@ def test_operator_monotonicity_transfer(level4):
     f = SimpleFunction(1, [1.0, 2.0, 3.0])
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
-    lo = compress(multiplication_symbol(f.shifted(-0.25)), sel, level4.measure)
-    hi = compress(multiplication_symbol(f.shifted(0.25)), sel, level4.measure)
+    lo = compress(multiplication_symbol(f.shifted(-0.25)), sel)
+    hi = compress(multiplication_symbol(f.shifted(0.25)), sel)
     lo_eigs = operator_eigenvalues(lo)
     hi_eigs = operator_eigenvalues(hi)
     assert np.all(lo_eigs <= hi_eigs + 1e-10)
@@ -227,7 +232,7 @@ def test_operator_monotonicity_transfer(level4):
 def test_spectral_bounds_constant(level4, level4_table):
     sym = constant_symbol(lambda lam: 2.0, limit=2.0)
     sel = selection_from_bundles(level4.bundles)
-    bounds = spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
+    bounds = spectral_bounds(sym, level4_table, 0.1, sel)
     assert bounds.A == pytest.approx(1.9, abs=1e-9)
     assert bounds.B == pytest.approx(2.1, abs=1e-9)
 
@@ -235,17 +240,17 @@ def test_spectral_bounds_constant(level4, level4_table):
 def test_spectral_bounds_riesz(level4, level4_table):
     sym = riesz_symbol(1.0)
     sel = selection_from_bundles(level4.bundles)
-    bounds = spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
+    bounds = spectral_bounds(sym, level4_table, 0.1, sel)
     lam_min = level4_table.records[0].value
     head_top = 1.0 + 1.0 / lam_min
     assert bounds.A == pytest.approx(0.9, abs=1e-9)
     assert bounds.B == pytest.approx(max(1.1, head_top), rel=1e-9)
     # with epsilon below the head spread, the head supplies the top bound
-    tight = spectral_bounds(sym, level4_table, 0.01, sel, level4.measure)
+    tight = spectral_bounds(sym, level4_table, 0.01, sel)
     assert tight.B == pytest.approx(head_top, rel=1e-9)
     # every compressed eigenvalue, at any cutoff, lies inside [A, B]
     for upto in (3, 7, len(level4.bundles)):
-        op = compress(sym, selection_from_bundles(level4.bundles[:upto]), level4.measure)
+        op = compress(sym, selection_from_bundles(level4.bundles[:upto]))
         eigs = operator_eigenvalues(op)
         assert eigs[0] >= bounds.A - 1e-12
         assert eigs[-1] <= bounds.B + 1e-12
@@ -257,7 +262,7 @@ def test_spectral_bounds_needs_limit(level4, level4_table):
     sym = constant_symbol(lambda lam: math.sin(lam))
     sel = selection_from_bundles(level4.bundles)
     with pytest.raises(DomainError):
-        spectral_bounds(sym, level4_table, 0.1, sel, level4.measure)
+        spectral_bounds(sym, level4_table, 0.1, sel)
 
 
 def test_spectral_bounds_no_convergence(level4, level4_table):
@@ -265,12 +270,12 @@ def test_spectral_bounds_no_convergence(level4, level4_table):
     sym = constant_symbol(lambda lam: math.sin(lam), limit=5.0)
     sel = selection_from_bundles(level4.bundles)
     with pytest.raises(ConvergenceError):
-        spectral_bounds(sym, level4_table, 1e-3, sel, level4.measure)
+        spectral_bounds(sym, level4_table, 1e-3, sel)
 
 
 def test_up_to_rejects_a_descending_selection(level4):
     sel = selection_from_bundles(level4.bundles[4::-1])
-    op = compress(riesz_symbol(1.0), sel, level4.measure)
+    op = compress(riesz_symbol(1.0), sel)
     with pytest.raises(DomainError):
         op.up_to(level4.bundles[2].record.value)
 
@@ -295,11 +300,11 @@ def test_spectral_bounds_match_the_head_compression(
         "tabulated": lambda: _tabulated_towards(base, level4_table),
     }[kind]()
     sel = selection_from_bundles(level4.bundles)
-    bounds = spectral_bounds(sym, level4_table, epsilon, sel, level4.measure)
+    bounds = spectral_bounds(sym, level4_table, epsilon, sel)
     # the same bounds from a compression of the head eigenspaces alone
     head = [b for b in level4.bundles if b.record.value <= bounds.lambda_bar]
     sigma = operator_eigenvalues(
-        compress(sym, selection_from_bundles(head), level4.measure)
+        compress(sym, selection_from_bundles(head))
     )
     qmin, qmax = operators.limit_range(sym.limit_q, level4.vertices)
     assert sigma[-1] > qmax + epsilon  # the head sets B
@@ -323,7 +328,7 @@ def test_spectrum_map_matches_compression(level4):
     # constant-coefficient compressions are diagonal in the eigenbasis
     sym = riesz_symbol(1.0)
     sel = selection_from_bundles(level4.bundles)
-    op = compress(sym, sel, level4.measure)
+    op = compress(sym, sel)
     eigs = operator_eigenvalues(op)
     mapped = np.sort([sym.p_lambda(lam) for lam in sel.lambdas])
     assert np.max(np.abs(eigs - mapped)) <= 1e-10
@@ -342,7 +347,7 @@ def test_completion_invariance(level4):
     sel = selection_from_bundles([bundle])
     columns, split = split_columns(bundle, 1)
     chi = f.shifted(0.5)
-    op = compress(multiplication_symbol(chi), sel, level4.measure)
+    op = compress(multiplication_symbol(chi), sel)
 
     rng = np.random.default_rng(7)
     alpha = split.nonlocalized.shape[1]
@@ -350,7 +355,7 @@ def test_completion_invariance(level4):
     rotated = np.hstack([columns[:, : sel.dim - alpha], split.nonlocalized @ q])
     for cols in (columns, rotated):
         sigma = np.linalg.eigvalsh(
-            dense_compression(None, chi, sel, level4.measure, cols)
+            dense_compression(None, chi, sel, cols)
         )
         for F in (lambda x: x, lambda x: x ** 3, math.exp):
             assert trace_F(op, F) == pytest.approx(
@@ -368,12 +373,12 @@ def test_tabulated_symbol(level4):
     assert sym.lower_bound == 1.0
     assert sym.on_eigenspace(bundle.record.value * (1 + 1e-12)) == (0.0, f)
     sel = selection_from_bundles([bundle])
-    op = compress(sym, sel, level4.measure)
-    direct = compress(multiplication_symbol(f), sel, level4.measure)
+    op = compress(sym, sel)
+    direct = compress(multiplication_symbol(f), sel)
     assert np.array_equal(op.atoms, direct.atoms)
     assert np.array_equal(op.remainder, direct.remainder)
     with pytest.raises(DomainError):
-        compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]), level4.measure)
+        compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]))
     with pytest.raises(DomainError, match="not a simple function"):
         tabulated_symbol([(bundle.record.value, lambda x, y: x)])
 
@@ -388,12 +393,12 @@ def test_tabulated_symbol_rejects_repeated_eigenvalues():
     assert sym.on_eigenspace(lam)[1] is f
 
 
-def _oracle_eigenvalues(sym, sel, measure):
+def _oracle_eigenvalues(sym, sel):
     """Ascending eigenvalues of the dense per-eigenspace product of `sym`."""
     parts = [sym.on_eigenspace(rec.value) for rec in sel.records]
     q = {rec.value: qi for rec, (qi, _) in zip(sel.records, parts)}
     mat = dense_compression(
-        lambda lam: q[lam], [chi for _, chi in parts], sel, measure
+        lambda lam: q[lam], [chi for _, chi in parts], sel
     )
     return np.linalg.eigvalsh(mat), mat
 
@@ -411,9 +416,9 @@ def test_tabulated_entries_at_mixed_levels(level5):
         for i, rec in enumerate(sel.records)
     ]
     sym = tabulated_symbol(entries)
-    op = compress(sym, sel, level5.measure)
+    op = compress(sym, sel)
     assert op.atoms.size > 0
-    expected, _ = _oracle_eigenvalues(sym, sel, level5.measure)
+    expected, _ = _oracle_eigenvalues(sym, sel)
     got = operator_eigenvalues(op)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -428,8 +433,8 @@ def test_tabulated_cutoff_selection(level5):
     sym = tabulated_symbol(
         [(rec.value, chi.shifted(rec.value ** -1.0)) for rec in sel.records]
     )
-    op = compress(sym, sel, level5.measure)
-    expected, _ = _oracle_eigenvalues(sym, sel, level5.measure)
+    op = compress(sym, sel)
+    expected, _ = _oracle_eigenvalues(sym, sel)
     got = operator_eigenvalues(op)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -446,7 +451,7 @@ def test_asymmetric_table_raises(level5):
     ]
     sym = tabulated_symbol(entries)
     with pytest.raises(StructuralError, match="asymmetry"):
-        compress(sym, sel, level5.measure)
+        compress(sym, sel)
 
 
 ORACLE_SYMBOLS = {
@@ -484,8 +489,8 @@ def _oracle_selection(basis, kind):
 def test_compress_matches_per_eigenspace_oracle(level5, name, selection):
     sym = ORACLE_SYMBOLS[name]
     sel, columns = _oracle_selection(level5, selection)
-    oracle = dense_compression(sym.p_lambda, sym.chi, sel, level5.measure, columns)
-    op = compress(sym, sel, level5.measure)
+    oracle = dense_compression(sym.p_lambda, sym.chi, sel, columns)
+    op = compress(sym, sel)
     assert op.dim == oracle.shape[0]
     if name.startswith("callable"):
         # nothing localizes at cell level m: the remainder is the whole
@@ -504,24 +509,49 @@ def test_leading_selection_names_the_leading_eigenspaces(level4):
     listed = selection_from_bundles(
         [b for b in level4.bundles if b.record.value <= cutoff]
     )
-    assert leading.records == listed.records
-    assert leading.group_slices == listed.group_slices
-    assert leading.keys == listed.keys
+    assert leading == listed
     assert leading_selection(level4).dim == level4.vertices.n_interior
     with pytest.raises(DomainError):
         leading_selection(level4, 1.0)
 
 
 def test_partial_eigenspace_is_refused(level4):
-    # a compression reads whole eigenspaces by their records, simple and
-    # callable potentials alike
+    # a selection names whole eigenspaces by their records, so no symbol,
+    # simple, callable or lambda-only, ever compresses part of one
     bundle = level4.family_bundle(6, 3)
-    part = selection_from_bundles(
-        [dataclasses.replace(bundle, vectors=bundle.vectors[:, :2])]
-    )
-    for chi in (SimpleFunction(1, [1.0, 2.0, 3.0]), lambda x, y: 1.0 + x):
+    part = dataclasses.replace(bundle, vectors=bundle.vectors[:, :2])
+    for sym in (
+        multiplication_symbol(SimpleFunction(1, [1.0, 2.0, 3.0])),
+        multiplication_symbol(lambda x, y: 1.0 + x),
+        riesz_symbol(1.0),
+    ):
         with pytest.raises(StructuralError, match="2 of its"):
-            compress(multiplication_symbol(chi), part, level4.measure)
+            compress(sym, selection_from_bundles([part]))
+
+
+def test_lambda_only_compression_reads_no_vertex_set(monkeypatch):
+    basis = eigenbasis.level_basis(5)
+    sel = leading_selection(basis)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a vertex set")
+
+    # every module that bound the builder by name
+    for module in (gasket, eigenbasis, operators, szego):
+        monkeypatch.setattr(module, "build_vertices", refuse)
+    for sym in (riesz_symbol(1.0), bessel_symbol(0.5),
+                constant_symbol(lambda lam: 2.0, limit=2.0)):
+        op = compress(sym, sel)
+        assert op.remainder.shape == (0, 0)
+        assert np.array_equal(
+            op.atoms, [sym.p_lambda(lam) for lam in sel.lambdas]
+        )
+    report = szego.szego_trace_single_series(
+        riesz_symbol(1.0), szego.f_identity(), 6, [2, 3, 4, 5], 1, 5, basis=basis
+    )
+    assert [s.d for s in report.samples] == [
+        basis.family_bundle(6, j).dim for j in (2, 3, 4, 5)
+    ]
 
 
 def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
@@ -537,8 +567,8 @@ def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
     # the whole basis, and its leading eigenspaces up to the 40th column
     cutoffs = (math.inf, float(sel.lambdas[39]))
     for sym in (riesz_symbol(1.0), bessel_symbol(0.5)):
-        op = compress(sym, sel, level5.measure)
-        oracle = dense_compression(sym.p_lambda, None, sel, level5.measure)
+        op = compress(sym, sel)
+        oracle = dense_compression(sym.p_lambda, None, sel)
         for cutoff in cutoffs:
             sub = op.up_to(cutoff)
             d = sub.dim
@@ -548,7 +578,7 @@ def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
             )
     assert calls == []
     sym = ORACLE_SYMBOLS["separable"]
-    sep = compress(sym, sel, level5.measure)
+    sep = compress(sym, sel)
     eigs = operator_eigenvalues(sep)
     assert np.array_equal(
         eigs, np.sort(np.concatenate([sep.atoms, dense_eigvalsh(sep.remainder)]))
@@ -556,7 +586,7 @@ def test_diagonal_compression_skips_eigensolve(level5, monkeypatch):
     assert calls == [sep.remainder.shape]
     assert sep.remainder.shape[0] < sep.dim
     oracle = dense_eigvalsh(
-        dense_compression(sym.p_lambda, sym.chi, sel, level5.measure)
+        dense_compression(sym.p_lambda, sym.chi, sel)
     )
     assert np.max(np.abs(eigs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -572,7 +602,7 @@ def test_operator_csv_dump(tmp_path, level4):
     bundle = level4.family_bundle(6, 3)
     csv_path = tmp_path / "op.csv"
     meta_path = tmp_path / "op.json"
-    operator_to_csv(riesz_symbol(1.0), bundle, level4.measure, csv_path, meta_path)
+    operator_to_csv(riesz_symbol(1.0), bundle, csv_path, meta_path)
     rows = csv_path.read_text().splitlines()
     assert len(rows) == 1 + bundle.dim
     meta = json.loads(meta_path.read_text())
@@ -581,4 +611,4 @@ def test_operator_csv_dump(tmp_path, level4):
     # a bundle of the level basis names its eigenspace but has no columns
     bare = eigenbasis.level_basis(4).family_bundle(6, 3)
     with pytest.raises(DomainError, match="carries no vectors"):
-        operator_to_csv(riesz_symbol(1.0), bare, level4.measure, csv_path, meta_path)
+        operator_to_csv(riesz_symbol(1.0), bare, csv_path, meta_path)

@@ -249,8 +249,8 @@ def test_power_trace_consistency(level5):
     sym = multiplication_symbol(chi)
     bundle = level5.family_bundle(6, 4)
     sel = operators.selection_from_bundles([bundle])
-    op = operators.compress(sym, sel, level5.measure)
-    dense = dense_compression(None, chi, sel, level5.measure)
+    op = operators.compress(sym, sel)
+    dense = dense_compression(None, chi, sel)
     for k in range(7):
         assert operators.trace_F(op, lambda x, _k=k: x ** _k) == pytest.approx(
             trace_power(dense, k), rel=1e-8, abs=1e-10
