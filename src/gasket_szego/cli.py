@@ -402,15 +402,25 @@ def _numpy_version() -> str:
     return numpy.__version__
 
 
+def _stage_clock(timings: dict):
+    """A function recording under `<stage>_seconds` the time since its last call."""
+    last = [time.perf_counter()]
+
+    def stage_done(stage: str) -> None:
+        now = time.perf_counter()
+        timings[f"{stage}_seconds"], last[0] = now - last[0], now
+
+    return stage_done
+
+
 def _cmd_spectrum(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     from . import decimation
 
-    started = time.perf_counter()
+    stage_done = _stage_clock(timings)
     table = decimation.enumerate_spectrum(config.cutoff)
-    searched = time.perf_counter()
+    stage_done("search")
     decimation.spectrum_to_csv(table, out_dir / "spectrum.csv")
-    timings["search_seconds"] = searched - started
-    timings["csv_seconds"] = time.perf_counter() - searched
+    stage_done("csv")
     return ["spectrum.csv"]
 
 
@@ -550,12 +560,13 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
 
     m = config.m
     rows: list[tuple[str, str, str]] = []
+    stage_done = _stage_clock(timings)
 
     def check(name: str, ok: bool, detail: str) -> None:
         rows.append((name, "PASS" if ok else "FAIL", detail))
 
     for level in range(1, m + 1):
-        # an eigensolve of the graph Laplacian, by its rotation sectors, is the
+        # an eigensolve of the graph Laplacian, by its D_3 blocks, is the
         # oracle: the eigenspaces are built from the very prediction they are
         # compared with
         try:
@@ -586,6 +597,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
             total == decimation.interior_dimension(level),
             f"sum={total};dim={decimation.interior_dimension(level)}",
         )
+    stage_done("oracle")
 
     # each family eigenspace is built alone, by its lineage
     basis = eigenbasis.level_basis(m)
@@ -598,6 +610,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         for birth in range(2, min(m, 5) + 1):
             for row in _localization_rows(family(series, birth)):
                 check(*row)
+    stage_done("localization")
 
     if m >= 3:
         birth = min(m, 4)
@@ -617,6 +630,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         except GasketError as exc:
             ok, detail = False, f"{detail};{exc}"
         check(f"block-exactness-j{birth}-N1", ok, detail)
+    stage_done("block_exactness")
 
     # seeded eigenvalue-stability trials; deterministic given (config, seed)
     from . import clusters
@@ -639,6 +653,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
             except GasketError as exc:
                 ok, detail = False, str(exc)
             check(f"lipschitz-trial-{trial}", ok, detail)
+    stage_done("lipschitz")
 
     write_csv(out_dir / "validate.csv", ("check", "status", "detail"), rows)
     failures = [r for r in rows if r[1] == "FAIL"]

@@ -456,14 +456,15 @@ def localization_counts(series: int, birth: int, level: int) -> LocalizationCoun
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeparatedFamily:
     """The 5-fold 6-series family and each member's gap to the rest."""
 
-    records: list[EigenvalueRecord]
-    gaps: list[float]
+    records: tuple[EigenvalueRecord, ...]
+    gaps: tuple[float, ...]
 
 
+@functools.cache
 def separated_sequence(j_max: int) -> SeparatedFamily:
     """6-series records of births 2..max(2, j_max) with 5-fold scaling.
 
@@ -471,7 +472,8 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
     expanding step, then all-contracting), so consecutive values scale by
     exactly 5.  Gaps to the nearest other eigenvalue come from a full
     enumeration around the family: in its sorted values, the nearest other
-    record is a neighbour.
+    record is a neighbour.  Cached, and immutable as the cache shares it:
+    every `clusters` run reads it.
     """
     if j_max < 1:
         raise DomainError(f"j_max must be >= 1, got {j_max}")
@@ -483,7 +485,9 @@ def separated_sequence(j_max: int) -> SeparatedFamily:
     # 6-series branch string of one step is the forced expanding step
     member = (table.series == 6) & (table.steps == 1) & (table.birth <= top)
     rows = (v, table.series, table.birth, table.steps, table.code)
-    return SeparatedFamily(_records(*(a[member] for a in rows)), gaps[member].tolist())
+    return SeparatedFamily(
+        tuple(_records(*(a[member] for a in rows))), tuple(gaps[member].tolist())
+    )
 
 
 @functools.cache

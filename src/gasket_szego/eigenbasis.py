@@ -506,8 +506,7 @@ def _refinement(m: int) -> _Refinement:
     n = vertices.n_interior
 
     def level_m_rows(triples: np.ndarray) -> np.ndarray:
-        ids = [vertices.vertex_id(t) for t in triples.reshape(-1, 3).tolist()]
-        return row[ids]
+        return row[vertices.vertex_ids(triples.reshape(-1, 3))]
 
     cells = parent.cells
     k1, k2 = cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]

@@ -2,10 +2,11 @@
 
 The gasket is the attractor of the three midpoint contractions of a triangle.
 Level-m cells are indexed by words over {1,2,3} in lexicographic order, and
-vertices are identified by exact integer barycentric triples over 2^m, so the
-whole construction is deterministic and free of floating-point dedup issues.
-The planar embedding (corner coordinates) is only used for plotting and for
-evaluating user-supplied continuous functions.
+vertices by exact integer barycentric triples over 2^m, so the construction
+is deterministic and free of floating-point dedup issues.  The corner
+coordinates serve only plots and user-supplied continuous functions.  The
+Dirichlet spectrum, `validate`'s oracle, comes from three real blocks by the
+gasket's symmetry group D_3.
 """
 from __future__ import annotations
 
@@ -87,7 +88,6 @@ class VertexSet:
     boundary: tuple[int, int, int]
     cells: np.ndarray
     interior: np.ndarray = field(repr=False)
-    _triple_ids: dict = field(repr=False, default_factory=dict)
     _interior_pos: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -102,8 +102,13 @@ class VertexSet:
     def n_interior(self) -> int:
         return self.interior.shape[0]
 
-    def vertex_id(self, triple) -> int:
-        return self._triple_ids[tuple(triple)]
+    def vertex_ids(self, triples) -> np.ndarray:
+        """The id of each barycentric triple, -1 for one that is no vertex,
+        by one `searchsorted` on the sorted triples' keys."""
+        triples, keys = np.asarray(triples), _keys(self.bary, self.level)
+        ids = np.searchsorted(keys, _keys(triples, self.level))
+        ids = np.minimum(ids, keys.size - 1)
+        return np.where((self.bary[ids] == triples).all(axis=1), ids, -1)
 
     def cell_range(self, word: Word) -> tuple[int, int]:
         """Contiguous range of level-m cell indices under the N-cell `word`."""
@@ -115,9 +120,8 @@ class VertexSet:
         return start, start + width
 
     def cell_corner_ids(self, word: Word) -> tuple[int, int, int]:
-        return tuple(
-            self.vertex_id(_corner_triple(word, c, self.level)) for c in LETTERS
-        )
+        corners = [_corner_triple(word, c, self.level) for c in LETTERS]
+        return tuple(self.vertex_ids(corners).tolist())
 
     def closed_cell_vertex_ids(self, word: Word) -> np.ndarray:
         start, stop = self.cell_range(word)
@@ -154,26 +158,27 @@ def build_vertices(m: int, cap: int = DEFAULT_LEVEL_CAP) -> VertexSet:
     return _vertices(m)
 
 
+def _keys(triples: np.ndarray, m: int) -> np.ndarray:
+    """Base-2^(m+1) integer keys of level-m triples, in their lexicographic order."""
+    return triples @ np.array([1 << 2 * (m + 1), 1 << m + 1, 1])
+
+
 @functools.cache
 def _vertices(m: int) -> VertexSet:
-    words = cell_words(m)
-    corner_triples = [
-        tuple(_corner_triple(w, c, m) for c in LETTERS) for w in words
-    ]
-    triples = sorted({t for cell in corner_triples for t in cell})
-    ids = {t: i for i, t in enumerate(triples)}
-
-    n = len(triples)
-    bary = np.array(triples, dtype=np.int64)
-    a = np.array(CORNER_COORDS)
-    coords = (bary.astype(float) @ a) / float(1 << m)
-    cells = np.array(
-        [[ids[t] for t in cell] for cell in corner_triples], dtype=np.int64
+    corners = np.array(
+        [_corner_triple(w, c, m) for w in cell_words(m) for c in LETTERS],
+        dtype=np.int64,
     )
-    boundary = tuple(
-        ids[tuple((1 << m) * int(t == i) for t in range(3))] for i in range(3)
+    keys, first, cells = np.unique(
+        _keys(corners, m), return_index=True, return_inverse=True
     )
-    interior = np.array([v for v in range(n) if v not in boundary], dtype=np.int64)
+    bary = corners[first]
+    n = bary.shape[0]
+    coords = (bary.astype(float) @ np.array(CORNER_COORDS)) / float(1 << m)
+    cells = cells.reshape(-1, 3)
+    corner_keys = _keys(np.eye(3, dtype=np.int64) << m, m)
+    boundary = tuple(np.searchsorted(keys, corner_keys).tolist())
+    interior = np.delete(np.arange(n), boundary)
     interior_pos = np.full(n, -1, dtype=np.int64)
     interior_pos[interior] = np.arange(interior.size)
 
@@ -184,7 +189,6 @@ def _vertices(m: int) -> VertexSet:
         boundary=boundary,
         cells=cells,
         interior=interior,
-        _triple_ids=ids,
         _interior_pos=interior_pos,
     )
     expected = (3 ** (m + 1) + 3) // 2
@@ -333,6 +337,11 @@ def _rotated(bary: np.ndarray) -> np.ndarray:
     return bary[:, [1, 2, 0]]
 
 
+def _reflected(bary: np.ndarray) -> np.ndarray:
+    """The gasket's reflection on barycentric triples: (a, b, c) -> (a, c, b)."""
+    return bary[:, [0, 2, 1]]
+
+
 def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
     """Diagonal 4 and -1 per edge, filled from the cells' edges on interior rows."""
     x, y = _interior_edges(vertices)
@@ -343,90 +352,123 @@ def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
     return GraphLaplacian(level=vertices.level, matrix=lap, vertices=vertices)
 
 
-#: e^(2 pi i d / 3) for d = 0, 1, 2; the last two are exact conjugates
-_OMEGA = np.array([1.0, complex(-0.5, math.sqrt(3.0) / 2.0),
-                   complex(-0.5, -math.sqrt(3.0) / 2.0)])
+#: cos(2 pi t / 12) for t = 0..11, exact where the value is 0, 1/2 or 1
+_COS12 = np.array([2, 3**0.5, 1, 0, -1, -3**0.5, -2, -3**0.5, -1, 0, 1, 3**0.5]) / 2
 
 
-def rotation_sectors(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """The Dirichlet Laplacian block-diagonalized by the rotation rho.
+def _slot(k: int, *parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per orbit, a block column, a scale and a phase in twelfths of a turn,
+    from (orbits, columns, scale, phase) parts; other orbits get scale 0."""
+    col, scale, turn = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k, dtype=int)
+    for orbits, columns, s, t in parts:
+        col[orbits], scale[orbits], turn[orbits] = columns, s, t
+    return col, scale, turn
 
-    Each interior row x is rho^e(x) applied to the first row r of its orbit
-    o(x).  On the vectors sum_e w^(k e) / sqrt(3) at rho^e r of each orbit
-    (w = e^(2 pi i / 3)) the Laplacian is H_k = 4I - A_k, with A_0 summing
-    1/3 and A_1 summing w^(e(y)-e(x)) / 3 over the edges (x, y); H_2 is the
-    conjugate of H_1.  Returns the real symmetric H_0 and the Hermitian H_1,
-    each n/3 square.  rho permuting the interior rows with rho^3 = id and no
-    fixed row, and the edge list being duplicate-free, symmetric and mapped
-    onto itself by rho, are checked exactly; a failure raises
-    `StructuralError`.
+
+def _block(size: int, slots, ox, oy, phase) -> np.ndarray:
+    """4I minus the adjacency on the vectors with the slots' coefficients
+    s e^(2 pi i t / 12) on the orbit sector vectors: each edge (x, y) adds
+    Re(conj(a) b e^(2 pi i phase / 12)) / 3 over the slots' a at o(x) and b
+    at o(y), which sums to all of it, as the block is real."""
+    block = np.zeros((size, size))
+    for col_a, s_a, t_a in slots:
+        for col_b, s_b, t_b in slots:
+            w = s_a[ox] * s_b[oy]
+            keep = w != 0.0
+            t = (t_b[oy] - t_a[ox] + phase)[keep] % 12
+            np.add.at(block, (col_a[ox][keep], col_b[oy][keep]),
+                      -w[keep] * _COS12[t] / 3.0)
+    block[np.diag_indices(size)] += 4.0
+    return block
+
+
+def symmetry_blocks(vertices: VertexSet):
+    """The Dirichlet Laplacian block-diagonalized by D_3 = <rho, sigma>.
+
+    On the sector vectors sum_e w^(k e) / sqrt(3) at rho^e r_o of each orbit
+    o (r_o its first row, w = e^(2 pi i / 3)) it splits into H_0, H_1 and
+    conj H_1.  With sigma(r_o) = rho^f(o) r_tau(o), yields (copies, block):
+    H_0 on the sigma-even vectors (e_o if tau o = o, else (e_o + e_tau o) /
+    sqrt(2)) and on the odd ones ((e_o - e_tau o) / sqrt(2)), once each, of
+    sizes (n/3 + m) / 2 and (n/3 - m) / 2; then H_1, twice, on the vectors
+    that sigma composed with conjugation fixes, where it is real: w^f e_o if
+    tau o = o, else (e_o + w^(2f) e_tau o) / sqrt(2) and
+    i (e_o - w^(2f) e_tau o) / sqrt(2).  Each block is summed from the
+    interior edges when asked for.  Exact integer checks of the group and of
+    the edge list raise `StructuralError` naming the level.
     """
     m = vertices.level
     x, y = _interior_edges(vertices)
     n = vertices.n_interior
     rows = np.arange(n)
     # a triple that is no vertex maps to the appended -1, as boundary ones do
-    ids = [vertices._triple_ids.get(tuple(t), vertices.n_vertices)
-           for t in _rotated(vertices.bary[vertices.interior]).tolist()]
-    rho = np.append(vertices._interior_pos, -1)[ids]
-    if (rho < 0).any() or np.unique(rho).size != n:
-        raise StructuralError(
-            f"level {m}: the rotation does not permute the interior rows"
-        )
+    pos = np.append(vertices._interior_pos, -1)
+    interior = vertices.bary[vertices.interior]
+    rho, sigma = (pos[vertices.vertex_ids(g(interior))] for g in (_rotated, _reflected))
     rho2 = rho[rho]
-    if not np.array_equal(rho[rho2], rows):
-        raise StructuralError(f"level {m}: the rotation cubed is not the identity")
     first = np.flatnonzero((rows < rho) & (rows < rho2))
-    if 3 * first.size != n:
-        raise StructuralError(f"level {m}: a rotation orbit does not have 3 rows")
-    orbit = np.empty(n, dtype=np.int64)
-    exponent = np.empty(n, dtype=np.int64)
-    for e, members in enumerate((first, rho[first], rho2[first])):
-        orbit[members] = np.arange(first.size)
-        exponent[members] = e
-
     edges = np.unique(x * n + y)
-    if edges.size != x.size:
-        raise StructuralError(f"level {m}: the interior edge list has duplicates")
-    if not (np.array_equal(np.sort(y * n + x), edges)
-            and np.array_equal(np.sort(rho[x] * n + rho[y]), edges)):
-        raise StructuralError(
-            f"level {m}: the interior edge set is not symmetric and rotation invariant"
-        )
+
+    def permutes(perm):
+        return (perm >= 0).all() and np.unique(perm).size == n
+
+    def invariant(perm):
+        return np.array_equal(np.sort(perm[x] * n + perm[y]), edges)
+
+    # every check is evaluated before one raises: a non-permutation's -1 indexes
+    for ok, failure in (
+        (permutes(rho), "the rotation does not permute the interior rows"),
+        (permutes(sigma), "the reflection does not permute the interior rows"),
+        (np.array_equal(rho[rho2], rows), "the rotation cubed is not the identity"),
+        (np.array_equal(sigma[sigma], rows),
+         "the reflection squared is not the identity"),
+        (np.array_equal(sigma[rho[sigma]], rho2),
+         "the reflection does not conjugate the rotation to its square"),
+        (3 * first.size == n, "a rotation orbit does not have 3 rows"),
+        (edges.size == x.size, "the interior edge list has duplicates"),
+        (np.array_equal(np.sort(y * n + x), edges) and invariant(rho),
+         "the interior edge set is not symmetric and rotation invariant"),
+        (invariant(sigma), "the interior edge set is not reflection invariant"),
+    ):
+        if not ok:
+            raise StructuralError(f"level {m}: {failure}")
+    orbit, exponent = np.empty((2, n), dtype=np.int64)
+    for e, members in enumerate((first, rho[first], rho2[first])):
+        orbit[members], exponent[members] = np.arange(first.size), e
 
     k = first.size
-    h0 = np.zeros((k, k))
-    h1 = np.zeros((k, k), dtype=complex)
-    np.add.at(h0, (orbit[x], orbit[y]), -1.0 / 3.0)
-    np.add.at(
-        h1, (orbit[x], orbit[y]), -_OMEGA[(exponent[y] - exponent[x]) % 3] / 3.0
-    )
-    h0[np.diag_indices(k)] += 4.0
-    h1[np.diag_indices(k)] += 4.0
-    return h0, h1
+    tau, f = orbit[sigma[first]], exponent[sigma[first]]
+    fixed = np.flatnonzero(tau == np.arange(k))
+    low = np.flatnonzero(np.arange(k) < tau)
+    high = tau[low]
+    n_fixed, n_pairs = fixed.size, low.size
+    single, pairs, h = np.arange(n_fixed), n_fixed + np.arange(n_pairs), 0.5**0.5
+    even = _slot(k, (fixed, single, 1.0, 0), (low, pairs, h, 0), (high, pairs, h, 0))
+    odd = _slot(k, (low, pairs - n_fixed, h, 0), (high, pairs - n_fixed, -h, 0))
+    plus = _slot(k, (fixed, single, 1.0, 4 * f[fixed]), (low, pairs, h, 0),
+                 (high, pairs, h, 8 * f[high]))
+    minus = _slot(k, (low, pairs + n_pairs, h, 3),
+                  (high, pairs + n_pairs, h, 9 + 8 * f[high]))
+    ox, oy = orbit[x], orbit[y]
+    yield 1, _block(n_fixed + n_pairs, [even], ox, oy, 0)
+    yield 1, _block(n_pairs, [odd], ox, oy, 0)
+    yield 2, _block(k, [plus, minus], ox, oy, 4 * (exponent[y] - exponent[x]))
 
 
 def dirichlet_spectrum(vertices: VertexSet) -> np.ndarray:
-    """Ascending eigenvalues of the Dirichlet graph Laplacian from its
-    rotation sectors: those of H_0, and those of H_1 twice (H_2 = conj H_1).
-    No n x n matrix is formed."""
-    h0, h1 = rotation_sectors(vertices)
-    h1_values = np.linalg.eigvalsh(h1)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(h0), h1_values, h1_values]))
+    """Ascending eigenvalues of the Dirichlet graph Laplacian, those of each
+    D_3 block as often as it occurs; no n x n and no complex array is formed."""
+    return np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(block), copies)
+        for copies, block in symmetry_blocks(vertices)
+    ]))
 
 
 def vertices_to_csv(vertices: VertexSet, measure: SelfSimilarMeasure, path) -> None:
     """Debug dump: vertex_id,x,y,weight,is_boundary."""
-    rows = []
     boundary = set(vertices.boundary)
-    for v in range(vertices.n_vertices):
-        rows.append(
-            (
-                v,
-                float(vertices.coords[v, 0]),
-                float(vertices.coords[v, 1]),
-                float(measure.weights[v]),
-                int(v in boundary),
-            )
-        )
+    rows = [
+        (v, float(x), float(y), float(w), int(v in boundary))
+        for v, ((x, y), w) in enumerate(zip(vertices.coords, measure.weights))
+    ]
     write_csv(path, ("vertex_id", "x", "y", "weight", "is_boundary"), rows)

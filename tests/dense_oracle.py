@@ -406,7 +406,7 @@ def reference_separated_sequence(j_max: int) -> SeparatedFamily:
             if other.key != rec.key
         ]
         gaps.append(min(others))
-    return SeparatedFamily(records=records, gaps=gaps)
+    return SeparatedFamily(records=tuple(records), gaps=tuple(gaps))
 
 
 def nonlocalized_remainder(vectors, records, vertices, k: int) -> Remainder:

@@ -105,6 +105,13 @@ def test_validate_command_and_determinism(tmp_path):
     for k in (1, 2, 3):
         rhs = d_j_n * integrate_simple(f, k)
         assert float(fields[f"trace_R^{k}_dev"]) <= 1e-10 * max(1.0, abs(rhs))
+    # the oracle, localization, block-exactness and Lipschitz stages are
+    # timed inside the whole run
+    timings = json.loads((out1 / "manifest.json").read_text())["timings"]
+    stages = [timings[f"{stage}_seconds"] for stage in
+              ("oracle", "localization", "block_exactness", "lipschitz")]
+    assert all(seconds >= 0.0 for seconds in stages)
+    assert sum(stages) <= timings["total_seconds"]
 
 
 def _validate_names(m):

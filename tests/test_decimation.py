@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -372,7 +373,7 @@ def test_separated_sequence_scaling():
     for prev, cur in zip(family.records, family.records[1:]):
         assert cur.value / prev.value == pytest.approx(5.0, rel=1e-10)
     assert all(g > 0 for g in family.gaps)
-    assert family.gaps == sorted(family.gaps)  # gaps grow monotonically
+    assert list(family.gaps) == sorted(family.gaps)  # gaps grow monotonically
 
 
 @pytest.mark.parametrize("j_max", range(1, 9))
@@ -382,6 +383,15 @@ def test_separated_sequence_equals_record_loop(j_max):
     want = reference_separated_sequence(j_max)
     assert got.records == want.records
     assert got.gaps == want.gaps
+
+
+def test_separated_sequence_is_cached_and_immutable():
+    # computed once per process and shared, so no caller can change it
+    family = separated_sequence(5)
+    assert separated_sequence(5) is family
+    assert isinstance(family.records, tuple) and isinstance(family.gaps, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        family.gaps = ()
 
 
 def test_separated_sequence_minimal():

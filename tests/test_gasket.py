@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -253,10 +255,55 @@ def test_sector_spectrum_matches_dense_eigensolve(m):
     sectors = dirichlet_spectrum(vs)
     assert sectors.shape == dense.shape
     assert np.all(np.abs(sectors - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
-    h0, h1 = gasket.rotation_sectors(vs)
-    assert h0.shape == h1.shape == (vs.n_interior // 3,) * 2
-    assert h0.dtype == float and np.array_equal(h0, h0.T)
-    assert np.allclose(h1, h1.conj().T, rtol=0.0, atol=1e-15)
+    (once, even), (also_once, odd), (twice, e_block) = gasket.symmetry_blocks(vs)
+    assert (once, also_once, twice) == (1, 1, 2)
+    third = vs.n_interior // 3
+    assert all(block.dtype == float for block in (even, odd, e_block))
+    assert even.shape == ((third + m) // 2,) * 2
+    assert odd.shape == ((third - m) // 2,) * 2
+    assert e_block.shape == (third, third)
+    for block in (even, odd, e_block):
+        assert np.allclose(block, block.T, rtol=0.0, atol=1e-15)
+
+
+def test_sector_spectrum_does_not_depend_on_the_row_order():
+    # in the sorted order sigma maps each paired orbit's first row to its
+    # partner's first row; shuffled interior rows give other first rows, so
+    # the phases w^f and w^(2f) of the real basis of H_1 are not all 1
+    vs = build_vertices(4)
+    order = np.random.default_rng(0).permutation(vs.n_interior)
+    position = np.full(vs.n_vertices, -1)
+    position[vs.interior[order]] = np.arange(vs.n_interior)
+    shuffled = dataclasses.replace(
+        vs, interior=vs.interior[order], _interior_pos=position
+    )
+    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs).matrix)
+    got = dirichlet_spectrum(shuffled)
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+def test_sector_spectrum_allocates_no_complex_or_large_array(monkeypatch):
+    # every eigensolve is real, and the traced peak stays below two n/3
+    # square float arrays, so neither an n x n nor a complex n/3 square
+    # matrix is formed
+    vs = build_vertices(6)
+    dirichlet_spectrum(vs)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def real_eigvalsh(a):
+        solved.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
+    tracemalloc.start()
+    try:
+        dirichlet_spectrum(vs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved == [np.dtype(float)] * 3
+    assert peak <= 2 * (vs.n_interior // 3) ** 2 * 8
 
 
 # the default argument keeps the unpatched edge helper
@@ -270,6 +317,25 @@ def _duplicate_edge(vs, edges=gasket._interior_edges):
     return np.append(x, x[0]), np.append(y, y[0])
 
 
+def _drop_rotation_orbit(vs, edges=gasket._interior_edges):
+    # an edge in both directions and its rotations, chosen so that its
+    # reflection is not among them: the edge set stays symmetric and rotation
+    # invariant, but not reflection invariant
+    x, y = edges(vs)
+    triples = [tuple(t) for t in vs.bary[vs.interior].tolist()]
+    pairs = [frozenset((triples[a], triples[b])) for a, b in zip(x.tolist(), y.tolist())]
+
+    def mapped(pair, order):
+        return frozenset(tuple(t[i] for i in order) for t in pair)
+
+    for pair in pairs:
+        orbit = {pair, mapped(pair, (1, 2, 0)), mapped(pair, (2, 0, 1))}
+        if mapped(pair, (0, 2, 1)) not in orbit:
+            break
+    keep = np.array([p not in orbit for p in pairs])
+    return x[keep], y[keep]
+
+
 @pytest.mark.parametrize(
     "target, replacement, message",
     [
@@ -278,11 +344,16 @@ def _duplicate_edge(vs, edges=gasket._interior_edges):
         ("_rotated", lambda bary: bary[:, [0, 2, 1]], "cubed"),
         ("_rotated", lambda bary: bary, "3 rows"),
         ("_rotated", lambda bary: bary[:, [0, 0, 1]], "permute"),
+        ("_reflected", lambda bary: bary[:, [1, 2, 0]], "reflection squared"),
+        ("_reflected", lambda bary: bary, "conjugate the rotation"),
+        ("_reflected", lambda bary: bary[:, [0, 0, 1]], "reflection does not permute"),
+        ("_interior_edges", _drop_rotation_orbit, "not reflection invariant"),
     ],
 )
 def test_sector_checks_raise(monkeypatch, target, replacement, message):
     # a lost or doubled edge, a reflection in place of the rotation, the
-    # identity and a map off the vertex set each fail one exact check
+    # rotation or the identity in place of the reflection, a map off the
+    # vertex set and a lost rotation orbit of edges each fail one exact check
     monkeypatch.setattr(gasket, target, replacement)
     with pytest.raises(StructuralError, match=f"level 3: .*{message}"):
         dirichlet_spectrum(build_vertices(3))
