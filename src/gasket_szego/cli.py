@@ -459,8 +459,7 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         eigenbasis.save_bundle(eigenbasis.eigenspace(config.m, key), out_dir / name)
         outputs.append(name)
     if config.dump_vertices:
-        measure = gasket.build_measure(basis.vertices)
-        gasket.vertices_to_csv(basis.vertices, measure, out_dir / "vertices.csv")
+        gasket.vertices_to_csv(basis.vertices, out_dir / "vertices.csv")
         outputs.append("vertices.csv")
     return outputs
 
@@ -599,23 +598,14 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         )
     stage_done("oracle")
 
-    # each family eigenspace is built alone, by its lineage
-    basis = eigenbasis.level_basis(m)
-
-    def family(series: int, birth: int):
-        key = basis.family_bundle(series, birth).record.key
-        return eigenbasis.eigenspace(m, key)
-
-    for series in (6, 5):
-        for birth in range(2, min(m, 5) + 1):
-            for row in _localization_rows(family(series, birth)):
-                check(*row)
+    f = SimpleFunction(1, [1.0, 2.0, 3.0])
+    localization, block = _family_rows(m, f)
+    for row in localization:
+        check(*row)
     stage_done("localization")
 
     if m >= 3:
-        birth = min(m, 4)
-        f = SimpleFunction(1, [1.0, 2.0, 3.0])
-        ok, detail = _block_exactness(family(6, birth), f)
+        ok, detail = block
         # the level-1 remainders the reduced compressions read, built by
         # decimation lineage, against the junction SVD of each whole
         # eigenspace built by the walk (the sine of their largest principal
@@ -629,7 +619,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
             )
         except GasketError as exc:
             ok, detail = False, f"{detail};{exc}"
-        check(f"block-exactness-j{birth}-N1", ok, detail)
+        check(f"block-exactness-j{min(m, 4)}-N1", ok, detail)
     stage_done("block_exactness")
 
     # seeded eigenvalue-stability trials; deterministic given (config, seed)
@@ -664,43 +654,72 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     return ["validate.csv"]
 
 
-def _localization_rows(bundle) -> list[tuple[str, bool, str]]:
-    """One row per cell level N below the birth of a family eigenspace: its
-    split at N against the closed-form counts, with the kernel margins."""
-    from . import decimation, eigenbasis
+def _attempt(fn, *args):
+    """fn(*args), or the GasketError it raises."""
+    try:
+        return fn(*args)
+    except GasketError as exc:
+        return exc
+
+
+def _family_rows(m: int, f) -> tuple[list, tuple[bool, str] | None]:
+    """The localization rows of the family eigenspaces of births 2 to
+    min(m, 5), each built alone by its lineage and split once at each cell
+    level N below its birth, and the block-exactness result of f on the
+    6-series split at N = 1 of birth min(m, 4), taken while that split is
+    held.  A build or split that fails is its rows' FAIL."""
+    from . import eigenbasis
+
+    basis = eigenbasis.level_basis(m)
+    rows, block = [], None
+    for series in (6, 5):
+        for birth in range(2, min(m, 5) + 1):
+            key = basis.family_bundle(series, birth).record.key
+            bundle = _attempt(eigenbasis.eigenspace, m, key)
+            for n_level in range(1, birth):
+                split = bundle if isinstance(bundle, GasketError) else _attempt(
+                    eigenbasis.localized_split, bundle, n_level
+                )
+                rows.append(_localization_row(series, birth, n_level, split))
+                if (series, birth, n_level) == (6, min(m, 4), 1):
+                    block = _block_exactness(split, f)
+    return rows, block
+
+
+def _localization_row(series: int, birth: int, n_level: int, split):
+    """The row of a family eigenspace's split at cell level N, or of the
+    error that took its place: the counts against the closed form, with the
+    kernel margins."""
+    from . import decimation
     from .serialize import fmt
 
-    series, birth = bundle.record.series, bundle.record.birth
-    rows = []
-    for n_level in range(1, birth):
-        counts = decimation.localization_counts(series, birth, n_level)
-        try:
-            split = eigenbasis.localized_split(bundle, n_level)
-            ok = split.localized_total == counts.d_j_N
-            detail = (
-                f"per_cell={counts.m_j_N};localized={split.localized_total};"
-                f"alpha={split.nonlocalized.shape[1]};"
-                f"dropped_over_tol={fmt(split.dropped_over_tol)};"
-                f"tol_over_kept={fmt(split.tol_over_kept)}"
-            )
-        except GasketError as exc:
-            ok, detail = False, str(exc)
-        rows.append((f"localization-s{series}-j{birth}-N{n_level}", ok, detail))
-    return rows
+    name = f"localization-s{series}-j{birth}-N{n_level}"
+    if isinstance(split, GasketError):
+        return name, False, str(split)
+    counts = decimation.localization_counts(series, birth, n_level)
+    return name, split.localized_total == counts.d_j_N, (
+        f"per_cell={counts.m_j_N};localized={split.localized_total};"
+        f"alpha={split.nonlocalized.shape[1]};"
+        f"dropped_over_tol={fmt(split.dropped_over_tol)};"
+        f"tol_over_kept={fmt(split.tol_over_kept)}"
+    )
 
 
-def _block_exactness(bundle, f) -> tuple[bool, str]:
+def _block_exactness(split, f) -> tuple[bool, str]:
     """The localized columns of the split P of a 6-series eigenspace at N = 1
     are exact eigenvectors of [f]: their rows of P^T [f] P are [diag(f_C) 0],
     up to block_snap, and the powers of their block R have the closed-form
-    traces d_{j,1} times the integral of f^k."""
+    traces d_{j,1} times the integral of f^k.  A split that failed fails it
+    with its error."""
     import numpy as np
 
-    from . import decimation, eigenbasis
+    from . import decimation
     from .gasket import cell_words, effective_multiplier, integrate_simple
     from .serialize import fmt
 
-    split = eigenbasis.localized_split(bundle, 1)
+    if isinstance(split, GasketError):
+        return False, str(split)
+    bundle = split.bundle
     words = cell_words(1)
     localized = np.hstack([split.per_cell[word] for word in words])
     cell_values = np.repeat(

@@ -14,8 +14,10 @@ remainder into its column range of one read-only matrix in record-value
 order; at k = m that is the n x n basis, the only one formed.
 `walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
 and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
-cached level workspace: vertices and the eigenspaces labelled by their
-records, with no vectors.
+cached level workspace: the eigenspaces labelled by their records, with no
+vectors and no vertex set, so a sweep whose symbol depends only on lam builds
+none.  A bundle or workspace looks its vertex set up by its level from
+`build_vertices`, which alone holds it.
 The dense eigensolve `solve_graph_spectrum` and its labelling
 `group_eigenspaces` stay as the independent oracle.  Splits at a cell level
 rest on the junction functionals at the level's interior vertices, which
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +97,10 @@ class EigenspaceBundle:
     record: EigenvalueRecord
     graph_value: float
     vectors: np.ndarray | None
-    vertices: VertexSet = field(repr=False)
+
+    @property
+    def vertices(self) -> VertexSet:
+        return build_vertices(self.level)
 
     @property
     def dim(self) -> int:
@@ -113,7 +118,6 @@ def group_eigenspaces(
     values: np.ndarray,
     vectors: np.ndarray,
     m: int,
-    vertices: VertexSet | None = None,
 ) -> tuple[np.ndarray, list[EigenspaceBundle]]:
     """Label ascending eigenpairs with the decimation prediction of level m.
 
@@ -124,8 +128,6 @@ def group_eigenspaces(
     order as one read-only matrix, and one bundle per eigenspace whose
     vectors are a column view of it.
     """
-    if vertices is None:
-        vertices = build_vertices(m)
     predicted = decimation.truncated_graph_spectrum(m)
     total = sum(g.multiplicity for g in predicted)
     if total != len(values):
@@ -160,7 +162,7 @@ def group_eigenspaces(
     matrix.flags.writeable = False
     starts = np.cumsum([0] + [cols.size for _, cols in blocks])
     bundles = [
-        _bundle(vertices, g, matrix[:, a:b])
+        _bundle(m, g, matrix[:, a:b])
         for (g, _), a, b in zip(blocks, starts, starts[1:])
     ]
     return matrix, bundles
@@ -204,16 +206,20 @@ def _ranked_svd(mat: np.ndarray, full: bool = False):
     return left, vh, rank, (dropped, kept)
 
 
-def _pinned_rows(values: np.ndarray, rank: int, key: str, k: int) -> np.ndarray:
+def _junction_cut(
+    values: np.ndarray, rank: int, key: str, k: int, full: bool = False
+) -> tuple[np.ndarray, tuple[float, float]]:
     """The top `rank` right singular vectors of the junction values of an
-    orthonormal eigenspace basis; their rank must be the closed-form count."""
-    _, vh, found, _ = _ranked_svd(values)
+    orthonormal eigenspace basis, which span its remainder, or with `full`
+    all of them, the others spanning the kernel; and the kernel margins.
+    Their rank must be the closed-form count."""
+    _, vh, found, margins = _ranked_svd(values, full)
     if found != rank:
         raise MismatchError(
             f"eigenspace {key}: the junction functionals of level {k} "
             f"have rank {found}, the closed form predicts {rank}"
         )
-    return vh[:rank]
+    return (vh if full else vh[:rank]), margins
 
 
 def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
@@ -248,15 +254,10 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             f"bundle dimension {d} != predicted multiplicity {counts.d_j}"
         )
 
-    _, vh, rank, margins = _ranked_svd(
-        _junction_matrix(vertices, n_level) @ u, full=True
+    rank = counts.alpha_N
+    vh, margins = _junction_cut(
+        _junction_matrix(vertices, n_level) @ u, rank, rec.key, n_level, full=True
     )
-    if rank != counts.alpha_N:
-        raise StructuralError(
-            f"the junction functionals of level {n_level} have rank {rank}, "
-            f"closed form predicts {counts.alpha_N} non-localized vectors "
-            f"(series {rec.series}, birth {rec.birth})"
-        )
     kernel = u @ vh[rank:].T
     words = cell_words(n_level)
     insides = [vertices.cell_interior_positions(word) for word in words]
@@ -286,15 +287,16 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             _check_residual(bundle, vecs)
         per_cell[word] = vecs
 
-    split = LocalizedBasis(
+    nonlocalized = u @ vh[:rank].T
+    _check_gram(np.hstack([*per_cell.values(), nonlocalized]),
+                1.0 / interior_weight(bundle.level), rec.key)
+    return LocalizedBasis(
         bundle=bundle,
         per_cell=per_cell,
-        nonlocalized=u @ vh[:rank].T,
+        nonlocalized=nonlocalized,
         dropped_over_tol=margins[0],
         tol_over_kept=margins[1],
     )
-    _check_split_orthonormal(split)
-    return split
 
 
 def _check_residual(bundle: EigenspaceBundle, vectors: np.ndarray) -> None:
@@ -307,18 +309,6 @@ def _check_residual(bundle: EigenspaceBundle, vectors: np.ndarray) -> None:
     if err > 10.0 * SNAP_TOL:
         raise StructuralError(
             f"localized vectors left the eigenspace by {err:.3e}"
-        )
-
-
-def _check_split_orthonormal(split: LocalizedBasis) -> None:
-    blocks = [v for v in split.per_cell.values() if v.shape[1]]
-    blocks.append(split.nonlocalized)
-    full = np.hstack(blocks)
-    gram = full.T @ full * interior_weight(split.bundle.level)
-    err = np.max(np.abs(gram - np.eye(gram.shape[0])))
-    if err > ORTHO_TOL:
-        raise StructuralError(
-            f"split basis Gram deviates from identity by {err:.3e}"
         )
 
 
@@ -413,9 +403,9 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
     whose rank is pinned to the closed-form count.  An eigenspace in which
     nothing localizes is its own remainder.
     """
-    vertices, u, rec = bundle.vertices, bundle.vectors, bundle.record
-    if not 0 <= k <= vertices.level:
-        raise DomainError(f"need 0 <= cell level <= {vertices.level}, got {k}")
+    u, rec = bundle.vectors, bundle.record
+    if not 0 <= k <= bundle.level:
+        raise DomainError(f"need 0 <= cell level <= {bundle.level}, got {k}")
     d = u.shape[1]
     r = _remainder_rank(rec, d, k)
     if r == d:
@@ -423,8 +413,8 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
     elif r == 0:
         columns = u[:, :0]
     else:
-        values = _junction_matrix(vertices, k) @ u
-        columns = u @ _pinned_rows(values, r, rec.key, k).T
+        values = _junction_matrix(bundle.vertices, k) @ u
+        columns = u @ _junction_cut(values, r, rec.key, k)[0].T
     return Remainder(
         columns=columns, dims=[r], per_cell=[(d - r) // 3 ** k], records=[rec]
     )
@@ -432,13 +422,15 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
 
 @dataclass
 class LevelBasis:
-    """The workspace of one graph level: its vertices and the bundles of
-    every eigenspace, labelled with their decimation records and carrying no
-    vectors."""
+    """The workspace of one graph level: the bundles of every eigenspace,
+    labelled with their decimation records and carrying no vectors."""
 
     level: int
-    vertices: VertexSet
     bundles: list[EigenspaceBundle]
+
+    @property
+    def vertices(self) -> VertexSet:
+        return build_vertices(self.level)
 
     def family_bundle(self, series: int, birth: int) -> EigenspaceBundle:
         """The smallest eigenvalue of the given series and birth."""
@@ -747,7 +739,7 @@ def _newborn_six_remainder(
             f"decimation predicts {g.multiplicity}"
         )
     a = _extension_adjoint(ref, junction.T, 6.0).T
-    z = _six_gram_solve(ref, _pinned_rows(a, out.shape[1], g.record.key, k).T)
+    z = _six_gram_solve(ref, _junction_cut(a, out.shape[1], g.record.key, k)[0].T)
     factor = np.linalg.cholesky(z.T @ _six_gram_times(ref, z))
     coeffs = np.linalg.solve(factor, z.T).T
     coeffs *= 1.0 / np.sqrt(w)
@@ -847,7 +839,7 @@ def _newborn(ref: _Refinement, g: GraphEigenvalue, k: int, out: np.ndarray) -> N
         else:
             whole = np.empty((ref.n, g.multiplicity))
             _newborn_five(ref, w, whole)
-            rows = _pinned_rows(junction @ whole, out.shape[1], g.record.key, k)
+            rows, _ = _junction_cut(junction @ whole, out.shape[1], g.record.key, k)
             out[:] = whole @ rows.T
     _check_gram(out, 1.0 / w, g.record.key)
 
@@ -900,10 +892,10 @@ def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
                    else "built but not predicted") + " by decimation"
             )
         total = sum(g.multiplicity for g in level)
-        if total != build_vertices(j).n_interior:
+        if total != decimation.interior_dimension(j):
             raise MismatchError(
                 f"level {j}: decimation predicts dimension {total}, the graph "
-                f"has {build_vertices(j).n_interior} interior vertices"
+                f"has {decimation.interior_dimension(j)} interior vertices"
             )
         nodes.update(found)
         below = level
@@ -956,13 +948,9 @@ def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> No
             descend(g)
 
 
-def _bundle(vertices: VertexSet, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
+def _bundle(m: int, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
     return EigenspaceBundle(
-        level=vertices.level,
-        record=g.record,
-        graph_value=g.graph_value,
-        vectors=vectors,
-        vertices=vertices,
+        level=m, record=g.record, graph_value=g.graph_value, vectors=vectors
     )
 
 
@@ -975,7 +963,7 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     columns of `key` it equals bit for bit; no other eigenspace is built.
     Its vectors are read-only.
     """
-    vertices = _level_vertices(m)
+    _check_level(m)
     nodes = _tree(m)
     entry = next((g for g in _predicted(m) if g.record.key == key), None)
     if entry is None:
@@ -984,7 +972,7 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     for i in range(len(entry.prefix) + 1):
         g = nodes[entry.series, entry.birth, entry.prefix[:i]]
         parent = (g, _grown(g, m, parent))
-    return _bundle(vertices, entry, parent[1])
+    return _bundle(m, entry, parent[1])
 
 
 def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> list:
@@ -996,11 +984,11 @@ def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> lis
     largest single eigenspace with its ancestors, not the n x n level
     basis.  The visited vectors are read-only.
     """
-    vertices = _level_vertices(m)
+    _check_level(m)
     results = []
 
     def leaf(g: GraphEigenvalue, parent) -> None:
-        results.append(visit(_bundle(vertices, g, _grown(g, m, parent))))
+        results.append(visit(_bundle(m, g, _grown(g, m, parent))))
 
     _walk(m, m, leaf)
     return results
@@ -1013,23 +1001,14 @@ def _check_level(m: int) -> None:
         raise DomainError("no interior vertices at level 0, no eigenvectors")
 
 
-def _level_vertices(m: int) -> VertexSet:
-    _check_level(m)
-    return build_vertices(m)
-
-
 @functools.lru_cache(maxsize=8)
 def level_basis(m: int) -> LevelBasis:
-    """The level workspace, cached: vertices and the bundles of
+    """The level workspace, cached: the bundles of
     `truncated_graph_spectrum(m)` in record-value order, whose `vectors`
-    are None.  Compressions read only their eigenvalues and
-    `level_remainder`; `eigenspace` builds one eigenspace's vectors."""
-    vertices = _level_vertices(m)
-    return LevelBasis(
-        level=m,
-        vertices=vertices,
-        bundles=[_bundle(vertices, g, None) for g in _predicted(m)],
-    )
+    are None, and no vertex set.  Compressions read only their eigenvalues
+    and `level_remainder`; `eigenspace` builds one eigenspace's vectors."""
+    _check_level(m)
+    return LevelBasis(level=m, bundles=[_bundle(m, g, None) for g in _predicted(m)])
 
 
 @functools.lru_cache(maxsize=8)

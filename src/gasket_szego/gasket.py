@@ -3,10 +3,12 @@
 The gasket is the attractor of the three midpoint contractions of a triangle.
 Level-m cells are indexed by words over {1,2,3} in lexicographic order, and
 vertices by exact integer barycentric triples over 2^m, so the construction
-is deterministic and free of floating-point dedup issues.  The corner
-coordinates serve only plots and user-supplied continuous functions.  The
-Dirichlet spectrum, `validate`'s oracle, comes from three real blocks by the
-gasket's symmetry group D_3.
+is deterministic and free of floating-point dedup issues.  `build_vertices(m)`
+owns the level-m vertex set: it is built once per process, and every other
+object looks it up by its level; none stores it.  The self-similar measure is
+its array of vertex weights.  The corner coordinates serve only plots and
+user-supplied continuous functions.  The Dirichlet spectrum, `validate`'s
+oracle, comes from three real blocks by the gasket's symmetry group D_3.
 """
 from __future__ import annotations
 
@@ -40,26 +42,6 @@ def word_index(word: Word) -> int:
     for letter in word:
         rank = rank * 3 + (letter - 1)
     return rank
-
-
-@dataclass(frozen=True)
-class CellAddress:
-    """Address of an N-cell; the empty word addresses the whole gasket."""
-
-    word: Word
-
-    def __post_init__(self):
-        if any(letter not in LETTERS for letter in self.word):
-            raise DomainError(f"cell word letters must be in {LETTERS}: {self.word}")
-
-    @property
-    def level(self) -> int:
-        return len(self.word)
-
-    def ancestor(self, n: int) -> "CellAddress":
-        if n > self.level:
-            raise DomainError(f"no level-{n} ancestor of a level-{self.level} cell")
-        return CellAddress(self.word[:n])
 
 
 def _corner_triple(word: Word, corner: int, level: int) -> tuple[int, int, int]:
@@ -201,23 +183,6 @@ def _vertices(m: int) -> VertexSet:
     return vs
 
 
-@dataclass
-class SelfSimilarMeasure:
-    """The balanced self-similar probability measure sampled on vertices.
-
-    Each level-m cell contributes 3^-(m+1) to each of its three corners, so a
-    vertex in k cells carries weight k * 3^-(m+1) and the weights sum to one.
-    """
-
-    level: int
-    weights: np.ndarray
-    vertices: VertexSet
-
-    def cell_mass(self, word: Word) -> float:
-        start, stop = self.vertices.cell_range(word)
-        return (stop - start) * 3.0 ** (-self.level)
-
-
 def _cell_sums(vertices: VertexSet, cell_values: np.ndarray | None = None) -> np.ndarray:
     """Per vertex, the sum of `cell_values` over the cells containing it, in
     cell order; without values, the number of those cells."""
@@ -227,9 +192,13 @@ def _cell_sums(vertices: VertexSet, cell_values: np.ndarray | None = None) -> np
     )
 
 
-def build_measure(vertices: VertexSet) -> SelfSimilarMeasure:
-    weights = _cell_sums(vertices) * 3.0 ** (-(vertices.level + 1))
-    return SelfSimilarMeasure(level=vertices.level, weights=weights, vertices=vertices)
+def build_measure(vertices: VertexSet) -> np.ndarray:
+    """The balanced self-similar probability measure sampled on vertices.
+
+    Each level-m cell contributes 3^-(m+1) to each of its three corners, so a
+    vertex in k cells carries weight k * 3^-(m+1) and the weights sum to one.
+    """
+    return _cell_sums(vertices) * 3.0 ** (-(vertices.level + 1))
 
 
 @dataclass
@@ -300,8 +269,8 @@ def effective_multiplier(f, vertices: VertexSet) -> np.ndarray:
         return _cell_sums(vertices, f.refined(vertices.level)) * 3.0 ** (
             -(vertices.level + 1)
         )
-    weights = build_measure(vertices).weights
-    return weights * np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]))
+    x, y = vertices.coords.T
+    return build_measure(vertices) * np.asarray(f(x, y))
 
 
 def vertex_values(f, vertices: VertexSet) -> np.ndarray:
@@ -315,9 +284,7 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
 class GraphLaplacian:
     """Dirichlet graph Laplacian on interior vertices (diagonal 4, -1 per edge)."""
 
-    level: int
     matrix: np.ndarray
-    vertices: VertexSet
 
 
 def _interior_edges(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +316,7 @@ def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
     lap = np.zeros((n, n))
     lap[np.diag_indices(n)] = 4.0
     lap[x, y] = -1.0
-    return GraphLaplacian(level=vertices.level, matrix=lap, vertices=vertices)
+    return GraphLaplacian(matrix=lap)
 
 
 #: cos(2 pi t / 12) for t = 0..11, exact where the value is 0, 1/2 or 1
@@ -464,11 +431,11 @@ def dirichlet_spectrum(vertices: VertexSet) -> np.ndarray:
     ]))
 
 
-def vertices_to_csv(vertices: VertexSet, measure: SelfSimilarMeasure, path) -> None:
+def vertices_to_csv(vertices: VertexSet, path) -> None:
     """Debug dump: vertex_id,x,y,weight,is_boundary."""
     boundary = set(vertices.boundary)
     rows = [
         (v, float(x), float(y), float(w), int(v in boundary))
-        for v, ((x, y), w) in enumerate(zip(vertices.coords, measure.weights))
+        for v, ((x, y), w) in enumerate(zip(vertices.coords, build_measure(vertices)))
     ]
     write_csv(path, ("vertex_id", "x", "y", "weight", "is_boundary"), rows)

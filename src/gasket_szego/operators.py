@@ -486,8 +486,10 @@ def trace_F(
 
 
 def log_det(op: CompressedOperator) -> float:
+    """Sum of the logs of the eigenvalues; 0.0, the empty sum, for an empty
+    operator."""
     sigma = operator_eigenvalues(op)
-    if sigma[0] <= 0.0:
+    if sigma.size and sigma[0] <= 0.0:
         raise DomainError(
             f"log-determinant needs a positive-definite operator; smallest "
             f"eigenvalue is {sigma[0]!r}"

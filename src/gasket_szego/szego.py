@@ -147,7 +147,7 @@ def target_integral(limit_q, fn: Callable[[float], float]) -> tuple[float, dict]
     estimates = []
     for m in range(1, TARGET_MAX_LEVEL + 1):
         vertices = build_vertices(m)
-        weights = build_measure(vertices).weights
+        weights = build_measure(vertices)
         q_vals = vertex_values(limit_q, vertices)
         estimates.append(
             math.fsum(float(w) * fn(float(q)) for w, q in zip(weights, q_vals))
@@ -294,12 +294,12 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
                           basis, fn, evaluate, precheck=None, **metadata):
     """Normalized evaluate() over the compressions to one series of
     eigenspaces, against the integral of fn(q); `precheck` sees the
-    eigenspaces' records before any compression."""
+    eigenspaces' records and the level before any compression."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
     basis = operators.level_basis_for(m, basis)
     bundles = [basis.family_bundle(series, j) for j in j_range]
     if precheck is not None:
-        precheck(symbol, [b.record for b in bundles], basis.vertices)
+        precheck(symbol, [b.record for b in bundles], m)
     target, target_info = target_integral(symbol.limit_q, fn)
     cut = _generation_cut(generation_cut, m)
     samples = []
@@ -363,8 +363,8 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     """Normalized evaluate() over the cutoff compressions, against the
     integral of fn(q).  They are the leading parts of one compression below
     the top cutoff: the atoms below each cutoff and a leading block of its
-    remainder.  `precheck` sees the records below the top cutoff before any
-    compression."""
+    remainder.  `precheck` sees the records below the top cutoff and the level
+    before any compression."""
     basis = operators.level_basis_for(m, basis)
     target, target_info = target_integral(symbol.limit_q, fn)
     cut = _generation_cut(generation_cut, m)
@@ -372,7 +372,7 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     window = check_window(lambda_grid, m)
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
-        precheck(symbol, full.records, basis.vertices)
+        precheck(symbol, full.records, m)
     gamma_full = compress(symbol, full)
     values = full.lambdas
     births = np.repeat([rec.birth for rec in full.records], full.dims)
@@ -406,7 +406,7 @@ def szego_trace_full(
     )
 
 
-def _check_positivity(symbol: SymbolSpec, records, vertices) -> None:
+def _check_positivity(symbol: SymbolSpec, records, m: int) -> None:
     if symbol.lower_bound is None or symbol.lower_bound <= 0.0:
         raise DomainError(
             f"log-determinant sweeps need a declared positive lower bound; "
@@ -419,7 +419,7 @@ def _check_positivity(symbol: SymbolSpec, records, vertices) -> None:
     for chi, first, stop in runs:
         low = float(np.min(q[first:stop]))
         if chi is not None:
-            low += float(np.min(vertex_values(chi, vertices)))
+            low += float(np.min(vertex_values(chi, build_vertices(m))))
         worst = min(worst, low)
     if worst < symbol.lower_bound - 1e-12:
         raise DomainError(

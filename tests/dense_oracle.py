@@ -409,14 +409,14 @@ def reference_separated_sequence(j_max: int) -> SeparatedFamily:
     return SeparatedFamily(records=tuple(records), gaps=tuple(gaps))
 
 
-def nonlocalized_remainder(vectors, records, vertices, k: int) -> Remainder:
-    """The remainder at cell level k of each whole eigenspace of `records`,
-    whose vectors lie side by side in `vectors` in that order, read off its
+def nonlocalized_remainder(vectors, records, m: int, k: int) -> Remainder:
+    """The remainder at cell level k of each whole level-m eigenspace of
+    `records`, whose vectors lie side by side in `vectors` in that order, read off its
     vectors by `eigenspace_remainder`, side by side in the same order."""
     starts = np.cumsum([0] + [rec.multiplicity for rec in records])
     parts = [
         eigenspace_remainder(
-            EigenspaceBundle(vertices.level, rec, 0.0, vectors[:, a:b], vertices), k
+            EigenspaceBundle(m, rec, 0.0, vectors[:, a:b]), k
         )
         for rec, a, b in zip(records, starts, starts[1:])
     ]
@@ -441,7 +441,7 @@ def trace_power(matrix, k: int) -> float:
     return float(np.trace(acc))
 
 
-def load_bundle(path, vertices) -> EigenspaceBundle:
+def load_bundle(path) -> EigenspaceBundle:
     """The bundle `eigenbasis.save_bundle` wrote to `path`."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -454,5 +454,4 @@ def load_bundle(path, vertices) -> EigenspaceBundle:
         vectors=np.column_stack(
             [np.array([float(x) for x in line.split(",")]) for line in lines[1:]]
         ),
-        vertices=vertices,
     )

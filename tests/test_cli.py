@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gasket_szego import cli, clusters, decimation, eigenbasis, gasket, operators
-from gasket_szego.errors import ConfigError
+from gasket_szego.errors import ConfigError, StructuralError
 from gasket_szego.gasket import SimpleFunction, integrate_simple
 from gasket_szego.serialize import sha256_file
 
@@ -174,10 +174,29 @@ def _closed_form_integers(name):
     return {}
 
 
+def _spy(monkeypatch, module, name):
+    """Count the calls of `module.name`, which still runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
-def test_validate_rows_keep_their_closed_form_integers(tmp_path, m):
+def test_validate_rows_keep_their_closed_form_integers(tmp_path, monkeypatch, m):
+    # every family eigenspace of births 2..min(m, 5) is built once and split
+    # once at each N below its birth; block exactness reuses its N = 1 split
+    builds = _spy(monkeypatch, eigenbasis, "eigenspace")
+    splits = _spy(monkeypatch, eigenbasis, "localized_split")
     code, out = run_cli(tmp_path, "validate", {"m": m})
     assert code == 0
+    calls = {4: (6, 12), 5: (8, 20), 6: (8, 20), 7: (8, 20)}[m]
+    assert (len(builds), len(splits)) == calls
     rows = [line.split(",", 2)
             for line in (out / "validate.csv").read_text().splitlines()[1:]]
     assert [name for name, _, _ in rows] == _validate_names(m)
@@ -186,6 +205,30 @@ def test_validate_rows_keep_their_closed_form_integers(tmp_path, m):
         fields = dict(item.split("=", 1) for item in detail.split(";"))
         expected = _closed_form_integers(name)
         assert {key: int(fields[key]) for key in expected} == expected, name
+
+
+def test_validate_writes_a_fail_row_for_a_failed_split(tmp_path, monkeypatch):
+    # a split that raises fails its own row and the block-exactness row that
+    # reads it; every other row is written and passes
+    original = eigenbasis.localized_split
+
+    def failing(bundle, n_level):
+        if bundle.record.series == 6 and n_level == 1:
+            raise StructuralError("the split of a 6-series eigenspace at N = 1")
+        return original(bundle, n_level)
+
+    monkeypatch.setattr(eigenbasis, "localized_split", failing)
+    code, out = run_cli(tmp_path, "validate", {"m": 4})
+    assert code == 1
+    rows = [line.split(",", 2)
+            for line in (out / "validate.csv").read_text().splitlines()[1:]]
+    assert [name for name, _, _ in rows] == _validate_names(4)
+    failed = {"localization-s6-j2-N1", "localization-s6-j3-N1",
+              "localization-s6-j4-N1", "block-exactness-j4-N1"}
+    for name, status, detail in rows:
+        assert status == ("FAIL" if name in failed else "PASS"), name
+        if name in failed:
+            assert detail.startswith("the split of a 6-series eigenspace at N = 1")
 
 
 def test_validate_peak_below_one_level_matrix(tmp_path):
@@ -483,6 +526,31 @@ def test_tabulated_without_limit_exits_2_before_any_basis(
         }, name=command)
         assert code == 2
         assert "config: config.symbol.limit: required" in capsys.readouterr().err
+
+
+def test_lambda_only_runs_build_no_vertex_set(tmp_path, monkeypatch):
+    # a symbol of lam alone reads only the decimation prediction, and so does
+    # a basis run that dumps no eigenspace: no level builds its vertex set
+    def refuse(m):
+        raise AssertionError(f"built the level-{m} vertex set")
+
+    monkeypatch.setattr(gasket, "_vertices", refuse)
+    eigenbasis.level_basis.cache_clear()
+    window = decimation.resolvable_window(5)
+    runs = [
+        ("szego-trace", {"m": 5, "mode": "full", "lambda_grid": [100.0, 3000.0],
+                         "symbol": {"kind": "riesz", "beta": 1.0}}),
+        ("szego-det", {"m": 5, "mode": "single", "series": 6,
+                       "j_range": [2, 3, 4, 5], "N": 1,
+                       "symbol": {"kind": "bessel", "beta": 1.0}}),
+        ("szego-det", {"m": 5, "mode": "full",
+                       "lambda_grid": [100.0, window * 0.9],
+                       "symbol": {"kind": "constant", "value": 2.0}}),
+        ("basis", {"m": 5}),
+    ]
+    for i, (command, config) in enumerate(runs):
+        code, _ = run_cli(tmp_path, command, config, name=f"run{i}")
+        assert code == 0, command
 
 
 def test_basis_command(tmp_path):

@@ -62,10 +62,9 @@ def test_solve_rejects_asymmetric():
 
 def test_group_level1_dimensions():
     m = 1
-    vertices = build_vertices(m)
-    lap = build_dirichlet_laplacian(vertices)
+    lap = build_dirichlet_laplacian(build_vertices(m))
     values, vectors = solve_graph_spectrum(lap)
-    _, bundles = group_eigenspaces(values, vectors, m, vertices)
+    _, bundles = group_eigenspaces(values, vectors, m)
     dims = sorted(b.dim for b in bundles)
     assert dims == [1, 2]
 
@@ -97,21 +96,19 @@ def test_projector_idempotent(level4):
 
 def test_group_orphan_detection():
     m = 2
-    vertices = build_vertices(m)
-    lap = build_dirichlet_laplacian(vertices)
+    lap = build_dirichlet_laplacian(build_vertices(m))
     values, vectors = solve_graph_spectrum(lap)
     values[0] += 0.01
     with pytest.raises(MismatchError):
-        group_eigenspaces(values, vectors, m, vertices)
+        group_eigenspaces(values, vectors, m)
 
 
 def test_group_dimension_mismatch():
     m = 2
-    vertices = build_vertices(m)
-    lap = build_dirichlet_laplacian(vertices)
+    lap = build_dirichlet_laplacian(build_vertices(m))
     values, vectors = solve_graph_spectrum(lap)
     with pytest.raises(MismatchError):
-        group_eigenspaces(values[:-1], vectors[:, :-1], m, vertices)
+        group_eigenspaces(values[:-1], vectors[:, :-1], m)
 
 
 @pytest.mark.parametrize(
@@ -240,7 +237,7 @@ def test_split_remainder_matches_nonlocalized_remainder(request, m):
     for bundle, n_level in _validate_splits(basis):
         split = localized_split(bundle, n_level)
         rem = nonlocalized_remainder(
-            bundle.vectors, [bundle.record], basis.vertices, n_level
+            bundle.vectors, [bundle.record], m, n_level
         )
         assert rem.columns.shape == split.nonlocalized.shape
         assert _projector_gap(split.nonlocalized, rem.columns, w) <= 1e-12
@@ -285,7 +282,7 @@ def test_bundle_save_load_bit_exact(tmp_path, level4):
     bundle = level4.family_bundle(6, 3)
     path = tmp_path / "bundle.csv"
     save_bundle(bundle, path)
-    loaded = load_bundle(path, level4.vertices)
+    loaded = load_bundle(path)
     assert np.array_equal(loaded.vectors, bundle.vectors)
     assert loaded.record.key == bundle.record.key
     assert loaded.graph_value == bundle.graph_value
@@ -311,7 +308,7 @@ def test_decimation_basis_matches_dense_oracle(m):
     basis = whole_basis(m)
     lap = build_dirichlet_laplacian(basis.vertices)
     values, vectors = solve_graph_spectrum(lap)
-    _, oracle = group_eigenspaces(values, vectors, m, basis.vertices)
+    _, oracle = group_eigenspaces(values, vectors, m)
     labels = [(b.record.key, b.graph_value, b.dim) for b in basis.bundles]
     assert labels == [(b.record.key, b.graph_value, b.dim) for b in oracle]
     w = interior_weight(m)
@@ -353,7 +350,7 @@ def test_eigenspace_equals_level_basis_bit_for_bit(m):
         assert (own.level, own.record, own.graph_value) == (
             m, bundle.record, bundle.graph_value
         )
-        assert own.vertices is bundle.vertices
+        assert own.vertices is bundle.vertices is eigenbasis.level_basis(m).vertices
         assert _bits(own.vectors) == _bits(bundle.vectors), bundle.record.key
         with pytest.raises(ValueError):
             own.vectors[0, 0] = 1.0

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 import tracemalloc
 from fractions import Fraction
 
@@ -8,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gasket_szego
 from gasket_szego import gasket
 from gasket_szego.decimation import renormalization_factor
 from gasket_szego.errors import DomainError, ResourceLimitError, StructuralError
 from gasket_szego.gasket import (
-    CellAddress,
     SimpleFunction,
     build_dirichlet_laplacian,
     build_measure,
@@ -28,18 +30,23 @@ from gasket_szego.gasket import (
 )
 
 
-def test_cell_addresses():
-    whole = CellAddress(())
-    assert whole.level == 0
-    cell = CellAddress((1, 3, 2))
-    assert cell.level == 3
-    assert cell.ancestor(1) == CellAddress((1,))
-    with pytest.raises(DomainError):
-        CellAddress((0, 1))
-    with pytest.raises(DomainError):
-        cell.ancestor(4)
+def test_cell_words_and_word_index():
     assert len(cell_words(2)) == 9
     assert word_index((1, 1)) == 0 and word_index((3, 3)) == 8
+
+
+def test_only_the_vertex_set_holds_a_vertex_set():
+    # a level's vertex set is looked up by the level from build_vertices,
+    # never stored in another object
+    holders = []
+    for info in pkgutil.iter_modules(gasket_szego.__path__):
+        module = importlib.import_module(f"gasket_szego.{info.name}")
+        for name, cls in vars(module).items():
+            if (dataclasses.is_dataclass(cls) and cls is not gasket.VertexSet
+                    and cls.__module__ == module.__name__):
+                holders += [f"{name}.{f.name}" for f in dataclasses.fields(cls)
+                            if "VertexSet" in str(f.type)]
+    assert holders == []
 
 
 def test_level0_is_the_outer_triangle():
@@ -131,21 +138,19 @@ def test_deterministic_vertex_ids():
 
 def test_measure_level1_weights():
     vs = build_vertices(1)
-    meas = build_measure(vs)
+    weights = build_measure(vs)
     for v in range(vs.n_vertices):
         expect = 2 / 9 if v not in vs.boundary else 1 / 9
-        assert meas.weights[v] == pytest.approx(expect, abs=1e-15)
+        assert weights[v] == pytest.approx(expect, abs=1e-15)
 
 
 def test_measure_level0_uniform():
-    meas = build_measure(build_vertices(0))
-    assert np.allclose(meas.weights, 1.0 / 3.0)
+    assert np.allclose(build_measure(build_vertices(0)), 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("m", range(0, 6))
 def test_measure_total_mass(m):
-    meas = build_measure(build_vertices(m))
-    assert abs(math.fsum(meas.weights) - 1.0) <= 1e-14
+    assert abs(math.fsum(build_measure(build_vertices(m))) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("m", range(1, 5))
@@ -156,9 +161,6 @@ def test_cell_masses_exact_rational(m):
             start, stop = vs.cell_range(word)
             mass = Fraction(stop - start, 3 ** m)
             assert mass == Fraction(1, 3 ** n)
-            assert build_measure(vs).cell_mass(word) == pytest.approx(
-                3.0 ** (-n), abs=1e-14
-            )
 
 
 def test_integrate_simple_examples():
@@ -375,7 +377,7 @@ def test_simple_function_validation():
 def test_vertices_csv(tmp_path):
     vs = build_vertices(1)
     path = tmp_path / "vertices.csv"
-    vertices_to_csv(vs, build_measure(vs), path)
+    vertices_to_csv(vs, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "vertex_id,x,y,weight,is_boundary"
     assert len(lines) == 1 + vs.n_vertices

@@ -200,6 +200,11 @@ def test_atom_only_operator():
     assert np.array_equal(head.atoms, [2.0, 3.0])
     assert head.remainder.shape == (0, 0)
     assert trace_F(head, lambda x: x) == 5.0
+    # below the smallest eigenvalue nothing is left: both are empty sums
+    empty = op.up_to(0.0)
+    assert empty.dim == 0
+    assert trace_F(empty, lambda x: x) == 0.0
+    assert log_det(empty) == 0.0
 
 
 def test_log_det_monotone(level4):

@@ -83,9 +83,7 @@ def test_reduced_clusters_match_dense_oracle(m, k, offset):
 def test_remainder_dimensions(m, k, expected):
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
-    rem = nonlocalized_remainder(
-        selection_columns(sel), sel.records, basis.vertices, k
-    )
+    rem = nonlocalized_remainder(selection_columns(sel), sel.records, m, k)
     assert rem.columns.shape == (basis.vertices.n_interior, expected)
     assert sum(rem.dims) == expected
     # the remainder columns are weighted-orthonormal
@@ -193,9 +191,7 @@ def test_lineage_remainder_matches_whole_eigenspaces(m, k):
     # remainders of the whole eigenspaces, eigenspace by eigenspace
     basis = eigenbasis.level_basis(m)
     sel = operators.leading_selection(basis)
-    whole = nonlocalized_remainder(
-        selection_columns(sel), sel.records, basis.vertices, k
-    )
+    whole = nonlocalized_remainder(selection_columns(sel), sel.records, m, k)
     lineage = eigenbasis.level_remainder(m, k)
     assert lineage.records == whole.records
     assert lineage.dims == whole.dims
