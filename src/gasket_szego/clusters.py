@@ -6,7 +6,8 @@ simple at level k, every eigenvector localized in a k-cell C is an exact
 eigenvector of H with eigenvalue p(lam) + chi_C, so only the non-localized
 remainder is assembled and solved; it comes from
 `eigenbasis.level_remainder(m, k)`, so the n x n level basis is built only
-for a callable chi or a chi simple at level m.  Clusters are the portions
+for a callable chi or a chi simple at level m.  p is evaluated once per
+dimension, on the atoms and the remainder columns.  Clusters are the portions
 of the spectrum inside windows around p(lam_j) for a separated eigenvalue
 family; each cluster's recentered empirical measure is realized through
 the spectral projection onto its eigenvectors (exact atoms plus projected
@@ -60,12 +61,12 @@ class SchrodingerMatrix:
     `remainder_potential`; the two parts are kept apart so that cluster
     projections are formed without the eps*norm(H) rounding floor (the
     diagonal is recentered before multiplying).  A callable chi has no
-    atoms: its remainder is the whole eigenbasis.
+    atoms: its remainder is the whole eigenbasis.  Nothing derivable is
+    stored: the level and dimension are the selection's, and p(-Delta) is
+    `atom_p` with `remainder_p`.
     """
 
-    level: int
     basis: operators.BasisSelection = field(repr=False)
-    diagonal: np.ndarray = field(repr=False)
     p: Callable[[float], float]
     chi: object
     p_name: str
@@ -79,7 +80,7 @@ class SchrodingerMatrix:
 
     @property
     def dim(self) -> int:
-        return self.diagonal.size
+        return self.basis.dim
 
     def projected_cluster(self, cols: np.ndarray, center: float) -> np.ndarray:
         """V^T (H - center) V for remainder eigenvectors V, from the
@@ -101,7 +102,6 @@ def build_schrodinger(
     base = operators.level_basis_for(m, basis)
     sel = operators.leading_selection(base)
     m_chi = operators.compress(symbol, sel)
-    diag = np.array([p(float(lam)) for lam in sel.lambdas])
     remainder_p = np.array([p(float(lam)) for lam in m_chi.remainder_lambdas])
     block = m_chi.remainder.copy()
     block[np.diag_indices_from(block)] += remainder_p
@@ -112,16 +112,14 @@ def build_schrodinger(
     atom_p = np.array([p(float(lam)) for lam in m_chi.atom_lambdas])
     eigenvalues = np.sort(np.concatenate([atom_p + m_chi.atoms, values]))
     chi_min, _ = operators.limit_range(chi, base.vertices)
-    floor = float(np.min(diag)) + chi_min
+    floor = float(np.min(np.concatenate([atom_p, remainder_p]))) + chi_min
     if eigenvalues[0] < floor - LOWER_BOUND_TOL:
         raise StructuralError(
             f"smallest eigenvalue {eigenvalues[0]} undercuts the bound "
             f"min p + min chi = {floor}"
         )
     return SchrodingerMatrix(
-        level=base.level,
         basis=sel,
-        diagonal=diag,
         p=p,
         chi=chi,
         p_name=p_name,
@@ -251,7 +249,7 @@ def identify_clusters(
         counts=counts,
         threshold_j=threshold,
         windows={r.birth: w for r, w in zip(family, windows)},
-        m=schrodinger.level,
+        m=schrodinger.basis.level,
     )
 
 

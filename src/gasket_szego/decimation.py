@@ -226,9 +226,6 @@ class SpectrumTable:
     def count_upto(self, lam: float) -> int:
         return sum(self.multiplicity[self.value <= lam].tolist())
 
-    def values(self) -> np.ndarray:
-        return self.value
-
 
 def _roots(within) -> list[np.ndarray]:
     """The roots of the branch tree as arrays (series, birth, steps, code,

@@ -53,7 +53,6 @@ from .errors import (
     StructuralError,
 )
 from .gasket import (
-    GraphLaplacian,
     VertexSet,
     Word,
     build_vertices,
@@ -69,9 +68,9 @@ SNAP_TOL = 1e-10
 ORTHO_TOL = 1e-10
 
 
-def solve_graph_spectrum(lap: GraphLaplacian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ascending and the matrix of their orthonormal eigenvectors."""
-    mat = lap.matrix
+def solve_graph_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ascending and the matrix of their orthonormal eigenvectors
+    of the dense graph Laplacian `mat`."""
     if not np.array_equal(mat, mat.T):
         raise StructuralError("graph Laplacian matrix is not symmetric")
     try:
@@ -101,6 +100,16 @@ class EigenspaceBundle:
     @property
     def vertices(self) -> VertexSet:
         return build_vertices(self.level)
+
+    def require_vectors(self) -> np.ndarray:
+        """The vectors, which every reader of them takes from here: a bundle
+        of the level basis has none and raises `DomainError`."""
+        if self.vectors is None:
+            raise DomainError(
+                f"eigenspace {self.record.key} carries no vectors; build them "
+                f"with eigenbasis.eigenspace"
+            )
+        return self.vectors
 
     @property
     def dim(self) -> int:
@@ -246,8 +255,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             f"need 1 <= N < birth, got N={n_level}, birth={rec.birth}"
         )
     counts = localization_counts(rec.series, rec.birth, n_level)
+    u = bundle.require_vectors()
     vertices = bundle.vertices
-    u = bundle.vectors
     n, d = u.shape
     if d != counts.d_j:
         raise StructuralError(
@@ -284,7 +293,7 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
                 )
             margins = tuple(map(max, margins, cell_margins))
             vecs[inside] = left[:, :found] * scale
-            _check_residual(bundle, vecs)
+            _check_residual(u, bundle.level, vecs)
         per_cell[word] = vecs
 
     nonlocalized = u @ vh[:rank].T
@@ -299,11 +308,10 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     )
 
 
-def _check_residual(bundle: EigenspaceBundle, vectors: np.ndarray) -> None:
-    # vectors written into a cell must remain in the eigenspace span; this
-    # bounds the eigen-residual without needing the Laplacian matrix here
-    u = bundle.vectors
-    coeffs = u.T @ vectors * interior_weight(bundle.level)
+def _check_residual(u: np.ndarray, m: int, vectors: np.ndarray) -> None:
+    # vectors written into a cell must remain in the span u of the level-m
+    # eigenspace; this bounds the eigen-residual without the Laplacian matrix
+    coeffs = u.T @ vectors * interior_weight(m)
     recon = u @ coeffs
     err = np.max(np.abs(recon - vectors))
     if err > 10.0 * SNAP_TOL:
@@ -363,7 +371,7 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     the other k-cell's sum vanish too).  Rows equal to n_interior stand for
     boundary vertices, where every vector vanishes.
     """
-    row = _rows(vertices)
+    row = vertices.rows
     scale = 1 << (vertices.level - k)
     junction = np.all(vertices.bary % scale == 0, axis=1)
     junction[list(vertices.boundary)] = False
@@ -403,7 +411,7 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
     whose rank is pinned to the closed-form count.  An eigenspace in which
     nothing localizes is its own remainder.
     """
-    u, rec = bundle.vectors, bundle.record
+    u, rec = bundle.require_vectors(), bundle.record
     if not 0 <= k <= bundle.level:
         raise DomainError(f"need 0 <= cell level <= {bundle.level}, got {k}")
     d = u.shape[1]
@@ -461,13 +469,6 @@ def _passes(rows: int, cols: int, least: int = 8) -> list[slice]:
     return [slice(c0, min(c0 + step, cols)) for c0 in range(0, cols, step)]
 
 
-def _rows(vertices: VertexSet) -> np.ndarray:
-    """Interior row of every vertex id; boundary vertices map to n_interior."""
-    rows = np.full(vertices.n_vertices, vertices.n_interior, dtype=np.int64)
-    rows[vertices.interior] = np.arange(vertices.n_interior)
-    return rows
-
-
 @dataclass
 class _Refinement:
     """Where level-(m-1) values go at level m, in interior rows.
@@ -493,8 +494,7 @@ def _refinement(m: int) -> _Refinement:
     """The refinement from level m-1 to level m, cached: every lineage
     through level m reads it."""
     parent, vertices = build_vertices(m - 1), build_vertices(m)
-    prow = _rows(parent)
-    row = _rows(vertices)
+    prow, row = parent.rows, vertices.rows
     n = vertices.n_interior
 
     def level_m_rows(triples: np.ndarray) -> np.ndarray:
@@ -1071,11 +1071,12 @@ def remainder_deviation(a: Remainder, b: Remainder, m: int) -> float:
 
 def save_bundle(bundle: EigenspaceBundle, path) -> None:
     """Dump a bundle so that re-loading reproduces the matrix bit-exactly."""
+    vectors = bundle.require_vectors()
     lines = [
         f"# level,{bundle.level},record,{bundle.record.key},"
         f"graph_value,{fmt(bundle.graph_value)},dim,{bundle.dim}"
     ]
     for i in range(bundle.dim):
-        lines.append(",".join(fmt(float(x)) for x in bundle.vectors[:, i]))
+        lines.append(",".join(fmt(float(x)) for x in vectors[:, i]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -5,10 +5,12 @@ Level-m cells are indexed by words over {1,2,3} in lexicographic order, and
 vertices by exact integer barycentric triples over 2^m, so the construction
 is deterministic and free of floating-point dedup issues.  `build_vertices(m)`
 owns the level-m vertex set: it is built once per process, and every other
-object looks it up by its level; none stores it.  The self-similar measure is
-its array of vertex weights.  The corner coordinates serve only plots and
+object looks it up by its level; none stores it, and its `rows` is the one
+map from vertex ids to Dirichlet rows.  The self-similar measure is its
+array of vertex weights.  The corner coordinates serve only plots and
 user-supplied continuous functions.  The Dirichlet spectrum, `validate`'s
-oracle, comes from three real blocks by the gasket's symmetry group D_3.
+oracle, comes from three real blocks by the gasket's symmetry group D_3;
+the dense matrix `build_dirichlet_laplacian` is kept for the tests.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .errors import DomainError, ResourceLimitError, StructuralError
 from .serialize import write_csv
 
 LETTERS = (1, 2, 3)
-DEFAULT_LEVEL_CAP = 8
+LEVEL_CAP = 8
 
 #: default corner embedding; nothing numeric depends on this choice
 CORNER_COORDS = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
@@ -62,6 +64,9 @@ class VertexSet:
 
     ``bary`` holds integer barycentric triples over 2^m (rows sum to 2^m)
     and ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3).
+    ``rows[v]`` is the Dirichlet row of vertex v, ``n_interior`` for a
+    boundary vertex; it follows ``interior``, so a replaced set stays
+    consistent.
     """
 
     level: int
@@ -70,7 +75,12 @@ class VertexSet:
     boundary: tuple[int, int, int]
     cells: np.ndarray
     interior: np.ndarray = field(repr=False)
-    _interior_pos: np.ndarray = field(repr=False, default=None)
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rows = np.full(self.n_vertices, self.n_interior, dtype=np.int64)
+        self.rows[self.interior] = np.arange(self.n_interior)
+        self.rows.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -118,25 +128,25 @@ class VertexSet:
         """
         closed = self.closed_cell_vertex_ids(word)
         corners = set(self.cell_corner_ids(word))
-        pos = self._interior_pos[[v for v in closed if v not in corners]]
-        return np.sort(pos[pos >= 0])
+        pos = self.rows[[v for v in closed if v not in corners]]
+        return np.sort(pos[pos < self.n_interior])
 
 
-def check_level(m: int, cap: int = DEFAULT_LEVEL_CAP) -> None:
-    """Raise unless 0 <= m <= cap."""
+def check_level(m: int) -> None:
+    """Raise unless 0 <= m <= LEVEL_CAP."""
     if m < 0:
         raise DomainError(f"level must be nonnegative, got {m}")
-    if m > cap:
-        raise ResourceLimitError(f"level {m} exceeds cap {cap}")
+    if m > LEVEL_CAP:
+        raise ResourceLimitError(f"level {m} exceeds cap {LEVEL_CAP}")
 
 
-def build_vertices(m: int, cap: int = DEFAULT_LEVEL_CAP) -> VertexSet:
+def build_vertices(m: int) -> VertexSet:
     """The level-m vertex set; ids are deterministic across runs.
 
     One set per level is built per process and shared, so its arrays are
-    read-only.  A level above `cap` raises before anything is built.
+    read-only.  A level above `LEVEL_CAP` raises before anything is built.
     """
-    check_level(m, cap)
+    check_level(m)
     return _vertices(m)
 
 
@@ -161,8 +171,6 @@ def _vertices(m: int) -> VertexSet:
     corner_keys = _keys(np.eye(3, dtype=np.int64) << m, m)
     boundary = tuple(np.searchsorted(keys, corner_keys).tolist())
     interior = np.delete(np.arange(n), boundary)
-    interior_pos = np.full(n, -1, dtype=np.int64)
-    interior_pos[interior] = np.arange(interior.size)
 
     vs = VertexSet(
         level=m,
@@ -171,14 +179,13 @@ def _vertices(m: int) -> VertexSet:
         boundary=boundary,
         cells=cells,
         interior=interior,
-        _interior_pos=interior_pos,
     )
     expected = (3 ** (m + 1) + 3) // 2
     if vs.n_vertices != expected:
         raise ResourceLimitError(
             f"vertex count {vs.n_vertices} != {expected} at level {m}"
         )
-    for array in (bary, coords, cells, interior, interior_pos):
+    for array in (bary, coords, cells, interior):
         array.flags.writeable = False
     return vs
 
@@ -280,22 +287,15 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
     return np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]), dtype=float)
 
 
-@dataclass
-class GraphLaplacian:
-    """Dirichlet graph Laplacian on interior vertices (diagonal 4, -1 per edge)."""
-
-    matrix: np.ndarray
-
-
 def _interior_edges(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
     """Directed edges (x, y) between interior rows, each side of every cell
     in both directions; the one edge list both Laplacian builders read."""
     if vertices.level < 1:
         raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
-    corners = vertices._interior_pos[vertices.cells]
+    corners = vertices.rows[vertices.cells]
     sides = corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     sides = np.concatenate([sides, sides[:, ::-1]])
-    sides = sides[(sides >= 0).all(axis=1)]
+    sides = sides[(sides < vertices.n_interior).all(axis=1)]
     return sides[:, 0], sides[:, 1]
 
 
@@ -309,14 +309,15 @@ def _reflected(bary: np.ndarray) -> np.ndarray:
     return bary[:, [0, 2, 1]]
 
 
-def build_dirichlet_laplacian(vertices: VertexSet) -> GraphLaplacian:
-    """Diagonal 4 and -1 per edge, filled from the cells' edges on interior rows."""
+def build_dirichlet_laplacian(vertices: VertexSet) -> np.ndarray:
+    """The dense Dirichlet graph Laplacian on the interior rows: diagonal 4
+    and -1 per edge, filled from the cells' edges."""
     x, y = _interior_edges(vertices)
     n = vertices.n_interior
     lap = np.zeros((n, n))
     lap[np.diag_indices(n)] = 4.0
     lap[x, y] = -1.0
-    return GraphLaplacian(matrix=lap)
+    return lap
 
 
 #: cos(2 pi t / 12) for t = 0..11, exact where the value is 0, 1/2 or 1
@@ -368,8 +369,9 @@ def symmetry_blocks(vertices: VertexSet):
     x, y = _interior_edges(vertices)
     n = vertices.n_interior
     rows = np.arange(n)
-    # a triple that is no vertex maps to the appended -1, as boundary ones do
-    pos = np.append(vertices._interior_pos, -1)
+    # boundary vertices and non-vertices (id -1, the appended entry) map to -1,
+    # which indexes where n would raise, so every check below runs first
+    pos = np.append(np.where(vertices.rows < n, vertices.rows, -1), -1)
     interior = vertices.bary[vertices.interior]
     rho, sigma = (pos[vertices.vertex_ids(g(interior))] for g in (_rotated, _reflected))
     rho2 = rho[rho]

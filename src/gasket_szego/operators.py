@@ -1,17 +1,18 @@
 """Symbols, compressed operators, matrix functional calculus, spectrum maps.
 
-A symbol acts on the eigenspace of lam_n as multiplication by q(lam_n) +
-chi_n, a number and a potential (`SymbolSpec.on_eigenspace`), so in an
-eigenbasis the compressed operator P p(x, -Delta) P has column blocks
-assembled per eigenspace, then symmetrized.  Integrals against the measure
-are weighted vertex sums, which are exact for products of simple functions
-with vectors localized at the same cell level; so every localized vector is
-an exact eigenvector, and only the non-localized remainder is assembled,
-taken from `eigenbasis.level_remainder`.  A selection is its level and the
-records of its whole eigenspaces, with no columns and no measure; the vertex
-set is read only for a chi.  A callable chi, and a chi simple at level m,
-compress at cell level m, where nothing localizes: the remainder is the
-whole n x n basis.
+A symbol is its fields, q(lam), a potential chi or a table of potentials,
+and acts on the eigenspace of lam_n as multiplication by q(lam_n) + chi_n
+(`SymbolSpec.on_eigenspace`), so in an eigenbasis the compressed operator
+P p(x, -Delta) P has column blocks assembled per eigenspace, then
+symmetrized.  Integrals against the measure are weighted vertex sums, which
+are exact for products of simple functions with vectors localized at the
+same cell level; so every localized vector is an exact eigenvector, and
+only the non-localized remainder is assembled, taken from
+`eigenbasis.level_remainder`.  A selection is its level and the records of
+its whole eigenspaces, with no columns and no measure; the vertex set is
+read only for a chi, or by `spectral_bounds` for a function limit.  A
+callable chi, and a chi simple at level m, compress at cell level m, where
+nothing localizes: the remainder is the whole n x n basis.
 """
 from __future__ import annotations
 
@@ -44,13 +45,12 @@ LOOKUP_RTOL = 1e-9
 class SymbolSpec:
     """A symbol p(x, lam) with optional declared limit and lower bound.
 
-    kind is one of "constant" (pure function of lam), "multiplication"
-    (pure function of x), "separable" (q(lam) + chi(x)) or "tabulated"
-    (a simple function per eigenvalue).  limit_q, when declared, may be a
-    scalar, a SimpleFunction, or a callable on planar coordinates.
+    Its shape is its fields: q(lam) = `p_lambda` (0 when None) plus the
+    potential `chi` (none when None), or, when `entries` is non-empty, a
+    table of one simple function per eigenvalue.  limit_q, when declared,
+    may be a scalar, a SimpleFunction, or a callable on planar coordinates.
     """
 
-    kind: str
     name: str
     p_lambda: Callable[[float], float] | None = None
     chi: object = None
@@ -58,15 +58,11 @@ class SymbolSpec:
     limit_q: object = None
     lower_bound: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "multiplication", "separable", "tabulated"):
-            raise DomainError(f"unknown symbol kind {self.kind!r}")
-
     def on_eigenspace(self, lam: float) -> tuple[float, object]:
         """(q(lam), chi_lam): on the eigenspace of lam the symbol is
         multiplication by q(lam) + chi_lam, with chi_lam None when absent.
         A tabulated symbol is its entry for lam, with q = 0."""
-        if self.kind == "tabulated":
+        if self.entries:
             i = bisect.bisect_left(self.entries, lam, key=lambda e: e[0])
             for elam, f in self.entries[max(i - 1, 0) : i + 1]:
                 if _same_eigenvalue(elam, lam):
@@ -79,28 +75,21 @@ def _same_eigenvalue(entry: float, lam: float) -> bool:
     return abs(entry - lam) <= LOOKUP_RTOL * max(1.0, abs(lam))
 
 
-def riesz_symbol(beta: float) -> SymbolSpec:
+def _decaying_symbol(name: str, beta: float, p) -> SymbolSpec:
+    """p(lam), decaying to its limit and lower bound 1."""
     if beta <= 0:
-        raise DomainError(f"riesz exponent must be positive, got {beta}")
+        raise DomainError(f"{name} exponent must be positive, got {beta}")
     return SymbolSpec(
-        kind="constant",
-        name=f"riesz(beta={beta:g})",
-        p_lambda=lambda lam: 1.0 + lam ** (-beta),
-        limit_q=1.0,
-        lower_bound=1.0,
+        name=f"{name}(beta={beta:g})", p_lambda=p, limit_q=1.0, lower_bound=1.0
     )
+
+
+def riesz_symbol(beta: float) -> SymbolSpec:
+    return _decaying_symbol("riesz", beta, lambda lam: 1.0 + lam ** (-beta))
 
 
 def bessel_symbol(beta: float) -> SymbolSpec:
-    if beta <= 0:
-        raise DomainError(f"bessel exponent must be positive, got {beta}")
-    return SymbolSpec(
-        kind="constant",
-        name=f"bessel(beta={beta:g})",
-        p_lambda=lambda lam: 1.0 + (1.0 + lam) ** (-beta),
-        limit_q=1.0,
-        lower_bound=1.0,
-    )
+    return _decaying_symbol("bessel", beta, lambda lam: 1.0 + (1.0 + lam) ** (-beta))
 
 
 def constant_symbol(
@@ -109,15 +98,12 @@ def constant_symbol(
     lower_bound: float | None = None,
     name: str = "constant",
 ) -> SymbolSpec:
-    return SymbolSpec(
-        kind="constant", name=name, p_lambda=p, limit_q=limit, lower_bound=lower_bound
-    )
+    return SymbolSpec(name=name, p_lambda=p, limit_q=limit, lower_bound=lower_bound)
 
 
 def multiplication_symbol(f) -> SymbolSpec:
     lower = f.min_value if isinstance(f, SimpleFunction) else None
     return SymbolSpec(
-        kind="multiplication",
         name="multiplication",
         chi=f,
         limit_q=f,
@@ -139,7 +125,6 @@ def separable_symbol(
     else:
         limit_q = lambda x, y, _chi=chi, _l=limit: _l + np.asarray(_chi(x, y))
     return SymbolSpec(
-        kind="separable",
         name=name,
         p_lambda=q_lambda,
         chi=chi,
@@ -151,10 +136,13 @@ def separable_symbol(
 def tabulated_symbol(entries, limit_q=None, lower_bound=None) -> SymbolSpec:
     """p(x, lam) = f_lam(x), one SimpleFunction f_lam per eigenvalue lam.
 
-    Two eigenvalues that one lookup cannot tell apart raise DomainError.
-    Without a declared lower bound, it is the least value of any entry.
+    No entries, and two eigenvalues that one lookup cannot tell apart, raise
+    DomainError.  Without a declared lower bound, it is the least value of
+    any entry.
     """
     entries = tuple(sorted(((float(l), f) for l, f in entries), key=lambda e: e[0]))
+    if not entries:
+        raise DomainError("tabulated symbol has no entries")
     for lam, f in entries:
         if not isinstance(f, SimpleFunction):
             raise DomainError(f"entry for eigenvalue {lam} is not a simple function")
@@ -162,9 +150,8 @@ def tabulated_symbol(entries, limit_q=None, lower_bound=None) -> SymbolSpec:
         if _same_eigenvalue(a, b):
             raise DomainError(f"entries {a!r} and {b!r} name one eigenvalue")
     if lower_bound is None:
-        lower_bound = min((f.min_value for _, f in entries), default=None)
+        lower_bound = min(f.min_value for _, f in entries)
     return SymbolSpec(
-        kind="tabulated",
         name="tabulated",
         entries=entries,
         limit_q=limit_q,
@@ -172,16 +159,13 @@ def tabulated_symbol(entries, limit_q=None, lower_bound=None) -> SymbolSpec:
     )
 
 
-_MAKERS = {
-    "riesz": lambda params: riesz_symbol(params["beta"]),
-    "bessel": lambda params: bessel_symbol(params["beta"]),
-}
+_MAKERS = {"riesz": riesz_symbol, "bessel": bessel_symbol}
 
 
 def make_symbol(kind: str, **params) -> SymbolSpec:
     if kind not in _MAKERS:
         raise DomainError(f"unknown symbol kind {kind!r}")
-    return _MAKERS[kind](params)
+    return _MAKERS[kind](**params)
 
 
 def symbol_vertex_values(
@@ -195,7 +179,8 @@ def symbol_vertex_values(
     return values
 
 
-def limit_range(limit_q, vertices: VertexSet) -> tuple[float, float]:
+def limit_range(limit_q, vertices: VertexSet | None) -> tuple[float, float]:
+    """(min, max) of a limit; `vertices` is read only for a callable one."""
     if isinstance(limit_q, (int, float)):
         return float(limit_q), float(limit_q)
     if isinstance(limit_q, SimpleFunction):
@@ -204,14 +189,22 @@ def limit_range(limit_q, vertices: VertexSet) -> tuple[float, float]:
     return float(np.min(vals)), float(np.max(vals))
 
 
-def symbol_sup_distance(symbol: SymbolSpec, lam: float, vertices: VertexSet) -> float:
-    """Sampled sup distance between p(., lam) and the declared limit."""
+def symbol_sup_distance(
+    symbol: SymbolSpec, lam: float, vertices: VertexSet | None
+) -> float:
+    """Sampled sup distance between p(., lam) and the declared limit.
+
+    With no potential on lam's eigenspace and a scalar limit, every vertex
+    samples |q(lam) - limit|, and `vertices` is not read."""
     if symbol.limit_q is None:
         raise DomainError(f"symbol {symbol.name} declares no uniform limit")
-    q = symbol.limit_q
-    if not isinstance(q, (int, float)):
-        q = vertex_values(q, vertices)
-    return float(np.max(np.abs(symbol_vertex_values(symbol, lam, vertices) - q)))
+    q, chi = symbol.on_eigenspace(lam)
+    limit = symbol.limit_q
+    if not isinstance(limit, (int, float)):
+        limit = vertex_values(limit, vertices)
+    elif chi is None:
+        return float(abs(float(q) - limit))
+    return float(np.max(np.abs(symbol_vertex_values(symbol, lam, vertices) - limit)))
 
 
 @dataclass
@@ -419,16 +412,6 @@ def level_basis_for(m: int, basis=None) -> LevelBasis:
     return eigenbasis.level_basis(m)
 
 
-def _vectors(bundle: EigenspaceBundle) -> np.ndarray:
-    """The bundle's vectors; a bundle of the level basis has none."""
-    if bundle.vectors is None:
-        raise DomainError(
-            f"eigenspace {bundle.record.key} carries no vectors; build them "
-            f"with eigenbasis.eigenspace"
-        )
-    return bundle.vectors
-
-
 def localized_trace_margin(chi: SimpleFunction, bundle: EigenspaceBundle) -> float:
     """Check the remainder at chi's cell level against one whole eigenspace.
 
@@ -439,7 +422,7 @@ def localized_trace_margin(chi: SimpleFunction, bundle: EigenspaceBundle) -> flo
     deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
     raises StructuralError above 1.
     """
-    rec, cols = bundle.record, _vectors(bundle)
+    rec, cols = bundle.record, bundle.require_vectors()
     rem = eigenbasis.level_remainder(bundle.level, chi.level).select([rec])
     g = effective_multiplier(chi, bundle.vertices)[bundle.vertices.interior]
     localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
@@ -524,10 +507,13 @@ def spectral_bounds(
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if symbol.limit_q is None:
         raise DomainError(f"symbol {symbol.name} declares no uniform limit")
-    values = table.values().tolist()
+    values = table.value.tolist()
     if not values:
         raise DomainError("empty spectrum table")
-    vertices = basis.vertices
+    # the vertex set is sampled only when the symbol or its limit is a function
+    plain = symbol.chi is None and not symbol.entries
+    plain = plain and isinstance(symbol.limit_q, (int, float))
+    vertices = None if plain else basis.vertices
     dists = [symbol_sup_distance(symbol, v, vertices) for v in values]
     if dists[-1] >= epsilon:
         raise ConvergenceError(
@@ -555,7 +541,7 @@ def spectral_bounds(
 
 def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarray:
     """Sorted image of the spectrum under p, expanded by multiplicity."""
-    image = [p(v) for v in table.values().tolist()]
+    image = [p(v) for v in table.value.tolist()]
     return np.sort(np.repeat(image, table.multiplicity))
 
 
@@ -566,7 +552,7 @@ def operator_to_csv(
     dense matrix diag(q) + U^T [chi] U over the bundle's own columns U, with
     a sidecar holding its level, column keys, eigenvalue per column and the
     asymmetry of the written matrix."""
-    vectors = _vectors(bundle)
+    vectors = bundle.require_vectors()
     sel = selection_from_bundles([bundle])
     q, runs = eigenspace_runs(symbol, sel.records)
     # a contiguous copy: the product's last digits depend on the layout

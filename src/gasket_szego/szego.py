@@ -277,7 +277,7 @@ def _simple_multiplication_bound(symbol, series, j, n_level, k) -> float | None:
     """Exact finite-sample error bound for simple multiplication symbols."""
     if not (
         k is not None
-        and symbol.kind == "multiplication"
+        and symbol.p_lambda is None
         and isinstance(symbol.chi, SimpleFunction)
         and symbol.chi.level <= n_level
     ):

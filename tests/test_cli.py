@@ -871,7 +871,8 @@ def test_symbol_parsing_errors():
             "chi": {"level": 1, "values": [1.0, 2.0, 3.0]},
         }
     )
-    assert sym.kind == "separable"
+    assert sym.p_lambda(4.0) == 0.25 and not sym.entries
+    assert sym.chi.values.tolist() == sym.limit_q.values.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_thread_cap_env(monkeypatch):

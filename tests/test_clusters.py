@@ -34,9 +34,10 @@ def test_zero_potential_is_diagonal(level5):
     dense, _, _ = dense_schrodinger(IDENT, zero, level5)
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) <= 1e-12
-    assert np.allclose(np.diag(dense), h.diagonal, atol=1e-12)
+    diagonal = [IDENT(float(lam)) for lam in h.basis.lambdas]
+    assert np.allclose(np.diag(dense), diagonal, atol=1e-12)
     assert np.max(np.abs(h.remainder_potential), initial=0.0) <= 1e-12
-    assert np.allclose(h.eigenvalues, np.sort(h.diagonal), atol=1e-12)
+    assert np.allclose(h.eigenvalues, np.sort(diagonal), atol=1e-12)
 
 
 def test_zero_p_is_multiplication(level5):
@@ -72,7 +73,7 @@ def test_cross_construction_identity(level5):
 
 def test_lower_bound_postcondition(level5):
     h = build_schrodinger(IDENT, CHI, M, basis=level5)
-    floor = float(np.min(h.diagonal)) + CHI.min_value
+    floor = min(IDENT(float(lam)) for lam in h.basis.lambdas) + CHI.min_value
     assert h.eigenvalues[0] >= floor - 1e-9
 
 

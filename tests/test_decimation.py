@@ -268,12 +268,12 @@ def test_spectrum_csv_equals_record_writer(tmp_path, cutoff):
 def test_table_reductions_equal_record_sums(cutoff):
     table = enumerate_spectrum(cutoff)
     records = table.records
-    assert table.values().tolist() == [r.value for r in records]
+    assert table.value.tolist() == [r.value for r in records]
     assert table.multiplicity.tolist() == [r.multiplicity for r in records]
     assert table.d_lambda == sum(r.multiplicity for r in records)
     assert type(table.d_lambda) is int
     grid = [0.0, cutoff, math.nan] + [
-        v * f for v in table.values()[::7] for f in (1.0, 1.000001)
+        v * f for v in table.value[::7] for f in (1.0, 1.000001)
     ]
     for lam in grid:
         assert table.count_upto(lam) == sum(
@@ -290,7 +290,7 @@ def test_table_builds_records_once():
 def test_oracle_equivalence_small_levels(m):
     # dense eigensolve oracle validates the whole decimation hypothesis
     lap = build_dirichlet_laplacian(build_vertices(m))
-    dense = np.linalg.eigvalsh(lap.matrix)
+    dense = np.linalg.eigvalsh(lap)
     predicted = truncated_graph_spectrum(m)
     expanded = np.sort(
         np.concatenate([np.full(g.multiplicity, g.graph_value) for g in predicted])

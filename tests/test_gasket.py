@@ -104,8 +104,6 @@ def test_boundary_vertices_in_exactly_one_cell():
 def test_level_cap():
     with pytest.raises(ResourceLimitError):
         build_vertices(9)
-    with pytest.raises(ResourceLimitError):
-        build_vertices(4, cap=3)
     with pytest.raises(DomainError):
         build_vertices(-1)
 
@@ -113,7 +111,7 @@ def test_level_cap():
 def test_vertex_sets_are_shared_and_read_only(monkeypatch):
     vs = build_vertices(3)
     assert build_vertices(3) is vs
-    for array in (vs.bary, vs.coords, vs.cells, vs.interior, vs._interior_pos):
+    for array in (vs.bary, vs.coords, vs.cells, vs.interior, vs.rows):
         with pytest.raises(ValueError):
             array[0] = 0
     # the cap and sign checks come before the cached build
@@ -121,8 +119,6 @@ def test_vertex_sets_are_shared_and_read_only(monkeypatch):
         raise AssertionError(f"built level {m}")
 
     monkeypatch.setattr(gasket, "_vertices", no_build)
-    with pytest.raises(ResourceLimitError):
-        build_vertices(4, cap=3)
     with pytest.raises(ResourceLimitError):
         build_vertices(9)
     with pytest.raises(DomainError):
@@ -213,19 +209,19 @@ def test_laplacian_level1_eigenvalues():
     hand_matrix = np.array([[4, -1, -1], [-1, 4, -1], [-1, -1, 4.0]])
     hand = np.linalg.eigvalsh(hand_matrix)
     lap = build_dirichlet_laplacian(build_vertices(1))
-    assert np.array_equal(lap.matrix, hand_matrix)
-    assert np.allclose(np.linalg.eigvalsh(lap.matrix), hand, atol=1e-12)
-    assert np.allclose(np.linalg.eigvalsh(lap.matrix), [2.0, 5.0, 5.0], atol=1e-12)
+    assert np.array_equal(lap, hand_matrix)
+    assert np.allclose(np.linalg.eigvalsh(lap), hand, atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(lap), [2.0, 5.0, 5.0], atol=1e-12)
     assert renormalization_factor(1) == 7.5
 
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_laplacian_symmetric_and_positive_definite(m):
     lap = build_dirichlet_laplacian(build_vertices(m))
-    assert np.array_equal(lap.matrix, lap.matrix.T)
-    assert lap.matrix.shape == ((3 ** (m + 1) - 3) // 2,) * 2
-    assert np.linalg.eigvalsh(lap.matrix)[0] > 0
-    diag = np.diag(lap.matrix)
+    assert np.array_equal(lap, lap.T)
+    assert lap.shape == ((3 ** (m + 1) - 3) // 2,) * 2
+    assert np.linalg.eigvalsh(lap)[0] > 0
+    diag = np.diag(lap)
     assert np.all(diag == 4.0)
 
 
@@ -238,7 +234,7 @@ def test_laplacian_matches_full_adjacency_construction(m):
         adj[a, b] = adj[b, a] = adj[a, c] = adj[c, a] = adj[b, c] = adj[c, b] = 1.0
     full = 4.0 * np.eye(vs.n_vertices) - adj
     expected = full[np.ix_(vs.interior, vs.interior)]
-    lap = build_dirichlet_laplacian(vs).matrix
+    lap = build_dirichlet_laplacian(vs)
     assert lap.dtype == expected.dtype
     assert lap.tobytes() == expected.tobytes()
 
@@ -253,7 +249,7 @@ def test_laplacian_level0_error():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_sector_spectrum_matches_dense_eigensolve(m):
     vs = build_vertices(m)
-    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs).matrix)
+    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs))
     sectors = dirichlet_spectrum(vs)
     assert sectors.shape == dense.shape
     assert np.all(np.abs(sectors - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
@@ -274,12 +270,9 @@ def test_sector_spectrum_does_not_depend_on_the_row_order():
     # the phases w^f and w^(2f) of the real basis of H_1 are not all 1
     vs = build_vertices(4)
     order = np.random.default_rng(0).permutation(vs.n_interior)
-    position = np.full(vs.n_vertices, -1)
-    position[vs.interior[order]] = np.arange(vs.n_interior)
-    shuffled = dataclasses.replace(
-        vs, interior=vs.interior[order], _interior_pos=position
-    )
-    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs).matrix)
+    shuffled = dataclasses.replace(vs, interior=vs.interior[order])
+    assert np.array_equal(shuffled.rows[shuffled.interior], np.arange(vs.n_interior))
+    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs))
     got = dirichlet_spectrum(shuffled)
     assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
 

@@ -51,8 +51,12 @@ def test_bessel_preset():
 def test_make_symbol_dispatch():
     sym = make_symbol("riesz", beta=1.0)
     assert sym.name == "riesz(beta=1)"
+    assert make_symbol("bessel", beta=2.0).p_lambda(1.0) == 1.25
     with pytest.raises(DomainError):
         make_symbol("mystery")
+    for kind in ("riesz", "bessel"):
+        with pytest.raises(DomainError, match=f"{kind} exponent must be positive"):
+            make_symbol(kind, beta=0.0)
 
 
 def test_multiplication_constant_limit():
@@ -242,7 +246,7 @@ def test_spectral_bounds_constant(level4, level4_table):
     assert bounds.B == pytest.approx(2.1, abs=1e-9)
 
 
-def test_spectral_bounds_riesz(level4, level4_table):
+def test_spectral_bounds_riesz(level4, level4_table, monkeypatch):
     sym = riesz_symbol(1.0)
     sel = selection_from_bundles(level4.bundles)
     bounds = spectral_bounds(sym, level4_table, 0.1, sel)
@@ -261,6 +265,14 @@ def test_spectral_bounds_riesz(level4, level4_table):
         assert eigs[-1] <= bounds.B + 1e-12
         assert eigs[0] >= tight.A - 1e-12
         assert eigs[-1] <= tight.B + 1e-12
+
+    # q(lam) against a scalar limit samples one value at every vertex, so
+    # the bounds come out the same with no vertex set built
+    def refuse(m):
+        raise AssertionError(f"built the level-{m} vertex set")
+
+    monkeypatch.setattr(gasket, "_vertices", refuse)
+    assert spectral_bounds(sym, level4_table, 0.1, sel) == bounds
 
 
 def test_spectral_bounds_needs_limit(level4, level4_table):
@@ -386,6 +398,9 @@ def test_tabulated_symbol(level4):
         compress(sym, selection_from_bundles([level4.family_bundle(6, 4)]))
     with pytest.raises(DomainError, match="not a simple function"):
         tabulated_symbol([(bundle.record.value, lambda x, y: x)])
+    # an empty table is refused when built, not at its first compression
+    with pytest.raises(DomainError, match="no entries"):
+        tabulated_symbol([], limit_q=f)
 
 
 def test_tabulated_symbol_rejects_repeated_eigenvalues():

@@ -4,6 +4,7 @@ lineage, checked against the junction SVD of whole eigenspaces."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ def _four_neighbour_sums(functionals):
     def mutated(vertices, k):
         rows = functionals(vertices, k)
         n = vertices.n_interior
-        rows_of = eigenbasis._rows(vertices)
+        rows_of = vertices.rows
         half = rows.shape[0] // 2
         out = np.full((rows.shape[0], 4), n)
         out[:half, :2] = rows[:half]
@@ -164,6 +165,17 @@ def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
     bare = eigenbasis.level_basis(5).bundles[0]
     with pytest.raises(DomainError, match="carries no vectors"):
         operators.localized_trace_margin(CHIS[1], bare)
+    # every reader of a bundle's vectors names the eigenspace that has none
+    bare = eigenbasis.level_basis(4).family_bundle(6, 3)
+    missing = re.escape(f"eigenspace {bare.record.key} carries no vectors")
+    for read in (
+        lambda: eigenbasis.localized_split(bare, 1),
+        lambda: eigenbasis.eigenspace_remainder(bare, 1),
+        lambda: eigenbasis.save_bundle(bare, tmp_path / "bare.csv"),
+    ):
+        with pytest.raises(DomainError, match=missing):
+            read()
+    assert not (tmp_path / "bare.csv").exists()
     original = eigenbasis.level_remainder
 
     def miscounted(m, k):
