@@ -132,6 +132,12 @@ class RunConfig:
                     raise ConfigError(key, "must be a boolean")
                 setattr(cfg, key, raw[key])
         _validate_requirements(cfg)
+        # the nested objects the run reads are parsed here, so that a
+        # malformed one fails before the run makes its output directory
+        for key, parse in (("symbol", parse_symbol), ("F", parse_trace_function),
+                           ("p", parse_p), ("chi", _parse_simple)):
+            if key in reads:
+                parse(getattr(cfg, key), key)
         return cfg
 
     def echo(self) -> dict:
@@ -714,18 +720,14 @@ def _block_exactness(split, f) -> tuple[bool, str]:
     import numpy as np
 
     from . import decimation
-    from .gasket import cell_words, effective_multiplier, integrate_simple
+    from .gasket import effective_multiplier, integrate_simple
     from .serialize import fmt
 
     if isinstance(split, GasketError):
         return False, str(split)
     bundle = split.bundle
-    words = cell_words(1)
-    localized = np.hstack([split.per_cell[word] for word in words])
-    cell_values = np.repeat(
-        [f.value_on_word(word) for word in words],
-        [split.per_cell[word].shape[1] for word in words],
-    )
+    localized = np.hstack(split.per_cell)
+    cell_values = np.repeat(f.refined(1), [v.shape[1] for v in split.per_cell])
     loc, alpha = cell_values.size, split.nonlocalized.shape[1]
     g = effective_multiplier(f, bundle.vertices)[bundle.vertices.interior]
     rows_f = (g[:, None] * localized).T @ np.hstack([localized, split.nonlocalized])

@@ -39,7 +39,7 @@ EXPANDING = "+"
 
 DEFAULT_TOL = 1e-12
 MAX_STEPS = 60
-DEFAULT_RECORD_CAP = 200_000
+RECORD_CAP = 200_000
 PRUNE_SAFETY = 2.0
 
 _SEEDS = (2, 5, 6)
@@ -260,9 +260,7 @@ def _grow(nodes, keep) -> list[np.ndarray]:
     return twice[:3] + [np.concatenate([code, code | 1]), lam] + twice[3:]
 
 
-def enumerate_spectrum(
-    cutoff: float, record_cap: int = DEFAULT_RECORD_CAP
-) -> SpectrumTable:
+def enumerate_spectrum(cutoff: float) -> SpectrumTable:
     """Every Dirichlet eigenvalue <= cutoff, once per record with multiplicity.
 
     Breadth-first search over branch prefixes, one `_grow` step per level.
@@ -271,7 +269,7 @@ def enumerate_spectrum(
     PRUNE_SAFETY*cutoff has no further records below it.  The canonical
     nodes (no branches, or ending in an expanding step) are queued, and
     their exact limits are taken by `_contracting_limits` whenever more than
-    record_cap are queued and at the end, so an exceeded cap fails without a
+    RECORD_CAP are queued and at the end, so an exceeded cap fails without a
     full search.
     """
     if not 0 < cutoff < math.inf:
@@ -295,17 +293,17 @@ def enumerate_spectrum(
         queue.append([a[canonical] for a in nodes])
         queued += queue[-1][0].size
         nodes = _grow(nodes, keep)
-        if queued > record_cap or not nodes[0].size:
+        if queued > RECORD_CAP or not nodes[0].size:
             series, birth, steps, code, lam = (np.concatenate(a) for a in zip(*queue))
             values = _contracting_limits(series, birth, steps, lam)
             below = values <= cutoff
             found.append([a[below] for a in (values, series, birth, steps, code)])
             count += found[-1][0].size
             queue, queued = [], 0
-            if count > record_cap:
+            if count > RECORD_CAP:
                 raise ResourceLimitError(
                     f"spectrum enumeration exceeded the record cap "
-                    f"{record_cap} below cutoff {cutoff}"
+                    f"{RECORD_CAP} below cutoff {cutoff}"
                 )
     return _sorted_table(found, cutoff)
 

@@ -43,7 +43,6 @@ from .decimation import (
     EXPANDING,
     EigenvalueRecord,
     GraphEigenvalue,
-    decimation_preimages,
     localization_counts,
 )
 from .errors import (
@@ -52,13 +51,7 @@ from .errors import (
     NumericError,
     StructuralError,
 )
-from .gasket import (
-    VertexSet,
-    Word,
-    build_vertices,
-    cell_words,
-    check_level,
-)
+from .gasket import VertexSet, build_vertices, check_level
 from .serialize import fmt
 
 GROUPING_RTOL = 1e-6
@@ -179,7 +172,8 @@ def group_eigenspaces(
 
 @dataclass
 class LocalizedBasis:
-    """Per-cell localized vectors plus an orthonormal non-localized remainder.
+    """Per-cell localized vectors, a block per N-cell in cell order, plus an
+    orthonormal non-localized remainder.
 
     The kernel margins are the worst over the junction SVD and the per-cell
     SVDs of the largest singular value taken as zero over the kernel
@@ -188,14 +182,14 @@ class LocalizedBasis:
     """
 
     bundle: EigenspaceBundle
-    per_cell: dict[Word, np.ndarray]
+    per_cell: list[np.ndarray]
     nonlocalized: np.ndarray
     dropped_over_tol: float = 0.0
     tol_over_kept: float = 0.0
 
     @property
     def localized_total(self) -> int:
-        return sum(v.shape[1] for v in self.per_cell.values())
+        return sum(v.shape[1] for v in self.per_cell)
 
 
 def _ranked_svd(mat: np.ndarray, full: bool = False):
@@ -268,10 +262,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
         _junction_matrix(vertices, n_level) @ u, rank, rec.key, n_level, full=True
     )
     kernel = u @ vh[rank:].T
-    words = cell_words(n_level)
-    insides = [vertices.cell_interior_positions(word) for word in words]
-    junction = np.ones(n, dtype=bool)
-    junction[np.concatenate(insides)] = False
+    cells = vertices.cell_rows(n_level)
+    junction = cells < 0
     leak = float(np.max(np.abs(kernel[junction]), initial=0.0))
     if leak > SNAP_TOL:
         raise StructuralError(
@@ -279,25 +271,26 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             f"above the snap tolerance {SNAP_TOL:.0e}"
         )
 
-    per_cell: dict[Word, np.ndarray] = {}
+    per_cell = []
     scale = 1.0 / np.sqrt(interior_weight(bundle.level))
-    for word, inside in zip(words, insides):
+    for c in range(3**n_level):
+        inside = np.flatnonzero(cells == c)
         vecs = np.zeros((n, counts.m_j_N))
         if kernel.shape[1]:
             left, _, found, cell_margins = _ranked_svd(kernel[inside])
             if found != counts.m_j_N:
                 raise StructuralError(
-                    f"cell {word}: found {found} localized vectors, closed "
+                    f"cell {c}: found {found} localized vectors, closed "
                     f"form predicts {counts.m_j_N} (series {rec.series}, "
                     f"birth {rec.birth}, N={n_level})"
                 )
             margins = tuple(map(max, margins, cell_margins))
             vecs[inside] = left[:, :found] * scale
             _check_residual(u, bundle.level, vecs)
-        per_cell[word] = vecs
+        per_cell.append(vecs)
 
     nonlocalized = u @ vh[:rank].T
-    _check_gram(np.hstack([*per_cell.values(), nonlocalized]),
+    _check_gram(np.hstack([*per_cell, nonlocalized]),
                 1.0 / interior_weight(bundle.level), rec.key)
     return LocalizedBasis(
         bundle=bundle,
@@ -371,15 +364,12 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     the other k-cell's sum vanish too).  Rows equal to n_interior stand for
     boundary vertices, where every vector vanishes.
     """
-    row = vertices.rows
-    scale = 1 << (vertices.level - k)
-    junction = np.all(vertices.bary % scale == 0, axis=1)
-    junction[list(vertices.boundary)] = False
-    ids = np.nonzero(junction)[0]
-    first = vertices.cells[np.unique(vertices.cells, return_index=True)[1][ids] // 3]
+    rows = np.flatnonzero(vertices.cell_rows(k) < 0)
+    ids = vertices.interior[rows]
+    first = vertices.cells[vertices.first_cell[ids]]
     partners = first[first != ids[:, None]].reshape(-1, 2)
-    values = np.column_stack([row[ids], np.full(ids.size, vertices.n_interior)])
-    return np.vstack([values, row[partners]])
+    values = np.column_stack([rows, np.full(ids.size, vertices.n_interior)])
+    return np.vstack([values, vertices.rows[partners]])
 
 
 def _junction_matrix(vertices: VertexSet, k: int) -> np.ndarray:
@@ -852,12 +842,6 @@ def _predicted(m: int) -> list[GraphEigenvalue]:
     )
 
 
-def _preimage(parent: GraphEigenvalue, sign: str) -> float:
-    """The graph value that a child of `parent` takes through branch `sign`."""
-    lo, hi = decimation_preimages(parent.graph_value)
-    return hi if sign == EXPANDING else lo
-
-
 def _branches(g: GraphEigenvalue) -> tuple[str, ...]:
     """The branches below entry g, in the order of their graph values: only
     the expanding one from 6."""
@@ -904,12 +888,12 @@ def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
 
 def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
     """The eigenspace of entry g at its level, or above cell level k only its
-    remainder there: newborn (see `_newborn`), or with `parent` = (entry,
-    vectors) one level down, the extension of the parent's columns through
-    the last branch of g.  Extension keeps a vector's support inside its
-    cells and scales the Gram matrix by one constant, so a parent's
-    remainder extends to its child's.  The columns go into `out`, whose
-    stencil the caller checks, or into a new read-only array checked here."""
+    remainder there: newborn (see `_newborn`), or with `parent`, the columns
+    of g's parent one level down, their extension at g's graph value.
+    Extension keeps a vector's support inside its cells and scales the Gram
+    matrix by one constant, so a parent's remainder extends to its child's.
+    The columns go into `out`, whose stencil the caller checks, or into a new
+    read-only array checked here."""
     ref = _refinement(g.birth + len(g.prefix))
     block = out
     if out is None:
@@ -920,8 +904,7 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
     if parent is None:
         _newborn(ref, g, k, block)
     else:
-        entry, values = parent
-        _extended(ref, values, _preimage(entry, g.prefix[-1]), g.record.key, block)
+        _extended(ref, parent, g.graph_value, g.record.key, block)
     if out is None:
         _check_stencil(ref, block, [(g, 0, block.shape[1])])
         block.flags.writeable = False
@@ -930,9 +913,10 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
 
 def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> None:
     """Depth first down the decimation tree: `leaf(g, parent)` for every
-    level-m entry g, where `parent` is (entry, columns) one level down, or
-    None for a newborn.  The columns of each node above level m are its
-    remainder at cell level k, held only while the walk is below it."""
+    level-m entry g, where `parent` is the columns of g's parent one level
+    down, or None for a newborn.  The columns of each node above level m
+    are its remainder at cell level k, held only while the walk is below
+    it."""
     nodes = _tree(m)
 
     def descend(g: GraphEigenvalue, parent=None) -> None:
@@ -941,7 +925,7 @@ def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> No
             return
         vectors = _grown(g, k, parent)
         for sign in _branches(g):
-            descend(nodes[g.series, g.birth, g.prefix + (sign,)], (g, vectors))
+            descend(nodes[g.series, g.birth, g.prefix + (sign,)], vectors)
 
     for g in nodes.values():
         if not g.prefix:
@@ -971,8 +955,8 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     parent = None
     for i in range(len(entry.prefix) + 1):
         g = nodes[entry.series, entry.birth, entry.prefix[:i]]
-        parent = (g, _grown(g, m, parent))
-    return _bundle(m, entry, parent[1])
+        parent = _grown(g, m, parent)
+    return _bundle(m, entry, parent)
 
 
 def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> list:

@@ -1,21 +1,22 @@
 """Sierpinski gasket geometry: cells, vertices, self-similar measure, graph Laplacians.
 
 The gasket is the attractor of the three midpoint contractions of a triangle.
-Level-m cells are indexed by words over {1,2,3} in lexicographic order, and
-vertices by exact integer barycentric triples over 2^m, so the construction
-is deterministic and free of floating-point dedup issues.  `build_vertices(m)`
-owns the level-m vertex set: it is built once per process, and every other
-object looks it up by its level; none stores it, and its `rows` is the one
-map from vertex ids to Dirichlet rows.  The self-similar measure is its
-array of vertex weights.  The corner coordinates serve only plots and
-user-supplied continuous functions.  The Dirichlet spectrum, `validate`'s
-oracle, comes from three real blocks by the gasket's symmetry group D_3;
-the dense matrix `build_dirichlet_laplacian` is kept for the tests.
+A level-m cell is named by its index in word order: its base-3 digits, each
+plus one, are its word over {1,2,3}.  Vertices are exact integer barycentric
+triples over 2^m, so the construction is deterministic and free of
+floating-point dedup issues.  `build_vertices(m)` owns the level-m vertex
+set: it is built once per process, and every other object looks it up by
+its level; none stores it.  Its `rows` is the one map from vertex ids to
+Dirichlet rows, and its `cell_rows(k)` the one map from interior rows to
+their k-cells.  The self-similar measure is its array of vertex weights.
+The corner coordinates serve only plots and user-supplied continuous
+functions.  The Dirichlet spectrum, `validate`'s oracle, comes from three
+real blocks by the gasket's symmetry group D_3; the dense matrix
+`build_dirichlet_laplacian` is kept for the tests.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,46 +25,19 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, StructuralError
 from .serialize import write_csv
 
-LETTERS = (1, 2, 3)
 LEVEL_CAP = 8
 
 #: default corner embedding; nothing numeric depends on this choice
 CORNER_COORDS = ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
-
-Word = tuple[int, ...]
-
-
-def cell_words(level: int) -> list[Word]:
-    """All level-`level` cell words in canonical (lexicographic) order."""
-    return list(itertools.product(LETTERS, repeat=level))
-
-
-def word_index(word: Word) -> int:
-    """Lexicographic rank of a word among words of its length."""
-    rank = 0
-    for letter in word:
-        rank = rank * 3 + (letter - 1)
-    return rank
-
-
-def _corner_triple(word: Word, corner: int, level: int) -> tuple[int, int, int]:
-    # barycentric numerator of F_word(corner) over denominator 2^level
-    num = [0, 0, 0]
-    num[corner - 1] = 1
-    k = 0
-    for letter in reversed(word):
-        num[letter - 1] += 1 << k
-        k += 1
-    scale = 1 << (level - len(word))
-    return (num[0] * scale, num[1] * scale, num[2] * scale)
 
 
 @dataclass
 class VertexSet:
     """Level-m vertex complex with exact combinatorics.
 
-    ``bary`` holds integer barycentric triples over 2^m (rows sum to 2^m)
-    and ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3).
+    ``bary`` holds integer barycentric triples over 2^m (rows sum to 2^m),
+    ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3) and
+    ``first_cell[v]`` the first cell, in word order, containing vertex v.
     ``rows[v]`` is the Dirichlet row of vertex v, ``n_interior`` for a
     boundary vertex; it follows ``interior``, so a replaced set stays
     consistent.
@@ -74,6 +48,7 @@ class VertexSet:
     coords: np.ndarray
     boundary: tuple[int, int, int]
     cells: np.ndarray
+    first_cell: np.ndarray = field(repr=False)
     interior: np.ndarray = field(repr=False)
     rows: np.ndarray = field(init=False, repr=False)
 
@@ -102,34 +77,14 @@ class VertexSet:
         ids = np.minimum(ids, keys.size - 1)
         return np.where((self.bary[ids] == triples).all(axis=1), ids, -1)
 
-    def cell_range(self, word: Word) -> tuple[int, int]:
-        """Contiguous range of level-m cell indices under the N-cell `word`."""
-        n = len(word)
-        if n > self.level:
-            raise DomainError("cell level exceeds vertex-set level")
-        width = 3 ** (self.level - n)
-        start = word_index(word) * width
-        return start, start + width
-
-    def cell_corner_ids(self, word: Word) -> tuple[int, int, int]:
-        corners = [_corner_triple(word, c, self.level) for c in LETTERS]
-        return tuple(self.vertex_ids(corners).tolist())
-
-    def closed_cell_vertex_ids(self, word: Word) -> np.ndarray:
-        start, stop = self.cell_range(word)
-        return np.unique(self.cells[start:stop].ravel())
-
-    def cell_interior_positions(self, word: Word) -> np.ndarray:
-        """Dirichlet rows of vertices strictly inside the closed cell `word`.
-
-        The three cell corners are excluded: an eigenvector supported on the
-        closed cell vanishes there, and excluding them makes the supports of
-        vectors localized in adjacent cells exactly disjoint.
-        """
-        closed = self.closed_cell_vertex_ids(word)
-        corners = set(self.cell_corner_ids(word))
-        pos = self.rows[[v for v in closed if v not in corners]]
-        return np.sort(pos[pos < self.n_interior])
+    def cell_rows(self, k: int) -> np.ndarray:
+        """Per interior row, the index of its k-cell, or -1 for a level-k
+        vertex: k-cells meet only at their corners, so every other vertex
+        lies in one k-cell, the one holding its first level-m cell."""
+        inside = self.interior
+        cells = self.first_cell[inside] // 3 ** (self.level - k)
+        cells[(self.bary[inside] % 2 ** (self.level - k) == 0).all(axis=1)] = -1
+        return cells
 
 
 def check_level(m: int) -> None:
@@ -157,10 +112,13 @@ def _keys(triples: np.ndarray, m: int) -> np.ndarray:
 
 @functools.cache
 def _vertices(m: int) -> VertexSet:
-    corners = np.array(
-        [_corner_triple(w, c, m) for w in cell_words(m) for c in LETTERS],
-        dtype=np.int64,
-    )
+    # corner c of the cell whose base-3 digits d_1..d_m are its word has the
+    # triple e_c + sum_j 2^(m-j) e_(d_j) over 2^m; d_(m-j) is cell // 3^j % 3
+    cell = np.arange(3**m)
+    base = np.zeros((cell.size, 3), dtype=np.int64)
+    for j in range(m):
+        base[cell, cell // 3**j % 3] += 1 << j
+    corners = (base[:, None, :] + np.eye(3, dtype=np.int64)).reshape(-1, 3)
     keys, first, cells = np.unique(
         _keys(corners, m), return_index=True, return_inverse=True
     )
@@ -178,6 +136,7 @@ def _vertices(m: int) -> VertexSet:
         coords=coords,
         boundary=boundary,
         cells=cells,
+        first_cell=first // 3,
         interior=interior,
     )
     expected = (3 ** (m + 1) + 3) // 2
@@ -185,7 +144,7 @@ def _vertices(m: int) -> VertexSet:
         raise ResourceLimitError(
             f"vertex count {vs.n_vertices} != {expected} at level {m}"
         )
-    for array in (bary, coords, cells, interior):
+    for array in (bary, coords, cells, vs.first_cell, interior):
         array.flags.writeable = False
     return vs
 
@@ -221,11 +180,6 @@ class SimpleFunction:
             raise DomainError(
                 f"need {3 ** self.level} cell values, got {self.values.shape}"
             )
-
-    def value_on_word(self, word: Word) -> float:
-        if len(word) < self.level:
-            raise DomainError("cell coarser than the function's level")
-        return float(self.values[word_index(word[: self.level])])
 
     @property
     def sup_norm(self) -> float:

@@ -56,7 +56,7 @@ from gasket_szego.eigenbasis import (
     eigenspace_remainder,
     localized_split,
 )
-from gasket_szego.gasket import cell_words, effective_multiplier
+from gasket_szego.gasket import effective_multiplier
 
 ROUNDING_SLACK = 32.0
 
@@ -145,6 +145,19 @@ def dense_clusters(p, chi, basis, family, tau=1e-9):
     return threshold, counts, positions
 
 
+def cell_inside_rows(vertices, k, c):
+    """The interior rows inside k-cell c, ascending: the vertices of its
+    3^(m-k) level-m cells, which follow one another in word order, less its
+    three corners; its corner i is corner i of its level-m cell whose last
+    m - k digits are all i."""
+    width = 3 ** (vertices.level - k)
+    ids = np.unique(vertices.cells[c * width : (c + 1) * width])
+    firsts = c * width + np.array([0, width // 2, width - 1])
+    corners = vertices.cells[firsts, [0, 1, 2]]
+    rows = vertices.rows[np.setdiff1d(ids, corners)]
+    return np.sort(rows[rows < vertices.n_interior])
+
+
 def reference_split(bundle, n_level):
     """Per-cell localized vectors and the non-localized remainder of a
     bundle, by an SVD of all n - |C| rows outside each N-cell C.
@@ -154,13 +167,13 @@ def reference_split(bundle, n_level):
     are the projectors to compare."""
     u = bundle.vectors
     n = u.shape[0]
-    per_cell, coeffs = {}, []
-    for word in cell_words(n_level):
+    per_cell, coeffs = [], []
+    for c in range(3**n_level):
         mask = np.ones(n, dtype=bool)
-        mask[bundle.vertices.cell_interior_positions(word)] = False
+        mask[cell_inside_rows(bundle.vertices, n_level, c)] = False
         _, svals, vh = np.linalg.svd(u[mask], full_matrices=False)
         rank = int(np.sum(svals > KERNEL_RTOL * max(1.0, float(svals[0]))))
-        per_cell[word] = u @ vh[rank:].T
+        per_cell.append(u @ vh[rank:].T)
         coeffs.append(vh[rank:])
     stacked = np.vstack(coeffs)
     _, _, vh = np.linalg.svd(stacked, full_matrices=True)
@@ -172,10 +185,7 @@ def split_columns(bundle, n_level):
     each N-cell's localized vectors in cell order, then the non-localized
     remainder.  Returns the columns and the split."""
     split = localized_split(bundle, n_level)
-    columns = np.hstack(
-        [split.per_cell[word] for word in cell_words(n_level)]
-        + [split.nonlocalized]
-    )
+    columns = np.hstack([*split.per_cell, split.nonlocalized])
     return columns, split
 
 

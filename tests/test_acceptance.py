@@ -67,7 +67,7 @@ def test_criterion_2_localization_census(level6):
             for n_level in range(1, rec.birth):
                 counts = decimation.localization_counts(6, rec.birth, n_level)
                 split = eigenbasis.localized_split(bundle, n_level)
-                per_cell = {v.shape[1] for v in split.per_cell.values()}
+                per_cell = {v.shape[1] for v in split.per_cell}
                 assert per_cell == {counts.m_j_N}
                 assert counts.m_j_N == (3 ** (rec.birth - n_level) - 3) // 2
                 assert split.nonlocalized.shape[1] == counts.alpha_N

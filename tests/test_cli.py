@@ -856,6 +856,28 @@ def test_malformed_chi_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("szego-trace", "symbol", {"kind": "riesz", "beta": "x"}),
+    ("szego-trace", "F", {"name": "polynomial"}),
+    ("clusters", "p", {"kind": "power"}),
+    ("clusters", "chi", {"level": 1, "values": [1.0, 2.0]}),
+])
+def test_malformed_nested_object_leaves_no_output_directory(
+    tmp_path, capsys, command, key, value
+):
+    # every nested object the run reads is parsed with the config, before
+    # the run makes its output directory
+    config = {"m": 3, "j_range": [2]}
+    if command == "szego-trace":
+        config["symbol"] = {"kind": "riesz", "beta": 1.0}
+    else:
+        config["chi"] = {"level": 1, "values": [1.0, 2.0, 3.0]}
+    code, out = run_cli(tmp_path, command, {**config, key: value})
+    assert code == 2
+    assert f"config: config.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbol_parsing_errors():
     with pytest.raises(ConfigError):
         cli.parse_symbol({"kind": "riesz"})

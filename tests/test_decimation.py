@@ -166,19 +166,21 @@ def test_enumerate_rejects_bad_cutoffs(cutoff):
         enumerate_spectrum(cutoff)
 
 
-def test_enumerate_record_cap():
-    with pytest.raises(ResourceLimitError):
-        enumerate_spectrum(1e6, record_cap=5)
+def test_enumerate_record_cap(monkeypatch):
+    monkeypatch.setattr(decimation, "RECORD_CAP", 5)
+    with pytest.raises(ResourceLimitError, match="record cap 5 below"):
+        enumerate_spectrum(1e6)
 
 
-def test_enumerate_record_cap_fails_fast():
+def test_enumerate_record_cap_fails_fast(monkeypatch):
     # the queue is flushed every cap + 1 nodes, so an exceeded cap stops the
     # search long before the tree below 1e30 is explored
+    monkeypatch.setattr(decimation, "RECORD_CAP", 1000)
     tracemalloc.start()
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError, match="record cap 1000"):
-            enumerate_spectrum(1e30, record_cap=1000)
+            enumerate_spectrum(1e30)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -187,13 +189,14 @@ def test_enumerate_record_cap_fails_fast():
     assert peak < 5 * 2**20
 
 
-def test_enumerate_record_cap_bounds_frontier_memory():
+def test_enumerate_record_cap_bounds_frontier_memory(monkeypatch):
     # an exceeded cap stops the search before the frontier reaches the
     # widest levels below 1e12 (57,343 records, 114,685 canonical nodes)
+    monkeypatch.setattr(decimation, "RECORD_CAP", 20_000)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="record cap 20000"):
-            enumerate_spectrum(1e12, record_cap=20_000)
+            enumerate_spectrum(1e12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

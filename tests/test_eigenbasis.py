@@ -19,9 +19,10 @@ from gasket_szego.errors import (
     ResourceLimitError,
     StructuralError,
 )
-from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices, cell_words
+from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
 from dense_oracle import (
+    cell_inside_rows,
     load_bundle,
     nonlocalized_remainder,
     reference_split,
@@ -119,8 +120,7 @@ def test_localized_split_counts(level4, series, birth):
     for n_level in range(1, birth):
         counts = decimation.localization_counts(series, birth, n_level)
         split = localized_split(bundle, n_level)
-        per_cell = {w: v.shape[1] for w, v in split.per_cell.items()}
-        assert set(per_cell.values()) == {counts.m_j_N}
+        assert [v.shape[1] for v in split.per_cell] == [counts.m_j_N] * 3**n_level
         assert split.localized_total == counts.d_j_N
         assert split.nonlocalized.shape[1] == counts.alpha_N
 
@@ -130,8 +130,8 @@ def test_localized_vectors_exactly_zero_outside(level4):
     split = localized_split(bundle, 1)
     vertices = level4.vertices
     n = bundle.vectors.shape[0]
-    for word, vecs in split.per_cell.items():
-        inside = vertices.cell_interior_positions(word)
+    for c, vecs in enumerate(split.per_cell):
+        inside = cell_inside_rows(vertices, 1, c)
         mask = np.ones(n, dtype=bool)
         mask[inside] = False
         assert np.all(vecs[mask, :] == 0.0)
@@ -140,7 +140,7 @@ def test_localized_vectors_exactly_zero_outside(level4):
 def test_localized_split_gram_identity(level4):
     bundle = level4.family_bundle(6, 4)
     split = localized_split(bundle, 2)
-    blocks = [v for v in split.per_cell.values() if v.shape[1]]
+    blocks = [v for v in split.per_cell if v.shape[1]]
     blocks.append(split.nonlocalized)
     full = np.hstack(blocks)
     gram = full.T @ full * interior_weight(4)
@@ -162,8 +162,8 @@ def test_split_deterministic(level4):
     bundle = level4.family_bundle(6, 3)
     a = localized_split(bundle, 1)
     b = localized_split(bundle, 1)
-    for word in a.per_cell:
-        assert np.array_equal(a.per_cell[word], b.per_cell[word])
+    for vecs_a, vecs_b in zip(a.per_cell, b.per_cell, strict=True):
+        assert np.array_equal(vecs_a, vecs_b)
     assert np.array_equal(a.nonlocalized, b.nonlocalized)
 
 
@@ -190,12 +190,10 @@ def test_split_matches_outside_row_svd(request, m):
     for bundle, n_level in _validate_splits(basis):
         split = localized_split(bundle, n_level)
         per_cell, nonlocalized = reference_split(bundle, n_level)
-        assert {c: v.shape[1] for c, v in split.per_cell.items()} == {
-            c: v.shape[1] for c, v in per_cell.items()
-        }
-        for word, ref in per_cell.items():
+        assert [v.shape[1] for v in split.per_cell] == [v.shape[1] for v in per_cell]
+        for vecs, ref in zip(split.per_cell, per_cell):
             if ref.shape[1]:
-                assert _projector_gap(split.per_cell[word], ref, w) <= 1e-12
+                assert _projector_gap(vecs, ref, w) <= 1e-12
         assert _projector_gap(split.nonlocalized, nonlocalized, w) <= 1e-12
         # the kernel margins: below 1, and 0 when no cell drops a value
         assert 0.0 < split.tol_over_kept < 1.0
@@ -221,8 +219,8 @@ def test_split_svds_stay_short(level6, monkeypatch):
         shapes.clear()
         localized_split(bundle, n_level)
         largest_cell = max(
-            level6.vertices.cell_interior_positions(word).size
-            for word in cell_words(n_level)
+            cell_inside_rows(level6.vertices, n_level, c).size
+            for c in range(3**n_level)
         )
         limit = max(2 * decimation.interior_dimension(n_level), largest_cell)
         assert shapes and max(rows for rows, _ in shapes) <= limit
@@ -320,9 +318,22 @@ def test_decimation_basis_matches_dense_oracle(m):
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
 
 
+def _extend_at_the_other_preimage(monkeypatch, level=None, unless=()):
+    """Make every extension to `level` (to any level if None) take the other
+    preimage of its parent's graph value, 5 - lam in place of lam, except at
+    the graph values `unless`."""
+    original = eigenbasis._extended
+
+    def swapped(ref, values, lam, key, out):
+        if level in (None, ref.level) and lam not in unless:
+            lam = 5.0 - lam
+        original(ref, values, lam, key, out)
+
+    monkeypatch.setattr(eigenbasis, "_extended", swapped)
+
+
 def test_extension_with_swapped_preimages_fails(monkeypatch):
-    swapped = lambda g: decimation.decimation_preimages(g)[::-1]  # noqa: E731
-    monkeypatch.setattr(eigenbasis, "decimation_preimages", swapped)
+    _extend_at_the_other_preimage(monkeypatch)
     with pytest.raises(NumericError):
         eigenbasis.level_remainder(3, 3)
 
@@ -363,8 +374,7 @@ def test_eigenspace_unknown_key():
 
 
 def test_eigenspace_checks_every_step(monkeypatch):
-    swapped = lambda g: decimation.decimation_preimages(g)[::-1]  # noqa: E731
-    monkeypatch.setattr(eigenbasis, "decimation_preimages", swapped)
+    _extend_at_the_other_preimage(monkeypatch)
     with pytest.raises(NumericError):
         eigenbasis.eigenspace(3, "5:2:+")
 
@@ -436,15 +446,9 @@ def test_every_builder_checks_the_decimation_tree(
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_every_builder_checks_the_stencil_of_the_last_level(monkeypatch, builder):
     # extension through the other preimage keeps the Gram matrix a multiple
-    # of the identity, so only the stencil of level 4 shows it
-    original = eigenbasis._preimage
-
-    def swapped(parent, sign):
-        if parent.birth + len(parent.prefix) == 3 and parent.graph_value != 6.0:
-            sign = "+" if sign == "-" else "-"
-        return original(parent, sign)
-
-    monkeypatch.setattr(eigenbasis, "_preimage", swapped)
+    # of the identity, so only the stencil of level 4 shows it; the child 3
+    # of 6 keeps its value, as the other root 2 is forbidden
+    _extend_at_the_other_preimage(monkeypatch, level=4, unless=(3.0,))
     with pytest.raises(NumericError, match=r"^level 4, eigenspace .*: stencil residual"):
         BUILDERS[builder]()
 

@@ -1,9 +1,9 @@
 import dataclasses
 import importlib
+import itertools
 import math
 import pkgutil
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,27 +12,53 @@ from hypothesis import strategies as st
 
 import gasket_szego
 from gasket_szego import gasket
-from gasket_szego.decimation import renormalization_factor
+from gasket_szego.decimation import interior_dimension, renormalization_factor
 from gasket_szego.errors import DomainError, ResourceLimitError, StructuralError
 from gasket_szego.gasket import (
     SimpleFunction,
     build_dirichlet_laplacian,
     build_measure,
     build_vertices,
-    cell_words,
     constant_function,
     dirichlet_spectrum,
     effective_multiplier,
     integrate_simple,
     vertex_values,
     vertices_to_csv,
-    word_index,
 )
 
+from dense_oracle import cell_inside_rows
 
-def test_cell_words_and_word_index():
-    assert len(cell_words(2)) == 9
-    assert word_index((1, 1)) == 0 and word_index((3, 3)) == 8
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_cell_corners_follow_the_words(m):
+    # cell c's base-3 digits d_1..d_m name the cell F_d1 o ... o F_dm of the
+    # triangle, F_d(x) = (x + p_d) / 2; its corner i is the image of p_i
+    vs = build_vertices(m)
+    for c, word in enumerate(itertools.product(range(3), repeat=m)):
+        for i in range(3):
+            num, den = [0, 0, 0], 1
+            num[i] = 1
+            for d in reversed(word):
+                num[d] += den
+                den *= 2
+            assert vs.bary[vs.cells[c, i]].tolist() == num, (word, i)
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_cell_rows_partition(m):
+    # each k-cell holds the interior rows inside it, as many as a level-(m-k)
+    # gasket has, and the -1 rows are the interior level-k vertices
+    vs = build_vertices(m)
+    for k in range(m + 1):
+        rows = vs.cell_rows(k)
+        assert rows.flags.writeable and not np.shares_memory(rows, vs.first_cell)
+        assert np.sum(rows < 0) == interior_dimension(k)
+        counts = np.bincount(rows[rows >= 0], minlength=3**k)
+        assert counts.tolist() == [interior_dimension(m - k)] * 3**k
+        order = np.argsort(rows, kind="stable")[interior_dimension(k):]
+        for c, inside in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+            assert np.array_equal(inside, cell_inside_rows(vs, k, c)), (k, c)
 
 
 def test_only_the_vertex_set_holds_a_vertex_set():
@@ -69,8 +95,8 @@ def test_level2_brute_force_dedup():
     # brute-force union of 9 cell-vertex triples with coordinate dedup
     vs = build_vertices(2)
     seen = set()
-    for word in cell_words(2):
-        for vid in vs.cells[word_index(word)]:
+    for cell in vs.cells:
+        for vid in cell:
             seen.add(tuple(vs.bary[vid]))
     assert len(seen) == 15
     assert vs.n_vertices == (3 ** 3 + 3) // 2 == 15
@@ -111,7 +137,7 @@ def test_level_cap():
 def test_vertex_sets_are_shared_and_read_only(monkeypatch):
     vs = build_vertices(3)
     assert build_vertices(3) is vs
-    for array in (vs.bary, vs.coords, vs.cells, vs.interior, vs.rows):
+    for array in (vs.bary, vs.coords, vs.cells, vs.first_cell, vs.interior, vs.rows):
         with pytest.raises(ValueError):
             array[0] = 0
     # the cap and sign checks come before the cached build
@@ -147,16 +173,6 @@ def test_measure_level0_uniform():
 @pytest.mark.parametrize("m", range(0, 6))
 def test_measure_total_mass(m):
     assert abs(math.fsum(build_measure(build_vertices(m))) - 1.0) <= 1e-14
-
-
-@pytest.mark.parametrize("m", range(1, 5))
-def test_cell_masses_exact_rational(m):
-    vs = build_vertices(m)
-    for n in range(0, m + 1):
-        for word in cell_words(n):
-            start, stop = vs.cell_range(word)
-            mass = Fraction(stop - start, 3 ** m)
-            assert mass == Fraction(1, 3 ** n)
 
 
 def test_integrate_simple_examples():
