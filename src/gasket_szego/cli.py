@@ -126,6 +126,7 @@ class RunConfig:
             if not isinstance(raw["records"], list):
                 raise ConfigError("records", "must be a list of record keys")
             cfg.records = [str(k) for k in raw["records"]]
+            _check_record_keys(cfg)
         for key in ("dump_vertices", "dump_operator"):
             if key in raw:
                 if not isinstance(raw[key], bool):
@@ -146,6 +147,23 @@ class RunConfig:
         reads = sorted(_read_keys(self.command, self.mode))
         return {key: getattr(self, key) for key in reads
                 if getattr(self, key) is not None}
+
+
+def _check_record_keys(cfg: RunConfig) -> None:
+    """Unknown record keys fail with the config, from the level's prediction
+    alone; a level the run cannot build it refuses before growing anything."""
+    from .decimation import truncated_graph_spectrum
+    from .gasket import LEVEL_CAP
+
+    if not 1 <= cfg.m <= LEVEL_CAP:
+        return
+    known = {g.record.key for g in truncated_graph_spectrum(cfg.m)}
+    for i, key in enumerate(cfg.records):
+        if key not in known:
+            raise ConfigError(
+                f"records[{i}]",
+                f"no eigenspace with record key {key} at level {cfg.m}",
+            )
 
 
 def _assign_int(cfg, raw, key, minimum=None, choices=None):
@@ -435,18 +453,9 @@ def _sanitize(key: str) -> str:
 
 
 def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
-    from . import decimation, eigenbasis, gasket
+    from . import eigenbasis, gasket
     from .serialize import write_csv
 
-    # unknown record keys fail before the build, from the prediction alone
-    if config.records:
-        known = {g.record.key for g in decimation.truncated_graph_spectrum(config.m)}
-        for i, key in enumerate(config.records):
-            if key not in known:
-                raise ConfigError(
-                    f"records[{i}]",
-                    f"no eigenspace with record key {key} at level {config.m}",
-                )
     # the prediction labels every eigenspace, and each listed one is built
     # alone by its lineage
     basis = eigenbasis.level_basis(config.m)

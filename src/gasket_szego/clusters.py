@@ -8,11 +8,11 @@ remainder is assembled and solved; it comes from
 `eigenbasis.level_remainder(m, k)`, so the n x n level basis is built only
 for a callable chi or a chi simple at level m.  p is evaluated once per
 dimension, on the atoms and the remainder columns.  Clusters are the portions
-of the spectrum inside windows around p(lam_j) for a separated eigenvalue
-family; each cluster's recentered empirical measure is realized through
-the spectral projection onto its eigenvectors (exact atoms plus projected
-remainder eigenvectors), whose projected matrix also furnishes the
-moment/trace cross-check.
+of the spectrum inside windows around p(lam_j) for the separated family, read
+from the level workspace; each cluster's recentered empirical measure is
+realized through the spectral projection onto its eigenvectors (exact atoms
+plus projected remainder eigenvectors), whose projected matrix also
+furnishes the moment/trace cross-check.
 """
 from __future__ import annotations
 
@@ -323,22 +323,17 @@ def weak_limit_report(
 
 
 def decimation_family(j_range, base: eigenbasis.LevelBasis) -> list[EigenvalueRecord]:
-    """Separated-family records restricted to the requested births."""
-    from .decimation import separated_sequence
-
-    j_range = szego._distinct_sorted(j_range, int, "birth range")
-    family = separated_sequence(j_range[-1]).records
-    wanted = set(j_range)
-    records = [r for r in family if r.birth in wanted]
-    missing = wanted - {r.birth for r in records}
+    """The separated-family records of the requested births, read from the
+    level workspace: the family member of birth j >= 2 is the smallest
+    6-series eigenvalue of that birth."""
+    births = szego._distinct_sorted(j_range, int, "birth range")
+    missing = [j for j in births if j < 2]
     if missing:
-        raise DomainError(f"births {sorted(missing)} not in the 5-fold family")
-    for rec in records:
-        if rec.birth > base.level:
-            raise DomainError(
-                f"birth {rec.birth} not resolvable at level {base.level}"
-            )
-    return records
+        raise DomainError(f"births {missing} not in the 5-fold family")
+    above = [j for j in births if j > base.level]
+    if above:
+        raise DomainError(f"birth {above[0]} not resolvable at level {base.level}")
+    return [base.family_bundle(6, j).record for j in births]
 
 
 def lipschitz_check(

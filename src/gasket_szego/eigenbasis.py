@@ -6,10 +6,12 @@ and 6-eigenspaces from their sparse descriptions, the level-1 2-series
 vector) and extends one level at a time by the local eigenfunction-extension
 formula, through one preimage of its graph value per branch.  It arrives
 labelled with its entry of the decimation prediction, orthonormal in the
-measure-weighted inner product.  The walk carries each eigenspace's
-remainder at a cell level k, whole while nothing in it localizes: a newborn
-is cut to its remainder at birth, and extension maps a parent's remainder
-onto its child's.  `level_remainder(m, k)` writes every level-m eigenspace's
+measure-weighted inner product, and passes one stencil check of the level's
+eigen-equation over the vertex set's neighbour table, as does every
+localized split.  The walk carries each eigenspace's remainder at a cell
+level k, whole while nothing in it localizes: a newborn is cut to its
+remainder at birth, and extension maps a parent's remainder onto its
+child's.  `level_remainder(m, k)` writes every level-m eigenspace's
 remainder into its column range of one read-only matrix in record-value
 order; at k = m that is the n x n basis, the only one formed.
 `walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
@@ -239,7 +241,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     block: they vanish off C, including its three corners, by construction.
     A rank different from the closed-form counts, or a kernel that does not
     vanish on the junction rows to within the snap tolerance, raises a
-    structural error.
+    structural error; a split vector off the level's eigen-equation fails
+    the stencil check with a numeric error naming the eigenspace.
     """
     rec = bundle.record
     if rec.series not in (5, 6):
@@ -286,12 +289,12 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
                 )
             margins = tuple(map(max, margins, cell_margins))
             vecs[inside] = left[:, :found] * scale
-            _check_residual(u, bundle.level, vecs)
         per_cell.append(vecs)
 
     nonlocalized = u @ vh[:rank].T
-    _check_gram(np.hstack([*per_cell, nonlocalized]),
-                1.0 / interior_weight(bundle.level), rec.key)
+    split = np.hstack([*per_cell, nonlocalized])
+    _check_stencil(bundle.level, split, [(bundle, 0, d)])
+    _check_gram(split, 1.0 / interior_weight(bundle.level), rec.key)
     return LocalizedBasis(
         bundle=bundle,
         per_cell=per_cell,
@@ -299,18 +302,6 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
         dropped_over_tol=margins[0],
         tol_over_kept=margins[1],
     )
-
-
-def _check_residual(u: np.ndarray, m: int, vectors: np.ndarray) -> None:
-    # vectors written into a cell must remain in the span u of the level-m
-    # eigenspace; this bounds the eigen-residual without the Laplacian matrix
-    coeffs = u.T @ vectors * interior_weight(m)
-    recon = u @ coeffs
-    err = np.max(np.abs(recon - vectors))
-    if err > 10.0 * SNAP_TOL:
-        raise StructuralError(
-            f"localized vectors left the eigenspace by {err:.3e}"
-        )
 
 
 @dataclass
@@ -476,7 +467,6 @@ class _Refinement:
     mid: np.ndarray  # (3^m,) level-m rows of the midpoints, cell-major
     ends: tuple[np.ndarray, np.ndarray]  # parent rows of each midpoint's edge
     opp: np.ndarray  # parent row of the corner opposite each midpoint
-    neighbours: np.ndarray  # (n, 4) level-m rows of each vertex's neighbours
 
 
 @functools.lru_cache(maxsize=16)
@@ -492,11 +482,6 @@ def _refinement(m: int) -> _Refinement:
 
     cells = parent.cells
     k1, k2 = cells[:, [1, 2, 0]], cells[:, [2, 0, 1]]
-    # every interior vertex lies in two cells, so it has four neighbours
-    src = vertices.cells[:, [0, 0, 1, 1, 2, 2]].ravel()
-    dst = vertices.cells[:, [1, 2, 0, 2, 0, 1]].ravel()
-    inside = row[src] < n
-    order = np.argsort(row[src][inside], kind="stable")
     return _Refinement(
         level=m,
         n_prev=parent.n_interior,
@@ -505,7 +490,6 @@ def _refinement(m: int) -> _Refinement:
         mid=level_m_rows(parent.bary[k1] + parent.bary[k2]),
         ends=(prow[k1].ravel(), prow[k2].ravel()),
         opp=prow[cells].ravel(),
-        neighbours=row[dst][inside][order].reshape(n, 4),
     )
 
 
@@ -563,31 +547,29 @@ def _extended(
     out *= 1.0 / np.sqrt(scale * interior_weight(ref.level))
 
 
-def _stencil_residual(
-    ref: _Refinement, vectors: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Per column, max |4u - sum of the four neighbours - g u|."""
+def _stencil_residual(m: int, vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per column, max |4u - sum of the four neighbours - g u| at level m."""
+    neighbours = build_vertices(m).neighbours
     worst = np.empty(vectors.shape[1])
-    for cols in _passes(ref.n + 1, vectors.shape[1]):
+    for cols in _passes(neighbours.shape[0] + 1, vectors.shape[1]):
         pad = _padded(vectors[:, cols])
         r = pad[:-1] * (4.0 - g[cols])
         for k in range(4):
-            r -= pad[ref.neighbours[:, k]]
+            r -= pad[neighbours[:, k]]
         worst[cols] = np.max(np.abs(r), axis=0)
     return worst
 
 
-def _check_stencil(
-    ref: _Refinement, vectors: np.ndarray, blocks: list[tuple[GraphEigenvalue, int, int]]
-) -> None:
+def _check_stencil(m: int, vectors: np.ndarray, blocks: list) -> None:
     """Every column of `vectors[:, start:stop]`, for each (g, start, stop) in
-    `blocks`, must solve the level-m eigen-equation at g's graph value."""
-    m = ref.level
+    `blocks`, must solve the level-m eigen-equation at g's graph value; g is
+    a prediction entry or a bundle, which both carry `graph_value` and
+    `record`."""
     g_cols = np.concatenate(
         [np.full(stop - start, g.graph_value) for g, start, stop in blocks]
     )
     # residual of the unit-norm columns, the scale of RESIDUAL_RTOL
-    residual = _stencil_residual(ref, vectors, g_cols) * np.sqrt(interior_weight(m))
+    residual = _stencil_residual(m, vectors, g_cols) * np.sqrt(interior_weight(m))
     worst = int(np.argmax(residual))
     if not residual[worst] <= RESIDUAL_RTOL * 4.0:
         key = next(g.record.key for g, start, stop in blocks if start <= worst < stop)
@@ -650,13 +632,11 @@ def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
             f"the newborn 6-series eigenspace has dimension {d}, decimation "
             f"predicts {out.shape[1]}"
         )
+    neighbours = build_vertices(ref.level - 1).neighbours
+    rows, sides = np.nonzero(neighbours < d)
     gram = np.eye(d)
     gram *= 2.5
-    corners = ref.opp.reshape(-1, 3)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        x, y = corners[:, a], corners[:, b]
-        edge = (x < d) & (y < d)
-        gram[x[edge], y[edge]] = gram[y[edge], x[edge]] = -0.25
+    gram[rows, neighbours[rows, sides]] = -0.25
     _inverse_cholesky(gram)
     gram *= 1.0 / np.sqrt(w)
     for cols in _passes(ref.mid.size, d):
@@ -665,15 +645,13 @@ def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
 
 def _six_gram_times(ref: _Refinement, x: np.ndarray) -> np.ndarray:
     """G x for the Gram matrix G = (L + 6 I) / 4 of `_newborn_six`: 2.5 x
-    less a quarter of the sum over the level-(m-1) neighbours, each edge of
-    which lies in exactly one (m-1)-cell."""
+    less a quarter of the sum over the four level-(m-1) neighbours."""
+    neighbours = build_vertices(ref.level - 1).neighbours
     pad = _padded(x)
-    sums = np.zeros_like(pad)
-    corners = ref.opp.reshape(-1, 3)
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        np.add.at(sums, corners[:, a], pad[corners[:, b]])
-        np.add.at(sums, corners[:, b], pad[corners[:, a]])
-    return 2.5 * x - 0.25 * sums[:-1]
+    sums = pad[neighbours[:, 0]]
+    for k in range(1, 4):
+        sums += pad[neighbours[:, k]]
+    return 2.5 * x - 0.25 * sums
 
 
 # far more steps than conjugate gradients need on a spectrum in (1.5, 3]
@@ -906,7 +884,7 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
     else:
         _extended(ref, parent, g.graph_value, g.record.key, block)
     if out is None:
-        _check_stencil(ref, block, [(g, 0, block.shape[1])])
+        _check_stencil(ref.level, block, [(g, 0, block.shape[1])])
         block.flags.writeable = False
     return block
 
@@ -1021,7 +999,7 @@ def level_remainder(m: int, k: int) -> Remainder:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
         _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))
         # the stencil of the level is checked in one pass
-        _check_stencil(_refinement(m), columns, blocks)
+        _check_stencil(m, columns, blocks)
     columns.flags.writeable = False
     return Remainder(
         columns=columns,

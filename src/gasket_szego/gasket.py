@@ -7,12 +7,13 @@ triples over 2^m, so the construction is deterministic and free of
 floating-point dedup issues.  `build_vertices(m)` owns the level-m vertex
 set: it is built once per process, and every other object looks it up by
 its level; none stores it.  Its `rows` is the one map from vertex ids to
-Dirichlet rows, and its `cell_rows(k)` the one map from interior rows to
-their k-cells.  The self-similar measure is its array of vertex weights.
-The corner coordinates serve only plots and user-supplied continuous
-functions.  The Dirichlet spectrum, `validate`'s oracle, comes from three
-real blocks by the gasket's symmetry group D_3; the dense matrix
-`build_dirichlet_laplacian` is kept for the tests.
+Dirichlet rows, its `neighbours` the level graph's one adjacency table, and
+its `cell_rows(k)` the one map from interior rows to their k-cells.  The
+self-similar measure is its array of vertex weights.  The corner
+coordinates serve only plots and user-supplied continuous functions.  The
+Dirichlet spectrum, `validate`'s oracle, comes from three real blocks by the
+gasket's symmetry group D_3; the dense matrix `build_dirichlet_laplacian` is
+kept for the tests.
 """
 from __future__ import annotations
 
@@ -39,8 +40,9 @@ class VertexSet:
     ``cells[c]`` the three vertex ids of cell c (corner order 1,2,3) and
     ``first_cell[v]`` the first cell, in word order, containing vertex v.
     ``rows[v]`` is the Dirichlet row of vertex v, ``n_interior`` for a
-    boundary vertex; it follows ``interior``, so a replaced set stays
-    consistent.
+    boundary vertex, and ``neighbours[r]`` the rows of interior row r's four
+    neighbours, one per side of each of its two cells: the level graph's one
+    adjacency.  Both follow ``interior``, so a replaced set stays consistent.
     """
 
     level: int
@@ -51,11 +53,22 @@ class VertexSet:
     first_cell: np.ndarray = field(repr=False)
     interior: np.ndarray = field(repr=False)
     rows: np.ndarray = field(init=False, repr=False)
+    neighbours: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rows = np.full(self.n_vertices, self.n_interior, dtype=np.int64)
         self.rows[self.interior] = np.arange(self.n_interior)
-        self.rows.flags.writeable = False
+        # the directed sides (0,1), (1,0), (1,2), (2,1), (2,0), (0,2), each
+        # over the cells in cell order, stably sorted by their source row:
+        # a gather of the four columns sums in the order of that side list
+        corners = self.rows[self.cells]
+        src = corners[:, [0, 1, 1, 2, 2, 0]].T.ravel()
+        dst = corners[:, [1, 0, 2, 1, 0, 2]].T.ravel()
+        inside = src < self.n_interior
+        order = np.argsort(src[inside], kind="stable")
+        self.neighbours = dst[inside][order].reshape(self.n_interior, 4)
+        for array in (self.rows, self.neighbours):
+            array.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -242,15 +255,14 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
 
 
 def _interior_edges(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges (x, y) between interior rows, each side of every cell
-    in both directions; the one edge list both Laplacian builders read."""
+    """Directed edges (x, y) between interior rows, read off the neighbour
+    table; the one edge list both Laplacian builders read."""
     if vertices.level < 1:
         raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
-    corners = vertices.rows[vertices.cells]
-    sides = corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    sides = np.concatenate([sides, sides[:, ::-1]])
-    sides = sides[(sides < vertices.n_interior).all(axis=1)]
-    return sides[:, 0], sides[:, 1]
+    x = np.repeat(np.arange(vertices.n_interior), 4)
+    y = vertices.neighbours.ravel()
+    inside = y < vertices.n_interior
+    return x[inside], y[inside]
 
 
 def _rotated(bary: np.ndarray) -> np.ndarray:

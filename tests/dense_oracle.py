@@ -24,7 +24,10 @@ table's records one at a time, where `spectrum_to_csv` and
 the remainders of a run of eigenspaces off their whole vectors, where
 `level_remainder` carries them by lineage; `trace_power` powers a dense
 compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
-reads back what `save_bundle` wrote.
+reads back what `save_bundle` wrote.  `reference_edges` assembles the
+interior edges side by side from the cells, and `reference_six_gram_times`
+sums the newborn 6-series Gram product edge by edge with `np.add.at`, where
+both read the vertex set's neighbour table.
 """
 import dataclasses
 from pathlib import Path
@@ -56,7 +59,7 @@ from gasket_szego.eigenbasis import (
     eigenspace_remainder,
     localized_split,
 )
-from gasket_szego.gasket import effective_multiplier
+from gasket_szego.gasket import build_vertices, effective_multiplier
 
 ROUNDING_SLACK = 32.0
 
@@ -465,3 +468,29 @@ def load_bundle(path) -> EigenspaceBundle:
             [np.array([float(x) for x in line.split(",")]) for line in lines[1:]]
         ),
     )
+
+
+def reference_edges(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges (x, y) between interior rows: each side of every cell
+    in both directions, read from the cells array alone."""
+    corners = vertices.rows[vertices.cells]
+    sides = corners[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    sides = np.concatenate([sides, sides[:, ::-1]])
+    sides = sides[(sides < vertices.n_interior).all(axis=1)]
+    return sides[:, 0], sides[:, 1]
+
+
+def reference_six_gram_times(m: int, x: np.ndarray) -> np.ndarray:
+    """G x for the Gram matrix G = (L + 6 I) / 4 of the newborn level-m
+    6-eigenspace, L the level-(m-1) Dirichlet Laplacian: each side of every
+    (m-1)-cell adds one end's value to the other's sum, in both directions,
+    side by side over the cells."""
+    parent = build_vertices(m - 1)
+    pad = np.zeros((x.shape[0] + 1, x.shape[1]))
+    pad[:-1] = x
+    sums = np.zeros_like(pad)
+    corners = parent.rows[parent.cells]
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        np.add.at(sums, corners[:, a], pad[corners[:, b]])
+        np.add.at(sums, corners[:, b], pad[corners[:, a]])
+    return 2.5 * x - 0.25 * sums[:-1]

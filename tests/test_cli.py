@@ -878,6 +878,60 @@ def test_malformed_nested_object_leaves_no_output_directory(
     assert not out.exists()
 
 
+# a valid config of each command, and of each szego-trace mode, that a
+# wrongly typed value of one key turns into a config error
+_RIESZ = {"kind": "riesz", "beta": 1.0}
+_SINGLE = {"m": 3, "symbol": _RIESZ, "j_range": [2]}
+_VALID = {
+    "spectrum": {"cutoff": 100.0},
+    "basis": {"m": 2},
+    "szego-trace": _SINGLE,
+    "szego-det": _SINGLE,
+    "clusters": {"m": 3, "j_range": [2],
+                 "chi": {"level": 1, "values": [1.0, 2.0, 3.0]}},
+    "validate": {"m": 1},
+    "single": _SINGLE,
+    "full": {"m": 3, "mode": "full", "symbol": _RIESZ, "lambda_grid": [100.0]},
+}
+_KEY_CASES = [
+    *((command, command, key, "wrong")
+      for command, keys in cli._COMMAND_KEYS.items() for key in sorted(keys)),
+    *(("szego-trace", mode, key, "wrong")
+      for mode, keys in cli._MODE_KEYS.items() for key in sorted(keys)),
+    ("basis", "basis", "records", ["9:9:"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value", _KEY_CASES,
+    ids=[f"{base}-{key}" + ("" if value == "wrong" else "-unknown")
+         for _, base, key, value in _KEY_CASES],
+)
+def test_every_config_key_is_checked_before_the_run(
+    tmp_path, capsys, command, base, key, value
+):
+    # every key a command reads is checked by `RunConfig.from_dict`, so a
+    # bad value exits 2 naming it before the run makes its output directory
+    code, out = run_cli(tmp_path, command, {**_VALID[base], key: value})
+    assert code == 2
+    assert f"config: config.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_basis_refuses_a_level_past_the_cap_before_growing_anything(tmp_path, capsys):
+    # the record keys are checked against the prediction only at a level
+    # the run can build; past the cap it refuses the level first
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(tmp_path, "basis", {"m": 16, "records": ["6:16:+"]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "level 16 exceeds cap 8" in capsys.readouterr().err
+    assert peak < 16 * 2**20
+
+
 def test_symbol_parsing_errors():
     with pytest.raises(ConfigError):
         cli.parse_symbol({"kind": "riesz"})

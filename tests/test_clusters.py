@@ -321,3 +321,21 @@ def test_cluster_csv_outputs(tmp_path, level5):
 def test_family_validation(level5):
     with pytest.raises(DomainError):
         decimation_family([7], level5)  # beyond the graph level
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_decimation_family_is_the_separated_sequence(m):
+    # the level workspace's smallest 6-series eigenvalue of each birth is
+    # the separated family's member, bit for bit; a birth below 2 or above
+    # the level is refused by name
+    base = eigenbasis.level_basis(m)
+    members = decimation.separated_sequence(m).records
+    births = list(range(2, m + 1))
+    if births:
+        got = decimation_family(births, base)
+        assert got == list(members)
+        assert [r.value.hex() for r in got] == [r.value.hex() for r in members]
+    with pytest.raises(DomainError, match=r"^births \[0, 1\] not in the 5-fold family$"):
+        decimation_family([0, 1, *births], base)
+    with pytest.raises(DomainError, match=f"^birth {m + 1} not resolvable at level {m}$"):
+        decimation_family([*births, m + 1, m + 3], base)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dense_oracle import (
     cell_inside_rows,
     load_bundle,
     nonlocalized_remainder,
+    reference_six_gram_times,
     reference_split,
     whole_basis,
 )
@@ -259,6 +261,26 @@ def test_junction_partners_lie_in_the_first_cell(m):
             assert sorted(partners.tolist()) == sorted(rows[cell[cell != x]].tolist())
 
 
+def test_split_off_the_eigen_equation_fails_the_stencil(level5, monkeypatch):
+    # a localized vector moved by 1e-6 inside its cell no longer solves the
+    # eigen-equation: the stencil check every eigenvector passes refuses it,
+    # naming the eigenspace, before its Gram check
+    ranked = eigenbasis._ranked_svd
+
+    def perturbed(mat, full=False):
+        left, vh, rank, margins = ranked(mat, full)
+        if not full:  # a per-cell SVD
+            left = left.copy()
+            left[0, 0] += 1e-6
+        return left, vh, rank, margins
+
+    monkeypatch.setattr(eigenbasis, "_ranked_svd", perturbed)
+    bundle = level5.family_bundle(6, 4)
+    message = f"^level 5, eigenspace {re.escape(bundle.record.key)}: stencil residual"
+    with pytest.raises(NumericError, match=message):
+        localized_split(bundle, 1)
+
+
 def test_split_without_partial_sums_fails(level4, monkeypatch):
     # 5-series vectors vanish on every older vertex, the junctions
     # included: only the partial sums there tell the localized vectors from
@@ -451,6 +473,34 @@ def test_every_builder_checks_the_stencil_of_the_last_level(monkeypatch, builder
     _extend_at_the_other_preimage(monkeypatch, level=4, unless=(3.0,))
     with pytest.raises(NumericError, match=r"^level 4, eigenspace .*: stencil residual"):
         BUILDERS[builder]()
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_six_gram_times_gathers_the_edge_sums(m):
+    # four gathers from the neighbour table sum in the order of the
+    # edge-by-edge accumulation, bit for bit
+    ref = eigenbasis._refinement(m)
+    x = np.random.default_rng(m).standard_normal((ref.n_prev, 3))
+    got = eigenbasis._six_gram_times(ref, x)
+    assert got.tobytes() == reference_six_gram_times(m, x).tobytes()
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_newborn_six_gram_is_the_parent_laplacian(monkeypatch, m):
+    # the Gram matrix of the extended unit vectors is (L + 6 I) / 4, L the
+    # level-(m-1) Dirichlet Laplacian
+    grams = []
+    inverse_cholesky = eigenbasis._inverse_cholesky
+
+    def recording(gram):
+        grams.append(gram.copy())
+        inverse_cholesky(gram)
+
+    monkeypatch.setattr(eigenbasis, "_inverse_cholesky", recording)
+    eigenbasis.eigenspace(m, f"6:{m}:+")
+    lap = build_dirichlet_laplacian(build_vertices(m - 1))
+    assert len(grams) == 1
+    assert grams[0].tobytes() == ((lap + 6.0 * np.eye(lap.shape[0])) / 4.0).tobytes()
 
 
 def test_every_builder_checks_the_level():

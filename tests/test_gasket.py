@@ -27,7 +27,7 @@ from gasket_szego.gasket import (
     vertices_to_csv,
 )
 
-from dense_oracle import cell_inside_rows
+from dense_oracle import cell_inside_rows, reference_edges
 
 
 @pytest.mark.parametrize("m", range(0, 7))
@@ -137,7 +137,8 @@ def test_level_cap():
 def test_vertex_sets_are_shared_and_read_only(monkeypatch):
     vs = build_vertices(3)
     assert build_vertices(3) is vs
-    for array in (vs.bary, vs.coords, vs.cells, vs.first_cell, vs.interior, vs.rows):
+    for array in (vs.bary, vs.coords, vs.cells, vs.first_cell, vs.interior, vs.rows,
+                  vs.neighbours):
         with pytest.raises(ValueError):
             array[0] = 0
     # the cap and sign checks come before the cached build
@@ -253,6 +254,35 @@ def test_laplacian_matches_full_adjacency_construction(m):
     lap = build_dirichlet_laplacian(vs)
     assert lap.dtype == expected.dtype
     assert lap.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_neighbour_table_is_the_cell_adjacency(m):
+    # row r lists its four neighbours, one per side of each of its two
+    # cells, a boundary neighbour as n_interior: the interior entries are the
+    # cells' sides in both directions, and each boundary vertex has two
+    # interior neighbours in its one cell
+    vs = build_vertices(m)
+    n, table = vs.n_interior, vs.neighbours
+    assert table.shape == (n, 4) and table.dtype == np.int64
+    assert not table.flags.writeable
+    x, y = np.repeat(np.arange(n), 4), table.ravel()
+    inside = y < n
+    edges = np.sort(x[inside] * n + y[inside])
+    rx, ry = reference_edges(vs)
+    assert np.array_equal(edges, np.sort(rx * n + ry))
+    assert np.array_equal(edges, np.sort(y[inside] * n + x[inside]))
+    assert np.all(y[~inside] == n)
+    assert (~inside).sum() == (6 if m else 0)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_laplacian_is_filled_from_the_cell_sides(m):
+    vs = build_vertices(m)
+    x, y = reference_edges(vs)
+    expected = 4.0 * np.eye(vs.n_interior)
+    expected[x, y] = -1.0
+    assert build_dirichlet_laplacian(vs).tobytes() == expected.tobytes()
 
 
 def test_laplacian_level0_error():

@@ -155,19 +155,6 @@ def test_trace_f_linear_and_positive(level4):
     assert nonneg >= 0.0
 
 
-def test_trace_f_domain_check(level4):
-    bundle = level4.family_bundle(6, 3)
-    op = compress(
-        constant_symbol(lambda lam: 2.0, limit=2.0),
-        selection_from_bundles([bundle]),
-    )
-    assert trace_F(op, lambda x: x, domain=(0.0, 3.0)) == pytest.approx(
-        2.0 * bundle.dim
-    )
-    with pytest.raises(DomainError):
-        trace_F(op, lambda x: x, domain=(0.0, 1.0))
-
-
 def test_log_det_examples(level4):
     bundle = level4.family_bundle(6, 3)
     sel = selection_from_bundles([bundle])
