@@ -380,6 +380,11 @@ def run(config: RunConfig, out_dir, config_text: str | None = None) -> int:
     A handler may add the times of its stages to the manifest's timings."""
     from .serialize import sha256_file, write_json
 
+    if "m" in _read_keys(config.command, config.mode):
+        # a level the library refuses leaves no output directory
+        from .eigenbasis import _check_level
+
+        _check_level(config.m)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -569,7 +574,7 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     import numpy as np
 
     from . import decimation, eigenbasis
-    from .gasket import SimpleFunction, build_vertices, dirichlet_spectrum
+    from .gasket import SimpleFunction, inertia_counts
     from .serialize import fmt, write_csv
 
     m = config.m
@@ -580,29 +585,35 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         rows.append((name, "PASS" if ok else "FAIL", detail))
 
     for level in range(1, m + 1):
-        # an eigensolve of the graph Laplacian, by its D_3 blocks, is the
-        # oracle: the eigenspaces are built from the very prediction they are
-        # compared with
+        # eigenvalue counts by inertia are the oracle: each predicted
+        # multiplicity must fill a window 1e-8 wide, relative, around its
+        # value, and the windows all of the spectrum, which lies below 8
+        # (Gershgorin); the eigenspaces are built from this very prediction
+        predicted = decimation.truncated_graph_spectrum(level)
+        g = np.array([e.graph_value for e in predicted])
+        mu = np.array([e.multiplicity for e in predicted])
+        scale = np.maximum(1.0, np.abs(g))
+        edges = np.concatenate([g - 1e-8 * scale, g + 1e-8 * scale])
         try:
-            oracle = dirichlet_spectrum(build_vertices(level))
+            counts = inertia_counts(level, np.append(edges, 8.0))
         except GasketError as exc:
             check(f"decimation-oracle-m{level}", False, str(exc))
             continue
-        predicted = decimation.truncated_graph_spectrum(level)
-        expanded = np.sort(
-            np.concatenate(
-                [np.full(g.multiplicity, g.graph_value) for g in predicted]
-            )
-        )
-        count_ok = expanded.size == oracle.size == decimation.interior_dimension(level)
-        rel = float(
-            np.max(np.abs(oracle - expanded) / np.maximum(1.0, np.abs(expanded)))
-        ) if count_ok else float("nan")
-        check(
-            f"decimation-oracle-m{level}",
-            count_ok and rel <= 1e-8,
-            f"count={oracle.size};max_rel_diff={fmt(rel)}",
-        )
+        below, above, count = counts[:g.size], counts[g.size:-1], counts[-1]
+        ok = (np.array_equal(above - below, mu)
+              and mu.sum() == count == decimation.interior_dimension(level))
+        rel = float("nan")
+        if ok:
+            # bisection for the first and the last eigenvalue of each window
+            lo, hi = (np.tile(side, 2) for side in np.split(edges, 2))
+            rank = np.concatenate([below + 1, above])
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                up = inertia_counts(level, mid) >= rank
+                lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+            rel = float(np.max(np.abs(hi - np.tile(g, 2)) / np.tile(scale, 2)))
+        check(f"decimation-oracle-m{level}", ok,
+              f"count={count};max_rel_diff={fmt(rel)}")
 
     for level in range(1, min(m + 2, 8) + 1):
         total = sum(g.multiplicity for g in decimation.truncated_graph_spectrum(level))

@@ -10,10 +10,10 @@ its level; none stores it.  Its `rows` is the one map from vertex ids to
 Dirichlet rows, its `neighbours` the level graph's one adjacency table, and
 its `cell_rows(k)` the one map from interior rows to their k-cells.  The
 self-similar measure is its array of vertex weights.  The corner
-coordinates serve only plots and user-supplied continuous functions.  The
-Dirichlet spectrum, `validate`'s oracle, comes from three real blocks by the
-gasket's symmetry group D_3; the dense matrix `build_dirichlet_laplacian` is
-kept for the tests.
+coordinates serve only plots and user-supplied continuous functions.
+`inertia_counts`, `validate`'s oracle, counts the Dirichlet eigenvalues
+below any lambda cell by cell, from the cells' self-similarity alone; the
+dense matrix `build_dirichlet_laplacian` is kept for the tests.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, StructuralError
+from .errors import DomainError, ResourceLimitError
 from .serialize import write_csv
 
 LEVEL_CAP = 8
@@ -254,149 +254,49 @@ def vertex_values(f, vertices: VertexSet) -> np.ndarray:
     return np.asarray(f(vertices.coords[:, 0], vertices.coords[:, 1]), dtype=float)
 
 
-def _interior_edges(vertices: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edges (x, y) between interior rows, read off the neighbour
-    table; the one edge list both Laplacian builders read."""
-    if vertices.level < 1:
-        raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
-    x = np.repeat(np.arange(vertices.n_interior), 4)
-    y = vertices.neighbours.ravel()
-    inside = y < vertices.n_interior
-    return x[inside], y[inside]
-
-
-def _rotated(bary: np.ndarray) -> np.ndarray:
-    """The gasket's rotation on barycentric triples: (a, b, c) -> (b, c, a)."""
-    return bary[:, [1, 2, 0]]
-
-
-def _reflected(bary: np.ndarray) -> np.ndarray:
-    """The gasket's reflection on barycentric triples: (a, b, c) -> (a, c, b)."""
-    return bary[:, [0, 2, 1]]
-
-
 def build_dirichlet_laplacian(vertices: VertexSet) -> np.ndarray:
     """The dense Dirichlet graph Laplacian on the interior rows: diagonal 4
-    and -1 per edge, filled from the cells' edges."""
-    x, y = _interior_edges(vertices)
+    and -1 per edge, filled from the neighbour table."""
+    if vertices.level < 1:
+        raise DomainError("no interior vertices at level 0, Dirichlet matrix empty")
     n = vertices.n_interior
+    x = np.repeat(np.arange(n), 4)
+    y = vertices.neighbours.ravel()
+    inside = y < n
     lap = np.zeros((n, n))
     lap[np.diag_indices(n)] = 4.0
-    lap[x, y] = -1.0
+    lap[x[inside], y[inside]] = -1.0
     return lap
 
 
-#: cos(2 pi t / 12) for t = 0..11, exact where the value is 0, 1/2 or 1
-_COS12 = np.array([2, 3**0.5, 1, 0, -1, -3**0.5, -2, -3**0.5, -1, 0, 1, 3**0.5]) / 2
+def inertia_counts(m: int, lambdas) -> np.ndarray:
+    """Per lambda, the number of eigenvalues of the level-m Dirichlet graph
+    Laplacian below lambda, by Sylvester's law of inertia; no vertex set and
+    no matrix is built.
 
-
-def _slot(k: int, *parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per orbit, a block column, a scale and a phase in twelfths of a turn,
-    from (orbits, columns, scale, phase) parts; other orbits get scale 0."""
-    col, scale, turn = np.zeros(k, dtype=int), np.zeros(k), np.zeros(k, dtype=int)
-    for orbits, columns, s, t in parts:
-        col[orbits], scale[orbits], turn[orbits] = columns, s, t
-    return col, scale, turn
-
-
-def _block(size: int, slots, ox, oy, phase) -> np.ndarray:
-    """4I minus the adjacency on the vectors with the slots' coefficients
-    s e^(2 pi i t / 12) on the orbit sector vectors: each edge (x, y) adds
-    Re(conj(a) b e^(2 pi i phase / 12)) / 3 over the slots' a at o(x) and b
-    at o(y), which sums to all of it, as the block is real."""
-    block = np.zeros((size, size))
-    for col_a, s_a, t_a in slots:
-        for col_b, s_b, t_b in slots:
-            w = s_a[ox] * s_b[oy]
-            keep = w != 0.0
-            t = (t_b[oy] - t_a[ox] + phase)[keep] % 12
-            np.add.at(block, (col_a[ox][keep], col_b[oy][keep]),
-                      -w[keep] * _COS12[t] / 3.0)
-    block[np.diag_indices(size)] += 4.0
-    return block
-
-
-def symmetry_blocks(vertices: VertexSet):
-    """The Dirichlet Laplacian block-diagonalized by D_3 = <rho, sigma>.
-
-    On the sector vectors sum_e w^(k e) / sqrt(3) at rho^e r_o of each orbit
-    o (r_o its first row, w = e^(2 pi i / 3)) it splits into H_0, H_1 and
-    conj H_1.  With sigma(r_o) = rho^f(o) r_tau(o), yields (copies, block):
-    H_0 on the sigma-even vectors (e_o if tau o = o, else (e_o + e_tau o) /
-    sqrt(2)) and on the odd ones ((e_o - e_tau o) / sqrt(2)), once each, of
-    sizes (n/3 + m) / 2 and (n/3 - m) / 2; then H_1, twice, on the vectors
-    that sigma composed with conjugation fixes, where it is real: w^f e_o if
-    tau o = o, else (e_o + w^(2f) e_tau o) / sqrt(2) and
-    i (e_o - w^(2f) e_tau o) / sqrt(2).  Each block is summed from the
-    interior edges when asked for.  Exact integer checks of the group and of
-    the edge list raise `StructuralError` naming the level.
+    L - lambda I is a sum over the m-cells of a I + b (J - I) on each cell's
+    corners, a = 2 - lambda/2 and b = -1.  The three midpoints of a j-cell,
+    j = m-1, ..., 0, lie in it alone: their block 2a I + b (J - I) has the
+    pivots p1 = 2a + 2b once and p2 = 2a - b twice, whose negatives add to
+    the count, and eliminating them leaves a I + b (J - I) on the j-cell's
+    corners with eigenvalues a - 4b^2/p1 once and a - b^2/p2 twice.  The
+    last corner block, on the boundary, is dropped.  A pivot below eps in
+    magnitude is taken as -eps, as in Sturm bisection, so at a pole lambda
+    itself is counted.
     """
-    m = vertices.level
-    x, y = _interior_edges(vertices)
-    n = vertices.n_interior
-    rows = np.arange(n)
-    # boundary vertices and non-vertices (id -1, the appended entry) map to -1,
-    # which indexes where n would raise, so every check below runs first
-    pos = np.append(np.where(vertices.rows < n, vertices.rows, -1), -1)
-    interior = vertices.bary[vertices.interior]
-    rho, sigma = (pos[vertices.vertex_ids(g(interior))] for g in (_rotated, _reflected))
-    rho2 = rho[rho]
-    first = np.flatnonzero((rows < rho) & (rows < rho2))
-    edges = np.unique(x * n + y)
-
-    def permutes(perm):
-        return (perm >= 0).all() and np.unique(perm).size == n
-
-    def invariant(perm):
-        return np.array_equal(np.sort(perm[x] * n + perm[y]), edges)
-
-    # every check is evaluated before one raises: a non-permutation's -1 indexes
-    for ok, failure in (
-        (permutes(rho), "the rotation does not permute the interior rows"),
-        (permutes(sigma), "the reflection does not permute the interior rows"),
-        (np.array_equal(rho[rho2], rows), "the rotation cubed is not the identity"),
-        (np.array_equal(sigma[sigma], rows),
-         "the reflection squared is not the identity"),
-        (np.array_equal(sigma[rho[sigma]], rho2),
-         "the reflection does not conjugate the rotation to its square"),
-        (3 * first.size == n, "a rotation orbit does not have 3 rows"),
-        (edges.size == x.size, "the interior edge list has duplicates"),
-        (np.array_equal(np.sort(y * n + x), edges) and invariant(rho),
-         "the interior edge set is not symmetric and rotation invariant"),
-        (invariant(sigma), "the interior edge set is not reflection invariant"),
-    ):
-        if not ok:
-            raise StructuralError(f"level {m}: {failure}")
-    orbit, exponent = np.empty((2, n), dtype=np.int64)
-    for e, members in enumerate((first, rho[first], rho2[first])):
-        orbit[members], exponent[members] = np.arange(first.size), e
-
-    k = first.size
-    tau, f = orbit[sigma[first]], exponent[sigma[first]]
-    fixed = np.flatnonzero(tau == np.arange(k))
-    low = np.flatnonzero(np.arange(k) < tau)
-    high = tau[low]
-    n_fixed, n_pairs = fixed.size, low.size
-    single, pairs, h = np.arange(n_fixed), n_fixed + np.arange(n_pairs), 0.5**0.5
-    even = _slot(k, (fixed, single, 1.0, 0), (low, pairs, h, 0), (high, pairs, h, 0))
-    odd = _slot(k, (low, pairs - n_fixed, h, 0), (high, pairs - n_fixed, -h, 0))
-    plus = _slot(k, (fixed, single, 1.0, 4 * f[fixed]), (low, pairs, h, 0),
-                 (high, pairs, h, 8 * f[high]))
-    minus = _slot(k, (low, pairs + n_pairs, h, 3),
-                  (high, pairs + n_pairs, h, 9 + 8 * f[high]))
-    ox, oy = orbit[x], orbit[y]
-    yield 1, _block(n_fixed + n_pairs, [even], ox, oy, 0)
-    yield 1, _block(n_pairs, [odd], ox, oy, 0)
-    yield 2, _block(k, [plus, minus], ox, oy, 4 * (exponent[y] - exponent[x]))
-
-
-def dirichlet_spectrum(vertices: VertexSet) -> np.ndarray:
-    """Ascending eigenvalues of the Dirichlet graph Laplacian, those of each
-    D_3 block as often as it occurs; no n x n and no complex array is formed."""
-    return np.sort(np.concatenate([
-        np.repeat(np.linalg.eigvalsh(block), copies)
-        for copies, block in symmetry_blocks(vertices)
-    ]))
+    check_level(m)
+    if m < 1:
+        raise DomainError("no interior vertices at level 0, no eigenvalues")
+    a = 2.0 - np.asarray(lambdas, dtype=float) / 2.0
+    b = np.full_like(a, -1.0)
+    counts = np.zeros(a.shape, dtype=np.int64)
+    eps = np.finfo(float).eps
+    for j in range(m - 1, -1, -1):
+        p1, p2 = (np.where(np.abs(p) < eps, -eps, p) for p in (2 * a + 2 * b, 2 * a - b))
+        counts += 3**j * ((p1 < 0) + 2 * (p2 < 0))
+        s1, s2 = a - 4 * b**2 / p1, a - b**2 / p2
+        a, b = (s1 + 2 * s2) / 3, (s1 - s2) / 3
+    return counts
 
 
 def vertices_to_csv(vertices: VertexSet, path) -> None:

@@ -260,7 +260,6 @@ def _check_single_series_args(series, j_range, n_level, m):
     if series not in (5, 6):
         raise DomainError(f"single-series sweeps need series 5 or 6, got {series}")
     j_range = _distinct_sorted(j_range, int, "birth range")
-    lo = 1 if series == 5 else 2
     for j in j_range:
         if j > m:
             raise DomainError(f"birth {j} exceeds graph level {m}")
@@ -268,8 +267,6 @@ def _check_single_series_args(series, j_range, n_level, m):
             raise DomainError(
                 f"birth {j} must exceed the approximation level {n_level}"
             )
-        if j < lo:
-            raise DomainError(f"series {series} has no birth {j}")
     return j_range
 
 

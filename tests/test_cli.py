@@ -133,29 +133,38 @@ def test_validate_oracle_builds_no_dense_laplacian(tmp_path, monkeypatch):
         raise AssertionError("validate built the n x n Laplacian")
 
     monkeypatch.setattr(gasket, "build_dirichlet_laplacian", no_dense)
-    code, out = run_cli(tmp_path, "validate", {"m": 5}, name="sectors")
+    code, out = run_cli(tmp_path, "validate", {"m": 5}, name="counts")
     assert code == 0
     lines = (out / "validate.csv").read_text().splitlines()[1:]
     assert [line.split(",", 1)[0] for line in lines] == _validate_names(5)
     assert all(",PASS," in line for line in lines)
 
-    # a broken edge list fails every oracle row with the structural error,
-    # and the report is still written
-    edges = gasket._interior_edges
-    monkeypatch.setattr(
-        gasket, "_interior_edges", lambda vs: tuple(a[2:] for a in edges(vs))
-    )
-    code, out = run_cli(tmp_path, "validate", {"m": 5}, name="broken")
-    assert code == 1
-    rows = [line.split(",", 2)
-            for line in (out / "validate.csv").read_text().splitlines()[1:]]
-    assert [name for name, _, _ in rows] == _validate_names(5)
-    for name, status, detail in rows:
-        if name.startswith("decimation-oracle-m"):
-            assert status == "FAIL"
-            assert detail.startswith(f"level {name[-1]}: the interior edge set")
-        else:
-            assert status == "PASS"
+    # counts off by one fail every oracle row on the total, and a refused
+    # count fails it with the error; every other row passes and the whole
+    # report is still written
+    counts = gasket.inertia_counts
+    for name, patched, detail in (
+        ("shifted", lambda m, lam: counts(m, lam) + 1,
+         lambda level: f"count={decimation.interior_dimension(level) + 1}"
+                       ";max_rel_diff=nan"),
+        ("refused", _refuse_counts, lambda level: f"level {level}: refused"),
+    ):
+        monkeypatch.setattr(gasket, "inertia_counts", patched)
+        code, out = run_cli(tmp_path, "validate", {"m": 5}, name=name)
+        assert code == 1
+        rows = [line.split(",", 2)
+                for line in (out / "validate.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == _validate_names(5)
+        for check, status, text in rows:
+            if check.startswith("decimation-oracle-m"):
+                assert (status, text) == (
+                    "FAIL", detail(int(check.removeprefix("decimation-oracle-m"))))
+            else:
+                assert status == "PASS"
+
+
+def _refuse_counts(m, lambdas):
+    raise StructuralError(f"level {m}: refused")
 
 
 def _closed_form_integers(name):
@@ -932,6 +941,26 @@ def test_basis_refuses_a_level_past_the_cap_before_growing_anything(tmp_path, ca
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("validate", {"m": 9}, "level 9 exceeds cap 8"),
+    ("basis", {"m": 16, "records": ["6:16:+"]}, "level 16 exceeds cap 8"),
+    ("szego-trace", {"m": 9, "mode": "full", "symbol": _RIESZ,
+                     "lambda_grid": [100.0]}, "level 9 exceeds cap 8"),
+    ("clusters", {"m": 0, "j_range": [2],
+                  "chi": {"level": 1, "values": [1.0, 2.0, 3.0]}},
+     "no interior vertices at level 0"),
+], ids=["validate-m9", "basis-m16", "szego-trace-m9", "clusters-m0"])
+def test_refused_level_leaves_no_output_directory(
+    tmp_path, capsys, command, config, message
+):
+    # the run refuses a level the library cannot build before it makes its
+    # output directory, with the library's own error
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_symbol_parsing_errors():
     with pytest.raises(ConfigError):
         cli.parse_symbol({"kind": "riesz"})
@@ -1031,9 +1060,9 @@ def _outputs_at_thread_caps(tmp_path, command, config, name):
 def test_basis_dump_identical_across_thread_caps(tmp_path):
     # every file but the manifest (which records the cap and timings) must
     # not depend on the number of BLAS threads: every file `basis` writes,
-    # `validate.csv`, and the reports of the szego runs whose remainder
-    # products and eigensolves were measured byte-identical at m = 5 (see
-    # the README)
+    # `validate.csv` at m = 5 and 6, and the reports of the szego runs
+    # whose remainder products and eigensolves were measured byte-identical
+    # at m = 5 (see the README)
     keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
     single = {"m": 5, "mode": "single", "series": 6, "j_range": [2, 3, 4, 5],
               "N": 1}
@@ -1041,6 +1070,7 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
     runs = [
         ("basis", {"m": 5, "records": keys, "dump_vertices": True}, len(keys) + 3),
         ("validate", {"m": 5}, 2),
+        ("validate", {"m": 6}, 2),
         ("szego-trace", {"m": 5, "mode": "full", "symbol": riesz,
                          "lambda_grid": [100.0, 3000.0, 80000.0],
                          "F": {"name": "power", "k": 2}}, 3),

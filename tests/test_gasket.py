@@ -3,7 +3,6 @@ import importlib
 import itertools
 import math
 import pkgutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +11,20 @@ from hypothesis import strategies as st
 
 import gasket_szego
 from gasket_szego import gasket
-from gasket_szego.decimation import interior_dimension, renormalization_factor
-from gasket_szego.errors import DomainError, ResourceLimitError, StructuralError
+from gasket_szego.decimation import (
+    interior_dimension,
+    renormalization_factor,
+    truncated_graph_spectrum,
+)
+from gasket_szego.errors import DomainError, ResourceLimitError
 from gasket_szego.gasket import (
     SimpleFunction,
     build_dirichlet_laplacian,
     build_measure,
     build_vertices,
     constant_function,
-    dirichlet_spectrum,
     effective_multiplier,
+    inertia_counts,
     integrate_simple,
     vertex_values,
     vertices_to_csv,
@@ -289,115 +292,66 @@ def test_laplacian_level0_error():
     with pytest.raises(DomainError):
         build_dirichlet_laplacian(build_vertices(0))
     with pytest.raises(DomainError):
-        dirichlet_spectrum(build_vertices(0))
+        inertia_counts(0, [1.0])
+    with pytest.raises(ResourceLimitError, match="level 9 exceeds cap 8"):
+        inertia_counts(9, [1.0])
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_sector_spectrum_matches_dense_eigensolve(m):
-    vs = build_vertices(m)
-    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs))
-    sectors = dirichlet_spectrum(vs)
-    assert sectors.shape == dense.shape
-    assert np.all(np.abs(sectors - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
-    (once, even), (also_once, odd), (twice, e_block) = gasket.symmetry_blocks(vs)
-    assert (once, also_once, twice) == (1, 1, 2)
-    third = vs.n_interior // 3
-    assert all(block.dtype == float for block in (even, odd, e_block))
-    assert even.shape == ((third + m) // 2,) * 2
-    assert odd.shape == ((third - m) // 2,) * 2
-    assert e_block.shape == (third, third)
-    for block in (even, odd, e_block):
-        assert np.allclose(block, block.T, rtol=0.0, atol=1e-15)
+def test_inertia_counts_match_the_dense_eigensolve(m):
+    # random probes and the midpoint of every gap between distinct
+    # eigenvalues, each compared with the count below it of the dense solve
+    values = np.linalg.eigvalsh(build_dirichlet_laplacian(build_vertices(m)))
+    gaps = np.flatnonzero(np.diff(values) > 1e-9)
+    probes = np.concatenate([
+        np.random.default_rng(m).uniform(-1.0, 9.0, 2000),
+        (values[gaps] + values[gaps + 1]) / 2,
+    ])
+    probes = probes[np.min(np.abs(probes[:, None] - values), axis=1) > 1e-9]
+    dense = np.searchsorted(values, probes)
+    assert np.array_equal(inertia_counts(m, probes), dense)
 
 
-def test_sector_spectrum_does_not_depend_on_the_row_order():
-    # in the sorted order sigma maps each paired orbit's first row to its
-    # partner's first row; shuffled interior rows give other first rows, so
-    # the phases w^f and w^(2f) of the real basis of H_1 are not all 1
-    vs = build_vertices(4)
-    order = np.random.default_rng(0).permutation(vs.n_interior)
-    shuffled = dataclasses.replace(vs, interior=vs.interior[order])
-    assert np.array_equal(shuffled.rows[shuffled.interior], np.arange(vs.n_interior))
-    dense = np.linalg.eigvalsh(build_dirichlet_laplacian(vs))
-    got = dirichlet_spectrum(shuffled)
-    assert np.all(np.abs(got - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+def test_inertia_counts_at_the_level1_poles():
+    # the level-1 spectrum is {2, 5, 5}; at a pole a zero pivot is taken as
+    # negative, so the count there includes the eigenvalue itself
+    probes = [-1.0, 1.5, 2.0, 3.0, 5.0, 6.0]
+    assert inertia_counts(1, probes).tolist() == [0, 0, 1, 1, 3, 3]
 
 
-def test_sector_spectrum_allocates_no_complex_or_large_array(monkeypatch):
-    # every eigensolve is real, and the traced peak stays below two n/3
-    # square float arrays, so neither an n x n nor a complex n/3 square
-    # matrix is formed
-    vs = build_vertices(6)
-    dirichlet_spectrum(vs)
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def real_eigvalsh(a):
-        solved.append(a.dtype)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", real_eigvalsh)
-    tracemalloc.start()
-    try:
-        dirichlet_spectrum(vs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert solved == [np.dtype(float)] * 3
-    assert peak <= 2 * (vs.n_interior // 3) ** 2 * 8
+def _windows_hold(m, values, multiplicities):
+    """validate's oracle rule: each multiplicity fills the window 1e-8 wide,
+    relative, around its value, and the windows all eigenvalues below 8."""
+    g, mu = np.asarray(values), np.asarray(multiplicities)
+    delta = 1e-8 * np.maximum(1.0, np.abs(g))
+    counts = inertia_counts(m, np.concatenate([g - delta, g + delta, [8.0]]))
+    below, above, total = counts[:g.size], counts[g.size:-1], counts[-1]
+    return np.array_equal(above - below, mu) and mu.sum() == total
 
 
-# the default argument keeps the unpatched edge helper
-def _drop_edge(vs, edges=gasket._interior_edges):
-    x, y = edges(vs)
-    return x[1:], y[1:]
+@pytest.mark.parametrize("m", range(1, 9))
+def test_windows_hold_every_predicted_multiplicity(m):
+    predicted = truncated_graph_spectrum(m)
+    g = [e.graph_value for e in predicted]
+    mu = [e.multiplicity for e in predicted]
+    assert inertia_counts(m, 8.0) == interior_dimension(m)
+    assert _windows_hold(m, g, mu)
+    if m in (5, 8):
+        # a value moved by twice the window's half width leaves its window
+        # empty, and a dropped eigenspace leaves its eigenvalues uncounted
+        for i in np.linspace(0, len(g) - 1, 4).astype(int):
+            moved = list(g)
+            moved[i] += 2e-8 * max(1.0, abs(g[i]))
+            assert not _windows_hold(m, moved, mu)
+        assert not _windows_hold(m, g[1:], mu[1:])
 
 
-def _duplicate_edge(vs, edges=gasket._interior_edges):
-    x, y = edges(vs)
-    return np.append(x, x[0]), np.append(y, y[0])
+def test_inertia_counts_build_no_vertex_set(monkeypatch):
+    def no_vertices(m):
+        raise AssertionError(f"built the level-{m} vertex set")
 
-
-def _drop_rotation_orbit(vs, edges=gasket._interior_edges):
-    # an edge in both directions and its rotations, chosen so that its
-    # reflection is not among them: the edge set stays symmetric and rotation
-    # invariant, but not reflection invariant
-    x, y = edges(vs)
-    triples = [tuple(t) for t in vs.bary[vs.interior].tolist()]
-    pairs = [frozenset((triples[a], triples[b])) for a, b in zip(x.tolist(), y.tolist())]
-
-    def mapped(pair, order):
-        return frozenset(tuple(t[i] for i in order) for t in pair)
-
-    for pair in pairs:
-        orbit = {pair, mapped(pair, (1, 2, 0)), mapped(pair, (2, 0, 1))}
-        if mapped(pair, (0, 2, 1)) not in orbit:
-            break
-    keep = np.array([p not in orbit for p in pairs])
-    return x[keep], y[keep]
-
-
-@pytest.mark.parametrize(
-    "target, replacement, message",
-    [
-        ("_interior_edges", _drop_edge, "not symmetric and rotation invariant"),
-        ("_interior_edges", _duplicate_edge, "duplicates"),
-        ("_rotated", lambda bary: bary[:, [0, 2, 1]], "cubed"),
-        ("_rotated", lambda bary: bary, "3 rows"),
-        ("_rotated", lambda bary: bary[:, [0, 0, 1]], "permute"),
-        ("_reflected", lambda bary: bary[:, [1, 2, 0]], "reflection squared"),
-        ("_reflected", lambda bary: bary, "conjugate the rotation"),
-        ("_reflected", lambda bary: bary[:, [0, 0, 1]], "reflection does not permute"),
-        ("_interior_edges", _drop_rotation_orbit, "not reflection invariant"),
-    ],
-)
-def test_sector_checks_raise(monkeypatch, target, replacement, message):
-    # a lost or doubled edge, a reflection in place of the rotation, the
-    # rotation or the identity in place of the reflection, a map off the
-    # vertex set and a lost rotation orbit of edges each fail one exact check
-    monkeypatch.setattr(gasket, target, replacement)
-    with pytest.raises(StructuralError, match=f"level 3: .*{message}"):
-        dirichlet_spectrum(build_vertices(3))
+    monkeypatch.setattr(gasket, "_vertices", no_vertices)
+    assert inertia_counts(8, [8.0]).tolist() == [interior_dimension(8)]
 
 
 def test_simple_function_validation():

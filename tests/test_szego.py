@@ -106,6 +106,19 @@ def test_simple_function_bound_holds_at_every_sample(level5):
         bounds = {b["j"]: b["bound"] for b in rep.metadata["simple_function_bounds"]}
         for s in rep.samples:
             assert s.abs_error <= bounds[int(s.index)]
+    # for F the identity the bound is the k = 1 one, (alpha_N / d_j) times
+    # the integral of |f| (f is positive) plus its sup
+    rep = szego_trace_single_series(
+        sym, f_identity(), 6, [2, 3, 4, 5], 1, M, basis=level5
+    )
+    bounds = rep.metadata["simple_function_bounds"]
+    assert [b["j"] for b in bounds] == [2, 3, 4, 5]
+    for b in bounds:
+        counts = decimation.localization_counts(6, b["j"], 1)
+        expected = (counts.alpha_N / counts.d_j) * (
+            integrate_simple(f, 1) + f.sup_norm
+        )
+        assert b["bound"] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_trace_full_generation_split(level5):
@@ -153,6 +166,11 @@ def test_single_series_preconditions(level5):
     with pytest.raises(DomainError):
         szego_trace_single_series(
             riesz_symbol(1.0), f_identity(), 4, [3], 1, M, basis=level5
+        )
+    # at N = 0, which only the API allows, the 6-series has no birth 1
+    with pytest.raises(DomainError, match="birth 1"):
+        szego_trace_single_series(
+            riesz_symbol(1.0), f_identity(), 6, [1], 0, M, basis=level5
         )
 
 
