@@ -550,7 +550,7 @@ def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     report = cl.identify_clusters(schrodinger, family)
     cl.clusters_to_csv(report.clusters, out_dir / "clusters.csv")
 
-    from .gasket import SimpleFunction, integrate_simple
+    from .gasket import integrate_simple
 
     cl.moments_to_csv(
         report.clusters,

@@ -26,10 +26,11 @@ rest on the junction functionals at the level's interior vertices, which
 vanish exactly on the sums of vectors localized in cells: the row space of
 the functionals applied to an eigenspace is its non-localized remainder
 (`eigenspace_remainder`, the independent check of the carried remainders),
-and the kernel, restricted to each cell in turn, gives that cell's localized
-vectors.  Every rank is checked against the closed-form counts, which is the
-decisive structural test, and a split reports how far its singular values
-sit from the rank tolerance.
+and the kernel's rows in cell 0 give its localized vectors, which every
+other N-cell, a translate of cell 0, holds unchanged in its rows.  Every
+rank is checked against the closed-form counts, which is the decisive
+structural test, and a split reports how far its singular values sit from
+the rank tolerance.
 """
 from __future__ import annotations
 
@@ -175,12 +176,12 @@ def group_eigenspaces(
 @dataclass
 class LocalizedBasis:
     """Per-cell localized vectors, a block per N-cell in cell order, plus an
-    orthonormal non-localized remainder.
+    orthonormal non-localized remainder; every block is cell 0's, translated.
 
-    The kernel margins are the worst over the junction SVD and the per-cell
-    SVDs of the largest singular value taken as zero over the kernel
-    tolerance, and of the tolerance over the smallest singular value kept;
-    both are below 1, and 0 when no SVD drops (or keeps) a singular value.
+    The kernel margins are the worst over the junction SVD and cell 0's SVD
+    of the largest singular value taken as zero over the kernel tolerance,
+    and of the tolerance over the smallest singular value kept; both are
+    below 1, and 0 when no SVD drops (or keeps) a singular value.
     """
 
     bundle: EigenspaceBundle
@@ -236,13 +237,16 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     functionals applied to the eigenspace, as many as the closed-form
     remainder count, give the non-localized remainder; the others span the
     sum of all localized vectors, the kernel.  Vectors localized in
-    different N-cells have disjoint supports, so those of cell C are the
-    left singular vectors of the kernel's rows inside C, written into a zero
-    block: they vanish off C, including its three corners, by construction.
+    different N-cells have disjoint supports, so those of cell 0 are the
+    left singular vectors of the kernel's rows inside it.  The contractions
+    have no rotation, so every N-cell is cell 0 plus one barycentric offset;
+    vertex keys are linear in the triple, so its ascending interior rows are
+    cell 0's translated, in order, and hold cell 0's vectors in a zero block.
     A rank different from the closed-form counts, or a kernel that does not
     vanish on the junction rows to within the snap tolerance, raises a
-    structural error; a split vector off the level's eigen-equation fails
-    the stencil check with a numeric error naming the eigenspace.
+    structural error; a split vector off the level's eigen-equation, such as
+    a translate in the wrong rows, fails the stencil check with a numeric
+    error naming the eigenspace.  With the Gram check, that certifies every cell.
     """
     rec = bundle.record
     if rec.series not in (5, 6):
@@ -264,32 +268,28 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     vh, margins = _junction_cut(
         _junction_matrix(vertices, n_level) @ u, rank, rec.key, n_level, full=True
     )
-    kernel = u @ vh[rank:].T
+    kernel = vh[rank:].T
     cells = vertices.cell_rows(n_level)
-    junction = cells < 0
-    leak = float(np.max(np.abs(kernel[junction]), initial=0.0))
+    leak = float(np.max(np.abs(u[cells < 0] @ kernel), initial=0.0))
     if leak > SNAP_TOL:
         raise StructuralError(
             f"localized vectors leak {leak:.3e} onto the junction vertices, "
             f"above the snap tolerance {SNAP_TOL:.0e}"
         )
 
-    per_cell = []
-    scale = 1.0 / np.sqrt(interior_weight(bundle.level))
-    for c in range(3**n_level):
-        inside = np.flatnonzero(cells == c)
-        vecs = np.zeros((n, counts.m_j_N))
-        if kernel.shape[1]:
-            left, _, found, cell_margins = _ranked_svd(kernel[inside])
-            if found != counts.m_j_N:
-                raise StructuralError(
-                    f"cell {c}: found {found} localized vectors, closed "
-                    f"form predicts {counts.m_j_N} (series {rec.series}, "
-                    f"birth {rec.birth}, N={n_level})"
-                )
-            margins = tuple(map(max, margins, cell_margins))
-            vecs[inside] = left[:, :found] * scale
-        per_cell.append(vecs)
+    per_cell = [np.zeros((n, counts.m_j_N)) for _ in range(3**n_level)]
+    if counts.m_j_N:
+        left, _, found, cell_margins = _ranked_svd(u[cells == 0] @ kernel)
+        if found != counts.m_j_N:
+            raise StructuralError(
+                f"cell 0: found {found} localized vectors, closed form "
+                f"predicts {counts.m_j_N} (series {rec.series}, birth "
+                f"{rec.birth}, N={n_level})"
+            )
+        margins = tuple(map(max, margins, cell_margins))
+        template = left[:, :found] * (1.0 / np.sqrt(interior_weight(bundle.level)))
+        for c, vecs in enumerate(per_cell):
+            vecs[cells == c] = template
 
     nonlocalized = u @ vh[:rank].T
     split = np.hstack([*per_cell, nonlocalized])

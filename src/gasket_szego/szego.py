@@ -361,15 +361,15 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     integral of fn(q).  They are the leading parts of one compression below
     the top cutoff: the atoms below each cutoff and a leading block of its
     remainder.  `precheck` sees the records below the top cutoff and the level
-    before any compression."""
+    before the target and any compression."""
     basis = operators.level_basis_for(m, basis)
-    target, target_info = target_integral(symbol.limit_q, fn)
     cut = _generation_cut(generation_cut, m)
     lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
     window = check_window(lambda_grid, m)
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
         precheck(symbol, full.records, m)
+    target, target_info = target_integral(symbol.limit_q, fn)
     gamma_full = compress(symbol, full)
     values = full.lambdas
     births = np.repeat([rec.birth for rec in full.records], full.dims)

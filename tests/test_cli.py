@@ -992,6 +992,32 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
+@pytest.mark.parametrize("symbol", [
+    {"kind": "constant", "value": -1.0},
+    {"kind": "separable", "q": {"form": "power", "beta": 1.0},
+     "chi": {"level": 1, "values": [-1.0, 1.0, 2.0]}},
+])
+def test_full_logdet_of_a_nonpositive_symbol_exits_1_by_name(tmp_path, symbol):
+    # refused by the lower-bound check, not by math.log's domain error
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(
+        {"m": 4, "mode": "full", "lambda_grid": [100.0], "symbol": symbol}
+    ))
+    result = subprocess.run(
+        [sys.executable, "-m", "gasket_szego.cli", "szego-det",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "lower bound" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_import_loads_no_numpy():
     # GASKET_SZEGO_THREADS applies only if numpy loads after the CLI's import;
     # decimation imports numpy, so the CLI must not import it up front
@@ -1060,7 +1086,7 @@ def _outputs_at_thread_caps(tmp_path, command, config, name):
 def test_basis_dump_identical_across_thread_caps(tmp_path):
     # every file but the manifest (which records the cap and timings) must
     # not depend on the number of BLAS threads: every file `basis` writes,
-    # `validate.csv` at m = 5 and 6, and the reports of the szego runs
+    # `validate.csv` at m = 5, 6 and 7, and the reports of the szego runs
     # whose remainder products and eigensolves were measured byte-identical
     # at m = 5 (see the README)
     keys = [g.record.key for g in decimation.truncated_graph_spectrum(5)]
@@ -1071,6 +1097,7 @@ def test_basis_dump_identical_across_thread_caps(tmp_path):
         ("basis", {"m": 5, "records": keys, "dump_vertices": True}, len(keys) + 3),
         ("validate", {"m": 5}, 2),
         ("validate", {"m": 6}, 2),
+        ("validate", {"m": 7}, 2),
         ("szego-trace", {"m": 5, "mode": "full", "symbol": riesz,
                          "lambda_grid": [100.0, 3000.0, 80000.0],
                          "F": {"name": "power", "k": 2}}, 3),

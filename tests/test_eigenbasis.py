@@ -205,10 +205,40 @@ def test_split_matches_outside_row_svd(request, m):
             assert split.dropped_over_tol == 0.0
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_cells_are_translates_in_row_order(m):
+    # each N-cell's ascending interior rows are cell 0's plus one constant
+    # barycentric offset, in the same order: the rows a split writes cell
+    # 0's vectors into
+    vertices = build_vertices(m)
+    for n_level in range(1, m):
+        cells = vertices.cell_rows(n_level)
+        inside = np.flatnonzero(cells >= 0)
+        sizes = np.bincount(cells[inside], minlength=3**n_level)
+        assert np.all(sizes == sizes[0])
+        rows = inside[np.argsort(cells[inside], kind="stable")]
+        triples = vertices.bary[vertices.interior[rows]].reshape(3**n_level, -1, 3)
+        offsets = triples - triples[0]
+        assert np.all(offsets == offsets[:, :1])
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_every_cell_holds_cell_0s_block(request, m):
+    basis = request.getfixturevalue(f"level{m}")
+    for bundle, n_level in _validate_splits(basis):
+        split = localized_split(bundle, n_level)
+        cells = basis.vertices.cell_rows(n_level)
+        template = split.per_cell[0][cells == 0]
+        for c, vecs in enumerate(split.per_cell):
+            assert np.array_equal(vecs[cells == c], template)
+            assert np.all(vecs[cells != c] == 0.0)
+
+
 def test_split_svds_stay_short(level6, monkeypatch):
     # every SVD inside the split sees at most d columns and
     # max(2 n_N, largest |C|) rows: the junction functionals or one cell's
-    # rows, never the n - |C| rows outside a cell
+    # rows, never the n - |C| rows outside a cell; there are two, the
+    # junction SVD and cell 0's, or only the first when no vector localizes
     shapes = []
     svd = np.linalg.svd
 
@@ -227,6 +257,10 @@ def test_split_svds_stay_short(level6, monkeypatch):
         limit = max(2 * decimation.interior_dimension(n_level), largest_cell)
         assert shapes and max(rows for rows, _ in shapes) <= limit
         assert max(cols for _, cols in shapes) <= bundle.dim
+        per_cell = decimation.localization_counts(
+            bundle.record.series, bundle.record.birth, n_level
+        ).m_j_N
+        assert len(shapes) == (2 if per_cell else 1)
 
 
 @pytest.mark.parametrize("m", [5, 6])

@@ -277,6 +277,29 @@ def test_spectral_bounds_no_convergence(level4, level4_table):
         spectral_bounds(sym, level4_table, 1e-3, sel)
 
 
+def test_spectral_bounds_refuse_epsilon_zero(level4, level4_table):
+    sel = selection_from_bundles(level4.bundles)
+    with pytest.raises(DomainError, match="epsilon must be positive"):
+        spectral_bounds(riesz_symbol(1.0), level4_table, 0.0, sel)
+
+
+def test_spectral_bounds_distance_epsilon_at_the_top_fails(level4, level4_table):
+    # a sup-distance of exactly epsilon is not within epsilon
+    sel = selection_from_bundles(level4.bundles)
+    flat = constant_symbol(lambda lam: 1.5, limit=1.0)
+    with pytest.raises(ConvergenceError):
+        spectral_bounds(flat, level4_table, 0.5, sel)
+
+
+def test_spectral_bounds_cut_above_distance_epsilon(level4, level4_table):
+    # distance exactly epsilon up to the eleventh eigenvalue, half of it
+    # above: lambda-bar is the last eigenvalue at distance epsilon
+    sel = selection_from_bundles(level4.bundles)
+    edge = level4_table.value[10]
+    step = constant_symbol(lambda lam: 1.5 if lam <= edge else 1.25, limit=1.0)
+    assert spectral_bounds(step, level4_table, 0.5, sel).lambda_bar == edge
+
+
 def test_up_to_rejects_a_descending_selection(level4):
     sel = selection_from_bundles(level4.bundles[4::-1])
     op = compress(riesz_symbol(1.0), sel)

@@ -204,6 +204,16 @@ def test_logdet_requires_positive_lower_bound(level5):
         szego_logdet_single_series(sym, 6, [2, 3], 1, M, basis=level5)
 
 
+def test_logdet_full_checks_the_lower_bound_before_the_target(level4):
+    # log q of a nonpositive limit has no integral: the lower-bound check
+    # refuses the symbol first, as in single mode
+    chi = SimpleFunction(1, [-1.0, 1.0, 2.0])
+    for sym in (constant_symbol(lambda lam: -1.0, limit=-1.0),
+                separable_symbol(lambda lam: 1.0 / lam, 0.0, chi)):
+        with pytest.raises(DomainError, match="lower bound"):
+            szego_logdet_full(sym, [100.0], 4, basis=level4)
+
+
 def test_logdet_separable_target(level5):
     chi = SimpleFunction(1, [1.0, 1.5, 2.0])
     sym = separable_symbol(lambda lam: 1.0 / lam, 0.0, chi, lower_bound=1.0)
@@ -349,6 +359,14 @@ def test_empty_births_and_cutoffs_are_rejected(level4):
         szego_trace_single_series(riesz, f_identity(), 6, [], 1, 4, basis=level4)
     with pytest.raises(DomainError, match="^empty cutoff grid$"):
         szego_logdet_full(riesz, [], 4, basis=level4)
+
+
+def test_sandwich_epsilon_edges_are_refused(level4):
+    riesz = riesz_symbol(1.0)
+    one = SimpleFunction(0, [1.0])
+    for epsilon in (0.0, 1.0):
+        with pytest.raises(DomainError, match=r"epsilon must be in \(0, 1\)"):
+            logdet_sandwich(riesz, one, epsilon, 6, [3], 4, basis=level4)
 
 
 def test_sandwich_births_are_checked(level4):
