@@ -377,7 +377,8 @@ def _configure_threads() -> None:
 def run(config: RunConfig, out_dir, config_text: str | None = None) -> int:
     """Execute one config; writes artifacts plus a manifest, returns 0.
 
-    A handler may add the times of its stages to the manifest's timings."""
+    A handler may add the times of its stages to the manifest's timings.
+    A refusal leaves no output directory that this run made and left empty."""
     from .serialize import sha256_file, write_json
 
     if "m" in _read_keys(config.command, config.mode):
@@ -386,11 +387,17 @@ def run(config: RunConfig, out_dir, config_text: str | None = None) -> int:
 
         _check_level(config.m)
     out_dir = Path(out_dir)
+    made = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     started = time.perf_counter()
     handler = _HANDLERS[config.command]
-    outputs = handler(config, out_dir, timings)
+    try:
+        outputs = handler(config, out_dir, timings)
+    except BaseException:
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
+        raise
     timings["total_seconds"] = time.perf_counter() - started
 
     echo_path = out_dir / "config.json"

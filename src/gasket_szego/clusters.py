@@ -4,15 +4,18 @@ H = p(-Delta) + [chi] acts on the full level-m eigenbasis, where p(-Delta)
 is diagonal and [chi] is the compressed multiplication operator.  For chi
 simple at level k, every eigenvector localized in a k-cell C is an exact
 eigenvector of H with eigenvalue p(lam) + chi_C, so only the non-localized
-remainder is assembled and solved; it comes from
-`eigenbasis.level_remainder(m, k)`, so the n x n level basis is built only
-for a callable chi or a chi simple at level m.  p is evaluated once per
-dimension, on the atoms and the remainder columns.  Clusters are the portions
-of the spectrum inside windows around p(lam_j) for the separated family, read
-from the level workspace; each cluster's recentered empirical measure is
-realized through the spectral projection onto its eigenvectors (exact atoms
-plus projected remainder eigenvectors), whose projected matrix also
-furnishes the moment/trace cross-check.
+remainder is assembled and solved; its potential block is
+`operators.compress`'s, so the n x n level basis is built only for a
+callable chi or a chi simple at level m.  p is evaluated once per eigenspace
+and repeated over its atoms and remainder columns.  One assembly of the
+block serves `build_schrodinger`, whose eigenvectors the clusters read, and
+`schrodinger_spectrum`, the eigenvalues alone, all that `lipschitz_check`
+reads.  Clusters are the portions of the spectrum inside windows around
+p(lam_j) for the separated family, read from the level workspace; each
+cluster's recentered empirical measure is realized through the spectral
+projection onto its eigenvectors (exact atoms plus projected remainder
+eigenvectors), whose projected matrix also furnishes the moment/trace
+cross-check.
 """
 from __future__ import annotations
 
@@ -90,6 +93,57 @@ class SchrodingerMatrix:
         return 0.5 * (out + out.T)
 
 
+@dataclass
+class _Assembly:
+    """What H's spectrum reads: the whole level-m selection, the compression
+    of chi over it, p on its atoms and remainder columns, the remainder
+    block diag(remainder_p) + potential, and the floor min p + min chi."""
+
+    basis: operators.BasisSelection
+    potential: operators.CompressedOperator
+    atom_p: np.ndarray
+    remainder_p: np.ndarray
+    block: np.ndarray
+    floor: float
+
+    def spectrum(self, remainder_values: np.ndarray) -> np.ndarray:
+        """The ascending eigenvalues of H from those of the block, held to
+        the floor."""
+        eigenvalues = np.sort(
+            np.concatenate([self.atom_p + self.potential.atoms, remainder_values])
+        )
+        if eigenvalues[0] < self.floor - LOWER_BOUND_TOL:
+            raise StructuralError(
+                f"smallest eigenvalue {eigenvalues[0]} undercuts the bound "
+                f"min p + min chi = {self.floor}"
+            )
+        return eigenvalues
+
+
+def _assemble(p, chi, m: int, basis) -> _Assembly:
+    """H's parts over the full level-m eigenbasis; p is evaluated once per
+    eigenspace and repeated over its atoms and remainder columns."""
+    base = operators.level_basis_for(m, basis)
+    sel = operators.leading_selection(base)
+    potential = operators.compress(operators.multiplication_symbol(chi), sel)
+    # the records come in ascending value order
+    lams = np.array([rec.value for rec in sel.records])
+    p_of = np.array([p(lam) for lam in lams.tolist()])
+    atom_p = p_of[np.searchsorted(lams, potential.atom_lambdas)]
+    remainder_p = p_of[np.searchsorted(lams, potential.remainder_lambdas)]
+    block = potential.remainder.copy()
+    block[np.diag_indices_from(block)] += remainder_p
+    chi_min, _ = operators.limit_range(chi, base.vertices)
+    return _Assembly(
+        basis=sel,
+        potential=potential,
+        atom_p=atom_p,
+        remainder_p=remainder_p,
+        block=block,
+        floor=float(np.min(p_of)) + chi_min,
+    )
+
+
 def build_schrodinger(
     p: Callable[[float], float],
     chi,
@@ -98,39 +152,41 @@ def build_schrodinger(
     basis: eigenbasis.LevelBasis | None = None,
 ) -> SchrodingerMatrix:
     """H over the full level-m eigenbasis, with only its remainder solved."""
-    symbol = operators.multiplication_symbol(chi)
-    base = operators.level_basis_for(m, basis)
-    sel = operators.leading_selection(base)
-    m_chi = operators.compress(symbol, sel)
-    remainder_p = np.array([p(float(lam)) for lam in m_chi.remainder_lambdas])
-    block = m_chi.remainder.copy()
-    block[np.diag_indices_from(block)] += remainder_p
+    h = _assemble(p, chi, m, basis)
     try:
-        values, vectors = np.linalg.eigh(block)
+        values, vectors = np.linalg.eigh(h.block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"Schrodinger eigensolve failed: {exc}") from exc
-    atom_p = np.array([p(float(lam)) for lam in m_chi.atom_lambdas])
-    eigenvalues = np.sort(np.concatenate([atom_p + m_chi.atoms, values]))
-    chi_min, _ = operators.limit_range(chi, base.vertices)
-    floor = float(np.min(np.concatenate([atom_p, remainder_p]))) + chi_min
-    if eigenvalues[0] < floor - LOWER_BOUND_TOL:
-        raise StructuralError(
-            f"smallest eigenvalue {eigenvalues[0]} undercuts the bound "
-            f"min p + min chi = {floor}"
-        )
     return SchrodingerMatrix(
-        basis=sel,
+        basis=h.basis,
         p=p,
         chi=chi,
         p_name=p_name,
-        atom_p=atom_p,
-        atom_chi=m_chi.atoms,
-        remainder_p=remainder_p,
-        remainder_potential=m_chi.remainder,
+        atom_p=h.atom_p,
+        atom_chi=h.potential.atoms,
+        remainder_p=h.remainder_p,
+        remainder_potential=h.potential.remainder,
         remainder_values=values,
         remainder_vectors=vectors,
-        eigenvalues=eigenvalues,
+        eigenvalues=h.spectrum(values),
     )
+
+
+def schrodinger_spectrum(
+    p: Callable[[float], float],
+    chi,
+    m: int,
+    basis: eigenbasis.LevelBasis | None = None,
+) -> np.ndarray:
+    """The ascending eigenvalues of H, as `build_schrodinger` gives them,
+    held to the same floor, from the eigenvalues of the same block alone:
+    no eigenvector is formed."""
+    h = _assemble(p, chi, m, basis)
+    try:
+        values = np.linalg.eigvalsh(h.block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericError(f"Schrodinger eigensolve failed: {exc}") from exc
+    return h.spectrum(values)
 
 
 @dataclass
@@ -302,7 +358,7 @@ def weak_limit_report(
     """Weak-limit samples from the clusters of an identified report, split
     into head and tail at the generation cut of the report's level."""
     j_range = szego._distinct_sorted(j_range, int, "birth range")
-    target, target_info = szego.target_integral(chi, F.fn)
+    target, target_info = szego.target_integral(chi, F.fn, F.name)
     cut = szego._generation_cut(None, report.m)
     by_birth = {c.j: c for c in report.clusters}
     samples = []
@@ -343,12 +399,17 @@ def lipschitz_check(
     m: int,
     basis: eigenbasis.LevelBasis | None = None,
 ) -> float:
-    """Max sorted-eigenvalue displacement; must not exceed the sup distance."""
-    h1 = build_schrodinger(p, chi1, m, basis=basis)
-    h2 = build_schrodinger(p, chi2, m, basis=basis)
-    displacement = float(np.max(np.abs(h1.eigenvalues - h2.eigenvalues)))
-    nu = np.concatenate([h1.eigenvalues, h2.eigenvalues])
-    bound = sup_difference(chi1, chi2, h1.basis.vertices) + 1e-9 + _rounding_floor(nu)
+    """Max sorted-eigenvalue displacement; must not exceed the sup distance.
+    Only eigenvalues are read, so no eigenvector is formed."""
+    nu1 = schrodinger_spectrum(p, chi1, m, basis)
+    nu2 = schrodinger_spectrum(p, chi2, m, basis)
+    displacement = float(np.max(np.abs(nu1 - nu2)))
+    vertices = operators.level_basis_for(m, basis).vertices
+    bound = (
+        sup_difference(chi1, chi2, vertices)
+        + 1e-9
+        + _rounding_floor(np.concatenate([nu1, nu2]))
+    )
     if displacement > bound:
         raise StructuralError(
             f"eigenvalue displacement {displacement} exceeds the potential "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +111,12 @@ class EigenvalueRecord:
     branches: tuple[str, ...]
     value: float
     multiplicity: int
+    # "series:birth:branches", made once: lookups by key read it often
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        return f"{self.series}:{self.birth}:{''.join(self.branches)}"
+    def __post_init__(self):
+        key = f"{self.series}:{self.birth}:{''.join(self.branches)}"
+        object.__setattr__(self, "key", key)
 
     @property
     def graph_values(self) -> tuple[float, ...]:

@@ -11,9 +11,10 @@ eigen-equation over the vertex set's neighbour table, as does every
 localized split.  The walk carries each eigenspace's remainder at a cell
 level k, whole while nothing in it localizes: a newborn is cut to its
 remainder at birth, and extension maps a parent's remainder onto its
-child's.  `level_remainder(m, k)` writes every level-m eigenspace's
+child's.  `walk_remainder(m, k)` writes every level-m eigenspace's
 remainder into its column range of one read-only matrix in record-value
-order; at k = m that is the n x n basis, the only one formed.
+order, and `level_remainder(m, k)` caches it; at k = m that is the n x n
+basis, the only one formed.
 `walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
 and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
 cached level workspace: the eigenspaces labelled by their records, with no
@@ -325,19 +326,26 @@ class Remainder:
         index = {rec.key: i for i, rec in enumerate(self.records)}
         return index, np.cumsum([0] + self.dims)
 
-    def select(self, records: list[EigenvalueRecord]) -> "Remainder":
-        """The remainder of the eigenspaces `records`, in their order; a run
-        of consecutive eigenspaces is a column view, not a copy."""
+    def column_index(self, records: list[EigenvalueRecord]):
+        """The columns of the eigenspaces `records`, in their order: a slice
+        for a run of consecutive eigenspaces, else an index array."""
         index, starts = self._layout
         picks = [index[rec.key] for rec in records]
         if picks == list(range(picks[0], picks[0] + len(picks))):
-            columns = self.columns[:, starts[picks[0]] : starts[picks[-1] + 1]]
-        else:
-            columns = np.hstack(
-                [self.columns[:, starts[i] : starts[i + 1]] for i in picks]
-            )
+            return slice(starts[picks[0]], starts[picks[-1] + 1])
+        return np.concatenate([np.arange(starts[i], starts[i + 1]) for i in picks])
+
+    def select(self, records: list[EigenvalueRecord]) -> "Remainder":
+        """The remainder of the eigenspaces `records`, in their order; a run
+        of consecutive eigenspaces is a column view, not a copy."""
+        index, cols = self._layout[0], self.column_index(records)
+        picks = [index[rec.key] for rec in records]
         return Remainder(
-            columns=columns,
+            columns=(
+                self.columns[:, cols]
+                if isinstance(cols, slice)
+                else np.take(self.columns, cols, axis=1)
+            ),
             dims=[self.dims[i] for i in picks],
             per_cell=[self.per_cell[i] for i in picks],
             records=list(records),
@@ -908,6 +916,9 @@ def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> No
     for g in nodes.values():
         if not g.prefix:
             descend(g)
+    # descend reaches itself through its closure; without this the cycle
+    # would keep `leaf`, and any columns it writes, until a garbage collection
+    del descend
 
 
 def _bundle(m: int, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
@@ -973,9 +984,20 @@ def level_basis(m: int) -> LevelBasis:
     return LevelBasis(level=m, bundles=[_bundle(m, g, None) for g in _predicted(m)])
 
 
+def remainder_width(m: int, k: int) -> int:
+    """R(m, k), the number of columns of `level_remainder(m, k)`, from the
+    prediction alone."""
+    return sum(_remainder_rank(g.record, g.multiplicity, k) for g in _predicted(m))
+
+
 @functools.lru_cache(maxsize=8)
 def level_remainder(m: int, k: int) -> Remainder:
-    """The remainder at cell level k of every level-m eigenspace, cached.
+    """`walk_remainder(m, k)`, cached."""
+    return walk_remainder(m, k)
+
+
+def walk_remainder(m: int, k: int) -> Remainder:
+    """The remainder at cell level k of every level-m eigenspace.
 
     Eigenspaces are in record-value order and the columns are read-only.
     They come from one walk down the decimation tree, writing each level-m

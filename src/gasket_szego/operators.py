@@ -8,22 +8,25 @@ symmetrized.  Integrals against the measure are weighted vertex sums, which
 are exact for products of simple functions with vectors localized at the
 same cell level; so every localized vector is an exact eigenvector, and
 only the non-localized remainder is assembled, taken from
-`eigenbasis.level_remainder`.  A selection is its level and the records of
-its whole eigenspaces, with no columns and no measure; the vertex set is
-read only for a chi, or by `spectral_bounds` for a function limit.  A
-callable chi, and a chi simple at level m, compress at cell level m, where
+`eigenbasis.level_remainder`, or for a chi simple at a cell level k < m
+from the level's cached cell Grams as sum_C chi_C G_C.  A selection is its
+level and the records of its whole eigenspaces, with no columns and no
+measure; the vertex set is read only for a chi, or by `spectral_bounds`
+for a function limit.  A callable chi, and a chi simple at level m, compress at cell level m, where
 nothing localizes: the remainder is the whole n x n basis.
 """
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import eigenbasis
+from . import decimation, eigenbasis
 from .decimation import EigenvalueRecord, SpectrumTable
 from .errors import ConvergenceError, DomainError, StructuralError
 from .eigenbasis import EigenspaceBundle, LevelBasis
@@ -302,12 +305,12 @@ class CompressedOperator:
         )
 
 
-def _symmetrized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+def _symmetrized(
+    raw: np.ndarray, what: str = "compressed operator"
+) -> tuple[np.ndarray, float]:
     asym = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
     if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(raw), initial=0.0))):
-        raise StructuralError(
-            f"compressed operator asymmetry {asym:.3e} exceeds tolerance"
-        )
+        raise StructuralError(f"{what} asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (raw + raw.T), asym
 
 
@@ -325,6 +328,13 @@ def eigenspace_runs(symbol: SymbolSpec, records) -> tuple[np.ndarray, list]:
     return np.array(q, dtype=float), runs
 
 
+def _block(raw: np.ndarray, q, dims) -> tuple[np.ndarray, float]:
+    """diag(q) + raw, symmetrized, and the asymmetry norm of raw."""
+    block, asym = _symmetrized(raw)
+    block[np.diag_indices_from(block)] += np.repeat(q, dims)
+    return block, asym
+
+
 def _product_block(
     q, runs, columns: np.ndarray, dims, m: int
 ) -> tuple[np.ndarray, float]:
@@ -339,9 +349,67 @@ def _product_block(
             g = effective_multiplier(chi, vertices)[vertices.interior]
             a, b = starts[first], starts[stop]
             np.matmul(columns.T, g[:, None] * columns[:, a:b], out=raw[:, a:b])
-    block, asym = _symmetrized(raw)
-    block[np.diag_indices_from(block)] += np.repeat(q, dims)
-    return block, asym
+    return _block(raw, q, dims)
+
+
+def _cell_gram(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q^T diag(g) Q over the rows of Q where g is nonzero."""
+    return rows.T @ (g[:, None] * rows)
+
+
+def cell_grams(columns: np.ndarray, vertices: VertexSet, k: int) -> np.ndarray:
+    """G_C = Q^T [1_C] Q for every k-cell C, in word order, over the interior
+    columns Q of `vertices`' level.
+
+    [1_C] is the effective multiplier of C's indicator, nonzero only on C's
+    rows and its interior corners, so each Gram is one product over those
+    rows.  Each is symmetrized and held to SYMMETRY_TOL; the Grams are
+    read-only.
+    """
+    grams = np.empty((3**k, columns.shape[1], columns.shape[1]))
+    for c, indicator in enumerate(np.eye(3**k)):
+        g = effective_multiplier(SimpleFunction(k, indicator), vertices)
+        g = g[vertices.interior]
+        rows = np.flatnonzero(g)
+        grams[c] = _symmetrized(_cell_gram(columns[rows], g[rows]), "cell Gram")[0]
+    grams.flags.writeable = False
+    return grams
+
+
+def _gram_block(q, runs, grams: np.ndarray, dims, k: int) -> tuple[np.ndarray, float]:
+    """diag(q) + sum_C chi_C G_C over the cell Grams of the selected columns,
+    as `_product_block` gives it: each run of eigenspaces reads its own
+    columns of the Grams, weighted by its chi on the k-cells."""
+    starts = np.cumsum([0] + list(dims))
+    raw = np.zeros((starts[-1], starts[-1]))
+    for chi, first, stop in runs:
+        if chi is not None:
+            a, b = starts[first], starts[stop]
+            for value, gram in zip(chi.refined(k), grams):
+                raw[:, a:b] += value * gram[:, a:b]
+    return _block(raw, q, dims)
+
+
+@functools.lru_cache(maxsize=8)
+def _level_grams(m: int, k: int) -> tuple[eigenbasis.Remainder, np.ndarray] | None:
+    """The cell Grams of `level_remainder(m, k)` for 0 < k < m, with its
+    layout (dims, per_cell and records, no rows), cached in place of its
+    columns; None where the 3^k R x R Grams would outgrow the n x R
+    columns, 3^k R > n."""
+    n = decimation.interior_dimension(m)
+    if 3**k * eigenbasis.remainder_width(m, k) > n:
+        return None
+    # the walk is not cached: the process holds the Grams, never the columns
+    # next to them
+    rem = eigenbasis.walk_remainder(m, k)
+    grams = cell_grams(rem.columns, build_vertices(m), k)
+    layout = eigenbasis.Remainder(
+        columns=np.empty((0, grams.shape[1])),
+        dims=rem.dims,
+        per_cell=rem.per_cell,
+        records=rem.records,
+    )
+    return layout, grams
 
 
 def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
@@ -356,26 +424,39 @@ def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
     vector localized in a k-cell C is an exact eigenvector of any potential
     simple at level k, an atom q(lam) + chi_lam(C), m_{j,k} per cell, and
     only the non-localized remainder Q of each eigenspace gives a block,
-    diag(q) + Q^T [chi_lam] Q, one product per run of eigenspaces sharing one
-    chi.  Q is `eigenbasis.level_remainder(m, k)`: no columns at k = 0, where
-    every vector is an atom at q(lam), and at k = m, where nothing
-    localizes, the whole eigenspaces, so a callable chi gives no atoms and
-    its remainder is the whole matrix.  A selection only names eigenspaces;
+    diag(q) + Q^T [chi_lam] Q.  Q is `eigenbasis.level_remainder(m, k)`: no
+    columns at k = 0, where every vector is an atom at q(lam), and at k = m,
+    where nothing localizes, the whole eigenspaces, so a callable chi gives
+    no atoms and its remainder is the whole matrix.  For 0 < k < m, a chi
+    simple at level k gives Q^T [chi] Q = sum_C chi_C G_C over the k-cells,
+    with G_C = Q^T [1_C] Q the cell Grams (`cell_grams`); where the 3^k
+    Grams are no larger than the n x R columns they stand for (3^k R <= n:
+    k = 1 from m = 5 on), they are built at the first such compression of
+    the level and cached in place of the columns, and every later
+    compression is that sum, sliced to the selection, for each run of
+    eigenspaces sharing one chi.  Otherwise the block is one product over Q
+    per run (`_product_block`).  A selection only names eigenspaces;
     any orthonormal columns spanning them give the same operator.  The
     localized-trace identity that cross-checks Q against whole eigenspaces
     is `localized_trace_margin`, run by `validate`.
     """
-    lams = np.array([rec.value for rec in basis.records])
+    m, lams = basis.level, np.array([rec.value for rec in basis.records])
     q, runs = eigenspace_runs(symbol, basis.records)
-    k = max(_cell_level(chi, basis.level) for chi, _, _ in runs)
+    k = max(_cell_level(chi, m) for chi, _, _ in runs)
     # each eigenspace's chi on the k-cells, in word order
     cell_values = np.repeat(
         [_cell_values(chi, k) for chi, _, _ in runs],
         [stop - first for _, first, stop in runs],
         axis=0,
     )
-    rem = eigenbasis.level_remainder(basis.level, k).select(basis.records)
-    block, asym = _product_block(q, runs, rem.columns, rem.dims, basis.level)
+    cached = _level_grams(m, k) if 0 < k < m else None
+    if cached is None:
+        rem = eigenbasis.level_remainder(m, k).select(basis.records)
+        block, asym = _product_block(q, runs, rem.columns, rem.dims, m)
+    else:
+        layout, grams = cached
+        rem, cols = layout.select(basis.records), layout.column_index(basis.records)
+        block, asym = _gram_block(q, runs, grams[:, cols][:, :, cols], rem.dims, k)
     per_atom = np.repeat(rem.per_cell, cell_values.shape[1])
     return CompressedOperator(
         level=basis.level,
@@ -446,21 +527,39 @@ def operator_eigenvalues(op: CompressedOperator) -> np.ndarray:
     return np.sort(np.concatenate([op.atoms, np.linalg.eigvalsh(op.remainder)]))
 
 
+def _spectrum_parts(op: CompressedOperator):
+    """The distinct atom values, ascending, with their counts, and the
+    ascending eigenvalues of the remainder."""
+    values, counts = np.unique(op.atoms, return_counts=True)
+    if op.remainder.size == 0:
+        return values, counts, np.zeros(0)
+    return values, counts, np.linalg.eigvalsh(op.remainder)
+
+
+def _spectral_sum(F: Callable[[float], float], values, counts, rest) -> float:
+    """The sum of F over the spectrum, exactly rounded by math.fsum as over
+    each eigenvalue, with F evaluated once per distinct atom value, repeated
+    by its count, and once per remainder eigenvalue."""
+    atoms = (itertools.repeat(F(v), c) for v, c in zip(values.tolist(), counts.tolist()))
+    return math.fsum(itertools.chain(*atoms, map(F, rest.tolist())))
+
+
 def trace_F(op: CompressedOperator, F: Callable[[float], float]) -> float:
     """Trace of F applied to the operator through its eigenvalues."""
-    return math.fsum(F(float(s)) for s in operator_eigenvalues(op))
+    return _spectral_sum(F, *_spectrum_parts(op))
 
 
 def log_det(op: CompressedOperator) -> float:
     """Sum of the logs of the eigenvalues; 0.0, the empty sum, for an empty
     operator."""
-    sigma = operator_eigenvalues(op)
-    if sigma.size and sigma[0] <= 0.0:
+    values, counts, rest = _spectrum_parts(op)
+    lowest = np.concatenate([values[:1], rest[:1]])
+    if lowest.size and np.min(lowest) <= 0.0:
         raise DomainError(
             f"log-determinant needs a positive-definite operator; smallest "
-            f"eigenvalue is {sigma[0]!r}"
+            f"eigenvalue is {np.min(lowest)!r}"
         )
-    return math.fsum(math.log(float(s)) for s in sigma)
+    return _spectral_sum(math.log, values, counts, rest)
 
 
 @dataclass

@@ -126,21 +126,33 @@ def make_trace_function(name: str, **params) -> TraceFunction:
     return build(params)
 
 
-def target_integral(limit_q, fn: Callable[[float], float]) -> tuple[float, dict]:
+def target_integral(
+    limit_q, fn: Callable[[float], float], name: str = "F"
+) -> tuple[float, dict]:
     """Integral of F(q) against the measure.
 
     Exact for constants and simple functions.  A continuous q is integrated by
     weighted vertex sums at increasing level with geometric extrapolation;
     the achieved stabilization is reported so trend-only experiments can note
-    an unconverged target.
+    an unconverged target.  A value of q outside F's domain raises
+    DomainError naming F, `name`, and the value.
     """
     if limit_q is None:
         raise DomainError("no declared limit to integrate against")
+
+    def F(x: float) -> float:
+        try:
+            return fn(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(
+                f"F = {name} is undefined at the limit value {x!r}: {exc}"
+            ) from None
+
     if isinstance(limit_q, (int, float)):
-        return float(fn(float(limit_q))), {"method": "closed-form", "converged": True}
+        return float(F(float(limit_q))), {"method": "closed-form", "converged": True}
     if isinstance(limit_q, SimpleFunction):
         value = (
-            math.fsum(fn(float(a)) for a in limit_q.values)
+            math.fsum(F(float(a)) for a in limit_q.values)
             * 3.0 ** (-limit_q.level)
         )
         return value, {"method": "simple-exact", "converged": True}
@@ -150,7 +162,7 @@ def target_integral(limit_q, fn: Callable[[float], float]) -> tuple[float, dict]
         weights = build_measure(vertices)
         q_vals = vertex_values(limit_q, vertices)
         estimates.append(
-            math.fsum(float(w) * fn(float(q)) for w, q in zip(weights, q_vals))
+            math.fsum(float(w) * F(float(q)) for w, q in zip(weights, q_vals))
         )
         if len(estimates) >= 2:
             delta = abs(estimates[-1] - estimates[-2])
@@ -288,16 +300,19 @@ def _simple_multiplication_bound(symbol, series, j, n_level, k) -> float | None:
 
 
 def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
-                          basis, fn, evaluate, precheck=None, **metadata):
+                          basis, integrand, evaluate, precheck=None, **metadata):
     """Normalized evaluate() over the compressions to one series of
-    eigenspaces, against the integral of fn(q); `precheck` sees the
-    eigenspaces' records and the level before any compression."""
+    eigenspaces, against the integral of the TraceFunction `integrand` of q;
+    `precheck` sees the eigenspaces' records and the level before any
+    compression."""
     j_range = _check_single_series_args(series, j_range, n_level, m)
     basis = operators.level_basis_for(m, basis)
     bundles = [basis.family_bundle(series, j) for j in j_range]
     if precheck is not None:
         precheck(symbol, [b.record for b in bundles], m)
-    target, target_info = target_integral(symbol.limit_q, fn)
+    target, target_info = target_integral(
+        symbol.limit_q, integrand.fn, integrand.name
+    )
     cut = _generation_cut(generation_cut, m)
     samples = []
     for j, bundle in zip(j_range, bundles):
@@ -322,7 +337,7 @@ def szego_trace_single_series(
     """Normalized trace of F over one series of eigenspace compressions."""
     report = _single_series_report(
         symbol, series, j_range, n_level, m, generation_cut, basis,
-        F.fn, lambda gamma: trace_F(gamma, F.fn),
+        F, lambda gamma: trace_F(gamma, F.fn),
         experiment="szego-trace-single", F=F.name, f_domain="evaluability-only",
     )
     power = _f_power_order(F)
@@ -355,11 +370,11 @@ def check_window(lambda_grid, m: int) -> float:
     return window
 
 
-def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
-                 precheck=None, **metadata):
+def _full_report(symbol, lambda_grid, m, generation_cut, basis, integrand,
+                 evaluate, precheck=None, **metadata):
     """Normalized evaluate() over the cutoff compressions, against the
-    integral of fn(q).  They are the leading parts of one compression below
-    the top cutoff: the atoms below each cutoff and a leading block of its
+    integral of the TraceFunction `integrand` of q.  They are the leading
+    parts of one compression below the top cutoff: the atoms below each cutoff and a leading block of its
     remainder.  `precheck` sees the records below the top cutoff and the level
     before the target and any compression."""
     basis = operators.level_basis_for(m, basis)
@@ -369,7 +384,9 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, fn, evaluate,
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
         precheck(symbol, full.records, m)
-    target, target_info = target_integral(symbol.limit_q, fn)
+    target, target_info = target_integral(
+        symbol.limit_q, integrand.fn, integrand.name
+    )
     gamma_full = compress(symbol, full)
     values = full.lambdas
     births = np.repeat([rec.birth for rec in full.records], full.dims)
@@ -398,7 +415,7 @@ def szego_trace_full(
     """Normalized trace of F over full cutoff compressions on a grid."""
     return _full_report(
         symbol, lambda_grid, m, generation_cut, basis,
-        F.fn, lambda sub: trace_F(sub, F.fn),
+        F, lambda sub: trace_F(sub, F.fn),
         experiment="szego-trace-full", F=F.name, f_domain="evaluability-only",
     )
 
@@ -437,7 +454,7 @@ def szego_logdet_single_series(
     """Normalized log-determinant over one series of eigenspace compressions."""
     return _single_series_report(
         symbol, series, j_range, n_level, m, generation_cut, basis,
-        math.log, log_det, _check_positivity, experiment="szego-logdet-single",
+        f_log(), log_det, _check_positivity, experiment="szego-logdet-single",
     )
 
 
@@ -451,7 +468,7 @@ def szego_logdet_full(
     """Normalized log-determinant over full cutoff compressions on a grid."""
     return _full_report(
         symbol, lambda_grid, m, generation_cut, basis,
-        math.log, log_det, _check_positivity, experiment="szego-logdet-full",
+        f_log(), log_det, _check_positivity, experiment="szego-logdet-full",
     )
 
 

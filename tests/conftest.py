@@ -1,6 +1,6 @@
 import pytest
 
-from gasket_szego import decimation, eigenbasis
+from gasket_szego import decimation, eigenbasis, operators
 
 from dense_oracle import whole_basis
 
@@ -8,14 +8,19 @@ from dense_oracle import whole_basis
 @pytest.fixture(autouse=True)
 def _fresh_remainders(request):
     """A test that patches the package sees its patch in the cached lineage
-    remainders: those built by earlier tests are dropped, and those it
-    builds are not kept for later tests."""
+    remainders and cell Grams: those built by earlier tests are dropped, and
+    those it builds are not kept for later tests."""
     patched = "monkeypatch" in request.fixturenames
     if patched:
-        eigenbasis.level_remainder.cache_clear()
+        _drop_cached_remainders()
     yield
     if patched:
-        eigenbasis.level_remainder.cache_clear()
+        _drop_cached_remainders()
+
+
+def _drop_cached_remainders():
+    eigenbasis.level_remainder.cache_clear()
+    operators._level_grams.cache_clear()
 
 
 # the level workspaces with every eigenspace's vectors, for the oracles and

@@ -992,6 +992,22 @@ def test_thread_cap_env(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
+def _cli_process(tmp_path, command, config):
+    """The CLI run as its own process, so that a traceback reaches stderr."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return subprocess.run(
+        [sys.executable, "-m", "gasket_szego.cli", command,
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("symbol", [
     {"kind": "constant", "value": -1.0},
     {"kind": "separable", "q": {"form": "power", "beta": 1.0},
@@ -999,23 +1015,54 @@ def test_thread_cap_env(monkeypatch):
 ])
 def test_full_logdet_of_a_nonpositive_symbol_exits_1_by_name(tmp_path, symbol):
     # refused by the lower-bound check, not by math.log's domain error
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(
-        {"m": 4, "mode": "full", "lambda_grid": [100.0], "symbol": symbol}
-    ))
-    result = subprocess.run(
-        [sys.executable, "-m", "gasket_szego.cli", "szego-det",
-         "--config", str(cfg), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = _cli_process(tmp_path, "szego-det", {
+        "m": 4, "mode": "full", "lambda_grid": [100.0], "symbol": symbol,
+    })
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and "lower bound" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+LOG_OF_NEGATIVE = {
+    "m": 4, "mode": "full", "lambda_grid": [100.0, 3000.0],
+    "symbol": {"kind": "constant", "value": -1.0}, "F": {"name": "log"},
+}
+
+
+def test_full_trace_of_log_at_a_nonpositive_limit_exits_1_by_name(tmp_path):
+    # F = log at the limit -1: refused before any compression, naming F and
+    # the value, not by math.log's domain error
+    result = _cli_process(tmp_path, "szego-trace", LOG_OF_NEGATIVE)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: F = log is undefined at the limit "
+                                    "value -1.0")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("config", [
+    {"m": 4, "mode": "single", "series": 6, "j_range": [1, 2], "N": 1,
+     "symbol": {"kind": "riesz", "beta": 1.0}},
+    {"m": 4, "mode": "full", "lambda_grid": [100.0, 1e9],
+     "symbol": {"kind": "riesz", "beta": 1.0}},
+    LOG_OF_NEGATIVE,
+], ids=["birth-at-N", "past-the-window", "log-of-negative"])
+def test_refusal_inside_a_command_leaves_no_output_directory(
+    tmp_path, capsys, config
+):
+    # the handler refuses after the run made the directory: the run
+    # removes it, since nothing was written
+    code, out = run_cli(tmp_path, "szego-trace", config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_refusal_keeps_a_directory_it_did_not_make(tmp_path):
+    out = tmp_path / "run_out"
+    out.mkdir()
+    code, _ = run_cli(tmp_path, "szego-trace", LOG_OF_NEGATIVE)
+    assert code == 1
+    assert out.is_dir()
 
 
 def test_cli_import_loads_no_numpy():

@@ -13,12 +13,13 @@ from gasket_szego.clusters import (
     lipschitz_check,
     moments_to_csv,
     random_simple_perturbation,
+    schrodinger_spectrum,
     separation_check,
     sup_difference,
     weak_limit_check,
     weak_limit_report,
 )
-from gasket_szego.errors import DomainError
+from gasket_szego.errors import DomainError, StructuralError
 from gasket_szego.gasket import SimpleFunction, constant_function, integrate_simple
 
 from dense_oracle import dense_schrodinger
@@ -75,6 +76,50 @@ def test_lower_bound_postcondition(level5):
     h = build_schrodinger(IDENT, CHI, M, basis=level5)
     floor = min(IDENT(float(lam)) for lam in h.basis.lambdas) + CHI.min_value
     assert h.eigenvalues[0] >= floor - 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 6])
+@pytest.mark.parametrize("chi", [CHI, SimpleFunction(2, np.linspace(0.5, 1.5, 9))])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_eigenvalue_only_spectrum_matches_build(m, chi, offset):
+    # eigvalsh of the block build_schrodinger solves with eigh
+    p = lambda lam: lam + offset
+    h = build_schrodinger(p, chi, m)
+    nu = schrodinger_spectrum(p, chi, m)
+    assert nu.shape == h.eigenvalues.shape
+    scale = np.max(np.abs(h.eigenvalues))
+    assert np.max(np.abs(nu - h.eigenvalues)) <= 1e-12 * scale
+
+
+def test_eigenvalue_only_spectrum_checks_the_floor(monkeypatch):
+    # a floor min p + min chi raised above the spectrum fails both
+    original = operators.limit_range
+    monkeypatch.setattr(
+        operators, "limit_range",
+        lambda limit, vertices: tuple(v + 1.0 for v in original(limit, vertices)),
+    )
+    for solve in (build_schrodinger, schrodinger_spectrum):
+        with pytest.raises(StructuralError, match="undercuts the bound"):
+            solve(IDENT, CHI, 5)
+
+
+def test_p_is_evaluated_once_per_eigenspace():
+    basis = eigenbasis.level_basis(5)
+    calls = []
+
+    def p(lam):
+        calls.append(lam)
+        return lam
+
+    h = build_schrodinger(p, CHI, 5, basis=basis)
+    assert sorted(calls) == [b.record.value for b in basis.bundles]
+    # p = identity: each atom and remainder column carries its own lam
+    m_chi = operators.compress(operators.multiplication_symbol(CHI), h.basis)
+    assert np.array_equal(h.atom_p, m_chi.atom_lambdas)
+    assert np.array_equal(h.remainder_p, m_chi.remainder_lambdas)
+    calls.clear()
+    schrodinger_spectrum(p, CHI, 5, basis)
+    assert len(calls) == len(basis.bundles)
 
 
 def test_constant_potential_shifts_exactly(level5):

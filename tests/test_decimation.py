@@ -15,6 +15,7 @@ from gasket_szego import decimation
 from gasket_szego.decimation import (
     EXPANDING,
     CONTRACTING,
+    EigenvalueRecord,
     decimation_preimages,
     eigenvalue_limit,
     enumerate_spectrum,
@@ -457,3 +458,16 @@ def test_make_record_validation():
     rec = make_record(6, 3)
     assert rec.branches == (EXPANDING,)
     assert rec.key == "6:3:+"
+
+
+def test_record_key_is_made_once():
+    # the key is a field set at construction, not an f-string per read; it
+    # takes no part in equality, hashing or the repr
+    rec = make_record(6, 3, (EXPANDING, CONTRACTING))
+    assert "key" in {f.name for f in dataclasses.fields(EigenvalueRecord)}
+    assert rec.key == "6:3:+-" and rec.key is rec.key
+    twin = EigenvalueRecord(6, 3, rec.branches, rec.value, rec.multiplicity)
+    assert twin == rec and hash(twin) == hash(rec) and twin.key == rec.key
+    assert "key" not in repr(rec)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.key = "6:3:++"

@@ -642,3 +642,23 @@ def test_operator_csv_dump(tmp_path, level4):
     bare = eigenbasis.level_basis(4).family_bundle(6, 3)
     with pytest.raises(DomainError, match="carries no vectors"):
         operator_to_csv(riesz_symbol(1.0), bare, csv_path, meta_path)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_spectral_sums_evaluate_F_once_per_distinct_atom(m):
+    # F once per distinct atom value and once per remainder eigenvalue, and
+    # the sum exactly rounded as over every eigenvalue
+    sel = leading_selection(eigenbasis.level_basis(m))
+    chi = SimpleFunction(1, [1.0, 1.5, 2.0])
+    op = compress(separable_symbol(lambda lam: lam ** -1.0, 0.0, chi), sel)
+    sigma = operator_eigenvalues(op)
+    calls = []
+
+    def F(x):
+        calls.append(x)
+        return x * x
+
+    assert trace_F(op, F) == math.fsum(float(s) ** 2 for s in sigma)
+    assert len(calls) == np.unique(op.atoms).size + op.remainder.shape[0]
+    assert len(calls) < sigma.size
+    assert log_det(op) == math.fsum(math.log(float(s)) for s in sigma)

@@ -2,9 +2,11 @@
 checked against the dense oracle, and the remainders built by decimation
 lineage, checked against the junction SVD of whole eigenspaces."""
 import dataclasses
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -279,3 +281,118 @@ def test_constant_potential_is_all_atoms(level5):
     assert op.remainder.shape == (0, 0)
     assert np.array_equal(op.atoms, np.full(sel.dim, 2.5))
     assert operators.log_det(op) == pytest.approx(sel.dim * math.log(2.5), rel=1e-14)
+
+
+def _gram_selections(basis):
+    """Leading cutoffs after a quarter and a half of the eigenspaces and the
+    whole basis, one eigenspace, and every other eigenspace."""
+    values = [b.record.value for b in basis.bundles]
+    return {
+        "quarter": operators.leading_selection(basis, values[len(values) // 4]),
+        "half": operators.leading_selection(basis, values[len(values) // 2]),
+        "whole": operators.leading_selection(basis),
+        "one": operators.selection_from_bundles([basis.family_bundle(6, 3)]),
+        "every-other": operators.selection_from_bundles(basis.bundles[1::2]),
+    }
+
+
+def _gram_symbols(sel):
+    table = [(rec.value, CHIS[1].shifted(i / 64)) for i, rec in enumerate(sel.records)]
+    return {
+        "multiplication": operators.multiplication_symbol(CHIS[1]),
+        "separable": operators.separable_symbol(lambda lam: lam ** -1.0, 0.0, CHIS[1]),
+        # one run of eigenspaces per entry
+        "tabulated": operators.tabulated_symbol(table),
+    }
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_gram_block_matches_product_block(m):
+    # sum_C chi_C G_C over the level's cell Grams, sliced to the selection,
+    # is Q^T [chi] Q; from m = 5 on it is what compress takes
+    basis = eigenbasis.level_basis(m)
+    rem = eigenbasis.level_remainder(m, 1)
+    grams = operators.cell_grams(rem.columns, basis.vertices, 1)
+    for sel in _gram_selections(basis).values():
+        cols = np.arange(rem.columns.shape[1])[rem.column_index(sel.records)]
+        picked = rem.select(sel.records)
+        for sym in _gram_symbols(sel).values():
+            q, runs = operators.eigenspace_runs(sym, sel.records)
+            product, _ = operators._product_block(
+                q, runs, picked.columns, picked.dims, m
+            )
+            gram, asym = operators._gram_block(
+                q, runs, grams[:, cols[:, None], cols], picked.dims, 1
+            )
+            scale = np.max(np.abs(product))
+            assert np.max(np.abs(gram - product)) <= 1e-12 * scale
+            op = operators.compress(sym, sel)
+            assert np.max(np.abs(op.remainder - product)) <= 1e-12 * scale
+            if m >= 5:
+                assert np.array_equal(op.remainder, gram)
+
+
+def test_cell_grams_resolve_the_identity():
+    # the cells' indicators sum to 1, and the columns are weighted-orthonormal
+    rem = eigenbasis.level_remainder(5, 1)
+    grams = operators.cell_grams(rem.columns, eigenbasis.level_basis(5).vertices, 1)
+    assert grams.shape == (3, 117, 117)
+    assert all(np.array_equal(g, g.T) for g in grams)
+    assert np.max(np.abs(grams.sum(axis=0) - np.eye(117))) <= 1e-12
+    with pytest.raises(ValueError):
+        grams[0, 0, 0] = 1.0
+
+
+def test_asymmetric_cell_gram_is_refused(monkeypatch):
+    # each Gram is held to SYMMETRY_TOL when it is built
+    original = operators._cell_gram
+
+    def skewed(rows, g):
+        gram = original(rows, g)
+        gram[0, 1] += 1e-9
+        return gram
+
+    monkeypatch.setattr(operators, "_cell_gram", skewed)
+    sel = operators.leading_selection(eigenbasis.level_basis(5))
+    sym = operators.multiplication_symbol(CHIS[1])
+    with pytest.raises(StructuralError, match="cell Gram asymmetry"):
+        operators.compress(sym, sel)
+
+
+def test_level_one_compression_caches_grams_not_columns():
+    # the Grams are built at the first compression, never by level_basis,
+    # from a walk whose columns are not kept
+    eigenbasis.level_basis.cache_clear()
+    eigenbasis.level_remainder.cache_clear()
+    operators._level_grams.cache_clear()
+    basis = eigenbasis.level_basis(6)
+    assert operators._level_grams.cache_info().currsize == 0
+    sel = operators.leading_selection(basis)
+    for chi in (CHIS[1], CHIS[1].shifted(1.0)):
+        operators.compress(operators.multiplication_symbol(chi), sel)
+    info = eigenbasis.level_remainder.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    grams = operators._level_grams.cache_info()
+    assert (grams.hits, grams.misses) == (1, 1)
+    layout, cells = operators._level_grams(6, 1)
+    assert layout.columns.shape == (0, 237) and layout.columns.base is None
+    assert cells.nbytes < 1092 * 237 * 8
+
+
+def test_wide_cell_levels_keep_the_product():
+    # 3^k R > n: the Grams would outgrow the columns; so at every k at m = 4
+    assert operators._level_grams(4, 1) is None
+    assert operators._level_grams(6, 2) is None
+
+
+def test_a_walk_holds_nothing_once_it_returns():
+    # no reference cycle keeps the walk's columns alive until a garbage
+    # collection, so a process holding the cell Grams holds no columns
+    gc.disable()
+    try:
+        rem = eigenbasis.walk_remainder(5, 1)
+        columns = weakref.ref(rem.columns)
+        del rem
+        assert columns() is None
+    finally:
+        gc.enable()
