@@ -491,12 +491,17 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     return outputs
 
 
-def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[str]:
+def _szego_report(
+    config: RunConfig, out_dir: Path, timings: dict, determinant: bool
+) -> list[str]:
     from . import eigenbasis, operators, szego
 
+    stage_done = _stage_clock(timings)
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
     basis = eigenbasis.level_basis(config.m)
+    operators.prepare_compression(symbol, config.m)
+    stage_done("remainder")
     if determinant:
         if config.mode == "single":
             report = szego.szego_logdet_single_series(
@@ -519,6 +524,7 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
                 symbol, F, config.lambda_grid, config.m,
                 generation_cut=config.generation_cut, basis=basis,
             )
+    stage_done("sweep")
     report.to_csv(out_dir / "report.csv")
     report.to_json(out_dir / "report.json")
     outputs = ["report.csv", "report.json"]
@@ -533,28 +539,34 @@ def _szego_report(config: RunConfig, out_dir: Path, determinant: bool) -> list[s
             out_dir / "operator.csv", out_dir / "operator_meta.json",
         )
         outputs.extend(["operator.csv", "operator_meta.json"])
+    stage_done("report")
     return outputs
 
 
 def _cmd_szego_trace(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
-    return _szego_report(config, out_dir, determinant=False)
+    return _szego_report(config, out_dir, timings, determinant=False)
 
 
 def _cmd_szego_det(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
-    return _szego_report(config, out_dir, determinant=True)
+    return _szego_report(config, out_dir, timings, determinant=True)
 
 
 def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     from . import clusters as cl
-    from . import eigenbasis, szego
+    from . import eigenbasis, operators, szego
 
+    stage_done = _stage_clock(timings)
     p_fn, p_name = parse_p(config.p)
     chi = _parse_simple(config.chi, "chi")
-    # H reads only the eigenvalues and level_remainder
+    # H reads only the eigenvalues and the remainder of chi's cell level
     base = eigenbasis.level_basis(config.m)
     family = cl.decimation_family(config.j_range, base)
+    operators.prepare_compression(operators.multiplication_symbol(chi), config.m)
+    stage_done("remainder")
     schrodinger = cl.build_schrodinger(p_fn, chi, config.m, p_name, base)
+    stage_done("schrodinger")
     report = cl.identify_clusters(schrodinger, family)
+    stage_done("identify")
     cl.clusters_to_csv(report.clusters, out_dir / "clusters.csv")
 
     from .gasket import integrate_simple
@@ -574,6 +586,7 @@ def _cmd_clusters(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
     if config.plot:
         szego.plot_error_svg(weak, out_dir / "weak_limit.svg")
         outputs.append("weak_limit.svg")
+    stage_done("report")
     return outputs
 
 
@@ -698,9 +711,10 @@ def _attempt(fn, *args):
 def _family_rows(m: int, f) -> tuple[list, tuple[bool, str] | None]:
     """The localization rows of the family eigenspaces of births 2 to
     min(m, 5), each built alone by its lineage and split once at each cell
-    level N below its birth, and the block-exactness result of f on the
-    6-series split at N = 1 of birth min(m, 4), taken while that split is
-    held.  A build or split that fails is its rows' FAIL."""
+    level N below its birth, and from m = 3 on the block-exactness result
+    of f on the 6-series split at N = 1 of birth min(m, 4), taken while that
+    split is held (at birth 2 nothing localizes in a 1-cell, so there is no
+    block to check).  A build or split that fails is its rows' FAIL."""
     from . import eigenbasis
 
     basis = eigenbasis.level_basis(m)
@@ -714,7 +728,7 @@ def _family_rows(m: int, f) -> tuple[list, tuple[bool, str] | None]:
                     eigenbasis.localized_split, bundle, n_level
                 )
                 rows.append(_localization_row(series, birth, n_level, split))
-                if (series, birth, n_level) == (6, min(m, 4), 1):
+                if m >= 3 and (series, birth, n_level) == (6, min(m, 4), 1):
                     block = _block_exactness(split, f)
     return rows, block
 
@@ -774,18 +788,18 @@ def _block_exactness(split, f) -> tuple[bool, str]:
 
 def _lineage_margins(m: int, f) -> tuple[float, float]:
     """The worst lineage angle over 1e-12 and localized-trace margin of f over
-    every level-m eigenspace, each built whole by the depth-first walk and
-    compared with its block of `level_remainder(m, f.level)`."""
+    every level-m eigenspace, each built whole by the depth-first walk
+    beside its remainder at f's cell level, carried down the same lineage:
+    that remainder against the junction SVD of the whole eigenspace, and the
+    trace of f over the whole less its trace over the remainder."""
     from . import eigenbasis, operators
 
-    lineage = eigenbasis.level_remainder(m, f.level)
-
-    def margins(bundle) -> tuple[float, float]:
+    def margins(bundle, carried) -> tuple[float, float]:
         whole = eigenbasis.eigenspace_remainder(bundle, f.level)
-        angle = eigenbasis.remainder_deviation(lineage.select(whole.records), whole, m)
-        return angle / 1e-12, operators.localized_trace_margin(f, bundle)
+        angle = eigenbasis.remainder_deviation(carried, whole, m)
+        return angle / 1e-12, operators.localized_trace_margin(f, bundle, carried)
 
-    angles, traces = zip(*eigenbasis.walk_eigenspaces(m, margins))
+    angles, traces = zip(*eigenbasis.walk_eigenspaces(m, margins, k=f.level))
     return max(angles), max(traces)
 
 

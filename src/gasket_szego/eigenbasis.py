@@ -10,13 +10,17 @@ measure-weighted inner product, and passes one stencil check of the level's
 eigen-equation over the vertex set's neighbour table, as does every
 localized split.  The walk carries each eigenspace's remainder at a cell
 level k, whole while nothing in it localizes: a newborn is cut to its
-remainder at birth, and extension maps a parent's remainder onto its
-child's.  `walk_remainder(m, k)` writes every level-m eigenspace's
-remainder into its column range of one read-only matrix in record-value
-order, and `level_remainder(m, k)` caches it; at k = m that is the n x n
-basis, the only one formed.
-`walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
-and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
+remainder at birth, with no whole block formed (the 6-series remainder by
+conjugate gradients on the newborn Gram matrix, the 5-series remainder by
+conjugate gradients on the grounded Laplacian of the level's cell graph),
+and extension maps a parent's remainder onto its child's.
+`walk_remainder(m, k)` writes every level-m eigenspace's remainder into its
+column range of one read-only matrix in record-value order, and
+`level_remainder(m, k)` caches it; at k = m that is the n x n basis, the
+only one formed.  `walk_eigenspaces` hands each whole eigenspace to a
+visitor and drops it, with a cell level k beside the remainder it carried
+down the same lineage, the very block `walk_remainder` writes; and
+`eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
 cached level workspace: the eigenspaces labelled by their records, with no
 vectors and no vertex set, so a sweep whose symbol depends only on lam builds
 none.  A bundle or workspace looks its vertex set up by its level from
@@ -26,9 +30,10 @@ The dense eigensolve `solve_graph_spectrum` and its labelling
 rest on the junction functionals at the level's interior vertices, which
 vanish exactly on the sums of vectors localized in cells: the row space of
 the functionals applied to an eigenspace is its non-localized remainder
-(`eigenspace_remainder`, the independent check of the carried remainders),
-and the kernel's rows in cell 0 give its localized vectors, which every
-other N-cell, a translate of cell 0, holds unchanged in its rows.  Every
+(`eigenspace_remainder`, the independent check of the carried remainders,
+newborns among them), and the kernel's rows in cell 0 give its localized
+vectors, which every other N-cell, a translate of cell 0, holds unchanged
+in its rows.  Every
 rank is checked against the closed-form counts, which is the decisive
 structural test, and a split reports how far its singular values sit from
 the rank tolerance.
@@ -252,10 +257,7 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     rec = bundle.record
     if rec.series not in (5, 6):
         raise DomainError("only 5- and 6-series eigenspaces localize")
-    if not 1 <= n_level < rec.birth:
-        raise DomainError(
-            f"need 1 <= N < birth, got N={n_level}, birth={rec.birth}"
-        )
+    # refuses N outside 1 <= N < birth
     counts = localization_counts(rec.series, rec.birth, n_level)
     u = bundle.require_vectors()
     vertices = bundle.vertices
@@ -666,36 +668,45 @@ def _six_gram_times(ref: _Refinement, x: np.ndarray) -> np.ndarray:
 _CG_STEPS = 100
 
 
-def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs by conjugate gradients, all columns in step.
-
-    The graph values lie in (0, 6], so G has its spectrum in (1.5, 3] and
-    each step cuts the error by at least (sqrt(2) - 1) / (sqrt(2) + 1) < 0.18;
-    the iteration runs until every residual is down to eps of its start.
-    """
+def _conjugate_gradients(apply, rhs: np.ndarray, steps: int, what: str) -> np.ndarray:
+    """A^-1 rhs by conjugate gradients, all columns in step, for the positive
+    definite A that `apply` multiplies by; the iteration runs until every
+    residual is down to eps of its start, and raises `NumericError` naming
+    `what` after `steps` steps.  A zero column of `rhs` stays zero."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
     rr = np.einsum("ij,ij->j", r, r)
     stop = np.finfo(float).eps ** 2 * rr
-    for _ in range(_CG_STEPS):
+    for _ in range(steps):
         if np.all(rr <= stop):
             return x
-        gp = _six_gram_times(ref, p)
-        step = rr / np.einsum("ij,ij->j", p, gp)
+        ap = apply(p)
+        curvature = np.einsum("ij,ij->j", p, ap)
+        step = np.divide(rr, curvature, out=np.zeros_like(rr), where=curvature > 0)
         x += step * p
-        r -= step * gp
+        r -= step * ap
         rr, rr_prev = np.einsum("ij,ij->j", r, r), rr
-        p = r + (rr / rr_prev) * p
+        p = r + np.divide(rr, rr_prev, out=np.zeros_like(rr), where=rr_prev > 0) * p
     raise NumericError(
-        f"conjugate gradients on the newborn 6-series Gram matrix did not "
-        f"converge in {_CG_STEPS} steps"
+        f"conjugate gradients on {what} did not converge in {steps} steps"
+    )
+
+
+def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
+    """G^-1 rhs for the Gram matrix G of `_newborn_six`.
+
+    The graph values lie in (0, 6], so G has its spectrum in (1.5, 3] and
+    each step cuts the error by at least (sqrt(2) - 1) / (sqrt(2) + 1) < 0.18.
+    """
+    return _conjugate_gradients(
+        lambda x: _six_gram_times(ref, x), rhs, _CG_STEPS,
+        "the newborn 6-series Gram matrix",
     )
 
 
 def _newborn_six_remainder(
-    ref: _Refinement, w: float, junction: np.ndarray, g: GraphEigenvalue,
-    k: int, out: np.ndarray,
+    ref: _Refinement, w: float, g: GraphEigenvalue, k: int, out: np.ndarray
 ) -> None:
     """The remainder at cell level k of the newborn 6-eigenspace, into `out`.
 
@@ -714,6 +725,7 @@ def _newborn_six_remainder(
             f"the newborn 6-series eigenspace has dimension {ref.n_prev}, "
             f"decimation predicts {g.multiplicity}"
         )
+    junction = _junction_matrix(build_vertices(ref.level), k)
     a = _extension_adjoint(ref, junction.T, 6.0).T
     z = _six_gram_solve(ref, _junction_cut(a, out.shape[1], g.record.key, k)[0].T)
     factor = np.linalg.cholesky(z.T @ _six_gram_times(ref, z))
@@ -722,19 +734,61 @@ def _newborn_six_remainder(
     _extend(ref, coeffs, 6.0, out)
 
 
-def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
-    """The 5-eigenspace born at level m, weighted-orthonormal, into `out`.
+@dataclass
+class _CellGraph:
+    """The graph whose circulations are the 5-eigenspace born at level m.
 
-    Its vectors vanish on the level-(m-1) vertices.  The eigen-equation at
-    an interior old vertex x says that the two midpoints opposite x, one in
-    each cell containing x, carry opposite values y_x; a boundary corner's
-    opposite midpoint carries a free value.  At a midpoint it says that each
-    cell's three midpoints sum to zero.  So y is a circulation on the graph
-    whose nodes are the (m-1)-cells plus one ground node for the boundary,
-    and whose edges are the old vertices: one cycle per edge outside a
-    breadth-first spanning tree is a basis, with entries -1, 0 and 1 and an
-    exact Gram matrix.
+    Its nodes are the level-(m-1) cells plus a ground node, `n_cells`; its
+    edges are the interior old vertices, then one per boundary corner, each
+    joining the cells that contain it (a boundary corner joins its cell to
+    the ground).  Midpoint i, cell-major like `_Refinement.mid`, lies in
+    cell i // 3 opposite the corner of edge `var[i]`, and carries `sign[i]`
+    times that edge's flow: +1 in the edge's first cell, its `tail`, and -1
+    in its other, its `head`.  M, `multiplicity`, counts the midpoints of
+    each edge, so that M is the plain Gram matrix of the map from flows to
+    midpoint values.
     """
+
+    n_cells: int
+    var: np.ndarray
+    sign: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    multiplicity: np.ndarray
+
+    def outflow(self, flows: np.ndarray) -> np.ndarray:
+        """B flows: the net outflow of every cell, the sum over its three
+        midpoints of their signed edge flows."""
+        t = (self.sign[:, None] * flows[self.var]).reshape(self.n_cells, 3, -1)
+        return t[:, 0] + t[:, 1] + t[:, 2]
+
+    def potential_drop(self, x: np.ndarray) -> np.ndarray:
+        """B^T x: x at each edge's tail less x at its head, the ground at 0."""
+        pad = _padded(x)
+        return pad[self.tail] - pad[self.head]
+
+    @functools.cached_property
+    def _cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell and midpoint, the node across that midpoint's edge and
+        the edge's conductance 1/M."""
+        other = np.where(self.sign > 0, self.head[self.var], self.tail[self.var])
+        conductance = 1.0 / self.multiplicity[self.var]
+        return other.reshape(-1, 3), conductance.reshape(-1, 3)
+
+    def laplacian_times(self, x: np.ndarray) -> np.ndarray:
+        """B M^-1 B^T x, the grounded Laplacian of the cells (a Hanoi graph)
+        with conductance 1/M on each edge, by gathers over each cell's three
+        edges."""
+        other, conductance = self._cell_edges
+        pad = _padded(x)
+        out = np.zeros_like(x)
+        for j in range(3):
+            out += conductance[:, j, None] * (x - pad[other[:, j]])
+        return out
+
+
+def _cell_graph(ref: _Refinement) -> _CellGraph:
+    """The cell graph of the 5-eigenspace born at level `ref.level`."""
     n_cells = ref.mid.size // 3
     var = ref.opp.copy()
     corners = np.nonzero(var == ref.n_prev)[0]
@@ -746,7 +800,31 @@ def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
     head = np.full(n_edges, n_cells)  # the ground node
     tail[var[first]] = np.nonzero(first)[0] // 3
     head[var[~first]] = np.nonzero(~first)[0] // 3
+    return _CellGraph(
+        n_cells=n_cells,
+        var=var,
+        sign=np.where(first, 1.0, -1.0),
+        tail=tail,
+        head=head,
+        multiplicity=np.bincount(var, minlength=n_edges).astype(float),
+    )
 
+
+def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
+    """The 5-eigenspace born at level m, weighted-orthonormal, into `out`.
+
+    Its vectors vanish on the level-(m-1) vertices.  The eigen-equation at
+    an interior old vertex x says that the two midpoints opposite x, one in
+    each cell containing x, carry opposite values y_x; a boundary corner's
+    opposite midpoint carries a free value.  At a midpoint it says that each
+    cell's three midpoints sum to zero.  So y is a circulation on the cell
+    graph (`_CellGraph`): one cycle per edge outside a breadth-first
+    spanning tree is a basis, with entries -1, 0 and 1 and an exact Gram
+    matrix.
+    """
+    graph = _cell_graph(ref)
+    n_cells, tail, head = graph.n_cells, graph.tail, graph.head
+    n_edges = tail.size
     ends = [[] for _ in range(n_cells + 1)]
     for e, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
         ends[a].append((e, b))
@@ -785,23 +863,76 @@ def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
             y[e] = net[node]
             net[tail[e]] += net[node]
 
-    multiplicity = np.bincount(var, minlength=n_edges).astype(float)
-    gram = y.T @ (multiplicity[:, None] * y)
+    gram = y.T @ (graph.multiplicity[:, None] * y)
     _inverse_cholesky(gram)
     gram *= 1.0 / np.sqrt(w)
-    sign = np.where(first, 1.0, -1.0)
     out[ref.old] = 0.0
     for cols in _passes(ref.mid.size, dim):
-        out[ref.mid, cols] = sign[:, None] * (y @ gram[cols].T)[var]
+        out[ref.mid, cols] = graph.sign[:, None] * (y @ gram[cols].T)[graph.var]
+
+
+def _newborn_five_remainder(
+    ref: _Refinement, w: float, g: GraphEigenvalue, k: int, out: np.ndarray
+) -> None:
+    """The remainder at cell level k of the newborn 5-eigenspace, into `out`.
+
+    In flows on the cell graph, with B its grounded incidence and M its
+    edge multiplicities, the eigenspace is the kernel of B and a junction
+    functional reads a^T y, a pulled back through the signed midpoints.  Its
+    representer in the eigenspace, the M-orthogonal projection of M^-1 a^T
+    onto that kernel, is r = M^-1 a^T - M^-1 B^T (B M^-1 B^T)^-1 B M^-1 a^T;
+    B M^-1 B^T is the grounded Laplacian of the cells, solved by conjugate
+    gradients with gathers only.  The remainder is the span of the r.  The
+    projection is applied twice, as in Gram-Schmidt: the second removes what
+    the first solve's rounding leaves outside the kernel (at m = 8 the angle
+    to the whole-block cut drops from 7e-14 to 2e-14).  The singular values
+    of M^(1/2) R / sqrt(w) are those of the junction values of the whole
+    eigenspace, so the rank is pinned to the closed-form count by the same
+    rule, and their top right singular vectors give M-orthonormal flows.  No
+    n x d array is formed.
+    """
+    graph = _cell_graph(ref)
+    if graph.multiplicity.size - graph.n_cells != g.multiplicity:
+        raise MismatchError(
+            f"the newborn 5-series eigenspace has dimension "
+            f"{graph.multiplicity.size - graph.n_cells}, decimation predicts "
+            f"{g.multiplicity}"
+        )
+    functionals = _junction_functionals(build_vertices(ref.level), k)
+    midpoint = np.full(ref.n + 1, -1)
+    midpoint[ref.mid] = np.arange(ref.mid.size)
+    mids = midpoint[functionals]
+    which, side = np.nonzero(mids >= 0)
+    read = mids[which, side]
+    # M^-1 a^T for every functional a (one at an old vertex reads no
+    # midpoint: a zero column), then projected
+    r = np.zeros((graph.multiplicity.size, functionals.shape[0]))
+    np.add.at(r, (graph.var[read], which), graph.sign[read])
+    r /= graph.multiplicity[:, None]
+    # the steps grow as the square root of the Laplacian's condition number,
+    # about twofold per level: 5, 27, 116 and 233 at m = 3, 5, 7 and 8
+    for _ in range(2):
+        x = _conjugate_gradients(
+            graph.laplacian_times, graph.outflow(r), 4 * 2**ref.level,
+            f"the cell graph of eigenspace {g.record.key}",
+        )
+        r -= graph.potential_drop(x) / graph.multiplicity[:, None]
+    root = np.sqrt(graph.multiplicity)[:, None]
+    rows, _ = _junction_cut(
+        (root * r).T * (1.0 / np.sqrt(w)), out.shape[1], g.record.key, k
+    )
+    flows = rows.T / (root * np.sqrt(w))
+    out[ref.old] = 0.0
+    out[ref.mid] = graph.sign[:, None] * flows[graph.var]
 
 
 def _newborn(ref: _Refinement, g: GraphEigenvalue, k: int, out: np.ndarray) -> None:
     """The eigenspace of entry g born at level m, weighted-orthonormal, into
     `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the level-1
     2-series vector, constant on the one midpoint triangle.  When `out` is
-    narrower than the eigenspace, it receives the remainder at cell level k,
-    cut by the junction values with the rank pinned to the closed-form
-    count."""
+    narrower than the eigenspace, it receives the remainder at cell level k
+    (`_newborn_five_remainder`, `_newborn_six_remainder`), with the rank
+    pinned to the closed-form count; no whole block is built."""
     w = interior_weight(ref.level)
     if g.series == 2:
         out[:] = 1.0 / np.sqrt(ref.n * w)
@@ -809,14 +940,9 @@ def _newborn(ref: _Refinement, g: GraphEigenvalue, k: int, out: np.ndarray) -> N
     if out.shape[1] == g.multiplicity:
         (_newborn_five if g.series == 5 else _newborn_six)(ref, w, out)
     else:
-        junction = _junction_matrix(build_vertices(ref.level), k)
-        if g.series == 6:
-            _newborn_six_remainder(ref, w, junction, g, k, out)
-        else:
-            whole = np.empty((ref.n, g.multiplicity))
-            _newborn_five(ref, w, whole)
-            rows, _ = _junction_cut(junction @ whole, out.shape[1], g.record.key, k)
-            out[:] = whole @ rows.T
+        (_newborn_five_remainder if g.series == 5 else _newborn_six_remainder)(
+            ref, w, g, k, out
+        )
     _check_gram(out, 1.0 / w, g.record.key)
 
 
@@ -897,25 +1023,28 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
     return block
 
 
-def _walk(m: int, k: int, leaf: Callable[[GraphEigenvalue, object], None]) -> None:
-    """Depth first down the decimation tree: `leaf(g, parent)` for every
-    level-m entry g, where `parent` is the columns of g's parent one level
-    down, or None for a newborn.  The columns of each node above level m
-    are its remainder at cell level k, held only while the walk is below
-    it."""
+def _walk(
+    m: int, levels: tuple[int, ...], leaf: Callable[[GraphEigenvalue, tuple], None]
+) -> None:
+    """Depth first down the decimation tree: `leaf(g, parents)` for every
+    level-m entry g, where `parents[i]` is the columns of g's parent one
+    level down at cell level `levels[i]`, or None for a newborn.  The
+    columns of each node above level m are its remainders at those cell
+    levels, each grown from its own parent's, held only while the walk is
+    below it."""
     nodes = _tree(m)
 
-    def descend(g: GraphEigenvalue, parent=None) -> None:
+    def descend(g: GraphEigenvalue, parents: tuple) -> None:
         if g.birth + len(g.prefix) == m:
-            leaf(g, parent)
+            leaf(g, parents)
             return
-        vectors = _grown(g, k, parent)
+        grown = tuple(_grown(g, k, parent) for k, parent in zip(levels, parents))
         for sign in _branches(g):
-            descend(nodes[g.series, g.birth, g.prefix + (sign,)], vectors)
+            descend(nodes[g.series, g.birth, g.prefix + (sign,)], grown)
 
     for g in nodes.values():
         if not g.prefix:
-            descend(g)
+            descend(g, (None,) * len(levels))
     # descend reaches itself through its closure; without this the cycle
     # would keep `leaf`, and any columns it writes, until a garbage collection
     del descend
@@ -948,22 +1077,42 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     return _bundle(m, entry, parent)
 
 
-def walk_eigenspaces(m: int, visit: Callable[[EigenspaceBundle], object]) -> list:
+def walk_eigenspaces(
+    m: int, visit: Callable[..., object], k: int | None = None
+) -> list:
     """`visit` applied to every level-m eigenspace, each built whole by its
     lineage, depth first down the decimation tree, in tree order.
 
     Only the eigenspaces on the path from a root to the visited one are
     held, and each is dropped when `visit` returns, so the peak is the
     largest single eigenspace with its ancestors, not the n x n level
-    basis.  The visited vectors are read-only.
+    basis.  The visited vectors are read-only.  With a cell level k, the
+    walk also carries each eigenspace's remainder there down its lineage, by
+    the steps of `walk_remainder(m, k)` (a newborn cut at birth, extension
+    carrying a parent's remainder to its child's), and calls
+    `visit(bundle, remainder)`: the remainder equals that eigenspace's block
+    of `walk_remainder(m, k)` bit for bit, and no level matrix is assembled.
     """
     _check_level(m)
+    if k is not None and not 1 <= k <= m:
+        raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
-    def leaf(g: GraphEigenvalue, parent) -> None:
-        results.append(visit(_bundle(m, g, _grown(g, m, parent))))
+    def leaf(g: GraphEigenvalue, parents: tuple) -> None:
+        bundle = _bundle(m, g, _grown(g, m, parents[0]))
+        if k is None:
+            results.append(visit(bundle))
+            return
+        columns = _grown(g, k, parents[1])
+        remainder = Remainder(
+            columns=columns,
+            dims=[columns.shape[1]],
+            per_cell=[(g.multiplicity - columns.shape[1]) // 3**k],
+            records=[g.record],
+        )
+        results.append(visit(bundle, remainder))
 
-    _walk(m, m, leaf)
+    _walk(m, (m,) if k is None else (m, k), leaf)
     return results
 
 
@@ -1019,7 +1168,7 @@ def walk_remainder(m: int, k: int) -> Remainder:
     columns = np.empty((decimation.interior_dimension(m), cursor))
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
-        _walk(m, k, lambda g, parent: _grown(g, k, parent, views[g]))
+        _walk(m, (k,), lambda g, parents: _grown(g, k, parents[0], views[g]))
         # the stencil of the level is checked in one pass
         _check_stencil(m, columns, blocks)
     columns.flags.writeable = False

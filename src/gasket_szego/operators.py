@@ -412,6 +412,25 @@ def _level_grams(m: int, k: int) -> tuple[eigenbasis.Remainder, np.ndarray] | No
     return layout, grams
 
 
+def _level_data(m: int, k: int) -> tuple[eigenbasis.Remainder, np.ndarray | None]:
+    """What a compression at cell level k reads of level m, built once and
+    cached: the layout and cell Grams of `_level_grams`, or else
+    `level_remainder(m, k)` and None."""
+    cached = _level_grams(m, k) if 0 < k < m else None
+    return cached if cached is not None else (eigenbasis.level_remainder(m, k), None)
+
+
+def prepare_compression(symbol: SymbolSpec, m: int) -> None:
+    """Build and cache what every compression of `symbol` at level m reads:
+    the remainder columns or cell Grams at the cell level of its potential.
+    A tabulated symbol's cell level depends on the eigenspaces selected, and
+    a chi finer than the level is refused by the compression itself, so for
+    those nothing is built here."""
+    k = _cell_level(symbol.chi, m)
+    if not symbol.entries and k <= m:
+        _level_data(m, k)
+
+
 def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
     """Gamma(a,b) = weighted vertex sum of p(x, lam_b) u_a(x) u_b(x).
 
@@ -432,13 +451,14 @@ def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
     with G_C = Q^T [1_C] Q the cell Grams (`cell_grams`); where the 3^k
     Grams are no larger than the n x R columns they stand for (3^k R <= n:
     k = 1 from m = 5 on), they are built at the first such compression of
-    the level and cached in place of the columns, and every later
-    compression is that sum, sliced to the selection, for each run of
-    eigenspaces sharing one chi.  Otherwise the block is one product over Q
-    per run (`_product_block`).  A selection only names eigenspaces;
+    the level (or by `prepare_compression`) and cached in place of the
+    columns, and every later compression is that sum, sliced to the
+    selection, for each run of eigenspaces sharing one chi.  Otherwise the
+    block is one product over Q per run (`_product_block`).  A selection only names eigenspaces;
     any orthonormal columns spanning them give the same operator.  The
     localized-trace identity that cross-checks Q against whole eigenspaces
-    is `localized_trace_margin`, run by `validate`.
+    is `localized_trace_margin`, which `validate` runs on the remainder its
+    walk carries beside each whole eigenspace, bit for bit Q's block.
     """
     m, lams = basis.level, np.array([rec.value for rec in basis.records])
     q, runs = eigenspace_runs(symbol, basis.records)
@@ -449,13 +469,12 @@ def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
         [stop - first for _, first, stop in runs],
         axis=0,
     )
-    cached = _level_grams(m, k) if 0 < k < m else None
-    if cached is None:
-        rem = eigenbasis.level_remainder(m, k).select(basis.records)
+    rem, grams = _level_data(m, k)
+    if grams is None:
+        rem = rem.select(basis.records)
         block, asym = _product_block(q, runs, rem.columns, rem.dims, m)
     else:
-        layout, grams = cached
-        rem, cols = layout.select(basis.records), layout.column_index(basis.records)
+        rem, cols = rem.select(basis.records), rem.column_index(basis.records)
         block, asym = _gram_block(q, runs, grams[:, cols][:, :, cols], rem.dims, k)
     per_atom = np.repeat(rem.per_cell, cell_values.shape[1])
     return CompressedOperator(
@@ -493,18 +512,21 @@ def level_basis_for(m: int, basis=None) -> LevelBasis:
     return eigenbasis.level_basis(m)
 
 
-def localized_trace_margin(chi: SimpleFunction, bundle: EigenspaceBundle) -> float:
-    """Check the remainder at chi's cell level against one whole eigenspace.
+def localized_trace_margin(
+    chi: SimpleFunction, bundle: EigenspaceBundle, remainder: eigenbasis.Remainder
+) -> float:
+    """Check a remainder at chi's cell level against one whole eigenspace.
 
-    The trace of [chi] over the eigenspace's vectors less its trace over its
-    remainder `level_remainder(m, chi.level)` is the localized part:
-    `per_cell` vectors in each cell C, each an eigenvector at chi_C, so it
-    must equal `per_cell` times the sum of the cell values.  Returns the
-    deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
-    raises StructuralError above 1.
+    `remainder` holds the eigenspace's remainder at cell level chi.level
+    (its own, or a level's, from which its columns are selected).  The
+    trace of [chi] over the eigenspace's vectors less its trace over the
+    remainder is the localized part: `per_cell` vectors in each cell C,
+    each an eigenvector at chi_C, so it must equal `per_cell` times the sum
+    of the cell values.  Returns the deviation over its tolerance
+    BLOCK_TOL * d * max(1, sup|chi|), and raises StructuralError above 1.
     """
     rec, cols = bundle.record, bundle.require_vectors()
-    rem = eigenbasis.level_remainder(bundle.level, chi.level).select([rec])
+    rem = remainder.select([rec])
     g = effective_multiplier(chi, bundle.vertices)[bundle.vertices.interior]
     localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
         np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)

@@ -114,6 +114,59 @@ def test_validate_command_and_determinism(tmp_path):
     assert sum(stages) <= timings["total_seconds"]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_validate_at_the_lowest_levels_exits_cleanly(tmp_path, m):
+    # at m = 2 the birth-2 split at N = 1 has no localized column, and no
+    # block-exactness row is written; nothing reads a block there
+    cfg = tmp_path / "validate.json"
+    cfg.write_text(json.dumps({"m": m}))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "gasket_szego.cli", "validate",
+         "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = (out / "validate.csv").read_text().splitlines()[1:]
+    assert [line.split(",", 1)[0] for line in lines] == _validate_names(m)
+    assert all(",PASS," in line for line in lines)
+
+
+@pytest.mark.parametrize("command,config,stages", [
+    ("szego-trace", {"m": 5, "mode": "full", "lambda_grid": [100.0, 3000.0],
+                     "symbol": {"kind": "multiplication",
+                                "chi": {"level": 1, "values": [0.8, 1.0, 1.2]}}},
+     ("remainder", "sweep", "report")),
+    ("szego-det", {"m": 5, "mode": "single", "series": 6, "j_range": [2, 3, 4],
+                   "N": 1, "symbol": {"kind": "riesz", "beta": 1.0}},
+     ("remainder", "sweep", "report")),
+    ("clusters", {"m": 5, "j_range": [2, 3, 4],
+                  "chi": {"level": 1, "values": [0.8, 1.0, 1.2]}},
+     ("remainder", "schrodinger", "identify", "report")),
+])
+def test_compressing_commands_time_their_stages(tmp_path, command, config, stages):
+    # the remainder or cell-Gram build, the compressions and what reads
+    # them, and the writing are timed inside the whole run
+    eigenbasis.level_remainder.cache_clear()
+    operators._level_grams.cache_clear()
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == sorted(
+        [f"{stage}_seconds" for stage in stages] + ["total_seconds"])
+    seconds = [timings[f"{stage}_seconds"] for stage in stages]
+    assert all(t >= 0.0 for t in seconds)
+    assert sum(seconds) <= timings["total_seconds"]
+    # the build lands in its own stage: the compressions find it cached
+    if "chi" in json.dumps(config):
+        assert operators._level_grams.cache_info().hits >= 1
+
+
 def _validate_names(m):
     """validate's check names at level m, in the order it writes them."""
     names = [f"decimation-oracle-m{k}" for k in range(1, m + 1)]
@@ -124,8 +177,11 @@ def _validate_names(m):
         for birth in range(2, min(m, 5) + 1)
         for n in range(1, birth)
     ]
-    names.append(f"block-exactness-j{min(m, 4)}-N1")
-    return names + [f"lipschitz-trial-{t}" for t in range(10)]
+    if m >= 3:
+        names.append(f"block-exactness-j{min(m, 4)}-N1")
+    if m >= 2:
+        names += [f"lipschitz-trial-{t}" for t in range(10)]
+    return names
 
 
 def test_validate_oracle_builds_no_dense_laplacian(tmp_path, monkeypatch):

@@ -151,10 +151,9 @@ def test_localized_split_gram_identity(level4):
 
 def test_localized_split_preconditions(level4):
     bundle = level4.family_bundle(6, 3)
-    with pytest.raises(DomainError):
-        localized_split(bundle, 3)
-    with pytest.raises(DomainError):
-        localized_split(bundle, 0)
+    for n_level in (0, 3, 4):
+        with pytest.raises(DomainError, match="1 <= N < birth"):
+            localized_split(bundle, n_level)
     two_series = next(b for b in level4.bundles if b.record.series == 2)
     with pytest.raises(DomainError):
         localized_split(two_series, 1)
@@ -551,3 +550,116 @@ def test_every_builder_checks_the_level():
                 build(m)
         with pytest.raises(DomainError, match="no interior vertices at level 0"):
             build(0)
+
+
+def _newborn_five_entry(m):
+    return next(g for g in eigenbasis._predicted(m) if (g.series, g.birth) == (5, m))
+
+
+@pytest.mark.parametrize("k", [1, 2, "m-1"])
+@pytest.mark.parametrize("m", range(3, 8))
+def test_newborn_five_remainder_spans_the_whole_block_cut(m, k):
+    # the cell-graph solve against the junction SVD of the whole newborn
+    # block, an independent derivation of the same span, at k = 1, 2 and the
+    # finest cell level below birth, m - 1 (at m = 3 and k = 2 nothing
+    # localizes, and both are the whole block)
+    k = m - 1 if k == "m-1" else k
+    g = _newborn_five_entry(m)
+    cut = eigenbasis._grown(g, k)
+    whole = eigenbasis._bundle(m, g, eigenbasis._grown(g, m))
+    expected = eigenbasis.eigenspace_remainder(whole, k)
+    assert cut.shape == expected.columns.shape
+    got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
+    assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
+
+
+def test_newborn_five_remainder_needs_the_incidence_signs(monkeypatch):
+    # one midpoint read with the wrong sign of its edge: the cell graph's
+    # Laplacian is no longer symmetric, and the solve names the eigenspace
+    cell_graph = eigenbasis._cell_graph
+
+    def flipped(ref):
+        graph = cell_graph(ref)
+        sign = graph.sign.copy()
+        sign[np.flatnonzero(graph.head[graph.var] < graph.n_cells)[0]] *= -1.0
+        return dataclasses.replace(graph, sign=sign)
+
+    monkeypatch.setattr(eigenbasis, "_cell_graph", flipped)
+    g = _newborn_five_entry(5)
+    with pytest.raises(NumericError, match=re.escape(f"eigenspace {g.record.key}")):
+        eigenbasis._grown(g, 1)
+
+
+def test_newborn_five_remainder_forms_no_whole_block():
+    # at m = 7 and k = 1 the cut keeps 3 of 366 columns, and never holds
+    # the 3279 x 366 block they would be cut from
+    import tracemalloc
+
+    g = _newborn_five_entry(7)
+    eigenbasis._grown(g, 1)  # the refinement, vertex set and neighbour table
+    tracemalloc.start()
+    try:
+        eigenbasis._grown(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = decimation.interior_dimension(7)
+    assert peak < n * g.multiplicity * 8 / 4
+
+
+def test_ranked_svd_reports_its_margins():
+    # singular values 1, 0.5 and 1e-9 against the tolerance 1e-7: rank 2,
+    # the largest dropped value 1e-2 of the tolerance, which is 2e-7 of the
+    # smallest kept
+    left, vh, rank, (dropped, kept) = eigenbasis._ranked_svd(np.diag([1.0, 0.5, 1e-9]))
+    assert rank == 2
+    assert dropped == pytest.approx(1e-2, rel=1e-12)
+    assert kept == pytest.approx(2e-7, rel=1e-12)
+
+
+def test_remainder_at_cell_level_zero_is_empty(level4):
+    # the one 0-cell holds every vector: nothing is left over
+    bundle = level4.family_bundle(6, 3)
+    rem = eigenbasis.eigenspace_remainder(bundle, 0)
+    assert rem.columns.shape == (bundle.vectors.shape[0], 0)
+    assert (rem.dims, rem.per_cell) == ([0], [bundle.dim])
+
+
+def test_dense_solve_names_its_residual_bound(monkeypatch):
+    # an eigensolve off by 1e-6 fails with the bound it missed
+    lap = build_dirichlet_laplacian(build_vertices(2))
+    eigh = np.linalg.eigh
+
+    def off(mat):
+        values, vectors = eigh(mat)
+        return values + 1e-6, vectors
+
+    monkeypatch.setattr(eigenbasis.np.linalg, "eigh", off)
+    scale = float(np.max(np.abs(lap)))
+    bound = f"{eigenbasis.RESIDUAL_RTOL * scale:.3e}"
+    with pytest.raises(NumericError, match=re.escape(f"* ||L|| = {bound}")):
+        solve_graph_spectrum(lap)
+
+
+def test_grouping_refuses_only_predictions_within_three_tolerances(monkeypatch):
+    # two predicted values 1.2e-5 apart at 5 lie within 3 * GROUPING_RTOL *
+    # 5 = 1.5e-5 and are refused; 2e-5 apart they are grouped
+    from types import SimpleNamespace
+
+    def prediction(gap):
+        return [
+            SimpleNamespace(graph_value=g, multiplicity=1,
+                            record=SimpleNamespace(value=g, key=f"k{i}"))
+            for i, g in enumerate((2.0, 5.0, 5.0 + gap))
+        ]
+
+    for gap, refused in ((1.2e-5, True), (2e-5, False)):
+        entries = prediction(gap)
+        monkeypatch.setattr(decimation, "truncated_graph_spectrum", lambda m: entries)
+        values = np.array([g.graph_value for g in entries])
+        if refused:
+            with pytest.raises(StructuralError, match="too close to group"):
+                group_eigenspaces(values, np.eye(3), 1)
+        else:
+            _, bundles = group_eigenspaces(values, np.eye(3), 1)
+            assert [b.record.key for b in bundles] == ["k0", "k1", "k2"]

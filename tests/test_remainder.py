@@ -153,20 +153,48 @@ def test_wrong_junction_functionals_mismatch(level5, monkeypatch, mutation):
         operators.compress(sym, operators.leading_selection(level5))
 
 
+def _miscounted(rem):
+    """`rem` claiming one localized vector too many per cell."""
+    return dataclasses.replace(rem, per_cell=[c + 1 if c else c for c in rem.per_cell])
+
+
+def _carried_through(monkeypatch, perturb):
+    """Make validate's lineage walk hand each visit `perturb(bundle,
+    remainder)` in place of the remainder it carried."""
+    original = eigenbasis.walk_eigenspaces
+
+    def walk(m, visit, k=None):
+        return original(m, lambda bundle, rem: visit(bundle, perturb(bundle, rem)), k)
+
+    monkeypatch.setattr(eigenbasis, "walk_eigenspaces", walk)
+
+
+def _validate_m3(tmp_path):
+    """validate at m = 3: its exit status and block-exactness row."""
+    config = tmp_path / "validate.json"
+    config.write_text(json.dumps({"m": 3}))
+    out = tmp_path / "out"
+    code = cli.main(["validate", "--config", str(config), "--out", str(out)])
+    (row,) = [line for line in (out / "validate.csv").read_text().splitlines()
+              if line.startswith("block-exactness")]
+    return code, row
+
+
 def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
     # a remainder that claims one localized vector too many per cell; the
     # compression never reads whole eigenspaces, so the localized-trace
     # check runs on its own, in validate's block-exactness row
-    def margins():
+    def margins(remainder):
         return [
-            operators.localized_trace_margin(CHIS[1], bundle)
+            operators.localized_trace_margin(CHIS[1], bundle, remainder)
             for bundle in level5.bundles
         ]
 
-    assert all(0.0 <= margin < 1.0 for margin in margins())
+    assert all(0.0 <= margin < 1.0 for margin in margins(
+        eigenbasis.level_remainder(5, 1)))
     bare = eigenbasis.level_basis(5).bundles[0]
     with pytest.raises(DomainError, match="carries no vectors"):
-        operators.localized_trace_margin(CHIS[1], bare)
+        operators.localized_trace_margin(CHIS[1], bare, eigenbasis.level_remainder(5, 1))
     # every reader of a bundle's vectors names the eigenspace that has none
     bare = eigenbasis.level_basis(4).family_bundle(6, 3)
     missing = re.escape(f"eigenspace {bare.record.key} carries no vectors")
@@ -178,24 +206,84 @@ def test_localized_trace_is_checked(level5, monkeypatch, tmp_path):
         with pytest.raises(DomainError, match=missing):
             read()
     assert not (tmp_path / "bare.csv").exists()
-    original = eigenbasis.level_remainder
-
-    def miscounted(m, k):
-        rem = original(m, k)
-        return dataclasses.replace(
-            rem, per_cell=[c + 1 if c else c for c in rem.per_cell]
-        )
-
-    monkeypatch.setattr(eigenbasis, "level_remainder", miscounted)
     with pytest.raises(StructuralError):
-        margins()
-    config = tmp_path / "validate.json"
-    config.write_text(json.dumps({"m": 3}))
-    out = tmp_path / "out"
-    assert cli.main(["validate", "--config", str(config), "--out", str(out)]) == 1
-    (row,) = [line for line in (out / "validate.csv").read_text().splitlines()
-              if line.startswith("block-exactness")]
+        margins(_miscounted(eigenbasis.level_remainder(5, 1)))
+    # validate checks the remainder its walk carries beside each eigenspace
+    _carried_through(monkeypatch, lambda bundle, rem: _miscounted(rem))
+    code, row = _validate_m3(tmp_path)
+    assert code == 1
     assert ",FAIL," in row and "localized trace" in row
+
+
+def test_a_remainder_turned_toward_the_kernel_fails_the_lineage_check(
+    monkeypatch, tmp_path
+):
+    # one column of one carried remainder turned by 1e-9 toward a localized
+    # vector of its eigenspace: its span moves past the 1e-12 angle
+    # tolerance, and the row fails while the file is still written.  (A
+    # column's sign flip leaves the span, and every compression, unchanged.)
+    turned = []
+
+    def turn(bundle, rem):
+        if turned or not rem.per_cell[0] or not rem.dims[0]:
+            return rem
+        turned.append(bundle.record.key)
+        u, q = bundle.require_vectors(), rem.columns
+        w = eigenbasis.interior_weight(bundle.level)
+        kernel = u - q @ (q.T @ u * w)
+        v = kernel[:, np.argmax(np.linalg.norm(kernel, axis=0))]
+        v = v / np.sqrt(w * (v @ v))
+        columns = q.copy()
+        columns[:, 0] = math.cos(1e-9) * q[:, 0] + math.sin(1e-9) * v
+        return dataclasses.replace(rem, columns=columns)
+
+    _carried_through(monkeypatch, turn)
+    code, row = _validate_m3(tmp_path)
+    assert code == 1 and turned
+    fields = dict(item.split("=") for item in row.split(",", 2)[2].split(";"))
+    assert row.split(",")[1] == "FAIL"
+    assert float(fields["lineage_angle_over_tol"]) > 100.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_the_walk_carries_each_remainder_bit_for_bit(m):
+    # the remainder validate checks is the very block the compressions read
+    rem = eigenbasis.walk_remainder(m, 1)
+    keys = []
+
+    def visit(bundle, carried):
+        assert carried.records == [bundle.record]
+        block = rem.select([bundle.record])
+        assert (carried.dims, carried.per_cell) == (block.dims, block.per_cell)
+        assert np.array_equal(carried.columns, block.columns)
+        assert not carried.columns.flags.writeable
+        keys.append(bundle.record.key)
+
+    eigenbasis.walk_eigenspaces(m, visit, k=1)
+    assert sorted(keys) == sorted(rec.key for rec in rem.records)
+    for k in (0, m + 1):
+        with pytest.raises(DomainError, match="cell level"):
+            eigenbasis.walk_eigenspaces(m, visit, k=k)
+
+
+def test_validate_assembles_no_level_remainder(monkeypatch, tmp_path):
+    # the lineage check at m = 5 reads no level-5 remainder matrix; the
+    # Lipschitz trials compress at level 4 and still read theirs
+    for name in ("level_remainder", "walk_remainder"):
+        original = getattr(eigenbasis, name)
+
+        def refusing(m, k, _original=original, _name=name):
+            if m == 5:
+                raise AssertionError(f"validate called {_name}({m}, {k})")
+            return _original(m, k)
+
+        monkeypatch.setattr(eigenbasis, name, refusing)
+    config = tmp_path / "validate.json"
+    config.write_text(json.dumps({"m": 5}))
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / "validate.csv").read_text().splitlines()[1:]
+    assert rows and all(",PASS," in row for row in rows)
 
 
 @pytest.mark.parametrize("k", [1, 2])

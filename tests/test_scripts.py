@@ -1,4 +1,5 @@
-"""Smoke test: each demo script runs at a small size and exits 0."""
+"""Smoke tests: each script runs at a small size and exits 0."""
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,29 @@ def test_script_runs(tmp_path, script, args):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_mutation_harness_smoke(tmp_path):
+    # two mutants of a small module against one quick test file: the
+    # report is written, and the checkout and the work copy are untouched
+    # and removed respectively
+    module = ROOT / "src" / "gasket_szego" / "serialize.py"
+    before = module.read_bytes()
+    out = tmp_path / "survivors.json"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"),
+         "--modules", "gasket_szego.serialize", "--seed", "0", "--count", "2",
+         "--timeout", "120", "--out", str(out), "--workdir", str(tmp_path),
+         "--tests", "tests/test_imports.py"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(out.read_text())
+    assert report["mutants"] == len(report["results"]) == 2
+    assert report["killed"] + len(report["survivors"]) == 2
+    assert all(r["outcome"] in ("killed", "survived", "timeout")
+               for r in report["results"])
+    assert module.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["survivors.json"]
