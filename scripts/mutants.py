@@ -8,7 +8,9 @@ The sites are found with the standard library's `ast`, a seeded sample of
 them is drawn, and each mutant is written into a copy of the repository
 (never into the checkout itself), where the tests run against it with a
 per-mutant timeout.  A mutant the tests pass survives; the survivors are
-written as JSON for triage (killed by a new test, equivalent, or dead code).
+written as JSON for triage (killed by a new test, equivalent, or dead code);
+the survivors triaged as equivalent are listed in
+`scripts/mutants_equivalent.json`.
 
     python scripts/mutants.py --modules gasket_szego.eigenbasis --seed 1 \\
         --count 20 --timeout 300 --out survivors.json

@@ -470,6 +470,7 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
 
     # the prediction labels every eigenspace, and each listed one is built
     # alone by its lineage
+    stage_done = _stage_clock(timings)
     basis = eigenbasis.level_basis(config.m)
     rows = [
         (b.record.key, b.graph_value, b.dim, b.record.value, b.record.multiplicity)
@@ -481,13 +482,16 @@ def _cmd_basis(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         rows,
     )
     outputs = ["bundles.csv"]
+    stage_done("workspace")
     for key in config.records:
         name = f"bundle_{_sanitize(key)}.csv"
         eigenbasis.save_bundle(eigenbasis.eigenspace(config.m, key), out_dir / name)
         outputs.append(name)
+    stage_done("eigenspaces")
     if config.dump_vertices:
         gasket.vertices_to_csv(basis.vertices, out_dir / "vertices.csv")
         outputs.append("vertices.csv")
+    stage_done("vertices")
     return outputs
 
 

@@ -1,19 +1,23 @@
 """Level eigenbases by spectral decimation, the dense oracle, and localized splits.
 
 Every graph eigenvector comes from one depth-first walk down the decimation
-tree, with no eigensolve: each eigenspace is born at its birth level (the 5-
-and 6-eigenspaces from their sparse descriptions, the level-1 2-series
-vector) and extends one level at a time by the local eigenfunction-extension
-formula, through one preimage of its graph value per branch.  It arrives
-labelled with its entry of the decimation prediction, orthonormal in the
-measure-weighted inner product, and passes one stencil check of the level's
-eigen-equation over the vertex set's neighbour table, as does every
-localized split.  The walk carries each eigenspace's remainder at a cell
-level k, whole while nothing in it localizes: a newborn is cut to its
-remainder at birth, with no whole block formed (the 6-series remainder by
-conjugate gradients on the newborn Gram matrix, the 5-series remainder by
-conjugate gradients on the grounded Laplacian of the level's cell graph),
-and extension maps a parent's remainder onto its child's.
+tree, with no eigensolve: each eigenspace is born at its birth level and
+extends one level at a time by the local eigenfunction-extension formula,
+through one preimage of its graph value per branch.  A newborn 5- or
+6-eigenspace is its remainder at cell level 1 (the 6-series by conjugate
+gradients on its Gram matrix, the 5-series by conjugate gradients on the
+grounded Laplacian of the level's cell graph) beside the eigenfunctions
+localized in cells: what each earlier birth's eigenspace adds to a cell,
+taken from its own remainder at cell level 1 and placed by translation in
+every cell of its size; the 2-series is born as one level-1 vector.  Each
+eigenspace arrives labelled with its entry of the decimation prediction,
+orthonormal in the measure-weighted inner product, and passes one stencil
+check of the level's eigen-equation over the vertex set's neighbour table,
+as does every localized split.  The walk carries each eigenspace's
+remainder at a cell level k, whole while nothing in it localizes: a
+newborn's remainder stops before the pieces of cells of level k and finer,
+so no whole block is formed, and extension maps a parent's remainder onto
+its child's.
 `walk_remainder(m, k)` writes every level-m eigenspace's remainder into its
 column range of one read-only matrix in record-value order, and
 `level_remainder(m, k)` caches it; at k = m that is the n x n basis, the
@@ -187,7 +191,10 @@ class LocalizedBasis:
     The kernel margins are the worst over the junction SVD and cell 0's SVD
     of the largest singular value taken as zero over the kernel tolerance,
     and of the tolerance over the smallest singular value kept; both are
-    below 1, and 0 when no SVD drops (or keeps) a singular value.
+    below 1, and 0 when no SVD drops (or keeps) a singular value.  A
+    dropped value can be exactly 0 too: the translated localized vectors of
+    a newborn eigenspace, and their extensions, vanish exactly on the
+    junction vertices.
     """
 
     bundle: EigenspaceBundle
@@ -244,10 +251,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     remainder count, give the non-localized remainder; the others span the
     sum of all localized vectors, the kernel.  Vectors localized in
     different N-cells have disjoint supports, so those of cell 0 are the
-    left singular vectors of the kernel's rows inside it.  The contractions
-    have no rotation, so every N-cell is cell 0 plus one barycentric offset;
-    vertex keys are linear in the triple, so its ascending interior rows are
-    cell 0's translated, in order, and hold cell 0's vectors in a zero block.
+    left singular vectors of the kernel's rows inside it, and every N-cell's
+    rows, cell 0's translated (`_translates`), hold them in a zero block.
     A rank different from the closed-form counts, or a kernel that does not
     vanish on the junction rows to within the snap tolerance, raises a
     structural error; a split vector off the level's eigen-equation, such as
@@ -282,7 +287,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
 
     per_cell = [np.zeros((n, counts.m_j_N)) for _ in range(3**n_level)]
     if counts.m_j_N:
-        left, _, found, cell_margins = _ranked_svd(u[cells == 0] @ kernel)
+        rows = _translates(vertices, n_level)
+        left, _, found, cell_margins = _ranked_svd(u[rows[0]] @ kernel)
         if found != counts.m_j_N:
             raise StructuralError(
                 f"cell 0: found {found} localized vectors, closed form "
@@ -291,8 +297,8 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
             )
         margins = tuple(map(max, margins, cell_margins))
         template = left[:, :found] * (1.0 / np.sqrt(interior_weight(bundle.level)))
-        for c, vecs in enumerate(per_cell):
-            vecs[cells == c] = template
+        for cell, vecs in zip(rows, per_cell):
+            vecs[cell] = template
 
     nonlocalized = u @ vh[:rank].T
     split = np.hstack([*per_cell, nonlocalized])
@@ -367,10 +373,25 @@ def _junction_functionals(vertices: VertexSet, k: int) -> np.ndarray:
     """
     rows = np.flatnonzero(vertices.cell_rows(k) < 0)
     ids = vertices.interior[rows]
-    first = vertices.cells[vertices.first_cell[ids]]
-    partners = first[first != ids[:, None]].reshape(-1, 2)
     values = np.column_stack([rows, np.full(ids.size, vertices.n_interior)])
-    return np.vstack([values, vertices.rows[partners]])
+    return np.vstack([values, _cell_partners(vertices, ids)])
+
+
+def _cell_partners(vertices: VertexSet, ids: np.ndarray) -> np.ndarray:
+    """The rows of the two neighbours of each vertex of `ids` in the first
+    level-m cell containing it, n_interior for a boundary vertex."""
+    first = vertices.cells[vertices.first_cell[ids]]
+    return vertices.rows[first[first != ids[:, None]].reshape(-1, 2)]
+
+
+def _translates(vertices: VertexSet, k: int) -> np.ndarray:
+    """The interior rows of every k-cell, a row per cell in cell order, each
+    ascending: every k-cell is cell 0 plus one barycentric offset, and
+    vertex keys are linear in the triple, so its rows are cell 0's
+    translated, in the same order."""
+    cells = vertices.cell_rows(k)
+    inside = np.flatnonzero(cells >= 0)
+    return inside[np.argsort(cells[inside], kind="stable")].reshape(3**k, -1)
 
 
 def _junction_matrix(vertices: VertexSet, k: int) -> np.ndarray:
@@ -589,32 +610,6 @@ def _check_stencil(m: int, vectors: np.ndarray, blocks: list) -> None:
         )
 
 
-def _inverse_cholesky(gram: np.ndarray) -> None:
-    """Overwrite the positive definite `gram` with L^-1, where L L^T = gram.
-
-    For vectors E with Gram matrix `gram`, the columns of E L^-T are
-    orthonormal.  The Cholesky factor and its inverse are both formed block
-    column by block column in place, so no other d x d array is made.
-    """
-    passes = _passes(gram.shape[0], gram.shape[0], _GEMM_WIDTH)
-    for cols in passes:
-        j0, j1 = cols.start, cols.stop
-        panel = gram[j0:, cols]
-        panel -= gram[j0:, :j0] @ gram[cols, :j0].T
-        try:
-            diag = np.linalg.cholesky(panel[: j1 - j0])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"spanning vectors are dependent: {exc}") from exc
-        panel[j1 - j0 :] = panel[j1 - j0 :] @ np.linalg.inv(diag).T
-        panel[: j1 - j0] = diag
-        gram[cols, j1:] = 0.0
-    for cols in reversed(passes):
-        j1 = cols.stop
-        diag_inv = np.linalg.inv(gram[cols, cols])
-        gram[j1:, cols] = -(gram[j1:, j1:] @ gram[j1:, cols]) @ diag_inv
-        gram[cols, cols] = diag_inv
-
-
 def _extension_adjoint(ref: _Refinement, values: np.ndarray, lam: float) -> np.ndarray:
     """E^T values, for E the extension at `lam` (see `_extend`) as an
     n x n_prev matrix: what level-m row functionals read from level m-1."""
@@ -627,35 +622,10 @@ def _extension_adjoint(ref: _Refinement, values: np.ndarray, lam: float) -> np.n
     return out[:-1]
 
 
-def _newborn_six(ref: _Refinement, w: float, out: np.ndarray) -> None:
-    """The 6-eigenspace born at level m, weighted-orthonormal, into `out`.
-
-    Any values on the level-(m-1) interior extend at lam = 6, where
-    u(z) = (u(w) - u(x) - u(y)) / 2.  The extensions of the unit vectors
-    have the exact Gram matrix (L + 6 I) / 4, L the level-(m-1) Dirichlet
-    Laplacian; the extensions of the columns of L^-T of its Cholesky factor
-    are orthonormal.
-    """
-    d = ref.n_prev
-    if d != out.shape[1]:
-        raise MismatchError(
-            f"the newborn 6-series eigenspace has dimension {d}, decimation "
-            f"predicts {out.shape[1]}"
-        )
-    neighbours = build_vertices(ref.level - 1).neighbours
-    rows, sides = np.nonzero(neighbours < d)
-    gram = np.eye(d)
-    gram *= 2.5
-    gram[rows, neighbours[rows, sides]] = -0.25
-    _inverse_cholesky(gram)
-    gram *= 1.0 / np.sqrt(w)
-    for cols in _passes(ref.mid.size, d):
-        _extend(ref, gram[cols].T, 6.0, out[:, cols])
-
-
 def _six_gram_times(ref: _Refinement, x: np.ndarray) -> np.ndarray:
-    """G x for the Gram matrix G = (L + 6 I) / 4 of `_newborn_six`: 2.5 x
-    less a quarter of the sum over the four level-(m-1) neighbours."""
+    """G x for the Gram matrix G = (L + 6 I) / 4 of the newborn 6-eigenspace
+    (see `_newborn_six_remainder`): 2.5 x less a quarter of the sum over the
+    four level-(m-1) neighbours."""
     neighbours = build_vertices(ref.level - 1).neighbours
     pad = _padded(x)
     sums = pad[neighbours[:, 0]]
@@ -694,7 +664,7 @@ def _conjugate_gradients(apply, rhs: np.ndarray, steps: int, what: str) -> np.nd
 
 
 def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs for the Gram matrix G of `_newborn_six`.
+    """G^-1 rhs for the Gram matrix G of `_six_gram_times`.
 
     The graph values lie in (0, 6], so G has its spectrum in (1.5, 3] and
     each step cuts the error by at least (sqrt(2) - 1) / (sqrt(2) + 1) < 0.18.
@@ -706,28 +676,31 @@ def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newborn_six_remainder(
-    ref: _Refinement, w: float, g: GraphEigenvalue, k: int, out: np.ndarray
+    ref: _Refinement, w: float, g: GraphEigenvalue, out: np.ndarray
 ) -> None:
-    """The remainder at cell level k of the newborn 6-eigenspace, into `out`.
+    """The remainder at cell level 1 of the newborn 6-eigenspace, into `out`.
 
-    With E the lam = 6 extension of the unit vectors, G = E^T E their Gram
-    matrix and A = J E the level-k junction functionals J pulled back
-    through the extension, E z is localized exactly when A z = 0, so the
-    remainder, orthogonal to those, is the span of E G^-1 A^T.  Its rank,
-    that of A, is pinned to the closed-form count on A's singular values.
-    G^-1 is applied to A's top right singular vectors V by conjugate
-    gradients, and E G^-1 V is orthonormalized through the Cholesky factor
-    of its small Gram matrix V^T G^-1 V, a factor of A G^-1 A^T.  No d x d
-    array is formed.
+    Any values on the level-(m-1) interior extend at lam = 6, where
+    u(z) = (u(w) - u(x) - u(y)) / 2, and the extensions E of the unit
+    vectors span the eigenspace with the exact Gram matrix
+    G = E^T E = (L + 6 I) / 4, L the level-(m-1) Dirichlet Laplacian.  With
+    A = J E the level-1 junction functionals J pulled back through the
+    extension, E z is localized exactly when A z = 0, so the remainder,
+    orthogonal to those, is the span of E G^-1 A^T.  Its rank, that of A,
+    is pinned to the closed-form count on A's singular values.  G^-1 is
+    applied to A's top right singular vectors V by conjugate gradients, and
+    E G^-1 V is orthonormalized through the Cholesky factor of its small
+    Gram matrix V^T G^-1 V, a factor of A G^-1 A^T.  No d x d array is
+    formed.
     """
     if g.multiplicity != ref.n_prev:
         raise MismatchError(
             f"the newborn 6-series eigenspace has dimension {ref.n_prev}, "
             f"decimation predicts {g.multiplicity}"
         )
-    junction = _junction_matrix(build_vertices(ref.level), k)
+    junction = _junction_matrix(build_vertices(ref.level), 1)
     a = _extension_adjoint(ref, junction.T, 6.0).T
-    z = _six_gram_solve(ref, _junction_cut(a, out.shape[1], g.record.key, k)[0].T)
+    z = _six_gram_solve(ref, _junction_cut(a, out.shape[1], g.record.key, 1)[0].T)
     factor = np.linalg.cholesky(z.T @ _six_gram_times(ref, z))
     coeffs = np.linalg.solve(factor, z.T).T
     coeffs *= 1.0 / np.sqrt(w)
@@ -738,10 +711,15 @@ def _newborn_six_remainder(
 class _CellGraph:
     """The graph whose circulations are the 5-eigenspace born at level m.
 
-    Its nodes are the level-(m-1) cells plus a ground node, `n_cells`; its
-    edges are the interior old vertices, then one per boundary corner, each
-    joining the cells that contain it (a boundary corner joins its cell to
-    the ground).  Midpoint i, cell-major like `_Refinement.mid`, lies in
+    The eigenspace's vectors vanish on the level-(m-1) vertices.  The
+    eigen-equation at an interior old vertex x says that the two midpoints
+    opposite x, one in each cell containing x, carry opposite values, the
+    flow on edge x; a boundary corner's opposite midpoint carries a free
+    value; and at a midpoint it says that each cell's three midpoints sum to
+    zero, no net outflow.  Its nodes are the level-(m-1) cells plus a ground
+    node, `n_cells`; its edges are the interior old vertices, then one per
+    boundary corner, each joining the cells that contain it (a boundary
+    corner joins its cell to the ground).  Midpoint i, cell-major like `_Refinement.mid`, lies in
     cell i // 3 opposite the corner of edge `var[i]`, and carries `sign[i]`
     times that edge's flow: +1 in the edge's first cell, its `tail`, and -1
     in its other, its `head`.  M, `multiplicity`, counts the midpoints of
@@ -810,71 +788,10 @@ def _cell_graph(ref: _Refinement) -> _CellGraph:
     )
 
 
-def _newborn_five(ref: _Refinement, w: float, out: np.ndarray) -> None:
-    """The 5-eigenspace born at level m, weighted-orthonormal, into `out`.
-
-    Its vectors vanish on the level-(m-1) vertices.  The eigen-equation at
-    an interior old vertex x says that the two midpoints opposite x, one in
-    each cell containing x, carry opposite values y_x; a boundary corner's
-    opposite midpoint carries a free value.  At a midpoint it says that each
-    cell's three midpoints sum to zero.  So y is a circulation on the cell
-    graph (`_CellGraph`): one cycle per edge outside a breadth-first
-    spanning tree is a basis, with entries -1, 0 and 1 and an exact Gram
-    matrix.
-    """
-    graph = _cell_graph(ref)
-    n_cells, tail, head = graph.n_cells, graph.tail, graph.head
-    n_edges = tail.size
-    ends = [[] for _ in range(n_cells + 1)]
-    for e, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
-        ends[a].append((e, b))
-        ends[b].append((e, a))
-    up = {n_cells: None}  # node -> edge to its parent in the tree
-    order = [n_cells]
-    for node in order:
-        for e, other in ends[node]:
-            if other not in up:
-                up[other] = e
-                order.append(other)
-    in_tree = np.zeros(n_edges, dtype=bool)
-    in_tree[[up[v] for v in order[1:]]] = True
-    cycles = np.nonzero(~in_tree)[0]
-    dim = cycles.size
-    if len(order) != n_cells + 1 or dim != out.shape[1]:
-        raise MismatchError(
-            f"the newborn 5-series eigenspace has dimension {dim} on "
-            f"{len(order) - 1} of {n_cells} cells, decimation predicts "
-            f"{out.shape[1]}"
-        )
-
-    # unit flow on each cycle edge; tree edges cancel the net outflow of
-    # every cell, leaves first
-    y = np.zeros((n_edges, dim))
-    y[cycles, np.arange(dim)] = 1.0
-    net = np.zeros((n_cells + 1, dim))
-    net[tail[cycles], np.arange(dim)] += 1.0
-    net[head[cycles], np.arange(dim)] -= 1.0
-    for node in reversed(order[1:]):
-        e = up[node]
-        if tail[e] == node:
-            y[e] = -net[node]
-            net[head[e]] += net[node]
-        else:
-            y[e] = net[node]
-            net[tail[e]] += net[node]
-
-    gram = y.T @ (graph.multiplicity[:, None] * y)
-    _inverse_cholesky(gram)
-    gram *= 1.0 / np.sqrt(w)
-    out[ref.old] = 0.0
-    for cols in _passes(ref.mid.size, dim):
-        out[ref.mid, cols] = graph.sign[:, None] * (y @ gram[cols].T)[graph.var]
-
-
 def _newborn_five_remainder(
-    ref: _Refinement, w: float, g: GraphEigenvalue, k: int, out: np.ndarray
+    ref: _Refinement, w: float, g: GraphEigenvalue, out: np.ndarray
 ) -> None:
-    """The remainder at cell level k of the newborn 5-eigenspace, into `out`.
+    """The remainder at cell level 1 of the newborn 5-eigenspace, into `out`.
 
     In flows on the cell graph, with B its grounded incidence and M its
     edge multiplicities, the eigenspace is the kernel of B and a junction
@@ -898,7 +815,7 @@ def _newborn_five_remainder(
             f"{graph.multiplicity.size - graph.n_cells}, decimation predicts "
             f"{g.multiplicity}"
         )
-    functionals = _junction_functionals(build_vertices(ref.level), k)
+    functionals = _junction_functionals(build_vertices(ref.level), 1)
     midpoint = np.full(ref.n + 1, -1)
     midpoint[ref.mid] = np.arange(ref.mid.size)
     mids = midpoint[functionals]
@@ -919,30 +836,88 @@ def _newborn_five_remainder(
         r -= graph.potential_drop(x) / graph.multiplicity[:, None]
     root = np.sqrt(graph.multiplicity)[:, None]
     rows, _ = _junction_cut(
-        (root * r).T * (1.0 / np.sqrt(w)), out.shape[1], g.record.key, k
+        (root * r).T * (1.0 / np.sqrt(w)), out.shape[1], g.record.key, 1
     )
     flows = rows.T / (root * np.sqrt(w))
     out[ref.old] = 0.0
     out[ref.mid] = graph.sign[:, None] * flows[graph.var]
 
 
-def _newborn(ref: _Refinement, g: GraphEigenvalue, k: int, out: np.ndarray) -> None:
-    """The eigenspace of entry g born at level m, weighted-orthonormal, into
-    `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the level-1
-    2-series vector, constant on the one midpoint triangle.  When `out` is
-    narrower than the eigenspace, it receives the remainder at cell level k
-    (`_newborn_five_remainder`, `_newborn_six_remainder`), with the rank
-    pinned to the closed-form count; no whole block is built."""
+def _cell_block(series: int, j: int) -> np.ndarray:
+    """What the 5- or 6-eigenspace born at level j adds to any cell it is
+    placed in: level-j columns, weighted-orthonormal at level j.
+
+    Placed in a cell of a finer level, zero elsewhere, a vector of the
+    eigenspace stays an eigenvector exactly when, at each of the cell's
+    corners, the values at the corner's two neighbours inside the cell sum
+    to zero.  The vectors placed in its subcells pass and span the
+    eigenspace's vectors localized in 1-cells, so the new ones lie in its
+    remainder at cell level 1: all three of its columns for the 6-series,
+    and for the 5-series the one combination on which the three corner sums
+    vanish, the kernel of a 3 x 3 matrix, pinned to 1.
+    """
+    g = next(
+        e for e in decimation.truncated_graph_spectrum(j)
+        if (e.series, e.birth, e.prefix) == (series, j, ())
+    )
+    ref = _refinement(j)
+    block = np.empty((ref.n, 3))
+    (_newborn_five_remainder if series == 5 else _newborn_six_remainder)(
+        ref, interior_weight(j), g, block
+    )
+    if series == 6:
+        return block
+    vertices = build_vertices(j)
+    sums = block[_cell_partners(vertices, np.array(vertices.boundary))].sum(axis=1)
+    _, vh, rank, _ = _ranked_svd(sums, full=True)
+    if rank != 2:
+        raise MismatchError(
+            f"eigenspace {g.record.key}: the corner sums of its remainder at "
+            f"cell level 1 have a kernel of dimension {3 - rank}, the closed "
+            f"form predicts 1"
+        )
+    return block @ vh[2:].T
+
+
+def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray) -> None:
+    """The eigenspace of entry g born at level m, or its remainder at the
+    cell level k whose closed-form width `out` has, weighted-orthonormal,
+    into `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the
+    level-1 2-series vector, constant on the one midpoint triangle.
+
+    The 5- or 6-eigenspace is the orthogonal sum of its remainder at cell
+    level 1 (`_newborn_five_remainder`, `_newborn_six_remainder`) and, for
+    each earlier birth j = m-1, ..., 2, of what birth j's eigenspace adds
+    to every (m-j)-cell (`_cell_block`): vectors localized in cells, the
+    eigenfunctions of Barlow and Kigami.  Every (m-j)-cell is cell 0
+    translated, its rows cell 0's in order, and cell 0's rows are the
+    level-j interior's in order, so each block is written straight into
+    every cell's rows, scaled by 3^((m-j)/2) to weighted-orthonormal
+    columns at level m, cell after cell.  The pieces of k-cells and finer
+    ones are localized in k-cells, so the remainder at cell level k stops
+    before them, where `out` is full.
+    """
     w = interior_weight(ref.level)
     if g.series == 2:
         out[:] = 1.0 / np.sqrt(ref.n * w)
         return
-    if out.shape[1] == g.multiplicity:
-        (_newborn_five if g.series == 5 else _newborn_six)(ref, w, out)
-    else:
-        (_newborn_five_remainder if g.series == 5 else _newborn_six_remainder)(
-            ref, w, g, k, out
-        )
+    cursor = _remainder_rank(g.record, g.multiplicity, 1)
+    (_newborn_five_remainder if g.series == 5 else _newborn_six_remainder)(
+        ref, w, g, out[:, :cursor]
+    )
+    out[:, cursor:] = 0.0
+    vertices = build_vertices(ref.level)
+    for j in range(ref.level - 1, 1, -1):
+        if cursor == out.shape[1]:
+            break
+        block = _cell_block(g.series, j)
+        block *= np.sqrt(3.0 ** (ref.level - j))
+        rows = _translates(vertices, ref.level - j)
+        width = block.shape[1]
+        for i, column in enumerate(block.T):
+            # column i of every cell, the cells' columns side by side
+            out[rows, cursor + i + width * np.arange(rows.shape[0])[:, None]] = column
+        cursor += rows.shape[0] * width
     _check_gram(out, 1.0 / w, g.record.key)
 
 
@@ -1014,7 +989,7 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
         width = _remainder_rank(g.record, g.multiplicity, k)
         block = np.empty((ref.n, width + 1))[:, :-1]
     if parent is None:
-        _newborn(ref, g, k, block)
+        _newborn(ref, g, block)
     else:
         _extended(ref, parent, g.graph_value, g.record.key, block)
     if out is None:

@@ -27,7 +27,11 @@ compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
 reads back what `save_bundle` wrote.  `reference_edges` assembles the
 interior edges side by side from the cells, and `reference_six_gram_times`
 sums the newborn 6-series Gram product edge by edge with `np.add.at`, where
-both read the vertex set's neighbour table.
+both read the vertex set's neighbour table.  `newborn_block` builds a whole
+newborn 5- or 6-eigenspace from exact spanning sets (a cycle basis of the
+cell graph, the lam = 6 extensions of the unit vectors) and the inverse
+Cholesky factor of their Gram matrix, where `eigenbasis` places translated
+level-1 remainders in cells.
 """
 import dataclasses
 from pathlib import Path
@@ -51,7 +55,12 @@ from gasket_szego.decimation import (
     renormalization_factor,
     series_multiplicity,
 )
-from gasket_szego.errors import ConvergenceError, DomainError
+from gasket_szego.errors import (
+    ConvergenceError,
+    DomainError,
+    MismatchError,
+    NumericError,
+)
 from gasket_szego.eigenbasis import (
     KERNEL_RTOL,
     EigenspaceBundle,
@@ -494,3 +503,125 @@ def reference_six_gram_times(m: int, x: np.ndarray) -> np.ndarray:
         np.add.at(sums, corners[:, a], pad[corners[:, b]])
         np.add.at(sums, corners[:, b], pad[corners[:, a]])
     return 2.5 * x - 0.25 * sums[:-1]
+
+
+def newborn_block(m: int, series: int) -> np.ndarray:
+    """The whole 5- or 6-eigenspace born at level m, weighted-orthonormal,
+    from exact spanning sets and the inverse Cholesky factor of their Gram
+    matrix (`_newborn_five`, `_newborn_six`)."""
+    ref = eigenbasis._refinement(m)
+    out = np.empty((ref.n, series_multiplicity(series, m)))
+    build = _newborn_five if series == 5 else _newborn_six
+    build(ref, eigenbasis.interior_weight(m), out)
+    return out
+
+
+def _inverse_cholesky(gram: np.ndarray) -> None:
+    """Overwrite the positive definite `gram` with L^-1, where L L^T = gram.
+
+    For vectors E with Gram matrix `gram`, the columns of E L^-T are
+    orthonormal.  The Cholesky factor and its inverse are both formed block
+    column by block column in place, so no other d x d array is made.
+    """
+    passes = eigenbasis._passes(gram.shape[0], gram.shape[0], eigenbasis._GEMM_WIDTH)
+    for cols in passes:
+        j0, j1 = cols.start, cols.stop
+        panel = gram[j0:, cols]
+        panel -= gram[j0:, :j0] @ gram[cols, :j0].T
+        try:
+            diag = np.linalg.cholesky(panel[: j1 - j0])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"spanning vectors are dependent: {exc}") from exc
+        panel[j1 - j0 :] = panel[j1 - j0 :] @ np.linalg.inv(diag).T
+        panel[: j1 - j0] = diag
+        gram[cols, j1:] = 0.0
+    for cols in reversed(passes):
+        j1 = cols.stop
+        diag_inv = np.linalg.inv(gram[cols, cols])
+        gram[j1:, cols] = -(gram[j1:, j1:] @ gram[j1:, cols]) @ diag_inv
+        gram[cols, cols] = diag_inv
+
+
+def _newborn_six(ref, w: float, out: np.ndarray) -> None:
+    """The 6-eigenspace born at level m, weighted-orthonormal, into `out`.
+
+    Any values on the level-(m-1) interior extend at lam = 6, where
+    u(z) = (u(w) - u(x) - u(y)) / 2.  The extensions of the unit vectors
+    have the exact Gram matrix (L + 6 I) / 4, L the level-(m-1) Dirichlet
+    Laplacian; the extensions of the columns of L^-T of its Cholesky factor
+    are orthonormal.
+    """
+    d = ref.n_prev
+    if d != out.shape[1]:
+        raise MismatchError(
+            f"the newborn 6-series eigenspace has dimension {d}, decimation "
+            f"predicts {out.shape[1]}"
+        )
+    neighbours = build_vertices(ref.level - 1).neighbours
+    rows, sides = np.nonzero(neighbours < d)
+    gram = np.eye(d)
+    gram *= 2.5
+    gram[rows, neighbours[rows, sides]] = -0.25
+    _inverse_cholesky(gram)
+    gram *= 1.0 / np.sqrt(w)
+    eigenbasis._extend(ref, gram.T, 6.0, out)
+
+
+def _newborn_five(ref, w: float, out: np.ndarray) -> None:
+    """The 5-eigenspace born at level m, weighted-orthonormal, into `out`.
+
+    Its vectors vanish on the level-(m-1) vertices.  The eigen-equation at
+    an interior old vertex x says that the two midpoints opposite x, one in
+    each cell containing x, carry opposite values y_x; a boundary corner's
+    opposite midpoint carries a free value.  At a midpoint it says that each
+    cell's three midpoints sum to zero.  So y is a circulation on the cell
+    graph (`eigenbasis._CellGraph`): one cycle per edge outside a breadth-first
+    spanning tree is a basis, with entries -1, 0 and 1 and an exact Gram
+    matrix.
+    """
+    graph = eigenbasis._cell_graph(ref)
+    n_cells, tail, head = graph.n_cells, graph.tail, graph.head
+    n_edges = tail.size
+    ends = [[] for _ in range(n_cells + 1)]
+    for e, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
+        ends[a].append((e, b))
+        ends[b].append((e, a))
+    up = {n_cells: None}  # node -> edge to its parent in the tree
+    order = [n_cells]
+    for node in order:
+        for e, other in ends[node]:
+            if other not in up:
+                up[other] = e
+                order.append(other)
+    in_tree = np.zeros(n_edges, dtype=bool)
+    in_tree[[up[v] for v in order[1:]]] = True
+    cycles = np.nonzero(~in_tree)[0]
+    dim = cycles.size
+    if len(order) != n_cells + 1 or dim != out.shape[1]:
+        raise MismatchError(
+            f"the newborn 5-series eigenspace has dimension {dim} on "
+            f"{len(order) - 1} of {n_cells} cells, decimation predicts "
+            f"{out.shape[1]}"
+        )
+
+    # unit flow on each cycle edge; tree edges cancel the net outflow of
+    # every cell, leaves first
+    y = np.zeros((n_edges, dim))
+    y[cycles, np.arange(dim)] = 1.0
+    net = np.zeros((n_cells + 1, dim))
+    net[tail[cycles], np.arange(dim)] += 1.0
+    net[head[cycles], np.arange(dim)] -= 1.0
+    for node in reversed(order[1:]):
+        e = up[node]
+        if tail[e] == node:
+            y[e] = -net[node]
+            net[head[e]] += net[node]
+        else:
+            y[e] = net[node]
+            net[tail[e]] += net[node]
+
+    gram = y.T @ (graph.multiplicity[:, None] * y)
+    _inverse_cholesky(gram)
+    gram *= 1.0 / np.sqrt(w)
+    out[ref.old] = 0.0
+    out[ref.mid] = graph.sign[:, None] * (y @ gram.T)[graph.var]

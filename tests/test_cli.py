@@ -148,10 +148,13 @@ def test_validate_at_the_lowest_levels_exits_cleanly(tmp_path, m):
     ("clusters", {"m": 5, "j_range": [2, 3, 4],
                   "chi": {"level": 1, "values": [0.8, 1.0, 1.2]}},
      ("remainder", "schrodinger", "identify", "report")),
+    ("basis", {"m": 4, "records": ["5:4:", "6:2:+"], "dump_vertices": True},
+     ("workspace", "eigenspaces", "vertices")),
 ])
 def test_compressing_commands_time_their_stages(tmp_path, command, config, stages):
     # the remainder or cell-Gram build, the compressions and what reads
-    # them, and the writing are timed inside the whole run
+    # them, and the writing are timed inside the whole run; `basis` times
+    # its workspace, its eigenspaces and its vertex dump
     eigenbasis.level_remainder.cache_clear()
     operators._level_grams.cache_clear()
     code, out = run_cli(tmp_path, command, config)

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from gasket_szego.errors import (
 )
 from gasket_szego.gasket import build_dirichlet_laplacian, build_vertices
 
+import dense_oracle
 from dense_oracle import (
     cell_inside_rows,
     load_bundle,
@@ -196,10 +201,12 @@ def test_split_matches_outside_row_svd(request, m):
             if ref.shape[1]:
                 assert _projector_gap(vecs, ref, w) <= 1e-12
         assert _projector_gap(split.nonlocalized, nonlocalized, w) <= 1e-12
-        # the kernel margins: below 1, and 0 when no cell drops a value
+        # the kernel margins: below 1, and 0 when no cell drops a value; a
+        # dropped value may be exactly 0, as translated localized vectors
+        # vanish exactly on the junction vertices
         assert 0.0 < split.tol_over_kept < 1.0
         if split.localized_total:
-            assert 0.0 < split.dropped_over_tol < 1.0
+            assert 0.0 <= split.dropped_over_tol < 1.0
         else:
             assert split.dropped_over_tol == 0.0
 
@@ -520,17 +527,18 @@ def test_six_gram_times_gathers_the_edge_sums(m):
 
 @pytest.mark.parametrize("m", range(2, 6))
 def test_newborn_six_gram_is_the_parent_laplacian(monkeypatch, m):
-    # the Gram matrix of the extended unit vectors is (L + 6 I) / 4, L the
-    # level-(m-1) Dirichlet Laplacian
+    # the Gram matrix of the extended unit vectors, which the oracle's
+    # newborn 6-series block factors, is (L + 6 I) / 4, L the level-(m-1)
+    # Dirichlet Laplacian
     grams = []
-    inverse_cholesky = eigenbasis._inverse_cholesky
+    inverse_cholesky = dense_oracle._inverse_cholesky
 
     def recording(gram):
         grams.append(gram.copy())
         inverse_cholesky(gram)
 
-    monkeypatch.setattr(eigenbasis, "_inverse_cholesky", recording)
-    eigenbasis.eigenspace(m, f"6:{m}:+")
+    monkeypatch.setattr(dense_oracle, "_inverse_cholesky", recording)
+    dense_oracle.newborn_block(m, 6)
     lap = build_dirichlet_laplacian(build_vertices(m - 1))
     assert len(grams) == 1
     assert grams[0].tobytes() == ((lap + 6.0 * np.eye(lap.shape[0])) / 4.0).tobytes()
@@ -559,18 +567,20 @@ def _newborn_five_entry(m):
 @pytest.mark.parametrize("k", [1, 2, "m-1"])
 @pytest.mark.parametrize("m", range(3, 8))
 def test_newborn_five_remainder_spans_the_whole_block_cut(m, k):
-    # the cell-graph solve against the junction SVD of the whole newborn
-    # block, an independent derivation of the same span, at k = 1, 2 and the
-    # finest cell level below birth, m - 1 (at m = 3 and k = 2 nothing
-    # localizes, and both are the whole block)
+    # the cell-graph solve and the whole newborn block, both against the
+    # junction SVD of the oracle's block from a cycle basis, an independent
+    # derivation of the same spans, at k = 1, 2 and the finest cell level
+    # below birth, m - 1 (at m = 3 and k = 2 nothing localizes, and the cut
+    # is the whole block)
     k = m - 1 if k == "m-1" else k
     g = _newborn_five_entry(m)
-    cut = eigenbasis._grown(g, k)
-    whole = eigenbasis._bundle(m, g, eigenbasis._grown(g, m))
-    expected = eigenbasis.eigenspace_remainder(whole, k)
-    assert cut.shape == expected.columns.shape
-    got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
-    assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
+    oracle = eigenbasis._bundle(m, g, dense_oracle.newborn_block(m, 5))
+    for level in (k, m):
+        expected = eigenbasis.eigenspace_remainder(oracle, level)
+        cut = eigenbasis._grown(g, level)
+        assert cut.shape == expected.columns.shape
+        got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
+        assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
 
 
 def test_newborn_five_remainder_needs_the_incidence_signs(monkeypatch):
@@ -605,6 +615,127 @@ def test_newborn_five_remainder_forms_no_whole_block():
         tracemalloc.stop()
     n = decimation.interior_dimension(7)
     assert peak < n * g.multiplicity * 8 / 4
+
+
+def _newborn_entry(series, m):
+    return next(
+        g for g in eigenbasis._predicted(m)
+        if (g.series, g.birth, g.prefix) == (series, m, ())
+    )
+
+
+@pytest.mark.parametrize("series", [5, 6])
+@pytest.mark.parametrize("m", range(3, 8))
+def test_newborn_columns_lie_in_one_cell_each(series, m):
+    # past the three columns of its remainder at cell level 1, the whole
+    # newborn block holds, depth after depth from N = 1 to m - 2, cell after
+    # cell, what birth m - N adds to each N-cell: three columns of the
+    # 6-series or one of the 5-series, exactly zero off the cell, and the
+    # same values in every cell
+    g = _newborn_entry(series, m)
+    block = eigenbasis._grown(g, m)
+    vertices = build_vertices(m)
+    width = 3 if series == 6 else 1
+    cursor = 3
+    for n_level in range(1, m - 1):
+        template = None
+        for c in range(3**n_level):
+            inside = cell_inside_rows(vertices, n_level, c)
+            columns = block[:, cursor : cursor + width]
+            cursor += width
+            outside = np.ones(block.shape[0], dtype=bool)
+            outside[inside] = False
+            assert np.all(columns[outside] == 0.0)
+            if template is None:
+                template = columns[inside]
+            assert np.array_equal(columns[inside], template)
+    assert cursor == g.multiplicity
+
+
+@pytest.mark.parametrize("k", [1, 2, "m-1"])
+@pytest.mark.parametrize("m", range(3, 8))
+def test_newborn_six_block_and_cuts_span_the_oracle(m, k):
+    # the whole newborn 6-series block and its cut at k against the
+    # junction SVD of the oracle's block from the Cholesky factor of its
+    # Gram matrix (L + 6 I) / 4
+    k = m - 1 if k == "m-1" else k
+    g = _newborn_entry(6, m)
+    oracle = eigenbasis._bundle(m, g, dense_oracle.newborn_block(m, 6))
+    for level in (k, m):
+        expected = eigenbasis.eigenspace_remainder(oracle, level)
+        cut = eigenbasis._grown(g, level)
+        assert cut.shape == expected.columns.shape
+        got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
+        assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
+
+
+@pytest.mark.parametrize("series", [5, 6])
+def test_newborn_cut_holds_little_beside_its_output(series):
+    # the birth-7 newborn cut at cell level 5 writes every piece straight
+    # into its columns: 3279 x 363 (6-series) or 3279 x 123 (5-series), and
+    # little else at once
+    import tracemalloc
+
+    g = _newborn_entry(series, 7)
+    eigenbasis._grown(g, 5)  # the refinements and vertex sets of levels <= 7
+    tracemalloc.start()
+    try:
+        out = eigenbasis._grown(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3279, 363 if series == 6 else 123)
+    assert peak < 1.5 * out.shape[0] * out.shape[1] * 8
+
+
+def test_a_corner_sum_from_the_wrong_neighbour_is_refused(monkeypatch):
+    # at each corner of the level-j gasket the 5-series piece reads the sum
+    # over the corner's two neighbours; one of them swapped for one of its
+    # own neighbours, off the corner's cell, leaves no combination on which
+    # all three sums vanish, and the build names birth j's eigenspace
+    partners = eigenbasis._cell_partners
+
+    def swapped(vertices, ids):
+        rows = partners(vertices, ids)
+        if sorted(ids.tolist()) == sorted(vertices.boundary):
+            rows = rows.copy()
+            rows[0, 1] = np.setdiff1d(vertices.neighbours[rows[0, 1]], rows[0])[0]
+        return rows
+
+    monkeypatch.setattr(eigenbasis, "_cell_partners", swapped)
+    with pytest.raises(MismatchError, match=f"^eigenspace {_newborn_entry(5, 4).record.key}: "):
+        eigenbasis._grown(_newborn_entry(5, 5), 5)
+
+
+def test_newborn_block_is_the_same_at_one_and_two_threads():
+    # the whole 5-series block born at level 8 has the same bits at 1 and 2
+    # BLAS threads, each in its own process
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import hashlib, gasket_szego.cli as cli; cli._configure_threads(); "
+        "from gasket_szego import eigenbasis; "
+        "u = eigenbasis.eigenspace(8, '5:8:').vectors; "
+        "print(u.shape, hashlib.sha256(u.tobytes()).hexdigest())"
+    )
+    hashes = []
+    for threads in ("1", "2"):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["GASKET_SZEGO_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        hashes.append(result.stdout)
+    assert hashes[0].startswith("(9840, 1095) ")
+    assert hashes[0] == hashes[1]
 
 
 def test_ranked_svd_reports_its_margins():
