@@ -7,8 +7,11 @@ connective swapped, a `not` dropped, a sign dropped, or a number nudged.
 The sites are found with the standard library's `ast`, a seeded sample of
 them is drawn, and each mutant is written into a copy of the repository
 (never into the checkout itself), where the tests run against it with a
-per-mutant timeout.  A mutant the tests pass survives; the survivors are
-written as JSON for triage (killed by a new test, equivalent, or dead code);
+per-mutant timeout.  A mutant the tests pass survives, one they fail is
+killed, and one that runs out of time is neither: it counts in no score.
+The survivors and the timed-out mutants are written as JSON for triage
+(killed by a new test, equivalent, or dead code; a timeout is run again
+alone with a longer budget);
 the survivors triaged as equivalent are listed in
 `scripts/mutants_equivalent.json`.
 
@@ -171,21 +174,30 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(base, ignore_errors=True)
 
-    killed = sum(r["outcome"] != "survived" for r in results)
-    report = {
-        "seed": args.seed,
-        "modules": args.modules,
-        "sites": len(candidates),
+    report = {"seed": args.seed, "modules": args.modules,
+              "sites": len(candidates), **_score(results)}
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"killed {report['killed']} of {len(results)} mutants, "
+          f"{report['timeouts']} timed out; survivors in {args.out}")
+    return 0
+
+
+def _score(results: list[dict]) -> dict:
+    """The tally of the mutants' outcomes.  Only a test failure kills a
+    mutant.  A timed-out one is neither killed nor survived: it is left out
+    of the score, the kills over the mutants the tests decided, and listed
+    with the survivors, to be run again alone with a longer budget."""
+    killed = sum(r["outcome"] == "killed" for r in results)
+    timeouts = sum(r["outcome"] == "timeout" for r in results)
+    decided = len(results) - timeouts
+    return {
         "mutants": len(results),
         "killed": killed,
-        "timeouts": sum(r["outcome"] == "timeout" for r in results),
-        "score": killed / len(results) if results else None,
-        "survivors": [r for r in results if r["outcome"] == "survived"],
+        "timeouts": timeouts,
+        "score": killed / decided if decided else None,
+        "survivors": [r for r in results if r["outcome"] != "killed"],
         "results": results,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(f"killed {killed} of {len(results)} mutants; survivors in {args.out}")
-    return 0
 
 
 if __name__ == "__main__":

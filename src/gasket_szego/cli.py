@@ -504,6 +504,13 @@ def _szego_report(
     symbol = parse_symbol(config.symbol)
     F = None if determinant else parse_trace_function(config.F)
     basis = eigenbasis.level_basis(config.m)
+    # the sweep's own refusals first, so that a refused config builds no
+    # remainder
+    szego._generation_cut(config.generation_cut, config.m)
+    if config.mode == "single":
+        szego._check_single_series_args(config.series, config.j_range, config.N, config.m)
+    else:
+        szego.check_window(config.lambda_grid, config.m)
     operators.prepare_compression(symbol, config.m)
     stage_done("remainder")
     if determinant:
@@ -775,15 +782,21 @@ def _block_exactness(split, f) -> tuple[bool, str]:
     cell_values = np.repeat(f.refined(1), [v.shape[1] for v in split.per_cell])
     loc, alpha = cell_values.size, split.nonlocalized.shape[1]
     g = effective_multiplier(f, bundle.vertices)[bundle.vertices.interior]
-    rows_f = (g[:, None] * localized).T @ np.hstack([localized, split.nonlocalized])
+    # einsum sums in a fixed order, so the row does not depend on the BLAS
+    # thread count, as a threaded product's rounding does
+    rows_f = np.einsum(
+        "ia,ib->ab", g[:, None] * localized, np.hstack([localized, split.nonlocalized])
+    )
     expected = np.hstack([np.diag(cell_values), np.zeros((loc, alpha))])
     block_snap = float(np.max(np.abs(rows_f - expected)))
     r_block = rows_f[:, :loc]
     counts = decimation.localization_counts(6, bundle.record.birth, 1)
     ok = loc == counts.d_j_N and block_snap <= 1e-10
     detail = f"block_snap={fmt(block_snap)}"
+    power = r_block
     for k in (1, 2, 3):
-        lhs = float(np.trace(np.linalg.matrix_power(r_block, k)))
+        lhs = float(np.trace(power))
+        power = np.einsum("ij,jk->ik", power, r_block)
         rhs = counts.d_j_N * integrate_simple(f, k)
         ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
         detail += f";trace_R^{k}_dev={fmt(abs(lhs - rhs))}"

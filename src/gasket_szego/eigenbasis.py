@@ -3,21 +3,29 @@
 Every graph eigenvector comes from one depth-first walk down the decimation
 tree, with no eigensolve: each eigenspace is born at its birth level and
 extends one level at a time by the local eigenfunction-extension formula,
-through one preimage of its graph value per branch.  A newborn 5- or
+through one preimage of its graph value per branch, each step checked
+against the closed-form norm of the extension.  A newborn 5- or
 6-eigenspace is its remainder at cell level 1 (the 6-series by conjugate
 gradients on its Gram matrix, the 5-series by conjugate gradients on the
-grounded Laplacian of the level's cell graph) beside the eigenfunctions
-localized in cells: what each earlier birth's eigenspace adds to a cell,
-taken from its own remainder at cell level 1 and placed by translation in
-every cell of its size; the 2-series is born as one level-1 vector.  Each
-eigenspace arrives labelled with its entry of the decimation prediction,
-orthonormal in the measure-weighted inner product, and passes one stencil
-check of the level's eigen-equation over the vertex set's neighbour table,
-as does every localized split.  The walk carries each eigenspace's
-remainder at a cell level k, whole while nothing in it localizes: a
-newborn's remainder stops before the pieces of cells of level k and finer,
-so no whole block is formed, and extension maps a parent's remainder onto
-its child's.
+grounded Laplacian of the level's cell graph; each solved once per process)
+beside the eigenfunctions localized in cells: what each earlier birth's
+eigenspace adds to a cell, taken from its own remainder at cell level 1 and
+placed by translation in every cell of its size; the 2-series is born as
+one level-1 vector.  Every localized piece is a cell-0 template translated,
+and the contractions have no rotation, so the walk extends and certifies
+each template once, on its own level, and shares it with every eigenspace
+of its series and branches: the walk carries an eigenspace as its
+remainder at cell level 1 and reads its templates, and writes the whole
+n x d block only for a caller that asks for vectors.  Each eigenspace
+arrives labelled with its entry of the decimation prediction, orthonormal
+in the measure-weighted inner product, its remainder and templates each
+passing the stencil check of their level's eigen-equation over the vertex
+set's neighbour table (a template's corner sums too) and a Gram check, and
+the cross Gram of remainder against templates; a localized split passes
+the stencil check whole.  For a remainder at a cell level k the walk
+carries it, whole while nothing in it localizes: a newborn's remainder
+stops before the pieces of cells of level k and finer, so no whole block is
+formed, and extension maps a parent's remainder onto its child's.
 `walk_remainder(m, k)` writes every level-m eigenspace's remainder into its
 column range of one read-only matrix in record-value order, and
 `level_remainder(m, k)` caches it; at k = m that is the n x n basis, the
@@ -566,14 +574,42 @@ def _check_gram(block: np.ndarray, scale: float, key: str) -> None:
         )
 
 
+def _extension_norm(lam: float) -> float:
+    """c(lam), the factor by which extension at `lam` multiplies the squared
+    norm of every Dirichlet eigenvector at lam' = lam (5 - lam) one level
+    down, and so, by polarization, its Gram matrix (the extension formula of
+    Fukushima and Shima).
+
+    Per cell, the squared midpoint values of `_extend` are a quadratic form
+    in the corner values; every interior vertex lies in two cells, and the
+    sum of u(a) u(b) over the edges is (4 - lam') ||u||^2 / 2, so
+    c = 1 + [2 (2 t^2 + 4) + (t^2 + 4 t)(4 - lam')] / D^2 with t = 4 - lam
+    and D = (2 - lam)(5 - lam).  Both the bracket and D^2 vanish at lam = 5,
+    next to which the expanding branch of a small lam' lies, so the common
+    factor is cancelled: the bracket is (lam - 5)(lam^3 - 12 lam^2 + 40 lam - 40).
+    """
+    return 1.0 + (lam**3 - 12.0 * lam**2 + 40.0 * lam - 40.0) / (
+        (lam - 2.0) ** 2 * (lam - 5.0)
+    )
+
+
 def _extended(
     ref: _Refinement, values: np.ndarray, lam: float, key: str, out: np.ndarray
 ) -> None:
     """One eigenspace's step from level m-1 to level m, into `out`: the
-    extension of `values` at `lam`, whose plain Gram matrix must be a
-    multiple of the identity, scaled to weighted-orthonormal columns."""
+    extension of `values` (weighted-orthonormal at level m-1) at `lam`,
+    whose plain Gram matrix must be a multiple of the identity, its mean
+    diagonal c(lam) / w_(m-1) to ORTHO_TOL relative (`_extension_norm`),
+    scaled to weighted-orthonormal columns."""
     _extend(ref, values, lam, out)
     scale = float(np.mean(np.einsum("ij,ij->j", out, out)))
+    expected = _extension_norm(lam) / interior_weight(ref.level - 1)
+    if not abs(scale - expected) <= ORTHO_TOL * expected:
+        raise NumericError(
+            f"level {ref.level}, eigenspace {key}: mean squared norm {scale:.6e} "
+            f"of the extension misses the closed form c(lam) / w = "
+            f"{expected:.6e} by more than {ORTHO_TOL:.0e} relative"
+        )
     _check_gram(out, scale, key)
     out *= 1.0 / np.sqrt(scale * interior_weight(ref.level))
 
@@ -843,6 +879,29 @@ def _newborn_five_remainder(
     out[ref.mid] = graph.sign[:, None] * flows[graph.var]
 
 
+def _newborn_entry(series: int, level: int) -> GraphEigenvalue:
+    """The prediction entry of the 5- or 6-eigenspace born at `level`."""
+    return next(
+        e for e in decimation.truncated_graph_spectrum(level)
+        if (e.series, e.birth, e.prefix) == (series, level, ())
+    )
+
+
+@functools.cache
+def _newborn_remainder(series: int, level: int) -> np.ndarray:
+    """The remainder at cell level 1 of the 5- or 6-eigenspace born at
+    `level` (`_newborn_five_remainder`, `_newborn_six_remainder`),
+    weighted-orthonormal and read-only; cached, so that it is solved once
+    per process, however many walks and lineages read it."""
+    g = _newborn_entry(series, level)
+    ref, w = _refinement(level), interior_weight(level)
+    block = np.empty((ref.n, _remainder_rank(g.record, g.multiplicity, 1)))
+    (_newborn_five_remainder if series == 5 else _newborn_six_remainder)(ref, w, g, block)
+    _check_gram(block, 1.0 / w, g.record.key)
+    block.flags.writeable = False
+    return block
+
+
 def _cell_block(series: int, j: int) -> np.ndarray:
     """What the 5- or 6-eigenspace born at level j adds to any cell it is
     placed in: level-j columns, weighted-orthonormal at level j.
@@ -856,69 +915,163 @@ def _cell_block(series: int, j: int) -> np.ndarray:
     and for the 5-series the one combination on which the three corner sums
     vanish, the kernel of a 3 x 3 matrix, pinned to 1.
     """
-    g = next(
-        e for e in decimation.truncated_graph_spectrum(j)
-        if (e.series, e.birth, e.prefix) == (series, j, ())
-    )
-    ref = _refinement(j)
-    block = np.empty((ref.n, 3))
-    (_newborn_five_remainder if series == 5 else _newborn_six_remainder)(
-        ref, interior_weight(j), g, block
-    )
+    block = _newborn_remainder(series, j)
     if series == 6:
         return block
-    vertices = build_vertices(j)
-    sums = block[_cell_partners(vertices, np.array(vertices.boundary))].sum(axis=1)
-    _, vh, rank, _ = _ranked_svd(sums, full=True)
+    _, vh, rank, _ = _ranked_svd(_corner_sums(j, block), full=True)
     if rank != 2:
         raise MismatchError(
-            f"eigenspace {g.record.key}: the corner sums of its remainder at "
-            f"cell level 1 have a kernel of dimension {3 - rank}, the closed "
-            f"form predicts 1"
+            f"eigenspace {_newborn_entry(5, j).record.key}: the corner sums of "
+            f"its remainder at cell level 1 have a kernel of dimension "
+            f"{3 - rank}, the closed form predicts 1"
         )
     return block @ vh[2:].T
 
 
-def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray) -> None:
-    """The eigenspace of entry g born at level m, or its remainder at the
-    cell level k whose closed-form width `out` has, weighted-orthonormal,
-    into `out`: the 5- or 6-eigenspace, checked by its Gram matrix, or the
-    level-1 2-series vector, constant on the one midpoint triangle.
+def _corner_sums(level: int, block: np.ndarray) -> np.ndarray:
+    """Per corner of the level gasket and column of `block`, the sum of the
+    column's values at the corner's two neighbours."""
+    vertices = build_vertices(level)
+    return block[_cell_partners(vertices, np.array(vertices.boundary))].sum(axis=1)
 
-    The 5- or 6-eigenspace is the orthogonal sum of its remainder at cell
-    level 1 (`_newborn_five_remainder`, `_newborn_six_remainder`) and, for
-    each earlier birth j = m-1, ..., 2, of what birth j's eigenspace adds
-    to every (m-j)-cell (`_cell_block`): vectors localized in cells, the
-    eigenfunctions of Barlow and Kigami.  Every (m-j)-cell is cell 0
-    translated, its rows cell 0's in order, and cell 0's rows are the
-    level-j interior's in order, so each block is written straight into
-    every cell's rows, scaled by 3^((m-j)/2) to weighted-orthonormal
-    columns at level m, cell after cell.  The pieces of k-cells and finer
-    ones are localized in k-cells, so the remainder at cell level k stops
-    before them, where `out` is full.
+
+def _check_corners(level: int, block: np.ndarray, key: str) -> None:
+    """Every corner sum of `block` (`_corner_sums`) must vanish, to SNAP_TOL
+    for unit-norm columns: translated into a cell, each column then solves
+    the eigen-equation at the cell's corners too, where the neighbours in
+    the other cell read zero."""
+    sums = _corner_sums(level, block)
+    worst = float(np.max(np.abs(sums), initial=0.0)) * np.sqrt(interior_weight(level))
+    if not worst <= SNAP_TOL:
+        raise NumericError(
+            f"level {level}, eigenspace {key}: corner sum {worst:.3e} exceeds "
+            f"{SNAP_TOL:.0e}, so its translates leak into the next cell"
+        )
+
+
+def _check_cross(level: int, block: np.ndarray, rows: np.ndarray,
+                 piece: np.ndarray, key: str) -> None:
+    """`block` and the translates of `piece` into the cells whose rows are
+    `rows`, all weighted-orthonormal at `level`, must be orthogonal, to
+    ORTHO_TOL, in every cell."""
+    cross = np.einsum("cir,it->crt", block[rows], piece)
+    err = float(np.max(np.abs(cross), initial=0.0)) * interior_weight(level)
+    if not err <= ORTHO_TOL:
+        raise NumericError(
+            f"eigenspace {key}: its remainder and its localized vectors have "
+            f"a cross Gram entry {err:.3e}, above {ORTHO_TOL:.0e}"
+        )
+
+
+class _Templates:
+    """The cell-0 templates of one walk, each built and certified once.
+
+    A 5- or 6-eigenspace of entry (series, birth, prefix) at level L holds,
+    for each cell level N = 1, ..., birth - 2, the eigenfunctions localized
+    in N-cells that the birth j = birth - N adds (`_cell_block`): in every
+    N-cell, cell 0's block translated.  That block, the template
+    (series, j, prefix), is a block of Dirichlet eigenvectors at level
+    L - N = j + len(prefix), `_cell_block(series, j)` extended along the
+    prefix, for the graph values along a prefix do not depend on the birth;
+    so one template serves every eigenspace of its series and prefix born
+    after j.  It is weighted-orthonormal at its own level.  When built it is
+    certified as a block of the eigenspace (series, j, prefix): by the
+    stencil of its level and its corner sums, so that each translate is an
+    eigenvector; by its Gram matrix (in `_extended` past birth); and by its
+    cross Gram against the translates of its own templates, which are
+    those of every coarser template of a later birth.  Translates of one
+    template have disjoint supports, so their cross Gram is exactly zero.
     """
-    w = interior_weight(ref.level)
-    if g.series == 2:
-        out[:] = 1.0 / np.sqrt(ref.n * w)
-        return
-    cursor = _remainder_rank(g.record, g.multiplicity, 1)
-    (_newborn_five_remainder if g.series == 5 else _newborn_six_remainder)(
-        ref, w, g, out[:, :cursor]
-    )
+
+    def __init__(self, nodes: dict[tuple, GraphEigenvalue]):
+        self.nodes = nodes
+        self.built: dict[tuple, np.ndarray] = {}
+
+    def __call__(self, series: int, j: int, prefix: tuple) -> np.ndarray:
+        key = (series, j, prefix)
+        if key not in self.built:
+            self.built[key] = self._certified(series, j, prefix)
+        return self.built[key]
+
+    def _certified(self, series: int, j: int, prefix: tuple) -> np.ndarray:
+        g = self.nodes[series, j, prefix]
+        level, key = j + len(prefix), g.record.key
+        if prefix:
+            parent = self(series, j, prefix[:-1])
+            ref = _refinement(level)
+            block = np.empty((ref.n, parent.shape[1]))
+            _extended(ref, parent, g.graph_value, key, block)
+        else:
+            block = _cell_block(series, j)
+        _check_stencil(level, block, [(g, 0, block.shape[1])])
+        _check_corners(level, block, key)
+        if not prefix:
+            # past birth, `_extended` checked it
+            _check_gram(block, 1.0 / interior_weight(level), key)
+        vertices = build_vertices(level)
+        for n_level in range(1, j - 1):
+            piece = self(series, j - n_level, prefix) * np.sqrt(3.0**n_level)
+            _check_cross(level, block, _translates(vertices, n_level), piece, key)
+        block.flags.writeable = False
+        return block
+
+
+def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
+              out: np.ndarray) -> None:
+    """Entry g's eigenspace at its level, or its remainder at the cell level
+    k whose closed-form width `out` has, weighted-orthonormal, into `out`.
+
+    It is the orthogonal sum of `rem1`, its remainder at cell level 1, and,
+    for N = 1, 2, ..., of what birth g.birth - N adds to every N-cell, the
+    template (g.series, g.birth - N, g.prefix): vectors localized in cells,
+    the eigenfunctions of Barlow and Kigami.  Every N-cell is cell 0
+    translated, its rows cell 0's in order, and cell 0's rows are the
+    template's level's interior in order, so each template is written
+    straight into every cell's rows, scaled by 3^(N/2) to
+    weighted-orthonormal columns, cell after cell, each checked orthogonal
+    to `rem1`.  The pieces of k-cells and finer ones are localized in
+    k-cells, so a remainder stops before them, where `out` is full.
+    """
+    level = g.birth + len(g.prefix)
+    vertices = build_vertices(level)
+    cursor = rem1.shape[1]
+    out[:, :cursor] = rem1
     out[:, cursor:] = 0.0
-    vertices = build_vertices(ref.level)
-    for j in range(ref.level - 1, 1, -1):
-        if cursor == out.shape[1]:
-            break
-        block = _cell_block(g.series, j)
-        block *= np.sqrt(3.0 ** (ref.level - j))
-        rows = _translates(vertices, ref.level - j)
+    n_level = 0
+    while cursor < out.shape[1]:
+        n_level += 1
+        block = templates(g.series, g.birth - n_level, g.prefix) * np.sqrt(3.0**n_level)
+        rows = _translates(vertices, n_level)
+        _check_cross(level, rem1, rows, block, g.record.key)
         width = block.shape[1]
         for i, column in enumerate(block.T):
             # column i of every cell, the cells' columns side by side
             out[rows, cursor + i + width * np.arange(rows.shape[0])[:, None]] = column
         cursor += rows.shape[0] * width
-    _check_gram(out, 1.0 / w, g.record.key)
+
+
+def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray,
+             templates: _Templates) -> None:
+    """The eigenspace of entry g born at level m, or its remainder at the
+    cell level whose closed-form width `out` has, weighted-orthonormal, into
+    `out`: the 5- or 6-eigenspace, its cached remainder at cell level 1
+    beside its localized pieces (`_assemble`), or the level-1 2-series
+    vector, constant on the one midpoint triangle."""
+    if g.series == 2:
+        out[:] = 1.0 / np.sqrt(ref.n * interior_weight(ref.level))
+        return
+    _assemble(g, _newborn_remainder(g.series, ref.level), templates, out)
+
+
+def _whole(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> np.ndarray:
+    """Entry g's whole eigenspace, read-only: its remainder at cell level 1
+    when nothing in it localizes, else assembled (`_assemble`)."""
+    if rem1.shape[1] == g.multiplicity:
+        return rem1
+    out = np.empty((rem1.shape[0], g.multiplicity))
+    _assemble(g, rem1, templates, out)
+    out.flags.writeable = False
+    return out
 
 
 def _predicted(m: int) -> list[GraphEigenvalue]:
@@ -973,10 +1126,13 @@ def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
     return nodes
 
 
-def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
+def _grown(
+    g: GraphEigenvalue, k: int, parent=None, out=None, templates=None
+) -> np.ndarray:
     """The eigenspace of entry g at its level, or above cell level k only its
-    remainder there: newborn (see `_newborn`), or with `parent`, the columns
-    of g's parent one level down, their extension at g's graph value.
+    remainder there: newborn (see `_newborn`, whose pieces come from
+    `templates`, by default a walk's own), or with `parent`, the columns of
+    g's parent one level down, their extension at g's graph value.
     Extension keeps a vector's support inside its cells and scales the Gram
     matrix by one constant, so a parent's remainder extends to its child's.
     The columns go into `out`, whose stencil the caller checks, or into a new
@@ -989,7 +1145,9 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
         width = _remainder_rank(g.record, g.multiplicity, k)
         block = np.empty((ref.n, width + 1))[:, :-1]
     if parent is None:
-        _newborn(ref, g, block)
+        if templates is None:
+            templates = _Templates(_tree(ref.level))
+        _newborn(ref, g, block, templates)
     else:
         _extended(ref, parent, g.graph_value, g.record.key, block)
     if out is None:
@@ -999,21 +1157,25 @@ def _grown(g: GraphEigenvalue, k: int, parent=None, out=None) -> np.ndarray:
 
 
 def _walk(
-    m: int, levels: tuple[int, ...], leaf: Callable[[GraphEigenvalue, tuple], None]
+    m: int, levels: tuple[int, ...],
+    leaf: Callable[[GraphEigenvalue, tuple, _Templates], None],
 ) -> None:
-    """Depth first down the decimation tree: `leaf(g, parents)` for every
-    level-m entry g, where `parents[i]` is the columns of g's parent one
-    level down at cell level `levels[i]`, or None for a newborn.  The
-    columns of each node above level m are its remainders at those cell
-    levels, each grown from its own parent's, held only while the walk is
-    below it."""
+    """Depth first down the decimation tree: `leaf(g, parents, templates)`
+    for every level-m entry g, where `parents[i]` is the columns of g's
+    parent one level down at cell level `levels[i]`, or None for a newborn,
+    and `templates` the walk's cell-0 templates.  The columns of each node
+    above level m are its remainders at those cell levels, each grown from
+    its own parent's, held only while the walk is below it."""
     nodes = _tree(m)
+    templates = _Templates(nodes)
 
     def descend(g: GraphEigenvalue, parents: tuple) -> None:
         if g.birth + len(g.prefix) == m:
-            leaf(g, parents)
+            leaf(g, parents, templates)
             return
-        grown = tuple(_grown(g, k, parent) for k, parent in zip(levels, parents))
+        grown = tuple(
+            _grown(g, k, parent, templates=templates) for k, parent in zip(levels, parents)
+        )
         for sign in _branches(g):
             descend(nodes[g.series, g.birth, g.prefix + (sign,)], grown)
 
@@ -1034,22 +1196,25 @@ def _bundle(m: int, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
 def eigenspace(m: int, key: str) -> EigenspaceBundle:
     """The level-m eigenspace of record `key`, built by its own lineage.
 
-    It is born at its birth level (the newborn 5- or 6-eigenspace, or the
-    level-1 2-series vector) and extended through its branches one level at
-    a time, by the steps and checks of `level_remainder(m, m)`, whose
-    columns of `key` it equals bit for bit; no other eigenspace is built.
-    Its vectors are read-only.
+    Its remainder at cell level 1 is born at its birth level (from the
+    newborn 5- or 6-eigenspace, or the level-1 2-series vector) and extended
+    through its branches one level at a time, and its templates along its
+    prefix (`_Templates`); the whole is assembled from both at level m, by
+    the steps and checks of `level_remainder(m, m)`, whose columns of `key`
+    it equals bit for bit.  No other eigenspace is built.  Its vectors are
+    read-only.
     """
     _check_level(m)
     nodes = _tree(m)
     entry = next((g for g in _predicted(m) if g.record.key == key), None)
     if entry is None:
         raise DomainError(f"no eigenspace with record key {key} at level {m}")
-    parent = None
+    templates = _Templates(nodes)
+    rem1 = None
     for i in range(len(entry.prefix) + 1):
         g = nodes[entry.series, entry.birth, entry.prefix[:i]]
-        parent = _grown(g, m, parent)
-    return _bundle(m, entry, parent)
+        rem1 = _grown(g, 1, rem1, templates=templates)
+    return _bundle(m, entry, _whole(entry, rem1, templates))
 
 
 def walk_eigenspaces(
@@ -1058,27 +1223,34 @@ def walk_eigenspaces(
     """`visit` applied to every level-m eigenspace, each built whole by its
     lineage, depth first down the decimation tree, in tree order.
 
-    Only the eigenspaces on the path from a root to the visited one are
-    held, and each is dropped when `visit` returns, so the peak is the
-    largest single eigenspace with its ancestors, not the n x n level
-    basis.  The visited vectors are read-only.  With a cell level k, the
-    walk also carries each eigenspace's remainder there down its lineage, by
-    the steps of `walk_remainder(m, k)` (a newborn cut at birth, extension
-    carrying a parent's remainder to its child's), and calls
-    `visit(bundle, remainder)`: the remainder equals that eigenspace's block
-    of `walk_remainder(m, k)` bit for bit, and no level matrix is assembled.
+    The walk carries each eigenspace's remainder at cell level 1 down its
+    lineage, and builds each template once; a visited eigenspace is
+    assembled from both (`_whole`) and dropped when `visit` returns, so the
+    peak is the largest single eigenspace, not the n x n level basis.  The
+    visited vectors are read-only.  With a cell level k, the walk also
+    carries each eigenspace's remainder there, by the steps of
+    `walk_remainder(m, k)` (a newborn cut at birth, extension carrying a
+    parent's remainder to its child's), and calls `visit(bundle,
+    remainder)`: the remainder equals that eigenspace's block of
+    `walk_remainder(m, k)` bit for bit, and no level matrix is assembled.
     """
     _check_level(m)
     if k is not None and not 1 <= k <= m:
         raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
-    def leaf(g: GraphEigenvalue, parents: tuple) -> None:
-        bundle = _bundle(m, g, _grown(g, m, parents[0]))
+    def leaf(g: GraphEigenvalue, parents: tuple, templates: _Templates) -> None:
+        rem1 = _grown(g, 1, parents[0], templates=templates)
+        bundle = _bundle(m, g, _whole(g, rem1, templates))
         if k is None:
             results.append(visit(bundle))
             return
-        columns = _grown(g, k, parents[1])
+        if k == 1:
+            columns = rem1
+        elif k == m:
+            columns = bundle.vectors
+        else:
+            columns = _grown(g, k, parents[1], templates=templates)
         remainder = Remainder(
             columns=columns,
             dims=[columns.shape[1]],
@@ -1087,7 +1259,7 @@ def walk_eigenspaces(
         )
         results.append(visit(bundle, remainder))
 
-    _walk(m, (m,) if k is None else (m, k), leaf)
+    _walk(m, (1,) if k in (None, 1, m) else (1, k), leaf)
     return results
 
 
@@ -1127,10 +1299,11 @@ def walk_remainder(m: int, k: int) -> Remainder:
     They come from one walk down the decimation tree, writing each level-m
     eigenspace straight into its column range and carrying only remainders
     above cell level k, so for k < m no n x n array is formed.  At k = m
-    nothing localizes: the columns are every whole eigenspace, the one n x n
-    basis, which only a callable potential or one simple at level m
-    reads; at k = 0 every vector is localized, there are no columns, and no
-    vertex set is read.
+    nothing localizes: the columns are every whole eigenspace, assembled
+    from its remainder at cell level 1 and its templates (`_assemble`), the
+    one n x n basis, which only a callable potential or one simple at level
+    m reads; at k = 0 every vector is localized, there are no columns, and
+    no vertex set is read.
     """
     _check_level(m)
     if not 0 <= k <= m:
@@ -1143,7 +1316,15 @@ def walk_remainder(m: int, k: int) -> Remainder:
     columns = np.empty((decimation.interior_dimension(m), cursor))
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
-        _walk(m, (k,), lambda g, parents: _grown(g, k, parents[0], views[g]))
+
+        def leaf(g: GraphEigenvalue, parents: tuple, templates: _Templates) -> None:
+            if k < m:
+                _grown(g, k, parents[0], views[g], templates)
+            else:
+                rem1 = _grown(g, 1, parents[0], templates=templates)
+                _assemble(g, rem1, templates, views[g])
+
+        _walk(m, (k if k < m else 1,), leaf)
         # the stencil of the level is checked in one pass
         _check_stencil(m, columns, blocks)
     columns.flags.writeable = False

@@ -8,8 +8,8 @@ from dense_oracle import whole_basis
 @pytest.fixture(autouse=True)
 def _fresh_remainders(request):
     """A test that patches the package sees its patch in the cached lineage
-    remainders and cell Grams: those built by earlier tests are dropped, and
-    those it builds are not kept for later tests."""
+    remainders, newborn remainders and cell Grams: those built by earlier
+    tests are dropped, and those it builds are not kept for later tests."""
     patched = "monkeypatch" in request.fixturenames
     if patched:
         _drop_cached_remainders()
@@ -20,6 +20,7 @@ def _fresh_remainders(request):
 
 def _drop_cached_remainders():
     eigenbasis.level_remainder.cache_clear()
+    eigenbasis._newborn_remainder.cache_clear()
     operators._level_grams.cache_clear()
 
 

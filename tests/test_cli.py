@@ -1116,6 +1116,45 @@ def test_refusal_inside_a_command_leaves_no_output_directory(
     assert not out.exists()
 
 
+_CHI_SYMBOL = {"kind": "multiplication", "chi": {"level": 1, "values": [1.0, 1.5, 2.0]}}
+_SEPARABLE = {"kind": "separable", "q": {"form": "power", "beta": 1.0},
+              "chi": {"level": 1, "values": [1.0, 1.5, 2.0]}, "lower_bound": 1.0}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("szego-trace", {"m": 8, "mode": "single", "series": 6, "j_range": [1, 2],
+                     "N": 1, "symbol": _CHI_SYMBOL},
+     "birth 1 must exceed the approximation level 1"),
+    ("szego-trace", {"m": 8, "mode": "single", "series": 5, "j_range": [2, 9],
+                     "N": 1, "symbol": _CHI_SYMBOL},
+     "birth 9 exceeds graph level 8"),
+    ("szego-trace", {"m": 8, "mode": "full", "lambda_grid": [100.0, 1e12],
+                     "symbol": _CHI_SYMBOL},
+     "cutoff 1000000000000.0 reaches the resolvable window"),
+    ("szego-det", {"m": 8, "mode": "single", "series": 6, "j_range": [3, 4],
+                   "N": 3, "symbol": _SEPARABLE},
+     "birth 3 must exceed the approximation level 3"),
+    ("szego-det", {"m": 8, "mode": "full", "lambda_grid": [1e12],
+                   "symbol": _SEPARABLE},
+     "cutoff 1000000000000.0 reaches the resolvable window"),
+], ids=["birth-at-N", "birth-past-m", "past-the-window", "det-birth-at-N",
+        "det-past-the-window"])
+def test_a_refused_sweep_builds_no_remainder(
+    tmp_path, monkeypatch, capsys, command, config, message
+):
+    # the sweep's argument checks run before the remainder of the symbol's
+    # cell level is built (2 s and 185 MiB at m = 8), so each refusal exits
+    # 1 with its own message and never reaches the walk
+    def refuse(m, k):
+        raise AssertionError(f"the refused run built walk_remainder({m}, {k})")
+
+    monkeypatch.setattr(eigenbasis, "walk_remainder", refuse)
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_a_refusal_keeps_a_directory_it_did_not_make(tmp_path):
     out = tmp_path / "run_out"
     out.mkdir()

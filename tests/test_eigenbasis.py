@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gasket_szego import decimation, eigenbasis
+from gasket_szego import cli, decimation, eigenbasis
 from gasket_szego.eigenbasis import (
     group_eigenspaces,
     interior_weight,
@@ -607,6 +608,7 @@ def test_newborn_five_remainder_forms_no_whole_block():
 
     g = _newborn_five_entry(7)
     eigenbasis._grown(g, 1)  # the refinement, vertex set and neighbour table
+    eigenbasis._newborn_remainder.cache_clear()  # solved again, not a cache hit
     tracemalloc.start()
     try:
         eigenbasis._grown(g, 1)
@@ -746,6 +748,27 @@ def test_ranked_svd_reports_its_margins():
     assert rank == 2
     assert dropped == pytest.approx(1e-2, rel=1e-12)
     assert kept == pytest.approx(2e-7, rel=1e-12)
+    # past 1 the tolerance scales with the largest value: 4e-7 at 4
+    _, _, rank, (dropped, kept) = eigenbasis._ranked_svd(np.diag([4.0, 0.5, 1e-9]))
+    assert rank == 2
+    assert dropped == pytest.approx(2.5e-3, rel=1e-12)
+    assert kept == pytest.approx(8e-7, rel=1e-12)
+
+
+def test_gram_check_reads_every_pass():
+    # 200 columns take two column passes (163 and 37): an orthonormal block
+    # passes, and a deviation of 1e-6 is found off the diagonal across the
+    # passes and on the diagonal of the second
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((400, 200)))
+    assert len(eigenbasis._passes(200, 200, eigenbasis._GEMM_WIDTH)) == 2
+    eigenbasis._check_gram(q, 1.0, "q")
+    eigenbasis._check_gram(2.0 * q, 4.0, "q")
+    across, diagonal = q.copy(), q.copy()
+    across[:, 190] += 1e-6 * q[:, 5]
+    diagonal[:, 190] *= 1.0 + 1e-6
+    for block in (across, diagonal):
+        with pytest.raises(NumericError, match="^eigenspace q: Gram matrix deviates"):
+            eigenbasis._check_gram(block, 1.0, "q")
 
 
 def test_remainder_at_cell_level_zero_is_empty(level4):
@@ -794,3 +817,164 @@ def test_grouping_refuses_only_predictions_within_three_tolerances(monkeypatch):
         else:
             _, bundles = group_eigenspaces(values, np.eye(3), 1)
             assert [b.record.key for b in bundles] == ["k0", "k1", "k2"]
+
+
+def _lineage_values(m):
+    """Every graph value a level-m walk extends at, by its level."""
+    return [(g.birth + len(g.prefix), g.graph_value)
+            for g in eigenbasis._tree(m).values() if g.prefix]
+
+
+def _norm_with_denominator(den):
+    """c(lam) in the t, D form of its derivation, with D = den(lam)."""
+    def norm(lam):
+        t, parent = 4.0 - lam, lam * (5.0 - lam)
+        return 1.0 + (2.0 * (2.0 * t * t + 4.0) + (t * t + 4.0 * t) * (4.0 - parent)) / den(lam) ** 2
+    return norm
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_extension_norm_holds_at_every_lineage_step(monkeypatch, m):
+    # every extension the walks take scales each column's squared norm by
+    # c(lam), the closed form, to 1e-12 relative (5.2e-13 at m = 6), at
+    # every graph value of the tree; the cancelled form equals the t, D form
+    # of its derivation
+    steps = []
+    extended = eigenbasis._extended
+
+    def measured(ref, values, lam, key, out):
+        raw = np.empty_like(out)
+        eigenbasis._extend(ref, values, lam, raw)
+        ratio = np.einsum("ij,ij->j", raw, raw) / np.einsum("ij,ij->j", values, values)
+        steps.append((lam, ratio))
+        extended(ref, values, lam, key, out)
+
+    monkeypatch.setattr(eigenbasis, "_extended", measured)
+    eigenbasis.walk_remainder(m, 1)
+    eigenbasis.walk_eigenspaces(m, lambda b: None)
+    assert {lam for lam, _ in steps} == {lam for _, lam in _lineage_values(m)}
+    t_d_form = _norm_with_denominator(lambda x: (2.0 - x) * (5.0 - x))
+    for lam, ratio in steps:
+        c = eigenbasis._extension_norm(lam)
+        assert np.max(np.abs(ratio / c - 1.0)) <= 1e-12, lam
+        assert abs(t_d_form(lam) / c - 1.0) <= 1e-11, lam
+
+
+def test_a_wrong_extension_denominator_fails(monkeypatch):
+    # D = (2 - lam)(4 - lam) in place of (2 - lam)(5 - lam): the measured
+    # norm of the first extension misses the closed form, at level 2 in the
+    # walk and at level 3 along the lineage of 5:2:+
+    monkeypatch.setattr(
+        eigenbasis, "_extension_norm", _norm_with_denominator(lambda x: (2.0 - x) * (4.0 - x))
+    )
+    for build in (lambda: eigenbasis.level_remainder(3, 1),
+                  lambda: eigenbasis.eigenspace(3, "5:2:+")):
+        with pytest.raises(NumericError, match=r"^level [23], eigenspace .*misses the closed form"):
+            build()
+
+
+@pytest.mark.parametrize("m", [4, 6, 7])
+def test_the_whole_walk_extends_no_whole_block(monkeypatch, m):
+    # whole eigenspaces are assembled at the leaves from their remainders
+    # at cell level 1 and the templates, three columns at most; each node
+    # above the leaves is extended at most twice, as a remainder and as a
+    # template, so no template is built twice in one walk
+    extended = []
+    original = eigenbasis._extended
+
+    def recording(ref, values, lam, key, out):
+        extended.append((ref.level, key, values.shape[1]))
+        original(ref, values, lam, key, out)
+
+    monkeypatch.setattr(eigenbasis, "_extended", recording)
+    eigenbasis.walk_eigenspaces(m, lambda b: None)
+    assert max(width for _, _, width in extended) == 3
+    steps = collections.Counter((level, key) for level, key, _ in extended)
+    assert max(steps.values()) == 2
+    assert len(steps) == sum(1 for g in eigenbasis._tree(m).values() if g.prefix)
+
+
+def _tamper_with_cell_block(monkeypatch, series, j, change):
+    """`_cell_block(series, j)` passed through `change`, the birth-j template
+    of every later birth of the series."""
+    cell_block = eigenbasis._cell_block
+
+    def tampered(s, birth):
+        block = cell_block(s, birth)
+        return change(block.copy()) if (s, birth) == (series, j) else block
+
+    monkeypatch.setattr(eigenbasis, "_cell_block", tampered)
+
+
+@pytest.mark.parametrize("series", [5, 6])
+def test_a_template_in_reversed_rows_fails_the_stencil(monkeypatch, series):
+    # reversed rows keep the Gram matrix, but no longer solve the
+    # eigen-equation of level 3
+    _tamper_with_cell_block(monkeypatch, series, 3, lambda block: block[::-1])
+    key = _newborn_entry(series, 5).record.key
+    with pytest.raises(NumericError, match=r"^level 3, eigenspace .*: stencil residual"):
+        eigenbasis.eigenspace(5, key)
+
+
+@pytest.mark.parametrize("series", [5, 6])
+def test_a_template_whose_corner_sum_is_off_fails(monkeypatch, series):
+    # 1e-9 (unit-norm columns) added at one neighbour of corner 0 moves the
+    # stencil residual by at most 2e-9, inside its 4e-9, and the corner sum
+    # by 1e-9, ten times SNAP_TOL: a translate of it would not be an
+    # eigenvector at the corners of its cell
+    vertices = build_vertices(3)
+    row = eigenbasis._cell_partners(vertices, np.array(vertices.boundary))[0, 0]
+
+    def nudged(block):
+        block[row] += 1e-9 / np.sqrt(interior_weight(3))
+        return block
+
+    _tamper_with_cell_block(monkeypatch, series, 3, nudged)
+    key = _newborn_entry(series, 5).record.key
+    with pytest.raises(NumericError, match=r"^level 3, eigenspace .*: corner sum 1\.0"):
+        eigenbasis.eigenspace(5, key)
+
+
+def test_a_remainder_not_orthogonal_to_its_templates_fails(monkeypatch):
+    # the newborn 6-series remainder of level 5 turned a tenth of the way
+    # toward the translate of the birth-4 template into 1-cell 0: still
+    # orthonormal eigenvectors, but no longer orthogonal to the localized
+    # vectors it is assembled with
+    remainder = eigenbasis._newborn_remainder
+
+    def turned(series, level):
+        rem = remainder(series, level)
+        if (series, level) != (6, 5):
+            return rem
+        translate = np.zeros(rem.shape[0])
+        rows = eigenbasis._translates(build_vertices(5), 1)[0]
+        translate[rows] = eigenbasis._cell_block(6, 4)[:, 0] * np.sqrt(3.0)
+        rem = rem.copy()
+        rem[:, 0] = np.sqrt(0.99) * rem[:, 0] + 0.1 * translate
+        return rem
+
+    monkeypatch.setattr(eigenbasis, "_newborn_remainder", turned)
+    with pytest.raises(NumericError, match=r"^eigenspace 6:5:\+: .*cross Gram entry 1\.0"):
+        eigenbasis.eigenspace(5, _newborn_entry(6, 5).record.key)
+
+
+def test_validate_solves_each_newborn_remainder_once(monkeypatch, tmp_path):
+    # one m = 7 validate reads the newborn remainders through many lineages
+    # and walks, and solves each (series, level) once: the 5-series at
+    # levels 1 to 7, the 6-series at 2 to 7
+    calls = []
+    for name in ("_newborn_five_remainder", "_newborn_six_remainder"):
+        solve = getattr(eigenbasis, name)
+
+        def counted(ref, w, g, out, _solve=solve):
+            calls.append((g.series, ref.level))
+            _solve(ref, w, g, out)
+
+        monkeypatch.setattr(eigenbasis, name, counted)
+    config = tmp_path / "validate.json"
+    config.write_text('{"m": 7}')
+    assert cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == len(set(calls))
+    assert sorted(calls) == [(5, level) for level in range(1, 8)] + [
+        (6, level) for level in range(2, 8)
+    ]

@@ -1,4 +1,5 @@
 """Smoke tests: each script runs at a small size and exits 0."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,3 +60,25 @@ def test_mutation_harness_smoke(tmp_path):
                for r in report["results"])
     assert module.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["survivors.json"]
+
+
+def _load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_score_counts_only_test_failures():
+    # a timed-out mutant is no kill: the score is the kills over the
+    # mutants the tests decided, and the timeout is listed for a rerun
+    outcomes = ["killed", "killed", "killed", "survived", "timeout"]
+    results = [{"line": i, "outcome": o} for i, o in enumerate(outcomes)]
+    report = _load_mutants()._score(results)
+    assert (report["mutants"], report["killed"], report["timeouts"]) == (5, 3, 1)
+    assert report["score"] == 3 / 4
+    assert [r["outcome"] for r in report["survivors"]] == ["survived", "timeout"]
+    assert report["results"] == results
+    everything_timed_out = _load_mutants()._score([{"outcome": "timeout"}])
+    assert everything_timed_out["score"] is None
+    assert everything_timed_out["killed"] == 0
