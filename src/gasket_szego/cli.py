@@ -506,11 +506,11 @@ def _szego_report(
     basis = eigenbasis.level_basis(config.m)
     # the sweep's own refusals first, so that a refused config builds no
     # remainder
-    szego._generation_cut(config.generation_cut, config.m)
     if config.mode == "single":
-        szego._check_single_series_args(config.series, config.j_range, config.N, config.m)
+        szego.check_sweep(config.m, config.generation_cut, series=config.series,
+                          j_range=config.j_range, n_level=config.N)
     else:
-        szego.check_window(config.lambda_grid, config.m)
+        szego.check_sweep(config.m, config.generation_cut, lambda_grid=config.lambda_grid)
     operators.prepare_compression(symbol, config.m)
     stage_done("remainder")
     if determinant:

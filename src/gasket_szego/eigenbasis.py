@@ -22,17 +22,16 @@ in the measure-weighted inner product, its remainder and templates each
 passing the stencil check of their level's eigen-equation over the vertex
 set's neighbour table (a template's corner sums too) and a Gram check, and
 the cross Gram of remainder against templates; a localized split passes
-the stencil check whole.  For a remainder at a cell level k the walk
-carries it, whole while nothing in it localizes: a newborn's remainder
-stops before the pieces of cells of level k and finer, so no whole block is
-formed, and extension maps a parent's remainder onto its child's.
-`walk_remainder(m, k)` writes every level-m eigenspace's remainder into its
-column range of one read-only matrix in record-value order, and
-`level_remainder(m, k)` caches it; at k = m that is the n x n basis, the
-only one formed.  `walk_eigenspaces` hands each whole eigenspace to a
-visitor and drops it, with a cell level k beside the remainder it carried
-down the same lineage, the very block `walk_remainder` writes; and
-`eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
+the stencil check whole.  Every cell level k reads the same walk: an
+eigenspace's remainder at k is its remainder at cell level 1 beside its
+templates of cells coarser than k, the leading columns of its whole block,
+so no whole block is formed for k < m.  `walk_remainder(m, k)` writes
+every level-m eigenspace's remainder into its column range of one
+read-only matrix in record-value order, and `level_remainder(m, k)` caches
+it; at k = m that is the n x n basis, the only one formed.
+`walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
+with a cell level k beside its remainder there, the very block
+`walk_remainder` writes; and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
 cached level workspace: the eigenspaces labelled by their records, with no
 vectors and no vertex set, so a sweep whose symbol depends only on lam builds
 none.  A bundle or workspace looks its vertex set up by its level from
@@ -1050,19 +1049,6 @@ def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
         cursor += rows.shape[0] * width
 
 
-def _newborn(ref: _Refinement, g: GraphEigenvalue, out: np.ndarray,
-             templates: _Templates) -> None:
-    """The eigenspace of entry g born at level m, or its remainder at the
-    cell level whose closed-form width `out` has, weighted-orthonormal, into
-    `out`: the 5- or 6-eigenspace, its cached remainder at cell level 1
-    beside its localized pieces (`_assemble`), or the level-1 2-series
-    vector, constant on the one midpoint triangle."""
-    if g.series == 2:
-        out[:] = 1.0 / np.sqrt(ref.n * interior_weight(ref.level))
-        return
-    _assemble(g, _newborn_remainder(g.series, ref.level), templates, out)
-
-
 def _whole(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> np.ndarray:
     """Entry g's whole eigenspace, read-only: its remainder at cell level 1
     when nothing in it localizes, else assembled (`_assemble`)."""
@@ -1126,62 +1112,50 @@ def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
     return nodes
 
 
-def _grown(
-    g: GraphEigenvalue, k: int, parent=None, out=None, templates=None
-) -> np.ndarray:
-    """The eigenspace of entry g at its level, or above cell level k only its
-    remainder there: newborn (see `_newborn`, whose pieces come from
-    `templates`, by default a walk's own), or with `parent`, the columns of
-    g's parent one level down, their extension at g's graph value.
-    Extension keeps a vector's support inside its cells and scales the Gram
-    matrix by one constant, so a parent's remainder extends to its child's.
-    The columns go into `out`, whose stencil the caller checks, or into a new
-    read-only array checked here."""
+def _grown(g: GraphEigenvalue, parent=None) -> np.ndarray:
+    """Entry g's remainder at cell level 1, read-only and stencil-checked:
+    newborn (the cached 5- or 6-series `_newborn_remainder`, or the level-1
+    2-series vector, constant on the one midpoint triangle), or with
+    `parent`, the remainder of g's parent one level down, extended at g's
+    graph value.  Extension keeps a vector's support inside its cells and
+    scales the Gram matrix by one constant, so a parent's remainder extends
+    to its child's."""
     ref = _refinement(g.birth + len(g.prefix))
-    block = out
-    if out is None:
-        # a column block of a wider array, as each eigenspace is in a level
-        # matrix: einsum sums a lone contiguous column in another order
-        width = _remainder_rank(g.record, g.multiplicity, k)
-        block = np.empty((ref.n, width + 1))[:, :-1]
-    if parent is None:
-        if templates is None:
-            templates = _Templates(_tree(ref.level))
-        _newborn(ref, g, block, templates)
-    else:
+    width = _remainder_rank(g.record, g.multiplicity, 1)
+    # a column block of a wider array, as each eigenspace is in a level
+    # matrix: einsum sums a lone contiguous column in another order
+    block = np.empty((ref.n, width + 1))[:, :-1]
+    if parent is not None:
         _extended(ref, parent, g.graph_value, g.record.key, block)
-    if out is None:
-        _check_stencil(ref.level, block, [(g, 0, block.shape[1])])
-        block.flags.writeable = False
+    elif g.series == 2:
+        block[:] = 1.0 / np.sqrt(ref.n * interior_weight(ref.level))
+    else:
+        block[:] = _newborn_remainder(g.series, ref.level)
+    _check_stencil(ref.level, block, [(g, 0, width)])
+    block.flags.writeable = False
     return block
 
 
-def _walk(
-    m: int, levels: tuple[int, ...],
-    leaf: Callable[[GraphEigenvalue, tuple, _Templates], None],
-) -> None:
-    """Depth first down the decimation tree: `leaf(g, parents, templates)`
-    for every level-m entry g, where `parents[i]` is the columns of g's
-    parent one level down at cell level `levels[i]`, or None for a newborn,
-    and `templates` the walk's cell-0 templates.  The columns of each node
-    above level m are its remainders at those cell levels, each grown from
-    its own parent's, held only while the walk is below it."""
+def _walk(m: int, leaf: Callable[[GraphEigenvalue, np.ndarray, _Templates], None]) -> None:
+    """Depth first down the decimation tree: `leaf(g, rem1, templates)` for
+    every level-m entry g, with `rem1` its remainder at cell level 1 and
+    `templates` the walk's cell-0 templates.  Each node's remainder at cell
+    level 1 is grown from its parent's (`_grown`) and held only while the
+    walk is below it."""
     nodes = _tree(m)
     templates = _Templates(nodes)
 
-    def descend(g: GraphEigenvalue, parents: tuple) -> None:
+    def descend(g: GraphEigenvalue, parent) -> None:
+        rem1 = _grown(g, parent)
         if g.birth + len(g.prefix) == m:
-            leaf(g, parents, templates)
+            leaf(g, rem1, templates)
             return
-        grown = tuple(
-            _grown(g, k, parent, templates=templates) for k, parent in zip(levels, parents)
-        )
         for sign in _branches(g):
-            descend(nodes[g.series, g.birth, g.prefix + (sign,)], grown)
+            descend(nodes[g.series, g.birth, g.prefix + (sign,)], rem1)
 
     for g in nodes.values():
         if not g.prefix:
-            descend(g, (None,) * len(levels))
+            descend(g, None)
     # descend reaches itself through its closure; without this the cycle
     # would keep `leaf`, and any columns it writes, until a garbage collection
     del descend
@@ -1209,12 +1183,10 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     entry = next((g for g in _predicted(m) if g.record.key == key), None)
     if entry is None:
         raise DomainError(f"no eigenspace with record key {key} at level {m}")
-    templates = _Templates(nodes)
     rem1 = None
     for i in range(len(entry.prefix) + 1):
-        g = nodes[entry.series, entry.birth, entry.prefix[:i]]
-        rem1 = _grown(g, 1, rem1, templates=templates)
-    return _bundle(m, entry, _whole(entry, rem1, templates))
+        rem1 = _grown(nodes[entry.series, entry.birth, entry.prefix[:i]], rem1)
+    return _bundle(m, entry, _whole(entry, rem1, _Templates(nodes)))
 
 
 def walk_eigenspaces(
@@ -1227,30 +1199,23 @@ def walk_eigenspaces(
     lineage, and builds each template once; a visited eigenspace is
     assembled from both (`_whole`) and dropped when `visit` returns, so the
     peak is the largest single eigenspace, not the n x n level basis.  The
-    visited vectors are read-only.  With a cell level k, the walk also
-    carries each eigenspace's remainder there, by the steps of
-    `walk_remainder(m, k)` (a newborn cut at birth, extension carrying a
-    parent's remainder to its child's), and calls `visit(bundle,
-    remainder)`: the remainder equals that eigenspace's block of
-    `walk_remainder(m, k)` bit for bit, and no level matrix is assembled.
+    visited vectors are read-only.  With a cell level k it calls
+    `visit(bundle, remainder)`, the remainder at cell level k being the
+    whole block's leading columns (`_assemble` writes it first), so that it
+    equals that eigenspace's block of `walk_remainder(m, k)` bit for bit,
+    and no level matrix is assembled.
     """
     _check_level(m)
     if k is not None and not 1 <= k <= m:
         raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
-    def leaf(g: GraphEigenvalue, parents: tuple, templates: _Templates) -> None:
-        rem1 = _grown(g, 1, parents[0], templates=templates)
+    def leaf(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> None:
         bundle = _bundle(m, g, _whole(g, rem1, templates))
         if k is None:
             results.append(visit(bundle))
             return
-        if k == 1:
-            columns = rem1
-        elif k == m:
-            columns = bundle.vectors
-        else:
-            columns = _grown(g, k, parents[1], templates=templates)
+        columns = bundle.vectors[:, : _remainder_rank(g.record, g.multiplicity, k)]
         remainder = Remainder(
             columns=columns,
             dims=[columns.shape[1]],
@@ -1259,7 +1224,7 @@ def walk_eigenspaces(
         )
         results.append(visit(bundle, remainder))
 
-    _walk(m, (1,) if k in (None, 1, m) else (1, k), leaf)
+    _walk(m, leaf)
     return results
 
 
@@ -1296,14 +1261,15 @@ def walk_remainder(m: int, k: int) -> Remainder:
     """The remainder at cell level k of every level-m eigenspace.
 
     Eigenspaces are in record-value order and the columns are read-only.
-    They come from one walk down the decimation tree, writing each level-m
-    eigenspace straight into its column range and carrying only remainders
-    above cell level k, so for k < m no n x n array is formed.  At k = m
-    nothing localizes: the columns are every whole eigenspace, assembled
-    from its remainder at cell level 1 and its templates (`_assemble`), the
-    one n x n basis, which only a callable potential or one simple at level
-    m reads; at k = 0 every vector is localized, there are no columns, and
-    no vertex set is read.
+    They come from one walk down the decimation tree, which carries only
+    remainders at cell level 1 and writes each level-m eigenspace's
+    remainder straight into its column range, assembled from its remainder
+    at cell level 1 and the templates of cells coarser than k
+    (`_assemble`), so for k < m no n x n array is formed.  At k = m nothing
+    localizes: the columns are every whole eigenspace, the one n x n basis,
+    which only a callable potential or one simple at level m reads; at
+    k = 0 every vector is localized, there are no columns, and no vertex
+    set is read.
     """
     _check_level(m)
     if not 0 <= k <= m:
@@ -1317,14 +1283,10 @@ def walk_remainder(m: int, k: int) -> Remainder:
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
 
-        def leaf(g: GraphEigenvalue, parents: tuple, templates: _Templates) -> None:
-            if k < m:
-                _grown(g, k, parents[0], views[g], templates)
-            else:
-                rem1 = _grown(g, 1, parents[0], templates=templates)
-                _assemble(g, rem1, templates, views[g])
+        def leaf(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> None:
+            _assemble(g, rem1, templates, views[g])
 
-        _walk(m, (k if k < m else 1,), leaf)
+        _walk(m, leaf)
         # the stencil of the level is checked in one pass
         _check_stencil(m, columns, blocks)
     columns.flags.writeable = False

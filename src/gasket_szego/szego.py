@@ -282,6 +282,20 @@ def _check_single_series_args(series, j_range, n_level, m):
     return j_range
 
 
+def check_sweep(m: int, generation_cut: int | None = None, *, lambda_grid=None,
+                series=None, j_range=None, n_level=None) -> tuple[int, list]:
+    """Every refusal of a sweep's arguments, made before anything is built:
+    the generation cut, then for a full sweep (a `lambda_grid`) its cutoffs
+    and the resolvable window, for a single-series one its series and
+    births.  Returns the generation cut and the sorted cutoffs or births."""
+    cut = _generation_cut(generation_cut, m)
+    if lambda_grid is None:
+        return cut, _check_single_series_args(series, j_range, n_level, m)
+    lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
+    check_window(lambda_grid, m)
+    return cut, lambda_grid
+
+
 def _simple_multiplication_bound(symbol, series, j, n_level, k) -> float | None:
     """Exact finite-sample error bound for simple multiplication symbols."""
     if not (
@@ -305,7 +319,9 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
     eigenspaces, against the integral of the TraceFunction `integrand` of q;
     `precheck` sees the eigenspaces' records and the level before any
     compression."""
-    j_range = _check_single_series_args(series, j_range, n_level, m)
+    cut, j_range = check_sweep(
+        m, generation_cut, series=series, j_range=j_range, n_level=n_level
+    )
     basis = operators.level_basis_for(m, basis)
     bundles = [basis.family_bundle(series, j) for j in j_range]
     if precheck is not None:
@@ -313,7 +329,6 @@ def _single_series_report(symbol, series, j_range, n_level, m, generation_cut,
     target, target_info = target_integral(
         symbol.limit_q, integrand.fn, integrand.name
     )
-    cut = _generation_cut(generation_cut, m)
     samples = []
     for j, bundle in zip(j_range, bundles):
         gamma = compress(symbol, selection_from_bundles([bundle]))
@@ -377,10 +392,9 @@ def _full_report(symbol, lambda_grid, m, generation_cut, basis, integrand,
     parts of one compression below the top cutoff: the atoms below each cutoff and a leading block of its
     remainder.  `precheck` sees the records below the top cutoff and the level
     before the target and any compression."""
+    cut, lambda_grid = check_sweep(m, generation_cut, lambda_grid=lambda_grid)
     basis = operators.level_basis_for(m, basis)
-    cut = _generation_cut(generation_cut, m)
-    lambda_grid = _distinct_sorted(lambda_grid, float, "cutoff grid")
-    window = check_window(lambda_grid, m)
+    window = decimation.resolvable_window(m)
     full = operators.leading_selection(basis, lambda_grid[-1])
     if precheck is not None:
         precheck(symbol, full.records, m)

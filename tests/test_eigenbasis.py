@@ -561,6 +561,15 @@ def test_every_builder_checks_the_level():
             build(0)
 
 
+def _newborn_cut(g, k):
+    """The remainder at cell level k of the newborn eigenspace of entry g, by
+    the walk's steps: its remainder at cell level 1 beside its templates."""
+    rem1 = eigenbasis._grown(g)
+    out = np.empty((rem1.shape[0], eigenbasis._remainder_rank(g.record, g.multiplicity, k)))
+    eigenbasis._assemble(g, rem1, eigenbasis._Templates(eigenbasis._tree(g.birth)), out)
+    return out
+
+
 def _newborn_five_entry(m):
     return next(g for g in eigenbasis._predicted(m) if (g.series, g.birth) == (5, m))
 
@@ -578,7 +587,7 @@ def test_newborn_five_remainder_spans_the_whole_block_cut(m, k):
     oracle = eigenbasis._bundle(m, g, dense_oracle.newborn_block(m, 5))
     for level in (k, m):
         expected = eigenbasis.eigenspace_remainder(oracle, level)
-        cut = eigenbasis._grown(g, level)
+        cut = _newborn_cut(g, level)
         assert cut.shape == expected.columns.shape
         got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
         assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
@@ -598,7 +607,7 @@ def test_newborn_five_remainder_needs_the_incidence_signs(monkeypatch):
     monkeypatch.setattr(eigenbasis, "_cell_graph", flipped)
     g = _newborn_five_entry(5)
     with pytest.raises(NumericError, match=re.escape(f"eigenspace {g.record.key}")):
-        eigenbasis._grown(g, 1)
+        eigenbasis._grown(g)
 
 
 def test_newborn_five_remainder_forms_no_whole_block():
@@ -607,11 +616,11 @@ def test_newborn_five_remainder_forms_no_whole_block():
     import tracemalloc
 
     g = _newborn_five_entry(7)
-    eigenbasis._grown(g, 1)  # the refinement, vertex set and neighbour table
+    eigenbasis._grown(g)  # the refinement, vertex set and neighbour table
     eigenbasis._newborn_remainder.cache_clear()  # solved again, not a cache hit
     tracemalloc.start()
     try:
-        eigenbasis._grown(g, 1)
+        eigenbasis._grown(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,7 +644,7 @@ def test_newborn_columns_lie_in_one_cell_each(series, m):
     # 6-series or one of the 5-series, exactly zero off the cell, and the
     # same values in every cell
     g = _newborn_entry(series, m)
-    block = eigenbasis._grown(g, m)
+    block = _newborn_cut(g, m)
     vertices = build_vertices(m)
     width = 3 if series == 6 else 1
     cursor = 3
@@ -665,7 +674,7 @@ def test_newborn_six_block_and_cuts_span_the_oracle(m, k):
     oracle = eigenbasis._bundle(m, g, dense_oracle.newborn_block(m, 6))
     for level in (k, m):
         expected = eigenbasis.eigenspace_remainder(oracle, level)
-        cut = eigenbasis._grown(g, level)
+        cut = _newborn_cut(g, level)
         assert cut.shape == expected.columns.shape
         got = eigenbasis.Remainder(cut, expected.dims, expected.per_cell, expected.records)
         assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
@@ -679,10 +688,10 @@ def test_newborn_cut_holds_little_beside_its_output(series):
     import tracemalloc
 
     g = _newborn_entry(series, 7)
-    eigenbasis._grown(g, 5)  # the refinements and vertex sets of levels <= 7
+    _newborn_cut(g, 5)  # the refinements and vertex sets of levels <= 7
     tracemalloc.start()
     try:
-        out = eigenbasis._grown(g, 5)
+        out = _newborn_cut(g, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -706,7 +715,7 @@ def test_a_corner_sum_from_the_wrong_neighbour_is_refused(monkeypatch):
 
     monkeypatch.setattr(eigenbasis, "_cell_partners", swapped)
     with pytest.raises(MismatchError, match=f"^eigenspace {_newborn_entry(5, 4).record.key}: "):
-        eigenbasis._grown(_newborn_entry(5, 5), 5)
+        _newborn_cut(_newborn_entry(5, 5), 5)
 
 
 def test_newborn_block_is_the_same_at_one_and_two_threads():

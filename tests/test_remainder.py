@@ -306,19 +306,14 @@ def test_lineage_remainder_matches_whole_eigenspaces(m, k):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_lineage_carries_whole_eigenspaces_bit_exactly(m):
-    # one decimation loop: an eigenspace carried whole at cell level 1 (born
-    # at level 1 or 2, or of the 2-series) is built by the very operations
-    # of the n x n basis, which at cell level m holds every eigenspace; one
-    # born later, at or below the cell level k, is extended whole by the
-    # walk at k, while the basis assembles it from its remainder at cell
-    # level 1 and its templates, each extended and scaled on its own, so
-    # the two agree to rounding (below 1e-15 at m = 7, unit-norm columns)
+    # one decimation loop: an eigenspace carried whole (born at or below
+    # the cell level, or of the 2-series) is built by the very operations
+    # of the n x n basis, which at cell level m holds every eigenspace
     basis = whole_basis(m)
     full = eigenbasis.level_remainder(m, m)
     assert full.columns.shape == (basis.vertices.n_interior,) * 2
     assert full.dims == [b.dim for b in basis.bundles]
     assert full.per_cell == [0] * len(basis.bundles)
-    unit = np.sqrt(eigenbasis.interior_weight(m))
     for k in range(1, m):
         lineage = eigenbasis.level_remainder(m, k)
         starts = np.cumsum([0] + lineage.dims)
@@ -326,11 +321,7 @@ def test_lineage_carries_whole_eigenspaces_bit_exactly(m):
         for b, start, r in zip(basis.bundles, starts, lineage.dims):
             if r == b.dim:
                 whole += 1
-                carried = lineage.columns[:, start : start + r]
-                if b.record.series == 2 or b.record.birth <= 2:
-                    assert np.array_equal(carried, b.vectors), b.record.key
-                else:
-                    assert np.max(np.abs(carried - b.vectors)) * unit <= 1e-14
+                assert np.array_equal(lineage.columns[:, start : start + r], b.vectors)
         assert whole > 0
 
 
