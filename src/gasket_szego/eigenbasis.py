@@ -1112,44 +1112,49 @@ def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
     return nodes
 
 
-def _grown(g: GraphEigenvalue, parent=None) -> np.ndarray:
-    """Entry g's remainder at cell level 1, read-only and stencil-checked:
-    newborn (the cached 5- or 6-series `_newborn_remainder`, or the level-1
-    2-series vector, constant on the one midpoint triangle), or with
-    `parent`, the remainder of g's parent one level down, extended at g's
-    graph value.  Extension keeps a vector's support inside its cells and
-    scales the Gram matrix by one constant, so a parent's remainder extends
-    to its child's."""
+def _grown(g: GraphEigenvalue, parent=None, out=None) -> np.ndarray:
+    """Entry g's remainder at cell level 1: newborn (the cached 5- or
+    6-series `_newborn_remainder`, or the level-1 2-series vector, constant
+    on the one midpoint triangle), or with `parent`, the remainder of g's
+    parent one level down, extended at g's graph value.  Extension keeps a
+    vector's support inside its cells and scales the Gram matrix by one
+    constant, so a parent's remainder extends to its child's.  The columns
+    go into `out`, whose stencil the caller checks, or into a new read-only
+    array checked here."""
     ref = _refinement(g.birth + len(g.prefix))
     width = _remainder_rank(g.record, g.multiplicity, 1)
-    # a column block of a wider array, as each eigenspace is in a level
-    # matrix: einsum sums a lone contiguous column in another order
-    block = np.empty((ref.n, width + 1))[:, :-1]
+    block = out
+    if out is None:
+        # a column block of a wider array, as each eigenspace is in a level
+        # matrix: einsum sums a lone contiguous column in another order
+        block = np.empty((ref.n, width + 1))[:, :-1]
     if parent is not None:
         _extended(ref, parent, g.graph_value, g.record.key, block)
     elif g.series == 2:
         block[:] = 1.0 / np.sqrt(ref.n * interior_weight(ref.level))
     else:
         block[:] = _newborn_remainder(g.series, ref.level)
-    _check_stencil(ref.level, block, [(g, 0, width)])
-    block.flags.writeable = False
+    if out is None:
+        _check_stencil(ref.level, block, [(g, 0, width)])
+        block.flags.writeable = False
     return block
 
 
-def _walk(m: int, leaf: Callable[[GraphEigenvalue, np.ndarray, _Templates], None]) -> None:
-    """Depth first down the decimation tree: `leaf(g, rem1, templates)` for
-    every level-m entry g, with `rem1` its remainder at cell level 1 and
-    `templates` the walk's cell-0 templates.  Each node's remainder at cell
-    level 1 is grown from its parent's (`_grown`) and held only while the
-    walk is below it."""
+def _walk(m: int, leaf: Callable[[GraphEigenvalue, object, _Templates], None]) -> None:
+    """Depth first down the decimation tree: `leaf(g, parent, templates)`
+    for every level-m entry g, where `parent` is the remainder at cell level
+    1 of g's parent one level down, or None for a newborn, and `templates`
+    the walk's cell-0 templates.  Each node's remainder at cell level 1
+    above level m is grown from its parent's (`_grown`) and held only while
+    the walk is below it."""
     nodes = _tree(m)
     templates = _Templates(nodes)
 
     def descend(g: GraphEigenvalue, parent) -> None:
-        rem1 = _grown(g, parent)
         if g.birth + len(g.prefix) == m:
-            leaf(g, rem1, templates)
+            leaf(g, parent, templates)
             return
+        rem1 = _grown(g, parent)
         for sign in _branches(g):
             descend(nodes[g.series, g.birth, g.prefix + (sign,)], rem1)
 
@@ -1210,8 +1215,8 @@ def walk_eigenspaces(
         raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
-    def leaf(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> None:
-        bundle = _bundle(m, g, _whole(g, rem1, templates))
+    def leaf(g: GraphEigenvalue, parent, templates: _Templates) -> None:
+        bundle = _bundle(m, g, _whole(g, _grown(g, parent), templates))
         if k is None:
             results.append(visit(bundle))
             return
@@ -1283,7 +1288,11 @@ def walk_remainder(m: int, k: int) -> Remainder:
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
 
-        def leaf(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> None:
+        def leaf(g: GraphEigenvalue, parent, templates: _Templates) -> None:
+            # the remainder at cell level 1 goes straight into the leading
+            # columns, whose stencil is checked with the level's
+            rem1 = views[g][:, : _remainder_rank(g.record, g.multiplicity, 1)]
+            _grown(g, parent, rem1)
             _assemble(g, rem1, templates, views[g])
 
         _walk(m, leaf)
