@@ -5,10 +5,11 @@ tree, with no eigensolve: each eigenspace is born at its birth level and
 extends one level at a time by the local eigenfunction-extension formula,
 through one preimage of its graph value per branch, each step checked
 against the closed-form norm of the extension.  A newborn 5- or
-6-eigenspace is its remainder at cell level 1 (the 6-series by conjugate
-gradients on its Gram matrix, the 5-series by conjugate gradients on the
-grounded Laplacian of the level's cell graph; each solved once per process)
-beside the eigenfunctions localized in cells: what each earlier birth's
+6-eigenspace is its remainder at cell level 1, built once per process with
+no iteration (the 6-series from the Green's function of its Gram matrix,
+which decimation gives as a Schur complement, `_solve`; the 5-series as
+three translates of the one born a level earlier) beside the
+eigenfunctions localized in cells: what each earlier birth's
 eigenspace adds to a cell, taken from its own remainder at cell level 1 and
 placed by translation in every cell of its size; the 2-series is born as
 one level-1 vector.  Every localized piece is a cell-0 template translated,
@@ -647,7 +648,8 @@ def _check_stencil(m: int, vectors: np.ndarray, blocks: list) -> None:
 
 def _extension_adjoint(ref: _Refinement, values: np.ndarray, lam: float) -> np.ndarray:
     """E^T values, for E the extension at `lam` (see `_extend`) as an
-    n x n_prev matrix: what level-m row functionals read from level m-1."""
+    n x n_prev matrix: what level-m row functionals read from level m-1,
+    the forward pass of `_solve`."""
     den = (2.0 - lam) * (5.0 - lam)
     out = np.zeros((ref.n_prev + 1, values.shape[1]))
     out[:-1] = values[ref.old]
@@ -657,57 +659,32 @@ def _extension_adjoint(ref: _Refinement, values: np.ndarray, lam: float) -> np.n
     return out[:-1]
 
 
-def _six_gram_times(ref: _Refinement, x: np.ndarray) -> np.ndarray:
-    """G x for the Gram matrix G = (L + 6 I) / 4 of the newborn 6-eigenspace
-    (see `_newborn_six_remainder`): 2.5 x less a quarter of the sum over the
-    four level-(m-1) neighbours."""
-    neighbours = build_vertices(ref.level - 1).neighbours
-    pad = _padded(x)
-    sums = pad[neighbours[:, 0]]
-    for k in range(1, 4):
-        sums += pad[neighbours[:, k]]
-    return 2.5 * x - 0.25 * sums
+def _solve(level: int, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """(L - lam I)^-1 rhs, L the level's Dirichlet Laplacian, for lam < 0,
+    with no iteration: spectral decimation as a Schur complement.
 
+    Each midpoint of a level-(level-1) cell lies in that cell alone, and
+    the cell's block of L - lam I on its midpoints, (5 - lam) I - J, is
+    inverted in closed form: 1 / (2 - lam) on the mean, 1 / (5 - lam) on
+    the rest.  Eliminating the midpoints is the extension E at lam
+    (`_extend`), and the Schur complement on the other vertices is
 
-# far more steps than conjugate gradients need on a spectrum in (1.5, 3]
-_CG_STEPS = 100
+        E^T (L - lam I) E = (6 - lam) / ((2 - lam)(5 - lam)) (L' - lam (5 - lam) I),   (1)
 
-
-def _conjugate_gradients(apply, rhs: np.ndarray, steps: int, what: str) -> np.ndarray:
-    """A^-1 rhs by conjugate gradients, all columns in step, for the positive
-    definite A that `apply` multiplies by; the iteration runs until every
-    residual is down to eps of its start, and raises `NumericError` naming
-    `what` after `steps` steps.  A zero column of `rhs` stays zero."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rr = np.einsum("ij,ij->j", r, r)
-    stop = np.finfo(float).eps ** 2 * rr
-    for _ in range(steps):
-        if np.all(rr <= stop):
-            return x
-        ap = apply(p)
-        curvature = np.einsum("ij,ij->j", p, ap)
-        step = np.divide(rr, curvature, out=np.zeros_like(rr), where=curvature > 0)
-        x += step * p
-        r -= step * ap
-        rr, rr_prev = np.einsum("ij,ij->j", r, r), rr
-        p = r + np.divide(rr, rr_prev, out=np.zeros_like(rr), where=rr_prev > 0) * p
-    raise NumericError(
-        f"conjugate gradients on {what} did not converge in {steps} steps"
-    )
-
-
-def _six_gram_solve(ref: _Refinement, rhs: np.ndarray) -> np.ndarray:
-    """G^-1 rhs for the Gram matrix G of `_six_gram_times`.
-
-    The graph values lie in (0, 6], so G has its spectrum in (1.5, 3] and
-    each step cuts the error by at least (sqrt(2) - 1) / (sqrt(2) + 1) < 0.18.
+    L' the Laplacian one level down (Fukushima and Shima), solved the same
+    way at lam (5 - lam) < 0.  The forward pass is `_extension_adjoint`, the
+    back pass `_extend`; at level 0 nothing is left.
     """
-    return _conjugate_gradients(
-        lambda x: _six_gram_times(ref, x), rhs, _CG_STEPS,
-        "the newborn 6-series Gram matrix",
-    )
+    if level == 0:
+        return rhs
+    ref = _refinement(level)
+    coarse = _extension_adjoint(ref, rhs, lam) * ((2.0 - lam) * (5.0 - lam) / (6.0 - lam))
+    out = np.empty_like(rhs)
+    _extend(ref, _solve(level - 1, lam * (5.0 - lam), coarse), lam, out)
+    mids = rhs[ref.mid].reshape(-1, 3, rhs.shape[1])
+    mean = mids.mean(axis=1, keepdims=True)
+    out[ref.mid] += ((mids - mean) / (5.0 - lam) + mean / (2.0 - lam)).reshape(ref.mid.size, -1)
+    return out
 
 
 def _newborn_six_remainder(
@@ -718,109 +695,33 @@ def _newborn_six_remainder(
     Any values on the level-(m-1) interior extend at lam = 6, where
     u(z) = (u(w) - u(x) - u(y)) / 2, and the extensions E of the unit
     vectors span the eigenspace with the exact Gram matrix
-    G = E^T E = (L + 6 I) / 4, L the level-(m-1) Dirichlet Laplacian.  With
-    A = J E the level-1 junction functionals J pulled back through the
-    extension, E z is localized exactly when A z = 0, so the remainder,
-    orthogonal to those, is the span of E G^-1 A^T.  Its rank, that of A,
-    is pinned to the closed-form count on A's singular values.  G^-1 is
-    applied to A's top right singular vectors V by conjugate gradients, and
-    E G^-1 V is orthonormalized through the Cholesky factor of its small
-    Gram matrix V^T G^-1 V, a factor of A G^-1 A^T.  No d x d array is
-    formed.
+    G = E^T E = (L' + 6 I) / 4, L' the level-(m-1) Dirichlet Laplacian.  The
+    three junctions of the 1-cells are level-(m-1) vertices, where E z takes
+    the values of z, and a vector localized in 1-cells vanishes on them; so
+    the remainder, orthogonal to those, is spanned by Z = G^-1 V, V the unit
+    vectors of the junctions, extended.  G^-1 = 4 (L' + 6 I)^-1 is `_solve`,
+    and E Z is orthonormalized through the Cholesky factor of its Gram
+    matrix Z^T G Z = V^T Z.
     """
-    if g.multiplicity != ref.n_prev:
+    junctions = np.flatnonzero(build_vertices(ref.level - 1).cell_rows(1) < 0)
+    if (g.multiplicity, out.shape[1]) != (ref.n_prev, junctions.size):
         raise MismatchError(
-            f"the newborn 6-series eigenspace has dimension {ref.n_prev}, "
-            f"decimation predicts {g.multiplicity}"
+            f"eigenspace {g.record.key}: decimation predicts dimension "
+            f"{g.multiplicity} and remainder width {out.shape[1]}, the "
+            f"extensions give {ref.n_prev} and {junctions.size}"
         )
-    junction = _junction_matrix(build_vertices(ref.level), 1)
-    a = _extension_adjoint(ref, junction.T, 6.0).T
-    z = _six_gram_solve(ref, _junction_cut(a, out.shape[1], g.record.key, 1)[0].T)
-    factor = np.linalg.cholesky(z.T @ _six_gram_times(ref, z))
+    unit = np.zeros((ref.n_prev, junctions.size))
+    unit[junctions, np.arange(junctions.size)] = 1.0
+    z = 4.0 * _solve(ref.level - 1, -6.0, unit)
+    factor = np.linalg.cholesky(z[junctions])
     coeffs = np.linalg.solve(factor, z.T).T
     coeffs *= 1.0 / np.sqrt(w)
     _extend(ref, coeffs, 6.0, out)
 
 
-@dataclass
-class _CellGraph:
-    """The graph whose circulations are the 5-eigenspace born at level m.
-
-    The eigenspace's vectors vanish on the level-(m-1) vertices.  The
-    eigen-equation at an interior old vertex x says that the two midpoints
-    opposite x, one in each cell containing x, carry opposite values, the
-    flow on edge x; a boundary corner's opposite midpoint carries a free
-    value; and at a midpoint it says that each cell's three midpoints sum to
-    zero, no net outflow.  Its nodes are the level-(m-1) cells plus a ground
-    node, `n_cells`; its edges are the interior old vertices, then one per
-    boundary corner, each joining the cells that contain it (a boundary
-    corner joins its cell to the ground).  Midpoint i, cell-major like `_Refinement.mid`, lies in
-    cell i // 3 opposite the corner of edge `var[i]`, and carries `sign[i]`
-    times that edge's flow: +1 in the edge's first cell, its `tail`, and -1
-    in its other, its `head`.  M, `multiplicity`, counts the midpoints of
-    each edge, so that M is the plain Gram matrix of the map from flows to
-    midpoint values.
-    """
-
-    n_cells: int
-    var: np.ndarray
-    sign: np.ndarray
-    tail: np.ndarray
-    head: np.ndarray
-    multiplicity: np.ndarray
-
-    def outflow(self, flows: np.ndarray) -> np.ndarray:
-        """B flows: the net outflow of every cell, the sum over its three
-        midpoints of their signed edge flows."""
-        t = (self.sign[:, None] * flows[self.var]).reshape(self.n_cells, 3, -1)
-        return t[:, 0] + t[:, 1] + t[:, 2]
-
-    def potential_drop(self, x: np.ndarray) -> np.ndarray:
-        """B^T x: x at each edge's tail less x at its head, the ground at 0."""
-        pad = _padded(x)
-        return pad[self.tail] - pad[self.head]
-
-    @functools.cached_property
-    def _cell_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell and midpoint, the node across that midpoint's edge and
-        the edge's conductance 1/M."""
-        other = np.where(self.sign > 0, self.head[self.var], self.tail[self.var])
-        conductance = 1.0 / self.multiplicity[self.var]
-        return other.reshape(-1, 3), conductance.reshape(-1, 3)
-
-    def laplacian_times(self, x: np.ndarray) -> np.ndarray:
-        """B M^-1 B^T x, the grounded Laplacian of the cells (a Hanoi graph)
-        with conductance 1/M on each edge, by gathers over each cell's three
-        edges."""
-        other, conductance = self._cell_edges
-        pad = _padded(x)
-        out = np.zeros_like(x)
-        for j in range(3):
-            out += conductance[:, j, None] * (x - pad[other[:, j]])
-        return out
-
-
-def _cell_graph(ref: _Refinement) -> _CellGraph:
-    """The cell graph of the 5-eigenspace born at level `ref.level`."""
-    n_cells = ref.mid.size // 3
-    var = ref.opp.copy()
-    corners = np.nonzero(var == ref.n_prev)[0]
-    var[corners] = ref.n_prev + np.arange(corners.size)
-    n_edges = ref.n_prev + corners.size
-    first = np.zeros(var.size, dtype=bool)
-    first[np.unique(var, return_index=True)[1]] = True
-    tail = np.empty(n_edges, dtype=np.int64)
-    head = np.full(n_edges, n_cells)  # the ground node
-    tail[var[first]] = np.nonzero(first)[0] // 3
-    head[var[~first]] = np.nonzero(~first)[0] // 3
-    return _CellGraph(
-        n_cells=n_cells,
-        var=var,
-        sign=np.where(first, 1.0, -1.0),
-        tail=tail,
-        head=head,
-        multiplicity=np.bincount(var, minlength=n_edges).astype(float),
-    )
+# the junctions of the three 1-cells: (cell, corner, cell, corner), 1-cell i's
+# corner k being 1-cell k's corner i
+_JUNCTIONS = ((0, 1, 1, 0), (0, 2, 2, 0), (1, 2, 2, 1))
 
 
 def _newborn_five_remainder(
@@ -828,54 +729,43 @@ def _newborn_five_remainder(
 ) -> None:
     """The remainder at cell level 1 of the newborn 5-eigenspace, into `out`.
 
-    In flows on the cell graph, with B its grounded incidence and M its
-    edge multiplicities, the eigenspace is the kernel of B and a junction
-    functional reads a^T y, a pulled back through the signed midpoints.  Its
-    representer in the eigenspace, the M-orthogonal projection of M^-1 a^T
-    onto that kernel, is r = M^-1 a^T - M^-1 B^T (B M^-1 B^T)^-1 B M^-1 a^T;
-    B M^-1 B^T is the grounded Laplacian of the cells, solved by conjugate
-    gradients with gathers only.  The remainder is the span of the r.  The
-    projection is applied twice, as in Gram-Schmidt: the second removes what
-    the first solve's rounding leaves outside the kernel (at m = 8 the angle
-    to the whole-block cut drops from 7e-14 to 2e-14).  The singular values
-    of M^(1/2) R / sqrt(w) are those of the junction values of the whole
-    eigenspace, so the rank is pinned to the closed-form count by the same
-    rule, and their top right singular vectors give M-orthonormal flows.  No
-    n x d array is formed.
+    At level 1 it is the whole eigenspace: the pair of vectors on the
+    triangle of midpoints that sum to zero.  Past level 1 a vector of the
+    eigenspace vanishes on the level-(m-1) vertices, so in each 1-cell it is
+    a translate of a vector born at m - 1, and it is orthogonal to the
+    vectors localized in 1-cells exactly when each translate is one of the
+    remainder R born at m - 1 orthogonal to R's combination whose corner
+    sums vanish (`_corner_basis`), the one that `_cell_block` places in
+    cells.  So the remainder is the span of the translates of R's other
+    two combinations into the three 1-cells, scaled by sqrt(3) to
+    weighted-orthonormal columns, combined so that at each junction, where
+    the vector vanishes, the eigen-equation holds: cell i's corner-k sum
+    plus cell k's corner-i sum is 0 (`_JUNCTIONS`).  The kernel of those
+    three conditions on six coefficients is pinned to the closed-form width
+    by `_ranked_svd`, and its orthonormal vectors give orthonormal columns.
     """
-    graph = _cell_graph(ref)
-    if graph.multiplicity.size - graph.n_cells != g.multiplicity:
+    if ref.level == 1:
+        pair = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+        out[:] = pair / np.sqrt(w)
+        return
+    prev = _newborn_remainder(5, ref.level - 1)
+    pieces = np.einsum("ij,kj->ik", prev, _corner_basis(ref.level - 1)[:2])
+    sums = _corner_sums(ref.level - 1, pieces)
+    conditions = np.zeros((len(_JUNCTIONS), 3, pieces.shape[1]))
+    for row, (i, corner_i, k, corner_k) in enumerate(_JUNCTIONS):
+        conditions[row, i] = sums[corner_i]
+        conditions[row, k] = sums[corner_k]
+    _, vh, rank, _ = _ranked_svd(conditions.reshape(len(_JUNCTIONS), -1), full=True)
+    if vh.shape[0] - rank != out.shape[1]:
         raise MismatchError(
-            f"the newborn 5-series eigenspace has dimension "
-            f"{graph.multiplicity.size - graph.n_cells}, decimation predicts "
-            f"{g.multiplicity}"
+            f"eigenspace {g.record.key}: the junction conditions on its 1-cells "
+            f"leave {vh.shape[0] - rank} combinations, the closed form predicts "
+            f"{out.shape[1]}"
         )
-    functionals = _junction_functionals(build_vertices(ref.level), 1)
-    midpoint = np.full(ref.n + 1, -1)
-    midpoint[ref.mid] = np.arange(ref.mid.size)
-    mids = midpoint[functionals]
-    which, side = np.nonzero(mids >= 0)
-    read = mids[which, side]
-    # M^-1 a^T for every functional a (one at an old vertex reads no
-    # midpoint: a zero column), then projected
-    r = np.zeros((graph.multiplicity.size, functionals.shape[0]))
-    np.add.at(r, (graph.var[read], which), graph.sign[read])
-    r /= graph.multiplicity[:, None]
-    # the steps grow as the square root of the Laplacian's condition number,
-    # about twofold per level: 5, 27, 116 and 233 at m = 3, 5, 7 and 8
-    for _ in range(2):
-        x = _conjugate_gradients(
-            graph.laplacian_times, graph.outflow(r), 4 * 2**ref.level,
-            f"the cell graph of eigenspace {g.record.key}",
-        )
-        r -= graph.potential_drop(x) / graph.multiplicity[:, None]
-    root = np.sqrt(graph.multiplicity)[:, None]
-    rows, _ = _junction_cut(
-        (root * r).T * (1.0 / np.sqrt(w)), out.shape[1], g.record.key, 1
-    )
-    flows = rows.T / (root * np.sqrt(w))
-    out[ref.old] = 0.0
-    out[ref.mid] = graph.sign[:, None] * flows[graph.var]
+    coeffs = vh[rank:].reshape(out.shape[1], 3, -1) * np.sqrt(3.0)
+    out[:] = 0.0
+    for cell, rows in enumerate(_translates(build_vertices(ref.level), 1)):
+        out[rows] = np.einsum("ij,rj->ir", pieces, coeffs[:, cell])
 
 
 def _newborn_entry(series: int, level: int) -> GraphEigenvalue:
@@ -890,7 +780,7 @@ def _newborn_entry(series: int, level: int) -> GraphEigenvalue:
 def _newborn_remainder(series: int, level: int) -> np.ndarray:
     """The remainder at cell level 1 of the 5- or 6-eigenspace born at
     `level` (`_newborn_five_remainder`, `_newborn_six_remainder`),
-    weighted-orthonormal and read-only; cached, so that it is solved once
+    weighted-orthonormal and read-only; cached, so that it is built once
     per process, however many walks and lineages read it."""
     g = _newborn_entry(series, level)
     ref, w = _refinement(level), interior_weight(level)
@@ -912,19 +802,29 @@ def _cell_block(series: int, j: int) -> np.ndarray:
     eigenspace's vectors localized in 1-cells, so the new ones lie in its
     remainder at cell level 1: all three of its columns for the 6-series,
     and for the 5-series the one combination on which the three corner sums
-    vanish, the kernel of a 3 x 3 matrix, pinned to 1.
+    vanish (`_corner_basis`).
     """
     block = _newborn_remainder(series, j)
     if series == 6:
         return block
+    return np.einsum("ij,kj->ik", block, _corner_basis(j)[2:])
+
+
+def _corner_basis(j: int) -> np.ndarray:
+    """The right singular vectors of the corner sums (`_corner_sums`) of the
+    5-series remainder born at level j: two combinations whose corner sums
+    are independent, then the kernel, one combination past level 1 and none
+    at level 1, where the remainder has two columns; a rank other than 2
+    raises `MismatchError`."""
+    block = _newborn_remainder(5, j)
     _, vh, rank, _ = _ranked_svd(_corner_sums(j, block), full=True)
     if rank != 2:
         raise MismatchError(
             f"eigenspace {_newborn_entry(5, j).record.key}: the corner sums of "
             f"its remainder at cell level 1 have a kernel of dimension "
-            f"{3 - rank}, the closed form predicts 1"
+            f"{block.shape[1] - rank}, the closed form predicts {block.shape[1] - 2}"
         )
-    return block @ vh[2:].T
+    return vh
 
 
 def _corner_sums(level: int, block: np.ndarray) -> np.ndarray:

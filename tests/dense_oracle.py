@@ -25,13 +25,14 @@ the remainders of a run of eigenspaces off their whole vectors, where
 `level_remainder` carries them by lineage; `trace_power` powers a dense
 compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
 reads back what `save_bundle` wrote.  `reference_edges` assembles the
-interior edges side by side from the cells, and `reference_six_gram_times`
-sums the newborn 6-series Gram product edge by edge with `np.add.at`, where
-both read the vertex set's neighbour table.  `newborn_block` builds a whole
-newborn 5- or 6-eigenspace from exact spanning sets (a cycle basis of the
-cell graph, the lam = 6 extensions of the unit vectors) and the inverse
-Cholesky factor of their Gram matrix, where `eigenbasis` places translated
-level-1 remainders in cells.
+interior edges side by side from the cells, where the library reads the
+vertex set's neighbour table.  `newborn_block` builds a whole newborn 5- or
+6-eigenspace from exact spanning sets (a cycle basis of the cell graph, the
+lam = 6 extensions of the unit vectors) and the inverse Cholesky factor of
+their Gram matrix, where `eigenbasis` places translated level-1 remainders
+in cells, and builds those remainders with no solve of the cell graph and
+no dense factor: the 5-series from translates of the previous birth's, the
+6-series by decimation's Schur complement.
 """
 import dataclasses
 from pathlib import Path
@@ -489,22 +490,6 @@ def reference_edges(vertices) -> tuple[np.ndarray, np.ndarray]:
     return sides[:, 0], sides[:, 1]
 
 
-def reference_six_gram_times(m: int, x: np.ndarray) -> np.ndarray:
-    """G x for the Gram matrix G = (L + 6 I) / 4 of the newborn level-m
-    6-eigenspace, L the level-(m-1) Dirichlet Laplacian: each side of every
-    (m-1)-cell adds one end's value to the other's sum, in both directions,
-    side by side over the cells."""
-    parent = build_vertices(m - 1)
-    pad = np.zeros((x.shape[0] + 1, x.shape[1]))
-    pad[:-1] = x
-    sums = np.zeros_like(pad)
-    corners = parent.rows[parent.cells]
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        np.add.at(sums, corners[:, a], pad[corners[:, b]])
-        np.add.at(sums, corners[:, b], pad[corners[:, a]])
-    return 2.5 * x - 0.25 * sums[:-1]
-
-
 def newborn_block(m: int, series: int) -> np.ndarray:
     """The whole 5- or 6-eigenspace born at level m, weighted-orthonormal,
     from exact spanning sets and the inverse Cholesky factor of their Gram
@@ -575,12 +560,11 @@ def _newborn_five(ref, w: float, out: np.ndarray) -> None:
     each cell containing x, carry opposite values y_x; a boundary corner's
     opposite midpoint carries a free value.  At a midpoint it says that each
     cell's three midpoints sum to zero.  So y is a circulation on the cell
-    graph (`eigenbasis._CellGraph`): one cycle per edge outside a breadth-first
+    graph (`_cell_graph`): one cycle per edge outside a breadth-first
     spanning tree is a basis, with entries -1, 0 and 1 and an exact Gram
     matrix.
     """
-    graph = eigenbasis._cell_graph(ref)
-    n_cells, tail, head = graph.n_cells, graph.tail, graph.head
+    n_cells, var, sign, tail, head, multiplicity = _cell_graph(ref)
     n_edges = tail.size
     ends = [[] for _ in range(n_cells + 1)]
     for e, (a, b) in enumerate(zip(tail.tolist(), head.tolist())):
@@ -620,8 +604,37 @@ def _newborn_five(ref, w: float, out: np.ndarray) -> None:
             y[e] = net[node]
             net[tail[e]] += net[node]
 
-    gram = y.T @ (graph.multiplicity[:, None] * y)
+    gram = y.T @ (multiplicity[:, None] * y)
     _inverse_cholesky(gram)
     gram *= 1.0 / np.sqrt(w)
     out[ref.old] = 0.0
-    out[ref.mid] = graph.sign[:, None] * (y @ gram.T)[graph.var]
+    out[ref.mid] = sign[:, None] * (y @ gram.T)[var]
+
+
+def _cell_graph(ref):
+    """The graph whose circulations are the 5-eigenspace born at level
+    `ref.level`: (n_cells, var, sign, tail, head, multiplicity).
+
+    Its nodes are the level-(m-1) cells plus a ground node, `n_cells`; its
+    edges are the interior old vertices, then one per boundary corner, each
+    joining the cells that contain it (a boundary corner joins its cell to
+    the ground).  Midpoint i, cell-major like `_Refinement.mid`, lies in
+    cell i // 3 opposite the corner of edge `var[i]`, and carries `sign[i]`
+    times that edge's flow: +1 in the edge's first cell, its `tail`, and -1
+    in its other, its `head`.  `multiplicity` counts the midpoints of each
+    edge, so that it is the plain Gram matrix of the map from flows to
+    midpoint values.
+    """
+    n_cells = ref.mid.size // 3
+    var = ref.opp.copy()
+    corners = np.nonzero(var == ref.n_prev)[0]
+    var[corners] = ref.n_prev + np.arange(corners.size)
+    n_edges = ref.n_prev + corners.size
+    first = np.zeros(var.size, dtype=bool)
+    first[np.unique(var, return_index=True)[1]] = True
+    tail = np.empty(n_edges, dtype=np.int64)
+    head = np.full(n_edges, n_cells)  # the ground node
+    tail[var[first]] = np.nonzero(first)[0] // 3
+    head[var[~first]] = np.nonzero(~first)[0] // 3
+    multiplicity = np.bincount(var, minlength=n_edges).astype(float)
+    return n_cells, var, np.where(first, 1.0, -1.0), tail, head, multiplicity

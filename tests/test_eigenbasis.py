@@ -32,7 +32,6 @@ from dense_oracle import (
     cell_inside_rows,
     load_bundle,
     nonlocalized_remainder,
-    reference_six_gram_times,
     reference_split,
     whole_basis,
 )
@@ -302,6 +301,18 @@ def test_junction_partners_lie_in_the_first_cell(m):
             assert sorted(partners.tolist()) == sorted(rows[cell[cell != x]].tolist())
 
 
+@pytest.mark.parametrize("m", range(1, 5))
+def test_junction_matrix_reads_values_and_partner_sums(m):
+    # J u holds u at each level-k junction vertex, then the sum of u over
+    # its two partners (`_junction_functionals`): one 0/1 entry per row read
+    vertices = build_vertices(m)
+    u = np.random.default_rng(m).standard_normal(vertices.n_interior)
+    for k in range(1, m + 1):
+        rows = eigenbasis._junction_functionals(vertices, k)
+        expected = np.append(u, 0.0)[rows].sum(axis=1)
+        assert np.array_equal(eigenbasis._junction_matrix(vertices, k) @ u, expected)
+
+
 def test_split_off_the_eigen_equation_fails_the_stencil(level5, monkeypatch):
     # a localized vector moved by 1e-6 inside its cell no longer solves the
     # eigen-equation: the stencil check every eigenvector passes refuses it,
@@ -516,14 +527,33 @@ def test_every_builder_checks_the_stencil_of_the_last_level(monkeypatch, builder
         BUILDERS[builder]()
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_six_gram_times_gathers_the_edge_sums(m):
-    # four gathers from the neighbour table sum in the order of the
-    # edge-by-edge accumulation, bit for bit
-    ref = eigenbasis._refinement(m)
-    x = np.random.default_rng(m).standard_normal((ref.n_prev, 3))
-    got = eigenbasis._six_gram_times(ref, x)
-    assert got.tobytes() == reference_six_gram_times(m, x).tobytes()
+@pytest.mark.parametrize("lam", [-6.0, -0.5])
+@pytest.mark.parametrize("level", range(1, 7))
+def test_solve_matches_a_dense_solve(level, lam):
+    # the Schur complement recursion against np.linalg.solve of the dense
+    # L - lam I (2.2e-16 to 6.7e-16 relative, measured)
+    lap = build_dirichlet_laplacian(build_vertices(level))
+    rhs = np.random.default_rng(level).standard_normal((lap.shape[0], 3))
+    exact = np.linalg.solve(lap - lam * np.eye(lap.shape[0]), rhs)
+    got = eigenbasis._solve(level, lam, rhs)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("level", range(2, 6))
+def test_extension_is_a_schur_complement(level):
+    # identity (1): E^T (L - lam I) E = (6 - lam) / ((2 - lam)(5 - lam))
+    # (L' - lam (5 - lam) I), E the extension at lam as a dense matrix, on
+    # both sides of the poles 2, 5 and 6 (1.3e-15 relative, measured)
+    ref = eigenbasis._refinement(level)
+    lap = build_dirichlet_laplacian(build_vertices(level))
+    coarse = build_dirichlet_laplacian(build_vertices(level - 1))
+    for lam in (-6.0, -0.5, 0.7, 3.0, 6.5):
+        e = np.empty((ref.n, ref.n_prev))
+        eigenbasis._extend(ref, np.eye(ref.n_prev), lam, e)
+        schur = e.T @ (lap - lam * np.eye(ref.n)) @ e
+        factor = (6.0 - lam) / ((2.0 - lam) * (5.0 - lam))
+        expected = factor * (coarse - lam * (5.0 - lam) * np.eye(ref.n_prev))
+        assert np.max(np.abs(schur - expected)) <= 1e-13 * np.max(np.abs(expected)), lam
 
 
 @pytest.mark.parametrize("m", range(2, 6))
@@ -593,21 +623,30 @@ def test_newborn_five_remainder_spans_the_whole_block_cut(m, k):
         assert eigenbasis.remainder_deviation(got, expected, m) <= 1e-12
 
 
-def test_newborn_five_remainder_needs_the_incidence_signs(monkeypatch):
-    # one midpoint read with the wrong sign of its edge: the cell graph's
-    # Laplacian is no longer symmetric, and the solve names the eigenspace
-    cell_graph = eigenbasis._cell_graph
+def test_a_junction_paired_to_the_wrong_corner_is_refused(monkeypatch):
+    # cell 1's corner 2 read at the junction of cells 0 and 1, which is its
+    # corner 0: the birth-2 remainder then fails the eigen-equation there,
+    # and every later birth, whose recursion reads birth 2's corner sums
+    # first, names it
+    monkeypatch.setattr(eigenbasis, "_JUNCTIONS", ((0, 1, 1, 2), (0, 2, 2, 0), (1, 2, 2, 1)))
+    key = re.escape(_newborn_five_entry(2).record.key)
+    with pytest.raises(NumericError, match=f"^level 2, eigenspace {key}: stencil residual"):
+        eigenbasis._grown(_newborn_five_entry(2))
+    for m in (3, 5):
+        eigenbasis._newborn_remainder.cache_clear()
+        with pytest.raises(MismatchError, match=f"^eigenspace {key}: the corner sums"):
+            eigenbasis._grown(_newborn_five_entry(m))
 
-    def flipped(ref):
-        graph = cell_graph(ref)
-        sign = graph.sign.copy()
-        sign[np.flatnonzero(graph.head[graph.var] < graph.n_cells)[0]] *= -1.0
-        return dataclasses.replace(graph, sign=sign)
 
-    monkeypatch.setattr(eigenbasis, "_cell_graph", flipped)
-    g = _newborn_five_entry(5)
-    with pytest.raises(NumericError, match=re.escape(f"eigenspace {g.record.key}")):
-        eigenbasis._grown(g)
+@pytest.mark.parametrize("series", [5, 6])
+def test_a_newborn_remainder_of_the_wrong_width_is_refused(series):
+    # two columns asked where the three junctions give three: each build
+    # names its eigenspace
+    g = _newborn_entry(series, 4)
+    ref = eigenbasis._refinement(4)
+    build = {5: eigenbasis._newborn_five_remainder, 6: eigenbasis._newborn_six_remainder}[series]
+    with pytest.raises(MismatchError, match=f"^eigenspace {re.escape(g.record.key)}: "):
+        build(ref, interior_weight(4), g, np.empty((ref.n, 2)))
 
 
 def test_newborn_five_remainder_forms_no_whole_block():
@@ -617,7 +656,7 @@ def test_newborn_five_remainder_forms_no_whole_block():
 
     g = _newborn_five_entry(7)
     eigenbasis._grown(g)  # the refinement, vertex set and neighbour table
-    eigenbasis._newborn_remainder.cache_clear()  # solved again, not a cache hit
+    eigenbasis._newborn_remainder.cache_clear()  # built again, not a cache hit
     tracemalloc.start()
     try:
         eigenbasis._grown(g)
@@ -703,7 +742,8 @@ def test_a_corner_sum_from_the_wrong_neighbour_is_refused(monkeypatch):
     # at each corner of the level-j gasket the 5-series piece reads the sum
     # over the corner's two neighbours; one of them swapped for one of its
     # own neighbours, off the corner's cell, leaves no combination on which
-    # all three sums vanish, and the build names birth j's eigenspace
+    # all three sums vanish; the build of birth 5 reads birth 2's first, on
+    # its way down from birth 4, and names it
     partners = eigenbasis._cell_partners
 
     def swapped(vertices, ids):
@@ -714,19 +754,22 @@ def test_a_corner_sum_from_the_wrong_neighbour_is_refused(monkeypatch):
         return rows
 
     monkeypatch.setattr(eigenbasis, "_cell_partners", swapped)
-    with pytest.raises(MismatchError, match=f"^eigenspace {_newborn_entry(5, 4).record.key}: "):
+    with pytest.raises(MismatchError, match=f"^eigenspace {_newborn_entry(5, 2).record.key}: "):
         _newborn_cut(_newborn_entry(5, 5), 5)
 
 
 def test_newborn_block_is_the_same_at_one_and_two_threads():
-    # the whole 5-series block born at level 8 has the same bits at 1 and 2
-    # BLAS threads, each in its own process
+    # the whole 5-series block born at level 8, and both newborn remainders
+    # at cell level 1 of level 8, have the same bits at 1 and 2 BLAS
+    # threads, each in its own process
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import hashlib, gasket_szego.cli as cli; cli._configure_threads(); "
         "from gasket_szego import eigenbasis; "
         "u = eigenbasis.eigenspace(8, '5:8:').vectors; "
-        "print(u.shape, hashlib.sha256(u.tobytes()).hexdigest())"
+        "print(u.shape, hashlib.sha256(u.tobytes()).hexdigest()); "
+        "[print(s, hashlib.sha256(eigenbasis._newborn_remainder(s, 8).tobytes()).hexdigest()) "
+        "for s in (5, 6)]"
     )
     hashes = []
     for threads in ("1", "2"):
@@ -746,6 +789,7 @@ def test_newborn_block_is_the_same_at_one_and_two_threads():
         assert result.returncode == 0, result.stderr
         hashes.append(result.stdout)
     assert hashes[0].startswith("(9840, 1095) ")
+    assert [line[:2] for line in hashes[0].splitlines()[1:]] == ["5 ", "6 "]
     assert hashes[0] == hashes[1]
 
 
