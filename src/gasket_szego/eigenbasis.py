@@ -38,17 +38,18 @@ vectors and no vertex set, so a sweep whose symbol depends only on lam builds
 none.  A bundle or workspace looks its vertex set up by its level from
 `build_vertices`, which alone holds it.
 The dense eigensolve `solve_graph_spectrum` and its labelling
-`group_eigenspaces` stay as the independent oracle.  Splits at a cell level
-rest on the junction functionals at the level's interior vertices, which
-vanish exactly on the sums of vectors localized in cells: the row space of
-the functionals applied to an eigenspace is its non-localized remainder
-(`eigenspace_remainder`, the independent check of the carried remainders,
-newborns among them), and the kernel's rows in cell 0 give its localized
-vectors, which every other N-cell, a translate of cell 0, holds unchanged
-in its rows.  Every
-rank is checked against the closed-form counts, which is the decisive
-structural test, and a split reports how far its singular values sit from
-the rank tolerance.
+`group_eigenspaces` stay as the independent oracle.  Remainders at a cell
+level rest on the junction functionals at the level's interior vertices,
+which vanish exactly on the sums of vectors localized in cells: the row
+space of the functionals applied to an eigenspace is its non-localized
+remainder (`eigenspace_remainder`, the independent check of the carried
+remainders, newborns among them).  A localized split reads the walk's
+column layout (`_cell_runs`): the remainder is the leading columns, and
+cell 0's localized vectors are the first columns of each run of cell
+pieces, which every other N-cell, a translate of cell 0, holds unchanged in
+its rows.  The rank of the functionals is checked against the closed-form
+counts, which is the decisive structural test, and a split reports how far
+its singular values sit from the rank tolerance.
 """
 from __future__ import annotations
 
@@ -196,13 +197,12 @@ class LocalizedBasis:
     """Per-cell localized vectors, a block per N-cell in cell order, plus an
     orthonormal non-localized remainder; every block is cell 0's, translated.
 
-    The kernel margins are the worst over the junction SVD and cell 0's SVD
-    of the largest singular value taken as zero over the kernel tolerance,
-    and of the tolerance over the smallest singular value kept; both are
-    below 1, and 0 when no SVD drops (or keeps) a singular value.  A
-    dropped value can be exactly 0 too: the translated localized vectors of
-    a newborn eigenspace, and their extensions, vanish exactly on the
-    junction vertices.
+    The kernel margins are those of the junction SVD: the largest singular
+    value taken as zero over the kernel tolerance, and the tolerance over
+    the smallest singular value kept; both are below 1, and 0 when the SVD
+    drops (or keeps) no singular value.  A dropped value can be exactly 0
+    too: the translated localized vectors of a newborn eigenspace, and
+    their extensions, vanish exactly on the junction vertices.
     """
 
     bundle: EigenspaceBundle
@@ -234,38 +234,36 @@ def _ranked_svd(mat: np.ndarray, full: bool = False):
 
 
 def _junction_cut(
-    values: np.ndarray, rank: int, key: str, k: int, full: bool = False
+    values: np.ndarray, rank: int, key: str, k: int
 ) -> tuple[np.ndarray, tuple[float, float]]:
     """The top `rank` right singular vectors of the junction values of an
-    orthonormal eigenspace basis, which span its remainder, or with `full`
-    all of them, the others spanning the kernel; and the kernel margins.
-    Their rank must be the closed-form count."""
-    _, vh, found, margins = _ranked_svd(values, full)
+    orthonormal eigenspace basis, which span its remainder, and the kernel
+    margins.  Their rank must be the closed-form count."""
+    _, vh, found, margins = _ranked_svd(values)
     if found != rank:
         raise MismatchError(
             f"eigenspace {key}: the junction functionals of level {k} "
             f"have rank {found}, the closed form predicts {rank}"
         )
-    return (vh if full else vh[:rank]), margins
+    return vh[:rank], margins
 
 
 def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     """Split an eigenspace into per-N-cell localized vectors plus a remainder.
 
-    A vector of the eigenspace is a sum of vectors localized in N-cells
-    exactly when the junction functionals of level N vanish on it (see
-    `_junction_functionals`).  The top right singular vectors of those
-    functionals applied to the eigenspace, as many as the closed-form
-    remainder count, give the non-localized remainder; the others span the
-    sum of all localized vectors, the kernel.  Vectors localized in
-    different N-cells have disjoint supports, so those of cell 0 are the
-    left singular vectors of the kernel's rows inside it, and every N-cell's
-    rows, cell 0's translated (`_translates`), hold them in a zero block.
-    A rank different from the closed-form counts, or a kernel that does not
-    vanish on the junction rows to within the snap tolerance, raises a
-    structural error; a split vector off the level's eigen-equation, such as
-    a translate in the wrong rows, fails the stencil check with a numeric
-    error naming the eigenspace.  With the Gram check, that certifies every cell.
+    The split is read off the column layout the walk writes (`_cell_runs`):
+    the remainder at cell level N is the leading alpha_N columns, and for
+    each N' = N, ..., birth - 2 N-cell 0's localized vectors are the first
+    (alpha_(N'+1) - alpha_N') / 3^N columns from alpha_N', in cell 0's rows,
+    which every N-cell's rows, cell 0's translated (`_translates`), hold in
+    a zero block.  The junction functionals of level N vanish exactly on the
+    sums of vectors localized in N-cells (`_junction_functionals`), so their
+    rank, pinned to alpha_N (`MismatchError`), bounds the localized count by
+    d - alpha_N and gives the kernel margins; the stencil and Gram checks of
+    the whole split prove its 3^N m_(j,N) translated columns orthonormal
+    eigenvectors localized in cells, which certifies the closed-form counts.
+    A bundle in another layout, as from `group_eigenspaces`, fails the
+    stencil check with a numeric error naming the eigenspace.
     """
     rec = bundle.record
     if rec.series not in (5, 6):
@@ -281,34 +279,28 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
         )
 
     rank = counts.alpha_N
-    vh, margins = _junction_cut(
-        _junction_matrix(vertices, n_level) @ u, rank, rec.key, n_level, full=True
+    _, margins = _junction_cut(
+        _junction_matrix(vertices, n_level) @ u, rank, rec.key, n_level
     )
-    kernel = vh[rank:].T
-    cells = vertices.cell_rows(n_level)
-    leak = float(np.max(np.abs(u[cells < 0] @ kernel), initial=0.0))
-    if leak > SNAP_TOL:
+    rows = _translates(vertices, n_level)
+    # N-cell 0 holds the first 3^(N' - N) N'-cells of each run
+    cols = [
+        c
+        for _, start, stop in _cell_runs(rec, d, n_level, bundle.level)
+        for c in range(start, start + (stop - start) // 3**n_level)
+    ]
+    if len(cols) != counts.m_j_N:
         raise StructuralError(
-            f"localized vectors leak {leak:.3e} onto the junction vertices, "
-            f"above the snap tolerance {SNAP_TOL:.0e}"
+            f"cell 0: the layout holds {len(cols)} localized vectors, closed "
+            f"form predicts {counts.m_j_N} (series {rec.series}, birth "
+            f"{rec.birth}, N={n_level})"
         )
-
+    template = u[np.ix_(rows[0], cols)]
     per_cell = [np.zeros((n, counts.m_j_N)) for _ in range(3**n_level)]
-    if counts.m_j_N:
-        rows = _translates(vertices, n_level)
-        left, _, found, cell_margins = _ranked_svd(u[rows[0]] @ kernel)
-        if found != counts.m_j_N:
-            raise StructuralError(
-                f"cell 0: found {found} localized vectors, closed form "
-                f"predicts {counts.m_j_N} (series {rec.series}, birth "
-                f"{rec.birth}, N={n_level})"
-            )
-        margins = tuple(map(max, margins, cell_margins))
-        template = left[:, :found] * (1.0 / np.sqrt(interior_weight(bundle.level)))
-        for cell, vecs in zip(rows, per_cell):
-            vecs[cell] = template
+    for cell, vecs in zip(rows, per_cell):
+        vecs[cell] = template
 
-    nonlocalized = u @ vh[:rank].T
+    nonlocalized = u[:, :rank]
     split = np.hstack([*per_cell, nonlocalized])
     _check_stencil(bundle.level, split, [(bundle, 0, d)])
     _check_gram(split, 1.0 / interior_weight(bundle.level), rec.key)
@@ -915,38 +907,43 @@ class _Templates:
         return block
 
 
+def _cell_runs(record: EigenvalueRecord, d: int, first: int, k: int) -> list:
+    """The column layout of a d-dimensional eigenspace that `_assemble`
+    writes, which a localized split reads: after its remainder at cell
+    level 1, for each cell level N = first, ..., k - 1 below birth - 1,
+    (N, alpha_N, alpha_(N+1)) (`_remainder_rank`), the pieces localized in
+    N-cells filling those columns cell after cell, (alpha_(N+1) - alpha_N)
+    / 3^N side by side in each N-cell."""
+    alpha = functools.partial(_remainder_rank, record, d)
+    return [(n, alpha(n), alpha(n + 1)) for n in range(first, min(k, record.birth - 1))]
+
+
 def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
-              out: np.ndarray) -> None:
-    """Entry g's eigenspace at its level, or its remainder at the cell level
-    k whose closed-form width `out` has, weighted-orthonormal, into `out`.
+              out: np.ndarray, k: int) -> None:
+    """Entry g's remainder at cell level k, or at k = its level its whole
+    eigenspace, weighted-orthonormal, into `out`.
 
     It is the orthogonal sum of `rem1`, its remainder at cell level 1, and,
-    for N = 1, 2, ..., of what birth g.birth - N adds to every N-cell, the
-    template (g.series, g.birth - N, g.prefix): vectors localized in cells,
-    the eigenfunctions of Barlow and Kigami.  Every N-cell is cell 0
+    for N = 1, ..., k - 1, of what birth g.birth - N adds to every N-cell,
+    the template (g.series, g.birth - N, g.prefix): vectors localized in
+    cells, the eigenfunctions of Barlow and Kigami.  Every N-cell is cell 0
     translated, its rows cell 0's in order, and cell 0's rows are the
     template's level's interior in order, so each template is written
     straight into every cell's rows, scaled by 3^(N/2) to
-    weighted-orthonormal columns, cell after cell, each checked orthogonal
-    to `rem1`.  The pieces of k-cells and finer ones are localized in
-    k-cells, so a remainder stops before them, where `out` is full.
+    weighted-orthonormal columns, in the columns `_cell_runs` lays out,
+    cell after cell, each checked orthogonal to `rem1`.
     """
     level = g.birth + len(g.prefix)
     vertices = build_vertices(level)
-    cursor = rem1.shape[1]
-    out[:, :cursor] = rem1
-    out[:, cursor:] = 0.0
-    n_level = 0
-    while cursor < out.shape[1]:
-        n_level += 1
+    out[:, : rem1.shape[1]] = rem1
+    out[:, rem1.shape[1] :] = 0.0
+    for n_level, start, stop in _cell_runs(g.record, g.multiplicity, 1, k):
         block = templates(g.series, g.birth - n_level, g.prefix) * np.sqrt(3.0**n_level)
         rows = _translates(vertices, n_level)
         _check_cross(level, rem1, rows, block, g.record.key)
-        width = block.shape[1]
-        for i, column in enumerate(block.T):
-            # column i of every cell, the cells' columns side by side
-            out[rows, cursor + i + width * np.arange(rows.shape[0])[:, None]] = column
-        cursor += rows.shape[0] * width
+        # cell c's rows and columns, the cells' columns side by side
+        cols = np.arange(start, stop).reshape(rows.shape[0], 1, -1)
+        out[rows[:, :, None], cols] = block
 
 
 def _whole(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> np.ndarray:
@@ -955,7 +952,7 @@ def _whole(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> np.nd
     if rem1.shape[1] == g.multiplicity:
         return rem1
     out = np.empty((rem1.shape[0], g.multiplicity))
-    _assemble(g, rem1, templates, out)
+    _assemble(g, rem1, templates, out, g.birth + len(g.prefix))
     out.flags.writeable = False
     return out
 
@@ -1094,32 +1091,27 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     return _bundle(m, entry, _whole(entry, rem1, _Templates(nodes)))
 
 
-def walk_eigenspaces(
-    m: int, visit: Callable[..., object], k: int | None = None
-) -> list:
-    """`visit` applied to every level-m eigenspace, each built whole by its
-    lineage, depth first down the decimation tree, in tree order.
+def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
+    """`visit(bundle, remainder)` applied to every level-m eigenspace, each
+    built whole by its lineage, depth first down the decimation tree, in
+    tree order, beside its remainder at cell level k.
 
     The walk carries each eigenspace's remainder at cell level 1 down its
     lineage, and builds each template once; a visited eigenspace is
     assembled from both (`_whole`) and dropped when `visit` returns, so the
     peak is the largest single eigenspace, not the n x n level basis.  The
-    visited vectors are read-only.  With a cell level k it calls
-    `visit(bundle, remainder)`, the remainder at cell level k being the
+    visited vectors are read-only.  The remainder at cell level k is the
     whole block's leading columns (`_assemble` writes it first), so that it
     equals that eigenspace's block of `walk_remainder(m, k)` bit for bit,
     and no level matrix is assembled.
     """
     _check_level(m)
-    if k is not None and not 1 <= k <= m:
+    if not 1 <= k <= m:
         raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
     def leaf(g: GraphEigenvalue, parent, templates: _Templates) -> None:
         bundle = _bundle(m, g, _whole(g, _grown(g, parent), templates))
-        if k is None:
-            results.append(visit(bundle))
-            return
         columns = bundle.vectors[:, : _remainder_rank(g.record, g.multiplicity, k)]
         remainder = Remainder(
             columns=columns,
@@ -1193,7 +1185,7 @@ def walk_remainder(m: int, k: int) -> Remainder:
             # columns, whose stencil is checked with the level's
             rem1 = views[g][:, : _remainder_rank(g.record, g.multiplicity, 1)]
             _grown(g, parent, rem1)
-            _assemble(g, rem1, templates, views[g])
+            _assemble(g, rem1, templates, views[g], k)
 
         _walk(m, leaf)
         # the stencil of the level is checked in one pass

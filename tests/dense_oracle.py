@@ -9,8 +9,9 @@ so that the dense product shows the block structure the reduction relies
 on.  `selection_columns` and `whole_basis` read whole eigenspaces out of
 the n x n basis `level_remainder(m, m)`, which the library forms only for a
 callable chi or a chi simple at level m.  Likewise `localized_split` reads every cell's localized
-vectors from the junction functionals and the kernel's rows inside the cell;
-`reference_split` takes the SVD of every row outside the cell.
+vectors off the columns the walk lays out, with the rank of the junction
+functionals pinned; `reference_split` takes the SVD of every row outside the
+cell, and so reads any basis of the eigenspace.
 `reference_spectrum` searches the decimation tree depth-first, one scalar
 record at a time, where `enumerate_spectrum` takes it level by level in numpy;
 `reference_graph_spectrum` lists every level-m branch string recursively,
@@ -175,9 +176,9 @@ def reference_split(bundle, n_level):
     """Per-cell localized vectors and the non-localized remainder of a
     bundle, by an SVD of all n - |C| rows outside each N-cell C.
 
-    Same rank rule as `localized_split`, and the remainder completes the
-    localized coefficients; the columns are weighted-orthonormal, so w V V^T
-    are the projectors to compare."""
+    Same rank rule as `localized_split`'s junction SVD, and the remainder
+    completes the localized coefficients; the columns are
+    weighted-orthonormal, so w V V^T are the projectors to compare."""
     u = bundle.vectors
     n = u.shape[0]
     per_cell, coeffs = [], []

@@ -241,10 +241,8 @@ def test_every_cell_holds_cell_0s_block(request, m):
 
 
 def test_split_svds_stay_short(level6, monkeypatch):
-    # every SVD inside the split sees at most d columns and
-    # max(2 n_N, largest |C|) rows: the junction functionals or one cell's
-    # rows, never the n - |C| rows outside a cell; there are two, the
-    # junction SVD and cell 0's, or only the first when no vector localizes
+    # a split runs one SVD, of the junction values: at most 2 n_N rows and
+    # d columns, never one of the n rows of the eigenspace or of a cell's
     shapes = []
     svd = np.linalg.svd
 
@@ -256,17 +254,64 @@ def test_split_svds_stay_short(level6, monkeypatch):
     for bundle, n_level in _validate_splits(level6):
         shapes.clear()
         localized_split(bundle, n_level)
-        largest_cell = max(
-            cell_inside_rows(level6.vertices, n_level, c).size
-            for c in range(3**n_level)
-        )
-        limit = max(2 * decimation.interior_dimension(n_level), largest_cell)
-        assert shapes and max(rows for rows, _ in shapes) <= limit
-        assert max(cols for _, cols in shapes) <= bundle.dim
-        per_cell = decimation.localization_counts(
+        (rows, cols), = shapes
+        assert rows <= 2 * decimation.interior_dimension(n_level)
+        assert cols <= bundle.dim
+
+
+def _layout_columns(bundle, n_level):
+    """N-cell 0's localized columns in the walk's layout, from the closed
+    form: for N' = N, ..., birth - 2 the first (alpha_(N'+1) - alpha_N') / 3^N
+    columns from alpha_N', where the pieces of the N'-cells begin."""
+    rec = bundle.record
+
+    def alpha(n):
+        if n == rec.birth - 1:
+            return bundle.dim
+        return decimation.localization_counts(rec.series, rec.birth, n).alpha_N
+
+    return [
+        c
+        for n in range(n_level, rec.birth - 1)
+        for c in range(alpha(n), alpha(n) + (alpha(n + 1) - alpha(n)) // 3**n_level)
+    ]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_split_is_the_bundles_own_bits(request, m):
+    # the split reads the columns the walk laid out: the remainder is the
+    # leading alpha_N columns, and cell 0's block is the bundle's own values
+    basis = request.getfixturevalue(f"level{m}")
+    for bundle, n_level in _validate_splits(basis):
+        split = localized_split(bundle, n_level)
+        u = bundle.vectors
+        alpha = decimation.localization_counts(
             bundle.record.series, bundle.record.birth, n_level
-        ).m_j_N
-        assert len(shapes) == (2 if per_cell else 1)
+        ).alpha_N
+        assert np.array_equal(split.nonlocalized, u[:, :alpha])
+        inside = cell_inside_rows(basis.vertices, n_level, 0)
+        cols = _layout_columns(bundle, n_level)
+        assert np.array_equal(split.per_cell[0][inside], u[np.ix_(inside, cols)])
+
+
+def test_a_bundle_in_another_layout_is_refused(level5):
+    # the walk's span with its columns mixed, and the dense oracle's
+    # eigenvectors: the localized vectors are no longer the layout's
+    # columns, and their cell-0 rows placed in every cell miss the
+    # eigen-equation at the junctions
+    bundle = level5.family_bundle(6, 4)
+    turn, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((bundle.dim,) * 2))
+    mixed = dataclasses.replace(bundle, vectors=bundle.vectors @ turn)
+    values, vectors = solve_graph_spectrum(build_dirichlet_laplacian(build_vertices(4)))
+    _, bundles = group_eigenspaces(values, vectors, 4)
+    oracle = min(
+        (b for b in bundles if (b.record.series, b.record.birth) == (6, 4)),
+        key=lambda b: b.record.value,
+    )
+    for refused in (mixed, oracle):
+        key = re.escape(refused.record.key)
+        with pytest.raises(NumericError, match=f"eigenspace {key}: stencil residual"):
+            localized_split(refused, 1)
 
 
 @pytest.mark.parametrize("m", [5, 6])
@@ -313,24 +358,23 @@ def test_junction_matrix_reads_values_and_partner_sums(m):
         assert np.array_equal(eigenbasis._junction_matrix(vertices, k) @ u, expected)
 
 
-def test_split_off_the_eigen_equation_fails_the_stencil(level5, monkeypatch):
+def test_split_off_the_eigen_equation_fails_the_stencil(level5):
     # a localized vector moved by 1e-6 inside its cell no longer solves the
     # eigen-equation: the stencil check every eigenvector passes refuses it,
-    # naming the eigenspace, before its Gram check
-    ranked = eigenbasis._ranked_svd
-
-    def perturbed(mat, full=False):
-        left, vh, rank, margins = ranked(mat, full)
-        if not full:  # a per-cell SVD
-            left = left.copy()
-            left[0, 0] += 1e-6
-        return left, vh, rank, margins
-
-    monkeypatch.setattr(eigenbasis, "_ranked_svd", perturbed)
+    # naming the eigenspace, before its Gram check.  The entry is off the
+    # junction rows, so the junction SVD still finds the closed-form rank
     bundle = level5.family_bundle(6, 4)
+    vertices = level5.vertices
+    alpha = decimation.localization_counts(6, 4, 1).alpha_N
+    u = bundle.vectors.copy()
+    read = eigenbasis._junction_functionals(vertices, 1)
+    inside = np.setdiff1d(cell_inside_rows(vertices, 1, 0), read)
+    row = inside[np.argmax(np.abs(u[inside, alpha]))]
+    u[row, alpha] += 1e-6
+    moved = dataclasses.replace(bundle, vectors=u)
     message = f"^level 5, eigenspace {re.escape(bundle.record.key)}: stencil residual"
     with pytest.raises(NumericError, match=message):
-        localized_split(bundle, 1)
+        localized_split(moved, 1)
 
 
 def test_split_without_partial_sums_fails(level4, monkeypatch):
@@ -457,13 +501,13 @@ def test_eigenspace_checks_every_step(monkeypatch):
 def test_walk_visits_every_eigenspace_once(m):
     expected = {b.record.key: b.vectors for b in whole_basis(m).bundles}
 
-    def visit(bundle):
+    def visit(bundle, _remainder):
         assert bundle.level == m
         assert _bits(bundle.vectors) == _bits(expected[bundle.record.key])
         assert not bundle.vectors.flags.writeable
         return bundle.record.key
 
-    keys = eigenbasis.walk_eigenspaces(m, visit)
+    keys = eigenbasis.walk_eigenspaces(m, visit, k=1)
     assert sorted(keys) == sorted(expected)
 
 
@@ -488,7 +532,7 @@ def _widen_child(entries):
 BUILDERS = {
     "level_remainder_whole": lambda: eigenbasis.level_remainder(4, 4),
     "level_remainder": lambda: eigenbasis.level_remainder(4, 1),
-    "walk_eigenspaces": lambda: eigenbasis.walk_eigenspaces(4, lambda b: None),
+    "walk_eigenspaces": lambda: eigenbasis.walk_eigenspaces(4, lambda b, _: None, k=1),
     "eigenspace": lambda: eigenbasis.eigenspace(4, "2:1:"),
 }
 
@@ -580,7 +624,7 @@ def test_every_builder_checks_the_level():
         eigenbasis.level_basis,
         lambda m: eigenbasis.level_remainder(m, m),
         lambda m: eigenbasis.eigenspace(m, "2:1:"),
-        lambda m: eigenbasis.walk_eigenspaces(m, lambda b: None),
+        lambda m: eigenbasis.walk_eigenspaces(m, lambda b, _: None, k=1),
         lambda m: eigenbasis.level_remainder(m, 1),
         lambda m: eigenbasis.level_remainder(m, 0),
     ):
@@ -596,7 +640,7 @@ def _newborn_cut(g, k):
     the walk's steps: its remainder at cell level 1 beside its templates."""
     rem1 = eigenbasis._grown(g)
     out = np.empty((rem1.shape[0], eigenbasis._remainder_rank(g.record, g.multiplicity, k)))
-    eigenbasis._assemble(g, rem1, eigenbasis._Templates(eigenbasis._tree(g.birth)), out)
+    eigenbasis._assemble(g, rem1, eigenbasis._Templates(eigenbasis._tree(g.birth)), out, k)
     return out
 
 
@@ -904,7 +948,7 @@ def test_extension_norm_holds_at_every_lineage_step(monkeypatch, m):
 
     monkeypatch.setattr(eigenbasis, "_extended", measured)
     eigenbasis.walk_remainder(m, 1)
-    eigenbasis.walk_eigenspaces(m, lambda b: None)
+    eigenbasis.walk_eigenspaces(m, lambda b, _: None, k=1)
     assert {lam for lam, _ in steps} == {lam for _, lam in _lineage_values(m)}
     t_d_form = _norm_with_denominator(lambda x: (2.0 - x) * (5.0 - x))
     for lam, ratio in steps:
@@ -940,7 +984,7 @@ def test_the_whole_walk_extends_no_whole_block(monkeypatch, m):
         original(ref, values, lam, key, out)
 
     monkeypatch.setattr(eigenbasis, "_extended", recording)
-    eigenbasis.walk_eigenspaces(m, lambda b: None)
+    eigenbasis.walk_eigenspaces(m, lambda b, _: None, k=1)
     assert max(width for _, _, width in extended) == 3
     steps = collections.Counter((level, key) for level, key, _ in extended)
     assert max(steps.values()) == 2

@@ -167,7 +167,7 @@ def _carried_through(monkeypatch, perturb):
     remainder)` in place of the remainder it carried."""
     original = eigenbasis.walk_eigenspaces
 
-    def walk(m, visit, k=None):
+    def walk(m, visit, k):
         return original(m, lambda bundle, rem: visit(bundle, perturb(bundle, rem)), k)
 
     monkeypatch.setattr(eigenbasis, "walk_eigenspaces", walk)

@@ -1,4 +1,5 @@
 """Smoke tests: each script runs at a small size and exits 0."""
+import ast
 import importlib.util
 import json
 import os
@@ -82,3 +83,28 @@ def test_mutation_score_counts_only_test_failures():
     everything_timed_out = _load_mutants()._score([{"outcome": "timeout"}])
     assert everything_timed_out["score"] is None
     assert everything_timed_out["killed"] == 0
+
+
+def _function_lines(tree: ast.AST, name: str) -> range:
+    """The lines of the function `name`, its decorators included."""
+    node = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    )
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(first, node.end_lineno + 1)
+
+
+def test_every_equivalent_mutant_names_a_line_of_its_module():
+    # an entry whose line is gone, or moved out of its function, names no
+    # mutant the harness can draw: each `code` is a stripped source line of
+    # its `module`, inside its `function` when one is named
+    entries = json.loads((ROOT / "scripts" / "mutants_equivalent.json").read_text())
+    assert entries
+    for entry in entries:
+        source = (ROOT / entry["module"]).read_text(encoding="utf-8")
+        lines = source.splitlines()
+        span = range(1, len(lines) + 1)
+        if entry["function"] is not None:
+            span = _function_lines(ast.parse(source), entry["function"])
+        assert entry["code"] in {lines[i - 1].strip() for i in span}, entry
