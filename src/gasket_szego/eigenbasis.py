@@ -13,11 +13,12 @@ eigenfunctions localized in cells: what each earlier birth's
 eigenspace adds to a cell, taken from its own remainder at cell level 1 and
 placed by translation in every cell of its size; the 2-series is born as
 one level-1 vector.  Every localized piece is a cell-0 template translated,
-and the contractions have no rotation, so the walk extends and certifies
-each template once, on its own level, and shares it with every eigenspace
-of its series and branches: the walk carries an eigenspace as its
-remainder at cell level 1 and reads its templates, and writes the whole
-n x d block only for a caller that asks for vectors.  Each eigenspace
+and the contractions have no rotation, so each template is extended and
+certified once per process, on its own level, like the newborn
+remainders, and shared by every eigenspace of its series and branches:
+the walk carries an eigenspace as its remainder at cell level 1 alone and
+reads the templates, and writes the whole n x d block only for a caller
+that asks for vectors.  Each eigenspace
 arrives labelled with its entry of the decimation prediction, orthonormal
 in the measure-weighted inner product, its remainder and templates each
 passing the stencil check of their level's eigen-equation over the vertex
@@ -286,7 +287,7 @@ def localized_split(bundle: EigenspaceBundle, n_level: int) -> LocalizedBasis:
     # N-cell 0 holds the first 3^(N' - N) N'-cells of each run
     cols = [
         c
-        for _, start, stop in _cell_runs(rec, d, n_level, bundle.level)
+        for _, start, stop in _cell_runs(rec, n_level, bundle.level)
         for c in range(start, start + (stop - start) // 3**n_level)
     ]
     if len(cols) != counts.m_j_N:
@@ -404,13 +405,13 @@ def _junction_matrix(vertices: VertexSet, k: int) -> np.ndarray:
     return j[:, :-1]
 
 
-def _remainder_rank(record: EigenvalueRecord, d: int, k: int) -> int:
-    """Remainder dimension of a d-dimensional eigenspace at cell level k."""
+def _remainder_rank(record: EigenvalueRecord, k: int) -> int:
+    """Remainder dimension of the eigenspace of `record` at cell level k."""
     if k == 0:
         # the one 0-cell holds every vector: they all vanish on the boundary
         return 0
     if record.series == 2 or record.birth <= k:
-        return d
+        return record.multiplicity
     return localization_counts(record.series, record.birth, k).alpha_N
 
 
@@ -421,13 +422,18 @@ def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
     It is the row space of the junction functionals applied to the
     eigenspace: the top right singular vectors of a (2 n_k) x d matrix,
     whose rank is pinned to the closed-form count.  An eigenspace in which
-    nothing localizes is its own remainder.
+    nothing localizes is its own remainder.  A bundle that holds only part
+    of its eigenspace raises `StructuralError`.
     """
     u, rec = bundle.require_vectors(), bundle.record
     if not 0 <= k <= bundle.level:
         raise DomainError(f"need 0 <= cell level <= {bundle.level}, got {k}")
     d = u.shape[1]
-    r = _remainder_rank(rec, d, k)
+    if d != rec.multiplicity:
+        raise StructuralError(
+            f"bundle dimension {d} != predicted multiplicity {rec.multiplicity}"
+        )
+    r = _remainder_rank(rec, k)
     if r == d:
         columns = u
     elif r == 0:
@@ -500,7 +506,7 @@ class _Refinement:
     opp: np.ndarray  # parent row of the corner opposite each midpoint
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _refinement(m: int) -> _Refinement:
     """The refinement from level m-1 to level m, cached: every lineage
     through level m reads it."""
@@ -760,23 +766,15 @@ def _newborn_five_remainder(
         out[rows] = np.einsum("ij,rj->ir", pieces, coeffs[:, cell])
 
 
-def _newborn_entry(series: int, level: int) -> GraphEigenvalue:
-    """The prediction entry of the 5- or 6-eigenspace born at `level`."""
-    return next(
-        e for e in decimation.truncated_graph_spectrum(level)
-        if (e.series, e.birth, e.prefix) == (series, level, ())
-    )
-
-
 @functools.cache
 def _newborn_remainder(series: int, level: int) -> np.ndarray:
     """The remainder at cell level 1 of the 5- or 6-eigenspace born at
     `level` (`_newborn_five_remainder`, `_newborn_six_remainder`),
     weighted-orthonormal and read-only; cached, so that it is built once
     per process, however many walks and lineages read it."""
-    g = _newborn_entry(series, level)
+    g = _tree(level)[series, level, ()]
     ref, w = _refinement(level), interior_weight(level)
-    block = np.empty((ref.n, _remainder_rank(g.record, g.multiplicity, 1)))
+    block = np.empty((ref.n, _remainder_rank(g.record, 1)))
     (_newborn_five_remainder if series == 5 else _newborn_six_remainder)(ref, w, g, block)
     _check_gram(block, 1.0 / w, g.record.key)
     block.flags.writeable = False
@@ -812,7 +810,7 @@ def _corner_basis(j: int) -> np.ndarray:
     _, vh, rank, _ = _ranked_svd(_corner_sums(j, block), full=True)
     if rank != 2:
         raise MismatchError(
-            f"eigenspace {_newborn_entry(5, j).record.key}: the corner sums of "
+            f"eigenspace {_tree(j)[5, j, ()].record.key}: the corner sums of "
             f"its remainder at cell level 1 have a kernel of dimension "
             f"{block.shape[1] - rank}, the closed form predicts {block.shape[1] - 2}"
         )
@@ -854,8 +852,11 @@ def _check_cross(level: int, block: np.ndarray, rows: np.ndarray,
         )
 
 
-class _Templates:
-    """The cell-0 templates of one walk, each built and certified once.
+@functools.cache
+def _template(series: int, j: int, prefix: tuple) -> np.ndarray:
+    """The cell-0 template (series, j, prefix), read-only; cached, so that
+    it is extended and certified once per process, however many walks and
+    lineages read it.
 
     A 5- or 6-eigenspace of entry (series, birth, prefix) at level L holds,
     for each cell level N = 1, ..., birth - 2, the eigenfunctions localized
@@ -873,63 +874,50 @@ class _Templates:
     those of every coarser template of a later birth.  Translates of one
     template have disjoint supports, so their cross Gram is exactly zero.
     """
-
-    def __init__(self, nodes: dict[tuple, GraphEigenvalue]):
-        self.nodes = nodes
-        self.built: dict[tuple, np.ndarray] = {}
-
-    def __call__(self, series: int, j: int, prefix: tuple) -> np.ndarray:
-        key = (series, j, prefix)
-        if key not in self.built:
-            self.built[key] = self._certified(series, j, prefix)
-        return self.built[key]
-
-    def _certified(self, series: int, j: int, prefix: tuple) -> np.ndarray:
-        g = self.nodes[series, j, prefix]
-        level, key = j + len(prefix), g.record.key
-        if prefix:
-            parent = self(series, j, prefix[:-1])
-            ref = _refinement(level)
-            block = np.empty((ref.n, parent.shape[1]))
-            _extended(ref, parent, g.graph_value, key, block)
-        else:
-            block = _cell_block(series, j)
-        _check_stencil(level, block, [(g, 0, block.shape[1])])
-        _check_corners(level, block, key)
-        if not prefix:
-            # past birth, `_extended` checked it
-            _check_gram(block, 1.0 / interior_weight(level), key)
-        vertices = build_vertices(level)
-        for n_level in range(1, j - 1):
-            piece = self(series, j - n_level, prefix) * np.sqrt(3.0**n_level)
-            _check_cross(level, block, _translates(vertices, n_level), piece, key)
-        block.flags.writeable = False
-        return block
+    g = _tree(j + len(prefix))[series, j, prefix]
+    level, key = j + len(prefix), g.record.key
+    if prefix:
+        parent = _template(series, j, prefix[:-1])
+        ref = _refinement(level)
+        block = np.empty((ref.n, parent.shape[1]))
+        _extended(ref, parent, g.graph_value, key, block)
+    else:
+        block = _cell_block(series, j)
+    _check_stencil(level, block, [(g, 0, block.shape[1])])
+    _check_corners(level, block, key)
+    if not prefix:
+        # past birth, `_extended` checked it
+        _check_gram(block, 1.0 / interior_weight(level), key)
+    vertices = build_vertices(level)
+    for n_level in range(1, j - 1):
+        piece = _template(series, j - n_level, prefix) * np.sqrt(3.0**n_level)
+        _check_cross(level, block, _translates(vertices, n_level), piece, key)
+    block.flags.writeable = False
+    return block
 
 
-def _cell_runs(record: EigenvalueRecord, d: int, first: int, k: int) -> list:
-    """The column layout of a d-dimensional eigenspace that `_assemble`
+def _cell_runs(record: EigenvalueRecord, first: int, k: int) -> list:
+    """The column layout of the eigenspace of `record` that `_assemble`
     writes, which a localized split reads: after its remainder at cell
     level 1, for each cell level N = first, ..., k - 1 below birth - 1,
     (N, alpha_N, alpha_(N+1)) (`_remainder_rank`), the pieces localized in
     N-cells filling those columns cell after cell, (alpha_(N+1) - alpha_N)
     / 3^N side by side in each N-cell."""
-    alpha = functools.partial(_remainder_rank, record, d)
+    alpha = functools.partial(_remainder_rank, record)
     return [(n, alpha(n), alpha(n + 1)) for n in range(first, min(k, record.birth - 1))]
 
 
-def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
-              out: np.ndarray, k: int) -> None:
+def _assemble(g: GraphEigenvalue, rem1: np.ndarray, out: np.ndarray, k: int) -> None:
     """Entry g's remainder at cell level k, or at k = its level its whole
     eigenspace, weighted-orthonormal, into `out`.
 
     It is the orthogonal sum of `rem1`, its remainder at cell level 1, and,
     for N = 1, ..., k - 1, of what birth g.birth - N adds to every N-cell,
-    the template (g.series, g.birth - N, g.prefix): vectors localized in
-    cells, the eigenfunctions of Barlow and Kigami.  Every N-cell is cell 0
-    translated, its rows cell 0's in order, and cell 0's rows are the
-    template's level's interior in order, so each template is written
-    straight into every cell's rows, scaled by 3^(N/2) to
+    the cached template `_template(g.series, g.birth - N, g.prefix)`:
+    vectors localized in cells, the eigenfunctions of Barlow and Kigami.
+    Every N-cell is cell 0 translated, its rows cell 0's in order, and cell
+    0's rows are the template's level's interior in order, so each template
+    is written straight into every cell's rows, scaled by 3^(N/2) to
     weighted-orthonormal columns, in the columns `_cell_runs` lays out,
     cell after cell, each checked orthogonal to `rem1`.
     """
@@ -937,8 +925,8 @@ def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
     vertices = build_vertices(level)
     out[:, : rem1.shape[1]] = rem1
     out[:, rem1.shape[1] :] = 0.0
-    for n_level, start, stop in _cell_runs(g.record, g.multiplicity, 1, k):
-        block = templates(g.series, g.birth - n_level, g.prefix) * np.sqrt(3.0**n_level)
+    for n_level, start, stop in _cell_runs(g.record, 1, k):
+        block = _template(g.series, g.birth - n_level, g.prefix) * np.sqrt(3.0**n_level)
         rows = _translates(vertices, n_level)
         _check_cross(level, rem1, rows, block, g.record.key)
         # cell c's rows and columns, the cells' columns side by side
@@ -946,13 +934,13 @@ def _assemble(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates,
         out[rows[:, :, None], cols] = block
 
 
-def _whole(g: GraphEigenvalue, rem1: np.ndarray, templates: _Templates) -> np.ndarray:
+def _whole(g: GraphEigenvalue, rem1: np.ndarray) -> np.ndarray:
     """Entry g's whole eigenspace, read-only: its remainder at cell level 1
     when nothing in it localizes, else assembled (`_assemble`)."""
     if rem1.shape[1] == g.multiplicity:
         return rem1
     out = np.empty((rem1.shape[0], g.multiplicity))
-    _assemble(g, rem1, templates, out, g.birth + len(g.prefix))
+    _assemble(g, rem1, out, g.birth + len(g.prefix))
     out.flags.writeable = False
     return out
 
@@ -971,9 +959,11 @@ def _branches(g: GraphEigenvalue) -> tuple[str, ...]:
     return (EXPANDING,) if g.graph_value == 6.0 else (CONTRACTING, EXPANDING)
 
 
+@functools.cache
 def _tree(m: int) -> dict[tuple, GraphEigenvalue]:
     """The decimation tree through level m: every `truncated_graph_spectrum`
-    entry of levels 1 to m by (series, birth, prefix).
+    entry of levels 1 to m by (series, birth, prefix); cached, and read,
+    never written, by its callers.
 
     It is checked to be exactly what decimation builds: the roots of level j
     are the newborn (5, j) and (6, j), or (5, 1) and (2, 1) at level 1; every
@@ -1019,7 +1009,7 @@ def _grown(g: GraphEigenvalue, parent=None, out=None) -> np.ndarray:
     go into `out`, whose stencil the caller checks, or into a new read-only
     array checked here."""
     ref = _refinement(g.birth + len(g.prefix))
-    width = _remainder_rank(g.record, g.multiplicity, 1)
+    width = _remainder_rank(g.record, 1)
     block = out
     if out is None:
         # a column block of a wider array, as each eigenspace is in a level
@@ -1037,19 +1027,18 @@ def _grown(g: GraphEigenvalue, parent=None, out=None) -> np.ndarray:
     return block
 
 
-def _walk(m: int, leaf: Callable[[GraphEigenvalue, object, _Templates], None]) -> None:
-    """Depth first down the decimation tree: `leaf(g, parent, templates)`
-    for every level-m entry g, where `parent` is the remainder at cell level
-    1 of g's parent one level down, or None for a newborn, and `templates`
-    the walk's cell-0 templates.  Each node's remainder at cell level 1
-    above level m is grown from its parent's (`_grown`) and held only while
-    the walk is below it."""
+def _walk(m: int, leaf: Callable[[GraphEigenvalue, object], None]) -> None:
+    """Depth first down the decimation tree: `leaf(g, parent)` for every
+    level-m entry g, where `parent` is the remainder at cell level 1 of g's
+    parent one level down, or None for a newborn.  Each node's remainder at
+    cell level 1 above level m is grown from its parent's (`_grown`) and
+    held only while the walk is below it; that is all the walk carries, for
+    the templates a leaf reads are cached (`_template`)."""
     nodes = _tree(m)
-    templates = _Templates(nodes)
 
     def descend(g: GraphEigenvalue, parent) -> None:
         if g.birth + len(g.prefix) == m:
-            leaf(g, parent, templates)
+            leaf(g, parent)
             return
         rem1 = _grown(g, parent)
         for sign in _branches(g):
@@ -1074,11 +1063,11 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
 
     Its remainder at cell level 1 is born at its birth level (from the
     newborn 5- or 6-eigenspace, or the level-1 2-series vector) and extended
-    through its branches one level at a time, and its templates along its
-    prefix (`_Templates`); the whole is assembled from both at level m, by
-    the steps and checks of `level_remainder(m, m)`, whose columns of `key`
-    it equals bit for bit.  No other eigenspace is built.  Its vectors are
-    read-only.
+    through its branches one level at a time; the whole is assembled at
+    level m from it and the cached templates along its prefix (`_template`),
+    shared with every walk, by the steps and checks of
+    `level_remainder(m, m)`, whose columns of `key` it equals bit for bit.
+    No other eigenspace is built.  Its vectors are read-only.
     """
     _check_level(m)
     nodes = _tree(m)
@@ -1088,7 +1077,7 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     rem1 = None
     for i in range(len(entry.prefix) + 1):
         rem1 = _grown(nodes[entry.series, entry.birth, entry.prefix[:i]], rem1)
-    return _bundle(m, entry, _whole(entry, rem1, _Templates(nodes)))
+    return _bundle(m, entry, _whole(entry, rem1))
 
 
 def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
@@ -1097,7 +1086,7 @@ def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
     tree order, beside its remainder at cell level k.
 
     The walk carries each eigenspace's remainder at cell level 1 down its
-    lineage, and builds each template once; a visited eigenspace is
+    lineage and reads the cached templates; a visited eigenspace is
     assembled from both (`_whole`) and dropped when `visit` returns, so the
     peak is the largest single eigenspace, not the n x n level basis.  The
     visited vectors are read-only.  The remainder at cell level k is the
@@ -1110,9 +1099,9 @@ def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
         raise DomainError(f"need 1 <= cell level <= {m}, got {k}")
     results = []
 
-    def leaf(g: GraphEigenvalue, parent, templates: _Templates) -> None:
-        bundle = _bundle(m, g, _whole(g, _grown(g, parent), templates))
-        columns = bundle.vectors[:, : _remainder_rank(g.record, g.multiplicity, k)]
+    def leaf(g: GraphEigenvalue, parent) -> None:
+        bundle = _bundle(m, g, _whole(g, _grown(g, parent)))
+        columns = bundle.vectors[:, : _remainder_rank(g.record, k)]
         remainder = Remainder(
             columns=columns,
             dims=[columns.shape[1]],
@@ -1132,7 +1121,7 @@ def _check_level(m: int) -> None:
         raise DomainError("no interior vertices at level 0, no eigenvectors")
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def level_basis(m: int) -> LevelBasis:
     """The level workspace, cached: the bundles of
     `truncated_graph_spectrum(m)` in record-value order, whose `vectors`
@@ -1145,7 +1134,7 @@ def level_basis(m: int) -> LevelBasis:
 def remainder_width(m: int, k: int) -> int:
     """R(m, k), the number of columns of `level_remainder(m, k)`, from the
     prediction alone."""
-    return sum(_remainder_rank(g.record, g.multiplicity, k) for g in _predicted(m))
+    return sum(_remainder_rank(g.record, k) for g in _predicted(m))
 
 
 @functools.lru_cache(maxsize=8)
@@ -1173,19 +1162,19 @@ def walk_remainder(m: int, k: int) -> Remainder:
         raise DomainError(f"need 0 <= cell level <= {m}, got {k}")
     blocks, cursor = [], 0
     for g in _predicted(m):
-        width = _remainder_rank(g.record, g.multiplicity, k)
+        width = _remainder_rank(g.record, k)
         blocks.append((g, cursor, cursor + width))
         cursor += width
     columns = np.empty((decimation.interior_dimension(m), cursor))
     if k:
         views = {g: columns[:, start:stop] for g, start, stop in blocks}
 
-        def leaf(g: GraphEigenvalue, parent, templates: _Templates) -> None:
+        def leaf(g: GraphEigenvalue, parent) -> None:
             # the remainder at cell level 1 goes straight into the leading
             # columns, whose stencil is checked with the level's
-            rem1 = views[g][:, : _remainder_rank(g.record, g.multiplicity, 1)]
+            rem1 = views[g][:, : _remainder_rank(g.record, 1)]
             _grown(g, parent, rem1)
-            _assemble(g, rem1, templates, views[g], k)
+            _assemble(g, rem1, views[g], k)
 
         _walk(m, leaf)
         # the stencil of the level is checked in one pass

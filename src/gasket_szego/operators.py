@@ -1,4 +1,4 @@
-"""Symbols, compressed operators, matrix functional calculus, spectrum maps.
+"""Symbols, compressed operators, matrix functional calculus.
 
 A symbol is its fields, q(lam), a potential chi or a table of potentials,
 and acts on the eigenspace of lam_n as multiplication by q(lam_n) + chi_n
@@ -641,12 +641,6 @@ def spectral_bounds(
         lambda_bar=lambda_bar,
         epsilon=epsilon,
     )
-
-
-def spectrum_map(p: Callable[[float], float], table: SpectrumTable) -> np.ndarray:
-    """Sorted image of the spectrum under p, expanded by multiplicity."""
-    image = [p(v) for v in table.value.tolist()]
-    return np.sort(np.repeat(image, table.multiplicity))
 
 
 def operator_to_csv(

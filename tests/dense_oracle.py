@@ -21,7 +21,9 @@ steps one record at a time, where `_contracting_limits` steps them all; and
 records, where `resolvable_window` reads the level-(m+1) tree.
 `reference_spectrum_csv` and `reference_separated_sequence` read a spectrum
 table's records one at a time, where `spectrum_to_csv` and
-`separated_sequence` read its sorted arrays.  `nonlocalized_remainder` reads
+`separated_sequence` read its sorted arrays, and `spectrum_map` maps a
+whole table by a function of lam, which a compression over the table's
+eigenspaces must reproduce.  `nonlocalized_remainder` reads
 the remainders of a run of eigenspaces off their whole vectors, where
 `level_remainder` carries them by lineage; `trace_power` powers a dense
 compressed matrix, where `trace_F` reads its eigenvalues; and `load_bundle`
@@ -431,6 +433,12 @@ def reference_separated_sequence(j_max: int) -> SeparatedFamily:
         ]
         gaps.append(min(others))
     return SeparatedFamily(records=tuple(records), gaps=tuple(gaps))
+
+
+def spectrum_map(p, table) -> np.ndarray:
+    """Sorted image of the spectrum table under p, expanded by multiplicity."""
+    image = [p(v) for v in table.value.tolist()]
+    return np.sort(np.repeat(image, table.multiplicity))
 
 
 def nonlocalized_remainder(vectors, records, m: int, k: int) -> Remainder:

@@ -639,8 +639,8 @@ def _newborn_cut(g, k):
     """The remainder at cell level k of the newborn eigenspace of entry g, by
     the walk's steps: its remainder at cell level 1 beside its templates."""
     rem1 = eigenbasis._grown(g)
-    out = np.empty((rem1.shape[0], eigenbasis._remainder_rank(g.record, g.multiplicity, k)))
-    eigenbasis._assemble(g, rem1, eigenbasis._Templates(eigenbasis._tree(g.birth)), out, k)
+    out = np.empty((rem1.shape[0], eigenbasis._remainder_rank(g.record, k)))
+    eigenbasis._assemble(g, rem1, out, k)
     return out
 
 
@@ -876,6 +876,20 @@ def test_remainder_at_cell_level_zero_is_empty(level4):
     assert (rem.dims, rem.per_cell) == ([0], [bundle.dim])
 
 
+def test_a_partial_eigenspace_is_refused(level4):
+    # 10 of the 39 columns of the newborn 6-eigenspace of level 4: read as
+    # the whole eigenspace they would give 2 localized vectors per 1-cell,
+    # where the whole gives 12; the remainder and the split refuse them
+    bundle = next(b for b in level4.bundles if b.record.key == "6:4:+")
+    assert eigenbasis.eigenspace_remainder(bundle, 1).per_cell == [12]
+    partial = dataclasses.replace(bundle, vectors=bundle.vectors[:, :10])
+    for read in (eigenbasis.eigenspace_remainder, eigenbasis.localized_split):
+        with pytest.raises(
+            StructuralError, match="^bundle dimension 10 != predicted multiplicity 39$"
+        ):
+            read(partial, 1)
+
+
 def test_dense_solve_names_its_residual_bound(monkeypatch):
     # an eigensolve off by 1e-6 fails with the bound it missed
     lap = build_dirichlet_laplacian(build_vertices(2))
@@ -975,7 +989,9 @@ def test_the_whole_walk_extends_no_whole_block(monkeypatch, m):
     # whole eigenspaces are assembled at the leaves from their remainders
     # at cell level 1 and the templates, three columns at most; each node
     # above the leaves is extended at most twice, as a remainder and as a
-    # template, so no template is built twice in one walk
+    # template, so no template is built twice in one walk.  The templates
+    # outlive the walk: a second walk extends each node once, as its
+    # remainder, and one lineage extends only its own remainders
     extended = []
     original = eigenbasis._extended
 
@@ -983,12 +999,28 @@ def test_the_whole_walk_extends_no_whole_block(monkeypatch, m):
         extended.append((ref.level, key, values.shape[1]))
         original(ref, values, lam, key, out)
 
+    def steps():
+        counts = collections.Counter((level, key) for level, key, _ in extended)
+        extended.clear()
+        return counts
+
     monkeypatch.setattr(eigenbasis, "_extended", recording)
     eigenbasis.walk_eigenspaces(m, lambda b, _: None, k=1)
     assert max(width for _, _, width in extended) == 3
-    steps = collections.Counter((level, key) for level, key, _ in extended)
-    assert max(steps.values()) == 2
-    assert len(steps) == sum(1 for g in eigenbasis._tree(m).values() if g.prefix)
+    first = steps()
+    assert max(first.values()) == 2
+    assert len(first) == sum(1 for g in eigenbasis._tree(m).values() if g.prefix)
+    eigenbasis.walk_eigenspaces(m, lambda b, _: None, k=1)
+    assert steps() == collections.Counter(first.keys())
+    # the 6-eigenspace of the latest birth with branches, which reads the
+    # templates of every earlier birth along its branches
+    g = max((g for g in eigenbasis._predicted(m) if g.series == 6 and g.prefix),
+            key=lambda g: g.birth)
+    eigenbasis.eigenspace(m, g.record.key)
+    lineage = [eigenbasis._tree(m)[6, g.birth, g.prefix[:i]] for i in range(1, len(g.prefix) + 1)]
+    assert steps() == collections.Counter(
+        (g.birth + len(node.prefix), node.record.key) for node in lineage
+    )
 
 
 def _tamper_with_cell_block(monkeypatch, series, j, change):
@@ -1075,3 +1107,27 @@ def test_validate_solves_each_newborn_remainder_once(monkeypatch, tmp_path):
     assert sorted(calls) == [(5, level) for level in range(1, 8)] + [
         (6, level) for level in range(2, 8)
     ]
+
+
+def test_validate_certifies_each_template_once(monkeypatch, tmp_path):
+    # one m = 7 validate reads the cell-0 templates through many
+    # eigenspaces, lineages and walks, and certifies each once: every
+    # template (series, j, prefix) of births j >= 2 below level 7, and only
+    # a template's certification checks corner sums
+    calls = collections.Counter()
+    check = eigenbasis._check_corners
+
+    def counted(level, block, key):
+        calls[level, key] += 1
+        check(level, block, key)
+
+    monkeypatch.setattr(eigenbasis, "_check_corners", counted)
+    config = tmp_path / "validate.json"
+    config.write_text('{"m": 7}')
+    assert cli.main(["validate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    templates = {
+        (g.birth + len(g.prefix), g.record.key)
+        for g in eigenbasis._tree(6).values() if g.series in (5, 6) and g.birth >= 2
+    }
+    assert len(templates) == 88
+    assert calls == collections.Counter(templates)

@@ -22,13 +22,12 @@ from gasket_szego.operators import (
     selection_from_bundles,
     separable_symbol,
     spectral_bounds,
-    spectrum_map,
     symbol_sup_distance,
     tabulated_symbol,
     trace_F,
 )
 
-from dense_oracle import dense_compression, split_columns, trace_power
+from dense_oracle import dense_compression, spectrum_map, split_columns, trace_power
 
 
 def test_riesz_preset():

@@ -9,18 +9,25 @@ chi composed with a digit permutation compresses to the same spectrum.  And
 a chi + b compresses to a Gamma + b.  Each relation runs on both compression
 paths: the cached cell Grams (chi simple at level 1, from m = 5 on) and the
 product over the remainder columns (chi simple at level 2).  Tolerances are
-multiples of eps n sup|chi|, the rounding of an n-term orthogonal sum.
+multiples of eps n sup|chi|, the rounding of an n-term orthogonal sum.  The
+Schrodinger operator p(-Delta) + [chi] over the whole basis obeys two of
+them at every level up to the cap, with p = sqrt and a tolerance of
+eps n max|nu| over its spectrum nu: it keeps its spectrum under the digit
+permutations, and with chi = b constant its spectrum is p of the level's
+eigenvalues, repeated by multiplicity, plus b.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from gasket_szego import eigenbasis, operators
+from gasket_szego import clusters, eigenbasis, operators
 from gasket_szego.gasket import SimpleFunction, build_vertices, vertex_values
 
 EPS = np.finfo(float).eps
 CASES = [(m, k) for m in (5, 6, 7) for k in (1, 2)]
+SCHRODINGER_CASES = [(m, 1) for m in (5, 6, 7, 8)] + [(m, 2) for m in (5, 6)]
 
 
 def _random_chi(m: int, k: int) -> SimpleFunction:
@@ -96,3 +103,29 @@ def test_an_affine_map_of_chi_maps_the_spectrum(m, k, a, b):
     expected = np.sort(a * _whole_spectrum(chi, m) + b)
     got = _whole_spectrum(mapped, m)
     assert np.max(np.abs(got - expected)) <= 4 * abs(a) * _tolerance(chi, m) + EPS * abs(b)
+
+
+def _schrodinger_tolerance(nu: np.ndarray, m: int) -> float:
+    return EPS * build_vertices(m).n_interior * float(np.max(np.abs(nu)))
+
+
+@pytest.mark.parametrize("m, k", SCHRODINGER_CASES)
+def test_digit_permutations_keep_the_schrodinger_spectrum(m, k):
+    chi = _random_chi(m, k)
+    reference = clusters.schrodinger_spectrum(math.sqrt, chi, m)
+    tolerance = _schrodinger_tolerance(reference, m)
+    for sigma in itertools.permutations(range(3)):
+        got = clusters.schrodinger_spectrum(math.sqrt, _digit_permuted(chi, sigma), m)
+        assert np.max(np.abs(got - reference)) <= tolerance, sigma
+
+
+@pytest.mark.parametrize("m, k", SCHRODINGER_CASES)
+def test_a_constant_potential_shifts_the_schrodinger_spectrum(m, k):
+    b = 0.75
+    got = clusters.schrodinger_spectrum(math.sqrt, SimpleFunction(k, np.full(3**k, b)), m)
+    records = [bundle.record for bundle in eigenbasis.level_basis(m).bundles]
+    expected = np.sort(np.repeat(
+        [math.sqrt(rec.value) + b for rec in records], [rec.multiplicity for rec in records]
+    ))
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= _schrodinger_tolerance(got, m)
