@@ -874,24 +874,24 @@ def _template(series: int, j: int, prefix: tuple) -> np.ndarray:
     those of every coarser template of a later birth.  Translates of one
     template have disjoint supports, so their cross Gram is exactly zero.
     """
-    g = _tree(j + len(prefix))[series, j, prefix]
-    level, key = j + len(prefix), g.record.key
+    level = j + len(prefix)
+    g = _tree(level)[series, j, prefix]
     if prefix:
         parent = _template(series, j, prefix[:-1])
         ref = _refinement(level)
         block = np.empty((ref.n, parent.shape[1]))
-        _extended(ref, parent, g.graph_value, key, block)
+        _extended(ref, parent, g.graph_value, g.record.key, block)
     else:
         block = _cell_block(series, j)
     _check_stencil(level, block, [(g, 0, block.shape[1])])
-    _check_corners(level, block, key)
+    _check_corners(level, block, g.record.key)
     if not prefix:
         # past birth, `_extended` checked it
-        _check_gram(block, 1.0 / interior_weight(level), key)
+        _check_gram(block, 1.0 / interior_weight(level), g.record.key)
     vertices = build_vertices(level)
     for n_level in range(1, j - 1):
         piece = _template(series, j - n_level, prefix) * np.sqrt(3.0**n_level)
-        _check_cross(level, block, _translates(vertices, n_level), piece, key)
+        _check_cross(level, block, _translates(vertices, n_level), piece, g.record.key)
     block.flags.writeable = False
     return block
 

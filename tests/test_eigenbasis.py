@@ -1064,6 +1064,35 @@ def test_a_template_whose_corner_sum_is_off_fails(monkeypatch, series):
         eigenbasis.eigenspace(5, key)
 
 
+@pytest.mark.parametrize("series", [5, 6])
+def test_a_template_off_its_norm_fails_at_birth(monkeypatch, series):
+    # scaled by 1 + 1e-6 the template still solves its eigen-equation and
+    # its corner sums still vanish; only its Gram check at birth sees it
+    _tamper_with_cell_block(monkeypatch, series, 3, lambda block: block * (1.0 + 1e-6))
+    key = re.escape(_newborn_entry(series, 3).record.key)
+    with pytest.raises(NumericError, match=f"^eigenspace {key}: Gram matrix deviates"):
+        eigenbasis.eigenspace(5, _newborn_entry(series, 5).record.key)
+
+
+def test_a_template_not_orthogonal_to_its_finest_templates_fails(monkeypatch):
+    # the birth-4 6-series template turned a tenth of the way toward the
+    # translate of the birth-2 template into 2-cell 0: still orthonormal
+    # eigenvectors with vanishing corner sums, and orthogonal to the
+    # birth-3 translates, but not to those of birth 2, the last cell level
+    # its cross Gram reads
+    def turned(block):
+        translate = np.zeros(block.shape[0])
+        rows = eigenbasis._translates(build_vertices(4), 2)[0]
+        translate[rows] = eigenbasis._cell_block(6, 2)[:, 0] * 3.0
+        block[:, 0] = np.sqrt(0.99) * block[:, 0] + 0.1 * translate
+        return block
+
+    _tamper_with_cell_block(monkeypatch, 6, 4, turned)
+    key = re.escape(_newborn_entry(6, 4).record.key)
+    with pytest.raises(NumericError, match=f"^eigenspace {key}: .*cross Gram entry 1\\.0"):
+        eigenbasis.eigenspace(5, _newborn_entry(6, 5).record.key)
+
+
 def test_a_remainder_not_orthogonal_to_its_templates_fails(monkeypatch):
     # the newborn 6-series remainder of level 5 turned a tenth of the way
     # toward the translate of the birth-4 template into 1-cell 0: still

@@ -56,7 +56,7 @@ def test_cell_rows_partition(m):
     for k in range(m + 1):
         rows = vs.cell_rows(k)
         assert rows.flags.writeable and not np.shares_memory(rows, vs.first_cell)
-        assert np.sum(rows < 0) == interior_dimension(k)
+        assert np.sum(rows == -1) == np.sum(rows < 0) == interior_dimension(k)
         counts = np.bincount(rows[rows >= 0], minlength=3**k)
         assert counts.tolist() == [interior_dimension(m - k)] * 3**k
         order = np.argsort(rows, kind="stable")[interior_dimension(k):]
@@ -153,6 +153,18 @@ def test_vertex_sets_are_shared_and_read_only(monkeypatch):
         build_vertices(9)
     with pytest.raises(DomainError):
         build_vertices(-1)
+
+
+@pytest.mark.parametrize("m", range(0, 9))
+def test_vertex_ids_find_every_vertex(m):
+    # the triples are sorted by key, so each finds its own index, the
+    # largest (corner (2^m, 0, 0)) too; a triple off the gasket, with a key
+    # past either end of theirs or between two of them, is no vertex
+    vs = build_vertices(m)
+    assert np.array_equal(vs.vertex_ids(vs.bary), np.arange(vs.n_vertices))
+    assert vs.bary[-1].tolist() == [2**m, 0, 0]
+    others = [[2**m + 1, 0, 0], [0, 0, 0], [1, 2**m, 0]]
+    assert vs.vertex_ids(np.array(others)).tolist() == [-1, -1, -1]
 
 
 def test_deterministic_vertex_ids():
