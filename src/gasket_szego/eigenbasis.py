@@ -18,13 +18,13 @@ certified once per process, on its own level, like the newborn
 remainders, and shared by every eigenspace of its series and branches:
 the walk carries an eigenspace as its remainder at cell level 1 alone and
 reads the templates, and writes the whole n x d block only for a caller
-that asks for vectors.  Each eigenspace
-arrives labelled with its entry of the decimation prediction, orthonormal
-in the measure-weighted inner product, its remainder and templates each
-passing the stencil check of their level's eigen-equation over the vertex
-set's neighbour table (a template's corner sums too) and a Gram check, and
-the cross Gram of remainder against templates; a localized split passes
-the stencil check whole.  Every cell level k reads the same walk: an
+that asks for vectors.  Each eigenspace arrives labelled with its entry of
+the decimation prediction, orthonormal in the measure-weighted inner
+product, its remainder and templates each passing the stencil check of
+their level's eigen-equation over the vertex set's neighbour table (a
+template's corner sums too) and a Gram check, and the cross Gram of
+remainder against templates; a localized split passes the stencil check
+whole.  Every cell level k reads the same walk: an
 eigenspace's remainder at k is its remainder at cell level 1 beside its
 templates of cells coarser than k, the leading columns of its whole block,
 so no whole block is formed for k < m.  `walk_remainder(m, k)` writes
