@@ -13,7 +13,7 @@ The survivors and the timed-out mutants are written as JSON for triage
 (killed by a new test, equivalent, or dead code; a timeout is run again
 alone with a longer budget);
 the survivors triaged as equivalent are listed in
-`scripts/mutants_equivalent.json`.
+`scripts/mutants_equivalent.json`, and their sites are never drawn.
 
     python scripts/mutants.py --modules gasket_szego.eigenbasis --seed 1 \\
         --count 20 --timeout 300 --out survivors.json
@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+EQUIVALENT = ROOT / "scripts" / "mutants_equivalent.json"
 
 _COMPARE_SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -48,6 +49,7 @@ _BINOP_SWAPS = {
     ast.FloorDiv: ast.Mult, ast.Pow: ast.Mult, ast.Mod: ast.FloorDiv,
 }
 _BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
+_OP_SWAPS = {**_BINOP_SWAPS, **_BOOL_SWAPS}
 
 
 def _sites(tree: ast.AST) -> list[tuple[int, str]]:
@@ -80,27 +82,72 @@ class _Replace(ast.NodeTransformer):
         return self.replace(node) if node is self.target else node
 
 
+def _nudged(value):
+    """The number a "number" mutation puts in place of `value`."""
+    return value + 1 if isinstance(value, int) else (value * 2 if value else 1.0)
+
+
+def _what(node: ast.AST, kind: str) -> str:
+    """What mutation `kind` changes at `node`, as the survivors list it."""
+    if kind.startswith("compare"):
+        old = type(node.ops[int(kind.removeprefix("compare"))])
+        return f"{old.__name__} -> {_COMPARE_SWAPS[old].__name__}"
+    if kind in ("binop", "boolop"):
+        old = type(node.op)
+        return f"{old.__name__} -> {_OP_SWAPS[old].__name__}"
+    if kind == "unary":
+        return f"drop {type(node.op).__name__}"
+    return f"{node.value!r} -> {_nudged(node.value)!r}"
+
+
 def _mutate(source: str, index: int, kind: str) -> tuple[str, int, str]:
     """The source with site (index, kind) mutated, its line, and what changed."""
     tree = ast.parse(source)
     node = list(ast.walk(tree))[index]
+    what = _what(node, kind)
     if kind.startswith("compare"):
         j = int(kind.removeprefix("compare"))
-        old = node.ops[j]
-        node.ops[j] = _COMPARE_SWAPS[type(old)]()
-        what = f"{type(old).__name__} -> {type(node.ops[j]).__name__}"
+        node.ops[j] = _COMPARE_SWAPS[type(node.ops[j])]()
     elif kind in ("binop", "boolop"):
-        old = node.op
-        node.op = {**_BINOP_SWAPS, **_BOOL_SWAPS}[type(old)]()
-        what = f"{type(old).__name__} -> {type(node.op).__name__}"
+        node.op = _OP_SWAPS[type(node.op)]()
     elif kind == "unary":
-        what = f"drop {type(node.op).__name__}"
         tree = _Replace(node, lambda unary: unary.operand).visit(tree)
     else:
-        old = node.value
-        node.value = old + 1 if isinstance(old, int) else (old * 2 if old else 1.0)
-        what = f"{old!r} -> {node.value!r}"
+        node.value = _nudged(node.value)
     return ast.unparse(tree), node.lineno, what
+
+
+def _function_lines(tree: ast.AST, name: str) -> range:
+    """The lines of the function `name`, its decorators included."""
+    node = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    )
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(first, node.end_lineno + 1)
+
+
+def _unlisted(rel: Path, source: str, sites: list, entries: list[dict]) -> list:
+    """The sites of module `rel` that no entry of the equivalent list names.
+
+    An entry names a site when its module, its mutation and its `code`, the
+    stripped line the site starts on, are the site's, and the site lies in
+    its `function` when it names one.  A listed mutant is equivalent, so
+    drawing it would only fail the test that checks the list's lines.
+    """
+    tree = ast.parse(source)
+    nodes, lines = list(ast.walk(tree)), source.splitlines()
+    listed = [e for e in entries if Path(e["module"]) == rel]
+    spans = {e["function"]: _function_lines(tree, e["function"])
+             for e in listed if e["function"] is not None}
+
+    def named(entry: dict, node: ast.AST, kind: str) -> bool:
+        return (entry["code"] == lines[node.lineno - 1].strip()
+                and entry["mutation"] == _what(node, kind)
+                and (entry["function"] is None or node.lineno in spans[entry["function"]]))
+
+    return [(i, kind) for i, kind in sites
+            if not any(named(e, nodes[i], kind) for e in listed)]
 
 
 def _module_path(root: Path, module: str) -> Path:
@@ -149,12 +196,17 @@ def main(argv=None) -> int:
     shutil.copytree(ROOT, workdir, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache", "*.egg-info"))
     try:
-        candidates = []
+        entries = json.loads(EQUIVALENT.read_text(encoding="utf-8"))
+        candidates, skipped = [], 0
         for module in args.modules:
             rel = _module_path(ROOT, module).relative_to(ROOT)
             source = (ROOT / rel).read_text(encoding="utf-8")
-            candidates += [(rel, source, i, kind)
-                           for i, kind in _sites(ast.parse(source))]
+            sites = _sites(ast.parse(source))
+            kept = _unlisted(rel, source, sites, entries)
+            skipped += len(sites) - len(kept)
+            candidates += [(rel, source, i, kind) for i, kind in kept]
+        print(f"skipped {skipped} sites listed as equivalent in {EQUIVALENT.name}",
+              flush=True)
         rng = random.Random(args.seed)
         chosen = rng.sample(candidates, min(args.count, len(candidates)))
         results = []
@@ -175,7 +227,7 @@ def main(argv=None) -> int:
         shutil.rmtree(base, ignore_errors=True)
 
     report = {"seed": args.seed, "modules": args.modules,
-              "sites": len(candidates), **_score(results)}
+              "sites": len(candidates), "skipped": skipped, **_score(results)}
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"killed {report['killed']} of {len(results)} mutants, "
           f"{report['timeouts']} timed out; survivors in {args.out}")

@@ -665,8 +665,8 @@ def _cmd_validate(config: RunConfig, out_dir: Path, timings: dict) -> list[str]:
         ok, detail = block
         # the level-1 remainders the reduced compressions read, built by
         # decimation lineage, against the junction SVD of each whole
-        # eigenspace built by the walk (the sine of their largest principal
-        # angle, over 1e-12) and against the localized trace of f over it
+        # eigenspace, read in pieces off the walk (the sine of their largest
+        # principal angle, over 1e-12) and against the localized trace of f
         try:
             angle, trace = _lineage_margins(m, f)
             ok = ok and angle <= 1.0
@@ -805,10 +805,11 @@ def _block_exactness(split, f) -> tuple[bool, str]:
 
 def _lineage_margins(m: int, f) -> tuple[float, float]:
     """The worst lineage angle over 1e-12 and localized-trace margin of f over
-    every level-m eigenspace, each built whole by the depth-first walk
-    beside its remainder at f's cell level, carried down the same lineage:
-    that remainder against the junction SVD of the whole eigenspace, and the
-    trace of f over the whole less its trace over the remainder."""
+    every level-m eigenspace, each in the pieces of its layout off the
+    depth-first walk beside its remainder at f's cell level, carried down
+    the same lineage: that remainder against the junction SVD of the whole
+    eigenspace, and the trace of f over the whole less its trace over the
+    remainder, each summed over the pieces, no n x d block formed."""
     from . import eigenbasis, operators
 
     def margins(bundle, carried) -> tuple[float, float]:

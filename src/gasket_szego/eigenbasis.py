@@ -18,39 +18,39 @@ certified once per process, on its own level, like the newborn
 remainders, and shared by every eigenspace of its series and branches:
 the walk carries an eigenspace as its remainder at cell level 1 alone and
 reads the templates, and writes the whole n x d block only for a caller
-that asks for vectors.  Each eigenspace arrives labelled with its entry of
-the decimation prediction, orthonormal in the measure-weighted inner
-product, its remainder and templates each passing the stencil check of
-their level's eigen-equation over the vertex set's neighbour table (a
-template's corner sums too) and a Gram check, and the cross Gram of
-remainder against templates; a localized split passes the stencil check
-whole.  Every cell level k reads the same walk: an
-eigenspace's remainder at k is its remainder at cell level 1 beside its
-templates of cells coarser than k, the leading columns of its whole block,
-so no whole block is formed for k < m.  `walk_remainder(m, k)` writes
-every level-m eigenspace's remainder into its column range of one
+that asks for vectors, from the layout of those pieces (`_pieces`).  Each
+eigenspace arrives labelled with its entry of the decimation prediction,
+orthonormal in the measure-weighted inner product, its remainder and
+templates each passing the stencil check of their level's eigen-equation
+over the vertex set's neighbour table (a template's corner sums too) and a
+Gram check, and the cross Gram of remainder against templates; a localized
+split passes the stencil check whole.  Every cell level k reads the same
+walk: an eigenspace's remainder at k is its remainder at cell level 1
+beside its templates of cells coarser than k, the leading columns of its
+whole block, so no whole block is formed for k < m.  `walk_remainder(m, k)`
+writes every level-m eigenspace's remainder into its column range of one
 read-only matrix in record-value order, and `level_remainder(m, k)` caches
 it; at k = m that is the n x n basis, the only one formed.
-`walk_eigenspaces` hands each whole eigenspace to a visitor and drops it,
-with a cell level k beside its remainder there, the very block
-`walk_remainder` writes; and `eigenspace(m, key)` follows one lineage.  `level_basis(m)` is the
-cached level workspace: the eigenspaces labelled by their records, with no
-vectors and no vertex set, so a sweep whose symbol depends only on lam builds
-none.  A bundle or workspace looks its vertex set up by its level from
-`build_vertices`, which alone holds it.
+`walk_eigenspaces` hands each eigenspace to a visitor as those pieces, not
+as an n x d block, with a cell level k beside its remainder there, the very
+block `walk_remainder` writes; and `eigenspace(m, key)` follows one
+lineage.  `level_basis(m)` is the cached level workspace: the eigenspaces
+labelled by their records, with no vectors and no vertex set, so a sweep
+whose symbol depends only on lam builds none.  A bundle or workspace looks
+its vertex set up by its level from `build_vertices`, which alone holds it.
 The dense eigensolve `solve_graph_spectrum` and its labelling
 `group_eigenspaces` stay as the independent oracle.  Remainders at a cell
 level rest on the junction functionals at the level's interior vertices,
 which vanish exactly on the sums of vectors localized in cells: the row
 space of the functionals applied to an eigenspace is its non-localized
 remainder (`eigenspace_remainder`, the independent check of the carried
-remainders, newborns among them).  A localized split reads the walk's
-column layout (`_cell_runs`): the remainder is the leading columns, and
-cell 0's localized vectors are the first columns of each run of cell
-pieces, which every other N-cell, a translate of cell 0, holds unchanged in
-its rows.  The rank of the functionals is checked against the closed-form
-counts, which is the decisive structural test, and a split reports how far
-its singular values sit from the rank tolerance.
+remainders, newborns among them, read piece by piece).  A localized split
+reads the walk's column layout (`_cell_runs`): the remainder is the leading
+columns, and cell 0's localized vectors are the first columns of each run
+of cell pieces, which every other N-cell, a translate of cell 0, holds
+unchanged in its rows.  The rank of the functionals is checked against the
+closed-form counts, which is the decisive structural test, and a split
+reports how far its singular values sit from the rank tolerance.
 """
 from __future__ import annotations
 
@@ -106,12 +106,14 @@ def solve_graph_spectrum(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class EigenspaceBundle:
     """An eigenspace at graph level m, orthonormal in the weighted inner
-    product; the bundles of a level basis leave `vectors` None."""
+    product; the bundles of a level basis leave `vectors` None, and those
+    `walk_eigenspaces` visits hold their `pieces` instead."""
 
     level: int
     record: EigenvalueRecord
     graph_value: float
     vectors: np.ndarray | None
+    pieces: list | None = None
 
     @property
     def vertices(self) -> VertexSet:
@@ -126,6 +128,14 @@ class EigenspaceBundle:
                 f"with eigenbasis.eigenspace"
             )
         return self.vectors
+
+    def require_pieces(self) -> list:
+        """The (rows, block, first column) pieces it holds (`_pieces`), or
+        its vectors as the one piece, of the one 0-cell, whose rows are all."""
+        if self.pieces is not None:
+            return self.pieces
+        u = self.require_vectors()
+        return [(np.arange(u.shape[0])[None], u, 0)]
 
     @property
     def dim(self) -> int:
@@ -417,30 +427,39 @@ def _remainder_rank(record: EigenvalueRecord, k: int) -> int:
 
 def eigenspace_remainder(bundle: EigenspaceBundle, k: int) -> Remainder:
     """The remainder at cell level k of one whole eigenspace, read off its
-    vectors.
+    vectors piece by piece (`require_pieces`), each translate's own values.
 
     It is the row space of the junction functionals applied to the
     eigenspace: the top right singular vectors of a (2 n_k) x d matrix,
-    whose rank is pinned to the closed-form count.  An eigenspace in which
+    whose rank is pinned to the closed-form count, times the eigenspace,
+    both summed over the pieces.  An eigenspace in one piece in which
     nothing localizes is its own remainder.  A bundle that holds only part
     of its eigenspace raises `StructuralError`.
     """
-    u, rec = bundle.require_vectors(), bundle.record
+    rec, pieces = bundle.record, bundle.require_pieces()
     if not 0 <= k <= bundle.level:
         raise DomainError(f"need 0 <= cell level <= {bundle.level}, got {k}")
-    d = u.shape[1]
+    d = sum(rows.shape[0] * block.shape[1] for rows, block, _ in pieces)
     if d != rec.multiplicity:
         raise StructuralError(
             f"bundle dimension {d} != predicted multiplicity {rec.multiplicity}"
         )
     r = _remainder_rank(rec, k)
-    if r == d:
-        columns = u
+    if r == d and len(pieces) == 1:
+        columns = pieces[0][1]
     elif r == 0:
-        columns = u[:, :0]
+        columns = pieces[0][1][:, :0]
     else:
-        values = _junction_matrix(bundle.vertices, k) @ u
-        columns = u @ _junction_cut(values, r, rec.key, k)[0].T
+        j = _junction_matrix(bundle.vertices, k)
+        # each cell's junction values, the cells' columns side by side
+        values = np.hstack([np.matmul(j[:, rows], block).reshape(j.shape[0], -1)
+                            for rows, block, _ in pieces])
+        vh = _junction_cut(values, r, rec.key, k)[0]
+        columns = np.zeros((pieces[0][0].shape[1], r))
+        for rows, block, start in pieces:
+            cells = vh[:, start : start + rows.shape[0] * block.shape[1]]
+            cells = cells.reshape(r, rows.shape[0], -1).transpose(1, 2, 0)
+            columns[rows] += np.matmul(block, np.ascontiguousarray(cells))
     return Remainder(
         columns=columns, dims=[r], per_cell=[(d - r) // 3 ** k], records=[rec]
     )
@@ -907,40 +926,58 @@ def _cell_runs(record: EigenvalueRecord, first: int, k: int) -> list:
     return [(n, alpha(n), alpha(n + 1)) for n in range(first, min(k, record.birth - 1))]
 
 
-def _assemble(g: GraphEigenvalue, rem1: np.ndarray, out: np.ndarray, k: int) -> None:
+def _pieces(g: GraphEigenvalue, rem1: np.ndarray, k: int):
     """Entry g's remainder at cell level k, or at k = its level its whole
-    eigenspace, weighted-orthonormal, into `out`.
+    eigenspace, weighted-orthonormal, as the read-only pieces of its column
+    layout (`_cell_runs`): (rows, block, first column), the translates of
+    `block` into the cells of rows `rows` filling the columns from the
+    first, cell after cell.
 
-    It is the orthogonal sum of `rem1`, its remainder at cell level 1, and,
-    for N = 1, ..., k - 1, of what birth g.birth - N adds to every N-cell,
-    the cached template `_template(g.series, g.birth - N, g.prefix)`:
-    vectors localized in cells, the eigenfunctions of Barlow and Kigami.
-    Every N-cell is cell 0 translated, its rows cell 0's in order, and cell
-    0's rows are the template's level's interior in order, so each template
-    is written straight into every cell's rows, scaled by 3^(N/2) to
-    weighted-orthonormal columns, in the columns `_cell_runs` lays out,
-    cell after cell, each checked orthogonal to `rem1`.
+    It is the orthogonal sum of `rem1`, its remainder at cell level 1, in
+    the one 0-cell, and, for N = 1, ..., k - 1, of what birth g.birth - N
+    adds to every N-cell, the cached template `_template(g.series,
+    g.birth - N, g.prefix)`: vectors localized in cells, the eigenfunctions
+    of Barlow and Kigami.  Every N-cell is cell 0 translated, its rows cell
+    0's in order, and cell 0's rows are the template's level's interior in
+    order, so the template, scaled by 3^(N/2) to weighted-orthonormal
+    columns, is the block of the N-cells, each checked orthogonal to `rem1`.
     """
     level = g.birth + len(g.prefix)
     vertices = build_vertices(level)
-    out[:, : rem1.shape[1]] = rem1
-    out[:, rem1.shape[1] :] = 0.0
-    for n_level, start, stop in _cell_runs(g.record, 1, k):
+    yield np.arange(rem1.shape[0])[None], rem1, 0
+    for n_level, start, _ in _cell_runs(g.record, 1, k):
         block = _template(g.series, g.birth - n_level, g.prefix) * np.sqrt(3.0**n_level)
+        block.flags.writeable = False
         rows = _translates(vertices, n_level)
         _check_cross(level, rem1, rows, block, g.record.key)
-        # cell c's rows and columns, the cells' columns side by side
-        cols = np.arange(start, stop).reshape(rows.shape[0], 1, -1)
-        out[rows[:, :, None], cols] = block
+        yield rows, block, start
 
 
-def _whole(g: GraphEigenvalue, rem1: np.ndarray) -> np.ndarray:
-    """Entry g's whole eigenspace, read-only: its remainder at cell level 1
-    when nothing in it localizes, else assembled (`_assemble`)."""
-    if rem1.shape[1] == g.multiplicity:
+def _assemble(g: GraphEigenvalue, rem1: np.ndarray, out: np.ndarray, k: int) -> None:
+    """Entry g's remainder at cell level k, or at k = its level its whole
+    eigenspace, weighted-orthonormal, into `out`: its pieces (`_pieces`)
+    written out, zero outside their cells."""
+    out[:, rem1.shape[1] :] = 0.0
+    for rows, block, start in _pieces(g, rem1, k):
+        width = rows.shape[0] * block.shape[1]
+        if rows.shape[0] == 1:
+            # the one 0-cell, whose rows are every row in order
+            out[:, start : start + width] = block
+        else:
+            # cell c's rows and columns, the cells' columns side by side
+            cols = np.arange(start, start + width).reshape(rows.shape[0], 1, -1)
+            out[rows[:, :, None], cols] = block
+
+
+def _cut(g: GraphEigenvalue, rem1: np.ndarray, k: int) -> np.ndarray:
+    """Entry g's remainder at cell level k, or at k = its level its whole
+    eigenspace, read-only: its remainder at cell level 1 when nothing else
+    is in it, else assembled (`_assemble`)."""
+    width = _remainder_rank(g.record, k)
+    if rem1.shape[1] == width:
         return rem1
-    out = np.empty((rem1.shape[0], g.multiplicity))
-    _assemble(g, rem1, out, g.birth + len(g.prefix))
+    out = np.empty((rem1.shape[0], width))
+    _assemble(g, rem1, out, k)
     out.flags.writeable = False
     return out
 
@@ -1052,10 +1089,8 @@ def _walk(m: int, leaf: Callable[[GraphEigenvalue, object], None]) -> None:
     del descend
 
 
-def _bundle(m: int, g: GraphEigenvalue, vectors) -> EigenspaceBundle:
-    return EigenspaceBundle(
-        level=m, record=g.record, graph_value=g.graph_value, vectors=vectors
-    )
+def _bundle(m: int, g: GraphEigenvalue, vectors, pieces=None) -> EigenspaceBundle:
+    return EigenspaceBundle(m, g.record, g.graph_value, vectors, pieces)
 
 
 def eigenspace(m: int, key: str) -> EigenspaceBundle:
@@ -1077,22 +1112,22 @@ def eigenspace(m: int, key: str) -> EigenspaceBundle:
     rem1 = None
     for i in range(len(entry.prefix) + 1):
         rem1 = _grown(nodes[entry.series, entry.birth, entry.prefix[:i]], rem1)
-    return _bundle(m, entry, _whole(entry, rem1))
+    return _bundle(m, entry, _cut(entry, rem1, m))
 
 
 def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
     """`visit(bundle, remainder)` applied to every level-m eigenspace, each
-    built whole by its lineage, depth first down the decimation tree, in
-    tree order, beside its remainder at cell level k.
+    in the pieces of its column layout, depth first down the decimation
+    tree, in tree order, beside its remainder at cell level k.
 
     The walk carries each eigenspace's remainder at cell level 1 down its
-    lineage and reads the cached templates; a visited eigenspace is
-    assembled from both (`_whole`) and dropped when `visit` returns, so the
-    peak is the largest single eigenspace, not the n x n level basis.  The
-    visited vectors are read-only.  The remainder at cell level k is the
-    whole block's leading columns (`_assemble` writes it first), so that it
-    equals that eigenspace's block of `walk_remainder(m, k)` bit for bit,
-    and no level matrix is assembled.
+    lineage and reads the cached templates; a visited bundle holds no
+    vectors but its read-only pieces (`_pieces`: its remainder at cell
+    level 1, then each template with the rows of its cells), dropped when
+    `visit` returns, so no n x d block is formed.  The remainder at cell
+    level k is the pieces of cells coarser than k written out
+    (`_assemble`), so that it equals that eigenspace's block of
+    `walk_remainder(m, k)` bit for bit, and no level matrix is assembled.
     """
     _check_level(m)
     if not 1 <= k <= m:
@@ -1100,15 +1135,12 @@ def walk_eigenspaces(m: int, visit: Callable[..., object], k: int) -> list:
     results = []
 
     def leaf(g: GraphEigenvalue, parent) -> None:
-        bundle = _bundle(m, g, _whole(g, _grown(g, parent)))
-        columns = bundle.vectors[:, : _remainder_rank(g.record, k)]
-        remainder = Remainder(
-            columns=columns,
-            dims=[columns.shape[1]],
-            per_cell=[(g.multiplicity - columns.shape[1]) // 3**k],
-            records=[g.record],
-        )
-        results.append(visit(bundle, remainder))
+        rem1 = _grown(g, parent)
+        pieces = list(_pieces(g, rem1, m))
+        columns = _cut(g, rem1, k)
+        per_cell = (g.multiplicity - columns.shape[1]) // 3**k
+        remainder = Remainder(columns, [columns.shape[1]], [per_cell], [g.record])
+        results.append(visit(_bundle(m, g, None, pieces), remainder))
 
     _walk(m, leaf)
     return results

@@ -458,7 +458,7 @@ def compress(symbol: SymbolSpec, basis: BasisSelection) -> CompressedOperator:
     any orthonormal columns spanning them give the same operator.  The
     localized-trace identity that cross-checks Q against whole eigenspaces
     is `localized_trace_margin`, which `validate` runs on the remainder its
-    walk carries beside each whole eigenspace, bit for bit Q's block.
+    walk carries beside each eigenspace's pieces, bit for bit Q's block.
     """
     m, lams = basis.level, np.array([rec.value for rec in basis.records])
     q, runs = eigenspace_runs(symbol, basis.records)
@@ -519,21 +519,25 @@ def localized_trace_margin(
 
     `remainder` holds the eigenspace's remainder at cell level chi.level
     (its own, or a level's, from which its columns are selected).  The
-    trace of [chi] over the eigenspace's vectors less its trace over the
-    remainder is the localized part: `per_cell` vectors in each cell C,
-    each an eigenvector at chi_C, so it must equal `per_cell` times the sum
-    of the cell values.  Returns the deviation over its tolerance
-    BLOCK_TOL * d * max(1, sup|chi|), and raises StructuralError above 1.
+    trace of [chi] over the eigenspace's vectors, summed over its pieces
+    (`require_pieces`), less its trace over the remainder is the localized
+    part: `per_cell` vectors in each cell C, each an eigenvector at chi_C,
+    so it must equal `per_cell` times the sum of the cell values.  Returns
+    the deviation over its tolerance BLOCK_TOL * d * max(1, sup|chi|), and
+    raises StructuralError above 1.
     """
-    rec, cols = bundle.record, bundle.require_vectors()
+    rec, pieces = bundle.record, bundle.require_pieces()
     rem = remainder.select([rec])
     g = effective_multiplier(chi, bundle.vertices)[bundle.vertices.interior]
-    localized = np.sum(np.einsum("i,ij,ij->j", g, cols, cols)) - np.sum(
+    # per column, in column order: each cell's columns, the cells' side by side
+    whole = np.concatenate([np.einsum("cr,rt,rt->ct", g[rows], block, block).ravel()
+                            for rows, block, _ in pieces])
+    localized = np.sum(whole) - np.sum(
         np.einsum("i,ij,ij->j", g, rem.columns, rem.columns)
     )
     c = rem.per_cell[0]
     dev = abs(float(localized) - c * math.fsum(chi.values))
-    tol = BLOCK_TOL * cols.shape[1] * max(1.0, chi.sup_norm)
+    tol = BLOCK_TOL * whole.size * max(1.0, chi.sup_norm)
     if dev > tol:
         raise StructuralError(
             f"eigenspace {rec.key}: the localized trace of the potential "

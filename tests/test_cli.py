@@ -888,6 +888,13 @@ def test_config_validation_messages(tmp_path, capsys):
                       name="records")
     assert code == 2
     assert "config.records[0]: no eigenspace" in capsys.readouterr().err
+    # and at the level cap, before anything of the level is built
+    code, _ = run_cli(tmp_path, "basis", {"m": 8, "records": ["6:9:+"]},
+                      name="records8")
+    assert code == 2
+    assert "config.records[0]: no eigenspace with record key 6:9:+ at level 8" in (
+        capsys.readouterr().err
+    )
     # json.loads accepts NaN and Infinity; every numeric field rejects them,
     # and ints beyond float range
     nan, inf = float("nan"), float("inf")
@@ -917,6 +924,17 @@ def test_config_validation_messages(tmp_path, capsys):
         assert ("config.F: parameter 'coeffs' must be a non-empty list of "
                 "finite numbers") in capsys.readouterr().err
 
+
+
+def test_each_p_kind_maps_lambda():
+    # the map each p kind builds, at lam = 3, and its label
+    for p, value, label in (
+        ({"kind": "identity"}, 3.0, "identity"),
+        ({"kind": "power", "exponent": 2.0}, 9.0, "power(2)"),
+        ({"kind": "affine", "scale": 2.0, "offset": 1.0}, 7.0, "affine(2,1)"),
+    ):
+        fn, name = cli.parse_p(p)
+        assert (fn(3.0), name) == (value, label)
 
 def test_malformed_chi_exits_2(tmp_path):
     config = {"m": 3, "j_range": [2], "chi": {"level": 1}}

@@ -497,14 +497,34 @@ def test_eigenspace_checks_every_step(monkeypatch):
         eigenbasis.eigenspace(3, "5:2:+")
 
 
+def _written_out(pieces, n):
+    """The eigenspace whose pieces are `pieces`, each block's translates
+    written cell by cell into their columns, zero elsewhere."""
+    width = sum(rows.shape[0] * block.shape[1] for rows, block, _ in pieces)
+    out = np.zeros((n, width))
+    for rows, block, start in pieces:
+        w = block.shape[1]
+        for c, cell in enumerate(rows):
+            out[cell, start + c * w : start + (c + 1) * w] = block
+    return out
+
+
 @pytest.mark.parametrize("m", [1, 3, 5, 6])
 def test_walk_visits_every_eigenspace_once(m):
+    # each eigenspace arrives as its pieces, no whole block: its remainder at
+    # cell level 1 over every row, then each template in its cells' rows,
+    # which written out are its columns of the n x n basis bit for bit
     expected = {b.record.key: b.vectors for b in whole_basis(m).bundles}
+    n = eigenbasis.level_basis(m).vertices.n_interior
 
     def visit(bundle, _remainder):
-        assert bundle.level == m
-        assert _bits(bundle.vectors) == _bits(expected[bundle.record.key])
-        assert not bundle.vectors.flags.writeable
+        assert bundle.level == m and bundle.vectors is None
+        pieces = bundle.require_pieces()
+        assert np.array_equal(pieces[0][0], np.arange(n)[None])
+        assert pieces[0][1] is _remainder.columns
+        assert all(not block.flags.writeable for _, block, _ in pieces)
+        whole = _written_out(pieces, n)
+        assert _bits(whole) == _bits(expected[bundle.record.key])
         return bundle.record.key
 
     keys = eigenbasis.walk_eigenspaces(m, visit, k=1)

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -226,13 +227,16 @@ def test_a_remainder_turned_toward_the_kernel_fails_the_lineage_check(
     # vector of its eigenspace: its span moves past the 1e-12 angle
     # tolerance, and the row fails while the file is still written.  (A
     # column's sign flip leaves the span, and every compression, unchanged.)
+    # The walk hands over pieces, so the kernel is read off the eigenspace
+    # built alone by its lineage.
     turned = []
 
     def turn(bundle, rem):
         if turned or not rem.per_cell[0] or not rem.dims[0]:
             return rem
         turned.append(bundle.record.key)
-        u, q = bundle.require_vectors(), rem.columns
+        whole = eigenbasis.eigenspace(bundle.level, bundle.record.key)
+        u, q = whole.require_vectors(), rem.columns
         w = eigenbasis.interior_weight(bundle.level)
         kernel = u - q @ (q.T @ u * w)
         v = kernel[:, np.argmax(np.linalg.norm(kernel, axis=0))]
@@ -268,6 +272,53 @@ def test_the_walk_carries_each_remainder_bit_for_bit(m):
     for k in (0, m + 1):
         with pytest.raises(DomainError, match="cell level"):
             eigenbasis.walk_eigenspaces(m, visit, k=k)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_piece_reads_match_the_whole_eigenspace(m):
+    # the walk hands each eigenspace over in pieces; the remainder read off
+    # them spans the one read off the whole block, at k = 1 and 2, to a
+    # principal angle of 1e-14 (7.8e-15 at m = 6, k = 1, measured, as far as
+    # a remainder's angle from itself), and the localized trace agrees to
+    # 1e-14 relative (bit for bit, measured)
+    whole = {b.record.key: b for b in whole_basis(m).bundles}
+    keys = []
+
+    def visit(bundle, carried):
+        own = whole[bundle.record.key]
+        assert bundle.vectors is None
+        for k in (1, 2):
+            read = eigenbasis.eigenspace_remainder(bundle, k)
+            expected = eigenbasis.eigenspace_remainder(own, k)
+            assert (read.dims, read.per_cell) == (expected.dims, expected.per_cell)
+            assert eigenbasis.remainder_deviation(read, expected, m) <= 1e-14
+        margin = operators.localized_trace_margin(CHIS[1], bundle, carried)
+        expected = operators.localized_trace_margin(CHIS[1], own, carried)
+        assert abs(margin - expected) <= 1e-14 * abs(expected)
+        keys.append(bundle.record.key)
+
+    eigenbasis.walk_eigenspaces(m, visit, k=1)
+    assert sorted(keys) == sorted(whole)
+
+
+def test_lineage_check_forms_no_whole_eigenspace():
+    # validate's lineage check at m = 7, from cold lineage caches (the
+    # decimation tree, refinements, newborn remainders and templates are
+    # built inside), reads each eigenspace in pieces: its traced peak stays
+    # under 8 MiB (2.9 MiB measured), where the 3279 x 1092 newborn 6:7:+
+    # alone is 27.3 MiB, and a whole-block reader peaked at 27.7 MiB
+    for cached in (eigenbasis._tree, eigenbasis._refinement,
+                   eigenbasis._newborn_remainder, eigenbasis._template):
+        cached.cache_clear()
+    f = SimpleFunction(1, [1.0, 2.0, 3.0])
+    tracemalloc.start()
+    try:
+        angle, trace = cli._lineage_margins(7, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert angle <= 1.0 and trace <= 1.0
+    assert peak < 8 * 2**20
 
 
 def test_validate_assembles_no_level_remainder(monkeypatch, tmp_path):

@@ -85,16 +85,6 @@ def test_mutation_score_counts_only_test_failures():
     assert everything_timed_out["killed"] == 0
 
 
-def _function_lines(tree: ast.AST, name: str) -> range:
-    """The lines of the function `name`, its decorators included."""
-    node = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
-    )
-    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-    return range(first, node.end_lineno + 1)
-
-
 def test_every_equivalent_mutant_names_a_line_of_its_module():
     # an entry whose line is gone, or moved out of its function, names no
     # mutant the harness can draw: each `code` is a stripped source line of
@@ -106,5 +96,45 @@ def test_every_equivalent_mutant_names_a_line_of_its_module():
         lines = source.splitlines()
         span = range(1, len(lines) + 1)
         if entry["function"] is not None:
-            span = _function_lines(ast.parse(source), entry["function"])
+            span = _load_mutants()._function_lines(ast.parse(source), entry["function"])
         assert entry["code"] in {lines[i - 1].strip() for i in span}, entry
+
+
+_TWINS = "def f(x):\n    return x.reshape(3, -1)\n\n\ndef g(x):\n    return x.reshape(3, -1)\n"
+
+
+def test_listed_equivalent_sites_are_never_drawn():
+    # a listed (module, line, mutation) site is dropped before sampling, so
+    # it is neither drawn as a survivor again nor scored as killed by the
+    # test of the list's lines; the line's other mutations, and the same
+    # line in another function, are kept
+    mutants = _load_mutants()
+    sites = mutants._sites(ast.parse(_TWINS))
+    nodes = list(ast.walk(ast.parse(_TWINS)))
+    entry = {"module": "pkg/m.py", "function": "f",
+             "code": "return x.reshape(3, -1)", "mutation": "1 -> 2"}
+
+    def drawn(entries, rel="pkg/m.py"):
+        return [(nodes[i].lineno, mutants._what(nodes[i], kind))
+                for i, kind in mutants._unlisted(Path(rel), _TWINS, sites, entries)]
+
+    assert len(sites) == 6
+    assert sorted(drawn([])) == sorted(
+        (line, what) for line in (2, 6) for what in ("3 -> 4", "drop USub", "1 -> 2"))
+    assert sorted(drawn([entry])) == sorted(set(drawn([])) - {(2, "1 -> 2")})
+    assert sorted(drawn([{**entry, "function": None}])) == sorted(
+        set(drawn([])) - {(2, "1 -> 2"), (6, "1 -> 2")})
+    assert drawn([entry], rel="pkg/other.py") == drawn([])
+    assert drawn([{**entry, "mutation": "1 -> 3"}]) == drawn([])
+
+
+def test_every_equivalent_mutant_is_skipped():
+    # each entry of the committed list names at least one site of its
+    # module, and the harness drops it
+    mutants = _load_mutants()
+    entries = json.loads((ROOT / "scripts" / "mutants_equivalent.json").read_text())
+    for entry in entries:
+        rel = Path(entry["module"])
+        source = (ROOT / rel).read_text(encoding="utf-8")
+        sites = mutants._sites(ast.parse(source))
+        assert len(mutants._unlisted(rel, source, sites, [entry])) < len(sites), entry
